@@ -203,15 +203,26 @@ func BenchmarkDetailedCycle(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkloadGen measures the functional simulator alone.
+// BenchmarkWorkloadGen measures the functional simulator alone, through
+// the 4096-slot NextBatch every product consumer pulls. One op is one
+// instruction. The sub-benchmarks take different draw paths: integer
+// (gcc), pointer-chase (mcf), strided (swim) and FP-chain (art).
 func BenchmarkWorkloadGen(b *testing.B) {
-	p := workload.SPECByName("gcc")
-	g := workload.New(p, 0, 1, 42)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := g.Next(); !ok {
-			b.Fatal("stream ended")
-		}
+	for _, name := range []string{"gcc", "mcf", "swim", "art"} {
+		b.Run(name, func(b *testing.B) {
+			g := workload.New(workload.SPECByName(name), 0, 1, 42)
+			buf := make([]isa.Inst, 4096)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for left := b.N; left > 0; {
+				k := g.NextBatch(buf[:min(left, len(buf))])
+				if k == 0 {
+					b.Fatal("stream ended")
+				}
+				left -= k
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/inst")
+		})
 	}
 }
 

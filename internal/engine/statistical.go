@@ -171,20 +171,32 @@ type stratified struct {
 	taken  uint64
 }
 
+// Next implements trace.Stream: a one-slot batch.
 func (s *stratified) Next() (isa.Inst, bool) {
+	var one [1]isa.Inst
+	if s.NextBatch(one[:]) == 0 {
+		return isa.Inst{}, false
+	}
+	return one[0], true
+}
+
+// NextBatch implements trace.BatchStream: the rest of the current slice,
+// straight from the generator's batch emitter.
+func (s *stratified) NextBatch(buf []isa.Inst) int {
 	if s.taken == s.next {
 		if len(s.starts) == 0 {
-			return isa.Inst{}, false
+			return 0
 		}
 		if err := s.g.SkipTo(s.starts[0]); err != nil {
-			return isa.Inst{}, false
+			return 0
 		}
 		s.starts = s.starts[1:]
 		s.next += s.per
 	}
-	in, ok := s.g.Next()
-	if ok {
-		s.taken++
+	if left := s.next - s.taken; uint64(len(buf)) > left {
+		buf = buf[:left]
 	}
-	return in, ok
+	n := s.g.NextBatch(buf)
+	s.taken += uint64(n)
+	return n
 }

@@ -113,26 +113,32 @@ const (
 
 // Inst is one dynamic instruction. Values are produced by the functional
 // workload generator and consumed, unmodified, by every timing model.
+//
+// The field order is layout, not format: the 8-byte fields come first so
+// the struct packs into 40 bytes (pinned by TestInstSize), which every
+// generator store, batch copy and core load pays for. Everything that
+// persists or prints instructions names the fields (trace/io.go, the
+// goldens' isatest.Write), and every literal in the tree is keyed.
 type Inst struct {
 	// Seq is the dynamic sequence number within the owning thread,
 	// starting at zero.
 	Seq uint64
 	// PC is the (synthetic) program counter of the instruction.
 	PC uint64
+	// Addr is the effective virtual address for Load/Store.
+	Addr uint64
+	// Target is the architectural branch target for taken branches.
+	Target uint64
+	// SyncID identifies the barrier or lock for synchronization classes.
+	SyncID uint16
 	// Class is the execution class.
 	Class Class
 	// Src1 and Src2 are source register ids, or RegNone.
 	Src1, Src2 uint8
 	// Dst is the destination register id, or RegNone.
 	Dst uint8
-	// Addr is the effective virtual address for Load/Store.
-	Addr uint64
 	// Taken is the architectural outcome for branches.
 	Taken bool
-	// Target is the architectural branch target for taken branches.
-	Target uint64
-	// SyncID identifies the barrier or lock for synchronization classes.
-	SyncID uint16
 }
 
 // HasDst reports whether the instruction writes a register.

@@ -3,7 +3,17 @@ package isa
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
+
+// TestInstSize pins the hand-off layout: 8-byte fields first, 40 bytes.
+// A new field or a reordering that grows the struct taxes every generator
+// store, ring copy and core load; it should be a decision, not an accident.
+func TestInstSize(t *testing.T) {
+	if got := unsafe.Sizeof(Inst{}); got != 40 {
+		t.Fatalf("unsafe.Sizeof(isa.Inst{}) = %d, want 40", got)
+	}
+}
 
 func TestClassPredicates(t *testing.T) {
 	cases := []struct {

@@ -454,6 +454,13 @@ func warmup(mem *memhier.Hierarchy, bps []*branch.Unit, streams []trace.Stream, 
 		// so warmup never over-reads a stream that the timed run then
 		// continues from.
 		bs := trace.Batched(s)
+		// Fetch is line-granular here as in both timed cores: only the
+		// first instruction on each 64-byte line accesses the I-side. A
+		// repeat would hit the most recently used line of this core's L1I
+		// and ITLB, which changes no relative LRU order, and the
+		// statistics are cleared below — skipping it leaves the warmed
+		// state as it was.
+		lastLine := ^uint64(0)
 		for left := n; left > 0; {
 			want := len(buf)
 			if want > left {
@@ -469,7 +476,10 @@ func warmup(mem *memhier.Hierarchy, bps []*branch.Unit, streams []trace.Stream, 
 				if in.Class.IsSync() {
 					continue
 				}
-				mem.Inst(i, in.PC, 0)
+				if line := in.PC >> 6; line != lastLine {
+					lastLine = line
+					mem.Inst(i, in.PC, 0)
+				}
 				if in.Class.IsBranch() {
 					bps[i].Predict(in)
 				}

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/branch"
 	"repro/internal/config"
 	"repro/internal/isa"
+	"repro/internal/memhier"
 	"repro/internal/multicore"
 	"repro/internal/report"
 	"repro/internal/trace"
@@ -137,4 +139,63 @@ func TestBatchedStreamEquivalence(t *testing.T) {
 			t.Fatalf("generated and replayed reports differ:\n%s\n--\n%s", generated, replayed)
 		}
 	})
+}
+
+// TestWarmupFetchesPerLine: warm-up fetches only on the first instruction
+// of each 64-byte line, as the timed cores do. The skipped fetches would
+// have hit the most recently used line, so the warmed machine must be the
+// one a fetch per instruction leaves: after either warm-up the same
+// accesses get the same answers, here on gcc's large code footprint (the
+// L1I evicts throughout) and with two cores warmed one after the other.
+func TestWarmupFetchesPerLine(t *testing.T) {
+	const warm, probe = 60_000, 40_000
+	m := config.Default(2)
+	p := workload.SPECByName("gcc")
+	recs := [][]isa.Inst{
+		trace.Record(workload.New(p, 0, 1, 42), warm+probe),
+		trace.Record(workload.NewSlot(p, 0, 1, 43, 1), warm+probe),
+	}
+	units := func() []*branch.Unit {
+		return []*branch.Unit{branch.NewUnit(m.Branch), branch.NewUnit(m.Branch)}
+	}
+
+	got, gotBP := memhier.New(2, m.Mem, memhier.Perfect{}), units()
+	multicore.Warmup(got, gotBP, []trace.Stream{
+		trace.NewSliceStream(recs[0][:warm]), trace.NewSliceStream(recs[1][:warm]),
+	}, warm)
+
+	// The reference: every instruction fetches.
+	want, wantBP := memhier.New(2, m.Mem, memhier.Perfect{}), units()
+	for i, rec := range recs {
+		for j := range rec[:warm] {
+			in := &rec[j]
+			want.Inst(i, in.PC, 0)
+			if in.Class.IsBranch() {
+				wantBP[i].Predict(in)
+			}
+			if in.Class.IsMem() {
+				want.Data(i, in.Addr, in.Class == isa.Store, 0)
+			}
+		}
+	}
+	want.ResetStats()
+
+	for i, rec := range recs {
+		for j := range rec[warm:] {
+			in := &rec[warm+j]
+			now := int64(j)
+			if g, w := got.Inst(i, in.PC, now), want.Inst(i, in.PC, now); g != w {
+				t.Fatalf("core %d, instruction %d after warm-up: fetch %+v, per-instruction warm-up gives %+v", i, j, g, w)
+			}
+			if in.Class.IsMem() {
+				st := in.Class == isa.Store
+				if g, w := got.Data(i, in.Addr, st, now), want.Data(i, in.Addr, st, now); g != w {
+					t.Fatalf("core %d, instruction %d after warm-up: data access %+v, per-instruction warm-up gives %+v", i, j, g, w)
+				}
+			}
+		}
+	}
+	if g, w := got.Stats(), want.Stats(); g != w {
+		t.Fatalf("statistics after warm-up and probe differ:\n got %+v\nwant %+v", g, w)
+	}
 }

@@ -1,10 +1,10 @@
 package statsim
 
 import (
-	"fmt"
 	"hash/fnv"
 	"testing"
 
+	"repro/internal/isa/isatest"
 	"repro/internal/trace"
 )
 
@@ -25,7 +25,7 @@ func hashInsts(insts []trace.Stream) uint64 {
 			if !ok {
 				break
 			}
-			fmt.Fprintf(h, "%+v|", in)
+			isatest.Write(h, &in)
 		}
 	}
 	return h.Sum64()

@@ -208,9 +208,15 @@ func CollectWarm(src trace.Stream, warm, max int) *Profile {
 	l2 := cache.New(mem.L2)
 	l1i := cache.New(mem.L1I)
 
+	// Pull the stream in batches; the limit clamps them to warm+max, so
+	// the source is never read past the profiled window.
+	if max > 0 {
+		src = trace.NewLimit(src, warm+max)
+	}
+	rd := trace.NewBuffered(src, 1024)
 	var seq uint64
 	for max <= 0 || int(p.Total) < max {
-		in, ok := src.Next()
+		in, ok := rd.Next()
 		if !ok {
 			break
 		}

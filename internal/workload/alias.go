@@ -18,6 +18,9 @@ import "math"
 // per-instruction budget requires); the sampler truncates at
 // rounds*(k-1), the v3 analogue of v2's hard cap at 10000.
 
+// rngSource is what the multi-round samplers draw from: the sequential
+// fastRand (program construction, lock schedule) or the counter-based
+// ctrRand (kernel segment lengths). None of them is on the hot path.
 type rngSource interface{ next() uint64 }
 
 // aliasThrBits is the precision of the acceptance thresholds: the top
@@ -30,8 +33,10 @@ const aliasThrBits = 54
 // for uniform u). A nil sampler is valid and always returns 0, which
 // is the v2 behaviour for mean <= 1.
 type aliasGeom struct {
-	thr    []uint64 // acceptance thresholds, scaled to 1<<aliasThrBits
-	alias  []int32
+	thr []uint64 // acceptance thresholds, scaled to 1<<aliasThrBits
+	// out holds both candidates of column j side by side, out[2j] = j and
+	// out[2j+1] = its alias, so a probe selects by index, not by branch.
+	out    []int32
 	mask   uint64 // table size - 1 (size is a power of two)
 	rounds int
 }
@@ -74,7 +79,7 @@ func newAliasGeom(mean float64, k, rounds int) *aliasGeom {
 	}
 	a := &aliasGeom{
 		thr:    make([]uint64, size),
-		alias:  make([]int32, size),
+		out:    make([]int32, 2*size),
 		mask:   uint64(size - 1),
 		rounds: rounds,
 	}
@@ -84,7 +89,7 @@ func newAliasGeom(mean float64, k, rounds int) *aliasGeom {
 		l := large[len(large)-1]
 		large = large[:len(large)-1]
 		a.thr[s] = uint64(scaled[s] * (1 << aliasThrBits))
-		a.alias[s] = int32(l)
+		a.out[2*s], a.out[2*s+1] = int32(s), int32(l)
 		scaled[l] -= 1 - scaled[s]
 		if scaled[l] < 1 {
 			small = append(small, l)
@@ -95,14 +100,23 @@ func newAliasGeom(mean float64, k, rounds int) *aliasGeom {
 	for _, rest := range [][]int{small, large} {
 		for _, i := range rest {
 			a.thr[i] = 1 << aliasThrBits
-			a.alias[i] = int32(i)
+			a.out[2*i], a.out[2*i+1] = int32(i), int32(i)
 		}
 	}
 	return a
 }
 
-// sample draws one geometric variate: column from the low bits,
-// accept-vs-alias from the high bits, tail buckets resolved by the
+// pick maps one uniform draw to a table outcome: column from the low
+// bits, accept-vs-alias from the high bits. With rounds == 1 the sampler
+// is exactly this function of one draw, which lets the generator's hot
+// probe (dependence distances) call it on an inlined ctrDraw instead of
+// going through rngSource.
+func (a *aliasGeom) pick(u uint64) int {
+	j := u & a.mask
+	return int(a.out[2*j+uint64(b2i(u>>(64-aliasThrBits) >= a.thr[j]))])
+}
+
+// sample draws one geometric variate, resolving tail buckets by the
 // memoryless shift. At most rounds draws are consumed.
 func (a *aliasGeom) sample(r rngSource) int {
 	if a == nil {
@@ -111,11 +125,7 @@ func (a *aliasGeom) sample(r rngSource) int {
 	total := 0
 	last := int(a.mask)
 	for i := 0; i < a.rounds; i++ {
-		u := r.next()
-		j := int(u & a.mask)
-		if (u >> (64 - aliasThrBits)) >= a.thr[j] {
-			j = int(a.alias[j])
-		}
+		j := a.pick(r.next())
 		if j != last {
 			return total + j
 		}

@@ -120,17 +120,20 @@ func programSalt(p *Profile) uint64 {
 // state probe sequential segments of the same total length instead.
 func probeWorstDev(p *Profile, salt uint64) float64 {
 	g := newSlotSalted(p, 0, 1, calSeed, 0, salt)
+	var buf [256]isa.Inst
 	frac := func(n int) (float64, bool) {
-		var branches, total uint64
-		for i := 0; i < n; i++ {
-			in, ok := g.Next()
-			if !ok {
+		var branches, total int
+		for total < n {
+			k := g.NextBatch(buf[:min(len(buf), n-total)])
+			if k == 0 {
 				break
 			}
-			total++
-			if in.Class == isa.Branch {
-				branches++
+			for i := range buf[:k] {
+				if buf[i].Class == isa.Branch {
+					branches++
+				}
 			}
+			total += k
 		}
 		if total == 0 {
 			return 0, false

@@ -70,10 +70,12 @@ func ctrDraw(key, ctr uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// ctrRand adapts ctrDraw to the draw-by-draw interface the synthesis
-// code uses. The generator repositions ctr at every instruction (and
-// SkipTo repositions it across the stream), which is what the
-// sequential fastRand could not do.
+// ctrRand is the generator's position in the per-instruction lane: the
+// emitter sets ctr to the start of an instruction's window and the draws
+// advance it. The hot body path carries ctr in a local and calls ctrDraw
+// directly (it inlines); the draw-by-draw methods serve the paths around
+// it — block terminators, serializing periods, kernel segments — and the
+// multi-round samplers through rngSource.
 type ctrRand struct {
 	key uint64
 	ctr uint64
@@ -86,5 +88,3 @@ func (r *ctrRand) next() uint64 {
 }
 
 func (r *ctrRand) Intn(n int) int { return int(r.next() % uint64(n)) }
-
-func (r *ctrRand) Int63() int64 { return int64(r.next() >> 1) }

@@ -121,13 +121,6 @@ func fwdTarget(rng *fastRand, blockIdx, nBlocks int) int {
 	return blockIdx + 1 + rng.Intn(nBlocks-blockIdx-1)
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // staticSeed derives the static-program seed from the profile name, so the
 // synthetic "binary" is a property of the benchmark alone.
 func staticSeed(name string) int64 {
@@ -164,10 +157,25 @@ type frame struct {
 	block int
 }
 
-// regionState is the per-generator dynamic state of one working-set region.
+// regionState is one working-set region as the emitter sees it: the
+// dynamic cursor, and everything about the region the per-access path
+// would otherwise re-derive from the profile, fixed at construction.
 type regionState struct {
-	base   uint64
-	cursor uint64
+	base     uint64
+	cursor   uint64
+	stride   uint64 // 0 picks uniformly random lines
+	size     uint64 // bytes, at least one line
+	lines    uint64 // size / 64
+	sizeMask uint64 // size-1 when size is a power of two, else 0: use %
+	lineMask uint64 // lines-1 when lines is a power of two, else 0: use %
+	cut      uint64 // cumulative region-select threshold
+	writeCut uint64 // chance an access to the region is a store
+}
+
+// syncOp is a queued synchronization instruction: all it carries.
+type syncOp struct {
+	class isa.Class
+	id    uint16
 }
 
 // StreamVersion is the stream-format generation this package produces.
@@ -232,9 +240,7 @@ type Generator struct {
 	cutMul     uint64
 	cutDiv     uint64
 	cutFP      uint64
-	regionCut  []uint64
 	chunkStep  []uint64 // expected cursor advance per chunk, stride units
-	writeCut   []uint64
 	chainClass isa.Class
 
 	// Interpreter state.
@@ -273,10 +279,9 @@ type Generator struct {
 	untilLock     int
 	critLeft      int // >0 while inside a critical section
 	heldLock      uint16
-	pendingSync   []isa.Inst
-
-	// Statistics for tests.
-	Emitted uint64
+	sync          bool      // the profile has barriers or locks
+	pending       [2]syncOp // queued behind the last instruction
+	pendLen       int
 }
 
 // New creates the stream generator for one thread of a profile. threads is
@@ -340,6 +345,9 @@ func newSlotSalted(p *Profile, thread, threads int, seed int64, slot int, salt u
 		slotBase: slotBase,
 		nextDst:  8,
 		budget:   ^uint64(0),
+		sync:     p.BarrierEvery > 0 || p.LockEvery > 0 && p.Locks > 0,
+		// The interpreter never nests deeper than 64 frames.
+		callStack: make([]frame, 0, 64),
 	}
 	g.initialBudget = g.budget
 	if p.DepDistMean > 1 {
@@ -370,6 +378,7 @@ func newSlotSalted(p *Profile, thread, threads int, seed int64, slot int, salt u
 		g.kernel = buildProgram(p, progRng, blen, trip, slotBase+0x80000000, 2, 192)
 		g.kernCut = probCut(p.SystemFrac / 400)
 		g.kernSeg = newAliasGeom(400, geomTableSize(400), 8)
+		g.kstack = make([]frame, 0, 64)
 	}
 	if p.CritLen > 1 {
 		g.critLen = newAliasGeom(p.CritLen, geomTableSize(p.CritLen), 8)
@@ -390,10 +399,16 @@ func (g *Generator) initRegions() {
 		}
 		// Cursors are dynamic state: the chunk-0 reset derives them
 		// before the first instruction, so they start at zero here.
-		g.regions = append(g.regions, regionState{base: base})
+		rs := regionState{base: base, stride: r.Stride, size: max(r.Bytes, 64), writeCut: probCut(r.WriteFrac)}
+		rs.lines = rs.size / 64
+		if rs.size&(rs.size-1) == 0 {
+			rs.sizeMask = rs.size - 1
+		}
+		if rs.lines&(rs.lines-1) == 0 {
+			rs.lineMask = rs.lines - 1
+		}
+		g.regions = append(g.regions, rs)
 		cum += r.Prob
-		g.regionCut = append(g.regionCut, 0)
-		g.writeCut = append(g.writeCut, probCut(r.WriteFrac))
 	}
 	// Normalize into integer cut points, and precompute each strided
 	// region's expected cursor advance per chunk (accesses per chunk in
@@ -406,7 +421,7 @@ func (g *Generator) initRegions() {
 		var acc float64
 		for i, r := range g.p.Regions {
 			acc += r.Prob
-			g.regionCut[i] = probCut(acc / cum)
+			g.regions[i].cut = probCut(acc / cum)
 			if r.Stride > 0 && r.Bytes > 0 {
 				g.chunkStep[i] = uint64(float64(ChunkLen) * memFrac * (r.Prob / cum))
 			}
@@ -495,10 +510,7 @@ func (g *Generator) serializePeriod() int {
 // with synchronization structure (barriers, locks) carry sequential
 // schedule state that no chunk reset covers, so they fall back to
 // generate-and-discard skipping.
-func (g *Generator) Skippable() bool {
-	p := g.p
-	return p.BarrierEvery <= 0 && !(p.LockEvery > 0 && p.Locks > 0)
-}
+func (g *Generator) Skippable() bool { return !g.sync }
 
 // SkipTo positions the stream at position n: the next instruction
 // returned by Next carries Seq n, and the stream from here on is
@@ -514,17 +526,12 @@ func (g *Generator) SkipTo(n uint64) error {
 		if n < g.seq {
 			return fmt.Errorf("workload: SkipTo(%d) backward from %d: stream %q has synchronization state and only skips forward", n, g.seq, g.p.Name)
 		}
-		for g.seq < n {
-			if _, ok := g.Next(); !ok {
-				break
-			}
-		}
+		g.discardTo(n)
 		return nil
 	}
 	chunk := n / ChunkLen
 	g.resetChunk(chunk)
 	g.seq = chunk * ChunkLen
-	g.Emitted = g.seq
 	g.budget = g.initialBudget
 	if g.initialBudget != ^uint64(0) {
 		if g.seq >= g.initialBudget {
@@ -533,12 +540,19 @@ func (g *Generator) SkipTo(n uint64) error {
 			g.budget = g.initialBudget - g.seq
 		}
 	}
+	g.discardTo(n)
+	return nil
+}
+
+// discardTo replays the stream up to position n (or its end) through the
+// batch emitter into a scratch buffer.
+func (g *Generator) discardTo(n uint64) {
+	var scratch [256]isa.Inst
 	for g.seq < n {
-		if _, ok := g.Next(); !ok {
+		if g.NextBatch(scratch[:min(n-g.seq, uint64(len(scratch)))]) == 0 {
 			break
 		}
 	}
-	return nil
 }
 
 // resetChunk derives the generator's dynamic interpreter state for the
@@ -617,69 +631,150 @@ func clearSiteCounts(prog *program) {
 	}
 }
 
-// Next implements trace.Stream.
+// Next implements trace.Stream: a one-slot call of the batch emitter.
 func (g *Generator) Next() (isa.Inst, bool) {
-	if len(g.pendingSync) > 0 {
-		in := g.pendingSync[0]
-		g.pendingSync = g.pendingSync[1:]
-		in.Seq = g.seq
-		g.seq++
-		g.Emitted++
-		return in, true
-	}
-	if g.budget == 0 {
+	var one [1]isa.Inst
+	if g.NextBatch(one[:]) == 0 {
 		return isa.Inst{}, false
 	}
-	if g.seq >= g.nextReset {
-		g.resetChunk(g.seq / ChunkLen)
-	}
-	g.budget--
-
-	// Position the counter-based RNG on this instruction's draw window.
-	g.rng.ctr = g.seq * drawStride
-	in := g.synthesize()
-	in.Seq = g.seq
-	g.seq++
-	g.Emitted++
-	g.accountSync(&in)
-	return in, true
+	return one[0], true
 }
 
-// NextBatch implements trace.BatchStream: the same stream as Next, produced
-// through direct (devirtualized) calls per chunk.
+// NextBatch implements trace.BatchStream and is the generator's only
+// emission path: every instruction is written field by field into its
+// slot of buf, a basic block at a time. Where buf ends never shows in the
+// stream — the interpreter state between two calls is the state between
+// two instructions.
 func (g *Generator) NextBatch(buf []isa.Inst) int {
 	n := 0
 	for n < len(buf) {
-		in, ok := g.Next()
-		if !ok {
+		if g.pendLen > 0 {
+			op := g.pending[0]
+			g.pending[0] = g.pending[1]
+			g.pendLen--
+			buf[n] = isa.Inst{Seq: g.seq, Class: op.class, SyncID: op.id}
+			g.seq++
+			n++
+			continue
+		}
+		if g.budget == 0 {
 			break
 		}
-		buf[n] = in
-		n++
+		if g.seq >= g.nextReset {
+			g.resetChunk(g.seq / ChunkLen)
+		}
+		n += g.emitBlock(buf[n:])
 	}
 	return n
 }
 
-// accountSync updates barrier/lock bookkeeping after emitting in and queues
-// any synchronization instructions that must follow. Its draws come from
-// the sequential syncRng: profiles with synchronization structure are
-// pinned to sequential generation (see Skippable), so the schedule needs
-// no jump-ahead.
-func (g *Generator) accountSync(in *isa.Inst) {
+// emitBlock emits the next piece of the current basic block into buf and
+// returns its length, at least 1: a run of body instructions, one
+// serializing instruction, or the terminator. The program, function and
+// block are resolved once here, not per instruction. A body run is bounded
+// by the room in buf, the instructions left in the block body, the
+// distance to the next chunk reset, the distance to the next serializing
+// instruction and the budget; a kernel segment ends only between blocks,
+// so it bounds nothing here and kernLeft is charged once per piece. The
+// caller guarantees len(buf) > 0, budget > 0 and seq < nextReset.
+func (g *Generator) emitBlock(buf []isa.Inst) int {
+	// Position the counter-based RNG on the first instruction's draw
+	// window.
+	g.rng.ctr = g.seq * drawStride
+	if g.kernel != nil && g.pos == 0 {
+		g.kernelEdge()
+	}
+	prog, cur := g.user, &g.cur
+	if g.inKernel {
+		prog, cur = g.kernel, &g.kcur
+	}
+	fn := &prog.funcs[cur.fn]
+	bl := &fn.blocks[cur.block]
+
+	n := 1
+	switch {
+	case g.pos == bl.bodyLen:
+		g.emitTerminator(&buf[0], prog, fn, bl, cur)
+		g.pos = 0
+	case g.untilSerialize == 0:
+		g.untilSerialize = g.serializePeriod()
+		buf[0] = isa.Inst{Seq: g.seq, Class: isa.Serializing, PC: bl.startPC + uint64(g.pos)*4}
+		g.pos++
+	default:
+		n = min(len(buf), bl.bodyLen-g.pos)
+		if left := g.nextReset - g.seq; left < uint64(n) {
+			n = int(left)
+		}
+		if g.budget < uint64(n) {
+			n = int(g.budget)
+		}
+		if g.sync {
+			n = 1 // accountSync may queue an instruction behind each one
+		}
+		if g.untilSerialize > 0 {
+			n = min(n, g.untilSerialize)
+			g.untilSerialize -= n
+		}
+		seq, pc, ctr := g.seq, bl.startPC+uint64(g.pos)*4, g.rng.ctr
+		for out := buf[:n]; ; {
+			ctr = g.emitBody(&out[0], seq, pc, ctr)
+			if out = out[1:]; len(out) == 0 {
+				break
+			}
+			seq++
+			pc += 4
+			ctr = seq * drawStride
+		}
+		g.rng.ctr = ctr // the last instruction's window, for the draw-budget audit
+		g.pos += n
+	}
+	g.seq += uint64(n)
+	g.budget -= uint64(n)
+	if g.inKernel {
+		g.kernLeft -= n
+	}
+	if g.sync {
+		g.accountSync()
+	}
+	return n
+}
+
+// kernelEdge possibly enters or leaves a system-code segment between
+// blocks; its draws open the window of the block's first instruction.
+func (g *Generator) kernelEdge() {
+	if g.inKernel {
+		if g.kernLeft <= 0 {
+			g.inKernel = false
+			g.untilSerialize = g.serializePeriod()
+		}
+	} else if g.rng.next() < g.kernCut {
+		g.inKernel = true
+		g.kernLeft = 200 + g.kernSeg.sample(&g.rng)
+		g.kcur = frame{}
+		g.untilSerialize = g.serializePeriod()
+	}
+}
+
+// accountSync updates barrier/lock bookkeeping after a synthesized
+// instruction and queues any synchronization instructions that must follow
+// it (at most two: a barrier, and a lock acquire or release). Its draws
+// come from the sequential syncRng: profiles with synchronization structure
+// are pinned to sequential generation (see Skippable), so the schedule
+// needs no jump-ahead. Profiles without barriers and locks never get here.
+func (g *Generator) accountSync() {
 	p := g.p
 	if p.BarrierEvery > 0 && g.budget > 0 {
 		g.sinceBarrier++
 		if g.sinceBarrier >= g.barrierAt && g.critLeft == 0 {
 			g.sinceBarrier = 0
-			g.pendingSync = append(g.pendingSync, isa.Inst{Class: isa.BarrierArrive})
+			g.queueSync(isa.BarrierArrive, 0)
 		}
 	}
 	if p.LockEvery > 0 && p.Locks > 0 {
 		if g.critLeft > 0 {
 			g.critLeft--
 			if g.critLeft == 0 {
-				g.pendingSync = append(g.pendingSync,
-					isa.Inst{Class: isa.LockRelease, SyncID: g.heldLock})
+				g.queueSync(isa.LockRelease, g.heldLock)
 			}
 		} else {
 			g.untilLock--
@@ -687,115 +782,68 @@ func (g *Generator) accountSync(in *isa.Inst) {
 				g.untilLock = p.LockEvery/2 + g.syncRng.Intn(p.LockEvery)
 				g.heldLock = uint16(g.syncRng.Intn(p.Locks))
 				g.critLeft = 1 + g.critLen.sample(g.syncRng)
-				g.pendingSync = append(g.pendingSync,
-					isa.Inst{Class: isa.LockAcquire, SyncID: g.heldLock})
+				g.queueSync(isa.LockAcquire, g.heldLock)
 			}
 		}
 	}
 }
 
-// synthesize produces the next instruction from the CFG interpreter.
-func (g *Generator) synthesize() isa.Inst {
-	// Possibly enter or leave a system-code segment between blocks.
-	if g.kernel != nil && g.pos == 0 {
-		if g.inKernel {
-			if g.kernLeft <= 0 {
-				g.inKernel = false
-				g.untilSerialize = g.serializePeriod()
-			}
-		} else if g.rng.next() < g.kernCut {
-			g.inKernel = true
-			g.kernLeft = 200 + g.kernSeg.sample(&g.rng)
-			g.kcur = frame{fn: 0, block: 0}
-			g.untilSerialize = g.serializePeriod()
-		}
-	}
+func (g *Generator) queueSync(class isa.Class, id uint16) {
+	g.pending[g.pendLen] = syncOp{class: class, id: id}
+	g.pendLen++
+}
 
-	prog, cur := g.user, &g.cur
+// emitTerminator interprets the block's terminator, moving cur to the
+// next block, and writes the control instruction into out.
+func (g *Generator) emitTerminator(out *isa.Inst, prog *program, fn *function, bl *block, cur *frame) {
+	out.Seq, out.PC, out.Addr, out.SyncID = g.seq, bl.startPC+uint64(bl.bodyLen)*4, 0, 0
+	out.Src1, out.Src2, out.Dst, out.Taken = isa.RegNone, isa.RegNone, isa.RegNone, true
+	stack := &g.callStack
 	if g.inKernel {
-		prog, cur = g.kernel, &g.kcur
-		g.kernLeft--
+		stack = &g.kstack
 	}
-	fn := &prog.funcs[cur.fn]
-	bl := &fn.blocks[cur.block]
-
-	if g.pos < bl.bodyLen {
-		pc := bl.startPC + uint64(g.pos)*4
-		g.pos++
-		if g.untilSerialize == 0 {
-			g.untilSerialize = g.serializePeriod()
-			return isa.Inst{Class: isa.Serializing, PC: pc}
-		}
-		if g.untilSerialize > 0 {
-			g.untilSerialize--
-		}
-		return g.bodyInst(pc)
-	}
-
-	// Terminator.
-	pc := bl.startPC + uint64(bl.bodyLen)*4
-	g.pos = 0
 	switch bl.term {
 	case termCall:
-		stack := &g.callStack
-		if g.inKernel {
-			stack = &g.kstack
-		}
 		if len(*stack) < 64 {
-			*stack = append(*stack, frame{fn: cur.fn, block: g.nextBlock(prog, cur.fn, cur.block)})
+			*stack = append(*stack, frame{fn: cur.fn, block: nextBlock(fn, cur.block)})
 			cur.fn = bl.callee
 			cur.block = 0
 		} else {
-			cur.block = g.nextBlock(prog, cur.fn, cur.block)
+			cur.block = nextBlock(fn, cur.block)
 		}
-		return isa.Inst{
-			Class: isa.Call, PC: pc, Taken: true,
-			Target: prog.funcs[cur.fn].entry,
-			Src1:   g.pickSrc(), Src2: isa.RegNone, Dst: isa.RegNone,
-		}
+		out.Class = isa.Call
+		out.Target = prog.funcs[cur.fn].entry
+		out.Src1, g.rng.ctr = g.pickSrc(g.rng.ctr)
 	case termRet:
-		stack := &g.callStack
-		if g.inKernel {
-			stack = &g.kstack
-		}
-		var target uint64
 		if len(*stack) > 0 {
-			f := (*stack)[len(*stack)-1]
+			*cur = (*stack)[len(*stack)-1]
 			*stack = (*stack)[:len(*stack)-1]
-			*cur = f
 		} else {
 			cur.block = 0 // outermost loop: restart the function
 		}
-		target = prog.funcs[cur.fn].blocks[cur.block].startPC
-		return isa.Inst{
-			Class: isa.Return, PC: pc, Taken: true, Target: target,
-			Src1: isa.RegNone, Src2: isa.RegNone, Dst: isa.RegNone,
-		}
+		out.Class = isa.Return
+		out.Target = prog.funcs[cur.fn].blocks[cur.block].startPC
 	default:
 		site := &fn.sites[bl.site]
-		taken := g.evalSite(site)
-		var target uint64
-		if taken {
+		if g.evalSite(site) {
 			if site.kind == siteLoop {
 				// New iteration: values of the previous iteration
 				// are dead; only the accumulator chain persists.
 				g.ringLen = 0
 			}
 			cur.block = site.target
-			target = fn.blocks[site.target].startPC
 		} else {
-			cur.block = g.nextBlock(prog, cur.fn, cur.block)
-			target = fn.blocks[cur.block].startPC
+			out.Taken = false
+			cur.block = nextBlock(fn, cur.block)
 		}
-		return isa.Inst{
-			Class: isa.Branch, PC: pc, Taken: taken, Target: target,
-			Src1: g.pickSrc(), Src2: isa.RegNone, Dst: isa.RegNone,
-		}
+		out.Class = isa.Branch
+		out.Target = fn.blocks[cur.block].startPC
+		out.Src1, g.rng.ctr = g.pickSrc(g.rng.ctr)
 	}
 }
 
-func (g *Generator) nextBlock(prog *program, fnIdx, blockIdx int) int {
-	if blockIdx+1 < len(prog.funcs[fnIdx].blocks) {
+func nextBlock(fn *function, blockIdx int) int {
+	if blockIdx+1 < len(fn.blocks) {
 		return blockIdx + 1
 	}
 	return 0
@@ -815,136 +863,161 @@ func (g *Generator) evalSite(s *branchSite) bool {
 	}
 }
 
-// bodyInst synthesizes one non-control instruction at pc according to the
-// mix.
 // accumReg is the loop-carried accumulator register.
 const accumReg = 7
 
-func (g *Generator) bodyInst(pc uint64) isa.Inst {
-	if g.chainCut != 0 && g.rng.next() < g.chainCut {
-		// Extend the loop-carried chain: acc = f(acc, recent value).
-		// Floating-point codes accumulate through the FP pipeline
-		// (reductions, recurrences), integer codes through the ALU.
-		return isa.Inst{
-			Class: g.chainClass, PC: pc,
-			Src1: accumReg, Src2: g.pickSrc(), Dst: accumReg,
+// aluClass maps the class-select index (how many of the five cumulative
+// cut points the draw reached) to the class of a non-memory instruction.
+var aluClass = [6]isa.Class{2: isa.IntMul, 3: isa.IntDiv, 4: isa.FPOp, 5: isa.IntALU}
+
+// b2i is the compiler-recognized branch-free bool-to-int.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// emitBody synthesizes one non-control instruction at pc into out
+// according to the mix, drawing from counter ctr on, and returns the
+// advanced counter. The order of the draws is stream format v3.
+func (g *Generator) emitBody(out *isa.Inst, seq, pc, ctr uint64) uint64 {
+	key := g.rng.key
+	out.Seq, out.PC, out.Addr, out.Target = seq, pc, 0, 0
+	out.SyncID, out.Taken = 0, false
+	if g.chainCut != 0 {
+		u := ctrDraw(key, ctr)
+		ctr++
+		if u < g.chainCut {
+			// Extend the loop-carried chain: acc = f(acc, recent value).
+			// Floating-point codes accumulate through the FP pipeline
+			// (reductions, recurrences), integer codes through the ALU.
+			out.Class, out.Src1, out.Dst = g.chainClass, accumReg, accumReg
+			out.Src2, ctr = g.pickSrc(ctr)
+			return ctr
 		}
 	}
-	u := g.rng.next()
-	switch {
-	case u < g.cutLoad:
-		return g.loadInst(pc)
-	case u < g.cutStore:
-		return g.storeInst(pc)
-	case u < g.cutMul:
-		return g.aluInst(pc, isa.IntMul)
-	case u < g.cutDiv:
-		return g.aluInst(pc, isa.IntDiv)
-	case u < g.cutFP:
-		return g.aluInst(pc, isa.FPOp)
+	// Class select without a compare chain: the cut points are cumulative,
+	// so the number the draw reaches is the index of the first it is below.
+	u := ctrDraw(key, ctr)
+	ctr++
+	k := b2i(u >= g.cutLoad) + b2i(u >= g.cutStore) + b2i(u >= g.cutMul) +
+		b2i(u >= g.cutDiv) + b2i(u >= g.cutFP)
+	switch k {
+	case 0:
+		return g.emitLoad(out, ctr)
+	case 1:
+		out.Class, out.Dst = isa.Store, isa.RegNone
+		out.Addr, _, ctr = g.pickAddr(false, ctr)
+		out.Src1, ctr = g.pickSrc(ctr)
+		out.Src2, ctr = g.pickSrc(ctr)
 	default:
-		return g.aluInst(pc, isa.IntALU)
+		out.Class = aluClass[k]
+		out.Src1, ctr = g.pickSrc(ctr)
+		out.Src2, ctr = g.pickSrc(ctr)
+		out.Dst = g.allocDst()
 	}
+	return ctr
 }
 
-func (g *Generator) aluInst(pc uint64, class isa.Class) isa.Inst {
-	in := isa.Inst{
-		Class: class, PC: pc,
-		Src1: g.pickSrc(), Src2: g.pickSrc(),
-		Dst: g.allocDst(),
+// emitLoad finishes a load: the address, its base register, and the
+// region's chance of turning the access into a store.
+func (g *Generator) emitLoad(out *isa.Inst, ctr uint64) uint64 {
+	key := g.rng.key
+	chase := false
+	if g.lastLoad != isa.RegNone && g.chaseCut != 0 {
+		chase = ctrDraw(key, ctr) < g.chaseCut
+		ctr++
 	}
-	return in
-}
-
-func (g *Generator) loadInst(pc uint64) isa.Inst {
-	chase := g.lastLoad != isa.RegNone && g.chaseCut != 0 && g.rng.next() < g.chaseCut
-	addr, strided := g.pickAddr(chase)
-	var src1 uint8
+	var reg *regionState
+	out.Addr, reg, ctr = g.pickAddr(chase, ctr)
 	switch {
 	case chase:
 		// Pointer chase: address depends on the previous load.
-		src1 = g.lastLoad
-	case strided:
+		out.Src1 = g.lastLoad
+	case reg != nil && reg.stride > 0:
 		// Streaming access: the address comes from an induction
 		// variable, long since computed — independent of recent
 		// results, which is what gives streaming codes their MLP.
-		src1 = uint8(g.rng.Intn(8))
+		out.Src1 = uint8(ctrDraw(key, ctr) & 7)
+		ctr++
 	default:
-		src1 = g.pickSrc()
+		out.Src1, ctr = g.pickSrc(ctr)
 	}
 	// Shared regions with a write fraction convert some of their
 	// accesses into stores (coherence/invalidation traffic).
-	if len(g.writeCut) > 0 {
-		if cut := g.writeCut[g.lastRegion]; cut != 0 && g.rng.next() < cut {
-			return isa.Inst{
-				Class: isa.Store, PC: pc, Addr: addr,
-				Src1: src1, Src2: g.pickSrc(), Dst: isa.RegNone,
-			}
+	if reg != nil && reg.writeCut != 0 {
+		u := ctrDraw(key, ctr)
+		ctr++
+		if u < reg.writeCut {
+			out.Class, out.Dst = isa.Store, isa.RegNone
+			out.Src2, ctr = g.pickSrc(ctr)
+			return ctr
 		}
 	}
 	dst := g.allocDst()
 	g.lastLoad = dst
-	return isa.Inst{
-		Class: isa.Load, PC: pc, Addr: addr,
-		Src1: src1, Src2: isa.RegNone, Dst: dst,
-	}
+	out.Class, out.Src2, out.Dst = isa.Load, isa.RegNone, dst
+	return ctr
 }
 
-func (g *Generator) storeInst(pc uint64) isa.Inst {
-	addr, _ := g.pickAddr(false)
-	return isa.Inst{
-		Class: isa.Store, PC: pc, Addr: addr,
-		Src1: g.pickSrc(), Src2: g.pickSrc(), Dst: isa.RegNone,
-	}
-}
-
-// pickAddr chooses an effective address. chase keeps the access in the same
-// region as the previous load (dependent pointer walk). strided reports
-// whether the chosen region is a streaming region.
-func (g *Generator) pickAddr(chase bool) (addr uint64, strided bool) {
+// pickAddr chooses an effective address and returns it with its region
+// (nil for a profile without regions). chase keeps the access in the same
+// region as the previous one (dependent pointer walk).
+func (g *Generator) pickAddr(chase bool, ctr uint64) (uint64, *regionState, uint64) {
 	if len(g.regions) == 0 {
-		return g.slotBase + 0x10000000000, false
+		return g.slotBase + 0x10000000000, nil, ctr
 	}
-	idx := 0
+	key := g.rng.key
 	if !chase {
-		u := g.rng.next()
-		for idx < len(g.regionCut)-1 && u >= g.regionCut[idx] {
+		u := ctrDraw(key, ctr)
+		ctr++
+		idx := 0
+		for idx < len(g.regions)-1 && u >= g.regions[idx].cut {
 			idx++
 		}
-	} else {
-		idx = g.lastRegion
+		g.lastRegion = idx
 	}
-	g.lastRegion = idx
-	reg := &g.regions[idx]
-	spec := &g.p.Regions[idx]
-	size := spec.Bytes
-	if size < 64 {
-		size = 64
-	}
+	reg := &g.regions[g.lastRegion]
 	var off uint64
-	if spec.Stride > 0 {
-		reg.cursor = (reg.cursor + spec.Stride) % size
-		off = reg.cursor
+	if reg.stride > 0 {
+		off = reg.cursor + reg.stride
+		if reg.sizeMask != 0 {
+			off &= reg.sizeMask
+		} else {
+			off %= reg.size
+		}
+		reg.cursor = off
 	} else {
-		off = (uint64(g.rng.Int63())%(size/64))*64 + uint64(g.rng.Intn(8))*8
+		line := ctrDraw(key, ctr) >> 1
+		if reg.lineMask != 0 {
+			line &= reg.lineMask
+		} else {
+			line %= reg.lines
+		}
+		off = line*64 + (ctrDraw(key, ctr+1)&7)*8
+		ctr += 2
 	}
-	return reg.base + off, spec.Stride > 0
+	return reg.base + off, reg, ctr
 }
 
-// pickSrc picks a source register with a geometric dependence distance over
-// recently written registers (v3: one alias-table probe instead of a
-// math.Log inverse transform — this is the hottest draw in the
-// generator, reached by nearly every synthesized instruction).
-func (g *Generator) pickSrc() uint8 {
-	if g.ringLen == 0 {
-		return uint8(g.rng.Intn(8)) // ambient value
+// pickSrc picks a source register with a geometric dependence distance
+// over recently written registers: one alias-table probe, a pure function
+// of one draw — this is the hottest draw in the generator, reached by
+// nearly every synthesized instruction. Distances beyond the ring, and an
+// empty ring, resolve to an ambient register with one further draw.
+func (g *Generator) pickSrc(ctr uint64) (uint8, uint64) {
+	if g.ringLen != 0 {
+		d := 0
+		if g.depDist != nil {
+			d = g.depDist.pick(ctrDraw(g.rng.key, ctr))
+			ctr++
+		}
+		if d < g.ringLen {
+			return g.ring[(g.ringHead-1-d)&(len(g.ring)-1)], ctr
+		}
 	}
-	d := g.depDist.sample(&g.rng)
-	if d >= g.ringLen {
-		return uint8(g.rng.Intn(8))
-	}
-	idx := (g.ringHead - 1 - d + 2*len(g.ring)) % len(g.ring)
-	return g.ring[idx]
+	return uint8(ctrDraw(g.rng.key, ctr) & 7), ctr + 1
 }
 
 func (g *Generator) allocDst() uint8 {
@@ -954,7 +1027,7 @@ func (g *Generator) allocDst() uint8 {
 		g.nextDst = 8
 	}
 	g.ring[g.ringHead] = dst
-	g.ringHead = (g.ringHead + 1) % len(g.ring)
+	g.ringHead = (g.ringHead + 1) & (len(g.ring) - 1)
 	if g.ringLen < len(g.ring) {
 		g.ringLen++
 	}

@@ -234,7 +234,7 @@ func TestTotalWorkSplit(t *testing.T) {
 				break
 			}
 		}
-		total += g.Emitted
+		total += g.seq
 	}
 	// Within a few percent of TotalWork (sync instructions add a little).
 	ratio := float64(total) / float64(p.TotalWork)
@@ -253,8 +253,8 @@ func TestSerialFracLimitsScaling(t *testing.T) {
 					break
 				}
 			}
-			if g.Emitted > max {
-				max = g.Emitted
+			if g.seq > max {
+				max = g.seq
 			}
 		}
 		return max

@@ -1,13 +1,14 @@
 package workload
 
 import (
-	"fmt"
 	"hash/fnv"
 	"testing"
+
+	"repro/internal/isa/isatest"
 )
 
-// streamHash is FNV-64a over the formatted instructions, the same
-// digest the statsim and sampling goldens use.
+// streamHash is FNV-64a over the instructions as isatest.Write prints
+// them, the same digest the statsim golden uses.
 func streamHash(p *Profile, seed int64, slot int, n int) uint64 {
 	g := NewSlot(p, 0, 1, seed, slot)
 	h := fnv.New64a()
@@ -16,7 +17,7 @@ func streamHash(p *Profile, seed int64, slot int, n int) uint64 {
 		if !ok {
 			break
 		}
-		fmt.Fprintf(h, "%+v|", in)
+		isatest.Write(h, &in)
 	}
 	return h.Sum64()
 }

@@ -8,7 +8,10 @@ import (
 
 // skipMatches asserts the core v3 contract: SkipTo(n) followed by m
 // instructions is byte-identical to generating n+m instructions straight
-// and discarding the first n.
+// and discarding the first n. The straight side is read one Next at a
+// time, the skipped side in batches of varying size, so the test also
+// covers a replay that ends anywhere inside a block followed by batch
+// cuts anywhere after it.
 func skipMatches(t testing.TB, p *Profile, seed int64, slot int, n uint64, m int) {
 	t.Helper()
 	a := NewSlot(p, 0, 1, seed, slot)
@@ -21,14 +24,21 @@ func skipMatches(t testing.TB, p *Profile, seed int64, slot int, n uint64, m int
 	if err := b.SkipTo(n); err != nil {
 		t.Fatalf("%s seed=%d slot=%d SkipTo(%d): %v", p.Name, seed, slot, n, err)
 	}
-	for i := 0; i < m; i++ {
-		x, okA := a.Next()
-		y, okB := b.Next()
-		if okA != okB || x != y {
-			t.Fatalf("%s seed=%d slot=%d: stream diverges %d after SkipTo(%d):\nstraight: %+v (ok=%v)\nskipped:  %+v (ok=%v)",
-				p.Name, seed, slot, i, n, x, okA, y, okB)
+	buf := make([]isa.Inst, 64)
+	for i, size := 0, 1; i < m; size = (size+2)%len(buf) + 1 {
+		k := b.NextBatch(buf[:min(size, m-i)])
+		for j := 0; j < k; j++ {
+			x, ok := a.Next()
+			if !ok || x != buf[j] {
+				t.Fatalf("%s seed=%d slot=%d: stream diverges %d after SkipTo(%d):\nstraight: %+v (ok=%v)\nskipped:  %+v",
+					p.Name, seed, slot, i+j, n, x, ok, buf[j])
+			}
 		}
-		if !okA {
+		i += k
+		if k == 0 {
+			if _, ok := a.Next(); ok {
+				t.Fatalf("%s seed=%d slot=%d: skipped stream ends %d after SkipTo(%d), straight stream goes on", p.Name, seed, slot, i, n)
+			}
 			break
 		}
 	}
