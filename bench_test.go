@@ -203,6 +203,43 @@ func BenchmarkDetailedCycle(b *testing.B) {
 	}
 }
 
+// BenchmarkDetailedCoreStep measures the detailed model with the functional
+// simulator out of the timed loop: a recorded trace replayed, every pass,
+// through a hierarchy and predictor freshly warmed (untimed) with the
+// 200 k instructions that precede it in the stream, so each pass sees the
+// miss rates of a run's steady state. One op is one instruction; allocs/op
+// must round to 0 (a pass allocates only in ooo.New). The sub-benchmarks
+// differ in what the core waits for: gcc issues nearly every cycle, mcf and
+// art sit behind DRAM for most of theirs, swim streams.
+func BenchmarkDetailedCoreStep(b *testing.B) {
+	for _, name := range []string{"gcc", "mcf", "swim", "art"} {
+		b.Run(name, func(b *testing.B) {
+			m := config.Default(1)
+			gen := workload.New(workload.SPECByName(name), 0, 1, 42)
+			warm := trace.Record(gen, 200_000)
+			tr := trace.Record(gen, 200_000)
+			var cycles int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for left := b.N; left > 0; left -= len(tr) {
+				b.StopTimer()
+				mem := memhier.New(1, m.Mem, memhier.Perfect{})
+				bp := branch.NewUnit(m.Branch)
+				multicore.Warmup(mem, []*branch.Unit{bp}, []trace.Stream{trace.NewSliceStream(warm)}, len(warm))
+				src := trace.NewSliceStream(tr[:min(left, len(tr))])
+				b.StartTimer()
+				c := ooo.New(0, m.Core, bp, mem, src, sim.NullSyncer{})
+				for now := int64(0); !c.Done(); now++ {
+					c.Step(now)
+				}
+				cycles += c.Cycles
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/inst")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
+		})
+	}
+}
+
 // BenchmarkWorkloadGen measures the functional simulator alone, through
 // the 4096-slot NextBatch every product consumer pulls. One op is one
 // instruction. The sub-benchmarks take different draw paths: integer

@@ -8,7 +8,11 @@
 // MOESI coherence protocol, 150-cycle DRAM and a 16-byte memory bus.
 package config
 
-import "repro/internal/isa"
+import (
+	"fmt"
+
+	"repro/internal/isa"
+)
 
 // Core describes one processor core (Table 1, "Processor core").
 type Core struct {
@@ -165,6 +169,115 @@ type Machine struct {
 	Core   Core
 	Branch BranchPredictor
 	Mem    Memory
+}
+
+// Bounds Validate puts on a machine description. They are far above
+// anything the paper's design space visits and low enough that no accepted
+// machine can exhaust the host's memory at construction.
+const (
+	maxCores      = 1 << 10
+	maxEntries    = 1 << 14 // ROB, issue queue, LSQ, store buffer, fetch queue
+	maxWidth      = 64      // pipeline widths, functional units, front-end depth
+	maxLatency    = 1 << 20 // any latency, in cycles
+	maxCacheLines = 1 << 22 // lines per cache (256 MiB of 64-byte lines)
+	maxTable      = 1 << 24 // predictor and TLB tables, in entries
+)
+
+// Validate reports the first field of m that no simulator can run: a
+// structure size, width or functional-unit count that is not positive (the
+// detailed core then never commits its first store, or never issues, and
+// spins to MaxCycles) or is larger than the bounds above; a negative
+// latency; or cache, TLB or predictor geometry that is not the power-of-two
+// shape the constructors index by and panic on. A machine built by Default
+// or Stacked3D always passes. Machine descriptions that arrive from outside
+// (simrun.Spec.Machine) are checked with it before anything is built.
+func (m Machine) Validate() error {
+	// The checks name a field as prefix+name, joined only when one fails:
+	// a valid machine costs no allocation (simrun resolves, and therefore
+	// validates, the machine of every submission, cache hits included).
+	var err error
+	within := func(prefix, name string, v, lo, hi int) {
+		if err == nil && (v < lo || v > hi) {
+			err = fmt.Errorf("config: %s%s = %d, want %d..%d", prefix, name, v, lo, hi)
+		}
+	}
+	pow2 := func(prefix, name string, v, hi int) {
+		if err == nil && (v < 1 || v > hi || v&(v-1) != 0) {
+			err = fmt.Errorf("config: %s%s = %d, want a power of two in 1..%d", prefix, name, v, hi)
+		}
+	}
+	within("", "Cores", m.Cores, 1, maxCores)
+
+	c := m.Core
+	within("Core.", "ROBSize", c.ROBSize, 1, maxEntries)
+	within("Core.", "IssueQueueSize", c.IssueQueueSize, 1, maxEntries)
+	within("Core.", "LSQSize", c.LSQSize, 1, maxEntries)
+	within("Core.", "StoreBufferSize", c.StoreBufferSize, 1, maxEntries)
+	within("Core.", "FetchQueue", c.FetchQueue, 1, maxEntries)
+	within("Core.", "DecodeWidth", c.DecodeWidth, 1, maxWidth)
+	within("Core.", "IssueWidth", c.IssueWidth, 1, maxWidth)
+	within("Core.", "FetchWidth", c.FetchWidth, 1, maxWidth)
+	within("Core.", "IntALUs", c.IntALUs, 1, maxWidth)
+	within("Core.", "LoadStoreFUs", c.LoadStoreFUs, 1, maxWidth)
+	within("Core.", "FPUnits", c.FPUnits, 1, maxWidth)
+	within("Core.", "FrontendDepth", c.FrontendDepth, 0, maxWidth)
+	within("Core.", "LatIntALU", c.LatIntALU, 0, maxLatency)
+	within("Core.", "LatMul", c.LatMul, 0, maxLatency)
+	within("Core.", "LatDiv", c.LatDiv, 0, maxLatency)
+	within("Core.", "LatFP", c.LatFP, 0, maxLatency)
+	within("Core.", "LatLoad", c.LatLoad, 0, maxLatency)
+	within("Core.", "MaxOutstandingMisses", c.MaxOutstandingMisses, 0, maxEntries)
+
+	b := m.Branch
+	pow2("Branch.", "LocalHistoryEntries", b.LocalHistoryEntries, maxTable)
+	within("Branch.", "LocalHistoryBits", b.LocalHistoryBits, 0, 32)
+	pow2("Branch.", "PHTEntries", b.PHTEntries, maxTable)
+	within("Branch.", "BTBEntries", b.BTBEntries, 1, maxTable)
+	within("Branch.", "BTBAssoc", b.BTBAssoc, 1, maxTable)
+	pow2("Branch.", "BTBEntries/BTBAssoc", b.BTBEntries/max(b.BTBAssoc, 1), maxTable)
+	within("Branch.", "RASEntries", b.RASEntries, 1, maxEntries)
+
+	cache := func(prefix string, c Cache) {
+		pow2(prefix, "LineSize", c.LineSize, 1<<12)
+		within(prefix, "Assoc", c.Assoc, 1, maxCacheLines)
+		within(prefix, "SizeBytes", c.SizeBytes, 1, maxCacheLines*max(c.LineSize, 1))
+		within(prefix, "Latency", c.Latency, 0, maxLatency)
+		if err == nil {
+			pow2(prefix, "SizeBytes/(Assoc*LineSize)", c.Sets(), maxCacheLines)
+		}
+	}
+	tlb := func(prefix string, t TLB) {
+		pow2(prefix, "PageSize", t.PageSize, 1<<30)
+		within(prefix, "Entries", t.Entries, 1, maxTable)
+		within(prefix, "Assoc", t.Assoc, 1, maxTable)
+		pow2(prefix, "Entries/Assoc", t.Entries/max(t.Assoc, 1), maxTable)
+		within(prefix, "MissLatency", t.MissLatency, 0, maxLatency)
+	}
+	mem := m.Mem
+	cache("Mem.L1I.", mem.L1I)
+	cache("Mem.L1D.", mem.L1D)
+	if mem.HasL2 {
+		cache("Mem.L2.", mem.L2)
+	}
+	tlb("Mem.ITLB.", mem.ITLB)
+	tlb("Mem.DTLB.", mem.DTLB)
+	within("Mem.", "DRAMLatency", mem.DRAMLatency, 0, maxLatency)
+	within("Mem.", "BusBytes", mem.BusBytes, 1, 1<<16)
+	within("Mem.", "L2BusLatency", mem.L2BusLatency, 0, maxLatency)
+	within("Mem.", "CacheToCacheLatency", mem.CacheToCacheLatency, 0, maxLatency)
+	within("Mem.", "DirectoryLatency", mem.DirectoryLatency, 0, maxLatency)
+	within("Mem.", "NoCHopLatency", mem.NoCHopLatency, 0, maxLatency)
+	within("Mem.", "NoCOccupancy", mem.NoCOccupancy, 0, maxLatency)
+	if mem.DRAMBanks != 0 { // zero selects the default
+		pow2("Mem.", "DRAMBanks", mem.DRAMBanks, 1<<16)
+	}
+	if mem.DRAMRowBytes != 0 {
+		pow2("Mem.", "DRAMRowBytes", mem.DRAMRowBytes, 1<<30)
+	}
+	within("Mem.", "DRAMRowHit", mem.DRAMRowHit, 0, maxLatency)
+	within("Mem.", "DRAMRowMiss", mem.DRAMRowMiss, 0, maxLatency)
+	within("Mem.", "PrefetchDegree", mem.PrefetchDegree, 0, maxWidth)
+	return err
 }
 
 // Default returns the baseline machine of Table 1 with the given number of

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -79,6 +80,69 @@ func TestExecLatency(t *testing.T) {
 	for class, want := range cases {
 		if got := c.ExecLatency(class); got != want {
 			t.Errorf("ExecLatency(%v) = %d, want %d", class, got, want)
+		}
+	}
+}
+
+func TestValidateAcceptsBuiltInMachines(t *testing.T) {
+	for _, m := range []Machine{Default(1), Default(8), Stacked3D(4)} {
+		if err := m.Validate(); err != nil {
+			t.Errorf("%d-core built-in machine rejected: %v", m.Cores, err)
+		}
+	}
+	m := Default(1)
+	m.Mem.HasL2 = false
+	m.Mem.L2 = Cache{} // unused without an L2
+	m.Mem.DRAMKind, m.Mem.DRAMBanks = "banked", 32
+	if err := m.Validate(); err != nil {
+		t.Errorf("L2-less banked machine rejected: %v", err)
+	}
+}
+
+// TestValidateNamesTheField: every way a machine description can park or
+// crash a simulator is rejected with the offending field in the message.
+func TestValidateNamesTheField(t *testing.T) {
+	cases := []struct {
+		field   string
+		breakIt func(*Machine)
+	}{
+		{"Cores", func(m *Machine) { m.Cores = 0 }},
+		{"Core.ROBSize", func(m *Machine) { m.Core.ROBSize = 0 }},
+		{"Core.ROBSize", func(m *Machine) { m.Core.ROBSize = 1 << 40 }},
+		{"Core.IssueQueueSize", func(m *Machine) { m.Core.IssueQueueSize = -1 }},
+		{"Core.LSQSize", func(m *Machine) { m.Core.LSQSize = 0 }},
+		{"Core.StoreBufferSize", func(m *Machine) { m.Core.StoreBufferSize = 0 }},
+		{"Core.FetchQueue", func(m *Machine) { m.Core.FetchQueue = 0 }},
+		{"Core.DecodeWidth", func(m *Machine) { m.Core.DecodeWidth = 0 }},
+		{"Core.IssueWidth", func(m *Machine) { m.Core.IssueWidth = 0 }},
+		{"Core.FetchWidth", func(m *Machine) { m.Core.FetchWidth = 1 << 20 }},
+		{"Core.IntALUs", func(m *Machine) { m.Core.IntALUs = 0 }},
+		{"Core.LoadStoreFUs", func(m *Machine) { m.Core.LoadStoreFUs = -4 }},
+		{"Core.FPUnits", func(m *Machine) { m.Core.FPUnits = 0 }},
+		{"Core.FrontendDepth", func(m *Machine) { m.Core.FrontendDepth = 1 << 30 }},
+		{"Core.LatLoad", func(m *Machine) { m.Core.LatLoad = -1 }},
+		{"Branch.PHTEntries", func(m *Machine) { m.Branch.PHTEntries = 0 }},
+		{"Branch.LocalHistoryEntries", func(m *Machine) { m.Branch.LocalHistoryEntries = 1000 }},
+		{"Branch.BTBEntries/BTBAssoc", func(m *Machine) { m.Branch.BTBAssoc = 3 }},
+		{"Branch.RASEntries", func(m *Machine) { m.Branch.RASEntries = 0 }},
+		{"Mem.L1D.LineSize", func(m *Machine) { m.Mem.L1D.LineSize = 48 }},
+		{"Mem.L1I.Assoc", func(m *Machine) { m.Mem.L1I.Assoc = 0 }},
+		{"Mem.L1D.SizeBytes/(Assoc*LineSize)", func(m *Machine) { m.Mem.L1D.SizeBytes = 48 << 10 }},
+		{"Mem.L2.SizeBytes", func(m *Machine) { m.Mem.L2.SizeBytes = 1 << 40 }},
+		{"Mem.L2.SizeBytes/(Assoc*LineSize)", func(m *Machine) { m.Mem.L2.Assoc = 7 }},
+		{"Mem.DTLB.PageSize", func(m *Machine) { m.Mem.DTLB.PageSize = 0 }},
+		{"Mem.ITLB.Entries/Assoc", func(m *Machine) { m.Mem.ITLB.Entries = 96 }},
+		{"Mem.BusBytes", func(m *Machine) { m.Mem.BusBytes = 0 }},
+		{"Mem.DRAMBanks", func(m *Machine) { m.Mem.DRAMBanks = 6 }},
+		{"Mem.DRAMRowBytes", func(m *Machine) { m.Mem.DRAMRowBytes = 3000 }},
+		{"Mem.PrefetchDegree", func(m *Machine) { m.Mem.PrefetchDegree = 1 << 30 }},
+	}
+	for _, tc := range cases {
+		m := Default(2)
+		tc.breakIt(&m)
+		err := m.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.field+" ") {
+			t.Errorf("broken %s: Validate() = %v, want an error naming the field", tc.field, err)
 		}
 	}
 }

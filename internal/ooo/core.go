@@ -12,9 +12,19 @@
 // serializing instructions. It is intentionally an order of magnitude more
 // work per instruction than the interval model; that gap is the subject of
 // Figures 9 and 10.
+//
+// The implementation is event-driven and allocates nothing after New: every
+// in-flight instruction lives once in a fixed ring, the issue queue is a set
+// of ready bitmaps over that ring, and an instruction enters them when its
+// last producer's completion time has passed (docs/architecture.md,
+// "detailed core event loop"). What it simulates, cycle by cycle, is pinned
+// against the straightforward polling model kept in ref_test.go.
 package ooo
 
 import (
+	"math"
+	"math/bits"
+
 	"repro/internal/branch"
 	"repro/internal/config"
 	"repro/internal/isa"
@@ -23,26 +33,62 @@ import (
 	"repro/internal/trace"
 )
 
-// noProducer marks a source operand with no in-flight producer.
-const noProducer = ^uint64(0)
+const (
+	// fetchBatch is the functional→timing hand-off chunk size.
+	fetchBatch = 1024
+	// none is the empty link: no in-flight producer, end of a wake list,
+	// empty wheel bucket.
+	none = int32(-1)
+	// notIssued is the completion time of an entry still in the issue
+	// queue; no cycle reaches it, so commit needs no separate flag.
+	notIssued = int64(math.MaxInt64)
+	// wheelSize is the number of cycles the wake-up wheel spans (a power
+	// of two). An entry due further ahead than that is simply met again,
+	// still not due, each time the wheel comes round.
+	wheelSize = 512
+)
 
-// fetchBatch is the functional→timing hand-off chunk size.
-const fetchBatch = 1024
+// Functional-unit classes: select keeps one ready bitmap per class so that
+// an exhausted class drops out of the scan wholesale.
+const (
+	fuInt = iota
+	fuLS
+	fuFP
+	numFU
+)
 
-type fetchEntry struct {
-	inst       isa.Inst
-	readyAt    int64 // leaves the front-end pipeline at this cycle
-	mispredict bool
+func fuClass(c isa.Class) int {
+	switch c {
+	case isa.Load, isa.Store:
+		return fuLS
+	case isa.FPOp:
+		return fuFP
+	default:
+		return fuInt
+	}
 }
 
-type robEntry struct {
-	inst     isa.Inst
-	seq      uint64 // dispatch sequence number (dense within the ROB)
-	issued   bool
-	complete int64 // completion (writeback) time, valid once issued
-	misp     bool  // mispredicted branch
-	// Producer sequence numbers for each source operand, or noProducer.
-	prod1, prod2 uint64
+// entry is one in-flight instruction, from fetch to commit. It sits at
+// win[seq&mask], where seq counts fetched instructions: fetch and dispatch
+// are both in order, so the fetch queue is [disp, tail) and the ROB
+// [head, disp) of one ring and the instruction is stored once.
+type entry struct {
+	inst isa.Inst
+	// readyAt is, in the fetch queue, the cycle the instruction leaves
+	// the front-end pipeline; in the issue queue, the latest completion
+	// time among its producers that have issued.
+	readyAt int64
+	// complete is the completion (writeback) time, notIssued until issue.
+	complete int64
+	// wakeHead starts the list of consumers waiting for this entry to
+	// issue. A list element names a consumer's operand, slot<<1|operand,
+	// and continues at that consumer's next[operand].
+	wakeHead int32
+	// next also chains the wheel bucket through next[0]: an entry is on
+	// the wheel only once it has left every wake list.
+	next    [2]int32
+	pending uint8 // producers that have not issued yet
+	misp    bool  // mispredicted branch
 }
 
 // Core is one detailed out-of-order core. Create with New, then Step once
@@ -52,37 +98,59 @@ type Core struct {
 	cfg    config.Core
 	bp     *branch.Unit
 	mem    *memhier.Hierarchy
-	src    *trace.Buffered
 	syncer sim.Syncer
 
-	// Front end.
-	fetchPending    []fetchEntry
+	// Functional→timing hand-off: the stream is pulled a chunk at a time
+	// and fetch reads the chunk in place.
+	src          trace.BatchStream
+	buf          []isa.Inst
+	bufPos, bufN int
+	srcDone      bool
+
+	// The in-flight window (see entry). head, disp and tail are sequence
+	// numbers: next to commit, next to dispatch, next to fetch.
+	win              []entry
+	mask             uint64
+	head, disp, tail uint64
+
+	// Front end. fetchCap is everything in flight in the front end: the
+	// pipeline stages (FrontendDepth stages of FetchWidth) plus the fetch
+	// queue proper. Capping it at the queue size alone would let the
+	// 7-cycle front-end latency throttle dispatch (Little's law).
+	fetchCap        int
 	fetchStallUntil int64
 	lastFetchLine   uint64 // fetch is line-granular: one I-access per line
 	redirects       int    // in-flight mispredicted branches blocking fetch
-	srcDone         bool
-	nextInst        isa.Inst
-	nextValid       bool
 
-	// Back end. The ROB is a FIFO slice; entry with sequence s lives at
-	// index s-rob[0].seq because dispatch sequences are dense.
-	rob      []robEntry
-	iq       []uint64 // sequence numbers awaiting issue, program order
+	// Back end occupancy.
+	iqCount  int
 	lsqCount int
+	// lastWriter maps each architectural register to the window slot of
+	// its most recent in-flight writer (none if none in flight).
+	lastWriter [isa.NumRegs]int32
 
-	dispatchSeq uint64
-	// lastWriter maps each architectural register to the sequence of
-	// its most recent in-flight writer (noProducer if none in flight).
-	lastWriter [isa.NumRegs]uint64
-	// storeLines counts in-flight (dispatched, uncommitted) stores per
-	// cache line for store-to-load forwarding disambiguation.
-	storeLines map[uint64]int
+	// Wake-up/select. ready[w][k] has bit b set when the entry in slot
+	// 64w+b is in the issue queue, of FU class k, and all its operands
+	// are available; wheel[t&(wheelSize-1)] lists the entries whose
+	// producers have all issued and whose operands are ready at t (or at
+	// t plus a multiple of wheelSize).
+	ready    [][numFU]uint64
+	nReady   int
+	wheel    []int32
+	nTimed   int
+	lastWake int64 // every bucket up to this cycle has been emptied
+
+	// stores counts in-flight (dispatched, uncommitted) stores per cache
+	// line for store-to-load forwarding disambiguation.
+	stores lineCounts
 
 	// Store buffer: committed stores draining to memory through a small
 	// number of ports (outstanding store misses overlap, as through
 	// MSHRs in a real machine).
-	storeBuf   []uint64
-	sbPortFree [4]int64
+	sb             []uint64
+	sbMask         uint64
+	sbHead, sbTail uint64
+	sbPortFree     [4]int64
 
 	syncWait bool
 
@@ -95,26 +163,47 @@ type Core struct {
 	DispatchStall int64
 }
 
+// ringSize returns the smallest power of two that holds n entries.
+func ringSize(n int) int {
+	if n < 1 {
+		return 1
+	}
+	return 1 << bits.Len(uint(n-1))
+}
+
 // New creates a detailed core. The branch unit and hierarchy are shared
 // miss-event simulators, identical to those driving the interval model.
 func New(id int, cfg config.Core, bp *branch.Unit, mem *memhier.Hierarchy, src trace.Stream, syncer sim.Syncer) *Core {
 	if syncer == nil {
 		syncer = sim.NullSyncer{}
 	}
+	fetchCap := cfg.FetchQueue + cfg.FrontendDepth*cfg.FetchWidth
+	// At least one bitmap word more than the ROB, so select never meets
+	// the same word at both ends of its scan.
+	n := ringSize(cfg.ROBSize + max(fetchCap, 64))
 	c := &Core{
-		id:     id,
-		cfg:    cfg,
-		bp:     bp,
-		mem:    mem,
-		src:    trace.NewBuffered(src, fetchBatch),
-		syncer: syncer,
-		rob:    make([]robEntry, 0, cfg.ROBSize),
-		iq:     make([]uint64, 0, cfg.IssueQueueSize),
+		id:       id,
+		cfg:      cfg,
+		bp:       bp,
+		mem:      mem,
+		syncer:   syncer,
+		src:      trace.Batched(src),
+		buf:      make([]isa.Inst, fetchBatch),
+		win:      make([]entry, n),
+		mask:     uint64(n - 1),
+		fetchCap: fetchCap,
+		ready:    make([][numFU]uint64, n/64),
+		wheel:    make([]int32, wheelSize),
+		stores:   newLineCounts(cfg.LSQSize),
+		sb:       make([]uint64, ringSize(cfg.StoreBufferSize)),
 	}
+	c.sbMask = uint64(len(c.sb) - 1)
 	for i := range c.lastWriter {
-		c.lastWriter[i] = noProducer
+		c.lastWriter[i] = none
 	}
-	c.storeLines = make(map[uint64]int)
+	for i := range c.wheel {
+		c.wheel[i] = none
+	}
 	return c
 }
 
@@ -147,38 +236,23 @@ func (c *Core) Step(now int64) {
 	c.dispatch(now)
 	c.fetch(now)
 
-	if c.srcDone && !c.nextValid && len(c.fetchPending) == 0 &&
-		len(c.rob) == 0 && len(c.storeBuf) == 0 {
+	if c.srcDone && c.head == c.tail && c.sbHead == c.sbTail {
 		c.done = true
 		c.finishTime = now
 	}
 }
 
-// entryBySeq returns the ROB entry with sequence s, or nil if it has
-// already committed.
-func (c *Core) entryBySeq(s uint64) *robEntry {
-	if len(c.rob) == 0 || s < c.rob[0].seq {
-		return nil
-	}
-	return &c.rob[s-c.rob[0].seq]
-}
-
-// peek pulls the next stream instruction into the lookahead slot (the
-// buffered reader refills from the stream one chunk at a time).
-func (c *Core) peek() bool {
-	if c.nextValid {
-		return true
-	}
+// refill pulls the next chunk of the stream; false at end of stream.
+func (c *Core) refill() bool {
 	if c.srcDone {
 		return false
 	}
-	in, ok := c.src.Next()
-	if !ok {
+	c.bufN = c.src.NextBatch(c.buf)
+	c.bufPos = 0
+	if c.bufN == 0 {
 		c.srcDone = true
 		return false
 	}
-	c.nextInst = in
-	c.nextValid = true
 	return true
 }
 
@@ -189,19 +263,14 @@ func (c *Core) fetch(now int64) {
 	if now < c.fetchStallUntil || c.redirects > 0 {
 		return
 	}
-	// fetchPending holds everything in flight in the front end: the
-	// pipeline stages (FrontendDepth stages of FetchWidth) plus the
-	// fetch queue proper. Capping it at the queue size alone would let
-	// the 7-cycle front-end latency throttle dispatch (Little's law).
-	capacity := c.cfg.FetchQueue + c.cfg.FrontendDepth*c.cfg.FetchWidth
 	for fetched := 0; fetched < c.cfg.FetchWidth; fetched++ {
-		if len(c.fetchPending) >= capacity {
+		if int(c.tail-c.disp) >= c.fetchCap {
 			return
 		}
-		if !c.peek() {
+		if c.bufPos == c.bufN && !c.refill() {
 			return
 		}
-		in := c.nextInst
+		in := &c.buf[c.bufPos]
 
 		if line := in.PC >> 6; line != c.lastFetchLine {
 			ires := c.mem.Inst(c.id, in.PC, now)
@@ -215,13 +284,13 @@ func (c *Core) fetch(now int64) {
 			c.lastFetchLine = line
 		}
 
-		fe := fetchEntry{inst: in, readyAt: now + int64(c.cfg.FrontendDepth)}
-		if in.Class.IsBranch() && c.bp.Predict(&in) {
-			fe.mispredict = true
-		}
-		c.nextValid = false
-		c.fetchPending = append(c.fetchPending, fe)
-		if fe.mispredict {
+		e := &c.win[c.tail&c.mask]
+		e.inst = *in
+		e.readyAt = now + int64(c.cfg.FrontendDepth)
+		e.misp = in.Class.IsBranch() && c.bp.Predict(in)
+		c.bufPos++
+		c.tail++
+		if e.misp {
 			// Wrong-path fetch: nothing useful enters until the
 			// branch resolves (functional-first streams carry only
 			// the correct path, so we model the redirect as a
@@ -236,20 +305,21 @@ func (c *Core) fetch(now int64) {
 // widths, structure capacities and serializing semantics.
 func (c *Core) dispatch(now int64) {
 	for n := 0; n < c.cfg.DecodeWidth; n++ {
-		if len(c.fetchPending) == 0 || c.fetchPending[0].readyAt > now {
-			if len(c.rob) > 0 || c.syncWait {
+		slot := int32(c.disp & c.mask)
+		e := &c.win[slot]
+		if c.disp == c.tail || e.readyAt > now {
+			if c.head != c.disp || c.syncWait {
 				c.DispatchStall++
 			}
 			return
 		}
-		fe := c.fetchPending[0]
-		in := &fe.inst
+		in := &e.inst
 
 		if in.Class == isa.Serializing || in.Class.IsSync() {
 			// Serializing: wait for the ROB to drain, then execute
 			// alone. Sync instructions additionally need the
 			// driver's permission.
-			if len(c.rob) > 0 {
+			if c.head != c.disp {
 				c.DispatchStall++
 				return
 			}
@@ -264,16 +334,12 @@ func (c *Core) dispatch(now int64) {
 				c.syncWait = false
 				lat = dec.Latency
 			}
-			c.fetchPending = c.fetchPending[1:]
-			c.rob = append(c.rob, robEntry{
-				inst: *in, seq: c.dispatchSeq,
-				issued: true, complete: now + lat,
-			})
-			c.dispatchSeq++
+			e.complete = now + lat
+			c.disp++
 			return
 		}
 
-		if len(c.rob) >= c.cfg.ROBSize || len(c.iq) >= c.cfg.IssueQueueSize {
+		if int(c.disp-c.head) >= c.cfg.ROBSize || c.iqCount >= c.cfg.IssueQueueSize {
 			c.DispatchStall++
 			return
 		}
@@ -284,93 +350,148 @@ func (c *Core) dispatch(now int64) {
 			}
 			c.lsqCount++
 			if in.Class == isa.Store {
-				c.storeLines[in.Addr>>6]++
+				c.stores.inc(in.Addr >> 6)
 			}
 		}
-		c.fetchPending = c.fetchPending[1:]
+		c.disp++
+		c.iqCount++
 
-		e := robEntry{
-			inst: *in, seq: c.dispatchSeq, misp: fe.mispredict,
-			prod1: noProducer, prod2: noProducer,
-		}
-		c.dispatchSeq++
-		if in.Src1 != isa.RegNone {
-			e.prod1 = c.lastWriter[in.Src1]
-		}
-		if in.Src2 != isa.RegNone {
-			e.prod2 = c.lastWriter[in.Src2]
-		}
+		// Rename: a source whose producer has issued contributes a known
+		// completion time; one whose producer has not joins that
+		// producer's wake list and learns the time when it issues.
+		e.readyAt = math.MinInt64
+		e.complete = notIssued
+		e.wakeHead = none
+		e.pending = 0
+		c.operand(slot, e, 0, in.Src1)
+		c.operand(slot, e, 1, in.Src2)
 		if in.HasDst() {
-			c.lastWriter[in.Dst] = e.seq
+			c.lastWriter[in.Dst] = slot
 		}
-		c.rob = append(c.rob, e)
-		c.iq = append(c.iq, e.seq)
+		if e.pending == 0 {
+			c.schedule(slot, e, now)
+		}
 	}
 }
 
-// srcReady reports whether the producer with sequence s has a result
-// available at time now.
-func (c *Core) srcReady(s uint64, now int64) bool {
-	if s == noProducer {
-		return true
+// operand resolves source operand k (register r) of the entry being
+// dispatched into slot.
+func (c *Core) operand(slot int32, e *entry, k int32, r uint8) {
+	if r == isa.RegNone || c.lastWriter[r] == none {
+		return
 	}
-	p := c.entryBySeq(s)
-	if p == nil {
-		return true // already committed
+	p := &c.win[c.lastWriter[r]]
+	if p.complete == notIssued {
+		e.next[k] = p.wakeHead
+		p.wakeHead = slot<<1 | k
+		e.pending++
+	} else if p.complete > e.readyAt {
+		e.readyAt = p.complete
 	}
-	return p.issued && p.complete <= now
+}
+
+// schedule files an entry whose producers have all issued: into the ready
+// bitmap if its operands are available now, onto the wheel otherwise.
+func (c *Core) schedule(slot int32, e *entry, now int64) {
+	if e.readyAt <= now {
+		c.ready[slot>>6][fuClass(e.inst.Class)] |= 1 << (slot & 63)
+		c.nReady++
+		return
+	}
+	b := &c.wheel[e.readyAt&(wheelSize-1)]
+	e.next[0] = *b
+	*b = slot
+	c.nTimed++
+}
+
+// wake moves the wheel's entries that have come due into the ready bitmaps.
+func (c *Core) wake(now int64) {
+	if c.nTimed > 0 {
+		from := max(c.lastWake+1, now-wheelSize+1)
+		for t := from; t <= now; t++ {
+			b := &c.wheel[t&(wheelSize-1)]
+			slot := *b
+			*b = none
+			for slot != none {
+				e := &c.win[slot]
+				nxt := e.next[0]
+				if e.readyAt <= now {
+					c.nTimed--
+					c.schedule(slot, e, now)
+				} else { // a later turn of the wheel
+					e.next[0] = *b
+					*b = slot
+				}
+				slot = nxt
+			}
+		}
+	}
+	c.lastWake = now
 }
 
 // issue selects up to IssueWidth ready instructions oldest-first under
-// functional-unit constraints and computes their completion times.
+// functional-unit constraints, computes their completion times and wakes
+// their consumers. Only ready entries are visited; a cycle with none costs
+// one wheel bucket.
 func (c *Core) issue(now int64) {
-	if len(c.iq) == 0 {
+	c.wake(now)
+	if c.nReady == 0 {
 		return
 	}
-	issued := 0
-	intFU, lsFU, fpFU := c.cfg.IntALUs, c.cfg.LoadStoreFUs, c.cfg.FPUnits
-	w := 0
-	for r := 0; r < len(c.iq); r++ {
-		seq := c.iq[r]
-		e := c.entryBySeq(seq)
-		if e == nil {
-			continue // defensive; committed entries leave the IQ at issue
+	width := c.cfg.IssueWidth
+	fu := [numFU]int{c.cfg.IntALUs, c.cfg.LoadStoreFUs, c.cfg.FPUnits}
+	var open [numFU]uint64 // all ones while the class has a unit left
+	for k, n := range fu {
+		if n != 0 {
+			open[k] = ^uint64(0)
 		}
-		if issued >= c.cfg.IssueWidth ||
-			!c.srcReady(e.prod1, now) || !c.srcReady(e.prod2, now) {
-			c.iq[w] = seq
-			w++
+	}
+	// Walk the ROB's span of the ring in sequence order, a bitmap word at
+	// a time. The words are re-read after every issue: a class may have
+	// closed, and a zero-latency producer may just have readied a younger
+	// entry, which must then issue in this same pass.
+	for s := c.head; s < c.disp && width > 0 && c.nReady > 0; {
+		word := &c.ready[(s&c.mask)>>6]
+		w := (word[fuInt]&open[fuInt] | word[fuLS]&open[fuLS] | word[fuFP]&open[fuFP]) >> (s & 63)
+		if w == 0 {
+			s = (s | 63) + 1
 			continue
 		}
-		var fu *int
-		switch e.inst.Class {
-		case isa.Load, isa.Store:
-			fu = &lsFU
-		case isa.FPOp:
-			fu = &fpFU
-		default:
-			fu = &intFU
+		s += uint64(bits.TrailingZeros64(w))
+		e := &c.win[s&c.mask]
+		k := fuClass(e.inst.Class)
+		word[k] &^= 1 << (s & 63)
+		c.nReady--
+		c.iqCount--
+		width--
+		if fu[k]--; fu[k] == 0 {
+			open[k] = 0
 		}
-		if *fu == 0 {
-			c.iq[w] = seq
-			w++
-			continue
-		}
-		*fu--
-		issued++
-		e.issued = true
-		e.complete = c.execute(&e.inst, now)
+
+		complete := c.execute(&e.inst, now)
+		e.complete = complete
 		if e.misp {
 			// Redirect: fetch resumes when the branch resolves;
 			// the front-end pipeline depth is then paid again by
 			// the new entries' readyAt.
-			if e.complete > c.fetchStallUntil {
-				c.fetchStallUntil = e.complete
+			if complete > c.fetchStallUntil {
+				c.fetchStallUntil = complete
 			}
 			c.redirects--
 		}
+		for l := e.wakeHead; l != none; {
+			cons := &c.win[l>>1]
+			nxt := cons.next[l&1]
+			if complete > cons.readyAt {
+				cons.readyAt = complete
+			}
+			if cons.pending--; cons.pending == 0 {
+				c.schedule(l>>1, cons, now)
+			}
+			l = nxt
+		}
+		s++
 	}
-	c.iq = c.iq[:w]
 }
 
 // execute computes the completion time of an instruction issued at now,
@@ -381,7 +502,7 @@ func (c *Core) execute(in *isa.Inst, now int64) int64 {
 		// Memory disambiguation: a load whose line has an in-flight
 		// older store forwards from the store queue instead of
 		// accessing the cache (store-to-load forwarding).
-		if c.storeLines[in.Addr>>6] > 0 {
+		if c.stores.has(in.Addr >> 6) {
 			return now + lat
 		}
 		res := c.mem.Data(c.id, in.Addr, false, now)
@@ -398,33 +519,28 @@ func (c *Core) execute(in *isa.Inst, now int64) int64 {
 // commit retires completed instructions in order, moving stores to the
 // store buffer.
 func (c *Core) commit(now int64) {
-	n := 0
-	for n < c.cfg.DecodeWidth && len(c.rob) > 0 {
-		e := &c.rob[0]
-		if !e.issued || e.complete > now {
+	for n := 0; n < c.cfg.DecodeWidth && c.head != c.disp; n++ {
+		slot := int32(c.head & c.mask)
+		e := &c.win[slot]
+		if e.complete > now {
 			return
 		}
 		if e.inst.Class == isa.Store {
-			if len(c.storeBuf) >= c.cfg.StoreBufferSize {
+			if int(c.sbTail-c.sbHead) >= c.cfg.StoreBufferSize {
 				return // store buffer full blocks commit
 			}
-			c.storeBuf = append(c.storeBuf, e.inst.Addr)
-			line := e.inst.Addr >> 6
-			if n := c.storeLines[line]; n > 1 {
-				c.storeLines[line] = n - 1
-			} else {
-				delete(c.storeLines, line)
-			}
+			c.sb[c.sbTail&c.sbMask] = e.inst.Addr
+			c.sbTail++
+			c.stores.dec(e.inst.Addr >> 6)
 		}
 		if e.inst.Class.IsMem() {
 			c.lsqCount--
 		}
-		if e.inst.HasDst() && c.lastWriter[e.inst.Dst] == e.seq {
-			c.lastWriter[e.inst.Dst] = noProducer
+		if e.inst.HasDst() && c.lastWriter[e.inst.Dst] == slot {
+			c.lastWriter[e.inst.Dst] = none
 		}
-		c.rob = c.rob[1:]
+		c.head++
 		c.retired++
-		n++
 	}
 }
 
@@ -432,17 +548,87 @@ func (c *Core) commit(now int64) {
 // up to len(sbPortFree) outstanding store misses.
 func (c *Core) drainStoreBuffer(now int64) {
 	for p := range c.sbPortFree {
-		if len(c.storeBuf) == 0 {
+		if c.sbHead == c.sbTail {
 			return
 		}
 		if now < c.sbPortFree[p] {
 			continue
 		}
-		addr := c.storeBuf[0]
-		c.storeBuf = c.storeBuf[1:]
+		addr := c.sb[c.sbHead&c.sbMask]
+		c.sbHead++
 		res := c.mem.Data(c.id, addr, true, now)
 		c.sbPortFree[p] = now + 1 + res.Latency
 	}
+}
+
+// lineCounts is a fixed open-addressed multiset of cache-line numbers
+// (linear probing, backward-shift deletion). The LSQ bounds how many lines
+// it can hold at once, so it is sized once and never grows.
+type lineCounts struct {
+	slots []lineCount
+	shift uint // 64 - log2(len(slots))
+	live  int  // distinct lines present
+}
+
+type lineCount struct {
+	line uint64
+	n    int32 // 0 marks an empty slot
+}
+
+func newLineCounts(maxLines int) lineCounts {
+	n := 2 * ringSize(maxLines)
+	return lineCounts{
+		slots: make([]lineCount, n),
+		shift: uint(64 - bits.TrailingZeros(uint(n))),
+	}
+}
+
+func (t *lineCounts) home(line uint64) int {
+	return int(line * 0x9E3779B97F4A7C15 >> t.shift)
+}
+
+// find returns the slot holding line, or the empty slot that ends its
+// probe sequence.
+func (t *lineCounts) find(line uint64) int {
+	i := t.home(line)
+	for t.slots[i].n != 0 && t.slots[i].line != line {
+		i = (i + 1) & (len(t.slots) - 1)
+	}
+	return i
+}
+
+func (t *lineCounts) has(line uint64) bool {
+	return t.live > 0 && t.slots[t.find(line)].n != 0
+}
+
+func (t *lineCounts) inc(line uint64) {
+	s := &t.slots[t.find(line)]
+	if s.n == 0 {
+		s.line = line
+		t.live++
+	}
+	s.n++
+}
+
+// dec removes one occurrence of line, which must be present.
+func (t *lineCounts) dec(line uint64) {
+	i := t.find(line)
+	if t.slots[i].n > 1 {
+		t.slots[i].n--
+		return
+	}
+	t.live--
+	// Empty the slot and close the gap: pull back every later entry of
+	// the cluster whose home slot is not cyclically inside (i, j], so
+	// that no probe sequence is cut by the empty slot.
+	mask := len(t.slots) - 1
+	for j := (i + 1) & mask; t.slots[j].n != 0; j = (j + 1) & mask {
+		if h := t.home(t.slots[j].line); (j-h)&mask >= (j-i)&mask {
+			t.slots[i] = t.slots[j]
+			i = j
+		}
+	}
+	t.slots[i].n = 0
 }
 
 var _ sim.Core = (*Core)(nil)

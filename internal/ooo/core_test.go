@@ -9,6 +9,7 @@ import (
 	"repro/internal/memhier"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func build(insts []isa.Inst, perfect memhier.Perfect, predictor string) (*Core, *memhier.Hierarchy) {
@@ -230,5 +231,91 @@ func TestFunctionalUnitContention(t *testing.T) {
 	runCore(t, c)
 	if ipc := c.IPC(); ipc > 4.05 {
 		t.Fatalf("FP-only IPC = %.3f exceeds 4 FP units", ipc)
+	}
+}
+
+// TestStepAllocsNothing pins the allocation-free steady state: once the
+// core is built, stepping it allocates nothing, whether it issues most
+// cycles (gcc) or waits for DRAM most cycles (mcf). The generator and the
+// single-core hierarchy it runs over allocate nothing either, so the whole
+// step is measured, not the core in isolation.
+func TestStepAllocsNothing(t *testing.T) {
+	for _, name := range []string{"gcc", "mcf"} {
+		m := config.Default(1)
+		mem := memhier.New(1, m.Mem, memhier.Perfect{})
+		bp := branch.NewUnit(m.Branch)
+		c := New(0, m.Core, bp, mem, workload.New(workload.SPECByName(name), 0, 1, 42), sim.NullSyncer{})
+		var now int64
+		for c.Retired() < 20_000 { // past the cold start
+			c.Step(now)
+			now++
+		}
+		start := c.Retired()
+		allocs := testing.AllocsPerRun(5, func() {
+			for i := 0; i < 4000; i++ {
+				c.Step(now)
+				now++
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.1f allocations per 4000 steps, want 0", name, allocs)
+		}
+		if c.Retired() == start {
+			t.Errorf("%s: no instruction retired while measuring", name)
+		}
+	}
+}
+
+// TestOccupancyBoundsAndDataflowLimit checks, on an all-perfect galgel run
+// (no miss events: the back end alone sets the pace), that no structure ever
+// holds more than it was configured with, and that the core is not faster
+// than the program allows: its IPC cannot exceed the dispatch width, nor the
+// dataflow limit of the same stream on an infinite window and width.
+func TestOccupancyBoundsAndDataflowLimit(t *testing.T) {
+	const n = 50_000
+	p := workload.SPECByName("galgel")
+	m := config.Default(1)
+	m.Branch.Kind = "perfect"
+	mem := memhier.New(1, m.Mem, memhier.Perfect{ISide: true, DSide: true})
+	bp := branch.NewUnit(m.Branch)
+	c := New(0, m.Core, bp, mem, trace.NewLimit(workload.New(p, 0, 1, 42), n), sim.NullSyncer{})
+	cfg := m.Core
+	for now := int64(0); !c.Done(); now++ {
+		c.Step(now)
+		if c.head > c.disp || c.disp > c.tail || c.sbHead > c.sbTail || c.iqCount < 0 || c.lsqCount < 0 {
+			t.Fatalf("cycle %d: head %d disp %d tail %d, store buffer %d..%d, iq %d lsq %d",
+				now, c.head, c.disp, c.tail, c.sbHead, c.sbTail, c.iqCount, c.lsqCount)
+		}
+		rob, fq, sb := int(c.disp-c.head), int(c.tail-c.disp), int(c.sbTail-c.sbHead)
+		if rob > cfg.ROBSize || c.iqCount > cfg.IssueQueueSize || c.lsqCount > cfg.LSQSize ||
+			sb > cfg.StoreBufferSize || fq > cfg.FetchQueue+cfg.FrontendDepth*cfg.FetchWidth {
+			t.Fatalf("cycle %d: rob %d iq %d lsq %d store buffer %d fetch queue %d exceed %+v",
+				now, rob, c.iqCount, c.lsqCount, sb, fq, cfg)
+		}
+	}
+
+	// The dataflow limit: every instruction starts when its operands are
+	// ready and nothing else holds it back.
+	gen := workload.New(p, 0, 1, 42)
+	var ready [isa.NumRegs]int64
+	var makespan int64
+	for k := 0; k < n; k++ {
+		in, _ := gen.Next()
+		var start int64
+		if in.Src1 != isa.RegNone {
+			start = max(start, ready[in.Src1])
+		}
+		if in.Src2 != isa.RegNone {
+			start = max(start, ready[in.Src2])
+		}
+		complete := start + int64(cfg.ExecLatency(in.Class))
+		if in.HasDst() {
+			ready[in.Dst] = complete
+		}
+		makespan = max(makespan, complete)
+	}
+	limit := min(float64(cfg.DecodeWidth), float64(n)/float64(makespan))
+	if c.Retired() != n || c.IPC() > limit {
+		t.Fatalf("retired %d at IPC %.4f; the stream allows at most %.4f", c.Retired(), c.IPC(), limit)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/config"
 	// The estimator engines tiered serving answers from.
 	_ "repro/internal/engine"
 	"repro/internal/simd"
@@ -204,6 +205,36 @@ func TestSubmitUnknownEngineRejected(t *testing.T) {
 		if !strings.Contains(body.Error, want) {
 			t.Errorf("400 body %q does not mention %q", body.Error, want)
 		}
+	}
+}
+
+// TestSubmitUnrunnableMachineRejected: a machine object the detailed core
+// would spin on until MaxCycles (a zero-entry store buffer) is a 400 naming
+// the field, not an accepted job that parks a worker.
+func TestSubmitUnrunnableMachineRejected(t *testing.T) {
+	_, ts := newTieredServer(t)
+	m := config.Default(1)
+	m.Core.StoreBufferSize = 0
+	spec, err := json.Marshal(simrun.Spec{Bench: "gcc", Model: "detailed", Insts: 20000, Machine: &m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	var body struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(body.Error, "Core.StoreBufferSize") {
+		t.Errorf("400 body %q does not name Core.StoreBufferSize", body.Error)
 	}
 }
 

@@ -285,7 +285,9 @@ func (s *Scenario) TotalInstBudget() uint64 {
 
 // ResolvedMachine returns the machine configuration the scenario will
 // simulate: the explicit Machine base (or the Table 1 default sized to
-// Threads), with every knob option applied in order.
+// Threads), with every knob option applied in order. A machine no
+// simulator can run (config.Machine.Validate) is an error, so New rejects
+// it before any worker is committed to it.
 func (s *Scenario) ResolvedMachine() (config.Machine, error) {
 	var m config.Machine
 	if s.machine != nil {
@@ -296,6 +298,9 @@ func (s *Scenario) ResolvedMachine() (config.Machine, error) {
 	m.Cores = s.Threads()
 	for _, f := range s.configure {
 		f(&m)
+	}
+	if err := m.Validate(); err != nil {
+		return config.Machine{}, fmt.Errorf("simrun: scenario %q: %w", s.Name(), err)
 	}
 	return m, nil
 }

@@ -1,10 +1,13 @@
 package simrun
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/workload"
 )
 
@@ -191,5 +194,62 @@ func TestLoadSpecsErrors(t *testing.T) {
 	_, err := LoadSpecs(strings.NewReader(`{"scenarios":[{"bench":"gcc"},{"bench":"bogus"}]}`))
 	if err == nil || !strings.Contains(err.Error(), "scenario 2") {
 		t.Errorf("error does not name the offending entry: %v", err)
+	}
+}
+
+// TestUnrunnableMachineRejected: a machine description no simulator can run
+// (here a zero-entry store buffer, on which the detailed core never commits
+// its first store and spins to MaxCycles) fails scenario construction with
+// the field in the message — through the option, a knob applied on top, the
+// wire spec and the batch file cmd/sweep -f loads — while the machine it
+// was derived from still resolves to the same fingerprint as before.
+func TestUnrunnableMachineRejected(t *testing.T) {
+	bad := config.Default(1)
+	bad.Core.StoreBufferSize = 0
+	const field = "Core.StoreBufferSize"
+	rejected := func(path string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s: err = %v, want one naming %s", path, err, field)
+		}
+	}
+
+	_, err := New("gcc", Model("detailed"), Machine(bad))
+	rejected("Machine option", err)
+	_, err = New("gcc", Configure(func(m *config.Machine) { m.Core.StoreBufferSize = 0 }))
+	rejected("Configure option", err)
+
+	raw, err := json.Marshal(Spec{Bench: "gcc", Model: "detailed", Machine: &bad})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := ParseSpec(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sp.Scenario()
+	rejected("Spec.Scenario", err)
+	_, err = LoadSpecs(strings.NewReader(`{"scenarios":[`+string(raw)+`]}`), Spec{})
+	rejected("LoadSpecs", err)
+
+	good := config.Default(1)
+	withMachine, err := New("gcc", Machine(good))
+	if err != nil {
+		t.Fatalf("Table 1 machine rejected: %v", err)
+	}
+	plain, err := New("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := withMachine.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := plain.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Errorf("explicit Table 1 machine fingerprints as %s, default as %s", a, b)
 	}
 }
