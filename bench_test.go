@@ -243,21 +243,118 @@ func BenchmarkDetailedCoreStep(b *testing.B) {
 // BenchmarkWorkloadGen measures the functional simulator alone, through
 // the 4096-slot NextBatch every product consumer pulls. One op is one
 // instruction. The sub-benchmarks take different draw paths: integer
-// (gcc), pointer-chase (mcf), strided (swim) and FP-chain (art).
+// (gcc), pointer-chase (mcf), strided (swim) and FP-chain (art); the
+// /functional ones time the operand-free emission of the warm-up twins.
 func BenchmarkWorkloadGen(b *testing.B) {
 	for _, name := range []string{"gcc", "mcf", "swim", "art"} {
+		for _, functional := range []bool{false, true} {
+			sub := name
+			if functional {
+				sub += "/functional"
+			}
+			b.Run(sub, func(b *testing.B) {
+				g := workload.New(workload.SPECByName(name), 0, 1, 42)
+				if functional {
+					g.Functional()
+				}
+				buf := make([]isa.Inst, 4096)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for left := b.N; left > 0; {
+					k := g.NextBatch(buf[:min(left, len(buf))])
+					if k == 0 {
+						b.Fatal("stream ended")
+					}
+					left -= k
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/inst")
+			})
+		}
+	}
+}
+
+// BenchmarkWarmup measures functional warm-up — the largest line of a
+// sweep point — in ns per warmed instruction: 200k instructions into a
+// cold hierarchy and predictor, as every scenario pays them, with and
+// without the stride prefetcher; once pulling from the operand-free
+// warm-up twin the scenarios use and once over a recorded full stream,
+// which leaves the memory path and the predictor alone.
+func BenchmarkWarmup(b *testing.B) {
+	const insts = 200_000
+	for _, name := range []string{"gcc", "mcf"} {
+		for _, prefetch := range []string{"none", "stride"} {
+			for _, source := range []string{"gen", "trace"} {
+				b.Run(name+"/"+prefetch+"/"+source, func(b *testing.B) {
+					m := config.Default(1)
+					m.Mem.Prefetch = prefetch
+					p := workload.SPECByName(name)
+					recorded := trace.Record(workload.New(p, 0, 1, 1042), insts)
+					b.ReportAllocs()
+					b.ResetTimer()
+					for left := b.N; left > 0; left -= insts {
+						b.StopTimer()
+						mem := memhier.New(1, m.Mem, memhier.Perfect{})
+						bps := []*branch.Unit{branch.NewUnit(m.Branch)}
+						var src trace.Stream = trace.NewSliceStream(recorded)
+						if source == "gen" {
+							src = workload.New(p, 0, 1, 1042).Functional()
+						}
+						b.StartTimer()
+						multicore.Warmup(mem, bps, []trace.Stream{src}, min(left, insts))
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/inst")
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkHierarchyData measures the memory path alone in its warmed
+// steady state, called the way the cores call it: Data for every memory
+// instruction, Inst for the first instruction on each 64-byte line, under
+// a clock that advances. One op is one instruction of the recorded stream
+// (one per core and round on canneal, whose four threads share lines
+// through the coherence protocol).
+func BenchmarkHierarchyData(b *testing.B) {
+	const insts = 200_000
+	for _, name := range []string{"gcc", "mcf", "canneal"} {
 		b.Run(name, func(b *testing.B) {
-			g := workload.New(workload.SPECByName(name), 0, 1, 42)
-			buf := make([]isa.Inst, 4096)
+			cores, p := 1, workload.SPECByName(name)
+			if p == nil {
+				cores, p = 4, workload.PARSECByName(name)
+			}
+			q := *p
+			q.TotalWork = 0 // unbounded: every thread records insts instructions
+			mem := memhier.New(cores, config.Default(cores).Mem, memhier.Perfect{})
+			recorded := make([][]isa.Inst, cores)
+			lastLine := make([]uint64, cores)
+			for c := range recorded {
+				recorded[c] = trace.Record(workload.New(&q, c, cores, 42), insts)
+			}
+			now := int64(0)
+			replay := func(n int) {
+				for i := 0; n > 0; i = (i + 1) % insts {
+					for c := 0; c < cores && n > 0; c++ {
+						in := &recorded[c][i]
+						n--
+						now++
+						if in.Class.IsSync() {
+							continue
+						}
+						if line := in.PC >> 6; line != lastLine[c] {
+							lastLine[c] = line
+							mem.Inst(c, in.PC, now)
+						}
+						if in.Class.IsMem() {
+							mem.Data(c, in.Addr, in.Class == isa.Store, now)
+						}
+					}
+				}
+			}
+			replay(cores * insts)
 			b.ReportAllocs()
 			b.ResetTimer()
-			for left := b.N; left > 0; {
-				k := g.NextBatch(buf[:min(left, len(buf))])
-				if k == 0 {
-					b.Fatal("stream ended")
-				}
-				left -= k
-			}
+			replay(b.N)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/inst")
 		})
 	}

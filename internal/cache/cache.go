@@ -1,7 +1,8 @@
 // Package cache implements the structural cache and TLB models used by the
 // memory hierarchy: set-associative caches with true-LRU replacement and
-// write-back/write-allocate policy, TLBs, and an MSHR file for merging
-// outstanding misses.
+// write-back/write-allocate policy, TLBs, an MSHR file for merging
+// outstanding misses, and the flat line table the coherence engines and the
+// stride prefetcher keep their per-line state in.
 //
 // These models are purely structural: they track which lines are present
 // and in what state, and answer hit/miss queries. Latency composition and
@@ -33,10 +34,12 @@ const (
 // and reports the evicted victim.
 type Cache struct {
 	cfg      config.Cache
-	sets     [][]line
+	lines    []line // set s occupies lines[s*assoc : (s+1)*assoc]
+	assoc    int
 	setShift uint
 	setMask  uint64
-	tagShift uint // log2(number of sets), hoisted off the access path
+	tagShift uint   // log2(number of sets), hoisted off the access path
+	lineMask uint64 // LineSize-1
 	stamp    uint64
 
 	// Statistics.
@@ -56,17 +59,14 @@ func New(cfg config.Cache) *Cache {
 	if cfg.LineSize&(cfg.LineSize-1) != 0 {
 		panic(fmt.Sprintf("cache: line size %d is not a power of two", cfg.LineSize))
 	}
-	sets := make([][]line, nsets)
-	backing := make([]line, nsets*cfg.Assoc)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Assoc], backing[cfg.Assoc:]
-	}
 	return &Cache{
 		cfg:      cfg,
-		sets:     sets,
+		lines:    make([]line, nsets*cfg.Assoc),
+		assoc:    cfg.Assoc,
 		setShift: uint(log2(cfg.LineSize)),
 		setMask:  uint64(nsets - 1),
 		tagShift: uint(log2(nsets)),
+		lineMask: uint64(cfg.LineSize) - 1,
 	}
 }
 
@@ -84,16 +84,19 @@ func (c *Cache) Config() config.Cache { return c.cfg }
 
 // Frames returns the total number of line frames (sets × associativity);
 // it bounds the way indices returned by AccessWay and FillWay.
-func (c *Cache) Frames() int { return len(c.sets) * c.cfg.Assoc }
+func (c *Cache) Frames() int { return len(c.lines) }
 
 // LineAddr returns the line-aligned address containing addr.
 func (c *Cache) LineAddr(addr uint64) uint64 {
-	return addr &^ (uint64(c.cfg.LineSize) - 1)
+	return addr &^ c.lineMask
 }
 
-func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
+// set returns the frames of addr's set, the index of the first of them, and
+// the key a valid clean frame holding addr carries.
+func (c *Cache) set(addr uint64) (ways []line, base int, want uint64) {
 	blk := addr >> c.setShift
-	return blk & c.setMask, blk >> c.tagShift
+	base = int(blk&c.setMask) * c.assoc
+	return c.lines[base : base+c.assoc], base, blk>>c.tagShift<<2 | lineValid
 }
 
 // Access looks up addr, updating LRU state and statistics. write marks the
@@ -121,20 +124,17 @@ func (c *Cache) AccessWay(addr uint64, write bool) (hit bool, way int) {
 }
 
 func (c *Cache) accessWay(addr uint64, write bool) (hit, wasDirty bool, way int) {
-	set, tag := c.index(addr)
+	ways, base, want := c.set(addr)
 	c.stamp++
-	ways := c.sets[set]
-	want := tag<<2 | lineValid
 	for i := range ways {
 		ln := &ways[i]
 		if k := ln.key; k&^lineDirty == want {
 			ln.lru = c.stamp
-			wasDirty = k&lineDirty != 0
 			if write {
 				ln.key = k | lineDirty
 			}
 			c.Hits++
-			return true, wasDirty, int(set)*len(ways) + i
+			return true, k&lineDirty != 0, base + i
 		}
 	}
 	c.Misses++
@@ -144,10 +144,9 @@ func (c *Cache) accessWay(addr uint64, write bool) (hit, wasDirty bool, way int)
 // Probe reports whether addr is present without updating LRU state or
 // statistics.
 func (c *Cache) Probe(addr uint64) bool {
-	set, tag := c.index(addr)
-	want := tag<<2 | lineValid
-	for i := range c.sets[set] {
-		if c.sets[set][i].key&^lineDirty == want {
+	ways, _, want := c.set(addr)
+	for i := range ways {
+		if ways[i].key&^lineDirty == want {
 			return true
 		}
 	}
@@ -173,10 +172,8 @@ func (c *Cache) Fill(addr uint64, dirty bool) Victim {
 // way) of the frame the line now occupies — the refreshed frame when the
 // line was already present, the filled frame otherwise.
 func (c *Cache) FillWay(addr uint64, dirty bool) (Victim, int) {
-	set, tag := c.index(addr)
+	ways, base, want := c.set(addr)
 	c.stamp++
-	ways := c.sets[set]
-	want := tag<<2 | lineValid
 	victimIdx := 0
 	var oldest uint64 = ^uint64(0)
 	for i := range ways {
@@ -189,7 +186,7 @@ func (c *Cache) FillWay(addr uint64, dirty bool) (Victim, int) {
 			if dirty {
 				ln.key = k | lineDirty
 			}
-			return Victim{}, int(set)*len(ways) + i
+			return Victim{}, base + i
 		}
 		if k&lineValid == 0 {
 			victimIdx = i
@@ -205,7 +202,7 @@ func (c *Cache) FillWay(addr uint64, dirty bool) (Victim, int) {
 	var v Victim
 	if k := ln.key; k&lineValid != 0 {
 		v = Victim{
-			Addr:  (k>>2<<c.tagShift | set) << c.setShift,
+			Addr:  (k>>2<<c.tagShift | addr>>c.setShift&c.setMask) << c.setShift,
 			Dirty: k&lineDirty != 0,
 			Valid: true,
 		}
@@ -214,21 +211,20 @@ func (c *Cache) FillWay(addr uint64, dirty bool) (Victim, int) {
 			c.WriteBack++
 		}
 	}
-	key := tag<<2 | lineValid
+	key := want
 	if dirty {
 		key |= lineDirty
 	}
 	*ln = line{key: key, lru: c.stamp}
-	return v, int(set)*len(ways) + victimIdx
+	return v, base + victimIdx
 }
 
 // Invalidate removes the line containing addr if present, returning whether
 // it was present and whether it was dirty.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	set, tag := c.index(addr)
-	want := tag<<2 | lineValid
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
+	ways, _, want := c.set(addr)
+	for i := range ways {
+		ln := &ways[i]
 		if k := ln.key; k&^lineDirty == want {
 			ln.key = 0
 			return true, k&lineDirty != 0
@@ -239,10 +235,9 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 
 // Clean clears the dirty bit of the line containing addr if present.
 func (c *Cache) Clean(addr uint64) {
-	set, tag := c.index(addr)
-	want := tag<<2 | lineValid
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
+	ways, _, want := c.set(addr)
+	for i := range ways {
+		ln := &ways[i]
 		if ln.key&^lineDirty == want {
 			ln.key &^= lineDirty
 			return
@@ -252,11 +247,7 @@ func (c *Cache) Clean(addr uint64) {
 
 // Reset empties the cache and clears statistics.
 func (c *Cache) Reset() {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			c.sets[s][i] = line{}
-		}
-	}
+	clear(c.lines)
 	c.stamp = 0
 	c.Hits, c.Misses, c.Evictions, c.WriteBack = 0, 0, 0, 0
 }
@@ -273,11 +264,9 @@ func (c *Cache) MissRate() float64 {
 // ValidLines counts the number of valid lines (test helper).
 func (c *Cache) ValidLines() int {
 	n := 0
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			if c.sets[s][i].key&lineValid != 0 {
-				n++
-			}
+	for i := range c.lines {
+		if c.lines[i].key&lineValid != 0 {
+			n++
 		}
 	}
 	return n
@@ -286,10 +275,9 @@ func (c *Cache) ValidLines() int {
 // DuplicateTags reports whether any set holds the same tag twice; always
 // false for a correct implementation (used by property tests).
 func (c *Cache) DuplicateTags() bool {
-	for s := range c.sets {
-		seen := make(map[uint64]bool, len(c.sets[s]))
-		for i := range c.sets[s] {
-			ln := &c.sets[s][i]
+	for base := 0; base < len(c.lines); base += c.assoc {
+		seen := make(map[uint64]bool, c.assoc)
+		for _, ln := range c.lines[base : base+c.assoc] {
 			if ln.key&lineValid == 0 {
 				continue
 			}

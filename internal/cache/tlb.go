@@ -52,91 +52,5 @@ func (t *TLB) Misses() uint64 { return t.inner.Misses }
 // Reset empties the TLB and clears statistics.
 func (t *TLB) Reset() { t.inner.Reset() }
 
-// MSHR is a file of miss status holding registers: it tracks line addresses
-// with misses outstanding until a given time, so that overlapping requests
-// to the same line merge instead of issuing duplicate fills. The timing
-// models use it to bound memory-level parallelism and to give secondary
-// misses the residual latency of the primary miss.
-//
-// The file is a fixed array whose live entries are kept in a dense prefix —
-// it is small (tens of entries, like the hardware), the typical number of
-// concurrently outstanding misses is a handful, and a short scan beats a Go
-// map with its per-access expiry iteration on the miss path.
-type MSHR struct {
-	pending  []mshrEntry
-	live     int    // entries [0:live) are outstanding
-	Merged   uint64 // secondary misses merged into a primary
-	Rejected uint64 // misses rejected because the file was full
-}
-
-type mshrEntry struct {
-	line       uint64
-	completion int64
-}
-
-// NewMSHR creates an MSHR file with the given number of entries.
-func NewMSHR(entries int) *MSHR {
-	return &MSHR{pending: make([]mshrEntry, entries)}
-}
-
-// expire drops entries whose miss completed at or before now. Expiry is
-// permanent — observed-complete entries stay dead even for a caller whose
-// clock later restarts (the sampling harness re-times units from zero over
-// a persistent hierarchy), matching the map deletion it replaces. Entry
-// order within the prefix is insignificant, exactly as map order was.
-func (m *MSHR) expire(now int64) {
-	for i := 0; i < m.live; {
-		if m.pending[i].completion <= now {
-			m.live--
-			m.pending[i] = m.pending[m.live]
-			continue
-		}
-		i++
-	}
-}
-
-// Lookup returns the completion time of an outstanding miss on lineAddr, if
-// any, after discarding entries that completed at or before now.
-func (m *MSHR) Lookup(lineAddr uint64, now int64) (completion int64, ok bool) {
-	m.expire(now)
-	for i := 0; i < m.live; i++ {
-		if m.pending[i].line == lineAddr {
-			return m.pending[i].completion, true
-		}
-	}
-	return 0, false
-}
-
-// Insert records a miss on lineAddr completing at completion. It reports
-// false if the file is full (the caller should stall the request).
-func (m *MSHR) Insert(lineAddr uint64, completion int64, now int64) bool {
-	m.expire(now)
-	for i := 0; i < m.live; i++ {
-		if m.pending[i].line == lineAddr {
-			m.Merged++
-			return true
-		}
-	}
-	if m.live == len(m.pending) {
-		m.Rejected++
-		return false
-	}
-	m.pending[m.live] = mshrEntry{line: lineAddr, completion: completion}
-	m.live++
-	return true
-}
-
-// Outstanding returns the number of live entries at time now.
-func (m *MSHR) Outstanding(now int64) int {
-	m.expire(now)
-	return m.live
-}
-
-// Reset empties the file and clears statistics.
-func (m *MSHR) Reset() {
-	m.live = 0
-	m.Merged, m.Rejected = 0, 0
-}
-
 // ResetStats clears the TLB statistics without touching contents.
 func (t *TLB) ResetStats() { t.inner.ResetStats() }

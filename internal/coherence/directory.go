@@ -3,19 +3,27 @@ package coherence
 import (
 	"fmt"
 	"math/bits"
+
+	"repro/internal/cache"
+	"repro/internal/config"
 )
 
-// dirEntry is the directory's record for one line: either a single owner
-// holding the line Exclusive/Modified, or a set of Shared copies.
-type dirEntry struct {
-	// owner is the core holding the line M or E, or -1.
-	owner int
-	// ownerDirty distinguishes Modified (true) from Exclusive.
-	ownerDirty bool
-	// sharers is a bitmap of cores holding Shared copies (meaningful
-	// only when owner < 0).
-	sharers uint64
-}
+// A line's directory entry is two words: either a single owner holding the
+// line Exclusive/Modified, or a set of Shared copies. Two zero words are a
+// line nobody holds, and such a line has no entry.
+const (
+	// dirSharers is a bitmap of cores holding Shared copies (meaningful
+	// only when there is no owner).
+	dirSharers = 0
+	// dirOwner holds the owning core's number plus one in its low byte
+	// (zero: no owner) and dirOwnerDirty, which distinguishes Modified
+	// from Exclusive.
+	dirOwner      = 1
+	dirOwnerDirty = 1 << 8
+)
+
+// owner returns the core holding the line M or E, or -1.
+func owner(e []uint64) int { return int(e[dirOwner]&0xFF) - 1 }
 
 // Directory is a MESI directory protocol: a home node tracks, per line,
 // either a single exclusive owner or a sharer bitmap, and forwards or
@@ -30,7 +38,7 @@ type dirEntry struct {
 // equivalent transaction by transaction (a property the tests check).
 type Directory struct {
 	cores int
-	lines map[uint64]*dirEntry
+	lines *cache.LineTable
 
 	// Statistics.
 	ReadMisses      uint64
@@ -41,45 +49,29 @@ type Directory struct {
 }
 
 // NewDirectory creates a MESI directory for the given core count (at most
-// 64, the sharer-bitmap width).
-func NewDirectory(cores int) *Directory {
-	if cores < 1 || cores > 64 {
-		panic(fmt.Sprintf("coherence: directory supports 1..64 cores, got %d", cores))
+// config.MaxDirectoryCores, the sharer-bitmap width); lines sizes its table
+// as in New.
+func NewDirectory(cores, lines int) *Directory {
+	if cores < 1 || cores > config.MaxDirectoryCores {
+		panic(fmt.Sprintf("coherence: directory supports 1..%d cores, got %d", config.MaxDirectoryCores, cores))
 	}
-	return &Directory{cores: cores, lines: make(map[uint64]*dirEntry)}
+	return &Directory{cores: cores, lines: cache.NewLineTable(lines, 2)}
 }
 
 // Cores returns the number of cores the directory was built for.
 func (d *Directory) Cores() int { return d.cores }
 
-func (d *Directory) entry(lineAddr uint64) *dirEntry {
-	e, ok := d.lines[lineAddr]
-	if !ok {
-		e = &dirEntry{owner: -1}
-		d.lines[lineAddr] = e
-	}
-	return e
-}
-
-func (d *Directory) gc(lineAddr uint64, e *dirEntry) {
-	if e.owner < 0 && e.sharers == 0 {
-		delete(d.lines, lineAddr)
-	}
-}
-
 // State implements Engine.
 func (d *Directory) State(core int, lineAddr uint64) State {
-	e, ok := d.lines[lineAddr]
-	if !ok {
+	e := d.lines.Find(lineAddr)
+	switch {
+	case e == nil:
 		return Invalid
-	}
-	if e.owner == core {
-		if e.ownerDirty {
-			return Modified
-		}
+	case e[dirOwner] == uint64(core+1)|dirOwnerDirty:
+		return Modified
+	case owner(e) == core:
 		return Exclusive
-	}
-	if e.owner < 0 && e.sharers&(1<<uint(core)) != 0 {
+	case owner(e) < 0 && e[dirSharers]&(1<<uint(core)) != 0:
 		return Shared
 	}
 	return Invalid
@@ -87,119 +79,117 @@ func (d *Directory) State(core int, lineAddr uint64) State {
 
 // Read implements Engine.
 func (d *Directory) Read(core int, lineAddr uint64) Result {
-	e := d.entry(lineAddr)
+	e := d.lines.Insert(lineAddr)
 	bit := uint64(1) << uint(core)
+	own := owner(e)
 	switch {
-	case e.owner == core:
+	case own == core:
 		st := Exclusive
-		if e.ownerDirty {
+		if e[dirOwner]&dirOwnerDirty != 0 {
 			st = Modified
 		}
 		return Result{Source: SrcOwn, NewState: st}
-	case e.owner < 0 && e.sharers&bit != 0:
+	case own < 0 && e[dirSharers]&bit != 0:
 		return Result{Source: SrcOwn, NewState: Shared}
 	}
 	d.ReadMisses++
-	if e.owner >= 0 {
+	if own >= 0 {
 		// Forward from the owner; the owner downgrades to Shared. A
 		// dirty owner writes back below (MESI has no Owned state).
-		wb := e.ownerDirty
-		e.sharers = (uint64(1) << uint(e.owner)) | bit
-		e.owner = -1
-		e.ownerDirty = false
+		wb := e[dirOwner]&dirOwnerDirty != 0
+		e[dirSharers] = (uint64(1) << uint(own)) | bit
+		e[dirOwner] = 0
 		d.Interventions++
 		return Result{Source: SrcRemote, NewState: Shared, WritebackBelow: wb}
 	}
-	if e.sharers != 0 {
-		e.sharers |= bit
+	if e[dirSharers] != 0 {
+		e[dirSharers] |= bit
 		return Result{Source: SrcBelow, NewState: Shared}
 	}
-	e.owner = core
+	e[dirOwner] = uint64(core + 1)
 	return Result{Source: SrcBelow, NewState: Exclusive}
 }
 
 // Write implements Engine.
 func (d *Directory) Write(core int, lineAddr uint64) Result {
-	e := d.entry(lineAddr)
+	e := d.lines.Insert(lineAddr)
 	bit := uint64(1) << uint(core)
-	if e.owner == core {
-		e.ownerDirty = true
-		return Result{Source: SrcOwn, NewState: Modified}
-	}
-	if e.owner < 0 && e.sharers&bit != 0 {
+	own := owner(e)
+	res := Result{Source: SrcOwn, NewState: Modified}
+	switch {
+	case own == core:
+	case own < 0 && e[dirSharers]&bit != 0:
 		// Upgrade: invalidate the other sharers point-to-point.
 		d.Upgrades++
-		res := Result{Source: SrcOwn, NewState: Modified}
-		others := e.sharers &^ bit
-		res.Invalidations = bits.OnesCount64(others)
-		d.InvalidationsTx += uint64(res.Invalidations)
-		e.sharers = 0
-		e.owner = core
-		e.ownerDirty = true
-		return res
+		res.Invalidations = bits.OnesCount64(e[dirSharers] &^ bit)
+	default:
+		// Write miss from Invalid.
+		d.WriteMisses++
+		res.Source = SrcBelow
+		if own >= 0 {
+			res.Source = SrcRemote
+			res.Invalidations = 1
+			d.Interventions++
+		} else {
+			res.Invalidations = bits.OnesCount64(e[dirSharers])
+		}
 	}
-	// Write miss from Invalid.
-	d.WriteMisses++
-	res := Result{Source: SrcBelow, NewState: Modified}
-	if e.owner >= 0 {
-		res.Source = SrcRemote
-		res.Invalidations = 1
-		d.Interventions++
-		d.InvalidationsTx++
-	} else if e.sharers != 0 {
-		res.Invalidations = bits.OnesCount64(e.sharers)
-		d.InvalidationsTx += uint64(res.Invalidations)
-	}
-	e.sharers = 0
-	e.owner = core
-	e.ownerDirty = true
+	d.InvalidationsTx += uint64(res.Invalidations)
+	e[dirSharers] = 0
+	e[dirOwner] = uint64(core+1) | dirOwnerDirty
 	return res
 }
 
 // Evict implements Engine.
 func (d *Directory) Evict(core int, lineAddr uint64) (writeback bool) {
-	e, ok := d.lines[lineAddr]
-	if !ok {
+	e := d.lines.Find(lineAddr)
+	if e == nil {
 		return false
 	}
-	if e.owner == core {
-		writeback = e.ownerDirty
-		e.owner = -1
-		e.ownerDirty = false
+	if owner(e) == core {
+		writeback = e[dirOwner]&dirOwnerDirty != 0
+		e[dirOwner] = 0
 	} else {
-		e.sharers &^= uint64(1) << uint(core)
+		e[dirSharers] &^= uint64(1) << uint(core)
 	}
-	d.gc(lineAddr, e)
+	if e[dirOwner] == 0 && e[dirSharers] == 0 {
+		d.lines.Delete(lineAddr)
+	}
 	return writeback
 }
 
 // Holders implements Engine.
 func (d *Directory) Holders(lineAddr uint64) int {
-	e, ok := d.lines[lineAddr]
-	if !ok {
+	e := d.lines.Find(lineAddr)
+	switch {
+	case e == nil:
 		return 0
-	}
-	if e.owner >= 0 {
+	case owner(e) >= 0:
 		return 1
 	}
-	return bits.OnesCount64(e.sharers)
+	return bits.OnesCount64(e[dirSharers])
 }
 
 // CheckInvariants implements Engine: an owner never coexists with sharers,
-// and owner/sharer indices stay within the core count.
+// owner/sharer indices stay within the core count, and a tracked line is
+// held by somebody.
 func (d *Directory) CheckInvariants() string {
-	for addr, e := range d.lines {
-		if e.owner >= d.cores {
-			return fmt.Sprintf("line %#x: owner %d out of range", addr, e.owner)
+	bad := ""
+	d.lines.Each(func(addr uint64, e []uint64) {
+		own, sharers := owner(e), e[dirSharers]
+		switch {
+		case bad != "":
+		case own >= d.cores:
+			bad = fmt.Sprintf("line %#x: owner %d out of range", addr, own)
+		case own >= 0 && sharers != 0:
+			bad = fmt.Sprintf("line %#x: owner %d coexists with sharers %#x", addr, own, sharers)
+		case sharers>>uint(d.cores) != 0:
+			bad = fmt.Sprintf("line %#x: sharer bitmap %#x exceeds %d cores", addr, sharers, d.cores)
+		case own < 0 && sharers == 0:
+			bad = fmt.Sprintf("line %#x: tracked but held by nobody", addr)
 		}
-		if e.owner >= 0 && e.sharers != 0 {
-			return fmt.Sprintf("line %#x: owner %d coexists with sharers %#x", addr, e.owner, e.sharers)
-		}
-		if e.sharers>>uint(d.cores) != 0 {
-			return fmt.Sprintf("line %#x: sharer bitmap %#x exceeds %d cores", addr, e.sharers, d.cores)
-		}
-	}
-	return ""
+	})
+	return bad
 }
 
 // Stats implements Engine.
@@ -215,7 +205,7 @@ func (d *Directory) Stats() Traffic {
 
 // Reset drops all directory state and statistics.
 func (d *Directory) Reset() {
-	d.lines = make(map[uint64]*dirEntry)
+	d.lines.Reset()
 	d.ResetStats()
 }
 

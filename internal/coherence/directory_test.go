@@ -7,7 +7,7 @@ import (
 )
 
 func TestDirectoryColdReadIsExclusive(t *testing.T) {
-	d := NewDirectory(4)
+	d := NewDirectory(4, 64)
 	res := d.Read(0, 0x1000)
 	if res.Source != SrcBelow || res.NewState != Exclusive {
 		t.Fatalf("cold read: %+v", res)
@@ -21,7 +21,7 @@ func TestDirectoryColdReadIsExclusive(t *testing.T) {
 }
 
 func TestDirectorySecondReaderShares(t *testing.T) {
-	d := NewDirectory(4)
+	d := NewDirectory(4, 64)
 	d.Read(0, 0x1000)
 	res := d.Read(1, 0x1000)
 	// Owner was Exclusive (clean): forwarded, both Shared, no writeback.
@@ -37,7 +37,7 @@ func TestDirectorySecondReaderShares(t *testing.T) {
 }
 
 func TestDirectoryReadOfModifiedWritesBack(t *testing.T) {
-	d := NewDirectory(4)
+	d := NewDirectory(4, 64)
 	d.Write(0, 0x40)
 	res := d.Read(1, 0x40)
 	if res.Source != SrcRemote || !res.WritebackBelow || res.NewState != Shared {
@@ -49,7 +49,7 @@ func TestDirectoryReadOfModifiedWritesBack(t *testing.T) {
 }
 
 func TestDirectoryUpgradeInvalidatesSharers(t *testing.T) {
-	d := NewDirectory(8)
+	d := NewDirectory(8, 64)
 	for c := 0; c < 4; c++ {
 		d.Read(c, 0x80)
 	}
@@ -72,7 +72,7 @@ func TestDirectoryUpgradeInvalidatesSharers(t *testing.T) {
 }
 
 func TestDirectoryWriteMissInvalidatesOwner(t *testing.T) {
-	d := NewDirectory(4)
+	d := NewDirectory(4, 64)
 	d.Write(0, 0xc0)
 	res := d.Write(1, 0xc0)
 	if res.Source != SrcRemote || res.Invalidations != 1 {
@@ -84,7 +84,7 @@ func TestDirectoryWriteMissInvalidatesOwner(t *testing.T) {
 }
 
 func TestDirectoryEvict(t *testing.T) {
-	d := NewDirectory(4)
+	d := NewDirectory(4, 64)
 	d.Write(0, 0x100)
 	if wb := d.Evict(0, 0x100); !wb {
 		t.Fatal("evicting Modified must write back")
@@ -97,13 +97,13 @@ func TestDirectoryEvict(t *testing.T) {
 		t.Fatal("evicting Exclusive (clean) must not write back")
 	}
 	// Entry must be garbage collected once empty.
-	if len(d.lines) != 0 {
-		t.Fatalf("lines not collected: %d entries", len(d.lines))
+	if d.lines.Len() != 0 {
+		t.Fatalf("lines not collected: %d entries", d.lines.Len())
 	}
 }
 
 func TestDirectoryInvariantsUnderRandomTraffic(t *testing.T) {
-	d := NewDirectory(8)
+	d := NewDirectory(8, 64)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 20000; i++ {
 		core := rng.Intn(8)
@@ -131,8 +131,8 @@ func TestDirectoryInvariantsUnderRandomTraffic(t *testing.T) {
 func TestDirectoryMatchesSnoopingMESI(t *testing.T) {
 	f := func(seed int64, coresRaw uint8) bool {
 		cores := int(coresRaw%8) + 1
-		dir := NewDirectory(cores)
-		snoop := NewMESI(cores)
+		dir := NewDirectory(cores, 64)
+		snoop := NewMESI(cores, 64)
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 2000; i++ {
 			core := rng.Intn(cores)
@@ -175,8 +175,8 @@ func TestDirectoryMatchesSnoopingMESI(t *testing.T) {
 
 func TestDirectoryStatsMatchSnoopingMESI(t *testing.T) {
 	cores := 4
-	dir := NewDirectory(cores)
-	snoop := NewMESI(cores)
+	dir := NewDirectory(cores, 64)
+	snoop := NewMESI(cores, 64)
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 5000; i++ {
 		core := rng.Intn(cores)
@@ -196,11 +196,11 @@ func TestDirectoryStatsMatchSnoopingMESI(t *testing.T) {
 }
 
 func TestDirectoryReset(t *testing.T) {
-	d := NewDirectory(2)
+	d := NewDirectory(2, 64)
 	d.Write(0, 0x40)
 	d.Read(1, 0x40)
 	d.Reset()
-	if len(d.lines) != 0 || d.ReadMisses != 0 || d.Interventions != 0 {
+	if d.lines.Len() != 0 || d.ReadMisses != 0 || d.Interventions != 0 {
 		t.Fatal("Reset left state behind")
 	}
 }
@@ -213,7 +213,7 @@ func TestDirectoryPanicsOnBadCoreCount(t *testing.T) {
 					t.Errorf("NewDirectory(%d) did not panic", n)
 				}
 			}()
-			NewDirectory(n)
+			NewDirectory(n, 64)
 		}()
 	}
 }

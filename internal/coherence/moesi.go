@@ -10,7 +10,12 @@
 // structural L1 models in sync.
 package coherence
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+
+	"repro/internal/cache"
+)
 
 // State is the MOESI state of one line in one core's private cache.
 type State uint8
@@ -75,11 +80,13 @@ type Result struct {
 }
 
 // Protocol tracks MOESI (or MESI) state for every line held by any private
-// cache.
+// cache. A line's entry in the table is its per-core state vector, four bits
+// to a core and sixteen cores to a word; Invalid is zero, so a vector of
+// zero words is a line nobody holds, and such a line has no entry.
 type Protocol struct {
 	cores int
 	mesi  bool // four-state MESI: no Owned state, dirty sharing writes back
-	lines map[uint64][]State
+	lines *cache.LineTable
 
 	// Statistics.
 	ReadMisses      uint64
@@ -89,139 +96,142 @@ type Protocol struct {
 	InvalidationsTx uint64 // total remote copies invalidated
 }
 
-// New creates a MOESI protocol instance for the given core count.
-func New(cores int) *Protocol {
-	return &Protocol{cores: cores, lines: make(map[uint64][]State)}
+// New creates a MOESI protocol instance for the given core count. lines is
+// the number of distinct lines the private caches can hold between them
+// (cores × frames): the state table is sized for it once and grows only if
+// a caller tracks more.
+func New(cores, lines int) *Protocol {
+	return &Protocol{cores: cores, lines: cache.NewLineTable(lines, (cores+15)/16)}
 }
 
 // NewMESI creates a four-state MESI variant: there is no Owned state, so a
 // dirty line read by another core is written back below and both copies
 // become Shared. Comparing it against MOESI isolates the value of dirty
 // sharing (the O state) — an ablation on Table 1's protocol choice.
-func NewMESI(cores int) *Protocol {
-	return &Protocol{cores: cores, mesi: true, lines: make(map[uint64][]State)}
+func NewMESI(cores, lines int) *Protocol {
+	p := New(cores, lines)
+	p.mesi = true
+	return p
 }
 
 // Cores returns the number of cores the protocol was built for.
 func (p *Protocol) Cores() int { return p.cores }
 
+// stateOf reads core's state out of a line's vector.
+func stateOf(v []uint64, core int) State {
+	return State(v[core>>4] >> (uint(core&15) * 4) & 15)
+}
+
+// setState writes core's state into a line's vector.
+func setState(v []uint64, core int, s State) {
+	sh := uint(core&15) * 4
+	v[core>>4] = v[core>>4]&^(15<<sh) | uint64(s)<<sh
+}
+
+// firstHolder splits the lowest-numbered holder off a word of a state
+// vector (which must not be zero): its core number within the word, its
+// state, and the word without it.
+func firstHolder(w uint64) (core int, s State, rest uint64) {
+	sh := uint(bits.TrailingZeros64(w)) &^ 3
+	return int(sh >> 2), State(w >> sh & 15), w &^ (15 << sh)
+}
+
 // State returns core's state for lineAddr.
 func (p *Protocol) State(core int, lineAddr uint64) State {
-	if v, ok := p.lines[lineAddr]; ok {
-		return v[core]
+	if v := p.lines.Find(lineAddr); v != nil {
+		return stateOf(v, core)
 	}
 	return Invalid
 }
 
-func (p *Protocol) vec(lineAddr uint64) []State {
-	v, ok := p.lines[lineAddr]
-	if !ok {
-		v = make([]State, p.cores)
-		p.lines[lineAddr] = v
-	}
-	return v
-}
-
-func (p *Protocol) gc(lineAddr uint64, v []State) {
-	for _, s := range v {
-		if s != Invalid {
-			return
-		}
-	}
-	delete(p.lines, lineAddr)
-}
-
 // Read performs the protocol action for core reading lineAddr.
 func (p *Protocol) Read(core int, lineAddr uint64) Result {
-	v := p.vec(lineAddr)
-	if v[core] != Invalid {
-		return Result{Source: SrcOwn, NewState: v[core]}
+	v := p.lines.Insert(lineAddr)
+	if s := stateOf(v, core); s != Invalid {
+		return Result{Source: SrcOwn, NewState: s}
 	}
 	p.ReadMisses++
 	// Find a remote supplier: M and O (dirty) and E (clean) supply
-	// cache-to-cache; S copies mean the level below has the data.
+	// cache-to-cache; S copies mean the level below has the data. The
+	// requester is Invalid, so every holder met is a remote one.
 	remoteShared := false
-	for c, s := range v {
-		if c == core {
-			continue
-		}
-		switch s {
-		case Modified:
-			if p.mesi {
-				// MESI: write back below; both copies Shared.
-				v[c] = Shared
-				v[core] = Shared
+	for wi, w := range v {
+		for w != 0 {
+			var c int
+			var s State
+			c, s, w = firstHolder(w)
+			c += wi << 4
+			switch s {
+			case Modified:
 				p.Interventions++
-				return Result{Source: SrcRemote, NewState: Shared, WritebackBelow: true}
+				setState(v, core, Shared)
+				if p.mesi {
+					// MESI: write back below; both copies Shared.
+					setState(v, c, Shared)
+					return Result{Source: SrcRemote, NewState: Shared, WritebackBelow: true}
+				}
+				setState(v, c, Owned)
+				return Result{Source: SrcRemote, NewState: Shared}
+			case Owned:
+				setState(v, core, Shared)
+				p.Interventions++
+				return Result{Source: SrcRemote, NewState: Shared}
+			case Exclusive:
+				setState(v, c, Shared)
+				setState(v, core, Shared)
+				p.Interventions++
+				return Result{Source: SrcRemote, NewState: Shared}
+			case Shared:
+				remoteShared = true
 			}
-			v[c] = Owned
-			v[core] = Shared
-			p.Interventions++
-			return Result{Source: SrcRemote, NewState: Shared}
-		case Owned:
-			v[core] = Shared
-			p.Interventions++
-			return Result{Source: SrcRemote, NewState: Shared}
-		case Exclusive:
-			v[c] = Shared
-			v[core] = Shared
-			p.Interventions++
-			return Result{Source: SrcRemote, NewState: Shared}
-		case Shared:
-			remoteShared = true
 		}
 	}
 	if remoteShared {
-		v[core] = Shared
+		setState(v, core, Shared)
 		return Result{Source: SrcBelow, NewState: Shared}
 	}
-	v[core] = Exclusive
+	setState(v, core, Exclusive)
 	return Result{Source: SrcBelow, NewState: Exclusive}
 }
 
 // Write performs the protocol action for core writing lineAddr.
 func (p *Protocol) Write(core int, lineAddr uint64) Result {
-	v := p.vec(lineAddr)
-	switch v[core] {
+	v := p.lines.Insert(lineAddr)
+	res := Result{Source: SrcOwn, NewState: Modified}
+	switch stateOf(v, core) {
 	case Modified:
-		return Result{Source: SrcOwn, NewState: Modified}
+		return res
 	case Exclusive:
-		v[core] = Modified
-		return Result{Source: SrcOwn, NewState: Modified}
+		setState(v, core, Modified)
+		return res
 	case Owned, Shared:
 		// Upgrade: invalidate all remote copies; no data transfer.
 		p.Upgrades++
-		res := Result{Source: SrcOwn, NewState: Modified}
-		for c, s := range v {
-			if c == core || s == Invalid {
-				continue
+		setState(v, core, Invalid)
+		res.Invalidations = holders(v)
+	default:
+		// Write miss from Invalid: fetch with intent to modify.
+		p.WriteMisses++
+		res.Source = SrcBelow
+		for _, w := range v {
+			for w != 0 {
+				var s State
+				_, s, w = firstHolder(w)
+				if s == Modified || s == Owned {
+					res.Source = SrcRemote
+					p.Interventions++
+				} else if res.Source != SrcRemote && s == Exclusive {
+					res.Source = SrcRemote
+					p.Interventions++
+				}
+				res.Invalidations++
 			}
-			v[c] = Invalid
-			res.Invalidations++
-			p.InvalidationsTx++
 		}
-		v[core] = Modified
-		return res
 	}
-	// Write miss from Invalid: fetch with intent to modify.
-	p.WriteMisses++
-	res := Result{Source: SrcBelow, NewState: Modified}
-	for c, s := range v {
-		if c == core || s == Invalid {
-			continue
-		}
-		if s == Modified || s == Owned {
-			res.Source = SrcRemote
-			p.Interventions++
-		} else if res.Source != SrcRemote && s == Exclusive {
-			res.Source = SrcRemote
-			p.Interventions++
-		}
-		v[c] = Invalid
-		res.Invalidations++
-		p.InvalidationsTx++
-	}
-	v[core] = Modified
+	// Either way the writer ends up the only holder.
+	p.InvalidationsTx += uint64(res.Invalidations)
+	clear(v)
+	setState(v, core, Modified)
 	return res
 }
 
@@ -229,35 +239,42 @@ func (p *Protocol) Write(core int, lineAddr uint64) Result {
 // (capacity or conflict eviction). It returns whether the evicted copy was
 // dirty and must be written back below.
 func (p *Protocol) Evict(core int, lineAddr uint64) (writeback bool) {
-	v, ok := p.lines[lineAddr]
-	if !ok {
+	v := p.lines.Find(lineAddr)
+	if v == nil {
 		return false
 	}
-	s := v[core]
-	v[core] = Invalid
-	p.gc(lineAddr, v)
+	s := stateOf(v, core)
+	setState(v, core, Invalid)
+	if holders(v) == 0 {
+		p.lines.Delete(lineAddr)
+	}
 	return s == Modified || s == Owned
+}
+
+// holders counts the non-Invalid states of a line's vector.
+func holders(v []uint64) int {
+	n := 0
+	for _, w := range v {
+		// Fold each four-bit state onto its lowest bit.
+		n += bits.OnesCount64((w | w>>1 | w>>2 | w>>3) & 0x1111111111111111)
+	}
+	return n
 }
 
 // Holders returns the number of cores holding lineAddr in any valid state.
 func (p *Protocol) Holders(lineAddr uint64) int {
-	n := 0
-	for _, s := range p.lines[lineAddr] {
-		if s != Invalid {
-			n++
-		}
-	}
-	return n
+	return holders(p.lines.Find(lineAddr))
 }
 
 // CheckInvariants validates the MOESI single-writer/multiple-reader
 // discipline for every tracked line, returning a descriptive error-like
 // string ("" when consistent). Used by property tests.
 func (p *Protocol) CheckInvariants() string {
-	for addr, v := range p.lines {
+	bad := ""
+	p.lines.Each(func(addr uint64, v []uint64) {
 		var m, o, e, s int
-		for _, st := range v {
-			switch st {
+		for core := 0; core < p.cores; core++ {
+			switch stateOf(v, core) {
 			case Modified:
 				m++
 			case Owned:
@@ -269,26 +286,28 @@ func (p *Protocol) CheckInvariants() string {
 			}
 		}
 		switch {
+		case bad != "":
+		case m+o+e+s == 0:
+			bad = fmt.Sprintf("line %#x: tracked but held by nobody", addr)
 		case m > 1:
-			return fmt.Sprintf("line %#x: %d Modified copies", addr, m)
+			bad = fmt.Sprintf("line %#x: %d Modified copies", addr, m)
 		case o > 1:
-			return fmt.Sprintf("line %#x: %d Owned copies", addr, o)
+			bad = fmt.Sprintf("line %#x: %d Owned copies", addr, o)
 		case e > 1:
-			return fmt.Sprintf("line %#x: %d Exclusive copies", addr, e)
+			bad = fmt.Sprintf("line %#x: %d Exclusive copies", addr, e)
 		case m == 1 && (o+e+s) > 0:
-			return fmt.Sprintf("line %#x: Modified coexists with other copies", addr)
+			bad = fmt.Sprintf("line %#x: Modified coexists with other copies", addr)
 		case e == 1 && (m+o+s) > 0:
-			return fmt.Sprintf("line %#x: Exclusive coexists with other copies", addr)
+			bad = fmt.Sprintf("line %#x: Exclusive coexists with other copies", addr)
 		}
-	}
-	return ""
+	})
+	return bad
 }
 
 // Reset drops all protocol state and statistics.
 func (p *Protocol) Reset() {
-	p.lines = make(map[uint64][]State)
-	p.ReadMisses, p.WriteMisses, p.Upgrades = 0, 0, 0
-	p.Interventions, p.InvalidationsTx = 0, 0
+	p.lines.Reset()
+	p.ResetStats()
 }
 
 // ResetStats clears the statistics counters without touching line state,

@@ -9,7 +9,7 @@ import (
 const line = uint64(0x1000)
 
 func TestColdReadIsExclusive(t *testing.T) {
-	p := New(4)
+	p := New(4, 64)
 	res := p.Read(0, line)
 	if res.Source != SrcBelow || res.NewState != Exclusive {
 		t.Fatalf("cold read = %+v, want below/Exclusive", res)
@@ -20,7 +20,7 @@ func TestColdReadIsExclusive(t *testing.T) {
 }
 
 func TestSecondReaderGetsSharedFromExclusive(t *testing.T) {
-	p := New(4)
+	p := New(4, 64)
 	p.Read(0, line)
 	res := p.Read(1, line)
 	if res.Source != SrcRemote {
@@ -32,7 +32,7 @@ func TestSecondReaderGetsSharedFromExclusive(t *testing.T) {
 }
 
 func TestReadFromModifiedDowngradesToOwned(t *testing.T) {
-	p := New(4)
+	p := New(4, 64)
 	p.Write(0, line)
 	res := p.Read(1, line)
 	if res.Source != SrcRemote {
@@ -49,7 +49,7 @@ func TestReadFromModifiedDowngradesToOwned(t *testing.T) {
 }
 
 func TestWriteInvalidatesSharers(t *testing.T) {
-	p := New(4)
+	p := New(4, 64)
 	p.Read(0, line)
 	p.Read(1, line)
 	p.Read(2, line)
@@ -69,7 +69,7 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 }
 
 func TestWriteHitExclusiveSilentUpgrade(t *testing.T) {
-	p := New(2)
+	p := New(2, 64)
 	p.Read(0, line)
 	res := p.Write(0, line)
 	if res.Source != SrcOwn || res.Invalidations != 0 {
@@ -81,7 +81,7 @@ func TestWriteHitExclusiveSilentUpgrade(t *testing.T) {
 }
 
 func TestWriteMissFromRemoteModified(t *testing.T) {
-	p := New(2)
+	p := New(2, 64)
 	p.Write(0, line)
 	res := p.Write(1, line)
 	if res.Source != SrcRemote {
@@ -96,7 +96,7 @@ func TestWriteMissFromRemoteModified(t *testing.T) {
 }
 
 func TestEvictReportsWriteback(t *testing.T) {
-	p := New(2)
+	p := New(2, 64)
 	p.Write(0, line)
 	if !p.Evict(0, line) {
 		t.Fatal("evicting M did not request writeback")
@@ -111,13 +111,13 @@ func TestEvictReportsWriteback(t *testing.T) {
 }
 
 func TestEvictGarbageCollects(t *testing.T) {
-	p := New(2)
+	p := New(2, 64)
 	p.Read(0, line)
 	p.Evict(0, line)
 	if p.Holders(line) != 0 {
 		t.Fatalf("holders = %d after last evict, want 0", p.Holders(line))
 	}
-	if len(p.lines) != 0 {
+	if p.lines.Len() != 0 {
 		t.Fatal("line state not garbage collected")
 	}
 }
@@ -125,12 +125,12 @@ func TestEvictGarbageCollects(t *testing.T) {
 func TestCoherenceMissClassification(t *testing.T) {
 	// The paper treats data supplied by a remote cache as a coherence
 	// miss (long-latency); data from below is an ordinary miss.
-	p := New(2)
+	p := New(2, 64)
 	p.Write(0, line)
 	if res := p.Read(1, line); res.Source != SrcRemote {
 		t.Fatal("dirty remote supply not classified as remote")
 	}
-	p2 := New(2)
+	p2 := New(2, 64)
 	p2.Read(0, line)
 	p2.Read(1, line)
 	p2.Evict(0, line)
@@ -141,13 +141,13 @@ func TestCoherenceMissClassification(t *testing.T) {
 }
 
 func TestInvariantsDetectViolations(t *testing.T) {
-	p := New(2)
+	p := New(2, 64)
 	p.Write(0, line)
 	if msg := p.CheckInvariants(); msg != "" {
 		t.Fatalf("valid state flagged: %s", msg)
 	}
 	// Corrupt the state deliberately.
-	p.lines[line][1] = Modified
+	setState(p.lines.Find(line), 1, Modified)
 	if msg := p.CheckInvariants(); msg == "" {
 		t.Fatal("two Modified copies not detected")
 	}
@@ -157,7 +157,7 @@ func TestInvariantsDetectViolations(t *testing.T) {
 // random access/evict sequence.
 func TestQuickInvariantsUnderRandomTraffic(t *testing.T) {
 	f := func(seed int64, ops []uint8) bool {
-		p := New(4)
+		p := New(4, 64)
 		rng := rand.New(rand.NewSource(seed))
 		for _, op := range ops {
 			core := int(op & 3)
@@ -185,7 +185,7 @@ func TestQuickInvariantsUnderRandomTraffic(t *testing.T) {
 // Property: after any write, the writer is the only valid holder.
 func TestQuickWriteExclusivity(t *testing.T) {
 	f := func(ops []uint16) bool {
-		p := New(4)
+		p := New(4, 64)
 		for _, op := range ops {
 			core := int(op & 3)
 			addr := uint64(op>>2) << 6
@@ -216,7 +216,7 @@ func TestStateStrings(t *testing.T) {
 }
 
 func TestResetDropsState(t *testing.T) {
-	p := New(2)
+	p := New(2, 64)
 	p.Write(0, line)
 	p.Reset()
 	if p.State(0, line) != Invalid || p.WriteMisses != 0 {
@@ -225,7 +225,7 @@ func TestResetDropsState(t *testing.T) {
 }
 
 func TestMESIHasNoOwnedState(t *testing.T) {
-	p := NewMESI(2)
+	p := NewMESI(2, 64)
 	p.Write(0, line)
 	res := p.Read(1, line)
 	if res.Source != SrcRemote || !res.WritebackBelow {
@@ -241,7 +241,7 @@ func TestMESIHasNoOwnedState(t *testing.T) {
 }
 
 func TestMOESIKeepsDirtySharing(t *testing.T) {
-	p := New(2)
+	p := New(2, 64)
 	p.Write(0, line)
 	res := p.Read(1, line)
 	if res.WritebackBelow {
@@ -257,7 +257,7 @@ func TestMOESIKeepsDirtySharing(t *testing.T) {
 }
 
 func TestMESIInvariantsUnderTraffic(t *testing.T) {
-	p := NewMESI(4)
+	p := NewMESI(4, 64)
 	for i := 0; i < 3000; i++ {
 		core := i % 4
 		addr := uint64(i%16) << 6
@@ -269,8 +269,8 @@ func TestMESIInvariantsUnderTraffic(t *testing.T) {
 		if msg := p.CheckInvariants(); msg != "" {
 			t.Fatal(msg)
 		}
-		for _, st := range p.lines[addr] {
-			if st == Owned {
+		for c := 0; c < 4; c++ {
+			if p.State(c, addr) == Owned {
 				t.Fatal("Owned state appeared in MESI")
 			}
 		}

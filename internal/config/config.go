@@ -183,6 +183,10 @@ const (
 	maxTable      = 1 << 24 // predictor and TLB tables, in entries
 )
 
+// MaxDirectoryCores is the largest machine Coherence "directory" supports:
+// the width of the directory's sharer bitmap.
+const MaxDirectoryCores = 64
+
 // Validate reports the first field of m that no simulator can run: a
 // structure size, width or functional-unit count that is not positive (the
 // detailed core then never commits its first store, or never issues, and
@@ -277,6 +281,9 @@ func (m Machine) Validate() error {
 	within("Mem.", "DRAMRowHit", mem.DRAMRowHit, 0, maxLatency)
 	within("Mem.", "DRAMRowMiss", mem.DRAMRowMiss, 0, maxLatency)
 	within("Mem.", "PrefetchDegree", mem.PrefetchDegree, 0, maxWidth)
+	if err == nil && mem.Coherence == "directory" && m.Cores > MaxDirectoryCores {
+		err = fmt.Errorf("config: Mem.Coherence directory supports at most %d cores, got Cores = %d", MaxDirectoryCores, m.Cores)
+	}
 	return err
 }
 

@@ -85,7 +85,9 @@ func TestExecLatency(t *testing.T) {
 }
 
 func TestValidateAcceptsBuiltInMachines(t *testing.T) {
-	for _, m := range []Machine{Default(1), Default(8), Stacked3D(4)} {
+	wideDirectory, wideSnoop := Default(MaxDirectoryCores), Default(MaxDirectoryCores+1)
+	wideDirectory.Mem.Coherence = "directory"
+	for _, m := range []Machine{Default(1), Default(8), Stacked3D(4), wideDirectory, wideSnoop} {
 		if err := m.Validate(); err != nil {
 			t.Errorf("%d-core built-in machine rejected: %v", m.Cores, err)
 		}
@@ -136,6 +138,7 @@ func TestValidateNamesTheField(t *testing.T) {
 		{"Mem.DRAMBanks", func(m *Machine) { m.Mem.DRAMBanks = 6 }},
 		{"Mem.DRAMRowBytes", func(m *Machine) { m.Mem.DRAMRowBytes = 3000 }},
 		{"Mem.PrefetchDegree", func(m *Machine) { m.Mem.PrefetchDegree = 1 << 30 }},
+		{"Mem.Coherence", func(m *Machine) { m.Mem.Coherence, m.Cores = "directory", MaxDirectoryCores+1 }},
 	}
 	for _, tc := range cases {
 		m := Default(2)

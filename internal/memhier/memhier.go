@@ -175,8 +175,14 @@ type Hierarchy struct {
 	fab     Fabric
 	busOnly *interconnect.Bus // non-nil when the fabric is the bus
 	dram    memory.MainMemory
-	dirLat  int64 // home-node lookup cost; zero for snooping protocols
 	arb     Arbiter
+
+	// What the access paths read of cfg, converted once.
+	itlbMissLat, dtlbMissLat int64
+	l2Lat, busLat, c2cLat    int64
+	dirLat                   int64  // home-node lookup cost; zero for snooping protocols
+	nextLines                int    // next-line prefetch degree; zero when off
+	lineSize                 uint64 // L1D line size in bytes
 
 	// stats holds one counter block per core so parallel stepping never
 	// races on a shared counter; totals are order-insensitive sums.
@@ -196,17 +202,19 @@ type paddedStats struct {
 // snooping protocols, whose lookup is the snoop broadcast already timed by
 // the fabric).
 func newProtocol(n int, cfg config.Memory) (coherence.Engine, int64) {
+	// A line the protocol tracks is resident in some core's L1D.
+	lines := n * cfg.L1D.SizeBytes / cfg.L1D.LineSize
 	switch cfg.Coherence {
 	case "mesi":
-		return coherence.NewMESI(n), 0
+		return coherence.NewMESI(n, lines), 0
 	case "directory":
 		lat := int64(cfg.DirectoryLatency)
 		if lat == 0 {
 			lat = 6
 		}
-		return coherence.NewDirectory(n), lat
+		return coherence.NewDirectory(n, lines), lat
 	default:
-		return coherence.New(n), 0
+		return coherence.New(n, lines), 0
 	}
 }
 
@@ -268,8 +276,18 @@ func New(n int, cfg config.Memory, perfect Perfect) *Hierarchy {
 		fab:     fab,
 		busOnly: busOnly,
 		dram:    newMainMemory(cfg),
-		dirLat:  dirLat,
 		stats:   make([]paddedStats, n),
+
+		itlbMissLat: int64(cfg.ITLB.MissLatency),
+		dtlbMissLat: int64(cfg.DTLB.MissLatency),
+		l2Lat:       int64(cfg.L2.Latency),
+		busLat:      int64(cfg.L2BusLatency),
+		c2cLat:      int64(cfg.CacheToCacheLatency),
+		dirLat:      dirLat,
+		lineSize:    uint64(cfg.L1D.LineSize),
+	}
+	if cfg.Prefetch == "nextline" {
+		h.nextLines = max(cfg.PrefetchDegree, 1)
 	}
 	if cfg.HasL2 {
 		h.l2 = cache.New(cfg.L2)
@@ -283,7 +301,7 @@ func New(n int, cfg config.Memory, perfect Perfect) *Hierarchy {
 			mshr: cache.NewMSHR(32),
 		}
 		if cfg.Prefetch == "stride" {
-			h.cores[i].stride = newStridePrefetcher(cfg.PrefetchDegree)
+			h.cores[i].stride = newStridePrefetcher(cfg.PrefetchDegree, cfg.L1D.LineSize)
 		}
 	}
 	return h
@@ -341,7 +359,7 @@ func (h *Hierarchy) Inst(core int, pc uint64, now int64) Result {
 	var res Result
 	if !c.itlb.Access(pc) {
 		res.TLBMiss = true
-		res.Latency += int64(h.cfg.ITLB.MissLatency)
+		res.Latency += h.itlbMissLat
 	}
 	if c.l1i.Access(pc, false) {
 		res.Kind = L1Hit
@@ -386,14 +404,14 @@ func (h *Hierarchy) Data(core int, addr uint64, write bool, now int64) Result {
 		// D-TLB perfect under the perfect-L2 experiment.
 	} else if !c.dtlb.Access(addr) {
 		res.TLBMiss = true
-		res.Latency += int64(h.cfg.DTLB.MissLatency)
+		res.Latency += h.dtlbMissLat
 	}
 	line := c.l1d.LineAddr(addr)
 	if c.stride != nil {
 		// The stride table watches the whole access stream (hits keep
 		// the stride confirmed), so a covered stream keeps the
 		// prefetcher running ahead instead of retraining on every miss.
-		if targets := c.stride.observe(line, h.cfg.L1D.LineSize); len(targets) > 0 {
+		if targets := c.stride.observe(line); len(targets) > 0 {
 			if h.arb != nil && !h.anyPrefetchNeeded(c, targets, now) {
 				// All targets are already resident or pending — purely
 				// private filters, so skip the ordering gate entirely.
@@ -420,7 +438,7 @@ func (h *Hierarchy) Data(core int, addr uint64, write bool, now int64) Result {
 			}
 			cres := h.coh.Write(core, line)
 			if cres.Invalidations > 0 {
-				res.Latency += int64(h.cfg.L2BusLatency) + h.dirLat
+				res.Latency += h.busLat + h.dirLat
 			}
 			h.dropRemoteCopies(core, line, cres.Invalidations)
 			if h.arb != nil {
@@ -452,11 +470,7 @@ func (h *Hierarchy) dataMiss(core int, c *coreCaches, line uint64, write bool, n
 	// An outstanding miss on the same line means this access completes
 	// with the primary miss.
 	if completion, ok := c.mshr.Lookup(line, now); ok {
-		residual := completion - now
-		if residual < int64(h.cfg.L2.Latency) {
-			residual = int64(h.cfg.L2.Latency)
-		}
-		res.Latency += residual
+		res.Latency += max(completion-now, h.l2Lat)
 		res.Kind = L2Hit // merged: no new transaction below
 		h.fillL1D(core, c, line, write)
 		if res.TLBMiss {
@@ -486,11 +500,11 @@ func (h *Hierarchy) dataMiss(core int, c *coreCaches, line uint64, write bool, n
 	}
 	switch {
 	case cres.Source == coherence.SrcRemote:
-		res.Latency += int64(h.cfg.CacheToCacheLatency)
+		res.Latency += h.c2cLat
 		res.Kind = CoherenceMiss
 		h.stats[core].LongLatency++
 	case h.perfect.L2:
-		res.Latency += int64(h.cfg.L2.Latency)
+		res.Latency += h.l2Lat
 		res.Kind = L2Hit
 	case h.fetchL2(line, now+res.Latency, res):
 		res.Kind = L2Hit
@@ -503,15 +517,8 @@ func (h *Hierarchy) dataMiss(core int, c *coreCaches, line uint64, write bool, n
 	}
 	c.mshr.Insert(line, now+res.Latency, now)
 	h.fillL1D(core, c, line, write)
-	if h.cfg.Prefetch == "nextline" {
-		degree := h.cfg.PrefetchDegree
-		if degree <= 0 {
-			degree = 1
-		}
-		step := uint64(h.cfg.L1D.LineSize)
-		for d := 1; d <= degree; d++ {
-			h.prefetchLine(core, c, line+uint64(d)*step, now)
-		}
+	for d := 1; d <= h.nextLines; d++ {
+		h.prefetchLine(core, c, line+uint64(d)*h.lineSize, now)
 	}
 }
 
@@ -568,11 +575,11 @@ func (h *Hierarchy) fetchL2(line uint64, t int64, res *Result) bool {
 		res.Latency += h.dram.AccessLine(line, t)
 		return false
 	}
-	res.Latency += int64(h.cfg.L2.Latency)
+	res.Latency += h.l2Lat
 	if h.l2.Access(line, false) {
 		return true
 	}
-	res.Latency += h.dram.AccessLine(line, t+int64(h.cfg.L2.Latency))
+	res.Latency += h.dram.AccessLine(line, t+h.l2Lat)
 	victim := h.l2.Fill(line, false)
 	if victim.Valid && victim.Dirty {
 		// Dirty L2 writeback occupies the memory bus but is off the

@@ -176,3 +176,59 @@ func TestResetStatsCoversNewComponents(t *testing.T) {
 		t.Error("coherence stats survive ResetStats")
 	}
 }
+
+// TestDataAllocsNothing: after New the access paths never allocate — the
+// coherence state, the stride table and the prefetch targets all live in
+// storage sized at construction. One core with the stride prefetcher on
+// strided and random traffic, and four cores under each protocol on a
+// pattern that shares, upgrades, invalidates and evicts lines; the same
+// calls under the frozen clock of functional warm-up and an advancing one.
+func TestDataAllocsNothing(t *testing.T) {
+	type shape struct {
+		name  string
+		cores int
+		tweak func(*config.Memory)
+	}
+	shapes := []shape{{"1-core-stride", 1, func(m *config.Memory) { m.Prefetch = "stride" }}}
+	for _, proto := range []string{"moesi", "mesi", "directory"} {
+		shapes = append(shapes, shape{"4-cores-" + proto, 4, func(m *config.Memory) { m.Coherence = proto; m.Prefetch = "stride" }})
+	}
+	for _, s := range shapes {
+		cfg := memCfg()
+		s.tweak(&cfg)
+		h := New(s.cores, cfg, Perfect{})
+		step := uint64(0)
+		round := func(clock int64) {
+			for i := 0; i < 20_000; i++ {
+				step++
+				core := int(step) % s.cores
+				now := clock * int64(step)
+				// A stream every core walks (shared lines, prefetched),
+				// private random lines far beyond the L1D (evictions),
+				// and a few hot lines everybody writes (upgrades,
+				// invalidations, interventions).
+				h.Data(core, 0x1000_0000+step/4*64, step%7 == 0, now)
+				h.Data(core, 0x8000_0000+uint64(core)<<28+step*0x9E3779B97F4A7C15>>40<<6, step%3 == 0, now)
+				h.Data(core, 0x2000_0000+step%5*64, step%2 == 0, now)
+				h.Inst(core, 0x40_0000+step*0x9E3779B97F4A7C15>>44<<6, now)
+			}
+		}
+		round(0) // warm up
+		for _, clock := range []int64{0, 3} {
+			if avg := testing.AllocsPerRun(3, func() { round(clock) }); avg != 0 {
+				t.Errorf("%s, clock step %d: %v allocations per 80k accesses", s.name, clock, avg)
+			}
+		}
+		if s.cores > 1 {
+			if tr := h.Coherence().Stats(); tr.Upgrades == 0 || tr.Interventions == 0 || tr.Invalidations == 0 {
+				t.Errorf("%s: the pattern did not share: %+v", s.name, tr)
+			}
+			if msg := h.Coherence().CheckInvariants(); msg != "" {
+				t.Errorf("%s: %s", s.name, msg)
+			}
+		}
+		if h.Stats().Prefetches == 0 {
+			t.Errorf("%s: the pattern never prefetched", s.name)
+		}
+	}
+}

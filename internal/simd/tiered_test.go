@@ -238,6 +238,31 @@ func TestSubmitUnrunnableMachineRejected(t *testing.T) {
 	}
 }
 
+// TestSubmitDirectoryCoreLimitRejected: a directory machine wider than the
+// directory's 64-bit sharer bitmap is a 400 naming the field, not an
+// accepted job that fails with an engine panic and a stack trace.
+func TestSubmitDirectoryCoreLimitRejected(t *testing.T) {
+	_, ts := newTieredServer(t)
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"bench":"gcc","copies":65,"coherence":"directory","insts":1000}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	var body struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(body.Error, "Mem.Coherence") {
+		t.Errorf("400 body %q does not name Mem.Coherence", body.Error)
+	}
+}
+
 // TestCatalogListsEnginesAndTiers: the catalog advertises the registered
 // engines and the tier lattice so clients can discover what to pin.
 func TestCatalogListsEnginesAndTiers(t *testing.T) {

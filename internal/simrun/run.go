@@ -30,7 +30,9 @@ type Result struct {
 
 // buildStreams materializes the measured and warmup instruction streams,
 // one per core. Generators are stateful, so this is called once per Run:
-// every run starts from fresh, deterministic streams.
+// every run starts from fresh, deterministic streams. The warmup twins are
+// functional streams (workload.Generator.Functional): functional warmup is
+// their only consumer and reads no register operand, so they carry none.
 func (s *Scenario) buildStreams() (streams, warm []trace.Stream) {
 	n := s.Threads()
 	switch {
@@ -48,7 +50,7 @@ func (s *Scenario) buildStreams() (streams, warm []trace.Stream) {
 		for i := 0; i < n; i++ {
 			p := s.mixped[i%len(s.mixped)]
 			streams = append(streams, trace.NewLimit(workload.NewSlot(p, 0, 1, s.seed+int64(i), i), s.insts))
-			warm = append(warm, workload.NewSlot(p, 0, 1, s.seed+warmSeedOffset+int64(i), i))
+			warm = append(warm, workload.NewSlot(p, 0, 1, s.seed+warmSeedOffset+int64(i), i).Functional())
 		}
 		return streams, warm
 	case s.profile.MultiThreaded():
@@ -58,14 +60,14 @@ func (s *Scenario) buildStreams() (streams, warm []trace.Stream) {
 		}
 		for i := 0; i < n; i++ {
 			streams = append(streams, workload.New(&p, i, n, s.seed))
-			warm = append(warm, workload.New(&p, i, n, s.seed+warmSeedOffset))
+			warm = append(warm, workload.New(&p, i, n, s.seed+warmSeedOffset).Functional())
 		}
 		return streams, warm
 	default:
 		// SPEC-style: n copies (or threads) under a per-thread budget.
 		for i := 0; i < n; i++ {
 			streams = append(streams, trace.NewLimit(workload.New(s.profile, i, n, s.seed), s.insts))
-			warm = append(warm, workload.New(s.profile, i, n, s.seed+warmSeedOffset))
+			warm = append(warm, workload.New(s.profile, i, n, s.seed+warmSeedOffset).Functional())
 		}
 		return streams, warm
 	}

@@ -253,3 +253,40 @@ func TestUnrunnableMachineRejected(t *testing.T) {
 		t.Errorf("explicit Table 1 machine fingerprints as %s, default as %s", a, b)
 	}
 }
+
+// TestDirectoryCoreLimitRejected: the directory's sharer bitmap is 64 bits
+// wide, so a directory machine of more than 64 cores is refused when the
+// scenario is built — through the options, the wire spec and the batch file
+// cmd/sweep -f loads — with the field in the message, not accepted and then
+// failed by a panic inside the engine. 64 cores, and more cores under a
+// snooping protocol, still build.
+func TestDirectoryCoreLimitRejected(t *testing.T) {
+	const field = "Mem.Coherence"
+	rejected := func(path string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), field) || !strings.Contains(err.Error(), "64") {
+			t.Errorf("%s: err = %v, want one naming %s and the 64-core limit", path, err, field)
+		}
+	}
+	_, err := New("gcc", Copies(65), Coherence("directory"))
+	rejected("Copies+Coherence options", err)
+	_, err = New("gcc", Coherence("directory"), Copies(65))
+	rejected("Coherence+Copies options", err)
+
+	const raw = `{"bench":"gcc","copies":65,"coherence":"directory"}`
+	sp, err := ParseSpec(strings.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sp.Scenario()
+	rejected("Spec.Scenario", err)
+	_, err = LoadSpecs(strings.NewReader(`{"scenarios":[`+raw+`]}`), Spec{})
+	rejected("LoadSpecs", err)
+
+	if _, err := New("gcc", Copies(64), Coherence("directory")); err != nil {
+		t.Errorf("64-core directory machine rejected: %v", err)
+	}
+	if _, err := New("gcc", Copies(65), Coherence("mesi")); err != nil {
+		t.Errorf("65-core snooping machine rejected: %v", err)
+	}
+}

@@ -68,7 +68,7 @@ func newAliasGeom(mean float64, k, rounds int) *aliasGeom {
 		total += v
 	}
 	scaled := make([]float64, size)
-	var small, large []int
+	small, large := make([]int, 0, size), make([]int, 0, size)
 	for i, v := range p {
 		scaled[i] = v * float64(size) / total
 		if scaled[i] < 1 {

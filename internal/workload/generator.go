@@ -62,10 +62,10 @@ type program struct {
 // tabulated block-length and loop-trip samplers (v3: alias tables replace
 // the inverse-transform math.Log draws).
 func buildProgram(p *Profile, rng *fastRand, blen, trip *aliasGeom, base uint64, funcs, blocksPerFunc int) *program {
-	prog := &program{}
+	prog := &program{funcs: make([]function, 0, funcs)}
 	pc := base
 	for f := 0; f < funcs; f++ {
-		var fn function
+		fn := function{blocks: make([]block, 0, blocksPerFunc), sites: make([]branchSite, 0, blocksPerFunc)}
 		for b := 0; b < blocksPerFunc; b++ {
 			bl := block{startPC: pc}
 			bl.bodyLen = 1 + blen.sample(rng)
@@ -225,6 +225,9 @@ type Generator struct {
 	thread   int
 	threads  int
 	slotBase uint64 // slot * SlotStride, added to every code/data base
+	// functional drops the register operands from the emission; see
+	// Functional.
+	functional bool
 
 	// Tabulated samplers and integer draw thresholds, precomputed so the
 	// per-instruction path is table probes and compares (v3: no float
@@ -386,6 +389,22 @@ func newSlotSalted(p *Profile, thread, threads int, seed int64, slot int, salt u
 	g.initRegions()
 	g.initSync()
 	g.untilSerialize = -1 // derived at the first chunk reset
+	return g
+}
+
+// Functional switches the generator to functional emission and returns it:
+// the stream then carries what functional warm-up reads of an instruction —
+// Seq, PC, Class, Addr, Taken, Target, SyncID, each byte for byte what the
+// full stream has at that position — and RegNone in the register operands
+// of every instruction of the program (synchronization instructions have
+// none in either stream). Choosing an operand is the generator's hottest
+// draw and warm-up never looks at one, so the picks are skipped wherever
+// the number of draws they consume does not position a later draw of the
+// same instruction. Call it before the first instruction is generated, and
+// never hand the stream to a core model: without operands there is no
+// dataflow to time.
+func (g *Generator) Functional() *Generator {
+	g.functional = true
 	return g
 }
 
@@ -728,6 +747,14 @@ func (g *Generator) emitBlock(buf []isa.Inst) int {
 		g.rng.ctr = ctr // the last instruction's window, for the draw-budget audit
 		g.pos += n
 	}
+	if g.functional {
+		// The emitters keep the dataflow state that decides draw counts
+		// (the ring, lastLoad) exactly as in the full stream; what they
+		// wrote of it into the piece is dropped here.
+		for i := range buf[:n] {
+			buf[i].Src1, buf[i].Src2, buf[i].Dst = isa.RegNone, isa.RegNone, isa.RegNone
+		}
+	}
 	g.seq += uint64(n)
 	g.budget -= uint64(n)
 	if g.inKernel {
@@ -941,6 +968,10 @@ func (g *Generator) emitLoad(out *isa.Inst, ctr uint64) uint64 {
 		// results, which is what gives streaming codes their MLP.
 		out.Src1 = uint8(ctrDraw(key, ctr) & 7)
 		ctr++
+	case reg != nil && reg.writeCut != 0:
+		// The write-cut draw below sits behind this pick, so how many
+		// draws the pick takes matters even to a functional stream.
+		out.Src1, ctr = g.drawSrc(ctr)
 	default:
 		out.Src1, ctr = g.pickSrc(ctr)
 	}
@@ -1001,12 +1032,23 @@ func (g *Generator) pickAddr(chase bool, ctr uint64) (uint64, *regionState, uint
 	return reg.base + off, reg, ctr
 }
 
-// pickSrc picks a source register with a geometric dependence distance
+// pickSrc picks a source register where no later draw of the instruction
+// depends on how many draws the pick takes — everywhere but a load's base
+// register in a region with a write cut. A functional stream skips these
+// picks.
+func (g *Generator) pickSrc(ctr uint64) (uint8, uint64) {
+	if g.functional {
+		return isa.RegNone, ctr
+	}
+	return g.drawSrc(ctr)
+}
+
+// drawSrc picks a source register with a geometric dependence distance
 // over recently written registers: one alias-table probe, a pure function
 // of one draw — this is the hottest draw in the generator, reached by
 // nearly every synthesized instruction. Distances beyond the ring, and an
 // empty ring, resolve to an ambient register with one further draw.
-func (g *Generator) pickSrc(ctr uint64) (uint8, uint64) {
+func (g *Generator) drawSrc(ctr uint64) (uint8, uint64) {
 	if g.ringLen != 0 {
 		d := 0
 		if g.depDist != nil {

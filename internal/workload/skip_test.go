@@ -129,18 +129,19 @@ func TestDrawBudget(t *testing.T) {
 	profiles := append(SPEC(), PARSEC()...)
 	for i := range profiles {
 		p := &profiles[i]
-		g := New(p, 0, 2, 42)
-		for i := 0; i < 50_000; i++ {
-			before := g.seq
-			_, ok := g.Next()
-			if !ok {
-				break
-			}
-			if g.rng.ctr < before*drawStride {
-				continue // pending-sync emission: no draws
-			}
-			if used := g.rng.ctr - before*drawStride; used > drawStride {
-				t.Fatalf("%s: instruction %d consumed %d draws (budget %d)", p.Name, before, used, drawStride)
+		for _, g := range []*Generator{New(p, 0, 2, 42), New(p, 0, 2, 42).Functional()} {
+			for i := 0; i < 50_000; i++ {
+				before := g.seq
+				_, ok := g.Next()
+				if !ok {
+					break
+				}
+				if g.rng.ctr < before*drawStride {
+					continue // pending-sync emission: no draws
+				}
+				if used := g.rng.ctr - before*drawStride; used > drawStride {
+					t.Fatalf("%s (functional=%v): instruction %d consumed %d draws (budget %d)", p.Name, g.functional, before, used, drawStride)
+				}
 			}
 		}
 	}
