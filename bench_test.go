@@ -273,6 +273,44 @@ func BenchmarkWorkloadGen(b *testing.B) {
 	}
 }
 
+// BenchmarkPipelineHandoff measures what trace.Pipeline itself costs its
+// reader: a recorded stream pulled in the 1024-slot batches the cores pull,
+// directly and through a pipeline whose producer has nothing to do but
+// copy. One op is one instruction; the difference between the two is the
+// hand-off — the second copy and a channel round trip per 4096-instruction
+// chunk. A run is 200k instructions and starts its own pipeline, as a
+// scenario does; the rings come from the pool, so bytes per op stay at 0.
+func BenchmarkPipelineHandoff(b *testing.B) {
+	const insts = 200_000
+	recorded := trace.Record(workload.New(workload.SPECByName("gcc"), 0, 1, 42), insts)
+	for _, mode := range []string{"direct", "pipelined"} {
+		b.Run(mode, func(b *testing.B) {
+			buf := make([]isa.Inst, 1024)
+			run := func(n int) {
+				var src trace.BatchStream = trace.NewSliceStream(recorded)
+				if mode == "pipelined" {
+					p, out := trace.StartPipeline([]trace.Stream{src}, false)
+					defer p.Close()
+					src = out[0]
+				}
+				for n > 0 {
+					k := src.NextBatch(buf[:min(n, len(buf))])
+					if k == 0 {
+						b.Fatal("stream ended")
+					}
+					n -= k
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for left := b.N; left > 0; left -= insts {
+				run(min(left, insts))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/inst")
+		})
+	}
+}
+
 // BenchmarkWarmup measures functional warm-up — the largest line of a
 // sweep point — in ns per warmed instruction: 200k instructions into a
 // cold hierarchy and predictor, as every scenario pays them, with and

@@ -233,7 +233,7 @@ func TestDiagnoseMultiprog(t *testing.T) {
 			for i := 0; i < n; i++ {
 				warms = append(warms, workload.New(p, i, n, 777))
 			}
-			warmup(mem, bps, warms, 600_000)
+			warmup(mem, bps, warms, 600_000, nil)
 			cores := make([]sim.Core, n)
 			for i := 0; i < n; i++ {
 				switch model {

@@ -71,10 +71,12 @@ type RunConfig struct {
 	// set it alongside NewCore so reports name the registered model.
 	ModelName string
 	// Interrupt, when non-nil, aborts the run early once the channel is
-	// closed (or receives). The driver polls it periodically; an
-	// interrupted run returns with Result.Interrupted set and whatever
-	// progress was made. Batch runners use this for cancellation and
-	// per-scenario timeouts.
+	// closed (or receives). The driver polls it periodically — once per
+	// 4096-instruction chunk of functional warmup, every 1024 iterations
+	// of the stepping loop; an interrupted run returns with
+	// Result.Interrupted set and whatever progress was made (none, and no
+	// cores built, when warmup was cut short). Batch runners use this for
+	// cancellation and per-scenario timeouts.
 	Interrupt <-chan struct{}
 	// Perfect selects always-hit structures (Figure 4 experiments).
 	Perfect memhier.Perfect
@@ -172,6 +174,12 @@ func Run(cfg RunConfig, streams []trace.Stream) Result {
 		maxCycles = 2_000_000_000
 	}
 
+	label := cfg.ModelName
+	if label == "" {
+		label = cfg.Model.String()
+	}
+	res := Result{Model: cfg.Model, ModelName: label, Cores: make([]CoreResult, cfg.Machine.Cores)}
+
 	mem := memhier.New(cfg.Machine.Cores, cfg.Machine.Mem, cfg.Perfect)
 	coord := NewCoordinator(cfg.Machine.Cores)
 
@@ -185,17 +193,15 @@ func Run(cfg RunConfig, streams []trace.Stream) Result {
 			warm = streams
 		}
 		wsp := cfg.Trace.Start("warmup").Arg("insts_per_core", int64(cfg.WarmupInsts))
-		warmup(mem, bps, warm, cfg.WarmupInsts)
+		warmed := warmup(mem, bps, warm, cfg.WarmupInsts, cfg.Interrupt)
 		wsp.End()
+		if !warmed {
+			res.Interrupted = true
+			return res
+		}
 	}
 
 	cores := BuildCores(cfg, bps, mem, coord, streams)
-
-	label := cfg.ModelName
-	if label == "" {
-		label = cfg.Model.String()
-	}
-	res := Result{Model: cfg.Model, ModelName: label, Cores: make([]CoreResult, len(cores))}
 
 	// The TimeSkipper capability is asserted once per core here, not once
 	// per core per cycle in the skip loop below.
@@ -409,7 +415,7 @@ func BuildCores(cfg RunConfig, bps []*branch.Unit, mem *memhier.Hierarchy, coord
 // driver's warmup, exported so the host-parallel engine (package parsim)
 // warms the machine identically before parallel stepping begins.
 func Warmup(mem *memhier.Hierarchy, bps []*branch.Unit, streams []trace.Stream, n int) {
-	warmup(mem, bps, streams, n)
+	warmup(mem, bps, streams, n, nil)
 }
 
 // FinishResult fills the per-core results and machine-level totals after
@@ -443,8 +449,10 @@ func finishResult(res *Result, cores []sim.Core, now int64) {
 // warmup replays n instructions per core through the caches, TLBs and
 // branch predictors without timing, then clears all statistics. This is
 // standard functional warming: the timed portion then measures steady-state
-// behaviour instead of cold-start misses.
-func warmup(mem *memhier.Hierarchy, bps []*branch.Unit, streams []trace.Stream, n int) {
+// behaviour instead of cold-start misses. A non-nil interrupt is polled
+// once per chunk; when it fires warmup stops there and returns false, with
+// the machine half warmed and its statistics uncleared.
+func warmup(mem *memhier.Hierarchy, bps []*branch.Unit, streams []trace.Stream, n int, interrupt <-chan struct{}) bool {
 	buf := make([]isa.Inst, 4096)
 	for i, s := range streams {
 		if i >= len(bps) {
@@ -465,6 +473,13 @@ func warmup(mem *memhier.Hierarchy, bps []*branch.Unit, streams []trace.Stream, 
 			want := len(buf)
 			if want > left {
 				want = left
+			}
+			if interrupt != nil {
+				select {
+				case <-interrupt:
+					return false
+				default:
+				}
 			}
 			k := bs.NextBatch(buf[:want])
 			if k == 0 {
@@ -493,4 +508,5 @@ func warmup(mem *memhier.Hierarchy, bps []*branch.Unit, streams []trace.Stream, 
 	for _, bp := range bps {
 		bp.ResetStats()
 	}
+	return true
 }

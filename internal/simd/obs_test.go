@@ -72,6 +72,11 @@ func TestMetricsGolden(t *testing.T) {
 	if f, ok := fams["simrun_engine_wall_seconds"]; !ok || f.Type != obs.KindHistogram {
 		t.Errorf("simrun_engine_wall_seconds missing or not a histogram: %+v", f)
 	}
+	// Next to the run counter, how many of those runs had a host thread
+	// to generate on (whatever the count is on this host).
+	if f, ok := fams["simrun_runs_pipelined_total"]; !ok || f.Type != obs.KindCounter {
+		t.Errorf("simrun_runs_pipelined_total missing or not a counter: %+v", f)
+	}
 
 	// And the counters actually counted.
 	if f, ok := fams["simd_jobs_submitted_total"]; ok {

@@ -3,7 +3,6 @@ package simrun
 import (
 	"context"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"time"
 )
@@ -99,7 +98,7 @@ func runOne(ctx context.Context, s *Scenario, timeout time.Duration) (br BatchRe
 		if r := recover(); r != nil {
 			obsMetrics()
 			mEnginePanics.Inc()
-			br = BatchResult{Scenario: s, Err: &PanicError{Engine: s.EngineName(), Scenario: s.Name(), Value: r, Stack: debug.Stack()}}
+			br = BatchResult{Scenario: s, Err: newPanicError(s.EngineName(), s, r)}
 		}
 	}()
 	if err := ctx.Err(); err != nil {

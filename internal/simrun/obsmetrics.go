@@ -19,6 +19,7 @@ var (
 	mCacheUpgrades    *obs.Counter
 	mCacheQuarantined *obs.Counter
 	mEnginePanics     *obs.Counter
+	mPipelined        *obs.Counter
 )
 
 func obsMetrics() {
@@ -36,6 +37,8 @@ func obsMetrics() {
 			"Persisted cache entries that failed the integrity check and were renamed aside.")
 		mEnginePanics = r.Counter("simrun_engine_panics_total",
 			"Engine runs that panicked and were isolated to a per-run error.")
+		mPipelined = r.Counter("simrun_runs_pipelined_total",
+			"Full-engine runs that found a host thread idle and generated their streams on it.")
 	})
 }
 

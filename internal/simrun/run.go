@@ -3,7 +3,9 @@ package simrun
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"runtime/debug"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/branch"
@@ -26,6 +28,33 @@ type Result struct {
 	Engine string
 	Tier   Tier
 	multicore.Result
+	// host is what the run's engine span says about host threads.
+	host hostUse
+}
+
+// hostUse is the host-thread attribution of one full-engine run: whether
+// it had a producer goroutine and, when the run was traced, the host time
+// the producer spent generating and the time the timing model waited on it.
+type hostUse struct {
+	pipelined    bool
+	gen, genWait time.Duration
+}
+
+// hostThreads is the number of host threads engine runs occupy
+// process-wide: one per Scenario.Run in flight — whatever its engine, and
+// whoever called it: a Batch worker, a simd worker, a fleet handler — plus
+// one per producer granted. It is the whole of the pipelining policy: a
+// run gets a producer when that leaves the count within GOMAXPROCS.
+var hostThreads atomic.Int64
+
+// takeProducer claims a host thread for a producer goroutine if one is
+// idle; the caller gives it back with hostThreads.Add(-1).
+func takeProducer() bool {
+	if hostThreads.Add(1) > int64(runtime.GOMAXPROCS(0)) {
+		hostThreads.Add(-1)
+		return false
+	}
+	return true
 }
 
 // buildStreams materializes the measured and warmup instruction streams,
@@ -82,7 +111,9 @@ func (s *Scenario) buildStreams() (streams, warm []trace.Stream) {
 // Every dispatch is observable: the run is counted and its wall clock
 // recorded per engine in obs.Default(), and when the scenario carries
 // an observer, the whole engine run is bracketed in an "engine:<name>"
-// span. Both are per-run costs, never per-cycle.
+// span. Both are per-run costs, never per-cycle. The run also counts as
+// one busy host thread while it lasts (hostThreads), which is what decides
+// whether a full run starting meanwhile may use a second one.
 func (s *Scenario) Run(ctx context.Context) (Result, error) {
 	eng, err := LookupEngine(s.EngineName())
 	if err != nil {
@@ -91,9 +122,18 @@ func (s *Scenario) Run(ctx context.Context) (Result, error) {
 	runs, wall := engineMetrics(eng.Name)
 	sp := s.tracer().Start("engine:" + eng.Name)
 	t0 := time.Now()
+	hostThreads.Add(1)
+	defer hostThreads.Add(-1)
 	res, err := runIsolated(ctx, eng, s)
 	wall.Observe(time.Since(t0).Seconds())
 	runs.Inc()
+	if eng.Name == DefaultEngine {
+		if h := res.host; h.pipelined {
+			sp.Arg("pipelined", 1).Arg("gen_ms", h.gen.Milliseconds()).Arg("gen_wait_ms", h.genWait.Milliseconds())
+		} else {
+			sp.Arg("pipelined", 0)
+		}
+	}
 	sp.End()
 	res.Scenario = s
 	res.Engine = eng.Name
@@ -114,7 +154,7 @@ func runIsolated(ctx context.Context, eng EngineDef, s *Scenario) (res Result, e
 			obsMetrics()
 			mEnginePanics.Inc()
 			res = Result{Scenario: s}
-			err = &PanicError{Engine: eng.Name, Scenario: s.Name(), Value: r, Stack: debug.Stack()}
+			err = newPanicError(eng.Name, s, r)
 		}
 	}()
 	return eng.Run(ctx, s)
@@ -129,6 +169,18 @@ type PanicError struct {
 	Stack    []byte
 }
 
+// newPanicError wraps a recovered value. A panic forwarded from a run's
+// producer goroutine is reported as the panic of its source — the value it
+// raised, and the producer's stack above the one it was re-raised on — so
+// a failing generator reads the same pipelined or inline.
+func newPanicError(engine string, s *Scenario, r any) *PanicError {
+	stack := debug.Stack()
+	if sp, ok := r.(*trace.SourcePanic); ok {
+		r, stack = sp.Value, append(sp.Stack, stack...)
+	}
+	return &PanicError{Engine: engine, Scenario: s.Name(), Value: r, Stack: stack}
+}
+
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("simrun: engine %q panicked running %q: %v\n%s", e.Engine, e.Scenario, e.Value, e.Stack)
 }
@@ -137,17 +189,42 @@ func (e *PanicError) Error() string {
 // under its own core model — the definitive answer every estimator tier
 // is eventually upgraded to.
 func (s *Scenario) runFull(ctx context.Context) (Result, error) {
-	factory, err := LookupModel(s.model)
-	if err != nil {
-		return Result{Scenario: s}, err
-	}
-	machine, err := s.ResolvedMachine()
+	cfg, err := s.runConfig(ctx)
 	if err != nil {
 		return Result{Scenario: s}, err
 	}
 	streams, warm := s.buildStreams()
+	switch {
+	case s.useHostParallel():
+		cfg.Warmup = warm
+		if pres, ok := parsim.Run(cfg, parsim.Config{Quantum: s.quantum}, streams); ok {
+			return s.finished(ctx, pres)
+		}
+		// The workload's threads share lines or synchronize: the
+		// parallel run aborted before committing anything the caller
+		// can see. Rerun sequentially from fresh streams (generators
+		// are stateful), which reproduces the canonical result.
+		obsMetrics()
+		mFallbacks.Inc()
+		streams, warm = s.buildStreams()
+	case s.streams == nil:
+		return s.runOwned(ctx, cfg, streams, warm)
+	}
+	cfg.Warmup = warm
+	return s.finished(ctx, multicore.Run(cfg, streams))
+}
 
-	cfg := multicore.RunConfig{
+// runConfig is the driver configuration of a full run, streams aside.
+func (s *Scenario) runConfig(ctx context.Context) (multicore.RunConfig, error) {
+	factory, err := LookupModel(s.model)
+	if err != nil {
+		return multicore.RunConfig{}, err
+	}
+	machine, err := s.ResolvedMachine()
+	if err != nil {
+		return multicore.RunConfig{}, err
+	}
+	return multicore.RunConfig{
 		Machine:     machine,
 		Model:       legacyModel(s.model),
 		ModelName:   s.model,
@@ -155,7 +232,6 @@ func (s *Scenario) runFull(ctx context.Context) (Result, error) {
 		MaxCycles:   s.maxCycles,
 		KeepCores:   s.keepCores,
 		WarmupInsts: s.warmup,
-		Warmup:      warm,
 		Ablation:    s.ablation,
 		Interrupt:   ctx.Done(),
 		Trace:       s.tracer(),
@@ -171,30 +247,59 @@ func (s *Scenario) runFull(ctx context.Context) (Result, error) {
 				Sync:     coord,
 			})
 		},
-	}
-	if s.useHostParallel() {
-		pres, ok := parsim.Run(cfg, parsim.Config{Quantum: s.quantum}, streams)
-		if ok {
-			res := Result{Scenario: s, Result: pres}
-			if res.Interrupted {
-				return res, ctx.Err()
-			}
-			return res, nil
-		}
-		// The workload's threads share lines or synchronize: the
-		// parallel run aborted before committing anything the caller
-		// can see. Rerun sequentially from fresh streams (generators
-		// are stateful), which reproduces the canonical result.
-		obsMetrics()
-		mFallbacks.Inc()
-		streams, warm = s.buildStreams()
-		cfg.Warmup = warm
-	}
-	res := Result{Scenario: s, Result: multicore.Run(cfg, streams)}
-	if res.Interrupted {
+	}, nil
+}
+
+// finished stamps a driver result; an interrupted one carries ctx's error.
+func (s *Scenario) finished(ctx context.Context, r multicore.Result) (Result, error) {
+	res := Result{Scenario: s, Result: r}
+	if r.Interrupted {
 		return res, ctx.Err()
 	}
 	return res, nil
+}
+
+// runOwned runs the sequential driver over streams nobody but this run
+// reads — the generators buildStreams made for it — which is what lets
+// them move to a producer goroutine when a host thread is idle. Explicit
+// Streams never come here (their owner may read on after the run and would
+// lose the read-ahead) and neither does the host-parallel engine (it spends
+// the host's threads itself). Without a producer the cores call the
+// generators inline, exactly as before. Bytes cannot differ between the
+// two: the generators take no feedback from timing, and every core reads
+// the same instructions in the same order.
+func (s *Scenario) runOwned(ctx context.Context, cfg multicore.RunConfig, streams, warm []trace.Stream) (res Result, err error) {
+	if takeProducer() {
+		obsMetrics()
+		mPipelined.Inc()
+		// The warm-up twins come first, so the producer serves warm-up and
+		// fills the measured rings behind it, and they are cut to the
+		// warm-up length so it generates nothing the run would not have.
+		var srcs []trace.Stream
+		if s.warmup > 0 {
+			for _, w := range warm {
+				srcs = append(srcs, trace.NewLimit(w, s.warmup))
+			}
+		}
+		nw := len(srcs)
+		pipe, out := trace.StartPipeline(append(srcs, streams...), cfg.Trace != nil)
+		// On every path out, a panic included, the producer has returned
+		// before the run does.
+		defer func() {
+			pipe.Close()
+			hostThreads.Add(-1)
+			res.host.pipelined = true
+			res.host.gen, res.host.genWait = pipe.Stats()
+		}()
+		for i, o := range out[:nw] {
+			warm[i] = o
+		}
+		for i, o := range out[nw:] {
+			streams[i] = o
+		}
+	}
+	cfg.Warmup = warm
+	return s.finished(ctx, multicore.Run(cfg, streams))
 }
 
 // heartbeat builds the driver's live-progress sink from the attached

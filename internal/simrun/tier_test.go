@@ -59,9 +59,13 @@ func TestUnknownEngineRejected(t *testing.T) {
 
 // tierTestEngine registers a throwaway estimator engine and returns its
 // name; registration is global and permanent, so every caller gets a
-// distinct name.
+// distinct name and a test that runs again (-cpu 1,2, -count 2) finds its
+// engine in place.
 func tierTestEngine(t *testing.T, name string, tier Tier, cycles int64) string {
 	t.Helper()
+	if _, err := LookupEngine(name); err == nil {
+		return name
+	}
 	RegisterEngine(EngineDef{
 		Name:     name,
 		Tier:     func(*Scenario) Tier { return tier },
