@@ -49,19 +49,17 @@ func writeTrace(path string, tr *obs.Tracer) error {
 
 func run() int {
 	var (
-		bench   = flag.String("bench", "", "benchmark profile name")
-		model   = flag.String("model", "interval", "core model: "+strings.Join(simrun.Models(), ", "))
-		cores   = flag.Int("cores", 1, "cores (threads for PARSEC profiles)")
-		copies  = flag.Int("copies", 0, "run N copies of a SPEC profile (multi-program)")
-		insts   = flag.Int("insts", 100_000, "per-thread instruction budget for SPEC profiles")
-		warmup  = flag.Int("warmup", 600_000, "functional warmup instructions per core")
-		seed    = flag.Int64("seed", 42, "workload seed")
-		hostpar = flag.Int("hostpar", 0, "host-parallel engine: one goroutine per simulated core (0 = sequential; results are bit-identical)")
-		quantum = flag.Int64("quantum", 0, "parallel epoch length in simulated cycles (0 = engine default)")
-		list    = flag.Bool("list", false, "list available benchmark profiles")
-		stack   = flag.Bool("cpistack", false, "print per-core CPI stacks (interval model only)")
-		rep     = flag.Bool("report", false, "print the full post-run report (hierarchy, bus, DRAM, coherence)")
-		asJSON  = flag.Bool("json", false, "print the machine-readable result summary (report.JSON)")
+		bench  = flag.String("bench", "", "benchmark profile name")
+		model  = flag.String("model", "interval", "core model: "+strings.Join(simrun.Models(), ", "))
+		cores  = flag.Int("cores", 1, "cores (threads for PARSEC profiles)")
+		copies = flag.Int("copies", 0, "run N copies of a SPEC profile (multi-program)")
+		insts  = flag.Int("insts", 100_000, "per-thread instruction budget for SPEC profiles")
+		warmup = flag.Int("warmup", 600_000, "functional warmup instructions per core")
+		seed   = flag.Int64("seed", 42, "workload seed")
+		list   = flag.Bool("list", false, "list available benchmark profiles")
+		stack  = flag.Bool("cpistack", false, "print per-core CPI stacks (interval model only)")
+		rep    = flag.Bool("report", false, "print the full post-run report (hierarchy, bus, DRAM, coherence)")
+		asJSON = flag.Bool("json", false, "print the machine-readable result summary (report.JSON)")
 
 		fabric    = flag.String("fabric", "bus", "on-chip interconnect: bus, mesh, ring")
 		coherence = flag.String("coherence", "moesi", "coherence protocol: moesi, mesi, directory")
@@ -117,9 +115,6 @@ func run() int {
 	if *copies > 0 {
 		opts = append(opts, simrun.Copies(*copies))
 	}
-	// Zero values still go through the options so a negative -hostpar or
-	// -quantum is a usage error, never silently ignored.
-	opts = append(opts, simrun.HostParallel(*hostpar), simrun.EpochQuantum(*quantum))
 	if *stack || *rep || *asJSON {
 		opts = append(opts, simrun.KeepCores())
 	}

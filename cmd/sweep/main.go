@@ -78,7 +78,6 @@ func main() {
 		seed     = flag.Int64("seed", 42, "workload generation seed")
 		detailed = flag.Bool("detailed", false, "cross-check each point with the detailed model (slow)")
 		jobs     = flag.Int("j", 1, "host worker goroutines (0 = all host cores)")
-		hostpar  = flag.Int("hostpar", 0, "host-parallel engine per scenario: one goroutine per simulated core (0 = sequential; results are bit-identical)")
 		adaptive = flag.Bool("adaptive", false, "estimate every point with the statistical engine first, then spend full fidelity on the top fraction")
 		top      = flag.Float64("top", 0.25, "with -adaptive, the fraction of the space promoted to full fidelity")
 		fleetURL = flag.String("fleet", "", "submit the -f batch to the simd service at this base URL instead of simulating locally")
@@ -139,7 +138,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sweep: -top %v out of range (0, 1]\n", *top)
 		exitWith(2)
 	}
-	s := &sweeper{ctx: ctx, insts: *insts, warm: *warm, seed: *seed, detailed: *detailed, jobs: *jobs, hostpar: *hostpar, adaptive: *adaptive, top: *top, progress: *progress}
+	s := &sweeper{ctx: ctx, insts: *insts, warm: *warm, seed: *seed, detailed: *detailed, jobs: *jobs, adaptive: *adaptive, top: *top, progress: *progress}
 	if tracer != nil || *progress {
 		s.obsv = &obs.Observer{Tracer: tracer}
 		if *progress {
@@ -188,7 +187,6 @@ type sweeper struct {
 	seed        int64
 	detailed    bool
 	jobs        int
-	hostpar     int
 	adaptive    bool
 	top         float64
 	// obsv, when set, is attached to every scenario the sweep runs: one
@@ -218,7 +216,6 @@ func (s *sweeper) point(name, model string, tweak func(*config.Machine)) *simrun
 		simrun.Insts(s.insts),
 		simrun.Warmup(s.warm),
 		simrun.Seed(s.seed),
-		simrun.HostParallel(s.hostpar),
 		simrun.Configure(tweak),
 	)
 }
@@ -345,7 +342,7 @@ func (s *sweeper) sweepFile(path string) {
 	// defaults) that omits insts/warmup/seed runs with -n/-warmup/-seed
 	// rather than the builder's defaults.
 	seed := s.seed
-	scs, err := simrun.LoadSpecs(f, simrun.Spec{Insts: s.insts, Warmup: s.warm, Seed: &seed, HostPar: s.hostpar})
+	scs, err := simrun.LoadSpecs(f, simrun.Spec{Insts: s.insts, Warmup: s.warm, Seed: &seed})
 	f.Close()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: %s: %v\n", path, err)
@@ -382,7 +379,7 @@ func (s *sweeper) sweepFleet(path, base string) {
 		exitWith(2)
 	}
 	seed := s.seed
-	specs, err := simrun.LoadRawSpecs(f, simrun.Spec{Insts: s.insts, Warmup: s.warm, Seed: &seed, HostPar: s.hostpar})
+	specs, err := simrun.LoadRawSpecs(f, simrun.Spec{Insts: s.insts, Warmup: s.warm, Seed: &seed})
 	f.Close()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: %s: %v\n", path, err)
@@ -551,7 +548,6 @@ func (s *sweeper) grid(labels []string, names []string, tweaks []func(*config.Ma
 					simrun.Insts(s.insts),
 					simrun.Warmup(s.warm),
 					simrun.Seed(s.seed),
-					simrun.HostParallel(s.hostpar),
 					simrun.Configure(tweak),
 					simrun.Label(name+" "+labels[ti]),
 				))
@@ -643,7 +639,6 @@ func (s *sweeper) sweepFabric(names []string) {
 				simrun.Mix(names...),
 				simrun.Cores(cores),
 				simrun.Fabric(fabric),
-				simrun.HostParallel(s.hostpar),
 				simrun.Insts(s.insts),
 				simrun.Warmup(s.warm),
 				simrun.Seed(s.seed),

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -105,5 +106,34 @@ func TestCheapestEngineSelection(t *testing.T) {
 	}
 	if got := simrun.CheapestEngineFor(mix).Name; got != simrun.DefaultEngine {
 		t.Errorf("cheapest for mix = %q", got)
+	}
+}
+
+// TestStatisticalTierWithinBand: the statistical engine — the cheapest
+// tier the simd service answers from — is a culling estimate, not a
+// measurement, so the band is loose; the check exists to catch the
+// estimator drifting into nonsense. CPI against the full interval run of
+// the same scenario stays within 40 % on a compute-bound, a memory-bound
+// and a floating-point profile.
+func TestStatisticalTierWithinBand(t *testing.T) {
+	const band = 0.4
+	cpi := func(res simrun.Result) float64 {
+		return float64(res.Cycles) / float64(res.TotalRetired)
+	}
+	for _, name := range []string{"gcc", "mcf", "swim"} {
+		opts := []simrun.Option{simrun.Insts(100_000), simrun.Warmup(50_000), simrun.Seed(42)}
+		full, err := mustScenario(t, name, simrun.DefaultEngine, opts...).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, err := mustScenario(t, name, "statistical", opts...).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, got := cpi(full), cpi(est)
+		t.Logf("%s: interval CPI %.3f, statistical CPI %.3f (err %.0f%%)", name, want, got, 100*math.Abs(got-want)/want)
+		if math.Abs(got-want) > band*want {
+			t.Errorf("%s: statistical CPI %.3f is more than %.0f%% off the interval CPI %.3f", name, got, 100*band, want)
+		}
 	}
 }

@@ -18,15 +18,13 @@ import (
 	"repro/internal/cache"
 	"repro/internal/coherence"
 	"repro/internal/config"
-	"repro/internal/interconnect"
 	"repro/internal/memory"
 	"repro/internal/noc"
 )
 
 // Fabric is the on-chip interconnect between the private L1s and the
 // shared L2/memory hub, as the hierarchy consumes it. The split-transaction
-// bus (package interconnect) and the mesh and ring networks (package noc)
-// all satisfy it.
+// bus and the mesh and ring networks (all in package noc) satisfy it.
 type Fabric interface {
 	// AccessFrom issues a request transaction from core at time now and
 	// returns its latency (queueing + traversal).
@@ -41,30 +39,8 @@ type Fabric interface {
 	ResetStats()
 }
 
-// Arbiter is the arbitration seam the host-parallel engine (package
-// parsim) plugs into the hierarchy. The hierarchy brackets every touch of
-// the globally shared structures — the L2, the coherence engine, the
-// fabric and DRAM — between Enter and Exit; the private per-core
-// structures (L1s, TLBs, MSHR, prefetcher tables) are never bracketed.
-//
-// Enter blocks until the calling core holds the exclusive right to commit
-// at its current global-order point, so concurrent cores mutate the shared
-// state in exactly the order the sequential driver would have produced.
-// Sharing reports a cross-core effect (a remote-L1 invalidation) that the
-// parallel engine cannot replay deterministically; the engine aborts the
-// run and the caller falls back to the sequential driver.
-//
-// A nil arbiter (the default) is the sequential mode: no bracketing, no
-// overhead beyond one nil check on the miss paths.
-type Arbiter interface {
-	Enter(core int)
-	Exit(core int)
-	Sharing()
-}
-
 // AccessStats are the hierarchy's access counters. They are kept per core
-// (each core increments only its own slot, including under parallel
-// stepping) and aggregated by Stats.
+// and aggregated by Stats.
 type AccessStats struct {
 	// InstAccesses and DataAccesses count I-side and D-side accesses.
 	InstAccesses uint64
@@ -160,11 +136,8 @@ type coreCaches struct {
 }
 
 // Hierarchy is the complete shared memory system for an N-core machine.
-// It is not safe for unconstrained concurrent use: the sequential drivers
-// call it from one goroutine, and the host-parallel engine may call it
-// from one goroutine per core only under the Arbiter discipline (each
-// core touches its own private structures; shared-structure sections are
-// serialized through the arbiter in global commit order).
+// It is not safe for concurrent use: the driver calls it from one
+// goroutine.
 type Hierarchy struct {
 	cfg     config.Memory
 	perfect Perfect
@@ -173,9 +146,8 @@ type Hierarchy struct {
 	l2      *cache.Cache
 	coh     coherence.Engine
 	fab     Fabric
-	busOnly *interconnect.Bus // non-nil when the fabric is the bus
+	busOnly *noc.Bus // non-nil when the fabric is the bus
 	dram    memory.MainMemory
-	arb     Arbiter
 
 	// What the access paths read of cfg, converted once.
 	itlbMissLat, dtlbMissLat int64
@@ -184,17 +156,7 @@ type Hierarchy struct {
 	nextLines                int    // next-line prefetch degree; zero when off
 	lineSize                 uint64 // L1D line size in bytes
 
-	// stats holds one counter block per core so parallel stepping never
-	// races on a shared counter; totals are order-insensitive sums.
-	stats []paddedStats
-}
-
-// paddedStats keeps each core's counters on their own cache line: the
-// counters are bumped on every access (the hottest path), and under
-// parallel stepping neighbouring cores must not false-share a line.
-type paddedStats struct {
-	AccessStats
-	_ [3]uint64
+	stats []AccessStats // one counter block per core
 }
 
 // newProtocol selects the coherence engine by name, and returns the
@@ -219,7 +181,7 @@ func newProtocol(n int, cfg config.Memory) (coherence.Engine, int64) {
 }
 
 // newFabric selects the on-chip interconnect by name.
-func newFabric(n int, cfg config.Memory) (Fabric, *interconnect.Bus) {
+func newFabric(n int, cfg config.Memory) (Fabric, *noc.Bus) {
 	hop := cfg.NoCHopLatency
 	if hop <= 0 {
 		hop = 1
@@ -234,7 +196,7 @@ func newFabric(n int, cfg config.Memory) (Fabric, *interconnect.Bus) {
 	case "ring":
 		return noc.NewRing(n, hop, occ), nil
 	default:
-		b := interconnect.New(cfg.L2BusLatency, 1)
+		b := noc.NewBus(cfg.L2BusLatency, 1)
 		return b, b
 	}
 }
@@ -276,7 +238,7 @@ func New(n int, cfg config.Memory, perfect Perfect) *Hierarchy {
 		fab:     fab,
 		busOnly: busOnly,
 		dram:    newMainMemory(cfg),
-		stats:   make([]paddedStats, n),
+		stats:   make([]AccessStats, n),
 
 		itlbMissLat: int64(cfg.ITLB.MissLatency),
 		dtlbMissLat: int64(cfg.DTLB.MissLatency),
@@ -310,21 +272,17 @@ func New(n int, cfg config.Memory, perfect Perfect) *Hierarchy {
 // Config returns the memory configuration.
 func (h *Hierarchy) Config() config.Memory { return h.cfg }
 
-// SetArbiter installs the parallel-stepping arbitration seam (nil restores
-// the sequential mode). Install it before simulation starts, never during.
-func (h *Hierarchy) SetArbiter(a Arbiter) { h.arb = a }
-
 // Stats returns the access counters summed over all cores.
 func (h *Hierarchy) Stats() AccessStats {
 	var out AccessStats
 	for i := range h.stats {
-		out.add(h.stats[i].AccessStats)
+		out.add(h.stats[i])
 	}
 	return out
 }
 
 // CoreStats returns core's own access counters.
-func (h *Hierarchy) CoreStats(core int) AccessStats { return h.stats[core].AccessStats }
+func (h *Hierarchy) CoreStats(core int) AccessStats { return h.stats[core] }
 
 // DRAM exposes the main-memory model (for bandwidth statistics).
 func (h *Hierarchy) DRAM() memory.MainMemory { return h.dram }
@@ -335,7 +293,7 @@ func (h *Hierarchy) Coherence() coherence.Engine { return h.coh }
 
 // Bus exposes the L1-to-L2 interconnect when the fabric is the baseline
 // split-transaction bus, or nil for mesh/ring fabrics.
-func (h *Hierarchy) Bus() *interconnect.Bus { return h.busOnly }
+func (h *Hierarchy) Bus() *noc.Bus { return h.busOnly }
 
 // Fabric exposes the on-chip interconnect (for statistics).
 func (h *Hierarchy) Fabric() Fabric { return h.fab }
@@ -367,20 +325,13 @@ func (h *Hierarchy) Inst(core int, pc uint64, now int64) Result {
 	}
 	res.Miss = true
 	line := c.l1i.LineAddr(pc)
-	if h.arb != nil {
-		h.arb.Enter(core)
-		h.instMiss(core, line, now, &res)
-		h.arb.Exit(core)
-	} else {
-		h.instMiss(core, line, now, &res)
-	}
+	h.instMiss(core, line, now, &res)
 	c.l1i.Fill(line, false)
 	return res
 }
 
 // instMiss is the shared-structure section of an I-side L1 miss: the
-// fabric transaction and the L2/DRAM access. Under parallel stepping it
-// runs inside the arbiter bracket.
+// fabric transaction and the L2/DRAM access.
 func (h *Hierarchy) instMiss(core int, line uint64, now int64, res *Result) {
 	res.Latency += h.fab.AccessFrom(core, now)
 	if h.fetchL2(line, now+res.Latency, res) {
@@ -411,21 +362,8 @@ func (h *Hierarchy) Data(core int, addr uint64, write bool, now int64) Result {
 		// The stride table watches the whole access stream (hits keep
 		// the stride confirmed), so a covered stream keeps the
 		// prefetcher running ahead instead of retraining on every miss.
-		if targets := c.stride.observe(line); len(targets) > 0 {
-			if h.arb != nil && !h.anyPrefetchNeeded(c, targets, now) {
-				// All targets are already resident or pending — purely
-				// private filters, so skip the ordering gate entirely.
-			} else {
-				if h.arb != nil {
-					h.arb.Enter(core)
-				}
-				for _, target := range targets {
-					h.prefetchLine(core, c, target, now)
-				}
-				if h.arb != nil {
-					h.arb.Exit(core)
-				}
-			}
+		for _, target := range c.stride.observe(line) {
+			h.prefetchLine(core, c, target, now)
 		}
 	}
 	if hit, wasDirty := c.l1d.AccessRW(addr, write); hit {
@@ -433,17 +371,11 @@ func (h *Hierarchy) Data(core int, addr uint64, write bool, now int64) Result {
 		// already-dirty line are already Modified. Only clean write
 		// hits on a multi-core machine need an upgrade.
 		if write && !wasDirty && h.multi {
-			if h.arb != nil {
-				h.arb.Enter(core)
-			}
 			cres := h.coh.Write(core, line)
 			if cres.Invalidations > 0 {
 				res.Latency += h.busLat + h.dirLat
 			}
 			h.dropRemoteCopies(core, line, cres.Invalidations)
-			if h.arb != nil {
-				h.arb.Exit(core)
-			}
 		}
 		res.Kind = L1Hit
 		if res.TLBMiss {
@@ -452,20 +384,13 @@ func (h *Hierarchy) Data(core int, addr uint64, write bool, now int64) Result {
 		return res
 	}
 	res.Miss = true
-	if h.arb != nil {
-		h.arb.Enter(core)
-		h.dataMiss(core, c, line, write, now, &res)
-		h.arb.Exit(core)
-	} else {
-		h.dataMiss(core, c, line, write, now, &res)
-	}
+	h.dataMiss(core, c, line, write, now, &res)
 	return res
 }
 
 // dataMiss handles an L1D miss: MSHR merge, coherence transaction, fabric
-// and L2/DRAM access, fill and next-line prefetch. Everything below the
-// private L1 lives here, so under parallel stepping the whole section runs
-// inside one arbiter bracket.
+// and L2/DRAM access, fill and next-line prefetch: everything below the
+// private L1.
 func (h *Hierarchy) dataMiss(core int, c *coreCaches, line uint64, write bool, now int64, res *Result) {
 	// An outstanding miss on the same line means this access completes
 	// with the primary miss.
@@ -522,35 +447,14 @@ func (h *Hierarchy) dataMiss(core int, c *coreCaches, line uint64, write bool, n
 	}
 }
 
-// prefetchNeeded is prefetchLine's private filter (L1 presence, MSHR
-// pendings) — one definition shared by the issue path and the gate-skip
-// predicate, so the two can never drift apart.
-func prefetchNeeded(c *coreCaches, line uint64, now int64) bool {
-	if c.l1d.Probe(line) {
-		return false
-	}
-	if _, pending := c.mshr.Lookup(line, now); pending {
-		return false
-	}
-	return true
-}
-
-// anyPrefetchNeeded applies prefetchNeeded to the targets; when none
-// survives, the caller can skip the global ordering gate.
-func (h *Hierarchy) anyPrefetchNeeded(c *coreCaches, targets []uint64, now int64) bool {
-	for _, line := range targets {
-		if prefetchNeeded(c, line, now) {
-			return true
-		}
-	}
-	return false
-}
-
 // prefetchLine issues one prefetch of line into core's L1D after a demand
 // miss. Prefetches run off the critical path: they occupy the fabric and
 // DRAM bandwidth but add no latency to the demand access.
 func (h *Hierarchy) prefetchLine(core int, c *coreCaches, line uint64, now int64) {
-	if !prefetchNeeded(c, line, now) {
+	if c.l1d.Probe(line) {
+		return
+	}
+	if _, pending := c.mshr.Lookup(line, now); pending {
 		return
 	}
 	h.stats[core].Prefetches++
@@ -616,15 +520,6 @@ func (h *Hierarchy) dropRemoteCopies(core int, line uint64, invalidations int) {
 	if invalidations == 0 {
 		return
 	}
-	if h.arb != nil {
-		// A remote-L1 invalidation cannot be applied while the remote
-		// core steps concurrently (it may already have raced past this
-		// commit point). Flag the sharing violation — the parallel
-		// engine aborts and the run is redone sequentially — and leave
-		// the remote L1s alone; the aborted run's state is discarded.
-		h.arb.Sharing()
-		return
-	}
 	for i := range h.cores {
 		if i == core {
 			continue
@@ -651,6 +546,6 @@ func (h *Hierarchy) ResetStats() {
 	h.dram.ResetStats()
 	h.coh.ResetStats()
 	for i := range h.stats {
-		h.stats[i].AccessStats = AccessStats{}
+		h.stats[i] = AccessStats{}
 	}
 }

@@ -201,7 +201,7 @@ func Run(cfg RunConfig, streams []trace.Stream) Result {
 		}
 	}
 
-	cores := BuildCores(cfg, bps, mem, coord, streams)
+	cores := buildCores(cfg, bps, mem, coord, streams)
 
 	// The TimeSkipper capability is asserted once per core here, not once
 	// per core per cycle in the skip loop below.
@@ -384,11 +384,10 @@ func Run(cfg RunConfig, streams []trace.Stream) Result {
 	return res
 }
 
-// BuildCores constructs the per-core model instances for cfg: through the
+// buildCores constructs the per-core model instances for cfg: through the
 // NewCore factory hook when set, through the built-in model switch
-// otherwise. It is shared by the sequential driver and the host-parallel
-// engine (package parsim), so both build bit-identical machines.
-func BuildCores(cfg RunConfig, bps []*branch.Unit, mem *memhier.Hierarchy, coord sim.Syncer, streams []trace.Stream) []sim.Core {
+// otherwise.
+func buildCores(cfg RunConfig, bps []*branch.Unit, mem *memhier.Hierarchy, coord sim.Syncer, streams []trace.Stream) []sim.Core {
 	cores := make([]sim.Core, cfg.Machine.Cores)
 	for i := range cores {
 		bp := bps[i]
@@ -411,23 +410,15 @@ func BuildCores(cfg RunConfig, bps []*branch.Unit, mem *memhier.Hierarchy, coord
 }
 
 // Warmup functionally warms the caches, TLBs and branch predictors with n
-// instructions per core and clears statistics afterwards — the sequential
-// driver's warmup, exported so the host-parallel engine (package parsim)
-// warms the machine identically before parallel stepping begins.
+// instructions per core and clears statistics afterwards — the driver's
+// warmup, exported so a machine can be warmed without running it.
 func Warmup(mem *memhier.Hierarchy, bps []*branch.Unit, streams []trace.Stream, n int) {
 	warmup(mem, bps, streams, n, nil)
 }
 
-// FinishResult fills the per-core results and machine-level totals after
-// stepping ends: per-core retired counts, finish times (now for cores that
-// did not finish) and the machine-level cycle count. Exported for the
-// host-parallel engine, which assembles its Result the same way.
-func FinishResult(res *Result, cores []sim.Core, now int64) {
-	finishResult(res, cores, now)
-}
-
 // finishResult fills the per-core results and machine-level totals after
-// the stepping loop.
+// the stepping loop: per-core retired counts, finish times (now for cores
+// that did not finish) and the machine-level cycle count.
 func finishResult(res *Result, cores []sim.Core, now int64) {
 	for i, c := range cores {
 		fin := c.FinishTime()

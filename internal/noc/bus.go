@@ -1,15 +1,12 @@
-// Package interconnect models the on-chip interconnection network between
-// the private L1 caches and the shared L2/snoop bus — one of the simulated
-// components the paper's framework lists alongside the caches and the
-// coherence protocol. The model is a split-transaction shared bus: every
-// L1-miss transaction (L2 access, coherence broadcast, intervention) takes
-// a fixed hop latency and occupies the bus for a configurable number of
-// cycles, so co-running cores contend for a finite transaction bandwidth.
-package interconnect
+package noc
 
-// Bus is a shared split-transaction bus. A transaction issued at time t
-// completes its request phase after max(t, busFree) - t queueing plus the
-// hop latency; the bus stays busy for the occupancy.
+// Bus is the baseline fabric, a shared split-transaction bus: every L1-miss
+// transaction (L2 access, coherence broadcast, intervention) takes a fixed
+// hop latency and occupies the bus for a configurable number of cycles, so
+// co-running cores contend for a finite transaction bandwidth. A
+// transaction issued at time t completes its request phase after
+// max(t, busFree) - t queueing plus the hop latency; the bus stays busy for
+// the occupancy.
 type Bus struct {
 	hop       int64
 	occupancy int64
@@ -20,9 +17,9 @@ type Bus struct {
 	BusyTotal    int64 // cycles the bus was occupied
 }
 
-// New creates a bus with the given hop latency (cycles from a core to the
+// NewBus creates a bus with the given hop latency (cycles from a core to the
 // L2/snoop point) and per-transaction occupancy (address/snoop slot width).
-func New(hopLatency, occupancy int) *Bus {
+func NewBus(hopLatency, occupancy int) *Bus {
 	if occupancy < 1 {
 		occupancy = 1
 	}
@@ -46,7 +43,7 @@ func (b *Bus) Access(now int64) int64 {
 // AccessFrom issues a transaction at time now and returns its total
 // latency. The bus is symmetric, so the requesting core is irrelevant; the
 // method exists so the bus satisfies the same fabric contract as the mesh
-// and ring networks of package noc.
+// and ring networks.
 func (b *Bus) AccessFrom(_ int, now int64) int64 { return b.Access(now) }
 
 // TxCount returns the number of transactions issued.

@@ -1,12 +1,12 @@
-package interconnect
+package noc
 
 import (
 	"testing"
 	"testing/quick"
 )
 
-func TestUncontendedHop(t *testing.T) {
-	b := New(4, 1)
+func TestBusUncontendedHop(t *testing.T) {
+	b := NewBus(4, 1)
 	if got := b.Access(100); got != 4 {
 		t.Fatalf("uncontended access = %d, want hop 4", got)
 	}
@@ -15,8 +15,8 @@ func TestUncontendedHop(t *testing.T) {
 	}
 }
 
-func TestQueueingUnderBurst(t *testing.T) {
-	b := New(4, 2)
+func TestBusQueueingUnderBurst(t *testing.T) {
+	b := NewBus(4, 2)
 	b.Access(0) // occupies cycles 0-1
 	if got := b.Access(0); got != 2+4 {
 		t.Fatalf("second same-cycle access = %d, want 6 (2 queue + 4 hop)", got)
@@ -29,24 +29,24 @@ func TestQueueingUnderBurst(t *testing.T) {
 	}
 }
 
-func TestNoQueueWhenSpaced(t *testing.T) {
-	b := New(4, 2)
+func TestBusNoQueueWhenSpaced(t *testing.T) {
+	b := NewBus(4, 2)
 	b.Access(0)
 	if got := b.Access(10); got != 4 {
 		t.Fatalf("spaced access = %d, want 4", got)
 	}
 }
 
-func TestMinimumOccupancy(t *testing.T) {
-	b := New(4, 0)
+func TestBusMinimumOccupancy(t *testing.T) {
+	b := NewBus(4, 0)
 	b.Access(0)
 	if b.BusyTotal != 1 {
 		t.Fatalf("occupancy clamped to %d, want 1", b.BusyTotal)
 	}
 }
 
-func TestUtilizationAndReset(t *testing.T) {
-	b := New(4, 2)
+func TestBusUtilizationAndReset(t *testing.T) {
+	b := NewBus(4, 2)
 	b.Access(0)
 	if u := b.Utilization(4); u != 0.5 {
 		t.Fatalf("utilization = %v, want 0.5", u)
@@ -67,7 +67,7 @@ func TestUtilizationAndReset(t *testing.T) {
 // transactions x occupancy.
 func TestQuickBusBounds(t *testing.T) {
 	f := func(gaps []uint8) bool {
-		b := New(4, 2)
+		b := NewBus(4, 2)
 		now := int64(0)
 		for _, g := range gaps {
 			now += int64(g)

@@ -1,11 +1,12 @@
 // Package noc models on-chip interconnection networks between the private
-// L1 caches and the shared L2/memory-controller hub — richer alternatives to
-// the split-transaction bus of package interconnect. The paper's framework
-// (Figure 2) places the interconnection network inside the memory hierarchy
-// simulator; swapping fabrics is exactly the kind of system-level trade-off
-// interval simulation is meant to explore without touching the core model.
+// L1 caches and the shared L2/memory-controller hub: the baseline
+// split-transaction bus (Bus) and two richer alternatives. The paper's
+// framework (Figure 2) places the interconnection network inside the memory
+// hierarchy simulator; swapping fabrics is exactly the kind of system-level
+// trade-off interval simulation is meant to explore without touching the
+// core model.
 //
-// Two topologies are provided: a 2D mesh with XY dimension-order routing
+// The two network topologies are a 2D mesh with XY dimension-order routing
 // and a bidirectional ring. Both share the same contention model: a
 // transfer reserves each directed link along its route in order; a link
 // occupied by an earlier transfer delays the header until it frees. This is

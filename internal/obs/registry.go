@@ -10,7 +10,7 @@
 // off. Observability output never feeds back into simulation: metrics,
 // spans and progress carry host wall-clock measurements only and are
 // excluded from scenario fingerprints and report.JSON payloads, so
-// bit-identity contracts (parsim GOMAXPROCS identity, cache payload
+// bit-identity contracts (pipelined vs inline generation, cache payload
 // equality) hold with tracing on or off.
 package obs
 
@@ -165,8 +165,8 @@ func NewRegistry() *Registry {
 	return &Registry{families: map[string]*family{}}
 }
 
-// defaultRegistry collects process-wide metrics (engine runs, parsim
-// counters, batch occupancy) that have no natural per-object home.
+// defaultRegistry collects process-wide metrics (engine runs, batch
+// occupancy) that have no natural per-object home.
 var defaultRegistry = NewRegistry()
 
 // Default is the process-wide registry. Libraries register their

@@ -44,8 +44,7 @@ type Tracer struct {
 }
 
 // DefaultSpanCap bounds the span ring when NewTracer is given no
-// capacity: enough for the full lifecycle of a job plus thousands of
-// parsim epoch spans.
+// capacity: enough for the full lifecycle of a job many times over.
 const DefaultSpanCap = 4096
 
 // NewTracer builds a tracer with a bounded span ring (capacity <= 0

@@ -235,7 +235,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleMetrics serves the Prometheus text exposition: the server's own
 // registry (service traffic, queue occupancy, result-cache counters)
 // merged with the process-wide registry (per-engine runs and wall-clock
-// histograms, parsim counters, batch occupancy). Every family carries a
+// histograms, batch occupancy). Every family carries a
 // correct `# TYPE` line — the registry knows each metric's kind, unlike
 // the hand-rolled exporter this replaced.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

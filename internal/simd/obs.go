@@ -9,7 +9,7 @@ import (
 // strings are the service's stable exposition contract (golden-tested);
 // the registry is per-Server so tests can build many Servers without
 // colliding in a process-wide namespace. Process-wide metrics (engine
-// runs, parsim counters) are merged in at serve time from obs.Default().
+// runs, batch occupancy) are merged in at serve time from obs.Default().
 func (s *Server) registerMetrics() {
 	r := s.reg
 	r.CounterFunc("simd_jobs_submitted_total",

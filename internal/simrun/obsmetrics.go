@@ -13,7 +13,6 @@ import (
 // to a simulation).
 var (
 	obsOnce           sync.Once
-	mFallbacks        *obs.Counter
 	mBatchPending     *obs.Gauge
 	mBatchRunning     *obs.Gauge
 	mCacheUpgrades    *obs.Counter
@@ -25,8 +24,6 @@ var (
 func obsMetrics() {
 	obsOnce.Do(func() {
 		r := obs.Default()
-		mFallbacks = r.Counter("simrun_sequential_fallbacks_total",
-			"Host-parallel runs that aborted (sharing/sync) and re-ran sequentially.")
 		mBatchPending = r.Gauge("simrun_batch_pending",
 			"Batch scenarios waiting for a worker.")
 		mBatchRunning = r.Gauge("simrun_batch_running",

@@ -58,9 +58,6 @@ func TestPipelinedRunChangesNoByte(t *testing.T) {
 	cases := []struct {
 		name, bench string
 		opts        []Option
-		// hostpar marks the host-parallel engine, which spends the host's
-		// threads itself: never behind a producer, fallback included.
-		hostpar bool
 	}{
 		{name: "gcc + stride prefetch", bench: "gcc", opts: []Option{Prefetch("stride")}},
 		{name: "mix on mesh + directory", opts: []Option{Mix("mcf", "swim", "gcc", "twolf"), Fabric("mesh"), Coherence("directory")}},
@@ -70,8 +67,6 @@ func TestPipelinedRunChangesNoByte(t *testing.T) {
 		{name: "gcc under the detailed model", bench: "gcc", opts: []Option{Model("detailed")}},
 		{name: "gcc without warm-up", bench: "gcc", opts: []Option{Warmup(0)}},
 		{name: "gcc shorter than a chunk", bench: "gcc", opts: []Option{Insts(1500), Warmup(700)}},
-		{name: "gcc × 2 copies on host threads", bench: "gcc", opts: []Option{Copies(2), HostParallel(2)}, hostpar: true},
-		{name: "gcc × 2 threads, host-parallel fallback", bench: "gcc", opts: []Option{Cores(2), HostParallel(2)}, hostpar: true},
 	}
 	for _, c := range cases {
 		run := func(cpus int) ([]byte, uint64) {
@@ -98,12 +93,8 @@ func TestPipelinedRunChangesNoByte(t *testing.T) {
 			t.Errorf("%s: a producer on a one-CPU host", c.name)
 		}
 		piped, granted := run(2)
-		want := uint64(1)
-		if c.hostpar {
-			want = 0
-		}
-		if granted != want {
-			t.Errorf("%s: %d producers granted to a lone run on two CPUs, want %d", c.name, granted, want)
+		if granted != 1 {
+			t.Errorf("%s: %d producers granted to a lone run on two CPUs, want 1", c.name, granted)
 		}
 		if !bytes.Equal(inline, piped) {
 			t.Errorf("%s: inline\n%s\npipelined\n%s", c.name, inline, piped)

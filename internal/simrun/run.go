@@ -12,7 +12,6 @@ import (
 	"repro/internal/memhier"
 	"repro/internal/multicore"
 	"repro/internal/obs"
-	"repro/internal/parsim"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -73,9 +72,8 @@ func (s *Scenario) buildStreams() (streams, warm []trace.Stream) {
 		// core's address-space slot (stream format v2). Copies of
 		// different programs therefore never alias cache lines, so the
 		// mix models true multi-programming — no phantom coherence
-		// traffic — and the host-parallel engine can run it. The warmup
-		// twin must live in the same slot as its measured stream or it
-		// would warm the wrong lines.
+		// traffic. The warmup twin must live in the same slot as its
+		// measured stream or it would warm the wrong lines.
 		for i := 0; i < n; i++ {
 			p := s.mixped[i%len(s.mixped)]
 			streams = append(streams, trace.NewLimit(workload.NewSlot(p, 0, 1, s.seed+int64(i), i), s.insts))
@@ -145,9 +143,8 @@ func (s *Scenario) Run(ctx context.Context) (Result, error) {
 // the engine (or the core models underneath it) fails this one run with
 // the recovered value and stack in the error, instead of taking down
 // the whole process — a batch keeps its other scenarios, a service
-// worker keeps serving. (A panic on another goroutine — e.g. inside a
-// parsim per-core worker — still crashes the process; the fleet layer
-// exists to survive exactly that.)
+// worker keeps serving. (A panic on another goroutine still crashes the
+// process; the fleet layer exists to survive exactly that.)
 func runIsolated(ctx context.Context, eng EngineDef, s *Scenario) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -194,20 +191,7 @@ func (s *Scenario) runFull(ctx context.Context) (Result, error) {
 		return Result{Scenario: s}, err
 	}
 	streams, warm := s.buildStreams()
-	switch {
-	case s.useHostParallel():
-		cfg.Warmup = warm
-		if pres, ok := parsim.Run(cfg, parsim.Config{Quantum: s.quantum}, streams); ok {
-			return s.finished(ctx, pres)
-		}
-		// The workload's threads share lines or synchronize: the
-		// parallel run aborted before committing anything the caller
-		// can see. Rerun sequentially from fresh streams (generators
-		// are stateful), which reproduces the canonical result.
-		obsMetrics()
-		mFallbacks.Inc()
-		streams, warm = s.buildStreams()
-	case s.streams == nil:
+	if s.streams == nil {
 		return s.runOwned(ctx, cfg, streams, warm)
 	}
 	cfg.Warmup = warm
@@ -263,11 +247,10 @@ func (s *Scenario) finished(ctx context.Context, r multicore.Result) (Result, er
 // reads — the generators buildStreams made for it — which is what lets
 // them move to a producer goroutine when a host thread is idle. Explicit
 // Streams never come here (their owner may read on after the run and would
-// lose the read-ahead) and neither does the host-parallel engine (it spends
-// the host's threads itself). Without a producer the cores call the
-// generators inline, exactly as before. Bytes cannot differ between the
-// two: the generators take no feedback from timing, and every core reads
-// the same instructions in the same order.
+// lose the read-ahead). Without a producer the cores call the generators
+// inline. Bytes cannot differ between the two: the generators take no
+// feedback from timing, and every core reads the same instructions in the
+// same order.
 func (s *Scenario) runOwned(ctx context.Context, cfg multicore.RunConfig, streams, warm []trace.Stream) (res Result, err error) {
 	if takeProducer() {
 		obsMetrics()
@@ -319,30 +302,4 @@ func (s *Scenario) heartbeat() *obs.Heartbeat {
 		Tier:   string(fullTier(s)),
 		Budget: s.TotalInstBudget(),
 	}
-}
-
-// useHostParallel reports whether the scenario should attempt the
-// host-parallel engine: HostParallel was requested, there is more than
-// one simulated core, the streams can be rebuilt for a fallback (not
-// explicit Streams), the core model is one of the built-ins (the
-// engine's per-core schedule is proven equivalent to the sequential
-// driver's for those; registered custom models get no such guarantee, so
-// they run sequentially), and the workload is not one that is certain to
-// abort (PARSEC-style multi-threaded profiles synchronize from the
-// start). Multiprogram scenarios — homogeneous Copies and, since stream
-// format v2 gave each copy a disjoint address-space slot, heterogeneous
-// Mix — run parallel to completion.
-func (s *Scenario) useHostParallel() bool {
-	if s.hostpar <= 0 || s.Threads() <= 1 || s.streams != nil {
-		return false
-	}
-	switch s.model {
-	case "interval", "detailed", "oneipc":
-	default:
-		return false
-	}
-	if s.profile != nil && s.profile.MultiThreaded() {
-		return false
-	}
-	return true
 }

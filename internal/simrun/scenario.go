@@ -61,16 +61,14 @@ type Scenario struct {
 	ablation   core.Options
 	keepCores  bool
 	maxCycles  int64
-	hostpar    int
-	quantum    int64
 	streams    []trace.Stream
 	warmStream []trace.Stream
 
 	// obsv holds the attached observability sinks (span tracer,
 	// progress callback). It is a host-side concern: deliberately
-	// absent from the fingerprint (like hostpar/quantum) and carried
-	// along by ForEngine's copy so tiered serving traces the whole
-	// lifecycle of one job through one tracer.
+	// absent from the fingerprint and carried along by ForEngine's
+	// copy so tiered serving traces the whole lifecycle of one job
+	// through one tracer.
 	obsv *obs.Observer
 
 	// Resolved at New time.
@@ -315,11 +313,6 @@ var knobSets = map[string][]string{
 	"dram":      {"fixed", "banked"},
 	"prefetch":  {"none", "nextline", "stride"},
 	"predictor": {"local", "gshare", "bimodal", "tournament", "tage", "perfect"},
-	// hostpar is an open integer knob (HostParallel); the listed values
-	// are the suggested settings served to discovery front ends. It is a
-	// host-execution knob: it never changes simulated results, so it is
-	// deliberately absent from the scenario fingerprint.
-	"hostpar": {"0", "1", "2", "4", "8"},
 }
 
 // Knobs returns the closed knob-value sets by knob name (fabric,
@@ -537,49 +530,6 @@ func Predictor(kind string) Option {
 			return err
 		}
 		s.configure = append(s.configure, func(m *config.Machine) { m.Branch.Kind = kind })
-		return nil
-	}
-}
-
-// HostParallel runs the simulation on the host-parallel deterministic
-// engine (internal/parsim): one host goroutine per simulated core,
-// stepping under an epoch barrier with shared-hierarchy requests
-// committed in the sequential driver's order. n > 0 enables the engine,
-// 0 (the default) selects the sequential driver. The engine always runs
-// one goroutine per simulated core (the Go scheduler maps them onto up to
-// GOMAXPROCS host threads); values of n beyond 1 are advisory today and
-// reserved for a future host-thread cap. Results are bit-identical
-// either way — hostpar is a host-execution knob, not a machine knob — so
-// it does not enter the scenario fingerprint and cached results are
-// shared across settings.
-//
-// The engine accelerates multiprogram scenarios — SPEC profiles under
-// Cores/Copies and heterogeneous Mix workloads — whose per-core address
-// spaces are disjoint (Mix copies since stream format v2, which gives
-// each copy its own slot). Scenarios whose threads genuinely share lines
-// or synchronize (PARSEC profiles) detect the interaction and fall back
-// to the sequential driver automatically; explicit-Streams scenarios
-// always run sequentially (their stateful streams cannot be rebuilt for
-// the fallback).
-func HostParallel(n int) Option {
-	return func(s *Scenario) error {
-		if n < 0 {
-			return fmt.Errorf("simrun: hostpar must be non-negative, got %d", n)
-		}
-		s.hostpar = n
-		return nil
-	}
-}
-
-// EpochQuantum sets the parallel engine's epoch length in simulated
-// cycles (0 = the engine default). Any value ≥ 1 simulates identically;
-// it tunes host synchronization frequency only.
-func EpochQuantum(q int64) Option {
-	return func(s *Scenario) error {
-		if q < 0 {
-			return fmt.Errorf("simrun: epoch quantum must be non-negative, got %d", q)
-		}
-		s.quantum = q
 		return nil
 	}
 }

@@ -243,3 +243,25 @@ func TestBatchProgress(t *testing.T) {
 		t.Errorf("progress calls = %v, want [1 2]", seen)
 	}
 }
+
+// TestMixSlotsNoCrossCopyCoherence: with per-copy slots the copies of a
+// mix never write each other's lines, so the run must see zero coherence
+// invalidations — the phantom traffic the v1 shared address space used
+// to charge.
+func TestMixSlotsNoCrossCopyCoherence(t *testing.T) {
+	s, err := simrun.New("",
+		simrun.Mix("gcc", "mcf", "swim", "vpr"),
+		simrun.Insts(8_000),
+		simrun.KeepCores(),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if coh := res.Mem.Coherence().Stats(); coh.Invalidations != 0 {
+		t.Fatalf("slot-disjoint mix produced %d cross-copy invalidations, want 0", coh.Invalidations)
+	}
+}

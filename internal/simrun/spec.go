@@ -48,11 +48,10 @@ type Spec struct {
 	WorkScale float64 `json:"work_scale,omitempty"`
 	MaxCycles int64   `json:"max_cycles,omitempty"`
 
-	// HostPar requests the host-parallel deterministic engine (0 =
-	// sequential); Quantum tunes its epoch length. Both are
-	// host-execution knobs: results are bit-identical either way, so
-	// they do not enter the scenario fingerprint and cached results are
-	// shared across settings.
+	// HostPar and Quantum selected the host-parallel engine that was
+	// removed (docs/architecture.md): accepted for v3 compatibility,
+	// ignored. They never entered the fingerprint or changed a result
+	// byte; a negative value is still rejected.
 	HostPar int   `json:"hostpar,omitempty"`
 	Quantum int64 `json:"quantum,omitempty"`
 
@@ -113,11 +112,11 @@ func (sp Spec) Options() []Option {
 	if sp.MaxCycles != 0 {
 		opts = append(opts, MaxCycles(sp.MaxCycles))
 	}
-	if sp.HostPar != 0 {
-		opts = append(opts, HostParallel(sp.HostPar))
+	if sp.HostPar < 0 {
+		opts = append(opts, reject("simrun: hostpar must be non-negative, got %d", sp.HostPar))
 	}
-	if sp.Quantum != 0 {
-		opts = append(opts, EpochQuantum(sp.Quantum))
+	if sp.Quantum < 0 {
+		opts = append(opts, reject("simrun: epoch quantum must be non-negative, got %d", sp.Quantum))
 	}
 	if sp.Machine != nil {
 		opts = append(opts, Machine(*sp.Machine))
@@ -147,6 +146,11 @@ func (sp Spec) Options() []Option {
 		opts = append(opts, KeepCores())
 	}
 	return opts
+}
+
+// reject is the option that fails New with the given message.
+func reject(format string, args ...any) Option {
+	return func(*Scenario) error { return fmt.Errorf(format, args...) }
 }
 
 // SpecVersion is the wire format's current stream-format generation,

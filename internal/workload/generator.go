@@ -303,7 +303,7 @@ func New(p *Profile, thread, threads int, seed int64) *Generator {
 // added to PC, Target and Addr. Heterogeneous multi-program (Mix)
 // workloads give each copy its own slot, so copies of different programs
 // never alias cache lines in the shared hierarchy (no phantom coherence
-// traffic) and the host-parallel engine can run them concurrently.
+// traffic).
 func NewSlot(p *Profile, thread, threads int, seed int64, slot int) *Generator {
 	return newSlotSalted(p, thread, threads, seed, slot, programSalt(p))
 }

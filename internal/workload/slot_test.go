@@ -94,8 +94,7 @@ func TestSlotOutOfRangePanics(t *testing.T) {
 
 // TestSlotAddressSpacesDisjoint: two different programs in two different
 // slots must never touch the same cache line — code or data — which is
-// what removes the phantom coherence traffic from Mix workloads and lets
-// the host-parallel engine run them.
+// what removes the phantom coherence traffic from Mix workloads.
 func TestSlotAddressSpacesDisjoint(t *testing.T) {
 	lines := func(name string, slot int) map[uint64]bool {
 		g := NewSlot(SPECByName(name), 0, 1, 42+int64(slot), slot)
