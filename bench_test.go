@@ -9,6 +9,7 @@ package main
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/branch"
 	"repro/internal/cache"
@@ -203,41 +204,99 @@ func BenchmarkDetailedCycle(b *testing.B) {
 	}
 }
 
-// BenchmarkDetailedCoreStep measures the detailed model with the functional
-// simulator out of the timed loop: a recorded trace replayed, every pass,
-// through a hierarchy and predictor freshly warmed (untimed) with the
-// 200 k instructions that precede it in the stream, so each pass sees the
-// miss rates of a run's steady state. One op is one instruction; allocs/op
-// must round to 0 (a pass allocates only in ooo.New). The sub-benchmarks
-// differ in what the core waits for: gcc issues nearly every cycle, mcf and
-// art sit behind DRAM for most of theirs, swim streams.
+// benchWarmedReplay times one core model with the functional simulator out
+// of the timed loop: a recorded trace replayed, every pass, through a
+// hierarchy and predictor freshly warmed (untimed) with the 200 k
+// instructions that precede it in the stream, so each pass sees the miss
+// rates of a run's steady state. run builds the core over what it is handed
+// and steps it to the end of the trace. One op is one instruction;
+// allocs/op must round to 0 (a pass allocates only in the constructor).
+func benchWarmedReplay(b *testing.B, name string, run func(m config.Machine, bp *branch.Unit, mem *memhier.Hierarchy, src trace.Stream)) {
+	m := config.Default(1)
+	gen := workload.New(workload.SPECByName(name), 0, 1, 42)
+	warm := trace.Record(gen, 200_000)
+	tr := trace.Record(gen, 200_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for left := b.N; left > 0; left -= len(tr) {
+		b.StopTimer()
+		mem := memhier.New(1, m.Mem, memhier.Perfect{})
+		bp := branch.NewUnit(m.Branch)
+		multicore.Warmup(mem, []*branch.Unit{bp}, []trace.Stream{trace.NewSliceStream(warm)}, len(warm))
+		src := trace.NewSliceStream(tr[:min(left, len(tr))])
+		b.StartTimer()
+		run(m, bp, mem, src)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/inst")
+}
+
+// BenchmarkDetailedCoreStep measures the detailed model alone (see
+// benchWarmedReplay). The sub-benchmarks differ in what the core waits for:
+// gcc issues nearly every cycle, mcf and art sit behind DRAM for most of
+// theirs, swim streams.
 func BenchmarkDetailedCoreStep(b *testing.B) {
 	for _, name := range []string{"gcc", "mcf", "swim", "art"} {
 		b.Run(name, func(b *testing.B) {
-			m := config.Default(1)
-			gen := workload.New(workload.SPECByName(name), 0, 1, 42)
-			warm := trace.Record(gen, 200_000)
-			tr := trace.Record(gen, 200_000)
 			var cycles int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for left := b.N; left > 0; left -= len(tr) {
-				b.StopTimer()
-				mem := memhier.New(1, m.Mem, memhier.Perfect{})
-				bp := branch.NewUnit(m.Branch)
-				multicore.Warmup(mem, []*branch.Unit{bp}, []trace.Stream{trace.NewSliceStream(warm)}, len(warm))
-				src := trace.NewSliceStream(tr[:min(left, len(tr))])
-				b.StartTimer()
+			benchWarmedReplay(b, name, func(m config.Machine, bp *branch.Unit, mem *memhier.Hierarchy, src trace.Stream) {
 				c := ooo.New(0, m.Core, bp, mem, src, sim.NullSyncer{})
 				for now := int64(0); !c.Done(); now++ {
 					c.Step(now)
 				}
 				cycles += c.Cycles
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/inst")
+			})
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
 		})
 	}
+}
+
+// BenchmarkOverlapScan measures the interval model alone (see
+// benchWarmedReplay) on the two profiles whose long-latency loads arrive
+// back to back under a full 256-entry window, where the second-order
+// overlap scan is the largest part of the core's own time.
+func BenchmarkOverlapScan(b *testing.B) {
+	for _, name := range []string{"mcf", "art"} {
+		b.Run(name, func(b *testing.B) {
+			benchWarmedReplay(b, name, func(m config.Machine, bp *branch.Unit, mem *memhier.Hierarchy, src trace.Stream) {
+				c := core.New(0, m.Core, bp, mem, src, sim.NullSyncer{})
+				for now := int64(0); !c.Done(); now = c.NextActive(now + 1) {
+					c.Step(now)
+				}
+			})
+		})
+	}
+}
+
+// BenchmarkDriverSleepyCores measures the multicore stepping loop where it
+// has the least to do per iteration: four copies of mcf, each asleep behind
+// a miss penalty for most of the global cycles the others are simulated in.
+// The streams are recorded, warm-up is untimed (Result.Wall covers the
+// stepping loop only); one op is one instruction of one core.
+func BenchmarkDriverSleepyCores(b *testing.B) {
+	const cores, insts = 4, 100_000
+	p := workload.SPECByName("mcf")
+	var warm, recorded [cores][]isa.Inst
+	for i := range recorded {
+		warm[i] = trace.Record(workload.New(p, i, cores, 1042), 200_000)
+		recorded[i] = trace.Record(workload.New(p, i, cores, 42), insts)
+	}
+	var wall time.Duration
+	var retired uint64
+	b.ReportAllocs()
+	for left := b.N; left > 0; left -= cores * insts {
+		var streams, warmup [cores]trace.Stream
+		for i := range streams {
+			streams[i] = trace.NewSliceStream(recorded[i][:min(insts, (left+cores-1)/cores)])
+			warmup[i] = trace.NewSliceStream(warm[i])
+		}
+		res := multicore.Run(multicore.RunConfig{
+			Machine: config.Default(cores), Model: multicore.Interval,
+			WarmupInsts: len(warm[0]), Warmup: warmup[:],
+		}, streams[:])
+		wall += res.Wall
+		retired += res.TotalRetired
+	}
+	b.ReportMetric(float64(wall.Nanoseconds())/float64(retired), "ns/inst")
 }
 
 // BenchmarkWorkloadGen measures the functional simulator alone, through

@@ -45,6 +45,7 @@ type Core struct {
 	// marks, parallel to fbuf.
 	fbuf   []isa.Inst
 	flags  []uint8
+	recs   []uint32 // scan records, parallel to fbuf (see scanOverlap)
 	fmask  int
 	fhead  int // ring index of the window head
 	winLen int // window occupancy (= ROB content)
@@ -69,12 +70,27 @@ type Core struct {
 	// line-granular).
 	lastILine uint64
 
-	// taintLines carries memory dependences during the overlap scan.
-	// taintRegs is indexed directly by operand byte: slot RegNone (0xFF)
-	// is never written and always false, so the scan needs no "is there
-	// an operand" branches.
+	// frontier is the absolute index (instructions retired before it) of
+	// the first window entry no overlap scan has visited. Entries join the
+	// window beyond it with cleared flags and it only advances, so every
+	// entry between the head and the frontier carries flagIOv, every
+	// branch there flagBrChecked, and none is serializing or a sync.
+	frontier uint64
+
+	// taintLines carries memory dependences during the overlap scan. The
+	// scan keeps register taint in a 64-bit mask; taintRegs, indexed by
+	// operand byte, holds it for ids the mask cannot (64 and above, which
+	// only trace files carry). Its other slots, RegNone (0xFF) among them,
+	// are never written, and none is until wideRegs is set by the first
+	// such id — from then on every scan takes the general loop over the
+	// whole window.
 	taintRegs  [256]bool
 	taintLines lineSet
+	wideRegs   bool
+
+	// refScan, when set, replaces scanOverlap: the differential tests run
+	// the pre-frontier scan they keep as the reference through it.
+	refScan func(c *Core, load *isa.Inst)
 
 	// stack accumulates attributed penalty cycles for the CPI stack;
 	// Stack() derives the base component as the residual.
@@ -127,6 +143,7 @@ func NewWithOptions(id int, cfg config.Core, opts Options, bp *branch.Unit, mem 
 		syncer:     syncer,
 		fbuf:       make([]isa.Inst, ring),
 		flags:      make([]uint8, ring),
+		recs:       make([]uint32, ring),
 		fmask:      ring - 1,
 		winCap:     cfg.ROBSize,
 		creditCap:  2 * float64(cfg.DecodeWidth),
@@ -207,10 +224,13 @@ func (c *Core) head() *isa.Inst {
 	return &c.fbuf[c.fhead]
 }
 
+// pop retires the window head. retired is thereby the absolute index of
+// the head, which is what the scan frontier is measured against.
 func (c *Core) pop() {
 	c.fhead = (c.fhead + 1) & c.fmask
 	c.winLen--
 	c.filled--
+	c.retired++
 }
 
 // Step implements sim.Core: the per-core body of the Figure 3 loop for one
@@ -303,7 +323,6 @@ func (c *Core) dispatchHead() bool {
 		c.stack.Sync += pen
 		c.flushOld()
 		c.pop()
-		c.retired++
 		return true
 	}
 
@@ -357,8 +376,12 @@ func (c *Core) dispatchHead() bool {
 		res := c.mem.Data(c.id, in.Addr, in.Class == isa.Store, c.coreTime)
 		if in.Class == isa.Load {
 			if res.LongLatency() {
-				if !c.opts.NoOverlapScan {
-					c.scanOverlap(in, res.Latency)
+				switch {
+				case c.opts.NoOverlapScan:
+				case c.refScan != nil:
+					c.refScan(c, in)
+				default:
+					c.scanOverlap(in)
 				}
 				pen := c.longLoadPenalty(res.Latency)
 				c.coreTime += pen
@@ -388,7 +411,6 @@ func (c *Core) dispatchHead() bool {
 	// instruction at the tail (lines 61–65).
 	c.old.Insert(in, loadLat, c.coreTime-c.oldBase)
 	c.pop()
-	c.retired++
 	c.sinceLL++
 	c.sinceEvent++
 	return true
@@ -456,6 +478,122 @@ func (c *Core) wrongPathFetch(br *isa.Inst, resolution int64) {
 	}
 }
 
+// A scan record is what a later scan needs of a window entry the frontier
+// has passed, packed into one word when the entry is first visited: the
+// three operand ids (six bits and recValid each; an absent or out-of-mask
+// operand is not valid and reads as untainted), whether it is a load or a
+// store, whether it is a load no scan has overlapped yet, and a six-bit hash
+// of its data line that lets a load skip the exact store-line probe.
+const (
+	recValid                  = 1 << 6
+	recSrc2                   = 7  // shift of the second source operand
+	recDst                    = 14 // shift of the destination operand
+	recLoadBit, recLoad       = 21, 1 << 21
+	recStoreBit, recStore     = 22, 1 << 22
+	recPendingBit, recPending = 23, 1 << 23
+	recFilter                 = 24 // shift of the line hash
+)
+
+// scanRec builds the scan record of an instruction.
+func scanRec(in *isa.Inst) uint32 {
+	r := recOperand(in.Src1) | recOperand(in.Src2)<<recSrc2 | recOperand(in.Dst)<<recDst |
+		uint32(lineFilter(in.Addr))<<recFilter
+	switch in.Class {
+	case isa.Load:
+		r |= recLoad | recPending
+	case isa.Store:
+		r |= recStore
+	}
+	return r
+}
+
+// recOperand packs a register id for the scan record, without a branch:
+// recValid is set for ids below 64, and the id bits of the others are never
+// looked at.
+func recOperand(id uint8) uint32 {
+	return uint32(id)&63 | (uint32(id>>6)-1)>>25&recValid
+}
+
+// wideReg reports a register id the 64-bit taint mask cannot hold.
+func wideReg(id uint8) bool { return id-64 < isa.RegNone-64 }
+
+// lineFilter hashes the data line of addr to a bit of the line filter.
+func lineFilter(addr uint64) uint64 { return (addr >> 6) * 0x9E3779B97F4A7C15 >> 58 }
+
+// recSrcs and recDstBit expand a scan record's operands into register
+// masks: the bits of its valid sources, the bit of its valid destination.
+func recSrcs(r uint32) uint64 {
+	return uint64(r>>6&1)<<(r&63) | uint64(r>>(recSrc2+6)&1)<<(r>>recSrc2&63)
+}
+
+func recDstBit(r uint32) uint64 { return uint64(r>>(recDst+6)&1) << (r >> recDst & 63) }
+
+// allOnes returns ^0 for a non-zero x and 0 for zero, without a branch.
+func allOnes(x uint64) uint64 { return uint64(int64(x|-x) >> 63) }
+
+// scanQuiet carries the register taint through the scan records of window
+// entries i to end-1 for as long as the record is all an entry needs. Two
+// kinds of entry need more, and one rarely taken branch finds both: a load
+// no register makes dependent that hashes to a tainted line or has not
+// issued yet, and a dependent store. It returns the index of the first such
+// entry (end if there is none) and the taint in front of it. It calls
+// nothing, so its few live values stay in host registers.
+func scanQuiet(recs []uint32, head, i, end int, mask, lines, taintOn uint64) (int, uint64) {
+	for ; i < end; i++ {
+		r := recs[(head+i)&(len(recs)-1)]
+		dep := allOnes(mask & recSrcs(r) & taintOn)
+		filter := lines >> (r >> recFilter & 63)
+		if (uint64(r>>recLoadBit)&(filter|uint64(r>>recPendingBit))&^dep|uint64(r>>recStoreBit)&dep)&1 != 0 {
+			break
+		}
+		dst := recDstBit(r)
+		mask = mask&^dst | dst&dep
+	}
+	return i, mask
+}
+
+// scanVisited is the first phase of scanOverlap: it carries the taint in
+// mask through window entries 1 to end-1, all before the frontier, and
+// issues the loads among them that are still unmarked and independent now.
+// It returns the register taint, the line filter and the outstanding-miss
+// count (the head's slot included) as they stand at entry end.
+func (c *Core) scanVisited(end int, mask uint64) (regs, lines uint64, outstanding int) {
+	outstanding = 1
+	// taintOn is zero under the NoTaint ablation, where nothing depends on
+	// anything.
+	taintOn := ^uint64(0)
+	if c.opts.NoTaint {
+		taintOn = 0
+	}
+	for i := 1; ; i++ {
+		if i, mask = scanQuiet(c.recs, c.fhead, i, end, mask, lines, taintOn); i >= end {
+			return mask, lines, outstanding
+		}
+		idx := (c.fhead + i) & c.fmask
+		r, in := c.recs[idx], &c.fbuf[idx]
+		dep := allOnes(mask & recSrcs(r) & taintOn)
+		switch filter := uint64(1) << (r >> recFilter & 63); {
+		case r&recStore != 0:
+			c.taintLines.add(in.Addr >> 6)
+			lines |= filter
+		case lines&filter != 0 && c.taintLines.contains(in.Addr>>6):
+			dep = ^uint64(0)
+		case r&recPending != 0 && outstanding < c.maxLL:
+			c.recs[idx] = r &^ recPending
+			c.flags[idx] |= flagDOv
+			c.OverlapHidden++
+			res := c.mem.Data(c.id, in.Addr, false, c.coreTime)
+			if res.LongLatency() {
+				dep = ^uint64(0)
+				c.OverlapLL++
+				outstanding++
+			}
+		}
+		dst := recDstBit(r)
+		mask = mask&^dst | dst&dep
+	}
+}
+
 // scanOverlap implements the second-order overlap modeling of lines 35–49:
 // upon a long-latency load at the head, all instructions in the window are
 // scanned head to tail; I-cache accesses, independent branches and
@@ -471,30 +609,53 @@ func (c *Core) wrongPathFetch(br *isa.Inst, resolution int64) {
 // breaks at the first mispredicted branch; this refinement models the
 // mechanism its Section 2 describes (the redirect is hidden as long as
 // resolution plus refill fit in the shadow).
-func (c *Core) scanOverlap(load *isa.Inst, headLatency int64) {
-	_ = headLatency
-	for i := range c.taintRegs {
-		c.taintRegs[i] = false
+//
+// Back-to-back misses scan nearly the same window, so the scan runs in two
+// phases around the frontier. Before it, an entry's I-side and branch marks
+// are already set and no scan can stop: all that is left is to carry the
+// taint of this head load through the dataflow and to issue, in program
+// order and within the outstanding-miss budget, the loads an earlier scan
+// left unmarked that are independent now. That runs over the scan records
+// alone and reads an instruction only to probe or issue its address. From
+// the frontier on, every entry gets the full visit, once.
+func (c *Core) scanOverlap(load *isa.Inst) {
+	if c.wideRegs {
+		c.taintRegs = [256]bool{}
 	}
 	c.taintLines.clear()
-	if load.HasDst() {
-		c.taintRegs[load.Dst] = true
+	// mask is the register taint of ids below 64 (the byte table holds the
+	// others); lines has a bit set for the hash of every line in taintLines.
+	var mask, lines uint64
+	if id := load.Dst; id < 64 {
+		mask = 1 << id
+	} else if wideReg(id) {
+		c.wideRegs = true
+		c.taintRegs[id] = true
 	}
-	scanILine := c.lastILine
 	// The head miss holds one outstanding-miss slot; further independent
 	// long-latency loads may overlap only while the hardware has slots
 	// left (the paper: MLP is exposed "provided that a sufficient number
 	// of outstanding long-latency loads are supported").
 	outstanding := 1
 
-	fb, fg := c.fbuf, c.flags
-	tr := &c.taintRegs
+	i := 1
+	if !c.wideRegs && c.frontier > c.retired+1 {
+		i = int(c.frontier - c.retired)
+		mask, lines, outstanding = c.scanVisited(i, mask)
+	}
+
+	fb, fg, recs := c.fbuf, c.flags, c.recs
 	noTaint := c.opts.NoTaint
 	hidden := uint64(0)
-	for i := 1; i < c.winLen; i++ {
+	// Nothing before the frontier fetched, so the I-side continues from
+	// the line of the last dispatched fetch, as it does for a scan that
+	// starts at the head.
+	scanILine := c.lastILine
+scan:
+	for ; i < c.winLen; i++ {
 		idx := (c.fhead + i) & (len(fb) - 1)
 		in := &fb[idx]
-		fl0 := fg[idx&(len(fg)-1)]
+		fl0, r := fg[idx&(len(fg)-1)], recs[idx&(len(recs)-1)]
 		fl := fl0
 
 		if in.Class == isa.Serializing || in.Class.IsSync() {
@@ -508,15 +669,26 @@ func (c *Core) scanOverlap(load *isa.Inst, headLatency int64) {
 				c.mem.Inst(c.id, in.PC, c.coreTime)
 			}
 			hidden++
+			// First visit: record the entry for the scans to come. An
+			// id beyond the mask, read or written, switches the core to
+			// the general loop for good, which is what keeps the byte
+			// table empty until then.
+			r = scanRec(in)
+			recs[idx&(len(recs)-1)] = r
+			if wideReg(in.Src1) || wideReg(in.Src2) || wideReg(in.Dst) {
+				c.wideRegs = true
+			}
 		}
 
-		// Register taint reads are branchless (slot RegNone stays false);
-		// the store-line set is consulted only for loads while any store
-		// has been tainted.
+		// Register taint comes from the mask through the record (an
+		// absent operand has no bit there) and, once wide ids have been
+		// seen, from the byte table, which is false below 64 and at
+		// RegNone. The store-line set is consulted only for loads while
+		// any store has been tainted.
 		dependent := false
 		if !noTaint {
-			dependent = tr[in.Src1] || tr[in.Src2]
-			if !dependent && in.Class == isa.Load && c.taintLines.n > 0 {
+			dependent = mask&recSrcs(r) != 0 || c.wideRegs && (c.taintRegs[in.Src1] || c.taintRegs[in.Src2])
+			if !dependent && in.Class == isa.Load && lines != 0 {
 				dependent = c.taintLines.contains(in.Addr >> 6)
 			}
 		}
@@ -535,25 +707,20 @@ func (c *Core) scanOverlap(load *isa.Inst, headLatency int64) {
 				// further overlaps.
 				fl |= flagBrOv
 				hidden++
-				if misp {
-					// Fetch beyond the redirect is wrong-path until
-					// the branch resolves: stop the scan (paper,
-					// Figure 3 line 40).
-					fg[idx&(len(fg)-1)] = fl
-					c.ScanBreaks++
-					c.OverlapHidden += hidden
-					return
-				}
-			} else if misp {
-				// A branch depending on the head load resolves only
-				// when the miss returns: everything the front end
-				// fetched beyond it was the wrong path, so nothing
-				// beyond it overlaps. The branch itself is charged
-				// when it reaches the head.
+			}
+			if misp {
+				// Independent: fetch beyond the redirect is wrong-path
+				// until the branch resolves, so the scan stops (paper,
+				// Figure 3 line 40). Dependent on the head load: the
+				// branch resolves only when the miss returns, everything
+				// fetched beyond it was the wrong path, and the branch
+				// itself is charged when it reaches the head. Either
+				// way it has been visited: the frontier moves past it
+				// and no later scan stops here.
 				fg[idx&(len(fg)-1)] = fl
 				c.ScanBreaks++
-				c.OverlapHidden += hidden
-				return
+				i++
+				break scan
 			}
 		}
 
@@ -566,6 +733,7 @@ func (c *Core) scanOverlap(load *isa.Inst, headLatency int64) {
 		taint := dependent
 		if in.Class == isa.Load && !dependent && fl&flagDOv == 0 && outstanding < c.maxLL {
 			fl |= flagDOv
+			recs[idx&(len(recs)-1)] &^= recPending
 			hidden++
 			res := c.mem.Data(c.id, in.Addr, false, c.coreTime)
 			if res.LongLatency() {
@@ -579,14 +747,24 @@ func (c *Core) scanOverlap(load *isa.Inst, headLatency int64) {
 		}
 
 		// Propagate taint through the dataflow.
-		if in.HasDst() {
-			tr[in.Dst] = taint
+		dst := recDstBit(r)
+		mask &^= dst
+		if taint {
+			mask |= dst
+		}
+		if wideReg(in.Dst) {
+			c.taintRegs[in.Dst] = taint
 		}
 		if in.Class == isa.Store && taint {
 			c.taintLines.add(in.Addr >> 6)
+			lines |= 1 << lineFilter(in.Addr)
 		}
 	}
 	c.OverlapHidden += hidden
+	// i is the first entry this scan did not visit: a serializing or sync
+	// entry (never marked, so it stays the frontier until it retires), the
+	// entry after a mispredicted branch, or the tail.
+	c.frontier = c.retired + uint64(i)
 }
 
 var _ sim.Core = (*Core)(nil)

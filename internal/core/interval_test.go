@@ -9,6 +9,7 @@ import (
 	"repro/internal/memhier"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // build creates a single interval core over fresh structures.
@@ -255,4 +256,40 @@ func buildWith(m config.Machine, insts []isa.Inst, syncer sim.Syncer) *Core {
 	mem := memhier.New(1, m.Mem, memhier.Perfect{ISide: true, DSide: true})
 	bp := branch.NewUnit(m.Branch)
 	return New(0, m.Core, bp, mem, trace.NewSliceStream(insts), syncer)
+}
+
+// TestIntervalStepAllocsNothing pins the allocation-free steady state: once
+// the core is built, stepping it allocates nothing — neither where it mostly
+// dispatches (gcc) nor where a long-latency load and its overlap scan come
+// every few dozen instructions (mcf). The generator and the single-core
+// hierarchy it runs over allocate nothing either, so the whole step is
+// measured, not the core in isolation.
+func TestIntervalStepAllocsNothing(t *testing.T) {
+	for _, name := range []string{"gcc", "mcf"} {
+		m := config.Default(1)
+		mem := memhier.New(1, m.Mem, memhier.Perfect{})
+		bp := branch.NewUnit(m.Branch)
+		c := New(0, m.Core, bp, mem, workload.New(workload.SPECByName(name), 0, 1, 42), sim.NullSyncer{})
+		var now int64
+		for c.Retired() < 20_000 { // past the cold start
+			c.Step(now)
+			now = c.NextActive(now + 1)
+		}
+		retired, scans := c.Retired(), c.LongLoadEvents
+		allocs := testing.AllocsPerRun(5, func() {
+			for i := 0; i < 4000; i++ {
+				c.Step(now)
+				now = c.NextActive(now + 1)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.1f allocations per 4000 steps, want 0", name, allocs)
+		}
+		if c.Retired() == retired {
+			t.Errorf("%s: no instruction retired while measuring", name)
+		}
+		if name == "mcf" && c.LongLoadEvents-scans < 100 {
+			t.Errorf("mcf: %d overlap scans while measuring, want a run that takes them", c.LongLoadEvents-scans)
+		}
+	}
 }

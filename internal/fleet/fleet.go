@@ -277,9 +277,34 @@ func (c *Coordinator) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("GET "+PathStatus, c.handleStatus)
 }
 
+// maxBodyBytes bounds every request body the fleet's handlers read: the
+// control-plane messages are a few dozen bytes, a dispatched spec a few
+// kilobytes.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes a JSON request body of at most maxBodyBytes into v.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+}
+
+// rejectOversized answers 413 when err says the request body ran past its
+// bound, and reports whether it did.
+func rejectOversized(w http.ResponseWriter, err error) bool {
+	var tooLarge *http.MaxBytesError
+	if !errors.As(err, &tooLarge) {
+		return false
+	}
+	http.Error(w, fmt.Sprintf("fleet: request body exceeds the %d-byte limit", tooLarge.Limit), http.StatusRequestEntityTooLarge)
+	return true
+}
+
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var reg registration
-	if err := json.NewDecoder(r.Body).Decode(&reg); err != nil || reg.ID == "" || reg.URL == "" {
+	err := decodeBody(w, r, &reg)
+	if rejectOversized(w, err) {
+		return
+	}
+	if err != nil || reg.ID == "" || reg.URL == "" {
 		http.Error(w, "fleet: register wants {id, url}", http.StatusBadRequest)
 		return
 	}
@@ -296,7 +321,11 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var hb heartbeat
-	if err := json.NewDecoder(r.Body).Decode(&hb); err != nil || hb.ID == "" {
+	err := decodeBody(w, r, &hb)
+	if rejectOversized(w, err) {
+		return
+	}
+	if err != nil || hb.ID == "" {
 		http.Error(w, "fleet: heartbeat wants {id}", http.StatusBadRequest)
 		return
 	}
@@ -319,7 +348,11 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	var hb heartbeat
-	if err := json.NewDecoder(r.Body).Decode(&hb); err != nil || hb.ID == "" {
+	err := decodeBody(w, r, &hb)
+	if rejectOversized(w, err) {
+		return
+	}
+	if err != nil || hb.ID == "" {
 		http.Error(w, "fleet: deregister wants {id}", http.StatusBadRequest)
 		return
 	}

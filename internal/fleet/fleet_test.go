@@ -3,6 +3,7 @@ package fleet_test
 import (
 	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -447,4 +448,47 @@ func TestRendezvousSharding(t *testing.T) {
 	if len(seen) < 2 {
 		t.Errorf("32 keys all sharded onto one worker: %v", seen)
 	}
+}
+
+// oversized is a request body one byte past the handlers' 1 MiB bound: the
+// start of a JSON object whose first string never ends.
+func oversized() *strings.Reader {
+	const limit = 1 << 20
+	head := `{"id":"`
+	return strings.NewReader(head + strings.Repeat("a", limit+1-len(head)))
+}
+
+// wantTooLarge posts an oversized body and requires a 413 naming the limit.
+func wantTooLarge(t *testing.T, url string) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", oversized())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), "1048576-byte limit") {
+		t.Errorf("POST %s with 1 MiB + 1 byte: status %d, body %q; want 413 naming the limit", url, resp.StatusCode, body)
+	}
+}
+
+// TestCoordinatorBoundsRequestBodies: register, heartbeat and deregister
+// stop reading at 1 MiB and say so, and the pool is left as it was.
+func TestCoordinatorBoundsRequestBodies(t *testing.T) {
+	c := newCluster(t, fleet.Config{LeaseTTL: time.Minute})
+	startWorker(t, c, "w", &fleet.FaultInjector{})
+	for _, path := range []string{fleet.PathRegister, fleet.PathHeartbeat, fleet.PathDeregister} {
+		t.Run(path, func(t *testing.T) { wantTooLarge(t, c.srv.URL+path) })
+	}
+	if got := c.coord.WorkerIDs(); len(got) != 1 || got[0] != "w" {
+		t.Errorf("workers after the oversized requests = %v, want [w]", got)
+	}
+}
+
+// TestWorkerBoundsRunBody: a dispatched spec past 1 MiB is refused as too
+// large, counted as a run error, and nothing is simulated.
+func TestWorkerBoundsRunBody(t *testing.T) {
+	c := newCluster(t, fleet.Config{LeaseTTL: time.Minute})
+	n := startWorker(t, c, "w", &fleet.FaultInjector{})
+	wantTooLarge(t, n.srv.URL+fleet.PathRun)
 }

@@ -147,10 +147,12 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 		panic(http.ErrAbortHandler)
 	}
 	w.mRuns.Inc()
-	spec, err := simrun.ParseSpec(r.Body)
+	spec, err := simrun.ParseSpec(http.MaxBytesReader(rw, r.Body, maxBodyBytes))
 	if err != nil {
 		w.mRunErrors.Inc()
-		http.Error(rw, err.Error(), http.StatusBadRequest)
+		if !rejectOversized(rw, err) {
+			http.Error(rw, err.Error(), http.StatusBadRequest)
+		}
 		return
 	}
 	sc, err := spec.Scenario()

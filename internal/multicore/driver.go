@@ -2,8 +2,9 @@
 // — against a shared memory hierarchy and a synchronization coordinator,
 // and reports per-core and machine-level results. It is the outer loop of
 // Figure 3: global time advances cycle by cycle; each live core is stepped
-// once per cycle (interval cores internally skip cycles their miss-event
-// penalties have already covered).
+// once per cycle, except that a core whose own time is ahead of global time
+// (an interval core behind a miss-event penalty) is left alone until the
+// cycle it announced, and global time jumps over cycles no core is awake in.
 package multicore
 
 import (
@@ -279,6 +280,13 @@ func Run(cfg RunConfig, streams []trace.Stream) Result {
 		cfg.Heartbeat.Final(res.TotalRetired)
 		return res
 	}
+	// wake[i] is the global cycle before which core i does nothing: what
+	// NextActive(now+1) answered right after the core's last Step. The
+	// answer is a function of the core's own state (sim.TimeSkipper), so it
+	// stands until the core is stepped again, and until then the loop
+	// neither steps the core nor asks it anything. When some core cannot
+	// skip, wake stays 0: every core is stepped every cycle.
+	wake := make([]int64, n)
 	for iter := uint(0); ; iter++ {
 		// Poll the interrupt channel periodically, not every iteration:
 		// a channel select on the per-cycle path would be measurable.
@@ -306,26 +314,33 @@ func Run(cfg RunConfig, streams []trace.Stream) Result {
 		// systematically favoring low-numbered cores. The rotation is
 		// over core indices (not live-list positions), so removing
 		// finished cores does not perturb the order of the rest.
-		first := 0
-		if n > 1 {
-			first = int(now % int64(n))
+		first := int(now) & (n - 1)
+		if n&(n-1) != 0 {
+			first = int(uint64(now) % uint64(n))
 		}
 		start2 := 0
 		for start2 < len(live) && live[start2] < first {
 			start2++
 		}
 		removed := false
+		// minWake is the earliest wake time among the cores that stay
+		// live: the next global cycle any of them is simulated in.
+		var minWake int64 = 1<<62 - 1
 		for k := 0; k < len(live); k++ {
 			pos := start2 + k
 			if pos >= len(live) {
 				pos -= len(live)
 			}
 			i := live[pos]
+			if wake[i] > now {
+				minWake = min(minWake, wake[i])
+				continue
+			}
 			c := cores[i]
-			// A core only finishes inside Step, so the pre-check fires
-			// just for cores that were already done when handed to the
-			// driver (it mirrors the pre-removal per-cycle scan).
-			if c.Done() {
+			// A core only finishes inside Step, so only a core that was
+			// already done when handed to the driver is found done before
+			// its Step, and only on the first iteration.
+			if iter == 0 && c.Done() {
 				coord.NoteDone(i)
 				live[pos] = -1
 				removed = true
@@ -336,6 +351,9 @@ func Run(cfg RunConfig, streams []trace.Stream) Result {
 				coord.NoteDone(i)
 				live[pos] = -1
 				removed = true
+			} else if allSkip {
+				wake[i] = skippers[i].NextActive(now + 1)
+				minWake = min(minWake, wake[i])
 			}
 		}
 		if removed {
@@ -352,20 +370,11 @@ func Run(cfg RunConfig, streams []trace.Stream) Result {
 			break
 		}
 		// Event-driven skip: if every live core is ahead of global time
-		// (miss-event penalties), jump straight to the earliest next
-		// activity — no core would be simulated in between.
+		// (miss-event penalties), jump straight to the earliest wake time
+		// — no core would be simulated in between.
 		next := now + 1
-		if allSkip {
-			var minNext int64 = 1<<62 - 1
-			for _, i := range live {
-				na := skippers[i].NextActive(now + 1)
-				if na < minNext {
-					minNext = na
-				}
-			}
-			if minNext > next {
-				next = minNext
-			}
+		if allSkip && minWake > next {
+			next = minWake
 		}
 		now = next
 		if now >= maxCycles {

@@ -9,7 +9,8 @@ import "repro/internal/isa"
 
 // Core is one simulated core as seen by the multi-core driver. The driver
 // advances global time cycle by cycle and calls Step once per cycle on
-// every core that has not finished.
+// every core that has not finished (see TimeSkipper for the cycles it may
+// leave out).
 type Core interface {
 	// Step simulates global cycle now for this core. Implementations
 	// that are ahead of global time (interval simulation's per-core
@@ -45,9 +46,15 @@ type Syncer interface {
 
 // TimeSkipper is an optional interface for core models whose per-core
 // simulated time can run ahead of global time (the interval and one-IPC
-// models). NextActive returns the earliest global cycle at which the core
-// will do work; the driver may advance global time straight to the minimum
-// over all live cores, which is exactly equivalent to stepping through the
+// models). NextActive(now) returns the earliest global cycle, not before
+// now, at which the core will do work: Step is a no-op at every cycle
+// before it. The answer is a function of the core's own state as its last
+// Step left it — nothing another core or the coordinator does may move it,
+// so a core waiting on a barrier or a lock answers the next cycle and
+// polls. The driver asks once, right after a core's Step, and holds the
+// answer until that core's next Step: it neither steps nor asks the core
+// before then, and advances global time straight to the minimum over all
+// live cores, which is exactly equivalent to stepping through the
 // intervening cycles (no core would have been simulated in them).
 type TimeSkipper interface {
 	NextActive(now int64) int64

@@ -73,8 +73,17 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// maxBodyBytes bounds the request body of a submission: a spec is a few
+// hundred bytes, a machine override a few kilobytes.
+const maxBodyBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, err := simrun.ParseSpec(r.Body)
+	spec, err := simrun.ParseSpec(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("simd: request body exceeds the %d-byte limit", tooLarge.Limit))
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -177,6 +177,31 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitBoundsRequestBody: a submission one byte past the 1 MiB bound
+// is refused with a 413 that names the limit, and no job is created.
+func TestSubmitBoundsRequestBody(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	head := `{"bench":"`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(head+strings.Repeat("a", maxBodyBytes+1-len(head))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(body.Error, "1048576-byte limit") {
+		t.Errorf("status %d, error %q; want 413 naming the limit", resp.StatusCode, body.Error)
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Errorf("%d jobs after the refused submission", len(jobs))
+	}
+}
+
 // TestSubmitStaleVersionMessage pins the rejection body of a v2-pinned
 // spec: the 400 must say which format the spec pinned, which one the
 // build speaks, and that the mismatch is deliberate — the operator's
