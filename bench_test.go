@@ -346,7 +346,7 @@ func BenchmarkPipelineHandoff(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			buf := make([]isa.Inst, 1024)
 			run := func(n int) {
-				var src trace.BatchStream = trace.NewSliceStream(recorded)
+				var src trace.Stream = trace.NewSliceStream(recorded)
 				if mode == "pipelined" {
 					p, out := trace.StartPipeline([]trace.Stream{src}, false)
 					defer p.Close()

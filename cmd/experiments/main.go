@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	experiments -fig 5            # one figure (4a,4b,4c,4d,5,6,7,8,9,10,ablation)
+//	experiments -fig 5            # one figure or study; -list names all 17 ids
 //	experiments -all              # everything, in paper order
 //	experiments -list             # list experiments and the baseline config
 //	experiments -quick -fig 7     # reduced sizing for a fast look
@@ -36,7 +36,7 @@ func main() {
 		}
 	}()
 	var (
-		fig    = flag.String("fig", "", "figure to regenerate: 4a,4b,4c,4d,5,6,7,8,9,10,ablation")
+		fig    = flag.String("fig", "", "figure or study to regenerate: "+figIDs)
 		all    = flag.Bool("all", false, "regenerate every figure")
 		list   = flag.Bool("list", false, "list experiments and print the Table 1 baseline")
 		quick  = flag.Bool("quick", false, "reduced sizing (smoke run)")
@@ -89,6 +89,9 @@ func main() {
 	}
 }
 
+// figIDs is every id runOne accepts, as -fig's help and its error spell it.
+const figIDs = "4a,4b,4c,4d,5,6,7,8,9,10,ablation,model-ablation,fabric,dram,scale16,predictors,cophase"
+
 func runOne(opts experiments.Opts, fig string) (experiments.Table, error) {
 	switch fig {
 	case "4a", "4b", "4c", "4d":
@@ -120,8 +123,7 @@ func runOne(opts experiments.Opts, fig string) (experiments.Table, error) {
 	case "cophase":
 		return opts.CoPhase(), nil
 	default:
-		return experiments.Table{}, fmt.Errorf(
-			"unknown figure %q (want 4a,4b,4c,4d,5,6,7,8,9,10,ablation,model-ablation,fabric,dram,scale16)", fig)
+		return experiments.Table{}, fmt.Errorf("unknown figure %q (want "+figIDs+")", fig)
 	}
 }
 

@@ -87,11 +87,7 @@ func score(p *workload.Profile, salt uint64) float64 {
 				break
 			}
 			var br, total float64
-			for i := 0; i < brWindow; i++ {
-				in, ok := gb.Next()
-				if !ok {
-					break
-				}
+			for _, in := range trace.Record(gb, brWindow) {
 				total++
 				if in.Class == isa.Branch {
 					br++

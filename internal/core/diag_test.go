@@ -20,7 +20,7 @@ func TestDiagnoseRate(t *testing.T) {
 	m.Branch.Kind = "perfect"
 	mem := memhier.New(1, m.Mem, memhier.Perfect{ISide: true})
 	bp := branch.NewUnit(m.Branch)
-	warm := workload.New(p, 0, 1, 777)
+	warm := trace.NewBuffered(workload.New(p, 0, 1, 777), 4096)
 	for k := 0; k < 1_000_000; k++ {
 		in, ok := warm.Next()
 		if !ok {

@@ -33,7 +33,7 @@ type Core struct {
 	maxLL  int // outstanding long-latency load budget per overlap scan
 	bp     *branch.Unit
 	mem    *memhier.Hierarchy
-	batch  trace.BatchStream
+	batch  trace.Stream
 	syncer sim.Syncer
 
 	// The window corresponds to the reorder buffer; instructions enter at
@@ -139,7 +139,7 @@ func NewWithOptions(id int, cfg config.Core, opts Options, bp *branch.Unit, mem 
 		maxLL:      maxLL,
 		bp:         bp,
 		mem:        mem,
-		batch:      trace.Batched(src),
+		batch:      src,
 		syncer:     syncer,
 		fbuf:       make([]isa.Inst, ring),
 		flags:      make([]uint8, ring),

@@ -8,6 +8,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/memhier"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -18,7 +19,7 @@ func TestDiagnoseX264(t *testing.T) {
 	m := config.Default(1)
 	mem := memhier.New(1, m.Mem, memhier.Perfect{})
 	bp := branch.NewUnit(m.Branch)
-	warm := workload.New(&q, 0, 1, 1042)
+	warm := trace.NewBuffered(workload.New(&q, 0, 1, 1042), 4096)
 	for k := 0; k < 600_000; k++ {
 		in, ok := warm.Next()
 		if !ok {

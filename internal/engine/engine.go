@@ -42,13 +42,6 @@ func singleProgram(s *simrun.Scenario) error {
 	return nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func init() {
 	simrun.RegisterEngine(statisticalEngine())
 	simrun.RegisterEngine(simpointEngine())

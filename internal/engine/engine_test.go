@@ -74,6 +74,30 @@ func TestSimPointTagsSampledTier(t *testing.T) {
 	}
 }
 
+// TestSimPointGolden pins the engine's exact answers, recorded at 3c4b015
+// when each representative was warmed and stepped by internal/sampling's own
+// loops; each is one multicore.Run now and must answer the same.
+func TestSimPointGolden(t *testing.T) {
+	for _, tc := range []struct {
+		opts   []simrun.Option
+		cycles int64
+	}{
+		{[]simrun.Option{simrun.Insts(40_000), simrun.Warmup(10_000), simrun.Seed(42), simrun.Model("interval")}, 75_817},
+		{[]simrun.Option{simrun.Insts(40_000), simrun.Warmup(10_000), simrun.Seed(42), simrun.Model("detailed")}, 59_430},
+		{[]simrun.Option{simrun.Insts(300_000), simrun.Warmup(100_000), simrun.Seed(7)}, 634_395},
+	} {
+		sc := mustScenario(t, "gcc", "simpoint", tc.opts...)
+		res, err := sc.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cycles != tc.cycles || res.TotalRetired != uint64(sc.InstBudget()) {
+			t.Errorf("%s %d insts: %d cycles, %d retired; recorded %d cycles, %d retired",
+				sc.ModelName(), sc.InstBudget(), res.Cycles, res.TotalRetired, tc.cycles, sc.InstBudget())
+		}
+	}
+}
+
 // TestEstimatorsRejectMultiProgram: both estimators are single-program;
 // the rejection happens at scenario build time with the reason.
 func TestEstimatorsRejectMultiProgram(t *testing.T) {

@@ -171,16 +171,7 @@ type stratified struct {
 	taken  uint64
 }
 
-// Next implements trace.Stream: a one-slot batch.
-func (s *stratified) Next() (isa.Inst, bool) {
-	var one [1]isa.Inst
-	if s.NextBatch(one[:]) == 0 {
-		return isa.Inst{}, false
-	}
-	return one[0], true
-}
-
-// NextBatch implements trace.BatchStream: the rest of the current slice,
+// NextBatch implements trace.Stream: the rest of the current slice,
 // straight from the generator's batch emitter.
 func (s *stratified) NextBatch(buf []isa.Inst) int {
 	if s.taken == s.next {

@@ -23,7 +23,7 @@ func TestDiagnoseDetailed(t *testing.T) {
 	m := config.Default(1)
 	mem := memhier.New(1, m.Mem, memhier.Perfect{})
 	bp := branch.NewUnit(m.Branch)
-	warm := workload.New(p, 0, 1, 777)
+	warm := trace.NewBuffered(workload.New(p, 0, 1, 777), 4096)
 	for k := 0; k < 1_000_000; k++ {
 		in, ok := warm.Next()
 		if !ok {
@@ -108,7 +108,7 @@ func TestDiagnoseMcf(t *testing.T) {
 	m := config.Default(1)
 	mem := memhier.New(1, m.Mem, memhier.Perfect{})
 	bp := branch.NewUnit(m.Branch)
-	warm := workload.New(p, 0, 1, 777)
+	warm := trace.NewBuffered(workload.New(p, 0, 1, 777), 4096)
 	for k := 0; k < 1_000_000; k++ {
 		in, ok := warm.Next()
 		if !ok {
@@ -151,7 +151,7 @@ func TestDiagnoseMcfDetailed(t *testing.T) {
 	}
 	// Rebuild hierarchy to measure miss composition.
 	mem := memhier.New(1, m.Mem, memhier.Perfect{})
-	warm := workload.New(p, 0, 1, 777)
+	warm := trace.NewBuffered(workload.New(p, 0, 1, 777), 4096)
 	for k := 0; k < 1_000_000; k++ {
 		in, ok := warm.Next()
 		if !ok {
@@ -163,7 +163,7 @@ func TestDiagnoseMcfDetailed(t *testing.T) {
 		}
 	}
 	mem.ResetStats()
-	gen := workload.New(p, 0, 1, 42)
+	gen := trace.NewBuffered(workload.New(p, 0, 1, 42), 4096)
 	var nLong, nL2, nHit, nTLB int
 	var sumLat int64
 	for k := 0; k < 50_000; k++ {

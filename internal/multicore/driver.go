@@ -165,25 +165,11 @@ func (r Result) MIPS() float64 {
 }
 
 // Run simulates the streams (one per core) to completion under cfg and
-// returns the result. The number of streams must equal Machine.Cores.
+// returns the result. The number of streams must equal Machine.Cores. It is
+// the composition of the two halves below over a machine it builds: Warmup
+// when cfg.WarmupInsts asks for it, then Measure.
 func Run(cfg RunConfig, streams []trace.Stream) Result {
-	if len(streams) != cfg.Machine.Cores {
-		panic(fmt.Sprintf("multicore: %d streams for %d cores", len(streams), cfg.Machine.Cores))
-	}
-	maxCycles := cfg.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = 2_000_000_000
-	}
-
-	label := cfg.ModelName
-	if label == "" {
-		label = cfg.Model.String()
-	}
-	res := Result{Model: cfg.Model, ModelName: label, Cores: make([]CoreResult, cfg.Machine.Cores)}
-
 	mem := memhier.New(cfg.Machine.Cores, cfg.Machine.Mem, cfg.Perfect)
-	coord := NewCoordinator(cfg.Machine.Cores)
-
 	bps := make([]*branch.Unit, cfg.Machine.Cores)
 	for i := range bps {
 		bps[i] = branch.NewUnit(cfg.Machine.Branch)
@@ -197,11 +183,39 @@ func Run(cfg RunConfig, streams []trace.Stream) Result {
 		warmed := warmup(mem, bps, warm, cfg.WarmupInsts, cfg.Interrupt)
 		wsp.End()
 		if !warmed {
+			res := newResult(cfg)
 			res.Interrupted = true
 			return res
 		}
 	}
+	return Measure(cfg, mem, bps, streams)
+}
 
+// newResult is the result of a run under cfg that has not simulated a cycle.
+func newResult(cfg RunConfig) Result {
+	label := cfg.ModelName
+	if label == "" {
+		label = cfg.Model.String()
+	}
+	return Result{Model: cfg.Model, ModelName: label, Cores: make([]CoreResult, cfg.Machine.Cores)}
+}
+
+// Measure is the timed half of Run: it builds cfg's cores over the given
+// memory hierarchy and branch units — in whatever state the caller left
+// them, typically warmed by Warmup — and steps them until every stream has
+// ended. The warm-up and Perfect fields of cfg are not consulted. A caller
+// that keeps mem and bps can time one region after another over the same
+// machine state, which is how sampled simulation times its units.
+func Measure(cfg RunConfig, mem *memhier.Hierarchy, bps []*branch.Unit, streams []trace.Stream) Result {
+	if len(streams) != cfg.Machine.Cores {
+		panic(fmt.Sprintf("multicore: %d streams for %d cores", len(streams), cfg.Machine.Cores))
+	}
+	maxCycles := cfg.MaxCycles
+	if maxCycles == 0 {
+		maxCycles = 2_000_000_000
+	}
+	res := newResult(cfg)
+	coord := NewCoordinator(cfg.Machine.Cores)
 	cores := buildCores(cfg, bps, mem, coord, streams)
 
 	// The TimeSkipper capability is asserted once per core here, not once
@@ -232,6 +246,34 @@ func Run(cfg RunConfig, streams []trace.Stream) Result {
 	start := time.Now()
 	now := int64(0)
 	n := len(cores)
+	// finish closes the run at global time end, whichever loop below ended
+	// it: per-core retired counts and finish times (end for a core that did
+	// not finish) and the machine-level totals.
+	finish := func(end int64) Result {
+		msp.Arg("cycles", end).End()
+		res.Wall = time.Since(start)
+		if cfg.KeepCores {
+			res.Sim = cores
+			res.Mem = mem
+		}
+		for i, c := range cores {
+			fin := c.FinishTime()
+			if !c.Done() {
+				fin = end
+			}
+			res.Cores[i] = CoreResult{
+				Retired: c.Retired(),
+				Finish:  fin,
+				IPC:     metrics.IPC(c.Retired(), fin),
+			}
+			res.TotalRetired += c.Retired()
+			if fin > res.Cycles {
+				res.Cycles = fin
+			}
+		}
+		cfg.Heartbeat.Final(res.TotalRetired)
+		return res
+	}
 	if n == 1 && skippers[0] != nil {
 		// Single-core fast loop: no rotation, no live-list bookkeeping —
 		// the dominant case for SPEC runs and sweeps. Semantically
@@ -270,15 +312,7 @@ func Run(cfg RunConfig, streams []trace.Stream) Result {
 				}
 			}
 		}
-		msp.Arg("cycles", now).End()
-		res.Wall = time.Since(start)
-		if cfg.KeepCores {
-			res.Sim = cores
-			res.Mem = mem
-		}
-		finishResult(&res, cores, now)
-		cfg.Heartbeat.Final(res.TotalRetired)
-		return res
+		return finish(now)
 	}
 	// wake[i] is the global cycle before which core i does nothing: what
 	// NextActive(now+1) answered right after the core's last Step. The
@@ -382,15 +416,7 @@ func Run(cfg RunConfig, streams []trace.Stream) Result {
 			break
 		}
 	}
-	msp.Arg("cycles", now).End()
-	res.Wall = time.Since(start)
-	if cfg.KeepCores {
-		res.Sim = cores
-		res.Mem = mem
-	}
-	finishResult(&res, cores, now)
-	cfg.Heartbeat.Final(res.TotalRetired)
-	return res
+	return finish(now)
 }
 
 // buildCores constructs the per-core model instances for cfg: through the
@@ -425,27 +451,6 @@ func Warmup(mem *memhier.Hierarchy, bps []*branch.Unit, streams []trace.Stream, 
 	warmup(mem, bps, streams, n, nil)
 }
 
-// finishResult fills the per-core results and machine-level totals after
-// the stepping loop: per-core retired counts, finish times (now for cores
-// that did not finish) and the machine-level cycle count.
-func finishResult(res *Result, cores []sim.Core, now int64) {
-	for i, c := range cores {
-		fin := c.FinishTime()
-		if !c.Done() {
-			fin = now
-		}
-		res.Cores[i] = CoreResult{
-			Retired: c.Retired(),
-			Finish:  fin,
-			IPC:     metrics.IPC(c.Retired(), fin),
-		}
-		res.TotalRetired += c.Retired()
-		if fin > res.Cycles {
-			res.Cycles = fin
-		}
-	}
-}
-
 // warmup replays n instructions per core through the caches, TLBs and
 // branch predictors without timing, then clears all statistics. This is
 // standard functional warming: the timed portion then measures steady-state
@@ -461,7 +466,6 @@ func warmup(mem *memhier.Hierarchy, bps []*branch.Unit, streams []trace.Stream, 
 		// Consume exactly n instructions in chunks: the chunk is clamped
 		// so warmup never over-reads a stream that the timed run then
 		// continues from.
-		bs := trace.Batched(s)
 		// Fetch is line-granular here as in both timed cores: only the
 		// first instruction on each 64-byte line accesses the I-side. A
 		// repeat would hit the most recently used line of this core's L1I
@@ -481,7 +485,7 @@ func warmup(mem *memhier.Hierarchy, bps []*branch.Unit, streams []trace.Stream, 
 				default:
 				}
 			}
-			k := bs.NextBatch(buf[:want])
+			k := s.NextBatch(buf[:want])
 			if k == 0 {
 				break
 			}

@@ -14,24 +14,32 @@ import (
 	"repro/internal/workload"
 )
 
-// nextOnly hides any batch capability of the wrapped stream, forcing the
-// cores and the warmup loop onto the legacy Next adapter path.
-type nextOnly struct{ s trace.Stream }
+// shortReads hands its stream out in chunks of one to five instructions
+// however much room the caller offers. A short count is legal anywhere in a
+// stream (trace.Stream), so where the chunks end must never show in a
+// result.
+type shortReads struct {
+	s     trace.Stream
+	calls int
+}
 
-func (n nextOnly) Next() (isa.Inst, bool) { return n.s.Next() }
+func (r *shortReads) NextBatch(buf []isa.Inst) int {
+	r.calls++
+	return r.s.NextBatch(buf[:min(len(buf), 1+r.calls%5)])
+}
 
-// hide wraps every stream in a Next-only shell.
+// hide wraps every stream in a short-reading shell.
 func hide(streams []trace.Stream) []trace.Stream {
 	out := make([]trace.Stream, len(streams))
 	for i, s := range streams {
-		out[i] = nextOnly{s}
+		out[i] = &shortReads{s: s}
 	}
 	return out
 }
 
 // runJSON simulates and renders the machine-readable report, which covers
 // cycles, per-core IPC and the full hierarchy statistics — any divergence
-// between the batched and unbatched hand-off shows up here.
+// between the full-chunk and the short-read hand-off shows up here.
 func runJSON(t *testing.T, cfg multicore.RunConfig, streams []trace.Stream) []byte {
 	t.Helper()
 	cfg.KeepCores = true
@@ -44,8 +52,9 @@ func runJSON(t *testing.T, cfg multicore.RunConfig, streams []trace.Stream) []by
 }
 
 // TestBatchedStreamEquivalence: for all three core models, simulating over
-// batch-capable streams and over Next-only streams must produce
-// bit-identical reports — with and without separate warmup twins.
+// streams that fill every chunk and over the same streams reading short
+// must produce bit-identical reports — with and without separate warmup
+// twins.
 func TestBatchedStreamEquivalence(t *testing.T) {
 	const insts, warm = 12_000, 30_000
 	models := []multicore.Model{multicore.Interval, multicore.Detailed, multicore.OneIPC}

@@ -102,7 +102,7 @@ type Core struct {
 
 	// Functional→timing hand-off: the stream is pulled a chunk at a time
 	// and fetch reads the chunk in place.
-	src          trace.BatchStream
+	src          trace.Stream
 	buf          []isa.Inst
 	bufPos, bufN int
 	srcDone      bool
@@ -187,7 +187,7 @@ func New(id int, cfg config.Core, bp *branch.Unit, mem *memhier.Hierarchy, src t
 		bp:       bp,
 		mem:      mem,
 		syncer:   syncer,
-		src:      trace.Batched(src),
+		src:      src,
 		buf:      make([]isa.Inst, fetchBatch),
 		win:      make([]entry, n),
 		mask:     uint64(n - 1),

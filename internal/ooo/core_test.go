@@ -296,11 +296,9 @@ func TestOccupancyBoundsAndDataflowLimit(t *testing.T) {
 
 	// The dataflow limit: every instruction starts when its operands are
 	// ready and nothing else holds it back.
-	gen := workload.New(p, 0, 1, 42)
 	var ready [isa.NumRegs]int64
 	var makespan int64
-	for k := 0; k < n; k++ {
-		in, _ := gen.Next()
+	for _, in := range trace.Record(workload.New(p, 0, 1, 42), n) {
 		var start int64
 		if in.Src1 != isa.RegNone {
 			start = max(start, ready[in.Src1])

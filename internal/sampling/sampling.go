@@ -18,12 +18,9 @@ import (
 
 	"repro/internal/branch"
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/memhier"
 	"repro/internal/multicore"
-	"repro/internal/ooo"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -42,8 +39,6 @@ type Config struct {
 	Model multicore.Model
 	// Machine is the simulated hardware (single core).
 	Machine config.Machine
-
-	perUnit func(string, ...any) // test hook
 }
 
 // Result summarizes a sampled run.
@@ -65,16 +60,24 @@ func (r Result) Ratio() float64 {
 	return float64(r.TimedInsts) / float64(r.TotalInsts)
 }
 
-// RunDebug is Run with a per-unit logging hook (diagnostics/tests).
-func RunDebug(cfg Config, src trace.Stream, total int, logf func(string, ...any)) (Result, error) {
-	cfg2 := cfg
-	cfg2.perUnit = logf
-	return Run(cfg2, src, total)
+// counted counts the instructions that pass through it, which is how Run
+// knows where in its budget it is when the stream ends early.
+type counted struct {
+	src trace.Stream
+	n   int
+}
+
+func (c *counted) NextBatch(buf []isa.Inst) int {
+	k := c.src.NextBatch(buf)
+	c.n += k
+	return k
 }
 
 // Run performs sampled simulation of up to total instructions from src.
-// The stream is consumed once; measurement units are timed with a fresh
-// core over persistent (functionally warmed) structures.
+// The stream is consumed once. Every timed region is a call of the
+// multicore driver over one persistent machine: multicore.Warmup
+// fast-forwards to the next measurement unit, multicore.Measure times the
+// unit on a fresh core over the warmed structures.
 func Run(cfg Config, src trace.Stream, total int) (Result, error) {
 	if cfg.Unit <= 0 || cfg.Period <= 0 || cfg.Period < cfg.Unit {
 		return Result{}, fmt.Errorf("sampling: invalid regime unit=%d period=%d", cfg.Unit, cfg.Period)
@@ -84,109 +87,44 @@ func Run(cfg Config, src trace.Stream, total int) (Result, error) {
 	}
 
 	mem := memhier.New(1, cfg.Machine.Mem, memhier.Perfect{})
-	bp := branch.NewUnit(cfg.Machine.Branch)
+	bps := []*branch.Unit{branch.NewUnit(cfg.Machine.Branch)}
+	run := multicore.RunConfig{Machine: cfg.Machine, Model: cfg.Model}
+
+	multicore.Warmup(mem, bps, []trace.Stream{src}, cfg.InitialWarmup)
+	in := &counted{src: src}
+	streams := []trace.Stream{in}
 
 	var res Result
-	var cyclesSum, instsSum uint64
-	for k := 0; k < cfg.InitialWarmup; k++ {
-		in, ok := src.Next()
-		if !ok {
-			return res, nil
-		}
-		warmOne(mem, bp, &in)
-	}
-	consumed := 0
-	for consumed < total {
-		// Fast-forward with functional warming until the next unit.
-		ff := cfg.Period - cfg.Unit
-		if ff > total-consumed {
-			ff = total - consumed
-		}
+	var cycles uint64
+	for in.n < total {
+		// Fast-forward with functional warming until the next unit; Warmup
+		// also clears the bus and DRAM occupancy its untimed accesses leave.
+		ff := min(cfg.Period-cfg.Unit, total-in.n)
 		// A contiguous regime (Period == Unit) has no gaps to sample
 		// around: time the whole remainder on one core. Restarting the
 		// pipeline at every unit boundary would charge a fill and a
 		// drain per unit — a harness artifact, not machine behaviour.
-		unitLen := cfg.Unit
+		unit := cfg.Unit
 		if ff == 0 {
-			unitLen = total - consumed
+			unit = total - in.n
 		}
-		for k := 0; k < ff; k++ {
-			in, ok := src.Next()
-			if !ok {
-				return finish(res, cyclesSum, instsSum), nil
-			}
-			warmOne(mem, bp, &in)
-			consumed++
+		start := in.n
+		multicore.Warmup(mem, bps, streams, ff)
+		if in.n-start < ff || in.n >= total {
+			break // the stream or the budget ended in the gap
 		}
-		if consumed >= total {
-			break
-		}
-
-		// Measurement unit: time Unit instructions on a fresh core over
-		// the warmed structures. Clear bus/DRAM occupancy accumulated by
-		// the (untimed) fast-forward accesses first.
-		mem.ResetStats()
-		bp.ResetStats()
-		unit := unitLen
-		if unit > total-consumed {
-			unit = total - consumed
-		}
-		stream := trace.NewLimit(src, unit)
-		var c sim.Core
-		switch cfg.Model {
-		case multicore.Detailed:
-			c = ooo.New(0, cfg.Machine.Core, bp, mem, stream, sim.NullSyncer{})
-		case multicore.Interval:
-			c = core.New(0, cfg.Machine.Core, bp, mem, stream, sim.NullSyncer{})
-		default:
-			return Result{}, fmt.Errorf("sampling: unsupported model %v", cfg.Model)
-		}
-		var now int64
-		for !c.Done() {
-			c.Step(now)
-			now++
-		}
-		res.Units += (int(c.Retired()) + cfg.Unit - 1) / cfg.Unit
-		if cfg.perUnit != nil {
-			cfg.perUnit("unit %d: retired=%d cycles=%d ipc=%.3f",
-				res.Units, c.Retired(), c.FinishTime(),
-				float64(c.Retired())/float64(c.FinishTime()))
-			if ic, ok := c.(*core.Core); ok {
-				cfg.perUnit("%s", ic.Stack())
-			}
-		}
-		cyclesSum += uint64(c.FinishTime())
-		instsSum += c.Retired()
-		consumed += int(c.Retired())
-		if c.Retired() < uint64(unit) {
+		unit = min(unit, total-in.n)
+		r := multicore.Measure(run, mem, bps, []trace.Stream{trace.NewLimit(in, unit)})
+		res.Units += (int(r.TotalRetired) + cfg.Unit - 1) / cfg.Unit
+		cycles += uint64(r.Cycles)
+		res.TimedInsts += r.TotalRetired
+		if r.TotalRetired < uint64(unit) {
 			break // stream ended inside the unit
 		}
 	}
-	res.TotalInsts = uint64(consumed)
-	return finish(res, cyclesSum, instsSum), nil
-}
-
-func finish(res Result, cycles, insts uint64) Result {
-	res.TimedInsts = insts
-	if res.TotalInsts < insts {
-		res.TotalInsts = insts
-	}
+	res.TotalInsts = uint64(in.n)
 	if cycles > 0 {
-		res.SampledIPC = float64(insts) / float64(cycles)
+		res.SampledIPC = float64(res.TimedInsts) / float64(cycles)
 	}
-	return res
-}
-
-// warmOne feeds one instruction through the caches, TLBs and predictor.
-func warmOne(mem *memhier.Hierarchy, bp *branch.Unit, in *isa.Inst) {
-	if in.Class.IsSync() {
-		return
-	}
-	mem.Inst(0, in.PC, 0)
-	if in.Class.IsBranch() {
-		bp.Predict(in)
-	}
-	if in.Class.IsMem() {
-		mem.Data(0, in.Addr, in.Class == isa.Store, 0)
-	}
+	return res, nil
 }

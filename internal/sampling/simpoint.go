@@ -5,14 +5,9 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/branch"
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/isa"
-	"repro/internal/memhier"
 	"repro/internal/multicore"
-	"repro/internal/ooo"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -142,17 +137,16 @@ func AnalyzeStream(src trace.Stream, total int, cfg SimPointConfig) (*SimPoints,
 		return nil, fmt.Errorf("simpoint: %d instructions is less than one interval of %d",
 			total, cfg.IntervalLen)
 	}
-	buf := make([]isa.Inst, 0, cfg.IntervalLen)
+	buf := make([]isa.Inst, cfg.IntervalLen)
 	sigs := make([][sigDim]float64, 0, n)
 	for i := 0; i < n; i++ {
-		buf = buf[:0]
-		for len(buf) < cfg.IntervalLen {
-			in, ok := src.Next()
-			if !ok {
+		for got := 0; got < len(buf); {
+			k := src.NextBatch(buf[got:])
+			if k == 0 {
 				return nil, fmt.Errorf("simpoint: stream ended at instruction %d of %d",
-					i*cfg.IntervalLen+len(buf), n*cfg.IntervalLen)
+					i*cfg.IntervalLen+got, n*cfg.IntervalLen)
 			}
-			buf = append(buf, in)
+			got += k
 		}
 		sigs = append(sigs, signature(buf))
 	}
@@ -303,65 +297,46 @@ func kmeansppInit(sigs [][sigDim]float64, k int, rng *rand.Rand) [][sigDim]float
 	return centroids
 }
 
-// timeInterval times one interval's stream on a fresh single core over
-// pre-warmed structures — the shared measurement step of EstimateIPC
-// and EstimateIPCSkip.
-func timeInterval(stream trace.Stream, bp *branch.Unit, mem *memhier.Hierarchy, machine config.Machine, model multicore.Model) (cycles int64, retired uint64, err error) {
-	var sc sim.Core
-	switch model {
-	case multicore.Detailed:
-		sc = ooo.New(0, machine.Core, bp, mem, stream, sim.NullSyncer{})
-	case multicore.Interval:
-		sc = core.New(0, machine.Core, bp, mem, stream, sim.NullSyncer{})
-	default:
-		return 0, 0, fmt.Errorf("simpoint: unsupported model %v", model)
-	}
-	var now int64
-	for !sc.Done() {
-		sc.Step(now)
-		now++
-	}
-	return sc.FinishTime(), sc.Retired(), nil
-}
-
-// EstimateIPC times one representative interval per phase (with full
-// functional warming up to the interval, as checkpoint-based SimPoint
-// deployments do) and combines them by cluster weight into a
-// whole-program IPC estimate.
-func EstimateIPC(insts []isa.Inst, sp *SimPoints, machine config.Machine, model multicore.Model) (float64, error) {
+// weightedIPC combines the representatives' timed runs by cluster weight
+// into a whole-program IPC — the shared back half of EstimateIPC and
+// EstimateIPCSkip. run times representative c through the multicore driver.
+func weightedIPC(sp *SimPoints, machine config.Machine, run func(c int) (multicore.Result, error)) (float64, error) {
 	if machine.Cores != 1 {
 		return 0, fmt.Errorf("simpoint: single-core only (got %d cores)", machine.Cores)
 	}
 	var cpi float64
 	for c := 0; c < sp.K; c++ {
-		rep := sp.Representatives[c]
-		start := rep * sp.IntervalLen
-		end := start + sp.IntervalLen
-		if end > len(insts) {
-			end = len(insts)
-		}
-
-		mem := memhier.New(1, machine.Mem, memhier.Perfect{})
-		bp := branch.NewUnit(machine.Branch)
-		for i := 0; i < start; i++ {
-			warmOne(mem, bp, &insts[i])
-		}
-		mem.ResetStats()
-		bp.ResetStats()
-
-		cycles, retired, err := timeInterval(trace.NewSliceStream(insts[start:end]), bp, mem, machine, model)
+		res, err := run(c)
 		if err != nil {
 			return 0, err
 		}
-		if retired == 0 {
+		if res.TotalRetired == 0 {
 			continue
 		}
-		cpi += sp.Weights[c] * float64(cycles) / float64(retired)
+		cpi += sp.Weights[c] * float64(res.Cycles) / float64(res.TotalRetired)
 	}
 	if cpi == 0 {
 		return 0, fmt.Errorf("simpoint: no instructions timed")
 	}
 	return 1 / cpi, nil
+}
+
+// EstimateIPC times one representative interval per phase (with full
+// functional warming up to the interval, as checkpoint-based SimPoint
+// deployments do) and combines them by cluster weight into a
+// whole-program IPC estimate. Each representative is one multicore.Run:
+// the prefix is its warm-up stream, the interval its measured stream.
+func EstimateIPC(insts []isa.Inst, sp *SimPoints, machine config.Machine, model multicore.Model) (float64, error) {
+	return weightedIPC(sp, machine, func(c int) (multicore.Result, error) {
+		start := sp.Representatives[c] * sp.IntervalLen
+		end := min(start+sp.IntervalLen, len(insts))
+		return multicore.Run(multicore.RunConfig{
+			Machine:     machine,
+			Model:       model,
+			WarmupInsts: start,
+			Warmup:      []trace.Stream{trace.NewSliceStream(insts[:start])},
+		}, []trace.Stream{trace.NewSliceStream(insts[start:end])}), nil
+	})
 }
 
 // SkipStream is a replayable stream that can jump to an absolute
@@ -380,50 +355,21 @@ type SkipStream interface {
 // EstimateIPC replays) pass through the caches and predictor before
 // measurement. warm is the functional-warming length in instructions;
 // longer warming converges on EstimateIPC's full-prefix warming at a
-// cost independent of where the representative sits in the stream.
+// cost independent of where the representative sits in the stream. Each
+// representative is one multicore.Run whose warm-up consumes the head of
+// the stream it then measures.
 func EstimateIPCSkip(open func() SkipStream, sp *SimPoints, warm int, machine config.Machine, model multicore.Model) (float64, error) {
-	if machine.Cores != 1 {
-		return 0, fmt.Errorf("simpoint: single-core only (got %d cores)", machine.Cores)
-	}
-	if warm < 0 {
-		warm = 0
-	}
-	var cpi float64
-	for c := 0; c < sp.K; c++ {
-		rep := sp.Representatives[c]
-		start := rep * sp.IntervalLen
-		wStart := start - warm
-		if wStart < 0 {
-			wStart = 0
-		}
-
+	return weightedIPC(sp, machine, func(c int) (multicore.Result, error) {
+		start := sp.Representatives[c] * sp.IntervalLen
+		wStart := max(start-max(warm, 0), 0)
 		src := open()
 		if err := src.SkipTo(uint64(wStart)); err != nil {
-			return 0, fmt.Errorf("simpoint: skipping to %d: %w", wStart, err)
+			return multicore.Result{}, fmt.Errorf("simpoint: skipping to %d: %w", wStart, err)
 		}
-		mem := memhier.New(1, machine.Mem, memhier.Perfect{})
-		bp := branch.NewUnit(machine.Branch)
-		for i := wStart; i < start; i++ {
-			in, ok := src.Next()
-			if !ok {
-				return 0, fmt.Errorf("simpoint: stream ended at %d while warming toward %d", i, start)
-			}
-			warmOne(mem, bp, &in)
-		}
-		mem.ResetStats()
-		bp.ResetStats()
-
-		cycles, retired, err := timeInterval(trace.NewLimit(src, sp.IntervalLen), bp, mem, machine, model)
-		if err != nil {
-			return 0, err
-		}
-		if retired == 0 {
-			continue
-		}
-		cpi += sp.Weights[c] * float64(cycles) / float64(retired)
-	}
-	if cpi == 0 {
-		return 0, fmt.Errorf("simpoint: no instructions timed")
-	}
-	return 1 / cpi, nil
+		return multicore.Run(multicore.RunConfig{
+			Machine:     machine,
+			Model:       model,
+			WarmupInsts: start - wStart,
+		}, []trace.Stream{trace.NewLimit(src, start-wStart+sp.IntervalLen)}), nil
+	})
 }

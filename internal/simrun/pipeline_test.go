@@ -272,7 +272,7 @@ func TestPipelinedRunLeavesNoGoroutine(t *testing.T) {
 
 // failingSource panics on its k-th batch.
 type failingSource struct {
-	trace.BatchStream
+	trace.Stream
 	calls, k int
 }
 
@@ -280,7 +280,7 @@ func (f *failingSource) NextBatch(buf []isa.Inst) int {
 	if f.calls++; f.calls == f.k {
 		panic("generator bug")
 	}
-	return f.BatchStream.NextBatch(buf)
+	return f.Stream.NextBatch(buf)
 }
 
 // failingEngine is the full engine's pipelined path over a measured stream
@@ -299,7 +299,7 @@ var registerFailingSource = sync.OnceFunc(func() {
 				return Result{}, err
 			}
 			streams, warm := s.buildStreams()
-			streams[0] = &failingSource{BatchStream: trace.Batched(streams[0]), k: 20}
+			streams[0] = &failingSource{Stream: streams[0], k: 20}
 			return s.runOwned(ctx, cfg, streams, warm)
 		},
 	})
@@ -350,12 +350,12 @@ func TestSourcePanicIsIsolated(t *testing.T) {
 
 // counting counts the instructions read through it.
 type counting struct {
-	trace.BatchStream
+	trace.Stream
 	read int
 }
 
 func (c *counting) NextBatch(buf []isa.Inst) int {
-	n := c.BatchStream.NextBatch(buf)
+	n := c.Stream.NextBatch(buf)
 	c.read += n
 	return n
 }
@@ -371,7 +371,7 @@ func TestWarmupHonoursCancellation(t *testing.T) {
 		var twins []*counting
 		for i := 0; i < 2; i++ {
 			streams = append(streams, trace.NewLimit(workload.New(gcc, i, 2, 1), 1000))
-			twins = append(twins, &counting{BatchStream: workload.New(gcc, i, 2, 2).Functional()})
+			twins = append(twins, &counting{Stream: workload.New(gcc, i, 2, 2).Functional()})
 			warm = append(warm, twins[i])
 		}
 		return MustNew("", Streams(streams, warm), Warmup(warmup)), twins

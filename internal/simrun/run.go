@@ -274,12 +274,8 @@ func (s *Scenario) runOwned(ctx context.Context, cfg multicore.RunConfig, stream
 			res.host.pipelined = true
 			res.host.gen, res.host.genWait = pipe.Stats()
 		}()
-		for i, o := range out[:nw] {
-			warm[i] = o
-		}
-		for i, o := range out[nw:] {
-			streams[i] = o
-		}
+		copy(warm, out[:nw])
+		copy(streams, out[nw:])
 	}
 	cfg.Warmup = warm
 	return s.finished(ctx, multicore.Run(cfg, streams))

@@ -108,7 +108,7 @@ func NewClone(p *Profile, n int, seed int64) *Clone {
 	c := &Clone{
 		p:    p,
 		rng:  rand.New(rand.NewSource(seed)),
-		left: n,
+		left: max(n, 0),
 	}
 	c.classCDF = cdf(p.ClassCount[:])
 	c.depCDF = cdf(p.DepDist[:])
@@ -236,13 +236,18 @@ func (c *Clone) sample(cdf []float64) int {
 	return len(cdf) - 1
 }
 
-// Next implements trace.Stream.
-func (c *Clone) Next() (isa.Inst, bool) {
-	if c.left <= 0 {
-		return isa.Inst{}, false
+// NextBatch implements trace.Stream.
+func (c *Clone) NextBatch(buf []isa.Inst) int {
+	n := min(len(buf), c.left)
+	for i := range buf[:n] {
+		buf[i] = c.next()
 	}
-	c.left--
+	c.left -= n
+	return n
+}
 
+// next generates the clone's next instruction.
+func (c *Clone) next() isa.Inst {
 	class := isa.Class(c.sample(c.classCDF))
 	if class.IsSync() {
 		class = isa.Serializing
@@ -316,7 +321,7 @@ func (c *Clone) Next() (isa.Inst, bool) {
 	}
 
 	c.seq++
-	return in, true
+	return in
 }
 
 // nextPC advances the synthetic program counter: sequential slots within

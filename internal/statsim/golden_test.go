@@ -20,11 +20,8 @@ const cloneGolden uint64 = 0x17a9e9f311f23631
 func hashInsts(insts []trace.Stream) uint64 {
 	h := fnv.New64a()
 	for _, s := range insts {
-		for {
-			in, ok := s.Next()
-			if !ok {
-				break
-			}
+		rd := trace.NewBuffered(s, 512)
+		for in, ok := rd.Next(); ok; in, ok = rd.Next() {
 			isatest.Write(h, &in)
 		}
 	}

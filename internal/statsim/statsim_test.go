@@ -4,12 +4,9 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/branch"
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/isa"
-	"repro/internal/memhier"
-	"repro/internal/sim"
+	"repro/internal/multicore"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -153,37 +150,16 @@ func TestClonePreservesBranchPredictability(t *testing.T) {
 // otherwise dominate them).
 func ipcOf(t *testing.T, src trace.Stream, warm, n int) float64 {
 	t.Helper()
-	m := config.Default(1)
-	mem := memhier.New(1, m.Mem, memhier.Perfect{})
-	bp := branch.NewUnit(m.Branch)
-	for i := 0; i < warm; i++ {
-		in, ok := src.Next()
-		if !ok {
-			break
-		}
-		if in.Class.IsSync() {
-			continue
-		}
-		mem.Inst(0, in.PC, 0)
-		if in.Class.IsBranch() {
-			bp.Predict(&in)
-		}
-		if in.Class.IsMem() {
-			mem.Data(0, in.Addr, in.Class == isa.Store, 0)
-		}
+	res := multicore.Run(multicore.RunConfig{
+		Machine:     config.Default(1),
+		Model:       multicore.Interval,
+		WarmupInsts: warm,
+		MaxCycles:   100_000_000,
+	}, []trace.Stream{trace.NewLimit(src, warm+n)})
+	if res.TimedOut {
+		t.Fatal("run did not finish")
 	}
-	mem.ResetStats()
-	bp.ResetStats()
-	c := core.New(0, m.Core, bp, mem, trace.NewLimit(src, n), sim.NullSyncer{})
-	var now int64
-	for !c.Done() {
-		c.Step(now)
-		now++
-		if now > 100_000_000 {
-			t.Fatal("run did not finish")
-		}
-	}
-	return c.IPC()
+	return res.Cores[0].IPC
 }
 
 // TestCloneTracksIPC is the payoff property of statistical simulation: a

@@ -23,38 +23,54 @@ func synthetic(n int) []isa.Inst {
 	return out
 }
 
-// nextOnly hides any batch capability so Batched must fall back to the
-// legacy adapter.
-type nextOnly struct{ s Stream }
+// oneAtATime hands out one instruction per call however much room the
+// caller offers: the shortest reads the Stream contract allows, from a type
+// the package does not know.
+type oneAtATime struct{ s Stream }
 
-func (n nextOnly) Next() (isa.Inst, bool) { return n.s.Next() }
+func (o oneAtATime) NextBatch(buf []isa.Inst) int {
+	if len(buf) > 1 {
+		buf = buf[:1]
+	}
+	return o.s.NextBatch(buf)
+}
 
 // TestBatchedMatchesNext: for every stream shape, draining via NextBatch
-// with random chunk sizes must yield exactly the sequence Next yields.
+// with random chunk sizes must yield exactly the sequence a Buffered reader
+// yields one Next at a time.
 func TestBatchedMatchesNext(t *testing.T) {
 	insts := synthetic(10_000)
 	shapes := map[string]func() Stream{
-		"slice":           func() Stream { return NewSliceStream(insts) },
-		"limit-slice":     func() Stream { return NewLimit(NewSliceStream(insts), 7_777) },
-		"limit-nextonly":  func() Stream { return NewLimit(nextOnly{NewSliceStream(insts)}, 7_777) },
-		"adapter":         func() Stream { return nextOnly{NewSliceStream(insts)} },
-		"limit-overlong":  func() Stream { return NewLimit(NewSliceStream(insts), len(insts)+5) },
-		"nested-limit":    func() Stream { return NewLimit(NewLimit(NewSliceStream(insts), 9_000), 8_000) },
-		"limit-zero":      func() Stream { return NewLimit(NewSliceStream(insts), 0) },
-		"adapter-batched": func() Stream { return Batched(nextOnly{NewSliceStream(insts)}) },
+		"slice":          func() Stream { return NewSliceStream(insts) },
+		"limit-slice":    func() Stream { return NewLimit(NewSliceStream(insts), 7_777) },
+		"limit-overlong": func() Stream { return NewLimit(NewSliceStream(insts), len(insts)+5) },
+		"nested-limit":   func() Stream { return NewLimit(NewLimit(NewSliceStream(insts), 9_000), 8_000) },
+		"limit-zero":     func() Stream { return NewLimit(NewSliceStream(insts), 0) },
+		// Over a stream that hands out only the next instruction: a short
+		// count is not the end, to a reader, to a Limit or behind Batched.
+		"adapter":         func() Stream { return oneAtATime{NewSliceStream(insts)} },
+		"limit-nextonly":  func() Stream { return NewLimit(oneAtATime{NewSliceStream(insts)}, 7_777) },
+		"adapter-batched": func() Stream { return Batched(oneAtATime{NewSliceStream(insts)}) },
+	}
+	want := map[string]int{
+		"slice": 10_000, "limit-slice": 7_777, "limit-nextonly": 7_777, "adapter": 10_000,
+		"limit-overlong": 10_000, "nested-limit": 8_000, "limit-zero": 0, "adapter-batched": 10_000,
 	}
 	for name, mk := range shapes {
 		t.Run(name, func(t *testing.T) {
-			want := drainNext(mk())
+			byNext := drainNext(mk())
+			if len(byNext) != want[name] {
+				t.Fatalf("%d insts via Next, want %d", len(byNext), want[name])
+			}
 			rng := rand.New(rand.NewSource(5))
 			for trial := 0; trial < 5; trial++ {
 				got := drainBatch(mk(), rng)
-				if len(got) != len(want) {
-					t.Fatalf("trial %d: %d insts via NextBatch, %d via Next", trial, len(got), len(want))
+				if len(got) != len(byNext) {
+					t.Fatalf("trial %d: %d insts via NextBatch, %d via Next", trial, len(got), len(byNext))
 				}
 				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("trial %d: inst %d differs: %+v vs %+v", trial, i, got[i], want[i])
+					if got[i] != insts[i] || byNext[i] != insts[i] {
+						t.Fatalf("trial %d: inst %d differs: %+v vs %+v, source %+v", trial, i, got[i], byNext[i], insts[i])
 					}
 				}
 			}
@@ -64,22 +80,22 @@ func TestBatchedMatchesNext(t *testing.T) {
 
 func drainNext(s Stream) []isa.Inst {
 	var out []isa.Inst
-	for {
-		in, ok := s.Next()
-		if !ok {
-			return out
-		}
+	rd := NewBuffered(s, 300)
+	for in, ok := rd.Next(); ok; in, ok = rd.Next() {
 		out = append(out, in)
 	}
+	if _, ok := rd.Next(); ok {
+		panic("a Buffered reader resumed after its end")
+	}
+	return out
 }
 
 func drainBatch(s Stream, rng *rand.Rand) []isa.Inst {
-	b := Batched(s)
 	var out []isa.Inst
 	buf := make([]isa.Inst, 512)
 	for {
 		n := 1 + rng.Intn(len(buf))
-		k := b.NextBatch(buf[:n])
+		k := s.NextBatch(buf[:n])
 		if k == 0 {
 			return out
 		}
@@ -87,31 +103,34 @@ func drainBatch(s Stream, rng *rand.Rand) []isa.Inst {
 	}
 }
 
-// TestBatchedMixedConsumption: interleaving Next and NextBatch on one
-// stream must still produce the underlying sequence exactly once.
+// TestBatchedMixedConsumption: consumers that take turns on one source —
+// bare NextBatch calls, a Limit read to its end through a Buffered reader,
+// Record — see the underlying sequence exactly once and in order. A Limit
+// never reads past its end however large its reader's chunk, which is what
+// lets warm-up, then a measured unit, then the next fast-forward continue
+// from one stream.
 func TestBatchedMixedConsumption(t *testing.T) {
 	insts := synthetic(5_000)
-	b := Batched(NewLimit(NewSliceStream(insts), 4_000))
+	src := NewSliceStream(insts)
 	rng := rand.New(rand.NewSource(9))
 	var out []isa.Inst
 	buf := make([]isa.Inst, 64)
-	for {
-		if rng.Intn(2) == 0 {
-			in, ok := b.Next()
-			if !ok {
-				break
-			}
-			out = append(out, in)
-		} else {
-			k := b.NextBatch(buf[:1+rng.Intn(64)])
-			if k == 0 {
-				break
-			}
-			out = append(out, buf[:k]...)
+	for ended := false; !ended; {
+		before := len(out)
+		want := 1 + rng.Intn(300)
+		switch rng.Intn(3) {
+		case 0:
+			want = min(want, len(buf))
+			out = append(out, buf[:src.NextBatch(buf[:want])]...)
+		case 1:
+			out = append(out, drainNext(NewLimit(src, want))...)
+		case 2:
+			out = append(out, Record(src, want)...)
 		}
+		ended = len(out)-before < want
 	}
-	if len(out) != 4_000 {
-		t.Fatalf("drained %d insts, want 4000", len(out))
+	if len(out) != len(insts) {
+		t.Fatalf("drained %d insts, want %d", len(out), len(insts))
 	}
 	for i := range out {
 		if out[i] != insts[i] {
@@ -129,7 +148,7 @@ func TestRecordBounds(t *testing.T) {
 	if got := Record(NewSliceStream(insts), 500); len(got) != 100 {
 		t.Fatalf("Record(.., 500) = %d insts", len(got))
 	}
-	if got := Record(nextOnly{NewSliceStream(insts)}, 500); len(got) != 100 {
-		t.Fatalf("Record(adapter, 500) = %d insts", len(got))
+	if got := Record(oneAtATime{NewSliceStream(insts)}, 500); len(got) != 100 {
+		t.Fatalf("Record(short reads, 500) = %d insts", len(got))
 	}
 }

@@ -32,6 +32,9 @@ const (
 	traceVersion = uint32(3)
 	headerBytes  = 4 + 4 + 4 + 4                         // magic, file version, Header fields
 	recordBytes  = 8 + 8 + 1 + 1 + 1 + 1 + 8 + 1 + 8 + 2 // fields below
+	// ioChunk is how many records WriteTrace pulls from its source, and a
+	// Reader from its file, at a time.
+	ioChunk = 1024
 )
 
 // Header is the recorded stream's provenance, carried in the trace file
@@ -61,17 +64,20 @@ func WriteTrace(w io.Writer, src Stream, n int, h Header) (int, error) {
 		return 0, fmt.Errorf("trace: writing header: %w", err)
 	}
 	var rec [recordBytes]byte
+	buf := make([]isa.Inst, ioChunk)
 	written := 0
 	for written < n {
-		in, ok := src.Next()
-		if !ok {
+		k := src.NextBatch(buf[:min(len(buf), n-written)])
+		if k == 0 {
 			break
 		}
-		encode(&rec, &in)
-		if _, err := bw.Write(rec[:]); err != nil {
-			return written, fmt.Errorf("trace: writing record %d: %w", written, err)
+		for i := range buf[:k] {
+			encode(&rec, &buf[i])
+			if _, err := bw.Write(rec[:]); err != nil {
+				return written, fmt.Errorf("trace: writing record %d: %w", written, err)
+			}
+			written++
 		}
-		written++
 	}
 	return written, bw.Flush()
 }
@@ -93,7 +99,17 @@ func encode(rec *[recordBytes]byte, in *isa.Inst) {
 	binary.LittleEndian.PutUint16(rec[37:], in.SyncID)
 }
 
-func decode(rec *[recordBytes]byte) isa.Inst {
+// decode reads one record. Every field is a plain number except two: the
+// class indexes [isa.NumClasses] arrays downstream and the taken flag is a
+// boolean, so a record whose class byte names no class, or whose taken byte
+// is neither 0 nor 1, is not one WriteTrace wrote.
+func decode(rec []byte) (isa.Inst, error) {
+	if int(rec[16]) >= isa.NumClasses {
+		return isa.Inst{}, fmt.Errorf("class byte %d (classes are 0..%d)", rec[16], isa.NumClasses-1)
+	}
+	if rec[28] > 1 {
+		return isa.Inst{}, fmt.Errorf("taken byte %d (0 or 1)", rec[28])
+	}
 	return isa.Inst{
 		Seq:    binary.LittleEndian.Uint64(rec[0:]),
 		PC:     binary.LittleEndian.Uint64(rec[8:]),
@@ -105,14 +121,16 @@ func decode(rec *[recordBytes]byte) isa.Inst {
 		Taken:  rec[28] == 1,
 		Target: binary.LittleEndian.Uint64(rec[29:]),
 		SyncID: binary.LittleEndian.Uint16(rec[37:]),
-	}
+	}, nil
 }
 
 // Reader replays a binary trace from an io.Reader. It implements Stream.
 type Reader struct {
-	br  *bufio.Reader
-	hdr Header
-	err error
+	br   *bufio.Reader
+	hdr  Header
+	raw  []byte // one chunk of records, as read
+	read int    // records handed out so far
+	err  error
 }
 
 // NewReader validates the trace header and returns a replaying Stream.
@@ -138,26 +156,49 @@ func NewReader(r io.Reader) (*Reader, error) {
 			StreamVersion: binary.LittleEndian.Uint32(hdr[8:]),
 			Slot:          binary.LittleEndian.Uint32(hdr[12:]),
 		},
+		raw: make([]byte, ioChunk*recordBytes),
 	}, nil
 }
 
 // Header returns the provenance header recorded with the trace.
 func (r *Reader) Header() Header { return r.hdr }
 
-// Next implements Stream.
-func (r *Reader) Next() (isa.Inst, bool) {
+// NextBatch implements Stream: one read of the underlying reader per chunk
+// of records. The stream ends at the end of the file, at a read error, at a
+// truncated last record or at the first record WriteTrace cannot have
+// written; Err tells which. Every instruction before that point is handed
+// out.
+func (r *Reader) NextBatch(buf []isa.Inst) int {
 	if r.err != nil {
-		return isa.Inst{}, false
+		return 0
 	}
-	var rec [recordBytes]byte
-	if _, err := io.ReadFull(r.br, rec[:]); err != nil {
-		r.err = err
-		return isa.Inst{}, false
+	raw := r.raw[:min(len(buf), ioChunk)*recordBytes]
+	got, err := io.ReadFull(r.br, raw)
+	switch {
+	case err == nil, err == io.EOF:
+	case err != io.ErrUnexpectedEOF:
+		err = fmt.Errorf("trace: reading record %d: %w", r.read+got/recordBytes, err)
+	case got%recordBytes == 0:
+		err = io.EOF // the file ended between two records
+	default:
+		err = fmt.Errorf("trace: record %d is truncated (%d of %d bytes)", r.read+got/recordBytes, got%recordBytes, recordBytes)
 	}
-	return decode(&rec), true
+	r.err = err
+	n := got / recordBytes
+	for i := 0; i < n; i++ {
+		in, err := decode(raw[i*recordBytes:])
+		if err != nil {
+			r.err = fmt.Errorf("trace: record %d: %v", r.read+i, err)
+			n = i
+			break
+		}
+		buf[i] = in
+	}
+	r.read += n
+	return n
 }
 
-// Err returns the terminal error, nil on clean EOF.
+// Err returns what ended the stream: nil at a clean end of file.
 func (r *Reader) Err() error {
 	if r.err == io.EOF {
 		return nil

@@ -83,7 +83,7 @@ func (p *SourcePanic) Error() string {
 // starts filling at once, srcs[0] first, and runs at most pipelineDepth
 // chunks ahead of each stream's reader. With timed set the pipeline keeps
 // the two host times Stats reports.
-func StartPipeline(srcs []Stream, timed bool) (*Pipeline, []BatchStream) {
+func StartPipeline(srcs []Stream, timed bool) (*Pipeline, []Stream) {
 	p := &Pipeline{
 		streams: make([]*pipeStream, len(srcs)),
 		req:     make(chan pipeReq, len(srcs)*pipelineDepth),
@@ -91,11 +91,11 @@ func StartPipeline(srcs []Stream, timed bool) (*Pipeline, []BatchStream) {
 		done:    make(chan struct{}),
 		timed:   timed,
 	}
-	out := make([]BatchStream, len(srcs))
+	out := make([]Stream, len(srcs))
 	for i, src := range srcs {
 		s := &pipeStream{
 			p:    p,
-			src:  Batched(src),
+			src:  src,
 			ring: ringPool.Get().(*ring),
 			// Room for the whole ring, so the producer never blocks
 			// handing a chunk over.
@@ -176,7 +176,7 @@ type pipeStream struct {
 	full chan chunk
 
 	// Producer side.
-	src     BatchStream
+	src     Stream
 	srcDone bool
 
 	// Consumer side: the chunk being read, then what ended the stream.
@@ -186,17 +186,7 @@ type pipeStream struct {
 	fail  *SourcePanic
 }
 
-// Next implements Stream.
-func (s *pipeStream) Next() (isa.Inst, bool) {
-	if s.pos == len(s.cur) && !s.advance() {
-		return isa.Inst{}, false
-	}
-	in := s.cur[s.pos]
-	s.pos++
-	return in, true
-}
-
-// NextBatch implements BatchStream. Like the sources it stands in for, it
+// NextBatch implements Stream. Like the sources it stands in for, it
 // returns short only at the end of the stream.
 func (s *pipeStream) NextBatch(buf []isa.Inst) int {
 	n := 0

@@ -26,7 +26,7 @@ func settleGoroutines(t *testing.T, base int) {
 
 // TestPipelineServesEveryStream: one producer behind streams of every
 // length around the chunk and ring sizes, read in a random interleaving
-// of Next and NextBatch calls of random sizes. Each stream yields its
+// of NextBatch calls of random sizes, one-instruction ones included. Each stream yields its
 // source's instructions in order, ends where the source ends and stays
 // ended.
 func TestPipelineServesEveryStream(t *testing.T) {
@@ -44,24 +44,16 @@ func TestPipelineServesEveryStream(t *testing.T) {
 	buf := make([]isa.Inst, 3*pipelineChunk)
 	for live := len(out); live > 0; {
 		i := rng.Intn(len(out))
-		if rng.Intn(4) == 0 {
-			in, ok := out[i].Next()
-			if ok {
-				got[i] = append(got[i], in)
-				continue
-			}
-		} else {
-			b := buf[:1+rng.Intn(len(buf))]
-			if rng.Intn(2) == 0 {
-				b = b[:1+rng.Intn(40)]
-			}
-			k := out[i].NextBatch(b)
-			got[i] = append(got[i], b[:k]...)
-			if k == len(b) {
-				continue
-			}
-			// Only the end of the stream cuts a batch short.
+		b := buf[:1+rng.Intn(len(buf))]
+		if rng.Intn(2) == 0 {
+			b = b[:1+rng.Intn(40)]
 		}
+		k := out[i].NextBatch(b)
+		got[i] = append(got[i], b[:k]...)
+		if k == len(b) {
+			continue
+		}
+		// Only the end of the stream cuts a batch short.
 		if len(got[i]) != lens[i] {
 			t.Fatalf("stream %d ended after %d instructions, its source has %d", i, len(got[i]), lens[i])
 		}
@@ -76,7 +68,7 @@ func TestPipelineServesEveryStream(t *testing.T) {
 				t.Fatalf("stream %d: instruction %d is %+v, the source has %+v", i, j, g[j], insts[j])
 			}
 		}
-		if _, ok := out[i].Next(); ok || out[i].NextBatch(buf) != 0 {
+		if out[i].NextBatch(buf[:1]) != 0 || out[i].NextBatch(buf) != 0 {
 			t.Fatalf("stream %d resumed after its end", i)
 		}
 	}
@@ -113,7 +105,7 @@ func TestPipelineCloseReturns(t *testing.T) {
 			p.Close()
 			settleGoroutines(t, base)
 			p.Close()
-			if _, ok := out[0].Next(); ok || out[1].NextBatch(make([]isa.Inst, 8)) != 0 {
+			if out[0].NextBatch(make([]isa.Inst, 1)) != 0 || out[1].NextBatch(make([]isa.Inst, 8)) != 0 {
 				t.Fatal("a closed pipeline still yields instructions")
 			}
 		})

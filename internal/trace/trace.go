@@ -7,63 +7,36 @@ package trace
 
 import "repro/internal/isa"
 
-// Stream produces a thread's dynamic instruction stream in program order.
+// Stream produces a thread's dynamic instruction stream in program order,
+// a chunk at a time. It is the one hand-off between the functional side and
+// everything that consumes instructions: the cores and the warm-up loop pull
+// thousands of instructions per call, so no interface dispatch is paid per
+// instruction.
 type Stream interface {
-	// Next returns the next dynamic instruction. ok is false at the end
-	// of the stream; the instruction is then meaningless.
-	Next() (in isa.Inst, ok bool)
-}
-
-// BatchStream is a Stream that can additionally hand over instructions in
-// chunks. The per-instruction interface dispatch of Next is measurable in
-// the timing models' inner loops; consumers that buffer (the cores, the
-// warmup loop) pull thousands of instructions per call instead.
-type BatchStream interface {
-	Stream
 	// NextBatch fills buf with the next instructions of the stream, in
 	// program order, and returns how many were written. It returns 0 only
-	// at end-of-stream (for a non-empty buf). Mixing Next and NextBatch
-	// calls is allowed; both consume the same underlying stream.
+	// at end-of-stream (for a non-empty buf); a short count does not mean
+	// the stream has ended.
 	NextBatch(buf []isa.Inst) int
 }
 
-// Batched adapts any Stream to a BatchStream: native batch support is used
-// directly, legacy streams are wrapped in a Next loop.
-func Batched(s Stream) BatchStream {
-	if b, ok := s.(BatchStream); ok {
-		return b
-	}
-	return &nextBatcher{s: s}
-}
+// BatchStream and Batched date from when Stream was a per-instruction
+// interface and handing out chunks was an extra capability. They exist only
+// because benchmark/layers.go spells them, and go with the next [benchmark]
+// PR; nothing else may call them.
+type BatchStream = Stream
 
-// nextBatcher is the legacy-stream adapter behind Batched.
-type nextBatcher struct{ s Stream }
+// Batched returns s.
+func Batched(s Stream) Stream { return s }
 
-// Next implements Stream.
-func (a *nextBatcher) Next() (isa.Inst, bool) { return a.s.Next() }
-
-// NextBatch implements BatchStream by looping Next.
-func (a *nextBatcher) NextBatch(buf []isa.Inst) int {
-	n := 0
-	for n < len(buf) {
-		in, ok := a.s.Next()
-		if !ok {
-			break
-		}
-		buf[n] = in
-		n++
-	}
-	return n
-}
-
-// Buffered adapts a stream for per-instruction consumers that want the
-// batched hand-off without managing a chunk buffer themselves: Next is a
-// direct (devirtualized) method call that refills from the underlying
-// stream one chunk at a time. The one-IPC and detailed cores read through
-// it; the interval core has its own ring because its window aliases the
-// buffer.
+// Buffered is the one per-instruction reader: Next is a direct
+// (devirtualized) method call that refills from the underlying stream one
+// chunk at a time. It is a concrete type, not a second stream interface —
+// a consumer that wants instructions one by one (the one-IPC core, the
+// statistical profiler, tests) owns its Buffered; what it passes on is
+// still a Stream.
 type Buffered struct {
-	b    BatchStream
+	src  Stream
 	buf  []isa.Inst
 	pos  int
 	n    int
@@ -75,16 +48,18 @@ func NewBuffered(s Stream, size int) *Buffered {
 	if size < 1 {
 		size = 1
 	}
-	return &Buffered{b: Batched(s), buf: make([]isa.Inst, size)}
+	return &Buffered{src: s, buf: make([]isa.Inst, size)}
 }
 
 // Next returns the next instruction, refilling the chunk buffer as needed.
+// The bool is false at the end of the stream; the instruction is then
+// meaningless.
 func (r *Buffered) Next() (isa.Inst, bool) {
 	if r.pos == r.n {
 		if r.done {
 			return isa.Inst{}, false
 		}
-		r.n = r.b.NextBatch(r.buf)
+		r.n = r.src.NextBatch(r.buf)
 		r.pos = 0
 		if r.n == 0 {
 			r.done = true
@@ -108,17 +83,7 @@ func NewSliceStream(insts []isa.Inst) *SliceStream {
 	return &SliceStream{insts: insts}
 }
 
-// Next implements Stream.
-func (s *SliceStream) Next() (isa.Inst, bool) {
-	if s.pos >= len(s.insts) {
-		return isa.Inst{}, false
-	}
-	in := s.insts[s.pos]
-	s.pos++
-	return in, true
-}
-
-// NextBatch implements BatchStream with one bulk copy.
+// NextBatch implements Stream with one bulk copy.
 func (s *SliceStream) NextBatch(buf []isa.Inst) int {
 	n := copy(buf, s.insts[s.pos:])
 	s.pos += n
@@ -132,9 +97,8 @@ func (s *SliceStream) Reset() { s.pos = 0 }
 // generated stream can be replayed into several simulators.
 func Record(src Stream, n int) []isa.Inst {
 	out := make([]isa.Inst, 0, n)
-	b := Batched(src)
 	for len(out) < n {
-		k := b.NextBatch(out[len(out):n])
+		k := src.NextBatch(out[len(out):n])
 		if k == 0 {
 			break
 		}
@@ -145,39 +109,26 @@ func Record(src Stream, n int) []isa.Inst {
 
 // Limit wraps a stream and ends it after n instructions.
 type Limit struct {
-	src   Stream
-	batch BatchStream
-	left  int
+	src  Stream
+	left int
 }
 
 // NewLimit creates a stream that yields at most n instructions from src.
 func NewLimit(src Stream, n int) *Limit {
-	return &Limit{src: src, batch: Batched(src), left: n}
+	return &Limit{src: src, left: n}
 }
 
-// Next implements Stream.
-func (l *Limit) Next() (isa.Inst, bool) {
-	if l.left <= 0 {
-		return isa.Inst{}, false
-	}
-	in, ok := l.src.Next()
-	if ok {
-		l.left--
-	}
-	return in, ok
-}
-
-// NextBatch implements BatchStream, clamping the chunk to the remaining
-// budget.
+// NextBatch implements Stream, clamping the chunk to the remaining budget:
+// a Limit never reads past its end, so whoever continues from src sees the
+// next instruction.
 func (l *Limit) NextBatch(buf []isa.Inst) int {
 	if l.left <= 0 {
 		return 0
 	}
-	n := len(buf)
-	if n > l.left {
-		n = l.left
+	if len(buf) > l.left {
+		buf = buf[:l.left]
 	}
-	k := l.batch.NextBatch(buf[:n])
+	k := l.src.NextBatch(buf)
 	l.left -= k
 	return k
 }

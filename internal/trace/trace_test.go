@@ -3,9 +3,12 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 
 	"repro/internal/isa"
@@ -21,44 +24,31 @@ func insts(n int) []isa.Inst {
 
 func TestSliceStreamReplaysInOrder(t *testing.T) {
 	s := NewSliceStream(insts(5))
+	rd := NewBuffered(s, 2)
 	for i := 0; i < 5; i++ {
-		in, ok := s.Next()
+		in, ok := rd.Next()
 		if !ok || in.Seq != uint64(i) {
 			t.Fatalf("pos %d: (%v,%t)", i, in.Seq, ok)
 		}
 	}
-	if _, ok := s.Next(); ok {
+	if _, ok := rd.Next(); ok {
 		t.Fatal("stream did not end")
 	}
 	s.Reset()
-	if in, ok := s.Next(); !ok || in.Seq != 0 {
+	if in, ok := NewBuffered(s, 2).Next(); !ok || in.Seq != 0 {
 		t.Fatal("Reset did not rewind")
 	}
 }
 
 func TestLimitEndsEarly(t *testing.T) {
-	s := NewLimit(NewSliceStream(insts(10)), 3)
-	n := 0
-	for {
-		if _, ok := s.Next(); !ok {
-			break
-		}
-		n++
-	}
+	n := len(Record(NewLimit(NewSliceStream(insts(10)), 3), 100))
 	if n != 3 {
 		t.Fatalf("limit yielded %d, want 3", n)
 	}
 }
 
 func TestLimitShorterSource(t *testing.T) {
-	s := NewLimit(NewSliceStream(insts(2)), 5)
-	n := 0
-	for {
-		if _, ok := s.Next(); !ok {
-			break
-		}
-		n++
-	}
+	n := len(Record(NewLimit(NewSliceStream(insts(2)), 5), 100))
 	if n != 2 {
 		t.Fatalf("limit yielded %d, want 2 (source shorter)", n)
 	}
@@ -115,17 +105,75 @@ func TestTraceRoundTrip(t *testing.T) {
 	if h := r.Header(); h.StreamVersion != 3 || h.Slot != 3 {
 		t.Fatalf("header did not round-trip: %+v", h)
 	}
+	rd := NewBuffered(r, 3)
 	for i, want := range src {
-		got, ok := r.Next()
+		got, ok := rd.Next()
 		if !ok || got != want {
 			t.Fatalf("record %d: got %+v want %+v (ok=%t)", i, got, want, ok)
 		}
 	}
-	if _, ok := r.Next(); ok {
+	if _, ok := rd.Next(); ok {
 		t.Fatal("trace did not end")
 	}
 	if r.Err() != nil {
 		t.Fatalf("terminal error: %v", r.Err())
+	}
+}
+
+// TestTraceReaderStopsAtDamagedRecord: a record WriteTrace cannot have
+// written — a class byte naming no class, a taken byte that is not 0 or 1,
+// a last record cut short — ends the stream there. Every record before it
+// is read, none after it, and Err names the record and the byte.
+func TestTraceReaderStopsAtDamagedRecord(t *testing.T) {
+	var file bytes.Buffer
+	if _, err := WriteTrace(&file, NewSliceStream(insts(5000)), 5000, Header{StreamVersion: 3}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(b []byte) []byte
+		read   int
+		errHas string
+	}{
+		{"class", func(b []byte) []byte { b[headerBytes+100*recordBytes+16] = 200; return b }, 100, "record 100: class byte 200"},
+		{"class-first-of-chunk", func(b []byte) []byte { b[headerBytes+ioChunk*recordBytes+16] = byte(isa.NumClasses); return b }, ioChunk, fmt.Sprintf("record %d: class byte %d", ioChunk, isa.NumClasses)},
+		{"taken", func(b []byte) []byte { b[headerBytes+3*recordBytes+28] = 2; return b }, 3, "record 3: taken byte 2"},
+		{"truncated", func(b []byte) []byte { return b[:headerBytes+2000*recordBytes+7] }, 2000, "record 2000 is truncated (7 of 39 bytes)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := NewReader(bytes.NewReader(tc.damage(bytes.Clone(file.Bytes()))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := Record(r, 10_000)
+			if len(got) != tc.read || (tc.read > 0 && got[tc.read-1].Seq != uint64(tc.read-1)) {
+				t.Fatalf("read %d records, want the %d before the damage", len(got), tc.read)
+			}
+			if err := r.Err(); err == nil || !strings.Contains(err.Error(), tc.errHas) {
+				t.Fatalf("Err() = %v, want it to say %q", err, tc.errHas)
+			}
+		})
+	}
+}
+
+// TestTraceReaderKeepsReadError: an error of the underlying reader ends the
+// stream after the records read whole, and Err wraps it.
+func TestTraceReaderKeepsReadError(t *testing.T) {
+	var file bytes.Buffer
+	if _, err := WriteTrace(&file, NewSliceStream(insts(50)), 50, Header{}); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("disk on fire")
+	cut := headerBytes + 20*recordBytes + 5
+	r, err := NewReader(io.MultiReader(bytes.NewReader(file.Bytes()[:cut]), iotest.ErrReader(boom)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := Record(r, 100); len(got) != 20 {
+		t.Fatalf("read %d records before the error, want 20", len(got))
+	}
+	if err := r.Err(); !errors.Is(err, boom) || !strings.Contains(err.Error(), "record 20") {
+		t.Fatalf("Err() = %v, want the reader's error at record 20", err)
 	}
 }
 
@@ -186,8 +234,8 @@ func TestQuickTraceRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, ok := r.Next()
-		return ok && got == in
+		got := Record(r, 2)
+		return len(got) == 1 && got[0] == in && r.Err() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

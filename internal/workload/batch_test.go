@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/trace"
 )
 
 // poison is what every buffer slot holds before NextBatch fills it: the
@@ -13,6 +14,11 @@ var poison = isa.Inst{
 	Seq: ^uint64(0), PC: ^uint64(0), Addr: ^uint64(0), Target: ^uint64(0),
 	SyncID: 0xFFFF, Class: 0xEE, Src1: 0xEE, Src2: 0xEE, Dst: 0xEE, Taken: true,
 }
+
+// byOne reads g one instruction per NextBatch call. It never reads ahead,
+// so between two reads the generator is where the reader is: its seq and
+// draw counter can be inspected and it can be skipped.
+func byOne(g *Generator) *trace.Buffered { return trace.NewBuffered(g, 1) }
 
 // batchSizes yields the buffer sizes of the boundary test: the named
 // ones first (ChunkLen+1 walks the cut through every offset of a chunk),
@@ -63,7 +69,7 @@ func boundaryProfiles() []Profile {
 
 // TestBatchBoundaryInvariance: where NextBatch calls cut the stream never
 // shows in it. The concatenation of batches of arbitrary sizes equals the
-// Next-by-Next stream, instruction for instruction, across chunk resets.
+// one-by-one stream, instruction for instruction, across chunk resets.
 func TestBatchBoundaryInvariance(t *testing.T) {
 	const total = 2*ChunkLen + 5000
 	for _, p := range boundaryProfiles() {
@@ -71,7 +77,7 @@ func TestBatchBoundaryInvariance(t *testing.T) {
 		if p.MultiThreaded() {
 			threads = 2
 		}
-		one := New(&p, 0, threads, 42)
+		one := byOne(New(&p, 0, threads, 42))
 		bat := New(&p, 0, threads, 42)
 		next := batchSizes(rand.New(rand.NewSource(7)))
 		buf := make([]isa.Inst, ChunkLen+1)

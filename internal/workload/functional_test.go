@@ -30,6 +30,7 @@ func TestFunctionalStreamMatchesFull(t *testing.T) {
 		for _, threads := range []int{1, 4} {
 			thread := threads - 1
 			full := New(p, thread, threads, 42)
+			fullRd := byOne(full)
 			fn := New(p, thread, threads, 42).Functional()
 			next := batchSizes(rand.New(rand.NewSource(int64(i))))
 			buf := make([]isa.Inst, ChunkLen+1)
@@ -42,7 +43,7 @@ func TestFunctionalStreamMatchesFull(t *testing.T) {
 					before := fn.seq
 					k := fn.NextBatch(b)
 					for j := 0; j < k; j++ {
-						want, ok := full.Next()
+						want, ok := fullRd.Next()
 						if !ok || b[j] != functionalOf(want) {
 							t.Fatalf("%s/%d: instruction %d:\nfunctional: %+v\n      full: %+v (ok=%v)",
 								p.Name, threads, before+uint64(j), b[j], want, ok)
@@ -50,7 +51,7 @@ func TestFunctionalStreamMatchesFull(t *testing.T) {
 					}
 					pos += k
 					if k < len(b) {
-						if _, ok := full.Next(); ok {
+						if _, ok := fullRd.Next(); ok {
 							t.Fatalf("%s/%d: functional stream ended at %d, full stream goes on", p.Name, threads, fn.seq)
 						}
 						return

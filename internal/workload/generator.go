@@ -650,16 +650,7 @@ func clearSiteCounts(prog *program) {
 	}
 }
 
-// Next implements trace.Stream: a one-slot call of the batch emitter.
-func (g *Generator) Next() (isa.Inst, bool) {
-	var one [1]isa.Inst
-	if g.NextBatch(one[:]) == 0 {
-		return isa.Inst{}, false
-	}
-	return one[0], true
-}
-
-// NextBatch implements trace.BatchStream and is the generator's only
+// NextBatch implements trace.Stream and is the generator's only
 // emission path: every instruction is written field by field into its
 // slot of buf, a basic block at a time. Where buf ends never shows in the
 // stream — the interpreter state between two calls is the state between

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/isa/isatest"
+	"repro/internal/trace"
 )
 
 // streamHash is FNV-64a over the instructions as isatest.Write prints
@@ -12,11 +13,7 @@ import (
 func streamHash(p *Profile, seed int64, slot int, n int) uint64 {
 	g := NewSlot(p, 0, 1, seed, slot)
 	h := fnv.New64a()
-	for i := 0; i < n; i++ {
-		in, ok := g.Next()
-		if !ok {
-			break
-		}
+	for _, in := range trace.Record(g, n) {
 		isatest.Write(h, &in)
 	}
 	return h.Sum64()

@@ -12,8 +12,7 @@ import (
 // generator read directly, instruction for instruction — for every shipped
 // SPEC and PARSEC profile, single- and multi-threaded, as a full and as a
 // functional stream (both behind one producer, as in a run), whatever the
-// consumer's batch sizes and however it mixes Next with NextBatch, up to
-// and including the end of a Limit and of a TotalWork-bounded stream, after
+// consumer's batch sizes, up to and including the end of a Limit and of a TotalWork-bounded stream, after
 // which every call keeps returning nothing.
 func TestPipelineMatchesSource(t *testing.T) {
 	// Three rings and a bit: the ring wraps, and the stream ends mid-chunk.
@@ -34,9 +33,9 @@ func TestPipelineMatchesSource(t *testing.T) {
 			if p.MultiThreaded() {
 				p.TotalWork = budget * uint64(threads)
 			}
-			direct := []trace.Stream{
-				bounded(New(&p, thread, threads, 42)),
-				bounded(New(&p, thread, threads, 42).Functional()),
+			direct := []*trace.Buffered{
+				trace.NewBuffered(bounded(New(&p, thread, threads, 42)), 512),
+				trace.NewBuffered(bounded(New(&p, thread, threads, 42).Functional()), 512),
 			}
 			pipe, piped := trace.StartPipeline([]trace.Stream{
 				bounded(New(&p, thread, threads, 42)),
@@ -56,14 +55,6 @@ func TestPipelineMatchesSource(t *testing.T) {
 					pos++
 				}
 				for {
-					if rng.Intn(3) == 0 {
-						in, ok := piped[k].Next()
-						if !ok {
-							break
-						}
-						same(in)
-						continue
-					}
 					b := buf[:next()]
 					n := piped[k].NextBatch(b)
 					for _, in := range b[:n] {
@@ -81,7 +72,7 @@ func TestPipelineMatchesSource(t *testing.T) {
 					t.Fatalf("%s/%d %s: stream of %d instructions, expected about %d", p.Name, threads, kind, pos, budget)
 				}
 				for again := 0; again < 3; again++ {
-					if _, ok := piped[k].Next(); ok || piped[k].NextBatch(buf[:7]) != 0 {
+					if piped[k].NextBatch(buf[:1]) != 0 || piped[k].NextBatch(buf[:7]) != 0 {
 						t.Fatalf("%s/%d %s: stream resumed after its end", p.Name, threads, kind)
 					}
 				}

@@ -4,17 +4,18 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/trace"
 )
 
 // skipMatches asserts the core v3 contract: SkipTo(n) followed by m
 // instructions is byte-identical to generating n+m instructions straight
-// and discarding the first n. The straight side is read one Next at a
-// time, the skipped side in batches of varying size, so the test also
+// and discarding the first n. The straight side is read one instruction
+// at a time, the skipped side in batches of varying size, so the test also
 // covers a replay that ends anywhere inside a block followed by batch
 // cuts anywhere after it.
 func skipMatches(t testing.TB, p *Profile, seed int64, slot int, n uint64, m int) {
 	t.Helper()
-	a := NewSlot(p, 0, 1, seed, slot)
+	a := byOne(NewSlot(p, 0, 1, seed, slot))
 	b := NewSlot(p, 0, 1, seed, slot)
 	for i := uint64(0); i < n; i++ {
 		if _, ok := a.Next(); !ok {
@@ -83,7 +84,7 @@ func TestSkipToIsO1(t *testing.T) {
 	if err := g.SkipTo(target); err != nil {
 		t.Fatal(err)
 	}
-	in, ok := g.Next()
+	in, ok := byOne(g).Next()
 	if !ok {
 		t.Fatal("stream ended after skip")
 	}
@@ -96,27 +97,22 @@ func TestSkipToIsO1(t *testing.T) {
 // pure function of position); synchronization streams must refuse.
 func TestSkipToBackward(t *testing.T) {
 	g := New(SPECByName("gcc"), 0, 1, 42)
-	for i := 0; i < 3*ChunkLen; i++ {
-		g.Next()
-	}
+	trace.Record(g, 3*ChunkLen)
 	if err := g.SkipTo(10); err != nil {
 		t.Fatal(err)
 	}
 	want := New(SPECByName("gcc"), 0, 1, 42)
 	want.SkipTo(10)
-	for i := 0; i < 100; i++ {
-		x, _ := g.Next()
-		y, _ := want.Next()
-		if x != y {
+	x, y := trace.Record(g, 100), trace.Record(want, 100)
+	for i := range x {
+		if x[i] != y[i] {
 			t.Fatalf("backward skip diverges at %d", i)
 		}
 	}
 
 	s := PARSECByName("streamcluster")
 	h := New(s, 0, 2, 42)
-	for i := 0; i < 100; i++ {
-		h.Next()
-	}
+	trace.Record(h, 100)
 	if err := h.SkipTo(5); err == nil {
 		t.Fatal("backward skip on a synchronization stream succeeded")
 	}
@@ -130,9 +126,10 @@ func TestDrawBudget(t *testing.T) {
 	for i := range profiles {
 		p := &profiles[i]
 		for _, g := range []*Generator{New(p, 0, 2, 42), New(p, 0, 2, 42).Functional()} {
+			rd := byOne(g)
 			for i := 0; i < 50_000; i++ {
 				before := g.seq
-				_, ok := g.Next()
+				_, ok := rd.Next()
 				if !ok {
 					break
 				}
@@ -151,12 +148,11 @@ func TestDrawBudget(t *testing.T) {
 // stream positions, and the instructions straddling them must stay
 // valid (dense Seq, in-range classes, nonzero memory addresses).
 func TestChunkResetKeepsStreamWellFormed(t *testing.T) {
-	g := New(SPECByName("gcc"), 0, 1, 42)
-	for i := 0; i < 3*ChunkLen; i++ {
-		in, ok := g.Next()
-		if !ok {
-			t.Fatal("stream ended")
-		}
+	insts := trace.Record(New(SPECByName("gcc"), 0, 1, 42), 3*ChunkLen)
+	if len(insts) != 3*ChunkLen {
+		t.Fatal("stream ended")
+	}
+	for i, in := range insts {
 		if in.Seq != uint64(i) {
 			t.Fatalf("Seq %d at position %d", in.Seq, i)
 		}

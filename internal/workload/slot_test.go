@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/trace"
 )
 
 // shiftSlot applies the slot-k address transform to a slot-0 instruction:
@@ -24,8 +25,8 @@ func shiftSlot(in isa.Inst, slot int) isa.Inst {
 // changes nothing for single-program streams.
 func TestSlotZeroIsNew(t *testing.T) {
 	p := SPECByName("gcc")
-	a := New(p, 0, 1, 42)
-	b := NewSlot(p, 0, 1, 42, 0)
+	a := byOne(New(p, 0, 1, 42))
+	b := byOne(NewSlot(p, 0, 1, 42, 0))
 	for i := 0; i < 20_000; i++ {
 		ia, oka := a.Next()
 		ib, okb := b.Next()
@@ -45,8 +46,8 @@ func TestSlotStreamsBitIdentical(t *testing.T) {
 	// (SystemFrac) program and sync instructions.
 	for _, name := range []string{"gcc", "mcf"} {
 		p := SPECByName(name)
-		base := New(p, 0, 1, 42)
-		at := NewSlot(p, 0, 1, 42, 5)
+		base := byOne(New(p, 0, 1, 42))
+		at := byOne(NewSlot(p, 0, 1, 42, 5))
 		for i := 0; i < 20_000; i++ {
 			ib, okb := base.Next()
 			is, oks := at.Next()
@@ -59,8 +60,8 @@ func TestSlotStreamsBitIdentical(t *testing.T) {
 		}
 	}
 	p := PARSECByName("blackscholes")
-	base := New(p, 1, 4, 42)
-	at := NewSlot(p, 1, 4, 42, 3)
+	base := byOne(New(p, 1, 4, 42))
+	at := byOne(NewSlot(p, 1, 4, 42, 3))
 	for i := 0; i < 20_000; i++ {
 		ib, okb := base.Next()
 		is, oks := at.Next()
@@ -99,11 +100,7 @@ func TestSlotAddressSpacesDisjoint(t *testing.T) {
 	lines := func(name string, slot int) map[uint64]bool {
 		g := NewSlot(SPECByName(name), 0, 1, 42+int64(slot), slot)
 		out := map[uint64]bool{}
-		for i := 0; i < 50_000; i++ {
-			in, ok := g.Next()
-			if !ok {
-				break
-			}
+		for _, in := range trace.Record(g, 50_000) {
 			out[in.PC>>6] = true
 			if in.Class.IsMem() {
 				out[in.Addr>>6] = true
