@@ -139,7 +139,7 @@ func printList() {
 	fmt.Println("  (extra)        one-IPC ablation           -fig ablation")
 	fmt.Println("  (extra)        §6 refinement ablations    -fig model-ablation")
 	fmt.Println("  (extra)        bus/mesh/ring fabrics      -fig fabric")
-	fmt.Println("  (extra)        fixed vs banked DRAM       -fig dram")
+	fmt.Println("  (extra)        fixed vs banked DRAM       -fig dram (with row-hit rate)")
 	fmt.Println("  (extra)        16/32-core scaling         -fig scale16")
 	fmt.Println("  (extra)        predictor comparison       -fig predictors")
 	fmt.Println("  (extra)        co-phase matrix            -fig cophase")

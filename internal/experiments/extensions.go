@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/memhier"
+	"repro/internal/memory"
 	"repro/internal/multicore"
 	"repro/internal/sampling"
 	"repro/internal/simrun"
@@ -179,12 +180,13 @@ func (o Opts) Fabric() Table {
 }
 
 // DRAMStudy regenerates the main-memory comparison: fixed-latency versus
-// banked open-page DRAM per benchmark.
+// banked open-page DRAM per benchmark, with the banked model's row-buffer
+// hit rate.
 func (o Opts) DRAMStudy() Table {
 	t := Table{
 		ID:      "dram",
 		Title:   "main memory: fixed-latency vs banked row-buffer DRAM (interval model)",
-		Columns: []string{"bench", "fixed IPC", "banked IPC", "gain"},
+		Columns: []string{"bench", "fixed IPC", "banked IPC", "gain", "row-hit"},
 	}
 	names := []string{"swim", "mgrid", "gcc", "mcf"}
 	var scs []*simrun.Scenario
@@ -195,14 +197,17 @@ func (o Opts) DRAMStudy() Table {
 				simrun.Insts(o.Insts),
 				simrun.Warmup(o.Warmup),
 				simrun.Seed(o.Seed),
+				simrun.KeepCores(),
 			))
 		}
 	}
 	results := o.runAll(scs)
 	for i, name := range names {
 		fixed := results[2*i].Cores[0].IPC
-		banked := results[2*i+1].Cores[0].IPC
-		t.Rows = append(t.Rows, []string{name, f3(fixed), f3(banked), f2(banked / fixed)})
+		banked := results[2*i+1]
+		rowHit := banked.Mem.DRAM().(*memory.Banked).RowHitRate()
+		t.Rows = append(t.Rows, []string{name, f3(fixed), f3(banked.Cores[0].IPC),
+			f2(banked.Cores[0].IPC / fixed), pct(rowHit)})
 	}
 	t.Notes = append(t.Notes,
 		"streaming profiles ride the row buffer (gain > 1); pointer chases pay the conflict path (gain < 1)")

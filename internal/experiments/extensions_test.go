@@ -60,9 +60,16 @@ func TestDRAMStudyStructure(t *testing.T) {
 		t.Fatalf("rows = %d, want 4 benchmarks", len(tb.Rows))
 	}
 	for _, r := range tb.Rows {
+		if len(r) != len(tb.Columns) {
+			t.Fatalf("row %v has %d cells, want %d", r, len(r), len(tb.Columns))
+		}
 		gain, err := strconv.ParseFloat(r[3], 64)
 		if err != nil || gain <= 0 {
 			t.Fatalf("%s: bad gain %q", r[0], r[3])
+		}
+		hit, err := strconv.ParseFloat(strings.TrimSuffix(r[4], "%"), 64)
+		if err != nil || !strings.HasSuffix(r[4], "%") || hit < 0 || hit > 100 {
+			t.Fatalf("%s: bad row-hit rate %q", r[0], r[4])
 		}
 	}
 }

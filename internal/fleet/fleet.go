@@ -283,8 +283,17 @@ func (c *Coordinator) Mount(mux *http.ServeMux) {
 const maxBodyBytes = 1 << 20
 
 // decodeBody decodes a JSON request body of at most maxBodyBytes into v.
+// The body is exactly one value: anything but whitespace after it is an
+// error.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	return json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.Join(errors.New("fleet: trailing data after the JSON body"), err)
+	}
+	return nil
 }
 
 // rejectOversized answers 413 when err says the request body ran past its

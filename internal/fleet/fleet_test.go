@@ -485,6 +485,30 @@ func TestCoordinatorBoundsRequestBodies(t *testing.T) {
 	}
 }
 
+// TestBodiesRejectTrailingData: every fleet body is one JSON value. A
+// register or run body with a second value or junk after the first is a
+// 400, and neither registers a worker nor runs a simulation.
+func TestBodiesRejectTrailingData(t *testing.T) {
+	c := newCluster(t, fleet.Config{LeaseTTL: time.Minute})
+	n := startWorker(t, c, "w", &fleet.FaultInjector{})
+	for url, body := range map[string]string{
+		c.srv.URL + fleet.PathRegister: `{"id":"x","url":"http://127.0.0.1:1"}{"id":"y"} junk`,
+		n.srv.URL + fleet.PathRun:      `{"bench":"gcc"}{"bench":"mcf","predcitor":"x"} junk`,
+	} {
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s with trailing data: status %d, want 400", url, resp.StatusCode)
+		}
+	}
+	if got := c.coord.WorkerIDs(); len(got) != 1 || got[0] != "w" {
+		t.Errorf("workers after the refused register = %v, want [w]", got)
+	}
+}
+
 // TestWorkerBoundsRunBody: a dispatched spec past 1 MiB is refused as too
 // large, counted as a run error, and nothing is simulated.
 func TestWorkerBoundsRunBody(t *testing.T) {

@@ -177,6 +177,31 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsTrailingData: a body is one spec. A second spec (with a
+// typo) and junk after the first are a 400 naming the trailing data, not a
+// gcc job.
+func TestSubmitRejectsTrailingData(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"bench":"gcc"}{"bench":"mcf","predcitor":"x"} junk`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, "trailing data") {
+		t.Errorf("status %d, error %q; want 400 naming the trailing data", resp.StatusCode, body.Error)
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Errorf("%d jobs after the refused submission", len(jobs))
+	}
+}
+
 // TestSubmitBoundsRequestBody: a submission one byte past the 1 MiB bound
 // is refused with a 413 that names the limit, and no job is created.
 func TestSubmitBoundsRequestBody(t *testing.T) {

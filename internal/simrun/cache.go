@@ -430,7 +430,8 @@ func (c *Cache) quarantine(key, why string) {
 }
 
 // storeDisk persists a payload plus its integrity footer with a
-// write-then-rename so readers never observe a torn file. Store
+// write-sync-rename so readers never observe a torn file, and a crash
+// just after the rename cannot leave an empty entry behind it. Store
 // failures are ignored: the disk layer is an optimization, never a
 // correctness dependency.
 func (c *Cache) storeDisk(key string, payload []byte) {
@@ -444,6 +445,9 @@ func (c *Cache) storeDisk(key string, payload []byte) {
 	_, werr := tmp.Write(payload)
 	if werr == nil {
 		_, werr = tmp.Write(diskFooter(payload))
+	}
+	if werr == nil {
+		werr = tmp.Sync()
 	}
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {

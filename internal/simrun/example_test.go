@@ -29,3 +29,37 @@ func ExampleNew() {
 		res.ModelLabel(), len(res.Cores), res.TotalRetired == 10_000)
 	// Output: model=interval cores=2 completed=true
 }
+
+// ExampleModel simulates one benchmark with interval simulation and
+// compares it against the detailed cycle-level baseline on the same
+// machine. Scenarios are deterministic: both models see identical
+// instructions and drive identical branch-predictor and memory-hierarchy
+// simulators; only the core timing model differs. The benchmark is
+// gcc-like (branchy with a large code footprint) on the paper's Table 1
+// machine.
+func ExampleModel() {
+	for _, model := range []string{"detailed", "interval"} {
+		res, err := simrun.MustNew("gcc",
+			simrun.Model(model),
+			simrun.Insts(100_000),
+			simrun.Warmup(600_000),
+		).Run(context.Background())
+		if err != nil {
+			fmt.Println(err)
+			return
+		}
+		fmt.Printf("%-9s IPC=%.3f cycles=%d\n", res.ModelLabel(), res.Cores[0].IPC, res.Cycles)
+	}
+
+	fmt.Println()
+	fmt.Println("Interval simulation replaces the cycle-accurate core model with a")
+	fmt.Println("mechanistic analytical model: expect a close IPC at a much higher")
+	fmt.Println("simulation speed.")
+	// Output:
+	// detailed  IPC=1.494 cycles=66917
+	// interval  IPC=1.332 cycles=75079
+	//
+	// Interval simulation replaces the cycle-accurate core model with a
+	// mechanistic analytical model: expect a close IPC at a much higher
+	// simulation speed.
+}

@@ -2,6 +2,7 @@ package simrun
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -174,15 +175,31 @@ func (sp Spec) Scenario() (*Scenario, error) {
 
 // ParseSpec strictly decodes one JSON spec: unknown fields are errors, so
 // a typo like "predcitor" is rejected instead of silently running the
-// baseline.
+// baseline, and so is anything but whitespace after the spec.
 func ParseSpec(r io.Reader) (Spec, error) {
 	var sp Spec
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sp); err != nil {
+	if err := decodeStrict(r, &sp); err != nil {
 		return Spec{}, fmt.Errorf("simrun: bad scenario spec: %w", err)
 	}
 	return sp, nil
+}
+
+// decodeStrict decodes exactly one JSON value from r into v. Unknown
+// fields are errors, and so is trailing data: a second value or junk after
+// the first would otherwise be dropped without a word, along with any typo
+// in it. The reader's own error, a body past its bound say, stays in the
+// chain.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	end := dec.InputOffset()
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.Join(fmt.Errorf("trailing data after the JSON value, which ends at byte %d", end), err)
+	}
+	return nil
 }
 
 // SpecFile is the on-disk batch format (cmd/sweep -f): shared defaults
@@ -274,9 +291,7 @@ func (sp Spec) merge(def Spec) Spec {
 // sizing flags, say).
 func loadSpecFile(r io.Reader, base ...Spec) ([]Spec, error) {
 	var f SpecFile
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&f); err != nil {
+	if err := decodeStrict(r, &f); err != nil {
 		return nil, fmt.Errorf("simrun: bad spec file: %w", err)
 	}
 	if len(f.Scenarios) == 0 {

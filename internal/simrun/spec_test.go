@@ -56,6 +56,42 @@ func TestParseSpecRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// trailingSpec is one spec followed by a second, misspelled one and junk:
+// a decoder that stops after the first value runs gcc and drops the rest.
+const trailingSpec = `{"bench":"gcc"}{"bench":"mcf","predcitor":"x"} junk`
+
+// Strict decoding covers the whole input: a second value or junk after the
+// spec is rejected, trailing whitespace is not.
+func TestParseSpecRejectsTrailingData(t *testing.T) {
+	for _, raw := range []string{trailingSpec, `{"bench":"gcc"} junk`, `{"bench":"gcc"} "mcf"`, `{"bench":"gcc"}]`} {
+		_, err := ParseSpec(strings.NewReader(raw))
+		if err == nil || !strings.Contains(err.Error(), "trailing data") {
+			t.Errorf("ParseSpec(%s): err = %v, want one naming the trailing data", raw, err)
+		}
+	}
+	sp, err := ParseSpec(strings.NewReader("{\"bench\":\"gcc\"}\n\t \n"))
+	if err != nil || sp.Bench != "gcc" {
+		t.Errorf("trailing whitespace: spec %+v, err %v", sp, err)
+	}
+}
+
+// A spec file is one value too: a second file concatenated after the
+// first fails LoadSpecs and LoadRawSpecs, naming the spec file.
+func TestLoadSpecsRejectsTrailingData(t *testing.T) {
+	const file = `{"scenarios":[{"bench":"gcc"}]}`
+	for name, load := range map[string]func(string) error{
+		"LoadSpecs":    func(raw string) error { _, err := LoadSpecs(strings.NewReader(raw)); return err },
+		"LoadRawSpecs": func(raw string) error { _, err := LoadRawSpecs(strings.NewReader(raw)); return err },
+	} {
+		if err := load(file + "\n" + file); err == nil || !strings.Contains(err.Error(), "bad spec file: trailing data") {
+			t.Errorf("%s of two files: err = %v, want one naming the spec file's trailing data", name, err)
+		}
+		if err := load(file + "\n"); err != nil {
+			t.Errorf("%s with a trailing newline: %v", name, err)
+		}
+	}
+}
+
 func TestSpecScenarioValidates(t *testing.T) {
 	for name, raw := range map[string]string{
 		"bench":  `{"bench":"no-such-benchmark"}`,

@@ -3,7 +3,8 @@
 // one per-instruction reader and it is a concrete type) and one place that
 // builds core models and advances simulated time (internal/multicore, with
 // internal/simrun's model registry as its factory). The test walks every
-// non-test source outside benchmark/ and names what breaks either rule.
+// non-test source outside benchmark/ and names what breaks either rule. A
+// second walk keeps runnable programs under cmd/.
 package main
 
 import (
@@ -137,5 +138,42 @@ func TestOneStreamInterfaceOneTimedLoop(t *testing.T) {
 	}
 	if len(bad) > 0 {
 		t.Fatalf("the stream or driver fork is growing back:\n  %s", strings.Join(bad, "\n  "))
+	}
+}
+
+// TestMainPackagesLiveUnderCmd: the runnable programs are the cmd/
+// binaries. A demo of an API is an Example function whose // Output: block
+// go test checks, and a study is a cmd/experiments table, so neither is a
+// package main anywhere else. The benchmark harness and this test-only
+// root package are the exceptions.
+func TestMainPackagesLiveUnderCmd(t *testing.T) {
+	var bad []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "benchmark" || path == "cmd" || d.Name() == "testdata" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || filepath.Dir(path) == "." {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.PackageClauseOnly)
+		if err != nil {
+			return err
+		}
+		if f.Name.Name == "main" {
+			bad = append(bad, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bad) > 0 {
+		t.Fatalf("package main outside cmd/ (make it an Example or an experiments table):\n  %s", strings.Join(bad, "\n  "))
 	}
 }
