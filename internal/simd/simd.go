@@ -102,9 +102,9 @@ type Server struct {
 	runCancel context.CancelFunc
 
 	mu       sync.Mutex
-	jobs     map[string]*Job // by job ID
-	byFP     map[string]*Job // fingerprint -> live (non-failed) job
-	order    []string        // job IDs in submission order
+	jobs     map[string]*Job  // by job ID
+	live     map[liveKey]*Job // live (non-failed) job per fingerprint and engine request
+	order    []string         // job IDs in submission order
 	draining bool
 
 	wg sync.WaitGroup
@@ -154,7 +154,7 @@ func New(cfg Config) (*Server, error) {
 		runCtx:    ctx,
 		runCancel: cancel,
 		jobs:      map[string]*Job{},
-		byFP:      map[string]*Job{},
+		live:      map[liveKey]*Job{},
 	}
 	s.registerMetrics()
 	s.wg.Add(workers)
@@ -189,11 +189,7 @@ func (s *Server) process(job *Job) {
 	entry, err := s.cache.GetOrRun(s.runCtx, job.scenario)
 	if err != nil {
 		s.failed.Add(1)
-		s.mu.Lock()
-		if s.byFP[job.fingerprint] == job {
-			delete(s.byFP, job.fingerprint)
-		}
-		s.mu.Unlock()
+		s.forget(job)
 		job.setStatus(StatusFailed, entry.Source, entry.Tier, nil, err.Error())
 		return
 	}
@@ -216,11 +212,7 @@ func (s *Server) processFleet(job *Job) {
 	})
 	if err != nil {
 		s.failed.Add(1)
-		s.mu.Lock()
-		if s.byFP[job.fingerprint] == job {
-			delete(s.byFP, job.fingerprint)
-		}
-		s.mu.Unlock()
+		s.forget(job)
 		job.setStatus(StatusFailed, entry.Source, entry.Tier, nil, err.Error())
 		return
 	}
@@ -286,6 +278,25 @@ func (s *Server) upgradeJob(job *Job) {
 	job.settle(entry.Source, entry.Tier, entry.Payload)
 }
 
+// liveKey is what a submission must share with a live job to join it: the
+// fingerprint, and the engine request — the same pinned engine, or none.
+// One fingerprint is many answers: a spec pinned to "statistical" must not
+// be answered by a full run, nor a spec pinned to "full" by an estimate
+// (Config.TieredServing honors pins verbatim). The cache's per-tier flights
+// still simulate each tier once.
+type liveKey struct{ fingerprint, engine string }
+
+func (j *Job) liveKey() liveKey { return liveKey{j.fingerprint, j.spec.Engine} }
+
+// forget drops a failed job from the live set, so a retry runs afresh.
+func (s *Server) forget(job *Job) {
+	s.mu.Lock()
+	if s.live[job.liveKey()] == job {
+		delete(s.live, job.liveKey())
+	}
+	s.mu.Unlock()
+}
+
 // SubmitSpec validates and enqueues a scenario spec. The bool reports
 // whether the submission was deduplicated onto an existing job.
 func (s *Server) SubmitSpec(spec simrun.Spec) (*Job, bool, error) {
@@ -298,9 +309,10 @@ func (s *Server) SubmitSpec(spec simrun.Spec) (*Job, bool, error) {
 		return nil, false, &BadRequestError{Err: err}
 	}
 
+	key := liveKey{fp, spec.Engine}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if job, ok := s.byFP[fp]; ok {
+	if job, ok := s.live[key]; ok {
 		s.deduped.Add(1)
 		return job, true, nil
 	}
@@ -324,7 +336,7 @@ func (s *Server) SubmitSpec(spec simrun.Spec) (*Job, bool, error) {
 		return nil, false, ErrQueueFull
 	}
 	s.jobs[id] = job
-	s.byFP[fp] = job
+	s.live[key] = job
 	s.order = append(s.order, id)
 	s.submitted.Add(1)
 	s.evictLocked()
@@ -343,8 +355,8 @@ func (s *Server) evictLocked() {
 		job := s.jobs[id]
 		if len(s.jobs) > s.maxJobs && job.Doc().Status.terminal() {
 			delete(s.jobs, id)
-			if s.byFP[job.fingerprint] == job {
-				delete(s.byFP, job.fingerprint)
+			if s.live[job.liveKey()] == job {
+				delete(s.live, job.liveKey())
 			}
 			continue
 		}

@@ -181,6 +181,49 @@ func TestTierServingHonorsPinnedEngine(t *testing.T) {
 	}
 }
 
+// settle submits spec and polls its job until it is done.
+func settle(t *testing.T, ts *httptest.Server, spec string) simd.JobDoc {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc simd.JobDoc
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	for deadline := time.Now().Add(30 * time.Second); doc.Status != simd.StatusDone; doc = getJob(t, ts, doc.ID) {
+		if time.Now().After(deadline) {
+			t.Fatalf("job never finished: %+v", doc)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	return doc
+}
+
+// TestPinnedEnginesDoNotShareJobs: one fingerprint pinned to two engines is
+// two jobs. A "full" pin submitted after a "statistical" pin of the same
+// scenario gets a full answer, not the estimate; an identical submission
+// still joins the job it duplicates.
+func TestPinnedEnginesDoNotShareJobs(t *testing.T) {
+	_, ts := newTieredServer(t)
+	est := settle(t, ts, `{"bench":"gcc","insts":200000,"engine":"statistical"}`)
+	full := settle(t, ts, `{"bench":"gcc","insts":200000,"engine":"full"}`)
+	if est.Fingerprint != full.Fingerprint {
+		t.Fatalf("the engine pin moved the fingerprint: %s vs %s", est.Fingerprint, full.Fingerprint)
+	}
+	if est.ID == full.ID {
+		t.Fatalf("statistical and full pins share job %s", est.ID)
+	}
+	if est.Tier != string(simrun.TierStatistical) || full.Tier != string(simrun.TierInterval) {
+		t.Fatalf("tiers %q then %q, want statistical then interval", est.Tier, full.Tier)
+	}
+	if again := settle(t, ts, `{"bench":"gcc","insts":200000,"engine":"full"}`); again.ID != full.ID {
+		t.Fatalf("identical full pin got job %s, want %s", again.ID, full.ID)
+	}
+}
+
 // TestSubmitUnknownEngineRejected: the loud-rejection satellite over
 // HTTP — an unknown engine is a 400 whose message lists the registered
 // engines.

@@ -71,14 +71,30 @@ func (s *Scenario) Fingerprint() (string, error) {
 // tests can compute what a stale (v1) cache key would have been and
 // prove it never collides with the current one.
 func (s *Scenario) fingerprintAt(version int) (string, error) {
-	if s.streams != nil {
-		return "", fmt.Errorf("simrun: scenario %q uses explicit streams and cannot be fingerprinted", s.Name())
-	}
-	m, err := s.ResolvedMachine()
+	body, err := s.identity(version)
 	if err != nil {
 		return "", err
 	}
-	body := fingerprintBody{
+	// encoding/json marshals struct fields in declaration order, so the
+	// serialization is canonical for a given fingerprintVersion.
+	raw, err := json.Marshal(body)
+	if err != nil {
+		return "", fmt.Errorf("simrun: fingerprint: %w", err)
+	}
+	sum := sha256.Sum256(raw)
+	return hex.EncodeToString(sum[:]), nil
+}
+
+// identity is what the fingerprint hashes: the scenario fully resolved.
+func (s *Scenario) identity(version int) (fingerprintBody, error) {
+	if s.streams != nil {
+		return fingerprintBody{}, fmt.Errorf("simrun: scenario %q uses explicit streams and cannot be fingerprinted", s.Name())
+	}
+	m, err := s.ResolvedMachine()
+	if err != nil {
+		return fingerprintBody{}, err
+	}
+	return fingerprintBody{
 		Version:   version,
 		Model:     s.model,
 		Bench:     s.bench,
@@ -93,13 +109,5 @@ func (s *Scenario) fingerprintAt(version int) (string, error) {
 		Perfect:   s.perfect,
 		Ablation:  s.ablation,
 		Machine:   m,
-	}
-	// encoding/json marshals struct fields in declaration order, so the
-	// serialization is canonical for a given fingerprintVersion.
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return "", fmt.Errorf("simrun: fingerprint: %w", err)
-	}
-	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:]), nil
+	}, nil
 }

@@ -84,8 +84,10 @@ func TestFingerprintSensitivity(t *testing.T) {
 			m.Core.ROBSize = 128
 			return "gcc", append(base(), Machine(m))
 		},
-		"configure": func() (string, []Option) {
-			return "gcc", append(base(), Configure(func(m *config.Machine) { m.Mem.L2.SizeBytes = 1 << 20 }))
+		"machine-l2": func() (string, []Option) {
+			m := config.Default(2)
+			m.Mem.L2.SizeBytes = 1 << 20
+			return "gcc", append(base(), Machine(m))
 		},
 	}
 	seen := map[string]string{}

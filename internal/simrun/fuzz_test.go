@@ -3,7 +3,11 @@ package simrun
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -66,4 +70,91 @@ func FuzzSpecToFingerprint(f *testing.F) {
 			t.Fatalf("spec %s builds to %s, its rendering %s to %s", data, a, first, b)
 		}
 	})
+}
+
+// identified builds a spec from raw JSON and returns it with its resolved
+// identity and fingerprint; ok is false when any step rejects it.
+func identified(raw []byte) (sp Spec, body fingerprintBody, fp string, ok bool) {
+	sp, err := ParseSpec(bytes.NewReader(raw))
+	if err != nil {
+		return sp, body, "", false
+	}
+	sc, err := sp.Scenario()
+	if err != nil {
+		return sp, body, "", false
+	}
+	if body, err = sc.identity(fingerprintVersion); err != nil {
+		return sp, body, "", false
+	}
+	fp, err = sc.Fingerprint()
+	return sp, body, fp, err == nil
+}
+
+// FuzzFingerprintIsIdentity holds the fingerprint to "equal specs <=> equal
+// fingerprints". For two specs that both build, the fingerprints are equal
+// exactly when their resolved identities (the fingerprint body, machine
+// resolved) are reflect.DeepEqual. And what is not identity never moves
+// it: a spec re-spelled with its resolved machine in place of its knobs,
+// and with another label, engine and hostpar, keeps its fingerprint. That
+// is what lets cmd/sweep spell a machine tweak as Spec.Machine. The seed
+// pairs are testdata/fuzz/FuzzFingerprintIsIdentity; TestIdentitySeeds
+// checks the verdict each one's name states.
+func FuzzFingerprintIsIdentity(f *testing.F) {
+	f.Add([]byte(`{"bench":"gcc","cores":2,"prefetch":"stride"}`), []byte(`{"bench":"gcc","copies":2,"prefetch":"stride"}`))
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		spA, bodyA, fpA, okA := identified(a)
+		_, bodyB, fpB, okB := identified(b)
+		if same := reflect.DeepEqual(bodyA, bodyB); okA && okB && (fpA == fpB) != same {
+			t.Fatalf("fingerprints equal = %v, identities equal = %v:\n%s\n%s", fpA == fpB, same, a, b)
+		}
+		if !okA {
+			return
+		}
+		re := spA
+		m := bodyA.Machine
+		re.Machine, re.Fabric, re.Coherence, re.DRAM, re.Prefetch, re.Predictor = &m, "", "", "", "", ""
+		re.Label, re.Engine, re.HostPar, re.Quantum = "re-spelled", DefaultEngine, spA.HostPar+1, spA.Quantum+1
+		raw, err := json.Marshal(re)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, fp, ok := identified(raw); !ok || fp != fpA {
+			t.Fatalf("spec %s re-spelled as %s: fingerprint %q (built %v), want %q", a, raw, fp, ok, fpA)
+		}
+	})
+}
+
+// TestIdentitySeeds: each FuzzFingerprintIsIdentity seed pair is named for
+// its verdict, "equal-..." or "differ-...", and both halves build.
+func TestIdentitySeeds(t *testing.T) {
+	paths, err := filepath.Glob("testdata/fuzz/FuzzFingerprintIsIdentity/*")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no seed pairs (%v)", err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+		if len(lines) != 3 {
+			t.Fatalf("%s: want a header and two []byte values", path)
+		}
+		var fps [2]string
+		for i, line := range lines[1:] {
+			raw, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(line, "[]byte("), ")"))
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			_, _, fp, ok := identified([]byte(raw))
+			if !ok {
+				t.Fatalf("%s: %s does not build", path, raw)
+			}
+			fps[i] = fp
+		}
+		name := filepath.Base(path)
+		if equal := strings.HasPrefix(name, "equal-"); equal != (fps[0] == fps[1]) {
+			t.Errorf("%s: fingerprints equal = %v", name, fps[0] == fps[1])
+		}
+	}
 }

@@ -546,15 +546,10 @@ func Observe(o *obs.Observer) Option {
 
 // Machine replaces the Table 1 default with m as the base machine (its
 // core count is overridden to the scenario's thread count). Knob options
-// still apply on top.
+// still apply on top. A sweep over structure sizes is a list of tweaked
+// machines: each resolves, and fingerprints, like any other spelling of it.
 func Machine(m config.Machine) Option {
 	return func(s *Scenario) error { s.machine = &m; return nil }
-}
-
-// Configure applies an arbitrary machine tweak after the base machine and
-// knob options — the escape hatch for sweeps over structure sizes.
-func Configure(f func(*config.Machine)) Option {
-	return func(s *Scenario) error { s.configure = append(s.configure, f); return nil }
 }
 
 // Perfect selects always-hit structures (the paper's Figure 4 step-by-step

@@ -14,16 +14,18 @@ import (
 )
 
 // TestOptionsLandInMachine checks that every knob option ends up in the
-// resolved config.Machine.
+// resolved config.Machine, on top of an explicit base machine.
 func TestOptionsLandInMachine(t *testing.T) {
+	base := config.Default(1)
+	base.Core.ROBSize = 64
 	s, err := simrun.New("gcc",
+		simrun.Machine(base),
 		simrun.Cores(4),
 		simrun.Fabric("mesh"),
 		simrun.Coherence("directory"),
 		simrun.DRAM("banked"),
 		simrun.Prefetch("stride"),
 		simrun.Predictor("tage"),
-		simrun.Configure(func(m *config.Machine) { m.Core.ROBSize = 64 }),
 	)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -51,7 +53,7 @@ func TestOptionsLandInMachine(t *testing.T) {
 		t.Errorf("Branch.Kind = %q, want tage", m.Branch.Kind)
 	}
 	if m.Core.ROBSize != 64 {
-		t.Errorf("ROBSize = %d, want 64 (Configure not applied)", m.Core.ROBSize)
+		t.Errorf("ROBSize = %d, want 64 (Machine base lost)", m.Core.ROBSize)
 	}
 }
 

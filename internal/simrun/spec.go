@@ -19,8 +19,8 @@ import (
 //
 // Spec deliberately covers only the declarative surface of the builder:
 // closed-set knobs, sizing integers and the full machine override.
-// Code-only options (Streams, Configure, custom registered factories'
-// side data) have no spec form — they exist for embedding Go programs.
+// Code-only options (Streams, Observe, custom registered factories' side
+// data) have no spec form — they exist for embedding Go programs.
 type Spec struct {
 	// Version pins the stream-format generation the spec was written
 	// for. 0 (omitted) means the current generation (SpecVersion); any
@@ -328,9 +328,9 @@ func LoadSpecs(r io.Reader, base ...Spec) ([]*Scenario, error) {
 
 // LoadRawSpecs strictly decodes a SpecFile and returns the merged specs
 // in wire form, each validated by building (and discarding) its
-// scenario. Front ends that ship specs elsewhere instead of running
-// them — cmd/sweep -fleet submitting to a simd coordinator — need the
-// specs themselves: a built Scenario has no way back to its wire form.
+// scenario. Front ends that keep specs as their unit of work — cmd/sweep
+// runs them locally or ships them to a simd coordinator — need the specs
+// themselves: a built Scenario has no way back to its wire form.
 func LoadRawSpecs(r io.Reader, base ...Spec) ([]Spec, error) {
 	specs, err := loadSpecFile(r, base...)
 	if err != nil {

@@ -252,8 +252,8 @@ func TestUnrunnableMachineRejected(t *testing.T) {
 
 	_, err := New("gcc", Model("detailed"), Machine(bad))
 	rejected("Machine option", err)
-	_, err = New("gcc", Configure(func(m *config.Machine) { m.Core.StoreBufferSize = 0 }))
-	rejected("Configure option", err)
+	_, err = New("gcc", Machine(bad), Predictor("tage"))
+	rejected("knob on top of the Machine option", err)
 
 	raw, err := json.Marshal(Spec{Bench: "gcc", Model: "detailed", Machine: &bad})
 	if err != nil {

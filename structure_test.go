@@ -141,6 +141,54 @@ func TestOneStreamInterfaceOneTimedLoop(t *testing.T) {
 	}
 }
 
+// TestSweepPointIsASpec: a cmd/sweep point is described only by a
+// simrun.Spec, so it has a wire form and runs on either executor; the sweep
+// never builds a scenario from options. And no exported simrun option takes
+// a func, so no sweep point can be described by a closure again.
+func TestSweepPointIsASpec(t *testing.T) {
+	var bad []string
+	fset := token.NewFileSet()
+	for _, dir := range []string{"cmd/sweep", "internal/simrun"} {
+		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pkg := range pkgs {
+			ast.Inspect(pkg, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					sel, ok := n.Fun.(*ast.SelectorExpr)
+					if !ok || dir != "cmd/sweep" || (sel.Sel.Name != "New" && sel.Sel.Name != "MustNew") {
+						return true
+					}
+					if x, _ := sel.X.(*ast.Ident); x != nil && x.Name == "simrun" {
+						bad = append(bad, fmt.Sprintf("%s: simrun.%s in cmd/sweep: describe the point as a simrun.Spec", fset.Position(n.Pos()), sel.Sel.Name))
+					}
+				case *ast.FuncDecl:
+					res := n.Type.Results
+					if dir != "internal/simrun" || n.Recv != nil || !n.Name.IsExported() || res == nil || len(res.List) != 1 {
+						return true
+					}
+					if id, _ := res.List[0].Type.(*ast.Ident); id == nil || id.Name != "Option" {
+						return true
+					}
+					for _, p := range n.Type.Params.List {
+						if _, isFunc := p.Type.(*ast.FuncType); isFunc {
+							bad = append(bad, fmt.Sprintf("%s: option simrun.%s takes a func: describe the machine as data (Machine, knobs)", fset.Position(n.Pos()), n.Name.Name))
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	if len(bad) > 0 {
+		t.Fatalf("a sweep point is code again:\n  %s", strings.Join(bad, "\n  "))
+	}
+}
+
 // TestMainPackagesLiveUnderCmd: the runnable programs are the cmd/
 // binaries. A demo of an API is an Example function whose // Output: block
 // go test checks, and a study is a cmd/experiments table, so neither is a
