@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	experiments -fig 5            # one figure or study; -list names all 17 ids
+//	experiments -fig 5            # one figure or study; -list names all 16 ids
 //	experiments -all              # everything, in paper order
 //	experiments -list             # list experiments and the baseline config
 //	experiments -quick -fig 7     # reduced sizing for a fast look
@@ -90,7 +90,7 @@ func main() {
 }
 
 // figIDs is every id runOne accepts, as -fig's help and its error spell it.
-const figIDs = "4a,4b,4c,4d,5,6,7,8,9,10,ablation,model-ablation,fabric,dram,scale16,predictors,cophase"
+const figIDs = "4a,4b,4c,4d,5,6,7,8,9,10,ablation,model-ablation,fabric,dram,scale16,predictors"
 
 func runOne(opts experiments.Opts, fig string) (experiments.Table, error) {
 	switch fig {
@@ -120,8 +120,6 @@ func runOne(opts experiments.Opts, fig string) (experiments.Table, error) {
 		return opts.Scale16(), nil
 	case "predictors":
 		return opts.Predictors(), nil
-	case "cophase":
-		return opts.CoPhase(), nil
 	default:
 		return experiments.Table{}, fmt.Errorf("unknown figure %q (want "+figIDs+")", fig)
 	}
@@ -142,7 +140,6 @@ func printList() {
 	fmt.Println("  (extra)        fixed vs banked DRAM       -fig dram (with row-hit rate)")
 	fmt.Println("  (extra)        16/32-core scaling         -fig scale16")
 	fmt.Println("  (extra)        predictor comparison       -fig predictors")
-	fmt.Println("  (extra)        co-phase matrix            -fig cophase")
 	fmt.Println()
 	m := config.Default(1)
 	fmt.Println("Table 1 baseline core:")

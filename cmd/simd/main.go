@@ -47,9 +47,8 @@ import (
 	"syscall"
 	"time"
 
-	// Register the estimator engines ("statistical", "simpoint") so
-	// tiered serving has cheap tiers to answer from and specs may pin
-	// them explicitly.
+	// Register the estimator engine ("statistical") so tiered serving
+	// has a cheap tier to answer from and specs may pin it explicitly.
 	_ "repro/internal/engine"
 	"repro/internal/fleet"
 	"repro/internal/prof"

@@ -1,14 +1,15 @@
 // Documentation audit: every internal package must carry a package-level
 // doc comment (the docs/ tree points into them, and `go doc` is the
-// canonical reference for each layer), and every package a documented
-// command names must exist. The tests fail naming the undocumented
-// packages and the stale commands, so a new package cannot land without
-// its one-paragraph contract and a deleted one cannot leave commands
-// behind that no longer run.
+// canonical reference for each layer), and every package, engine and
+// figure a document names must exist. The tests fail naming the
+// undocumented packages and the stale names, so a new package cannot land
+// without its one-paragraph contract and a deleted package, engine or
+// figure cannot leave commands behind that no longer run.
 package main
 
 import (
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
@@ -16,9 +17,24 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
+
+	_ "repro/internal/engine"
+	"repro/internal/simrun"
 )
+
+// auditedDocs lists the documents the audits read: README.md, docs/*.md
+// and the verify skill.
+func auditedDocs(t *testing.T) []string {
+	t.Helper()
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(docs, "README.md", ".claude/skills/verify/SKILL.md")
+}
 
 // TestDocCommandsNamePackages checks every package path a `go run`,
 // `go build`, `go test` or `go doc` command quotes in README.md, docs/*.md
@@ -38,11 +54,7 @@ func TestDocCommandsNamePackages(t *testing.T) {
 		return slices.Contains(pkgs, path)
 	}
 
-	docs, err := filepath.Glob("docs/*.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	docs = append(docs, "README.md", ".claude/skills/verify/SKILL.md")
+	docs := auditedDocs(t)
 	command := regexp.MustCompile("\\bgo (run|build|test|doc)\\b([^`\\n;|&#)]*)")
 	var bad []string
 	for _, doc := range docs {
@@ -76,6 +88,69 @@ func TestDocCommandsNamePackages(t *testing.T) {
 	if len(bad) > 0 {
 		t.Fatalf("documented commands name packages `go list ./...` does not know:\n  %s", strings.Join(bad, "\n  "))
 	}
+}
+
+// TestDocNamesAreRegistered checks every engine a document quotes — in
+// "engine":"X" form or as a -engine value — against simrun.Engines(), and
+// every -fig id (a|b lists included) against cmd/experiments' figIDs, so a
+// retired engine or study cannot linger in the prose.
+func TestDocNamesAreRegistered(t *testing.T) {
+	figs := strings.Split(experimentsFigIDs(t), ",")
+	engine := regexp.MustCompile("\"engine\"\\s*:\\s*\"([^\"]*)\"|(?:^|[\\s`])-engine[ =]([\\w-]+)")
+	fig := regexp.MustCompile("(?:^|[\\s`])-fig[ =]([\\w|,-]+)")
+	var bad []string
+	for _, doc := range auditedDocs(t) {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(raw), "\n") {
+			for _, m := range engine.FindAllStringSubmatch(line, -1) {
+				if name := m[1] + m[2]; !slices.Contains(simrun.Engines(), name) {
+					bad = append(bad, fmt.Sprintf("%s:%d: engine %q", doc, i+1, name))
+				}
+			}
+			for _, m := range fig.FindAllStringSubmatch(line, -1) {
+				for _, id := range strings.FieldsFunc(m[1], func(r rune) bool { return r == '|' || r == ',' }) {
+					if !slices.Contains(figs, id) {
+						bad = append(bad, fmt.Sprintf("%s:%d: -fig %s", doc, i+1, id))
+					}
+				}
+			}
+		}
+	}
+	if len(bad) > 0 {
+		t.Fatalf("documents name engines or figures that are not registered (engines: %v; figures: %v):\n  %s",
+			simrun.Engines(), figs, strings.Join(bad, "\n  "))
+	}
+}
+
+// experimentsFigIDs reads the figIDs constant of cmd/experiments, a main
+// package no test can import.
+func experimentsFigIDs(t *testing.T) string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "cmd/experiments/main.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, decl := range f.Decls {
+		gen, ok := decl.(*ast.GenDecl)
+		if !ok || gen.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range gen.Specs {
+			vs := spec.(*ast.ValueSpec)
+			if len(vs.Names) == 1 && vs.Names[0].Name == "figIDs" && len(vs.Values) == 1 {
+				if lit, ok := vs.Values[0].(*ast.BasicLit); ok {
+					if ids, err := strconv.Unquote(lit.Value); err == nil {
+						return ids
+					}
+				}
+			}
+		}
+	}
+	t.Fatal("cmd/experiments/main.go: no string constant figIDs")
+	return ""
 }
 
 // TestInternalPackagesDocumented parses the package clause of every

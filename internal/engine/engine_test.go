@@ -60,76 +60,54 @@ func TestStatisticalExtrapolates(t *testing.T) {
 	}
 }
 
-func TestSimPointTagsSampledTier(t *testing.T) {
-	sc := mustScenario(t, "gcc", "simpoint", simrun.Insts(40_000), simrun.Warmup(10_000), simrun.Seed(42))
-	res, err := sc.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
+// TestEstimatorsRejectMultiProgram: the estimator is single-program; the
+// rejection happens at scenario build time with the reason.
+func TestEstimatorsRejectMultiProgram(t *testing.T) {
+	_, err := simrun.New("", simrun.Mix("gcc", "mcf"), simrun.Engine("statistical"))
+	if err == nil {
+		t.Fatal("statistical accepted a multi-program mix")
 	}
-	if res.Engine != "simpoint" || res.Tier != simrun.TierSampled {
-		t.Errorf("tagged %q/%q", res.Engine, res.Tier)
-	}
-	if res.TotalRetired != 40_000 || res.Cycles <= 0 {
-		t.Errorf("retired %d cycles %d", res.TotalRetired, res.Cycles)
+	if !strings.Contains(err.Error(), "statistical") {
+		t.Errorf("rejection does not name the engine: %v", err)
 	}
 }
 
-// TestSimPointGolden pins the engine's exact answers, recorded at 3c4b015
-// when each representative was warmed and stepped by internal/sampling's own
-// loops; each is one multicore.Run now and must answer the same.
-func TestSimPointGolden(t *testing.T) {
+// TestRegisteredEngines: the registry holds the full engine and the
+// statistical estimator. A spec pinned to the deleted "simpoint" engine
+// gets the ordinary unknown-engine rejection listing them.
+func TestRegisteredEngines(t *testing.T) {
+	if got := strings.Join(simrun.Engines(), ", "); got != "full, statistical" {
+		t.Fatalf("engines = %s, want full, statistical", got)
+	}
+	_, err := simrun.Spec{Bench: "gcc", Engine: "simpoint"}.Scenario()
+	if err == nil || !strings.Contains(err.Error(), `unknown engine "simpoint" (registered: full, statistical;`) {
+		t.Fatalf("simpoint pin: %v", err)
+	}
+}
+
+// TestCheapestEngineSelection: with the estimator registered, a
+// single-program scenario whose full run costs more than the estimate is
+// answered from the statistical engine; a small one, whose full run is
+// cheaper than the estimate, and a multi-program one fall back to full.
+func TestCheapestEngineSelection(t *testing.T) {
 	for _, tc := range []struct {
-		opts   []simrun.Option
-		cycles int64
+		name string
+		opts []simrun.Option
+		want string
 	}{
-		{[]simrun.Option{simrun.Insts(40_000), simrun.Warmup(10_000), simrun.Seed(42), simrun.Model("interval")}, 75_817},
-		{[]simrun.Option{simrun.Insts(40_000), simrun.Warmup(10_000), simrun.Seed(42), simrun.Model("detailed")}, 59_430},
-		{[]simrun.Option{simrun.Insts(300_000), simrun.Warmup(100_000), simrun.Seed(7)}, 634_395},
+		{"gcc", []simrun.Option{simrun.Insts(10_000)}, simrun.DefaultEngine},
+		{"gcc", []simrun.Option{simrun.Insts(2_000_000)}, "statistical"},
+		{"gcc", []simrun.Option{simrun.Insts(4_000_000), simrun.Warmup(200_000)}, "statistical"},
+		{"", []simrun.Option{simrun.Mix("gcc", "mcf"), simrun.Insts(10_000)}, simrun.DefaultEngine},
+		{"", []simrun.Option{simrun.Mix("gcc", "mcf"), simrun.Insts(4_000_000)}, simrun.DefaultEngine},
 	} {
-		sc := mustScenario(t, "gcc", "simpoint", tc.opts...)
-		res, err := sc.Run(context.Background())
+		sc, err := simrun.New(tc.name, tc.opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Cycles != tc.cycles || res.TotalRetired != uint64(sc.InstBudget()) {
-			t.Errorf("%s %d insts: %d cycles, %d retired; recorded %d cycles, %d retired",
-				sc.ModelName(), sc.InstBudget(), res.Cycles, res.TotalRetired, tc.cycles, sc.InstBudget())
+		if got := simrun.CheapestEngineFor(sc).Name; got != tc.want {
+			t.Errorf("%s %d insts: cheapest = %q, want %q", sc.Name(), sc.InstBudget(), got, tc.want)
 		}
-	}
-}
-
-// TestEstimatorsRejectMultiProgram: both estimators are single-program;
-// the rejection happens at scenario build time with the reason.
-func TestEstimatorsRejectMultiProgram(t *testing.T) {
-	for _, eng := range []string{"statistical", "simpoint"} {
-		_, err := simrun.New("", simrun.Mix("gcc", "mcf"), simrun.Engine(eng))
-		if err == nil {
-			t.Errorf("%s accepted a multi-program mix", eng)
-			continue
-		}
-		if !strings.Contains(err.Error(), eng) {
-			t.Errorf("%s rejection does not name the engine: %v", eng, err)
-		}
-	}
-}
-
-// TestCheapestEngineSelection: with the estimators registered, a
-// single-program scenario's cheapest engine is the statistical one, and
-// a multi-program scenario falls back to full.
-func TestCheapestEngineSelection(t *testing.T) {
-	single, err := simrun.New("gcc", simrun.Insts(10_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := simrun.CheapestEngineFor(single).Name; got != "statistical" {
-		t.Errorf("cheapest for single-program = %q", got)
-	}
-	mix, err := simrun.New("", simrun.Mix("gcc", "mcf"), simrun.Insts(10_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := simrun.CheapestEngineFor(mix).Name; got != simrun.DefaultEngine {
-		t.Errorf("cheapest for mix = %q", got)
 	}
 }
 

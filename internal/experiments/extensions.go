@@ -6,13 +6,10 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/isa"
 	"repro/internal/memhier"
 	"repro/internal/memory"
 	"repro/internal/multicore"
-	"repro/internal/sampling"
 	"repro/internal/simrun"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -258,86 +255,7 @@ func mispOf(res multicore.Result) string {
 	return pct(ic.MispredictRate())
 }
 
-// CoPhase regenerates the co-phase-matrix validation: for two two-program
-// mixes of phased workloads, the matrix prediction versus the actual
-// co-run, per program.
-func (o Opts) CoPhase() Table {
-	t := Table{
-		ID:      "cophase",
-		Title:   "co-phase matrix (Van Biesbrouck et al.): predicted vs actual co-run IPC",
-		Columns: []string{"mix", "program", "actual IPC", "predicted", "error", "cells"},
-	}
-	segLen := o.Insts / 10
-	if segLen < 1000 {
-		segLen = 1000
-	}
-	// Each program is 12 phased segments; the first two are
-	// initialization, used only to warm the actual co-run (the matrix
-	// cells warm with their in-stream prefixes).
-	const initSegs = 2
-	phased := func(x, y string, seedX, seedY int64) (init, rest []isa.Inst) {
-		gx := workload.New(workload.SPECByName(x), 0, 1, seedX)
-		gy := workload.New(workload.SPECByName(y), 0, 1, seedY)
-		all := trace.Record(gx, segLen)
-		for s := 1; s < 10+initSegs; s++ {
-			g := trace.Stream(gx)
-			if s%2 == 1 {
-				g = gy
-			}
-			all = append(all, trace.Record(g, segLen)...)
-		}
-		return all[:initSegs*segLen], all[initSegs*segLen:]
-	}
-	type phasedProg struct{ init, rest []isa.Inst }
-	mk := func(x, y string, sx, sy int64) phasedProg {
-		i, r := phased(x, y, sx, sy)
-		return phasedProg{i, r}
-	}
-	mixes := []struct {
-		name   string
-		a, b   phasedProg
-		labels [2]string
-	}{
-		{"gcc~swim / mcf~gcc", mk("gcc", "swim", o.Seed, o.Seed+1), mk("mcf", "gcc", o.Seed+2, o.Seed+3),
-			[2]string{"gcc~swim", "mcf~gcc"}},
-		{"crafty~art / swim~twolf", mk("crafty", "art", o.Seed+4, o.Seed+5), mk("swim", "twolf", o.Seed+6, o.Seed+7),
-			[2]string{"crafty~art", "swim~twolf"}},
-	}
-	m := config.Default(2)
-	for _, mix := range mixes {
-		res, err := sampling.CoPhaseEstimate(mix.a.rest, mix.b.rest, sampling.CoPhaseConfig{
-			IntervalLen: segLen, K: 2, Seed: 9, Machine: m, Model: multicore.Interval,
-		})
-		if err != nil {
-			t.Rows = append(t.Rows, []string{mix.name, "error", err.Error(), "", "", ""})
-			continue
-		}
-		actual := o.one(simrun.MustNew("",
-			simrun.Label(mix.name),
-			simrun.Machine(m),
-			simrun.Warmup(initSegs*segLen),
-			simrun.Streams(
-				[]trace.Stream{trace.NewSliceStream(mix.a.rest), trace.NewSliceStream(mix.b.rest)},
-				[]trace.Stream{trace.NewSliceStream(mix.a.init), trace.NewSliceStream(mix.b.init)},
-			),
-		))
-		for k := 0; k < 2; k++ {
-			act := actual.Cores[k].IPC
-			pred := res.Predicted[k]
-			t.Rows = append(t.Rows, []string{
-				mix.name, mix.labels[k], f3(act), f3(pred),
-				pct(math.Abs(pred-act) / act),
-				fmt.Sprintf("%d x %d", res.MatrixRuns, segLen),
-			})
-		}
-	}
-	t.Notes = append(t.Notes,
-		"each mix simulates K*K short phase-pair cells instead of the full co-run;",
-		"the first two segments are initialization, discarded on both sides")
-	return t
-}
-
 // Extensions returns the beyond-the-paper tables in order.
 func (o Opts) Extensions() []Table {
-	return []Table{o.AblationModel(), o.Predictors(), o.Fabric(), o.DRAMStudy(), o.Scale16(), o.CoPhase()}
+	return []Table{o.AblationModel(), o.Predictors(), o.Fabric(), o.DRAMStudy(), o.Scale16()}
 }

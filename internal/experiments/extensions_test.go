@@ -94,24 +94,6 @@ func TestPredictorsStructure(t *testing.T) {
 	}
 }
 
-func TestCoPhaseTableStructure(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	tb := tinyExt().CoPhase()
-	if len(tb.Rows) != 4 { // 2 mixes x 2 programs
-		t.Fatalf("rows = %d, want 4", len(tb.Rows))
-	}
-	for _, r := range tb.Rows {
-		if r[1] == "error" {
-			t.Fatalf("co-phase estimation failed: %v", r)
-		}
-		if !strings.HasSuffix(r[4], "%") {
-			t.Fatalf("error cell %q is not a percentage", r[4])
-		}
-	}
-}
-
 func TestScale16Structure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")

@@ -274,10 +274,11 @@ func Measure(cfg RunConfig, mem *memhier.Hierarchy, bps []*branch.Unit, streams 
 		cfg.Heartbeat.Final(res.TotalRetired)
 		return res
 	}
-	if n == 1 && skippers[0] != nil {
+	if n == 1 {
 		// Single-core fast loop: no rotation, no live-list bookkeeping —
 		// the dominant case for SPEC runs and sweeps. Semantically
-		// identical to the general loop below with one core.
+		// identical to the general loop below with one core: a core that
+		// cannot skip advances one cycle at a time.
 		c, ts := cores[0], skippers[0]
 		if c.Done() {
 			coord.NoteDone(0)
@@ -301,9 +302,12 @@ func Measure(cfg RunConfig, mem *memhier.Hierarchy, bps []*branch.Unit, streams 
 					coord.NoteDone(0)
 					break
 				}
-				next := ts.NextActive(now + 1)
-				if next < now+1 {
-					next = now + 1
+				next := now + 1
+				if ts != nil {
+					next = ts.NextActive(now + 1)
+					if next < now+1 {
+						next = now + 1
+					}
 				}
 				now = next
 				if now >= maxCycles {

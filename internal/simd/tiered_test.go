@@ -3,16 +3,23 @@ package simd_test
 import (
 	"bufio"
 	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/config"
-	// The estimator engines tiered serving answers from.
+	// The estimator engine tiered serving answers from.
 	_ "repro/internal/engine"
+	"repro/internal/multicore"
+	"repro/internal/report"
 	"repro/internal/simd"
 	"repro/internal/simrun"
 )
@@ -154,6 +161,64 @@ func TestTierUpgradeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestTieredServingSkipsCostlyEstimate: an un-pinned spec whose full run
+// costs less than the statistical estimate is answered by the full engine
+// directly — one done event, at the interval tier, with the direct run's
+// bytes — rather than by a slower, less faithful estimate.
+func TestTieredServingSkipsCostlyEstimate(t *testing.T) {
+	_, ts := newTieredServer(t)
+	spec := simrun.Spec{Bench: "gcc", Insts: 200_000, Warmup: 50_000}
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc simd.JobDoc
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	sse, err := http.Get(ts.URL + "/v1/jobs/" + doc.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sse.Body.Close()
+	var done []simd.JobDoc
+	sc := bufio.NewScanner(sse.Body)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		if data, ok := bytes.CutPrefix(sc.Bytes(), []byte("data: ")); ok {
+			var ev simd.JobDoc
+			if err := json.Unmarshal(data, &ev); err != nil {
+				t.Fatal(err)
+			}
+			if ev.Status == simd.StatusDone {
+				done = append(done, ev)
+			}
+		}
+	}
+	if len(done) != 1 || done[0].Tier != string(simrun.TierInterval) {
+		t.Fatalf("done events %+v, want one at tier %q", done, simrun.TierInterval)
+	}
+	if !bytes.Equal(done[0].Result, directPayload(t, spec)) {
+		t.Fatalf("served payload differs from the direct full run's")
+	}
+	metrics, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer metrics.Body.Close()
+	var buf bytes.Buffer
+	buf.ReadFrom(metrics.Body)
+	if !strings.Contains(buf.String(), "simd_tier_fast_answers_total 0") {
+		t.Errorf("metrics report a fast answer:\n%s", buf.String())
+	}
+}
+
 // TestTierServingHonorsPinnedEngine: a spec that pins the full engine is
 // served at full fidelity directly, no estimate phase.
 func TestTierServingHonorsPinnedEngine(t *testing.T) {
@@ -244,7 +309,7 @@ func TestSubmitUnknownEngineRejected(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"unknown engine", `"warp"`, "full", "statistical", "simpoint"} {
+	for _, want := range []string{"unknown engine", `"warp"`, "full", "statistical"} {
 		if !strings.Contains(body.Error, want) {
 			t.Errorf("400 body %q does not mention %q", body.Error, want)
 		}
@@ -320,12 +385,114 @@ func TestCatalogListsEnginesAndTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 	engines := strings.Join(cat.Engines, ",")
-	for _, want := range []string{"full", "statistical", "simpoint"} {
+	for _, want := range []string{"full", "statistical"} {
 		if !strings.Contains(engines, want) {
 			t.Errorf("catalog engines %v missing %q", cat.Engines, want)
 		}
 	}
 	if len(cat.Tiers) == 0 || cat.Tiers[0] != string(simrun.TierStatistical) {
 		t.Errorf("catalog tiers %v not cheapest-first", cat.Tiers)
+	}
+}
+
+// seedRetiredTier writes, under spec's fingerprint in a cache directory, the
+// payload an estimator that no longer exists would have persisted: a
+// wrong answer tagged with the "sampled" tier, in the on-disk format
+// (payload plus SHA-256 integrity footer).
+func seedRetiredTier(t *testing.T, dir string, spec simrun.Spec) {
+	t.Helper()
+	sc, err := spec.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := sc.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stale multicore.Result
+	stale.Cycles, stale.TotalRetired = 1, uint64(spec.Insts)
+	payload, err := report.JSONTiered(stale, "simpoint", "sampled")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(payload)
+	file := append(payload, "\n#simcache-sha256:"+hex.EncodeToString(sum[:])+"\n"...)
+	if err := os.WriteFile(filepath.Join(dir, key+".json"), file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// directPayload is what the full engine answers for spec, encoded.
+func directPayload(t *testing.T, spec simrun.Spec) []byte {
+	t.Helper()
+	sc, err := spec.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sc.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := simd.Encode(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
+// TestRetiredTierIsNeverDefinitive: a persisted answer tagged with a tier
+// no registered engine produces any more ranks below every estimate, so
+// neither a full-engine request nor a tiered job is served from it — both
+// re-simulate and answer with the direct run's bytes.
+func TestRetiredTierIsNeverDefinitive(t *testing.T) {
+	spec := simrun.Spec{Bench: "mcf", Insts: 1_500_000, Warmup: 100_000}
+	want := directPayload(t, spec)
+
+	dir := t.TempDir()
+	seedRetiredTier(t, dir, spec)
+	cache, err := simrun.NewCache(simrun.CacheOpts{Dir: dir, Encode: simd.Encode, DecodeTier: simd.DecodeTier})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := spec.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, err := cache.GetOrRun(context.Background(), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if entry.Source != simrun.SourceRun || !bytes.Equal(entry.Payload, want) {
+		t.Fatalf("full request served from %s at tier %q, want a fresh run with the direct bytes", entry.Source, entry.Tier)
+	}
+
+	dir = t.TempDir()
+	seedRetiredTier(t, dir, spec)
+	if cache, err = simrun.NewCache(simrun.CacheOpts{Dir: dir, Encode: simd.Encode, DecodeTier: simd.DecodeTier}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := simd.New(simd.Config{Workers: 2, Cache: cache, TieredServing: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := settle(t, ts, string(body))
+	if job.Tier == "sampled" {
+		t.Fatalf("tiered job served the retired-tier payload")
+	}
+	final := job
+	for deadline := time.Now().Add(60 * time.Second); final.Tier != string(simrun.TierInterval); final = getJob(t, ts, job.ID) {
+		if time.Now().After(deadline) {
+			t.Fatalf("job never upgraded: %+v", final)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if !bytes.Equal(final.Result, want) {
+		t.Fatalf("tiered job's final payload differs from the direct full run's")
 	}
 }

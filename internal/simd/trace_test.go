@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	// The estimator engines tiered serving answers from.
+	// The estimator engine tiered serving answers from.
 	_ "repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/simd"
@@ -21,7 +21,9 @@ import (
 func TestTieredJobTraceOrder(t *testing.T) {
 	_, ts := newTieredServer(t)
 
-	spec := `{"bench":"gcc","insts":200000,"warmup":20000}`
+	// Big enough that the full run costs more than the statistical
+	// estimate, which tiered serving then answers from first.
+	spec := `{"bench":"gcc","insts":1500000,"warmup":20000}`
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
 	if err != nil {
 		t.Fatal(err)

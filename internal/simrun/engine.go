@@ -11,11 +11,11 @@ import (
 // EngineDef is one registered way to produce an answer for a scenario.
 // Engines span the fidelity spectrum: the built-in "full" engine runs
 // the scenario's entire instruction budget under its core model, while
-// estimator engines (package internal/engine registers "statistical"
-// and "simpoint") trade fidelity for orders-of-magnitude less work. All
-// engines answer the *same* scenario — the engine choice never enters
-// the scenario fingerprint — so a serving layer can answer cheap first
-// and upgrade the cached answer when a higher tier lands.
+// estimator engines (package internal/engine registers "statistical")
+// trade fidelity for orders-of-magnitude less work. All engines answer
+// the *same* scenario — the engine choice never enters the scenario
+// fingerprint — so a serving layer can answer cheap first and upgrade the
+// cached answer when a higher tier lands.
 type EngineDef struct {
 	// Name is the registered engine name.
 	Name string
@@ -46,8 +46,8 @@ var engineRegistry = struct {
 // RegisterEngine makes an engine available to scenarios under its Name.
 // Registering a name twice, an empty name, or a definition with missing
 // hooks panics: engine registration is program wiring, not user input.
-// The built-in "full" engine is pre-registered; "statistical" and
-// "simpoint" are registered by importing package internal/engine.
+// The built-in "full" engine is pre-registered; "statistical" is
+// registered by importing package internal/engine.
 func RegisterEngine(e EngineDef) {
 	if e.Name == "" || e.Tier == nil || e.Cost == nil || e.Supports == nil || e.Run == nil {
 		panic("simrun: RegisterEngine needs a name and all four hooks")
@@ -97,20 +97,27 @@ func tierList() string {
 }
 
 // CheapestEngineFor returns the cheapest registered engine that supports
-// s: lowest tier first, lowest cost estimate within a tier. The "full"
-// engine supports every scenario, so there is always an answer.
+// s: lowest tier first, lowest cost estimate within a tier. An estimator
+// is eligible only when it costs less than the full run of s — a cheaper
+// tier that takes longer than the definitive answer is no shortcut — so
+// the "full" engine, which supports every scenario, is the answer
+// otherwise.
 func CheapestEngineFor(s *Scenario) EngineDef {
 	engineRegistry.RLock()
 	defer engineRegistry.RUnlock()
-	var best EngineDef
-	bestRank, bestCost := 0, 0.0
+	best := engineRegistry.engines[DefaultEngine]
+	bestRank, bestCost := best.Tier(s).Rank(), best.Cost(s)
+	limit := bestCost
 	for _, name := range sortedEngineNamesLocked() {
 		e := engineRegistry.engines[name]
 		if e.Supports(s) != nil {
 			continue
 		}
 		rank, cost := e.Tier(s).Rank(), e.Cost(s)
-		if best.Name == "" || rank < bestRank || (rank == bestRank && cost < bestCost) {
+		if cost >= limit {
+			continue
+		}
+		if rank < bestRank || (rank == bestRank && cost < bestCost) {
 			best, bestRank, bestCost = e, rank, cost
 		}
 	}

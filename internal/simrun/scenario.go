@@ -359,12 +359,12 @@ func Model(name string) Option {
 
 // Engine selects the answering engine by registered name (see
 // RegisterEngine): DefaultEngine ("full") runs the entire budget under
-// the scenario's core model; estimator engines ("statistical",
-// "simpoint" — registered by importing internal/engine) answer at a
-// cheaper fidelity tier. The choice never enters the scenario
-// fingerprint: every engine answers the same scenario, and caches only
-// ever upgrade an entry to a higher tier. Unknown names and unsupported
-// scenario/engine combinations are rejected by New.
+// the scenario's core model; estimator engines ("statistical" —
+// registered by importing internal/engine) answer at a cheaper fidelity
+// tier. The choice never enters the scenario fingerprint: every engine
+// answers the same scenario, and caches only ever upgrade an entry to a
+// higher tier. Unknown names and unsupported scenario/engine combinations
+// are rejected by New.
 func Engine(name string) Option {
 	return func(s *Scenario) error {
 		if name == "" {

@@ -34,10 +34,10 @@ type Spec struct {
 	Model string `json:"model,omitempty"`
 	// Engine pins the answering engine (simrun.Engine): omitted or
 	// "full" runs the complete budget under the core model; estimator
-	// engines ("statistical", "simpoint") answer at a cheaper fidelity
-	// tier. Unknown engine or tier names are rejected loudly with the
-	// registered set — mirroring the Version rejection below — so a
-	// typo never silently runs the wrong fidelity.
+	// engines ("statistical") answer at a cheaper fidelity tier. Unknown
+	// engine or tier names are rejected loudly with the registered set —
+	// mirroring the Version rejection below — so a typo never silently
+	// runs the wrong fidelity.
 	Engine string   `json:"engine,omitempty"`
 	Cores  int      `json:"cores,omitempty"`
 	Copies int      `json:"copies,omitempty"`

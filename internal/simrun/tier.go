@@ -2,12 +2,11 @@ package simrun
 
 // Tier classifies the fidelity of a simulation answer. The lattice is
 //
-//	statistical < sampled < interval < detailed
+//	statistical < interval < detailed
 //
 // and orders how much of the machine's timing behaviour the answer
 // actually simulated: a statistical-tier answer timed a short synthetic
-// clone, a sampled-tier answer timed a handful of representative
-// intervals, and the interval/detailed tiers timed the full instruction
+// clone, and the interval/detailed tiers timed the full instruction
 // budget under the scenario's own core model. A serving layer may answer
 // a query from any tier and later replace the answer with a higher one —
 // never the reverse (the upgrade-only cache invariant).
@@ -18,9 +17,6 @@ const (
 	// synthetic clone generated from a statistical profile
 	// (internal/statsim) — the cheapest, least faithful tier.
 	TierStatistical Tier = "statistical"
-	// TierSampled: the answer timed representative SimPoint intervals
-	// and combined them by phase weight (internal/sampling).
-	TierSampled Tier = "sampled"
 	// TierInterval: the full instruction budget ran under the interval
 	// model (or another full-budget analytical model).
 	TierInterval Tier = "interval"
@@ -29,29 +25,23 @@ const (
 	TierDetailed Tier = "detailed"
 )
 
-// tierRanks orders the lattice. Unknown tiers — including the empty
-// string found in payloads written before tiers existed — rank above
-// every named tier: an untagged entry was produced by the full engine
-// (the only writer back then), so it is definitive and must never be
-// clobbered by an estimator.
+// tierRanks orders the lattice. The empty string, found in payloads
+// written before tiers existed, ranks above every named tier: an untagged
+// entry was produced by the full engine (the only writer back then), so it
+// is definitive and must never be clobbered by an estimator. Any other
+// unknown tier — one a since-retired estimator wrote into a persistent
+// cache — ranks below every named tier, so the next request upgrades it.
 var tierRanks = map[Tier]int{
 	TierStatistical: 1,
-	TierSampled:     2,
-	TierInterval:    3,
-	TierDetailed:    4,
+	TierInterval:    2,
+	TierDetailed:    3,
+	"":              4,
 }
-
-// definitiveRank is the rank of untagged/unknown tiers (see tierRanks).
-const definitiveRank = 5
 
 // Rank returns the tier's position in the lattice; higher is more
-// faithful. Unknown tiers (including "") rank highest — definitive.
-func (t Tier) Rank() int {
-	if r, ok := tierRanks[t]; ok {
-		return r
-	}
-	return definitiveRank
-}
+// faithful. The untagged tier "" is definitive; other unknown tiers rank
+// 0, below every estimate.
+func (t Tier) Rank() int { return tierRanks[t] }
 
 // AtLeast reports whether an answer at tier t satisfies a request for
 // tier want.
@@ -59,5 +49,5 @@ func (t Tier) AtLeast(want Tier) bool { return t.Rank() >= want.Rank() }
 
 // Tiers lists the named tiers, cheapest first.
 func Tiers() []Tier {
-	return []Tier{TierStatistical, TierSampled, TierInterval, TierDetailed}
+	return []Tier{TierStatistical, TierInterval, TierDetailed}
 }

@@ -71,45 +71,92 @@ func boundaryProfiles() []Profile {
 // shows in it. The concatenation of batches of arbitrary sizes equals the
 // one-by-one stream, instruction for instruction, across chunk resets.
 func TestBatchBoundaryInvariance(t *testing.T) {
-	const total = 2*ChunkLen + 5000
 	for _, p := range boundaryProfiles() {
-		threads := 1
-		if p.MultiThreaded() {
-			threads = 2
+		batchesMatch(t, &p, 42, batchSizes(rand.New(rand.NewSource(7))), 2*ChunkLen+5000, false)
+	}
+}
+
+// FuzzBatchBoundaryInvariance is TestBatchBoundaryInvariance with the
+// profile, the seed and the batch sizes as input, on the full and on the
+// functional stream. Each three bytes of sizes (little-endian) are one
+// batch of 1 to ChunkLen+1 instructions and each byte left over one of 1
+// to 256; the sizes repeat until the stream is one chunk reset in.
+func FuzzBatchBoundaryInvariance(f *testing.F) {
+	f.Add(uint8(1), int64(1), []byte{}) // the named regimes are in testdata/fuzz
+	profiles := boundaryProfiles()
+	f.Fuzz(func(t *testing.T, pi uint8, seed int64, sizes []byte) {
+		var batches []int
+		for ; len(sizes) >= 3; sizes = sizes[3:] {
+			v := int(sizes[0]) | int(sizes[1])<<8 | int(sizes[2])<<16
+			batches = append(batches, 1+v%(ChunkLen+1))
 		}
-		one := byOne(New(&p, 0, threads, 42))
-		bat := New(&p, 0, threads, 42)
-		next := batchSizes(rand.New(rand.NewSource(7)))
-		buf := make([]isa.Inst, ChunkLen+1)
-		pos := 0
-		for pos < total {
-			b := buf[:next()]
-			for i := range b {
-				b[i] = poison
-			}
-			k := bat.NextBatch(b)
-			for i := 0; i < k; i++ {
-				want, ok := one.Next()
-				if !ok || b[i] != want {
-					t.Fatalf("%s: instruction %d (slot %d of a %d-slot batch):\nbatched: %+v\n by one: %+v (ok=%v)",
-						p.Name, pos+i, i, len(b), b[i], want, ok)
-				}
-			}
-			pos += k
-			if k < len(b) {
-				// Only the end of a bounded stream may cut a batch short.
-				if _, ok := one.Next(); ok {
-					t.Fatalf("%s: batch returned %d of %d slots at %d but the stream goes on", p.Name, k, len(b), pos)
-				}
-				if bat.NextBatch(b) != 0 {
-					t.Fatalf("%s: stream resumed after its end", p.Name)
-				}
-				break
+		for _, b := range sizes {
+			batches = append(batches, 1+int(b))
+		}
+		if len(batches) == 0 {
+			batches = []int{1}
+		}
+		next := func() func() int {
+			i := -1
+			return func() int {
+				i++
+				return batches[i%len(batches)]
 			}
 		}
-		if pos < ChunkLen && p.TotalWork == 0 {
-			t.Fatalf("%s: unbounded stream ended at %d", p.Name, pos)
+		p := &profiles[int(pi)%len(profiles)]
+		batchesMatch(t, p, seed, next(), ChunkLen+5000, false)
+		batchesMatch(t, p, seed, next(), ChunkLen+5000, true)
+	})
+}
+
+// batchesMatch reads the first total instructions of p's thread 0 (of 2
+// when p is multi-threaded) in batches of next() slots and fails t unless
+// they equal the one-by-one stream: the full stream, or with functional
+// its functional twin, which carries the full stream's instructions
+// without register operands. Only the end of a bounded stream may cut a
+// batch short.
+func batchesMatch(t *testing.T, p *Profile, seed int64, next func() int, total int, functional bool) {
+	t.Helper()
+	threads := 1
+	if p.MultiThreaded() {
+		threads = 2
+	}
+	one := byOne(New(p, 0, threads, seed))
+	bat := New(p, 0, threads, seed)
+	if functional {
+		bat.Functional()
+	}
+	buf := make([]isa.Inst, ChunkLen+1)
+	pos := 0
+	for pos < total {
+		b := buf[:next()]
+		for i := range b {
+			b[i] = poison
 		}
+		k := bat.NextBatch(b)
+		for i := 0; i < k; i++ {
+			want, ok := one.Next()
+			if functional {
+				want = functionalOf(want)
+			}
+			if !ok || b[i] != want {
+				t.Fatalf("%s (functional %v): instruction %d (slot %d of a %d-slot batch):\nbatched: %+v\n by one: %+v (ok=%v)",
+					p.Name, functional, pos+i, i, len(b), b[i], want, ok)
+			}
+		}
+		pos += k
+		if k < len(b) {
+			if _, ok := one.Next(); ok {
+				t.Fatalf("%s: batch returned %d of %d slots at %d but the stream goes on", p.Name, k, len(b), pos)
+			}
+			if bat.NextBatch(b) != 0 {
+				t.Fatalf("%s: stream resumed after its end", p.Name)
+			}
+			break
+		}
+	}
+	if pos < ChunkLen && p.TotalWork == 0 {
+		t.Fatalf("%s: unbounded stream ended at %d", p.Name, pos)
 	}
 }
 
