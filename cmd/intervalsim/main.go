@@ -15,6 +15,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -28,10 +29,15 @@ import (
 	"repro/internal/workload"
 )
 
-// main delegates to run so deferred profile writers execute before the
-// process exits with run's status code.
+// main runs under a context that Ctrl-C / SIGTERM cancels: the run stops at
+// the driver's next poll and the partial result is still printed (with its
+// interrupted marker), so a long run cut short is not a total loss. run
+// returns the status so deferred profile writers execute before the exit.
 func main() {
-	os.Exit(run())
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
 }
 
 // writeTrace dumps the recorded spans as Chrome trace_event JSON.
@@ -47,76 +53,71 @@ func writeTrace(path string, tr *obs.Tracer) error {
 	return f.Close()
 }
 
-func run() int {
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("intervalsim", flag.ContinueOnError)
+	fl.SetOutput(stderr)
 	var (
-		bench  = flag.String("bench", "", "benchmark profile name")
-		model  = flag.String("model", "interval", "core model: "+strings.Join(simrun.Models(), ", "))
-		cores  = flag.Int("cores", 1, "cores (threads for PARSEC profiles)")
-		copies = flag.Int("copies", 0, "run N copies of a SPEC profile (multi-program)")
-		insts  = flag.Int("insts", 100_000, "per-thread instruction budget for SPEC profiles")
-		warmup = flag.Int("warmup", 600_000, "functional warmup instructions per core")
-		seed   = flag.Int64("seed", 42, "workload seed")
-		list   = flag.Bool("list", false, "list available benchmark profiles")
-		stack  = flag.Bool("cpistack", false, "print per-core CPI stacks (interval model only)")
-		rep    = flag.Bool("report", false, "print the full post-run report (hierarchy, bus, DRAM, coherence)")
-		asJSON = flag.Bool("json", false, "print the machine-readable result summary (report.JSON)")
+		bench  = fl.String("bench", "", "benchmark profile name")
+		model  = fl.String("model", "interval", "core model: "+strings.Join(simrun.Models(), ", "))
+		cores  = fl.Int("cores", 1, "cores (threads for PARSEC profiles)")
+		copies = fl.Int("copies", 0, "run N copies of a SPEC profile (multi-program)")
+		insts  = fl.Int("insts", 100_000, "per-thread instruction budget for SPEC profiles")
+		warmup = fl.Int("warmup", 600_000, "functional warmup instructions per core")
+		seed   = fl.Int64("seed", 42, "workload seed")
+		list   = fl.Bool("list", false, "list available benchmark profiles")
+		stack  = fl.Bool("cpistack", false, "print per-core CPI stacks (interval model only)")
+		rep    = fl.Bool("report", false, "print the full post-run report (hierarchy, bus, DRAM, coherence)")
+		asJSON = fl.Bool("json", false, "print the machine-readable result summary (report.JSON)")
 
-		fabric    = flag.String("fabric", "bus", "on-chip interconnect: bus, mesh, ring")
-		coherence = flag.String("coherence", "moesi", "coherence protocol: moesi, mesi, directory")
-		dram      = flag.String("dram", "fixed", "main-memory model: fixed, banked")
-		prefetch  = flag.String("prefetch", "none", "prefetcher: none, nextline, stride")
-		predictor = flag.String("predictor", "local", "direction predictor: local, gshare, bimodal, tournament, tage, perfect")
+		fabric    = fl.String("fabric", "bus", "on-chip interconnect: bus, mesh, ring")
+		coherence = fl.String("coherence", "moesi", "coherence protocol: moesi, mesi, directory")
+		dram      = fl.String("dram", "fixed", "main-memory model: fixed, banked")
+		prefetch  = fl.String("prefetch", "none", "prefetcher: none, nextline, stride")
+		predictor = fl.String("predictor", "local", "direction predictor: local, gshare, bimodal, tournament, tage, perfect")
 
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON of the run to this file (load in chrome://tracing or ui.perfetto.dev)")
-		progress   = flag.Bool("progress", false, "print live progress lines (retired, MIPS, ETA) to stderr")
+		cpuprofile = fl.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = fl.String("memprofile", "", "write a heap profile to this file on exit")
+		traceOut   = fl.String("trace", "", "write a Chrome trace_event JSON of the run to this file (load in chrome://tracing or ui.perfetto.dev)")
+		progress   = fl.Bool("progress", false, "print live progress lines (retired, MIPS, ETA) to stderr")
 	)
-	flag.Parse()
+	if err := fl.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	flush, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	defer flush()
 
 	if *list {
-		fmt.Println("SPEC CPU2000-like (single-threaded):")
+		fmt.Fprintln(stdout, "SPEC CPU2000-like (single-threaded):")
 		for _, p := range workload.SPEC() {
-			fmt.Printf("  %s\n", p.Name)
+			fmt.Fprintf(stdout, "  %s\n", p.Name)
 		}
-		fmt.Println("PARSEC-like (multi-threaded, full-system):")
+		fmt.Fprintln(stdout, "PARSEC-like (multi-threaded, full-system):")
 		for _, p := range workload.PARSEC() {
-			fmt.Printf("  %s\n", p.Name)
+			fmt.Fprintf(stdout, "  %s\n", p.Name)
 		}
 		return 0
 	}
 	if *bench == "" {
-		flag.Usage()
+		fl.Usage()
 		return 2
 	}
 	if *stack && *model != "interval" {
-		fmt.Fprintln(os.Stderr, "-cpistack requires -model interval")
+		fmt.Fprintln(stderr, "-cpistack requires -model interval")
 		return 2
 	}
 
-	opts := []simrun.Option{
-		simrun.Model(*model),
-		simrun.Cores(*cores),
-		simrun.Insts(*insts),
-		simrun.Warmup(*warmup),
-		simrun.Seed(*seed),
-		simrun.Fabric(*fabric),
-		simrun.Coherence(*coherence),
-		simrun.DRAM(*dram),
-		simrun.Prefetch(*prefetch),
-		simrun.Predictor(*predictor),
-	}
-	if *copies > 0 {
-		opts = append(opts, simrun.Copies(*copies))
-	}
-	if *stack || *rep || *asJSON {
-		opts = append(opts, simrun.KeepCores())
+	spec := simrun.Spec{
+		Bench: *bench, Model: *model, Cores: *cores, Copies: *copies,
+		Insts: *insts, Warmup: *warmup, Seed: seed,
+		Fabric: *fabric, Coherence: *coherence, DRAM: *dram, Prefetch: *prefetch, Predictor: *predictor,
+		Report: *stack || *rep || *asJSON,
 	}
 	// Observability rides the scenario but never its fingerprint or
 	// result bytes: -trace and -progress change what is printed, not
@@ -125,33 +126,29 @@ func run() int {
 	if *traceOut != "" {
 		tracer = obs.NewTracer(1 << 16)
 	}
+	opts := spec.Options()
 	if tracer != nil || *progress {
 		obsv := &obs.Observer{Tracer: tracer}
 		if *progress {
 			obsv.Progress = func(p obs.Progress) {
-				fmt.Fprintf(os.Stderr, "intervalsim: %s\n", p)
+				fmt.Fprintf(stderr, "intervalsim: %s\n", p)
 			}
 		}
 		opts = append(opts, simrun.Observe(obsv))
 	}
-	// simrun validates every knob eagerly: an unknown model, benchmark,
+	// simrun validates every field eagerly: an unknown model, benchmark,
 	// fabric, coherence protocol, DRAM model, prefetcher or predictor
 	// name is a usage error, never silently ignored.
 	s, err := simrun.New(*bench, opts...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 
-	// Ctrl-C / SIGTERM interrupts the run at the driver's next poll; the
-	// partial result is still printed (with its interrupted marker) so a
-	// long run cut short is not a total loss.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	res, err := s.Run(ctx)
 	if tracer != nil {
 		if werr := writeTrace(*traceOut, tracer); werr != nil {
-			fmt.Fprintln(os.Stderr, werr)
+			fmt.Fprintln(stderr, werr)
 			if err == nil {
 				return 1
 			}
@@ -159,49 +156,49 @@ func run() int {
 	}
 	interrupted := errors.Is(err, context.Canceled)
 	if err != nil && !interrupted {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	exit := 0
 	if interrupted {
-		fmt.Fprintln(os.Stderr, "intervalsim: interrupted, printing partial results")
+		fmt.Fprintln(stderr, "intervalsim: interrupted, printing partial results")
 		exit = 130
 	}
 	if *asJSON {
 		raw, err := report.JSON(res.Result)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		fmt.Printf("%s\n", raw)
+		fmt.Fprintf(stdout, "%s\n", raw)
 		if res.TimedOut && exit == 0 {
 			exit = 1
 		}
 		return exit
 	}
 	if *rep {
-		fmt.Print(report.Format(res.Result))
+		fmt.Fprint(stdout, report.Format(res.Result))
 		if res.TimedOut && exit == 0 {
 			exit = 1
 		}
 		return exit
 	}
 
-	fmt.Printf("benchmark=%s model=%s cores=%d\n", *bench, res.ModelLabel(), s.Threads())
-	fmt.Printf("cycles=%d total-instructions=%d wall=%v (%.2f MIPS)\n",
+	fmt.Fprintf(stdout, "benchmark=%s model=%s cores=%d\n", *bench, res.ModelLabel(), s.Threads())
+	fmt.Fprintf(stdout, "cycles=%d total-instructions=%d wall=%v (%.2f MIPS)\n",
 		res.Cycles, res.TotalRetired, res.Wall, res.MIPS())
 	for i, c := range res.Cores {
-		fmt.Printf("  core %d: retired=%d finish=%d IPC=%.3f\n", i, c.Retired, c.Finish, c.IPC)
+		fmt.Fprintf(stdout, "  core %d: retired=%d finish=%d IPC=%.3f\n", i, c.Retired, c.Finish, c.IPC)
 	}
 	if *stack {
 		for i, sc := range res.Sim {
 			if ic, ok := sc.(*core.Core); ok {
-				fmt.Printf("core %d %s", i, ic.Stack())
+				fmt.Fprintf(stdout, "core %d %s", i, ic.Stack())
 			}
 		}
 	}
 	if res.TimedOut {
-		fmt.Println("WARNING: run hit the cycle limit before completing")
+		fmt.Fprintln(stdout, "WARNING: run hit the cycle limit before completing")
 		if exit == 0 {
 			exit = 1
 		}

@@ -26,7 +26,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -199,27 +198,13 @@ func (s *sweeper) execute(specs []simrun.Spec) ([]outcome, error) {
 		runOne = s.remote.run
 		defer s.remote.watch(len(specs))()
 	}
-	workers := cmp.Or(max(s.jobs, 0), runtime.GOMAXPROCS(0))
 	out := make([]outcome, len(specs))
 	errs := make([]error, len(specs))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for range min(workers, len(specs)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if errs[i] = s.ctx.Err(); errs[i] == nil {
-					out[i], errs[i] = runOne(s.ctx, specs[i])
-				}
-			}
-		}()
-	}
-	for i := range specs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	simrun.Each(len(specs), s.jobs, func(i int) {
+		if errs[i] = s.ctx.Err(); errs[i] == nil {
+			out[i], errs[i] = runOne(s.ctx, specs[i])
+		}
+	})
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("sweep: %s: %w", name(specs[i]), err)

@@ -172,6 +172,15 @@ func TestExitCodes(t *testing.T) {
 	if err := os.WriteFile(bad, []byte(`{"scenarios":[{"bench":"gcc","predcitor":"tage"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A work scale that leaves a PARSEC run no budget, or one past 2^63.
+	unbounded := map[string]string{}
+	for name, scale := range map[string]string{"underflow": "1e-300", "overflow": "1e300"} {
+		unbounded[name] = filepath.Join(t.TempDir(), name+".json")
+		spec := `{"scenarios":[{"bench":"blackscholes","cores":2,"work_scale":` + scale + `}]}`
+		if err := os.WriteFile(unbounded[name], []byte(spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, c := range []struct {
@@ -186,6 +195,8 @@ func TestExitCodes(t *testing.T) {
 		{context.Background(), []string{"-sweep", "core", "-profiles", "gcc,bogus"}, 2, `unknown benchmark "bogus"`},
 		{context.Background(), []string{"-f", bad}, 2, "predcitor"},
 		{context.Background(), []string{"-f", filepath.Join(t.TempDir(), "missing.json")}, 2, "missing.json"},
+		{context.Background(), []string{"-f", unbounded["underflow"]}, 2, "work scale 1e-300"},
+		{context.Background(), []string{"-f", unbounded["overflow"]}, 2, "work scale 1e+300"},
 		{context.Background(), []string{"-sweep", "core", "-detailed", "-adaptive"}, 2, "-detailed"},
 		{context.Background(), []string{"-f", "testdata/batch.json", "-detailed"}, 2, "-detailed"},
 		{context.Background(), []string{"-sweep", "fabric", "-detailed"}, 2, "-detailed"},

@@ -12,7 +12,7 @@
 //
 // -slot records the stream at an address-space slot (workload.NewSlot):
 // per-copy traces of a heterogeneous Mix workload are recorded one slot
-// per copy, matching what simrun.Mix generates in-process. The trace
+// per copy, matching what a simrun.Spec Mix generates in-process. The trace
 // header (file format v3, see docs/formats.md) carries the stream-format
 // version and the slot; traces recorded before a stream-format break are
 // rejected on replay.
@@ -102,11 +102,8 @@ func replayTrace(path, model string) {
 		os.Exit(1)
 	}
 	fmt.Printf("trace: stream format v%d, slot %d\n", r.Header().StreamVersion, r.Header().Slot)
-	s, err := simrun.New("",
-		simrun.Label(path),
-		simrun.Model(model),
-		simrun.Streams([]trace.Stream{r}, nil),
-	)
+	s, err := simrun.New("", append(simrun.Spec{Label: path, Model: model}.Options(),
+		simrun.Streams([]trace.Stream{r}, nil))...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

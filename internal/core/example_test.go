@@ -12,15 +12,16 @@ import (
 // bottlenecks: the practical payoff of interval simulation. Because every
 // miss event charges an explicit analytical penalty, the model decomposes
 // execution time into components exactly, where a detailed simulator has
-// to approximate stall attribution. KeepCores leaves the core models in
+// to approximate stall attribution. Spec.Report leaves the core models in
 // the result so the stack can be read off the interval core.
 func ExampleCPIStack() {
 	for _, name := range []string{"mesa", "gcc", "mcf", "swim"} {
-		res, err := simrun.MustNew(name,
-			simrun.Insts(100_000),
-			simrun.Warmup(600_000),
-			simrun.KeepCores(),
-		).Run(context.Background())
+		s, err := simrun.Spec{Bench: name, Insts: 100_000, Warmup: 600_000, Report: true}.Scenario()
+		if err != nil {
+			fmt.Println(err)
+			return
+		}
+		res, err := s.Run(context.Background())
 		if err != nil {
 			fmt.Println(err)
 			return

@@ -9,9 +9,10 @@ import (
 	"repro/internal/simrun"
 )
 
-func mustScenario(t *testing.T, name, eng string, opts ...simrun.Option) *simrun.Scenario {
+func mustScenario(t *testing.T, eng string, sp simrun.Spec) *simrun.Scenario {
 	t.Helper()
-	sc, err := simrun.New(name, append(opts, simrun.Engine(eng))...)
+	sp.Engine = eng
+	sc, err := sp.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +22,7 @@ func mustScenario(t *testing.T, name, eng string, opts ...simrun.Option) *simrun
 // TestStatisticalDeterministic: the estimator is a pure function of the
 // scenario — same scenario, same answer, run to run.
 func TestStatisticalDeterministic(t *testing.T) {
-	sc := mustScenario(t, "gcc", "statistical", simrun.Insts(30_000), simrun.Warmup(10_000), simrun.Seed(42))
+	sc := mustScenario(t, "statistical", simrun.Spec{Bench: "gcc", Insts: 30_000, Warmup: 10_000})
 	a, err := sc.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +42,7 @@ func TestStatisticalDeterministic(t *testing.T) {
 // tagged with the statistical tier.
 func TestStatisticalExtrapolates(t *testing.T) {
 	const budget = 2_000_000
-	sc := mustScenario(t, "gcc", "statistical", simrun.Insts(budget), simrun.Warmup(100_000), simrun.Seed(42))
+	sc := mustScenario(t, "statistical", simrun.Spec{Bench: "gcc", Insts: budget, Warmup: 100_000})
 	res, err := sc.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +64,7 @@ func TestStatisticalExtrapolates(t *testing.T) {
 // TestEstimatorsRejectMultiProgram: the estimator is single-program; the
 // rejection happens at scenario build time with the reason.
 func TestEstimatorsRejectMultiProgram(t *testing.T) {
-	_, err := simrun.New("", simrun.Mix("gcc", "mcf"), simrun.Engine("statistical"))
+	_, err := simrun.Spec{Mix: []string{"gcc", "mcf"}, Engine: "statistical"}.Scenario()
 	if err == nil {
 		t.Fatal("statistical accepted a multi-program mix")
 	}
@@ -91,17 +92,16 @@ func TestRegisteredEngines(t *testing.T) {
 // cheaper than the estimate, and a multi-program one fall back to full.
 func TestCheapestEngineSelection(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		opts []simrun.Option
+		spec simrun.Spec
 		want string
 	}{
-		{"gcc", []simrun.Option{simrun.Insts(10_000)}, simrun.DefaultEngine},
-		{"gcc", []simrun.Option{simrun.Insts(2_000_000)}, "statistical"},
-		{"gcc", []simrun.Option{simrun.Insts(4_000_000), simrun.Warmup(200_000)}, "statistical"},
-		{"", []simrun.Option{simrun.Mix("gcc", "mcf"), simrun.Insts(10_000)}, simrun.DefaultEngine},
-		{"", []simrun.Option{simrun.Mix("gcc", "mcf"), simrun.Insts(4_000_000)}, simrun.DefaultEngine},
+		{simrun.Spec{Bench: "gcc", Insts: 10_000}, simrun.DefaultEngine},
+		{simrun.Spec{Bench: "gcc", Insts: 2_000_000}, "statistical"},
+		{simrun.Spec{Bench: "gcc", Insts: 4_000_000, Warmup: 200_000}, "statistical"},
+		{simrun.Spec{Mix: []string{"gcc", "mcf"}, Insts: 10_000}, simrun.DefaultEngine},
+		{simrun.Spec{Mix: []string{"gcc", "mcf"}, Insts: 4_000_000}, simrun.DefaultEngine},
 	} {
-		sc, err := simrun.New(tc.name, tc.opts...)
+		sc, err := tc.spec.Scenario()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,12 +123,12 @@ func TestStatisticalTierWithinBand(t *testing.T) {
 		return float64(res.Cycles) / float64(res.TotalRetired)
 	}
 	for _, name := range []string{"gcc", "mcf", "swim"} {
-		opts := []simrun.Option{simrun.Insts(100_000), simrun.Warmup(50_000), simrun.Seed(42)}
-		full, err := mustScenario(t, name, simrun.DefaultEngine, opts...).Run(context.Background())
+		sp := simrun.Spec{Bench: name, Insts: 100_000, Warmup: 50_000}
+		full, err := mustScenario(t, simrun.DefaultEngine, sp).Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := mustScenario(t, name, "statistical", opts...).Run(context.Background())
+		est, err := mustScenario(t, "statistical", sp).Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

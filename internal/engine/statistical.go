@@ -94,13 +94,14 @@ func statisticalRun(ctx context.Context, s *simrun.Scenario) (simrun.Result, err
 	if err != nil {
 		return simrun.Result{}, err
 	}
-	sub, err := simrun.New("",
-		simrun.Streams([]trace.Stream{clone}, []trace.Stream{warmTwin}),
-		simrun.Model(s.ModelName()),
-		simrun.Machine(machine),
-		simrun.Warmup(statWarmCloneLen),
-		simrun.Label(s.Name()+" (statistical clone)"),
-	)
+	cloneSpec := simrun.Spec{
+		Label:   s.Name() + " (statistical clone)",
+		Model:   s.ModelName(),
+		Machine: &machine,
+		Warmup:  statWarmCloneLen,
+	}
+	sub, err := simrun.New("", append(cloneSpec.Options(),
+		simrun.Streams([]trace.Stream{clone}, []trace.Stream{warmTwin}))...)
 	if err != nil {
 		return simrun.Result{}, err
 	}

@@ -115,42 +115,34 @@ func pad(s string, w int) string {
 // expMaxCycles aborts runaway experiment runs.
 const expMaxCycles = 500_000_000
 
-// specScenario describes one SPEC profile run with the given perfect
-// switches and predictor kind; extra options are appended.
-func (o Opts) specScenario(p *workload.Profile, model string, cores int,
-	perfect memhier.Perfect, predictor string, extra ...simrun.Option) *simrun.Scenario {
-	opts := []simrun.Option{
-		simrun.Model(model),
-		simrun.Cores(cores),
-		simrun.Insts(o.Insts),
-		simrun.Warmup(o.Warmup),
-		simrun.Seed(o.Seed),
-		simrun.Perfect(perfect),
-		simrun.MaxCycles(expMaxCycles),
+// scenario builds an experiment's scenario. The specs come from static
+// tables, so one that does not build is a bug.
+func scenario(sp simrun.Spec) *simrun.Scenario {
+	s, err := sp.Scenario()
+	if err != nil {
+		panic(err)
 	}
-	if predictor != "" {
-		opts = append(opts, simrun.Predictor(predictor))
-	}
-	return simrun.MustNew(p.Name, append(opts, extra...)...)
+	return s
+}
+
+// specSpec describes one SPEC profile run with the given perfect switches
+// and predictor kind.
+func (o Opts) specSpec(p *workload.Profile, model string, cores int, perfect memhier.Perfect, predictor string) simrun.Spec {
+	return simrun.Spec{Bench: p.Name, Model: model, Cores: cores, Insts: o.Insts, Warmup: o.Warmup, Seed: &o.Seed,
+		Perfect: &perfect, MaxCycles: expMaxCycles, Predictor: predictor}
+}
+
+// specScenario is the scenario specSpec describes.
+func (o Opts) specScenario(p *workload.Profile, model string, cores int, perfect memhier.Perfect, predictor string) *simrun.Scenario {
+	return scenario(o.specSpec(p, model, cores, perfect, predictor))
 }
 
 // parsecScenario describes one PARSEC profile run with one thread per core
-// on machine m.
+// on machine m. A zero WorkScale (an Opts built by hand) means "no
+// scaling", which is what a Spec's zero WorkScale means.
 func (o Opts) parsecScenario(p *workload.Profile, model string, m config.Machine) *simrun.Scenario {
-	// A zero WorkScale (an Opts built by hand) means "no scaling", as it
-	// did before the simrun migration.
-	scale := o.WorkScale
-	if scale <= 0 {
-		scale = 1
-	}
-	return simrun.MustNew(p.Name,
-		simrun.Model(model),
-		simrun.Machine(m),
-		simrun.WorkScale(scale),
-		simrun.Warmup(o.Warmup),
-		simrun.Seed(o.Seed),
-		simrun.MaxCycles(expMaxCycles),
-	)
+	return scenario(simrun.Spec{Bench: p.Name, Model: model, Machine: &m, WorkScale: max(o.WorkScale, 0),
+		Warmup: o.Warmup, Seed: &o.Seed, MaxCycles: expMaxCycles})
 }
 
 // runSpec runs one SPEC profile alone, synchronously.

@@ -48,8 +48,9 @@ func (o Opts) AblationModel() Table {
 	}
 	for _, v := range ablationVariants {
 		for _, name := range ablationProfiles {
-			scs = append(scs, o.specScenario(workload.SPECByName(name), "interval", 1,
-				memhier.Perfect{}, "", simrun.Ablation(v)))
+			sp := o.specSpec(workload.SPECByName(name), "interval", 1, memhier.Perfect{}, "")
+			sp.Ablation = &v
+			scs = append(scs, scenario(sp))
 		}
 	}
 	results := o.runAll(scs)
@@ -146,16 +147,8 @@ func (o Opts) Fabric() Table {
 	fabrics := []string{"bus", "mesh", "ring"}
 	var scs []*simrun.Scenario
 	for _, fabric := range fabrics {
-		scs = append(scs, simrun.MustNew("",
-			simrun.Label(fabric+" mix"),
-			simrun.Mix(mix...),
-			simrun.Cores(cores),
-			simrun.Fabric(fabric),
-			simrun.Insts(o.Insts),
-			simrun.Warmup(o.Warmup),
-			simrun.Seed(o.Seed),
-			simrun.KeepCores(),
-		))
+		scs = append(scs, scenario(simrun.Spec{Label: fabric + " mix", Mix: mix, Cores: cores, Fabric: fabric,
+			Insts: o.Insts, Warmup: o.Warmup, Seed: &o.Seed, Report: true}))
 	}
 	for i, r := range o.runAll(scs) {
 		stp := 0.0
@@ -189,13 +182,8 @@ func (o Opts) DRAMStudy() Table {
 	var scs []*simrun.Scenario
 	for _, name := range names {
 		for _, kind := range []string{"fixed", "banked"} {
-			scs = append(scs, simrun.MustNew(name,
-				simrun.DRAM(kind),
-				simrun.Insts(o.Insts),
-				simrun.Warmup(o.Warmup),
-				simrun.Seed(o.Seed),
-				simrun.KeepCores(),
-			))
+			scs = append(scs, scenario(simrun.Spec{Bench: name, DRAM: kind,
+				Insts: o.Insts, Warmup: o.Warmup, Seed: &o.Seed, Report: true}))
 		}
 	}
 	results := o.runAll(scs)
@@ -224,8 +212,9 @@ func (o Opts) Predictors() Table {
 	var scs []*simrun.Scenario
 	for _, kind := range kinds {
 		for _, name := range benches {
-			scs = append(scs, o.specScenario(workload.SPECByName(name), "interval", 1,
-				memhier.Perfect{}, kind, simrun.KeepCores()))
+			sp := o.specSpec(workload.SPECByName(name), "interval", 1, memhier.Perfect{}, kind)
+			sp.Report = true
+			scs = append(scs, scenario(sp))
 		}
 	}
 	results := o.runAll(scs)

@@ -9,9 +9,10 @@ import (
 	"repro/internal/simrun"
 )
 
-func runOnce(t *testing.T, opts ...simrun.Option) []byte {
+func runOnce(t *testing.T, sp simrun.Spec) []byte {
 	t.Helper()
-	s, err := simrun.New("gcc", append([]simrun.Option{simrun.Insts(2000)}, opts...)...)
+	sp.Bench, sp.Insts = "gcc", 2000
+	s, err := sp.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,8 +31,8 @@ func runOnce(t *testing.T, opts ...simrun.Option) []byte {
 // scenario — which always differ in Wall — encode byte-identically. This
 // is what lets the result cache serve bit-identical bodies.
 func TestJSONDeterministic(t *testing.T) {
-	a := runOnce(t, simrun.KeepCores())
-	b := runOnce(t, simrun.KeepCores())
+	a := runOnce(t, simrun.Spec{Report: true})
+	b := runOnce(t, simrun.Spec{Report: true})
 	if !bytes.Equal(a, b) {
 		t.Fatalf("same scenario encoded differently:\n%s\n%s", a, b)
 	}
@@ -39,7 +40,7 @@ func TestJSONDeterministic(t *testing.T) {
 
 func TestJSONShape(t *testing.T) {
 	var full Summary
-	if err := json.Unmarshal(runOnce(t, simrun.KeepCores(), simrun.Cores(2)), &full); err != nil {
+	if err := json.Unmarshal(runOnce(t, simrun.Spec{Report: true, Cores: 2}), &full); err != nil {
 		t.Fatal(err)
 	}
 	if full.Model != "interval" {
@@ -57,7 +58,7 @@ func TestJSONShape(t *testing.T) {
 		}
 	}
 	if full.Mem == nil {
-		t.Fatal("KeepCores run has no mem summary")
+		t.Fatal("Report run has no mem summary")
 	}
 	if full.Mem.L2 == nil {
 		t.Error("baseline machine has an L2; summary omits it")
@@ -66,9 +67,9 @@ func TestJSONShape(t *testing.T) {
 		t.Errorf("mem summary covers %d cores, want 2", len(full.Mem.Cores))
 	}
 
-	// Without KeepCores there is no hierarchy to report.
+	// Without Report there is no hierarchy to report.
 	var bare Summary
-	if err := json.Unmarshal(runOnce(t), &bare); err != nil {
+	if err := json.Unmarshal(runOnce(t, simrun.Spec{}), &bare); err != nil {
 		t.Fatal(err)
 	}
 	if bare.Mem != nil {
@@ -79,7 +80,7 @@ func TestJSONShape(t *testing.T) {
 // Field names are stable API: tooling parses them.
 func TestJSONStableFieldNames(t *testing.T) {
 	var doc map[string]any
-	if err := json.Unmarshal(runOnce(t, simrun.KeepCores()), &doc); err != nil {
+	if err := json.Unmarshal(runOnce(t, simrun.Spec{Report: true}), &doc); err != nil {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"model", "cycles", "instructions", "cores", "mem"} {

@@ -21,7 +21,12 @@ func ExampleRun() {
 	const total = 400_000
 	m := config.Default(1)
 
-	full, err := simrun.MustNew("mesa", simrun.Insts(total)).Run(context.Background())
+	s, err := simrun.Spec{Bench: "mesa", Insts: total}.Scenario()
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	full, err := s.Run(context.Background())
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -32,57 +32,59 @@ type BatchOpts struct {
 	Progress func(done, total int, r BatchResult)
 }
 
+// Each calls do(i) for every i in [0, n) on at most workers goroutines
+// (<=0 selects GOMAXPROCS), handing the indices out in order, and returns
+// once every call has. It is the one bounded fan-out of in-process runs:
+// Batch and cmd/sweep's executor write result i to slot i, so their output
+// keeps input order whatever the worker count.
+func Each(n, workers int, do func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for range min(workers, n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				do(i)
+			}
+		}()
+	}
+	for i := range n {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+}
+
 // Batch runs the scenarios across a worker pool and returns one result per
 // scenario, in input order. Cancelling ctx interrupts in-flight runs and
 // marks every unfinished scenario with ctx's error.
 func Batch(ctx context.Context, scenarios []*Scenario, opts BatchOpts) []BatchResult {
 	results := make([]BatchResult, len(scenarios))
-	if len(scenarios) == 0 {
-		return results
-	}
 	// Queue-occupancy gauges: pending drops as workers pick scenarios
 	// up, running tracks in-flight simulations. Both return to zero
 	// when the batch ends.
 	obsMetrics()
 	mBatchPending.Add(int64(len(scenarios)))
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(scenarios) {
-		workers = len(scenarios)
-	}
-
 	var (
 		mu   sync.Mutex
 		done int
-		wg   sync.WaitGroup
 	)
-	jobs := make(chan int)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				mBatchPending.Add(-1)
-				mBatchRunning.Add(1)
-				results[idx] = runOne(ctx, scenarios[idx], opts.Timeout)
-				mBatchRunning.Add(-1)
-				if opts.Progress != nil {
-					mu.Lock()
-					done++
-					opts.Progress(done, len(scenarios), results[idx])
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-
-	for idx := range scenarios {
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
+	Each(len(scenarios), opts.Workers, func(idx int) {
+		mBatchPending.Add(-1)
+		mBatchRunning.Add(1)
+		results[idx] = runOne(ctx, scenarios[idx], opts.Timeout)
+		mBatchRunning.Add(-1)
+		if opts.Progress != nil {
+			mu.Lock()
+			done++
+			opts.Progress(done, len(scenarios), results[idx])
+			mu.Unlock()
+		}
+	})
 	return results
 }
 

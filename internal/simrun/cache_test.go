@@ -21,13 +21,10 @@ func testEncode(r Result) ([]byte, error) {
 	})
 }
 
-func testScenario(t *testing.T, opts ...Option) *Scenario {
+func testScenario(t *testing.T, sp Spec) *Scenario {
 	t.Helper()
-	s, err := New("gcc", append([]Option{Insts(2000)}, opts...)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	sp.Bench, sp.Insts = "gcc", 2000
+	return build(t, sp)
 }
 
 func TestCacheHit(t *testing.T) {
@@ -35,7 +32,7 @@ func TestCacheHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := c.GetOrRun(context.Background(), testScenario(t))
+	first, err := c.GetOrRun(context.Background(), testScenario(t, Spec{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +40,7 @@ func TestCacheHit(t *testing.T) {
 		t.Fatalf("first lookup source = %s, want %s", first.Source, SourceRun)
 	}
 	// A second, separately built but identical scenario must hit.
-	second, err := c.GetOrRun(context.Background(), testScenario(t))
+	second, err := c.GetOrRun(context.Background(), testScenario(t, Spec{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +58,7 @@ func TestCacheHit(t *testing.T) {
 	}
 
 	// The cached payload is bit-identical to a direct, uncached run.
-	direct, err := testScenario(t).Run(context.Background())
+	direct, err := testScenario(t, Spec{}).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +76,8 @@ func TestCacheDistinctScenariosMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range [][]Option{nil, {Seed(7)}, {Fabric("mesh")}} {
-		if _, err := c.GetOrRun(context.Background(), testScenario(t, opts...)); err != nil {
+	for _, sp := range []Spec{{}, {Seed: seedOf(7)}, {Fabric: "mesh"}} {
+		if _, err := c.GetOrRun(context.Background(), testScenario(t, sp)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,7 +101,7 @@ func TestCacheSingleflight(t *testing.T) {
 	for i := 0; i < callers; i++ {
 		go func(i int) {
 			defer wg.Done()
-			entries[i], errs[i] = c.GetOrRun(context.Background(), testScenario(t))
+			entries[i], errs[i] = c.GetOrRun(context.Background(), testScenario(t, Spec{}))
 		}(i)
 	}
 	wg.Wait()
@@ -131,17 +128,17 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, err := c.GetOrRun(ctx, testScenario(t)); err != nil {
+	if _, err := c.GetOrRun(ctx, testScenario(t, Spec{})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.GetOrRun(ctx, testScenario(t, Seed(7))); err != nil {
+	if _, err := c.GetOrRun(ctx, testScenario(t, Spec{Seed: seedOf(7)})); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Len(); got != 1 {
 		t.Fatalf("cache holds %d entries, want 1", got)
 	}
 	// The first scenario was evicted, so it runs again.
-	if _, err := c.GetOrRun(ctx, testScenario(t)); err != nil {
+	if _, err := c.GetOrRun(ctx, testScenario(t, Spec{})); err != nil {
 		t.Fatal(err)
 	}
 	if stats := c.Stats(); stats.Runs != 3 {
@@ -155,7 +152,7 @@ func TestCacheDiskPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := c1.GetOrRun(context.Background(), testScenario(t))
+	first, err := c1.GetOrRun(context.Background(), testScenario(t, Spec{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +163,7 @@ func TestCacheDiskPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := c2.GetOrRun(context.Background(), testScenario(t))
+	second, err := c2.GetOrRun(context.Background(), testScenario(t, Spec{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +179,7 @@ func TestCacheDiskPersistence(t *testing.T) {
 
 	// The disk hit was promoted into the LRU: repeated requests stop
 	// touching disk.
-	third, err := c2.GetOrRun(context.Background(), testScenario(t))
+	third, err := c2.GetOrRun(context.Background(), testScenario(t, Spec{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +232,7 @@ func TestCacheDiskLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := testScenario(t)
+	s := testScenario(t, Spec{})
 	entry, err := c.GetOrRun(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)

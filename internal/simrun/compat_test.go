@@ -169,3 +169,55 @@ func TestHostParFieldIsInert(t *testing.T) {
 		t.Errorf("GET /v1/catalog still advertises hostpar: %s", cat)
 	}
 }
+
+// TestWorkScaleMustBoundTheRun: a PARSEC run's budget is its profile's total
+// work times work_scale. A scale that leaves less than one instruction would
+// be read by the generator as "no budget" and run to its deadline, and one
+// that reaches 2^63 wraps, so both are refused by every front end —
+// Spec.Scenario, the batch file cmd/sweep -f loads, POST /v1/jobs — naming
+// the work scale. A SPEC profile has no total work to scale.
+func TestWorkScaleMustBoundTheRun(t *testing.T) {
+	srv, err := simd.New(simd.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer func() {
+		// An accepted unbounded job would never drain.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Drain(ctx)
+	}()
+
+	for _, scale := range []string{"1e-300", "1e300"} {
+		raw := `{"bench":"blackscholes","cores":2,"work_scale":` + scale + `}`
+		sp, err := simrun.ParseSpec(strings.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sp.Scenario(); err == nil || !strings.Contains(err.Error(), "work scale") {
+			t.Errorf("Spec.Scenario(%s): err = %v, want one naming the work scale", raw, err)
+		}
+		if _, err := simrun.LoadSpecs(strings.NewReader(`{"scenarios":[` + raw + `]}`)); err == nil || !strings.Contains(err.Error(), "work scale") {
+			t.Errorf("LoadSpecs(%s): err = %v, want one naming the work scale", raw, err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "work scale") {
+			t.Errorf("POST /v1/jobs %s: status %d, body %s; want 400 naming the work scale", raw, resp.StatusCode, body)
+		}
+	}
+
+	s, err := simrun.Spec{Bench: "gcc", Insts: 1000, WorkScale: 1e-300}.Scenario()
+	if err != nil {
+		t.Fatalf("SPEC profile with a tiny work scale: %v", err)
+	}
+	if got := s.TotalInstBudget(); got != 1000 {
+		t.Errorf("SPEC profile with a tiny work scale: budget %d, want 1000", got)
+	}
+}

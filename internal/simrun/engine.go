@@ -153,7 +153,7 @@ func (s *Scenario) AnswerTier() Tier {
 // place in the lattice (detailed for the detailed model, interval for
 // the analytical models).
 func fullTier(s *Scenario) Tier {
-	if s.model == "detailed" {
+	if s.spec.Model == "detailed" {
 		return TierDetailed
 	}
 	return TierInterval
@@ -164,9 +164,9 @@ func fullTier(s *Scenario) Tier {
 // order of magnitude more per instruction than the analytical ones
 // (the paper's speed comparison).
 func fullCost(s *Scenario) float64 {
-	perThread := float64(s.warmup + s.insts)
+	perThread := float64(s.spec.Warmup + s.spec.Insts)
 	weight := 1.0
-	if s.model == "detailed" {
+	if s.spec.Model == "detailed" {
 		weight = 10
 	}
 	return float64(s.Threads()) * perThread * weight

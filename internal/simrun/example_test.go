@@ -8,14 +8,16 @@ import (
 )
 
 // ExampleNew shows the canonical way to describe and execute one
-// simulation: name a benchmark profile, stack options, run.
+// simulation: name a benchmark profile, describe the run as a Spec, run.
+// A spec can also build itself (Spec.Scenario); New is where the code-only
+// options, Streams and Observe, join it.
 func ExampleNew() {
-	s, err := simrun.New("gcc",
-		simrun.Model("interval"),
-		simrun.Cores(2),
-		simrun.Insts(5_000),
-		simrun.Warmup(10_000),
-	)
+	s, err := simrun.New("gcc", simrun.Spec{
+		Model:  "interval",
+		Cores:  2,
+		Insts:  5_000,
+		Warmup: 10_000,
+	}.Options()...)
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -30,20 +32,21 @@ func ExampleNew() {
 	// Output: model=interval cores=2 completed=true
 }
 
-// ExampleModel simulates one benchmark with interval simulation and
+// ExampleSpec simulates one benchmark with interval simulation and
 // compares it against the detailed cycle-level baseline on the same
 // machine. Scenarios are deterministic: both models see identical
 // instructions and drive identical branch-predictor and memory-hierarchy
 // simulators; only the core timing model differs. The benchmark is
 // gcc-like (branchy with a large code footprint) on the paper's Table 1
 // machine.
-func ExampleModel() {
+func ExampleSpec() {
 	for _, model := range []string{"detailed", "interval"} {
-		res, err := simrun.MustNew("gcc",
-			simrun.Model(model),
-			simrun.Insts(100_000),
-			simrun.Warmup(600_000),
-		).Run(context.Background())
+		s, err := simrun.Spec{Bench: "gcc", Model: model, Insts: 100_000, Warmup: 600_000}.Scenario()
+		if err != nil {
+			fmt.Println(err)
+			return
+		}
+		res, err := s.Run(context.Background())
 		if err != nil {
 			fmt.Println(err)
 			return

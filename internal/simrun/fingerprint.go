@@ -94,20 +94,21 @@ func (s *Scenario) identity(version int) (fingerprintBody, error) {
 	if err != nil {
 		return fingerprintBody{}, err
 	}
+	sp := &s.spec
 	return fingerprintBody{
 		Version:   version,
-		Model:     s.model,
-		Bench:     s.bench,
-		Mix:       s.mix,
+		Model:     sp.Model,
+		Bench:     sp.Bench,
+		Mix:       sp.Mix,
 		Threads:   s.Threads(),
-		Insts:     s.insts,
-		Warmup:    s.warmup,
-		Seed:      s.seed,
-		Scale:     s.scale,
-		MaxCycles: s.maxCycles,
-		KeepCores: s.keepCores,
-		Perfect:   s.perfect,
-		Ablation:  s.ablation,
+		Insts:     sp.Insts,
+		Warmup:    sp.Warmup,
+		Seed:      *sp.Seed,
+		Scale:     sp.WorkScale,
+		MaxCycles: sp.MaxCycles,
+		KeepCores: sp.Report,
+		Perfect:   *sp.Perfect,
+		Ablation:  *sp.Ablation,
 		Machine:   m,
 	}, nil
 }

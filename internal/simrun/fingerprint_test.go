@@ -10,13 +10,22 @@ import (
 	"repro/internal/trace"
 )
 
-func fp(t *testing.T, bench string, opts ...Option) string {
+// seedOf is a spec's Seed field.
+func seedOf(v int64) *int64 { return &v }
+
+// build makes the scenario sp describes, with any code-only options.
+func build(t *testing.T, sp Spec, opts ...Option) *Scenario {
 	t.Helper()
-	s, err := New(bench, opts...)
+	s, err := New(sp.Bench, append(sp.Options(), opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := s.Fingerprint()
+	return s
+}
+
+func fp(t *testing.T, sp Spec, opts ...Option) string {
+	t.Helper()
+	key, err := build(t, sp, opts...).Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,8 +33,8 @@ func fp(t *testing.T, bench string, opts ...Option) string {
 }
 
 func TestFingerprintDeterministic(t *testing.T) {
-	a := fp(t, "gcc", Cores(2), Insts(5000), Fabric("mesh"))
-	b := fp(t, "gcc", Cores(2), Insts(5000), Fabric("mesh"))
+	a := fp(t, Spec{Bench: "gcc", Cores: 2, Insts: 5000, Fabric: "mesh"})
+	b := fp(t, Spec{Bench: "gcc", Cores: 2, Insts: 5000, Fabric: "mesh"})
 	if a != b {
 		t.Fatalf("same scenario, different fingerprints: %s vs %s", a, b)
 	}
@@ -37,20 +46,22 @@ func TestFingerprintDeterministic(t *testing.T) {
 // The fingerprint addresses content, not spelling: scenarios that
 // simulate identically share a key however they were written down.
 func TestFingerprintSpellingInvariance(t *testing.T) {
+	gcc := fp(t, Spec{Bench: "gcc"})
 	// Defaulted seed vs the same seed made explicit.
-	if a, b := fp(t, "gcc"), fp(t, "gcc", Seed(42)); a != b {
+	if a := fp(t, Spec{Bench: "gcc", Seed: seedOf(42)}); a != gcc {
 		t.Errorf("explicit default seed changed the fingerprint")
 	}
-	// Copies(2) and Cores(2) build identical SPEC multi-program runs.
-	if a, b := fp(t, "gcc", Copies(2)), fp(t, "gcc", Cores(2)); a != b {
-		t.Errorf("Copies(2) and Cores(2) fingerprints differ")
+	// Copies 2 and Cores 2 build identical SPEC multi-program runs.
+	if a, b := fp(t, Spec{Bench: "gcc", Copies: 2}), fp(t, Spec{Bench: "gcc", Cores: 2}); a != b {
+		t.Errorf("Copies 2 and Cores 2 fingerprints differ")
 	}
 	// An explicit Table 1 machine vs the implicit default.
-	if a, b := fp(t, "gcc", Machine(config.Default(1))), fp(t, "gcc"); a != b {
+	m := config.Default(1)
+	if a := fp(t, Spec{Bench: "gcc", Machine: &m}); a != gcc {
 		t.Errorf("explicit default machine changed the fingerprint")
 	}
 	// The display label is presentation, not content.
-	if a, b := fp(t, "gcc", Label("point-7")), fp(t, "gcc"); a != b {
+	if a := fp(t, Spec{Bench: "gcc", Label: "point-7"}); a != gcc {
 		t.Errorf("label changed the fingerprint")
 	}
 }
@@ -58,42 +69,39 @@ func TestFingerprintSpellingInvariance(t *testing.T) {
 // Every simulated-semantics knob must perturb the key: a collision here
 // would let the cache serve a wrong result.
 func TestFingerprintSensitivity(t *testing.T) {
-	base := func() []Option {
-		return []Option{Cores(2), Insts(5000), Warmup(1000)}
+	base := Spec{Bench: "gcc", Cores: 2, Insts: 5000, Warmup: 1000}
+	with := func(f func(sp *Spec)) Spec {
+		sp := base
+		f(&sp)
+		return sp
 	}
-	variants := map[string]func() (string, []Option){
-		"base":      func() (string, []Option) { return "gcc", base() },
-		"bench":     func() (string, []Option) { return "mcf", base() },
-		"model":     func() (string, []Option) { return "gcc", append(base(), Model("oneipc")) },
-		"cores":     func() (string, []Option) { return "gcc", []Option{Cores(4), Insts(5000), Warmup(1000)} },
-		"insts":     func() (string, []Option) { return "gcc", []Option{Cores(2), Insts(6000), Warmup(1000)} },
-		"warmup":    func() (string, []Option) { return "gcc", []Option{Cores(2), Insts(5000), Warmup(2000)} },
-		"seed":      func() (string, []Option) { return "gcc", append(base(), Seed(7)) },
-		"fabric":    func() (string, []Option) { return "gcc", append(base(), Fabric("ring")) },
-		"coherence": func() (string, []Option) { return "gcc", append(base(), Coherence("directory")) },
-		"dram":      func() (string, []Option) { return "gcc", append(base(), DRAM("banked")) },
-		"prefetch":  func() (string, []Option) { return "gcc", append(base(), Prefetch("stride")) },
-		"predictor": func() (string, []Option) { return "gcc", append(base(), Predictor("tage")) },
-		"maxcycles": func() (string, []Option) { return "gcc", append(base(), MaxCycles(1<<20)) },
-		"keepcores": func() (string, []Option) { return "gcc", append(base(), KeepCores()) },
-		"perfect":   func() (string, []Option) { return "gcc", append(base(), Perfect(memhier.Perfect{ISide: true})) },
-		"ablation":  func() (string, []Option) { return "gcc", append(base(), Ablation(core.Options{NoTaint: true})) },
-		"mix":       func() (string, []Option) { return "", append(base(), Mix("gcc", "mcf")) },
-		"machine": func() (string, []Option) {
-			m := config.Default(2)
-			m.Core.ROBSize = 128
-			return "gcc", append(base(), Machine(m))
-		},
-		"machine-l2": func() (string, []Option) {
-			m := config.Default(2)
-			m.Mem.L2.SizeBytes = 1 << 20
-			return "gcc", append(base(), Machine(m))
-		},
+	m, l2 := config.Default(2), config.Default(2)
+	m.Core.ROBSize = 128
+	l2.Mem.L2.SizeBytes = 1 << 20
+	variants := map[string]Spec{
+		"base":       base,
+		"bench":      with(func(sp *Spec) { sp.Bench = "mcf" }),
+		"model":      with(func(sp *Spec) { sp.Model = "oneipc" }),
+		"cores":      with(func(sp *Spec) { sp.Cores = 4 }),
+		"insts":      with(func(sp *Spec) { sp.Insts = 6000 }),
+		"warmup":     with(func(sp *Spec) { sp.Warmup = 2000 }),
+		"seed":       with(func(sp *Spec) { sp.Seed = seedOf(7) }),
+		"fabric":     with(func(sp *Spec) { sp.Fabric = "ring" }),
+		"coherence":  with(func(sp *Spec) { sp.Coherence = "directory" }),
+		"dram":       with(func(sp *Spec) { sp.DRAM = "banked" }),
+		"prefetch":   with(func(sp *Spec) { sp.Prefetch = "stride" }),
+		"predictor":  with(func(sp *Spec) { sp.Predictor = "tage" }),
+		"maxcycles":  with(func(sp *Spec) { sp.MaxCycles = 1 << 20 }),
+		"keepcores":  with(func(sp *Spec) { sp.Report = true }),
+		"perfect":    with(func(sp *Spec) { sp.Perfect = &memhier.Perfect{ISide: true} }),
+		"ablation":   with(func(sp *Spec) { sp.Ablation = &core.Options{NoTaint: true} }),
+		"mix":        with(func(sp *Spec) { sp.Bench, sp.Mix = "", []string{"gcc", "mcf"} }),
+		"machine":    with(func(sp *Spec) { sp.Machine = &m }),
+		"machine-l2": with(func(sp *Spec) { sp.Machine = &l2 }),
 	}
 	seen := map[string]string{}
-	for name, build := range variants {
-		bench, opts := build()
-		key := fp(t, bench, opts...)
+	for name, sp := range variants {
+		key := fp(t, sp)
 		if prev, dup := seen[key]; dup {
 			t.Errorf("fingerprint collision between %q and %q", name, prev)
 		}
@@ -103,8 +111,8 @@ func TestFingerprintSensitivity(t *testing.T) {
 
 // PARSEC work scaling changes the simulated workload.
 func TestFingerprintWorkScale(t *testing.T) {
-	a := fp(t, "blackscholes", Cores(2), WorkScale(0.5))
-	b := fp(t, "blackscholes", Cores(2))
+	a := fp(t, Spec{Bench: "blackscholes", Cores: 2, WorkScale: 0.5})
+	b := fp(t, Spec{Bench: "blackscholes", Cores: 2})
 	if a == b {
 		t.Fatalf("WorkScale did not change the fingerprint")
 	}
@@ -112,10 +120,7 @@ func TestFingerprintWorkScale(t *testing.T) {
 
 func TestFingerprintStreamsUnsupported(t *testing.T) {
 	stream := trace.NewSliceStream(make([]isa.Inst, 16))
-	s, err := New("", Streams([]trace.Stream{stream}, nil), Label("recorded"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := build(t, Spec{Label: "recorded"}, Streams([]trace.Stream{stream}, nil))
 	if _, err := s.Fingerprint(); err == nil {
 		t.Fatal("explicit-streams scenario produced a fingerprint")
 	}

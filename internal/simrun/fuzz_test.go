@@ -18,18 +18,24 @@ import (
 // the same bytes, re-parses to a reflect.DeepEqual spec, builds (or fails
 // to build) the same way and has the same fingerprint. The first render
 // may differ from the raw bytes only in spelling (key order, whitespace,
-// an empty list against an absent one); the fingerprint may not.
-// The seed corpus is testdata/fuzz/FuzzSpecToFingerprint.
+// an empty list against an absent one); the fingerprint may not. And an
+// accepted spec (none has explicit streams) is a bounded run: 1 <=
+// TotalInstBudget < 2^63. The seed corpus is
+// testdata/fuzz/FuzzSpecToFingerprint.
 func FuzzSpecToFingerprint(f *testing.F) {
 	f.Add([]byte(`{"bench":"gcc","model":"interval","cores":2,"fabric":"mesh","report":true}`))
 	f.Add([]byte(`{"mix":["gcc","mcf"],"cores":4,"seed":0,"mix":[]}`))
 
 	// built renders what a spec builds to: its fingerprint, or the error
-	// that stopped it.
-	built := func(sp Spec) string {
+	// that stopped it. A spec that builds is a run that ends: its total
+	// budget is at least one instruction and below 2^63.
+	built := func(t *testing.T, sp Spec) string {
 		sc, err := sp.Scenario()
 		if err != nil {
 			return "error: " + err.Error()
+		}
+		if n := sc.TotalInstBudget(); n < 1 || n >= 1<<63 {
+			t.Fatalf("spec %+v builds with a total budget of %d instructions", sp, n)
 		}
 		fp, err := sc.Fingerprint()
 		if err != nil {
@@ -66,7 +72,7 @@ func FuzzSpecToFingerprint(f *testing.F) {
 		if third := reparse(second); !reflect.DeepEqual(again, third) {
 			t.Fatalf("rendered spec %s re-parses to %+v, then to %+v", first, again, third)
 		}
-		if a, b := built(sp), built(again); a != b {
+		if a, b := built(t, sp), built(t, again); a != b {
 			t.Fatalf("spec %s builds to %s, its rendering %s to %s", data, a, first, b)
 		}
 	})

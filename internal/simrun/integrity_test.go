@@ -164,7 +164,7 @@ func registerPanicky(t *testing.T) {
 
 func TestRunIsolatesEnginePanic(t *testing.T) {
 	registerPanicky(t)
-	sc, err := New("gcc", Insts(1000), Engine(panickyEngine))
+	sc, err := Spec{Bench: "gcc", Insts: 1000, Engine: panickyEngine}.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +183,11 @@ func TestRunIsolatesEnginePanic(t *testing.T) {
 
 func TestBatchSurvivesPanickedScenario(t *testing.T) {
 	registerPanicky(t)
-	poisoned, err := New("gcc", Insts(1000), Engine(panickyEngine))
+	poisoned, err := Spec{Bench: "gcc", Insts: 1000, Engine: panickyEngine}.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}
-	healthy, err := New("gcc", Insts(1000))
+	healthy, err := Spec{Bench: "gcc", Insts: 1000}.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}

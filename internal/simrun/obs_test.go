@@ -17,8 +17,9 @@ func TestObserveFingerprintInvariance(t *testing.T) {
 		Tracer:   obs.NewTracer(0),
 		Progress: func(obs.Progress) {},
 	}
-	a := fp(t, "gcc", Cores(2), Insts(5000))
-	b := fp(t, "gcc", Cores(2), Insts(5000), Observe(obsv))
+	sp := Spec{Bench: "gcc", Cores: 2, Insts: 5000}
+	a := fp(t, sp)
+	b := fp(t, sp, Observe(obsv))
 	if a != b {
 		t.Fatalf("Observe changed the fingerprint: %s vs %s", a, b)
 	}
@@ -30,7 +31,7 @@ func TestRunRecordsEngineMetrics(t *testing.T) {
 	runs, wall := engineMetrics(DefaultEngine)
 	r0, w0 := runs.Value(), wall.Count()
 
-	s := MustNew("gcc", Insts(2000), Warmup(1000))
+	s := build(t, Spec{Bench: "gcc", Insts: 2000, Warmup: 1000})
 	if _, err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestObserverSpansAndProgress(t *testing.T) {
 		Progress:      func(p obs.Progress) { last = p },
 		ProgressEvery: time.Nanosecond,
 	}
-	s := MustNew("gcc", Insts(2000), Warmup(1000), Observe(obsv))
+	s := build(t, Spec{Bench: "gcc", Insts: 2000, Warmup: 1000}, Observe(obsv))
 	res, err := s.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -90,9 +91,9 @@ func TestObserverSpansAndProgress(t *testing.T) {
 // Batch occupancy gauges drain back to zero once the pool finishes.
 func TestBatchGaugesDrain(t *testing.T) {
 	scs := []*Scenario{
-		MustNew("gcc", Insts(1000)),
-		MustNew("mcf", Insts(1000)),
-		MustNew("gzip", Insts(1000)),
+		build(t, Spec{Bench: "gcc", Insts: 1000}),
+		build(t, Spec{Bench: "mcf", Insts: 1000}),
+		build(t, Spec{Bench: "gzip", Insts: 1000}),
 	}
 	Batch(context.Background(), scs, BatchOpts{Workers: 2})
 	if v := mBatchPending.Value(); v != 0 {

@@ -56,27 +56,27 @@ func settled(t *testing.T, base int) {
 // threads sharing lines under each protocol, and the detailed model.
 func TestPipelinedRunChangesNoByte(t *testing.T) {
 	cases := []struct {
-		name, bench string
-		opts        []Option
+		name string
+		spec func(sp *Spec)
 	}{
-		{name: "gcc + stride prefetch", bench: "gcc", opts: []Option{Prefetch("stride")}},
-		{name: "mix on mesh + directory", opts: []Option{Mix("mcf", "swim", "gcc", "twolf"), Fabric("mesh"), Coherence("directory")}},
-		{name: "canneal × 4 under moesi", bench: "canneal", opts: []Option{Cores(4), WorkScale(0.1), Coherence("moesi")}},
-		{name: "canneal × 4 under mesi", bench: "canneal", opts: []Option{Cores(4), WorkScale(0.1), Coherence("mesi")}},
-		{name: "canneal × 4 under directory", bench: "canneal", opts: []Option{Cores(4), WorkScale(0.1), Coherence("directory")}},
-		{name: "gcc under the detailed model", bench: "gcc", opts: []Option{Model("detailed")}},
-		{name: "gcc without warm-up", bench: "gcc", opts: []Option{Warmup(0)}},
-		{name: "gcc shorter than a chunk", bench: "gcc", opts: []Option{Insts(1500), Warmup(700)}},
+		{"gcc + stride prefetch", func(sp *Spec) { sp.Prefetch = "stride" }},
+		{"mix on mesh + directory", func(sp *Spec) {
+			sp.Bench, sp.Mix, sp.Fabric, sp.Coherence = "", []string{"mcf", "swim", "gcc", "twolf"}, "mesh", "directory"
+		}},
+		{"canneal × 4 under moesi", func(sp *Spec) { sp.Bench, sp.Cores, sp.WorkScale, sp.Coherence = "canneal", 4, 0.1, "moesi" }},
+		{"canneal × 4 under mesi", func(sp *Spec) { sp.Bench, sp.Cores, sp.WorkScale, sp.Coherence = "canneal", 4, 0.1, "mesi" }},
+		{"canneal × 4 under directory", func(sp *Spec) { sp.Bench, sp.Cores, sp.WorkScale, sp.Coherence = "canneal", 4, 0.1, "directory" }},
+		{"gcc under the detailed model", func(sp *Spec) { sp.Model = "detailed" }},
+		{"gcc without warm-up", func(sp *Spec) { sp.Warmup = 0 }},
+		{"gcc shorter than a chunk", func(sp *Spec) { sp.Insts, sp.Warmup = 1500, 700 }},
 	}
 	for _, c := range cases {
 		run := func(cpus int) ([]byte, uint64) {
 			t.Helper()
 			hostCPUs(t, cpus)
-			opts := append([]Option{Insts(30_000), Warmup(60_000), Seed(7), KeepCores()}, c.opts...)
-			s, err := New(c.bench, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
+			sp := Spec{Bench: "gcc", Insts: 30_000, Warmup: 60_000, Seed: seedOf(7), Report: true}
+			c.spec(&sp)
+			s := build(t, sp)
 			before := pipelinedRuns()
 			res, err := s.Run(context.Background())
 			if err != nil {
@@ -131,7 +131,7 @@ func TestProducerGate(t *testing.T) {
 	lone := func() uint64 {
 		t.Helper()
 		before := pipelinedRuns()
-		if _, err := MustNew("gcc", Insts(2000), Warmup(1000)).Run(context.Background()); err != nil {
+		if _, err := build(t, Spec{Bench: "gcc", Insts: 2000, Warmup: 1000}).Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		return pipelinedRuns() - before
@@ -148,9 +148,9 @@ func TestProducerGate(t *testing.T) {
 	// only a worker that starts before the other has started anything can
 	// find a CPU idle.
 	t.Run("a saturated batch runs inline", func(t *testing.T) {
-		scs := []*Scenario{MustNew("gcc", Insts(3_000_000))}
+		scs := []*Scenario{build(t, Spec{Bench: "gcc", Insts: 3_000_000})}
 		for i := 0; i < 15; i++ {
-			scs = append(scs, MustNew("mcf", Insts(1000), Warmup(1000), Seed(int64(i))))
+			scs = append(scs, build(t, Spec{Bench: "mcf", Insts: 1000, Warmup: 1000, Seed: seedOf(int64(i))}))
 		}
 		before := pipelinedRuns()
 		for _, r := range Batch(context.Background(), scs, BatchOpts{Workers: 2}) {
@@ -166,8 +166,9 @@ func TestProducerGate(t *testing.T) {
 	t.Run("an estimator run in flight counts", func(t *testing.T) {
 		registerParked()
 		done := make(chan error)
+		parked := build(t, Spec{Bench: "gcc", Engine: parkedEngine})
 		go func() {
-			_, err := MustNew("gcc", Engine(parkedEngine)).Run(context.Background())
+			_, err := parked.Run(context.Background())
 			done <- err
 		}()
 		<-parkedIn
@@ -217,23 +218,24 @@ func TestPipelinedRunLeavesNoGoroutine(t *testing.T) {
 	var cancelMeasure context.CancelFunc
 	endings := []struct {
 		name  string
+		spec  Spec
 		opts  []Option
 		ctx   func() (context.Context, context.CancelFunc)
 		check func(res Result, err error) bool
 	}{
-		{"normal end", []Option{Insts(20_000), Warmup(20_000)}, nil,
+		{"normal end", Spec{Insts: 20_000, Warmup: 20_000}, nil, nil,
 			func(res Result, err error) bool { return err == nil && res.TotalRetired == 20_000 }},
-		{"cancelled during warm-up", []Option{Insts(20_000), Warmup(2_000_000_000)},
+		{"cancelled during warm-up", Spec{Insts: 20_000, Warmup: 2_000_000_000}, nil,
 			func() (context.Context, context.CancelFunc) {
 				return context.WithTimeout(context.Background(), 10*time.Millisecond)
 			},
 			func(res Result, err error) bool {
 				return errors.Is(err, context.DeadlineExceeded) && res.Interrupted && res.TotalRetired == 0
 			}},
-		{"cancelled during measurement", []Option{Insts(2_000_000_000), Warmup(20_000),
+		{"cancelled during measurement", Spec{Insts: 2_000_000_000, Warmup: 20_000},
 			// The driver's second poll reports progress; the third sees
 			// the cancellation.
-			Observe(&obs.Observer{ProgressEvery: time.Nanosecond, Progress: func(obs.Progress) { cancelMeasure() }})},
+			[]Option{Observe(&obs.Observer{ProgressEvery: time.Nanosecond, Progress: func(obs.Progress) { cancelMeasure() }})},
 			func() (ctx context.Context, cancel context.CancelFunc) {
 				ctx, cancelMeasure = context.WithCancel(context.Background())
 				return ctx, cancelMeasure
@@ -241,9 +243,9 @@ func TestPipelinedRunLeavesNoGoroutine(t *testing.T) {
 			func(res Result, err error) bool {
 				return errors.Is(err, context.Canceled) && res.Interrupted && res.TotalRetired > 0
 			}},
-		{"MaxCycles time-out", []Option{Insts(2_000_000_000), Warmup(20_000), MaxCycles(50_000)}, nil,
+		{"MaxCycles time-out", Spec{Insts: 2_000_000_000, Warmup: 20_000, MaxCycles: 50_000}, nil, nil,
 			func(res Result, err error) bool { return err == nil && res.TimedOut }},
-		{"engine panic", []Option{Insts(2_000_000), Warmup(20_000), Model(tripwireModel)}, nil,
+		{"engine panic", Spec{Insts: 2_000_000, Warmup: 20_000, Model: tripwireModel}, nil, nil,
 			func(res Result, err error) bool {
 				var pe *PanicError
 				return errors.As(err, &pe) && pe.Value == "core model bug"
@@ -258,7 +260,8 @@ func TestPipelinedRunLeavesNoGoroutine(t *testing.T) {
 				defer cancel()
 			}
 			base, before := runtime.NumGoroutine(), pipelinedRuns()
-			res, err := MustNew("gcc", e.opts...).Run(ctx)
+			e.spec.Bench = "gcc"
+			res, err := build(t, e.spec, e.opts...).Run(ctx)
 			if !e.check(res, err) {
 				t.Errorf("retired %d, interrupted %v, timed out %v, err %v", res.TotalRetired, res.Interrupted, res.TimedOut, err)
 			}
@@ -313,8 +316,8 @@ var registerFailingSource = sync.OnceFunc(func() {
 func TestSourcePanicIsIsolated(t *testing.T) {
 	hostCPUs(t, 2)
 	registerFailingSource()
-	poisoned := MustNew("gcc", Insts(1_000_000), Warmup(20_000), Engine(failingEngine))
-	healthy := MustNew("gcc", Insts(20_000), Warmup(20_000))
+	poisoned := build(t, Spec{Bench: "gcc", Insts: 1_000_000, Warmup: 20_000, Engine: failingEngine})
+	healthy := build(t, Spec{Bench: "gcc", Insts: 20_000, Warmup: 20_000})
 
 	base, before := runtime.NumGoroutine(), pipelinedRuns()
 	_, err := poisoned.Run(context.Background())
@@ -374,7 +377,7 @@ func TestWarmupHonoursCancellation(t *testing.T) {
 			twins = append(twins, &counting{Stream: workload.New(gcc, i, 2, 2).Functional()})
 			warm = append(warm, twins[i])
 		}
-		return MustNew("", Streams(streams, warm), Warmup(warmup)), twins
+		return build(t, Spec{Warmup: warmup}, Streams(streams, warm)), twins
 	}
 
 	s, twins := scenario(20_000_000)
@@ -419,7 +422,7 @@ func TestEngineSpanSaysWhoGenerated(t *testing.T) {
 	for _, cpus := range []int{1, 2} {
 		hostCPUs(t, cpus)
 		tr := obs.NewTracer(0)
-		s := MustNew("gcc", Insts(200_000), Warmup(100_000), Observe(&obs.Observer{Tracer: tr}))
+		s := build(t, Spec{Bench: "gcc", Insts: 200_000, Warmup: 100_000}, Observe(&obs.Observer{Tracer: tr}))
 		if _, err := s.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}

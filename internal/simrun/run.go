@@ -62,7 +62,7 @@ func takeProducer() bool {
 // functional streams (workload.Generator.Functional): functional warmup is
 // their only consumer and reads no register operand, so they carry none.
 func (s *Scenario) buildStreams() (streams, warm []trace.Stream) {
-	n := s.Threads()
+	n, seed := s.Threads(), s.SeedValue()
 	switch {
 	case s.streams != nil:
 		return s.streams, s.warmStream
@@ -76,25 +76,25 @@ func (s *Scenario) buildStreams() (streams, warm []trace.Stream) {
 		// measured stream or it would warm the wrong lines.
 		for i := 0; i < n; i++ {
 			p := s.mixped[i%len(s.mixped)]
-			streams = append(streams, trace.NewLimit(workload.NewSlot(p, 0, 1, s.seed+int64(i), i), s.insts))
-			warm = append(warm, workload.NewSlot(p, 0, 1, s.seed+warmSeedOffset+int64(i), i).Functional())
+			streams = append(streams, trace.NewLimit(workload.NewSlot(p, 0, 1, seed+int64(i), i), s.spec.Insts))
+			warm = append(warm, workload.NewSlot(p, 0, 1, seed+warmSeedOffset+int64(i), i).Functional())
 		}
 		return streams, warm
 	case s.profile.MultiThreaded():
 		p := *s.profile
-		if s.scale > 0 && s.scale != 1 {
-			p.TotalWork = uint64(float64(p.TotalWork) * s.scale)
+		if s.spec.WorkScale != 1 {
+			p.TotalWork = uint64(float64(p.TotalWork) * s.spec.WorkScale)
 		}
 		for i := 0; i < n; i++ {
-			streams = append(streams, workload.New(&p, i, n, s.seed))
-			warm = append(warm, workload.New(&p, i, n, s.seed+warmSeedOffset).Functional())
+			streams = append(streams, workload.New(&p, i, n, seed))
+			warm = append(warm, workload.New(&p, i, n, seed+warmSeedOffset).Functional())
 		}
 		return streams, warm
 	default:
 		// SPEC-style: n copies (or threads) under a per-thread budget.
 		for i := 0; i < n; i++ {
-			streams = append(streams, trace.NewLimit(workload.New(s.profile, i, n, s.seed), s.insts))
-			warm = append(warm, workload.New(s.profile, i, n, s.seed+warmSeedOffset).Functional())
+			streams = append(streams, trace.NewLimit(workload.New(s.profile, i, n, seed), s.spec.Insts))
+			warm = append(warm, workload.New(s.profile, i, n, seed+warmSeedOffset).Functional())
 		}
 		return streams, warm
 	}
@@ -200,7 +200,7 @@ func (s *Scenario) runFull(ctx context.Context) (Result, error) {
 
 // runConfig is the driver configuration of a full run, streams aside.
 func (s *Scenario) runConfig(ctx context.Context) (multicore.RunConfig, error) {
-	factory, err := LookupModel(s.model)
+	factory, err := LookupModel(s.spec.Model)
 	if err != nil {
 		return multicore.RunConfig{}, err
 	}
@@ -210,13 +210,13 @@ func (s *Scenario) runConfig(ctx context.Context) (multicore.RunConfig, error) {
 	}
 	return multicore.RunConfig{
 		Machine:     machine,
-		Model:       legacyModel(s.model),
-		ModelName:   s.model,
-		Perfect:     s.perfect,
-		MaxCycles:   s.maxCycles,
-		KeepCores:   s.keepCores,
-		WarmupInsts: s.warmup,
-		Ablation:    s.ablation,
+		Model:       legacyModel(s.spec.Model),
+		ModelName:   s.spec.Model,
+		Perfect:     *s.spec.Perfect,
+		MaxCycles:   s.spec.MaxCycles,
+		KeepCores:   s.spec.Report,
+		WarmupInsts: s.spec.Warmup,
+		Ablation:    *s.spec.Ablation,
 		Interrupt:   ctx.Done(),
 		Trace:       s.tracer(),
 		Heartbeat:   s.heartbeat(),
@@ -224,7 +224,7 @@ func (s *Scenario) runConfig(ctx context.Context) (multicore.RunConfig, error) {
 			return factory(CoreParams{
 				ID:       i,
 				Machine:  machine,
-				Ablation: s.ablation,
+				Ablation: *s.spec.Ablation,
 				Branch:   bp,
 				Mem:      mem,
 				Stream:   stream,
@@ -259,9 +259,9 @@ func (s *Scenario) runOwned(ctx context.Context, cfg multicore.RunConfig, stream
 		// fills the measured rings behind it, and they are cut to the
 		// warm-up length so it generates nothing the run would not have.
 		var srcs []trace.Stream
-		if s.warmup > 0 {
+		if s.spec.Warmup > 0 {
 			for _, w := range warm {
-				srcs = append(srcs, trace.NewLimit(w, s.warmup))
+				srcs = append(srcs, trace.NewLimit(w, s.spec.Warmup))
 			}
 		}
 		nw := len(srcs)

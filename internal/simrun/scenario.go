@@ -1,20 +1,21 @@
 // Package simrun is the one way to describe and execute simulations: a
-// scenario builder with functional options, a core-model registry, and a
+// scenario is a Spec, plus a core-model registry, an engine registry and a
 // parallel batch runner.
 //
-// Every driver and example builds runs the same way:
+// Every driver and example describes a run the same way:
 //
-//	s, err := simrun.New("gcc",
-//		simrun.Cores(4),
-//		simrun.Model("interval"),
-//		simrun.Fabric("mesh"),
-//		simrun.Insts(50_000),
-//	)
+//	s, err := simrun.Spec{
+//		Bench:  "gcc",
+//		Cores:  4,
+//		Model:  "interval",
+//		Fabric: "mesh",
+//		Insts:  50_000,
+//	}.Scenario()
 //	res, err := s.Run(context.Background())
 //
-// New owns workload resolution (SPEC/PARSEC profiles, multi-program
-// copies, per-core mixes), warmup-twin stream construction and
-// machine-config knob application, and validates every knob eagerly so
+// Building a scenario owns workload resolution (SPEC/PARSEC profiles,
+// multi-program copies, per-core mixes), warmup-twin stream construction and
+// machine-config knob application, and validates every field eagerly so
 // command-line front ends can reject bad flags with one error check.
 // Batch executes a slice of scenarios across a host worker pool with
 // context cancellation, per-scenario timeouts and deterministic result
@@ -22,7 +23,10 @@
 package simrun
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/config"
@@ -38,29 +42,17 @@ import (
 // regions without replaying the exact future line sequence.
 const warmSeedOffset = 1000
 
-// Scenario is one fully described simulation run. Build it with New; the
-// zero value is not usable.
+// Scenario is one fully described simulation run: a validated Spec plus
+// what has no wire form. Build it with Spec.Scenario or New; the zero value
+// is not usable.
 type Scenario struct {
-	bench  string
-	label  string
-	model  string
-	engine string // registered engine name; "" = DefaultEngine
+	// spec is the run's description with the defaults filled in (model
+	// "interval", 100 000 instructions, seed 42, work scale 1) and its
+	// pointers and slices copied, so the caller's spec can change freely.
+	spec Spec
 
-	cores  int
-	copies int
-	mix    []string
-
-	insts  int
-	warmup int
-	seed   int64
-	scale  float64 // PARSEC TotalWork scale (1 = profile value)
-
-	machine    *config.Machine
-	configure  []func(*config.Machine)
-	perfect    memhier.Perfect
-	ablation   core.Options
-	keepCores  bool
-	maxCycles  int64
+	// streams and warmStream are explicit instruction streams (recorded
+	// traces, statistical clones) that replace benchmark resolution.
 	streams    []trace.Stream
 	warmStream []trace.Stream
 
@@ -76,81 +68,149 @@ type Scenario struct {
 	mixped  []*workload.Profile
 }
 
-// Option configures a Scenario; options are applied in order.
+// Option configures a Scenario at New time: Spec.Options installs a spec,
+// Observe and Streams attach what a spec cannot carry.
 type Option func(*Scenario) error
 
 // New builds a scenario for the named benchmark profile (SPEC or PARSEC).
 // bench may be empty only when Streams supplies the instruction streams
-// explicitly. All options are validated eagerly: unknown benchmark, model,
-// fabric, coherence, DRAM, prefetcher and predictor names are errors here,
-// not at run time.
+// explicitly. The spec is validated eagerly: unknown benchmark, model,
+// engine, fabric, coherence, DRAM, prefetcher and predictor names are
+// errors here, not at run time.
 func New(bench string, opts ...Option) (*Scenario, error) {
-	// cores stays 0 unless the Cores option is given, so Threads can fall
-	// back to an explicit Machine's core count.
-	s := &Scenario{
-		bench: bench,
-		model: "interval",
-		insts: 100_000,
-		seed:  42,
-		scale: 1,
-	}
+	s := &Scenario{spec: Spec{Bench: bench}}
 	for _, opt := range opts {
 		if err := opt(s); err != nil {
 			return nil, err
 		}
 	}
-	if _, err := LookupModel(s.model); err != nil {
-		return nil, err
-	}
-	if err := s.resolveWorkload(); err != nil {
-		return nil, err
-	}
-	// Resolve the machine once so option typos surface before any run.
-	if _, err := s.ResolvedMachine(); err != nil {
-		return nil, err
-	}
-	// Engine validation runs last: Supports hooks inspect the resolved
-	// workload (profile, thread count), so an unsupported pin is
-	// rejected with the engine's own explanation, not a run-time error.
-	if err := s.validateEngine(); err != nil {
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// validateEngine checks the selected engine against the registry and the
-// resolved workload.
-func (s *Scenario) validateEngine() error {
-	if s.engine == "" {
-		return nil
+// validate fills in the spec's defaults and checks every field, then the
+// workload, the machine, the instruction budget and the engine, in that
+// order.
+func (s *Scenario) validate() error {
+	sp := &s.spec
+	if sp.Version != 0 && sp.Version != SpecVersion {
+		return fmt.Errorf("simrun: spec is pinned to stream format v%d, this build speaks v%d: the formats are deliberately incompatible (v3 rebuilt the generator on a counter-based RNG with tabulated sampling, renumbering ALL generated results) — update the spec's version after reviewing its expected results", sp.Version, SpecVersion)
 	}
-	eng, err := LookupEngine(s.engine)
-	if err != nil {
+	sp.Model = cmp.Or(sp.Model, "interval")
+	sp.Insts = cmp.Or(sp.Insts, 100_000)
+	sp.WorkScale = cmp.Or(sp.WorkScale, 1)
+	sp.Seed = copyOr(sp.Seed, 42)
+	sp.Perfect = copyOr(sp.Perfect, memhier.Perfect{})
+	sp.Ablation = copyOr(sp.Ablation, core.Options{})
+	if sp.Machine != nil {
+		sp.Machine = copyOr(sp.Machine, config.Machine{})
+	}
+	// An empty mix is an absent one, in the fingerprint as in JSON.
+	sp.Mix = slices.Clone(sp.Mix)
+	if len(sp.Mix) == 0 {
+		sp.Mix = nil
+	}
+
+	if _, err := LookupModel(sp.Model); err != nil {
 		return err
 	}
-	if err := eng.Supports(s); err != nil {
-		return fmt.Errorf("simrun: engine %q cannot run scenario %q: %w", s.engine, s.Name(), err)
+	for _, c := range []struct {
+		bad    bool
+		format string
+		value  any
+	}{
+		{sp.Cores < 0, "cores must be positive, got %d", sp.Cores},
+		{sp.Copies < 0, "copies must be positive, got %d", sp.Copies},
+		{sp.Insts < 0, "insts must be positive, got %d", sp.Insts},
+		{sp.Warmup < 0, "warmup must be non-negative, got %d", sp.Warmup},
+		{!(sp.WorkScale > 0), "work scale must be positive, got %g", sp.WorkScale},
+		{sp.MaxCycles < 0, "max cycles must be non-negative, got %d", sp.MaxCycles},
+		{sp.HostPar < 0, "hostpar must be non-negative, got %d", sp.HostPar},
+		{sp.Quantum < 0, "epoch quantum must be non-negative, got %d", sp.Quantum},
+	} {
+		if c.bad {
+			return fmt.Errorf("simrun: "+c.format, c.value)
+		}
+	}
+	for _, k := range []struct{ kind, knob, v string }{
+		{"fabric", "fabric", sp.Fabric},
+		{"coherence protocol", "coherence", sp.Coherence},
+		{"DRAM model", "dram", sp.DRAM},
+		{"prefetcher", "prefetch", sp.Prefetch},
+		{"predictor", "predictor", sp.Predictor},
+	} {
+		if k.v != "" && !slices.Contains(knobSets[k.knob], k.v) {
+			return fmt.Errorf("simrun: unknown %s %q (want %s)", k.kind, k.v, strings.Join(knobSets[k.knob], ", "))
+		}
+	}
+	if err := s.resolveWorkload(); err != nil {
+		return err
+	}
+	// Resolve the machine once so knob typos surface before any run.
+	if _, err := s.ResolvedMachine(); err != nil {
+		return err
+	}
+	if err := s.checkBudget(); err != nil {
+		return err
+	}
+	// Engine validation runs last: Supports hooks inspect the resolved
+	// workload (profile, thread count), so an unsupported pin is
+	// rejected with the engine's own explanation, not a run-time error.
+	return s.validateEngine()
+}
+
+// copyOr returns a pointer to a copy of *p, or to def when p is nil.
+func copyOr[T any](p *T, def T) *T {
+	if p != nil {
+		def = *p
+	}
+	return &def
+}
+
+// checkBudget rejects a run that could not end on its instruction budget:
+// the total must be at least one instruction and fit an int64. A PARSEC
+// profile whose work scales to zero would be read by the generator as "no
+// budget" and run until its deadline, and a total past 2^63 wraps.
+func (s *Scenario) checkBudget() error {
+	sp := &s.spec
+	switch {
+	case s.streams != nil:
+	case s.profile != nil && s.profile.MultiThreaded():
+		if w := float64(s.profile.TotalWork) * sp.WorkScale; !(w >= 1 && w < 1<<63) {
+			return fmt.Errorf("simrun: work scale %g leaves %s %.4g instructions of total work (want at least 1 and fewer than 2^63)", sp.WorkScale, s.profile.Name, w)
+		}
+	case uint64(sp.Insts) > math.MaxInt64/uint64(s.Threads()):
+		return fmt.Errorf("simrun: insts %d on %d cores is past 2^63 instructions", sp.Insts, s.Threads())
 	}
 	return nil
 }
 
-// MustNew is New for program setup paths where a bad scenario is a bug.
-func MustNew(bench string, opts ...Option) *Scenario {
-	s, err := New(bench, opts...)
-	if err != nil {
-		panic(err)
+// validateEngine checks the selected engine against the registry and the
+// resolved workload.
+func (s *Scenario) validateEngine() error {
+	if s.spec.Engine == "" {
+		return nil
 	}
-	return s
+	eng, err := LookupEngine(s.spec.Engine)
+	if err != nil {
+		return err
+	}
+	if err := eng.Supports(s); err != nil {
+		return fmt.Errorf("simrun: engine %q cannot run scenario %q: %w", s.spec.Engine, s.Name(), err)
+	}
+	return nil
 }
 
 // resolveWorkload checks the benchmark name against the profile sets (or
-// the explicit stream/mix options) and remembers the resolution.
+// the explicit streams or mix) and remembers the resolution.
 func (s *Scenario) resolveWorkload() error {
 	switch {
 	case s.streams != nil:
 		return nil
-	case len(s.mix) > 0:
-		for _, name := range s.mix {
+	case len(s.spec.Mix) > 0:
+		for _, name := range s.spec.Mix {
 			p := workload.SPECByName(name)
 			if p == nil {
 				return fmt.Errorf("simrun: unknown SPEC profile %q in mix", name)
@@ -163,63 +223,55 @@ func (s *Scenario) resolveWorkload() error {
 			return fmt.Errorf("simrun: mix runs one address-space slot per core and supports at most %d cores, got %d", workload.MaxSlots, n)
 		}
 		return nil
-	case s.bench == "":
+	case s.spec.Bench == "":
 		return fmt.Errorf("simrun: no benchmark name and no explicit streams")
 	}
-	if p := workload.SPECByName(s.bench); p != nil {
+	if p := workload.SPECByName(s.spec.Bench); p != nil {
 		s.profile = p
 		return nil
 	}
-	if p := workload.PARSECByName(s.bench); p != nil {
+	if p := workload.PARSECByName(s.spec.Bench); p != nil {
 		s.profile = p
 		return nil
 	}
-	return fmt.Errorf("simrun: unknown benchmark %q", s.bench)
+	return fmt.Errorf("simrun: unknown benchmark %q", s.spec.Bench)
 }
 
-// Threads is the number of simulated cores (= streams) the scenario runs.
+// Threads is the number of simulated cores (= streams) the scenario runs:
+// the explicit streams, else the first of Copies, Cores, one per Mix
+// entry and the Machine's core count that is set, else 1.
 func (s *Scenario) Threads() int {
-	if s.streams != nil {
+	switch sp := &s.spec; {
+	case s.streams != nil:
 		return len(s.streams)
-	}
-	if s.copies > 0 {
-		return s.copies
-	}
-	if s.cores > 0 {
-		return s.cores
-	}
-	if s.machine != nil {
-		return s.machine.Cores
+	case sp.Copies > 0:
+		return sp.Copies
+	case sp.Cores > 0:
+		return sp.Cores
+	case len(sp.Mix) > 0:
+		return len(sp.Mix)
+	case sp.Machine != nil:
+		return sp.Machine.Cores
 	}
 	return 1
 }
 
-// Name is the scenario's display label: the Label option when set, the
+// Name is the scenario's display label: the spec's Label when set, the
 // benchmark name otherwise.
-func (s *Scenario) Name() string {
-	if s.label != "" {
-		return s.label
-	}
-	return s.bench
-}
+func (s *Scenario) Name() string { return cmp.Or(s.spec.Label, s.spec.Bench) }
 
 // ModelName is the registered core-model name the scenario runs under.
-func (s *Scenario) ModelName() string { return s.model }
+func (s *Scenario) ModelName() string { return s.spec.Model }
 
 // EngineName is the registered engine the scenario runs under —
-// DefaultEngine ("full") unless the Engine option chose an estimator.
-func (s *Scenario) EngineName() string {
-	if s.engine == "" {
-		return DefaultEngine
-	}
-	return s.engine
-}
+// DefaultEngine ("full") unless the spec pins an estimator.
+func (s *Scenario) EngineName() string { return cmp.Or(s.spec.Engine, DefaultEngine) }
 
-// EnginePinned reports whether the Engine option chose an engine
-// explicitly. A scenario that pinned "full" runs at full fidelity even
-// under serving layers that would otherwise answer cheap-first — pinning
-// the default is how a client opts a single query out of tiered serving.
-func (s *Scenario) EnginePinned() bool { return s.engine != "" }
+// EnginePinned reports whether the spec names an engine explicitly. A
+// scenario that pinned "full" runs at full fidelity even under serving
+// layers that would otherwise answer cheap-first — pinning the default is
+// how a client opts a single query out of tiered serving.
+func (s *Scenario) EnginePinned() bool { return s.spec.Engine != "" }
 
 // ForEngine returns a copy of the scenario pinned to the named engine.
 // The copy shares the scenario's fingerprint — the engine choice is a
@@ -227,7 +279,7 @@ func (s *Scenario) EnginePinned() bool { return s.engine != "" }
 // a cheap-tier answer and the full answer land in the same cache slot.
 func (s *Scenario) ForEngine(name string) (*Scenario, error) {
 	c := *s
-	c.engine = name
+	c.spec.Engine = name
 	if err := c.validateEngine(); err != nil {
 		return nil, err
 	}
@@ -239,16 +291,14 @@ func (s *Scenario) ForEngine(name string) (*Scenario, error) {
 // Estimator engines profile it to build their cheap stand-in workloads.
 func (s *Scenario) Profile() *workload.Profile { return s.profile }
 
-// InstBudget is the per-thread measured instruction budget (the Insts
-// option).
-func (s *Scenario) InstBudget() int { return s.insts }
+// InstBudget is the per-thread measured instruction budget (Spec.Insts).
+func (s *Scenario) InstBudget() int { return s.spec.Insts }
 
-// WarmupBudget is the per-thread functional-warmup budget (the Warmup
-// option).
-func (s *Scenario) WarmupBudget() int { return s.warmup }
+// WarmupBudget is the per-thread functional-warmup budget (Spec.Warmup).
+func (s *Scenario) WarmupBudget() int { return s.spec.Warmup }
 
-// SeedValue is the deterministic workload seed (the Seed option).
-func (s *Scenario) SeedValue() int64 { return s.seed }
+// SeedValue is the deterministic workload seed (Spec.Seed).
+func (s *Scenario) SeedValue() int64 { return *s.spec.Seed }
 
 // Observer returns the attached observability sinks (nil = none).
 func (s *Scenario) Observer() *obs.Observer { return s.obsv }
@@ -271,31 +321,50 @@ func (s *Scenario) TotalInstBudget() uint64 {
 	case s.streams != nil:
 		return 0
 	case s.profile != nil && s.profile.MultiThreaded():
-		w := float64(s.profile.TotalWork)
-		if s.scale > 0 {
-			w *= s.scale
-		}
-		return uint64(w)
+		return uint64(float64(s.profile.TotalWork) * s.spec.WorkScale)
 	default:
-		return uint64(s.insts) * uint64(s.Threads())
+		return uint64(s.spec.Insts) * uint64(s.Threads())
 	}
 }
 
 // ResolvedMachine returns the machine configuration the scenario will
-// simulate: the explicit Machine base (or the Table 1 default sized to
-// Threads), with every knob option applied in order. A machine no
-// simulator can run (config.Machine.Validate) is an error, so New rejects
-// it before any worker is committed to it.
+// simulate: the spec's Machine (or the Table 1 default) sized to Threads,
+// with the knob fields applied on top. The baseline names are the config
+// package's zero values: DRAM "fixed" and prefetch "none" resolve to "",
+// and a prefetcher on a machine without a degree gets degree 2. A machine
+// no simulator can run (config.Machine.Validate) is an error, so New
+// rejects it before any worker is committed to it.
 func (s *Scenario) ResolvedMachine() (config.Machine, error) {
-	var m config.Machine
-	if s.machine != nil {
-		m = *s.machine
-	} else {
-		m = config.Default(s.Threads())
+	sp := &s.spec
+	m := config.Default(s.Threads())
+	if sp.Machine != nil {
+		m = *sp.Machine
 	}
 	m.Cores = s.Threads()
-	for _, f := range s.configure {
-		f(&m)
+	if sp.Fabric != "" {
+		m.Mem.Interconnect = sp.Fabric
+	}
+	if sp.Coherence != "" {
+		m.Mem.Coherence = sp.Coherence
+	}
+	switch sp.DRAM {
+	case "fixed":
+		m.Mem.DRAMKind = ""
+	case "banked":
+		m.Mem.DRAMKind = "banked"
+	}
+	switch sp.Prefetch {
+	case "":
+	case "none":
+		m.Mem.Prefetch = ""
+	default:
+		m.Mem.Prefetch = sp.Prefetch
+		if m.Mem.PrefetchDegree == 0 {
+			m.Mem.PrefetchDegree = 2
+		}
+	}
+	if sp.Predictor != "" {
+		m.Branch.Kind = sp.Predictor
 	}
 	if err := m.Validate(); err != nil {
 		return config.Machine{}, fmt.Errorf("simrun: scenario %q: %w", s.Name(), err)
@@ -303,10 +372,10 @@ func (s *Scenario) ResolvedMachine() (config.Machine, error) {
 	return m, nil
 }
 
-// The closed knob-value sets. The first entry of each is the baseline;
-// the options translate it to the config package's zero value. Knobs
-// exposes them to discovery front ends (the simd catalog), so the lists
-// served to users are the lists the options validate against.
+// The closed knob-value sets. The first entry of each is the baseline,
+// which resolves to the config package's zero value. Knobs exposes them to
+// discovery front ends (the simd catalog), so the lists served to users
+// are the lists specs are validated against.
 var knobSets = map[string][]string{
 	"fabric":    {"bus", "mesh", "ring"},
 	"coherence": {"moesi", "mesi", "directory"},
@@ -334,206 +403,6 @@ func Knobs() map[string][]string {
 	return out
 }
 
-// oneOf validates a knob value against its closed name set.
-func oneOf(kind, knob, v string) error {
-	valid := knobSets[knob]
-	for _, ok := range valid {
-		if v == ok {
-			return nil
-		}
-	}
-	return fmt.Errorf("simrun: unknown %s %q (want %s)", kind, v, strings.Join(valid, ", "))
-}
-
-// Model selects the core timing model by registered name (see
-// RegisterModel); the built-ins are "interval", "detailed" and "oneipc".
-func Model(name string) Option {
-	return func(s *Scenario) error {
-		if _, err := LookupModel(name); err != nil {
-			return err
-		}
-		s.model = name
-		return nil
-	}
-}
-
-// Engine selects the answering engine by registered name (see
-// RegisterEngine): DefaultEngine ("full") runs the entire budget under
-// the scenario's core model; estimator engines ("statistical" —
-// registered by importing internal/engine) answer at a cheaper fidelity
-// tier. The choice never enters the scenario fingerprint: every engine
-// answers the same scenario, and caches only ever upgrade an entry to a
-// higher tier. Unknown names and unsupported scenario/engine combinations
-// are rejected by New.
-func Engine(name string) Option {
-	return func(s *Scenario) error {
-		if name == "" {
-			return fmt.Errorf("simrun: empty engine name")
-		}
-		s.engine = name
-		return nil
-	}
-}
-
-// Cores sets the simulated core count; PARSEC profiles run one thread per
-// core.
-func Cores(n int) Option {
-	return func(s *Scenario) error {
-		if n <= 0 {
-			return fmt.Errorf("simrun: cores must be positive, got %d", n)
-		}
-		s.cores = n
-		return nil
-	}
-}
-
-// Copies runs n copies of a SPEC profile as a multi-program workload, one
-// per core.
-func Copies(n int) Option {
-	return func(s *Scenario) error {
-		if n <= 0 {
-			return fmt.Errorf("simrun: copies must be positive, got %d", n)
-		}
-		s.copies = n
-		return nil
-	}
-}
-
-// Mix runs a heterogeneous multi-program workload: core i runs SPEC
-// profile names[i%len(names)] with a per-core seed (seed+i) in its own
-// address-space slot (workload.NewSlot, stream format v2, so copies
-// never alias cache lines), the way the fabric and NoC studies construct
-// bandwidth-hungry mixes. Combine with Cores to set the machine size
-// (default: one core per name).
-func Mix(names ...string) Option {
-	return func(s *Scenario) error {
-		if len(names) == 0 {
-			return fmt.Errorf("simrun: empty mix")
-		}
-		s.mix = names
-		if s.cores == 0 {
-			s.cores = len(names)
-		}
-		return nil
-	}
-}
-
-// Insts sets the per-thread measured instruction budget for SPEC-style
-// profiles (PARSEC profiles carry their own work budget). Default 100000.
-func Insts(n int) Option {
-	return func(s *Scenario) error {
-		if n <= 0 {
-			return fmt.Errorf("simrun: insts must be positive, got %d", n)
-		}
-		s.insts = n
-		return nil
-	}
-}
-
-// Warmup functionally warms caches, TLBs and branch predictors with n
-// instructions per core (via a warmup-twin stream) before timed
-// simulation. Default 0: no warming.
-func Warmup(n int) Option {
-	return func(s *Scenario) error {
-		if n < 0 {
-			return fmt.Errorf("simrun: warmup must be non-negative, got %d", n)
-		}
-		s.warmup = n
-		return nil
-	}
-}
-
-// Seed selects the deterministic workload instance. Default 42.
-func Seed(seed int64) Option {
-	return func(s *Scenario) error { s.seed = seed; return nil }
-}
-
-// WorkScale scales a PARSEC profile's total work (1 = profile value), for
-// quick looks at multi-threaded benchmarks.
-func WorkScale(f float64) Option {
-	return func(s *Scenario) error {
-		if f <= 0 {
-			return fmt.Errorf("simrun: work scale must be positive, got %g", f)
-		}
-		s.scale = f
-		return nil
-	}
-}
-
-// Fabric selects the on-chip interconnect: "bus" (baseline), "mesh" or
-// "ring".
-func Fabric(name string) Option {
-	return func(s *Scenario) error {
-		if err := oneOf("fabric", "fabric", name); err != nil {
-			return err
-		}
-		s.configure = append(s.configure, func(m *config.Machine) { m.Mem.Interconnect = name })
-		return nil
-	}
-}
-
-// Coherence selects the protocol: "moesi" (baseline), "mesi" or
-// "directory".
-func Coherence(name string) Option {
-	return func(s *Scenario) error {
-		if err := oneOf("coherence protocol", "coherence", name); err != nil {
-			return err
-		}
-		s.configure = append(s.configure, func(m *config.Machine) { m.Mem.Coherence = name })
-		return nil
-	}
-}
-
-// DRAM selects the main-memory model: "fixed" (baseline) or "banked".
-func DRAM(kind string) Option {
-	return func(s *Scenario) error {
-		if err := oneOf("DRAM model", "dram", kind); err != nil {
-			return err
-		}
-		s.configure = append(s.configure, func(m *config.Machine) {
-			if kind == "banked" {
-				m.Mem.DRAMKind = "banked"
-			} else {
-				m.Mem.DRAMKind = ""
-			}
-		})
-		return nil
-	}
-}
-
-// Prefetch selects the hardware prefetcher: "none" (baseline), "nextline"
-// or "stride" (degree 2 unless the machine is configured otherwise).
-func Prefetch(name string) Option {
-	return func(s *Scenario) error {
-		if err := oneOf("prefetcher", "prefetch", name); err != nil {
-			return err
-		}
-		s.configure = append(s.configure, func(m *config.Machine) {
-			if name == "none" {
-				m.Mem.Prefetch = ""
-				return
-			}
-			m.Mem.Prefetch = name
-			if m.Mem.PrefetchDegree == 0 {
-				m.Mem.PrefetchDegree = 2
-			}
-		})
-		return nil
-	}
-}
-
-// Predictor selects the branch direction predictor: "local" (baseline),
-// "gshare", "bimodal", "tournament", "tage" or "perfect".
-func Predictor(kind string) Option {
-	return func(s *Scenario) error {
-		if err := oneOf("predictor", "predictor", kind); err != nil {
-			return err
-		}
-		s.configure = append(s.configure, func(m *config.Machine) { m.Branch.Kind = kind })
-		return nil
-	}
-}
-
 // Observe attaches observability sinks — a span tracer for lifecycle
 // and engine spans, and a throttled progress callback — to the
 // scenario. Observability is strictly host-side: it never enters the
@@ -542,43 +411,6 @@ func Predictor(kind string) Option {
 // hook is a nil-check no-op).
 func Observe(o *obs.Observer) Option {
 	return func(s *Scenario) error { s.obsv = o; return nil }
-}
-
-// Machine replaces the Table 1 default with m as the base machine (its
-// core count is overridden to the scenario's thread count). Knob options
-// still apply on top. A sweep over structure sizes is a list of tweaked
-// machines: each resolves, and fingerprints, like any other spelling of it.
-func Machine(m config.Machine) Option {
-	return func(s *Scenario) error { s.machine = &m; return nil }
-}
-
-// Perfect selects always-hit structures (the paper's Figure 4 step-by-step
-// accuracy experiments).
-func Perfect(p memhier.Perfect) Option {
-	return func(s *Scenario) error { s.perfect = p; return nil }
-}
-
-// Ablation selects interval-model ablation variants (zero value = full
-// model); other models ignore it.
-func Ablation(o core.Options) Option {
-	return func(s *Scenario) error { s.ablation = o; return nil }
-}
-
-// KeepCores retains the core model objects and memory hierarchy in the
-// result for post-run inspection (CPI stacks, fabric and DRAM statistics).
-func KeepCores() Option {
-	return func(s *Scenario) error { s.keepCores = true; return nil }
-}
-
-// MaxCycles aborts runaway runs (0 = the driver's generous default).
-func MaxCycles(n int64) Option {
-	return func(s *Scenario) error {
-		if n < 0 {
-			return fmt.Errorf("simrun: max cycles must be non-negative, got %d", n)
-		}
-		s.maxCycles = n
-		return nil
-	}
 }
 
 // Streams supplies the instruction streams explicitly (recorded traces,
@@ -594,10 +426,4 @@ func Streams(streams, warm []trace.Stream) Option {
 		s.warmStream = warm
 		return nil
 	}
-}
-
-// Label overrides the scenario's display name (useful with Streams or
-// Mix, where the benchmark name alone does not describe the run).
-func Label(name string) Option {
-	return func(s *Scenario) error { s.label = name; return nil }
 }

@@ -13,20 +13,31 @@ import (
 	"repro/internal/simrun"
 )
 
-// TestOptionsLandInMachine checks that every knob option ends up in the
+// build makes the scenario sp describes.
+func build(t *testing.T, sp simrun.Spec) *simrun.Scenario {
+	t.Helper()
+	s, err := sp.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestOptionsLandInMachine checks that every knob field ends up in the
 // resolved config.Machine, on top of an explicit base machine.
 func TestOptionsLandInMachine(t *testing.T) {
 	base := config.Default(1)
 	base.Core.ROBSize = 64
-	s, err := simrun.New("gcc",
-		simrun.Machine(base),
-		simrun.Cores(4),
-		simrun.Fabric("mesh"),
-		simrun.Coherence("directory"),
-		simrun.DRAM("banked"),
-		simrun.Prefetch("stride"),
-		simrun.Predictor("tage"),
-	)
+	s, err := simrun.Spec{
+		Bench:     "gcc",
+		Machine:   &base,
+		Cores:     4,
+		Fabric:    "mesh",
+		Coherence: "directory",
+		DRAM:      "banked",
+		Prefetch:  "stride",
+		Predictor: "tage",
+	}.Scenario()
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -60,22 +71,21 @@ func TestOptionsLandInMachine(t *testing.T) {
 // TestMachineOptionSetsThreads checks an explicit base machine determines
 // the thread count when Cores is not given.
 func TestMachineOptionSetsThreads(t *testing.T) {
-	s := simrun.MustNew("blackscholes", simrun.Machine(config.Stacked3D(4)))
+	stacked := config.Stacked3D(4)
+	s := build(t, simrun.Spec{Bench: "blackscholes", Machine: &stacked})
 	if s.Threads() != 4 {
-		t.Errorf("Threads = %d, want 4 from the Machine option", s.Threads())
+		t.Errorf("Threads = %d, want 4 from the Machine field", s.Threads())
 	}
 	m, _ := s.ResolvedMachine()
 	if m.Mem.HasL2 {
-		t.Errorf("Machine option base lost: HasL2 = true, want false (Stacked3D)")
+		t.Errorf("Machine field base lost: HasL2 = true, want false (Stacked3D)")
 	}
 }
 
 // TestBaselineAliases checks the baseline names map to the config zero
 // values the memory hierarchy treats as its defaults.
 func TestBaselineAliases(t *testing.T) {
-	s := simrun.MustNew("gcc",
-		simrun.Fabric("bus"), simrun.Coherence("moesi"),
-		simrun.DRAM("fixed"), simrun.Prefetch("none"), simrun.Predictor("local"))
+	s := build(t, simrun.Spec{Bench: "gcc", Fabric: "bus", Coherence: "moesi", DRAM: "fixed", Prefetch: "none", Predictor: "local"})
 	m, _ := s.ResolvedMachine()
 	if m.Mem.DRAMKind != "" {
 		t.Errorf("DRAMKind = %q, want \"\" for fixed", m.Mem.DRAMKind)
@@ -87,28 +97,17 @@ func TestBaselineAliases(t *testing.T) {
 
 // TestUnknownNamesRejected checks every closed name set errors eagerly.
 func TestUnknownNamesRejected(t *testing.T) {
-	cases := []struct {
-		label string
-		bench string
-		opt   simrun.Option
-	}{
-		{"fabric", "gcc", simrun.Fabric("torus")},
-		{"coherence", "gcc", simrun.Coherence("mosi")},
-		{"dram", "gcc", simrun.DRAM("hbm")},
-		{"prefetch", "gcc", simrun.Prefetch("markov")},
-		{"predictor", "gcc", simrun.Predictor("neural")},
-		{"model", "gcc", simrun.Model("analytic")},
-		{"benchmark", "notabench", nil},
-	}
-	for _, c := range cases {
-		var err error
-		if c.opt != nil {
-			_, err = simrun.New(c.bench, c.opt)
-		} else {
-			_, err = simrun.New(c.bench)
-		}
-		if err == nil {
-			t.Errorf("%s: unknown name accepted", c.label)
+	for label, sp := range map[string]simrun.Spec{
+		"fabric":    {Bench: "gcc", Fabric: "torus"},
+		"coherence": {Bench: "gcc", Coherence: "mosi"},
+		"dram":      {Bench: "gcc", DRAM: "hbm"},
+		"prefetch":  {Bench: "gcc", Prefetch: "markov"},
+		"predictor": {Bench: "gcc", Predictor: "neural"},
+		"model":     {Bench: "gcc", Model: "analytic"},
+		"benchmark": {Bench: "notabench"},
+	} {
+		if _, err := sp.Scenario(); err == nil {
+			t.Errorf("%s: unknown name accepted", label)
 		}
 	}
 }
@@ -133,10 +132,7 @@ var registerTestModel = sync.OnceFunc(func() {
 func TestRegistry(t *testing.T) {
 	registerTestModel()
 	before := testModelCalls
-	s, err := simrun.New("gcc", simrun.Model("test-countdown"), simrun.Insts(2000), simrun.Cores(2))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	s := build(t, simrun.Spec{Bench: "gcc", Model: "test-countdown", Insts: 2000, Cores: 2})
 	res, err := s.Run(context.Background())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -151,7 +147,7 @@ func TestRegistry(t *testing.T) {
 		t.Errorf("empty run: retired=%d cycles=%d", res.TotalRetired, res.Cycles)
 	}
 
-	_, err = simrun.New("gcc", simrun.Model("no-such-model"))
+	_, err = simrun.Spec{Bench: "gcc", Model: "no-such-model"}.Scenario()
 	if err == nil || !strings.Contains(err.Error(), "interval") {
 		t.Errorf("unknown model error should list registered models, got %v", err)
 	}
@@ -165,7 +161,7 @@ func TestBatchOrderAndDeterminism(t *testing.T) {
 	mk := func() []*simrun.Scenario {
 		scs := make([]*simrun.Scenario, len(names))
 		for i, n := range names {
-			scs[i] = simrun.MustNew(n, simrun.Insts(3000), simrun.Warmup(5000))
+			scs[i] = build(t, simrun.Spec{Bench: n, Insts: 3000, Warmup: 5000})
 		}
 		return scs
 	}
@@ -196,7 +192,7 @@ func TestBatchOrderAndDeterminism(t *testing.T) {
 func TestBatchCancellation(t *testing.T) {
 	// Scenario big enough to never finish within the test timeout.
 	big := func() *simrun.Scenario {
-		return simrun.MustNew("gcc", simrun.Insts(500_000_000))
+		return build(t, simrun.Spec{Bench: "gcc", Insts: 500_000_000})
 	}
 	scs := []*simrun.Scenario{big(), big(), big(), big()}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -219,7 +215,7 @@ func TestBatchCancellation(t *testing.T) {
 // TestBatchTimeout checks the per-scenario timeout fires independently of
 // the batch context.
 func TestBatchTimeout(t *testing.T) {
-	scs := []*simrun.Scenario{simrun.MustNew("gcc", simrun.Insts(500_000_000))}
+	scs := []*simrun.Scenario{build(t, simrun.Spec{Bench: "gcc", Insts: 500_000_000})}
 	results := simrun.Batch(context.Background(), scs,
 		simrun.BatchOpts{Workers: 1, Timeout: 20 * time.Millisecond})
 	if !errors.Is(results[0].Err, context.DeadlineExceeded) {
@@ -233,8 +229,8 @@ func TestBatchTimeout(t *testing.T) {
 // TestBatchProgress checks the progress callback sees every completion.
 func TestBatchProgress(t *testing.T) {
 	scs := []*simrun.Scenario{
-		simrun.MustNew("gcc", simrun.Insts(2000)),
-		simrun.MustNew("mcf", simrun.Insts(2000)),
+		build(t, simrun.Spec{Bench: "gcc", Insts: 2000}),
+		build(t, simrun.Spec{Bench: "mcf", Insts: 2000}),
 	}
 	var seen []int
 	simrun.Batch(context.Background(), scs, simrun.BatchOpts{
@@ -251,14 +247,7 @@ func TestBatchProgress(t *testing.T) {
 // invalidations — the phantom traffic the v1 shared address space used
 // to charge.
 func TestMixSlotsNoCrossCopyCoherence(t *testing.T) {
-	s, err := simrun.New("",
-		simrun.Mix("gcc", "mcf", "swim", "vpr"),
-		simrun.Insts(8_000),
-		simrun.KeepCores(),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := build(t, simrun.Spec{Mix: []string{"gcc", "mcf", "swim", "vpr"}, Insts: 8_000, Report: true})
 	res, err := s.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)

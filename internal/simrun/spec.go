@@ -11,16 +11,16 @@ import (
 	"repro/internal/memhier"
 )
 
-// Spec is the declarative, JSON-serializable form of a scenario: every
-// field maps onto one scenario option, and zero values mean "use the
-// option's default". It is the wire format shared by the simd service
-// (POST /v1/jobs bodies) and cmd/sweep's -f file mode, so a scenario that
-// works in one front end is copy-pasteable into the other.
+// Spec is a scenario's description, and its JSON form: zero values mean
+// "use the default" (model "interval", 100 000 instructions per thread,
+// seed 42, work scale 1, the Table 1 machine and the baseline knobs). It
+// is the wire format shared by the simd service (POST /v1/jobs bodies) and
+// cmd/sweep's -f file mode, so a scenario that works in one front end is
+// copy-pasteable into the other, and Go programs write the same struct.
 //
-// Spec deliberately covers only the declarative surface of the builder:
-// closed-set knobs, sizing integers and the full machine override.
-// Code-only options (Streams, Observe, custom registered factories' side
-// data) have no spec form — they exist for embedding Go programs.
+// Spec covers everything a run is but its host-side attachments: explicit
+// instruction streams and observability sinks have no wire form and are
+// the Streams and Observe options of New.
 type Spec struct {
 	// Version pins the stream-format generation the spec was written
 	// for. 0 (omitted) means the current generation (SpecVersion); any
@@ -29,25 +29,46 @@ type Spec struct {
 	// of silently comparing against renumbered simulations.
 	Version int `json:"version,omitempty"`
 
+	// Bench names a SPEC or PARSEC profile.
 	Bench string `json:"bench,omitempty"`
+	// Label overrides the display name (useful with Mix, where the
+	// benchmark name alone does not describe the run).
 	Label string `json:"label,omitempty"`
+	// Model selects the core timing model by registered name (see
+	// RegisterModel): "interval", "detailed" or "oneipc".
 	Model string `json:"model,omitempty"`
-	// Engine pins the answering engine (simrun.Engine): omitted or
-	// "full" runs the complete budget under the core model; estimator
-	// engines ("statistical") answer at a cheaper fidelity tier. Unknown
-	// engine or tier names are rejected loudly with the registered set —
-	// mirroring the Version rejection below — so a typo never silently
-	// runs the wrong fidelity.
-	Engine string   `json:"engine,omitempty"`
-	Cores  int      `json:"cores,omitempty"`
-	Copies int      `json:"copies,omitempty"`
-	Mix    []string `json:"mix,omitempty"`
+	// Engine pins the answering engine (see RegisterEngine): omitted runs
+	// the default, "full", which simulates the complete budget under the
+	// core model; estimator engines ("statistical") answer at a cheaper
+	// fidelity tier. The choice never enters the fingerprint. Unknown
+	// engine names are rejected loudly with the registered set, so a typo
+	// never silently runs the wrong fidelity.
+	Engine string `json:"engine,omitempty"`
+	// Cores sets the simulated core count; PARSEC profiles run one thread
+	// per core.
+	Cores int `json:"cores,omitempty"`
+	// Copies runs n copies of a SPEC profile as a multi-program workload,
+	// one per core.
+	Copies int `json:"copies,omitempty"`
+	// Mix runs a heterogeneous multi-program workload: core i runs SPEC
+	// profile Mix[i%len(Mix)] with seed Seed+i in its own address-space
+	// slot (workload.NewSlot), so copies never alias cache lines. Without
+	// Cores the machine has one core per name.
+	Mix []string `json:"mix,omitempty"`
 
-	Insts     int     `json:"insts,omitempty"`
-	Warmup    int     `json:"warmup,omitempty"`
-	Seed      *int64  `json:"seed,omitempty"`
+	// Insts is the per-thread measured instruction budget for SPEC-style
+	// profiles (PARSEC profiles carry their own total work).
+	Insts int `json:"insts,omitempty"`
+	// Warmup functionally warms caches, TLBs and branch predictors with
+	// this many instructions per core before timed simulation.
+	Warmup int `json:"warmup,omitempty"`
+	// Seed selects the deterministic workload instance.
+	Seed *int64 `json:"seed,omitempty"`
+	// WorkScale scales a PARSEC profile's total work; it must leave at
+	// least one instruction and fewer than 2^63.
 	WorkScale float64 `json:"work_scale,omitempty"`
-	MaxCycles int64   `json:"max_cycles,omitempty"`
+	// MaxCycles aborts runaway runs (0 = the driver's generous default).
+	MaxCycles int64 `json:"max_cycles,omitempty"`
 
 	// HostPar and Quantum selected the host-parallel engine that was
 	// removed (docs/architecture.md): accepted for v3 compatibility,
@@ -56,14 +77,19 @@ type Spec struct {
 	HostPar int   `json:"hostpar,omitempty"`
 	Quantum int64 `json:"quantum,omitempty"`
 
+	// The knobs, each a closed name set (Knobs) whose first name is the
+	// baseline: the on-chip fabric, the coherence protocol, the DRAM
+	// model, the prefetcher (degree 2 unless the machine sets one) and
+	// the branch direction predictor.
 	Fabric    string `json:"fabric,omitempty"`
 	Coherence string `json:"coherence,omitempty"`
 	DRAM      string `json:"dram,omitempty"`
 	Prefetch  string `json:"prefetch,omitempty"`
 	Predictor string `json:"predictor,omitempty"`
 
-	// Machine replaces the Table 1 default as the base machine; knob
-	// fields above still apply on top of it.
+	// Machine replaces the Table 1 default as the base machine (its core
+	// count is overridden to the scenario's thread count); knob fields
+	// above still apply on top of it.
 	Machine *config.Machine `json:"machine,omitempty"`
 	// Perfect selects always-hit structures (accuracy experiments).
 	Perfect *memhier.Perfect `json:"perfect,omitempty"`
@@ -72,86 +98,19 @@ type Spec struct {
 
 	// Report keeps the core models and memory hierarchy in the result
 	// so the post-run report includes hierarchy, fabric, DRAM and
-	// coherence statistics (simrun.KeepCores).
+	// coherence statistics.
 	Report bool `json:"report,omitempty"`
 }
 
-// Options translates the spec into the equivalent option list, in a fixed
-// order. Field validation happens where it always does: inside New.
+// Options is the spec as New's option list: one option that installs it,
+// replacing any spec installed before. New's bench argument names the
+// benchmark; every field is validated inside New.
 func (sp Spec) Options() []Option {
-	var opts []Option
-	if sp.Label != "" {
-		opts = append(opts, Label(sp.Label))
-	}
-	if sp.Model != "" {
-		opts = append(opts, Model(sp.Model))
-	}
-	if sp.Engine != "" {
-		opts = append(opts, Engine(sp.Engine))
-	}
-	if sp.Cores != 0 {
-		opts = append(opts, Cores(sp.Cores))
-	}
-	if sp.Copies != 0 {
-		opts = append(opts, Copies(sp.Copies))
-	}
-	if len(sp.Mix) > 0 {
-		opts = append(opts, Mix(sp.Mix...))
-	}
-	if sp.Insts != 0 {
-		opts = append(opts, Insts(sp.Insts))
-	}
-	if sp.Warmup != 0 {
-		opts = append(opts, Warmup(sp.Warmup))
-	}
-	if sp.Seed != nil {
-		opts = append(opts, Seed(*sp.Seed))
-	}
-	if sp.WorkScale != 0 {
-		opts = append(opts, WorkScale(sp.WorkScale))
-	}
-	if sp.MaxCycles != 0 {
-		opts = append(opts, MaxCycles(sp.MaxCycles))
-	}
-	if sp.HostPar < 0 {
-		opts = append(opts, reject("simrun: hostpar must be non-negative, got %d", sp.HostPar))
-	}
-	if sp.Quantum < 0 {
-		opts = append(opts, reject("simrun: epoch quantum must be non-negative, got %d", sp.Quantum))
-	}
-	if sp.Machine != nil {
-		opts = append(opts, Machine(*sp.Machine))
-	}
-	if sp.Fabric != "" {
-		opts = append(opts, Fabric(sp.Fabric))
-	}
-	if sp.Coherence != "" {
-		opts = append(opts, Coherence(sp.Coherence))
-	}
-	if sp.DRAM != "" {
-		opts = append(opts, DRAM(sp.DRAM))
-	}
-	if sp.Prefetch != "" {
-		opts = append(opts, Prefetch(sp.Prefetch))
-	}
-	if sp.Predictor != "" {
-		opts = append(opts, Predictor(sp.Predictor))
-	}
-	if sp.Perfect != nil {
-		opts = append(opts, Perfect(*sp.Perfect))
-	}
-	if sp.Ablation != nil {
-		opts = append(opts, Ablation(*sp.Ablation))
-	}
-	if sp.Report {
-		opts = append(opts, KeepCores())
-	}
-	return opts
-}
-
-// reject is the option that fails New with the given message.
-func reject(format string, args ...any) Option {
-	return func(*Scenario) error { return fmt.Errorf(format, args...) }
+	return []Option{func(s *Scenario) error {
+		bench := s.spec.Bench
+		s.spec, s.spec.Bench = sp, bench
+		return nil
+	}}
 }
 
 // SpecVersion is the wire format's current stream-format generation,
@@ -167,9 +126,6 @@ const SpecVersion = 3
 // the shared choke point of both wire front ends (simd submissions and
 // cmd/sweep -f batch files).
 func (sp Spec) Scenario() (*Scenario, error) {
-	if sp.Version != 0 && sp.Version != SpecVersion {
-		return nil, fmt.Errorf("simrun: spec is pinned to stream format v%d, this build speaks v%d: the formats are deliberately incompatible (v3 rebuilt the generator on a counter-based RNG with tabulated sampling, renumbering ALL generated results) — update the spec's version after reviewing its expected results", sp.Version, SpecVersion)
-	}
 	return New(sp.Bench, sp.Options()...)
 }
 

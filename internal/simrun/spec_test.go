@@ -31,9 +31,9 @@ func TestSpecScenarioMatchesOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromOpts, err := New("gcc",
-		Model("interval"), Cores(2), Insts(5000), Warmup(1000), Seed(7),
-		Fabric("mesh"), Predictor("gshare"), KeepCores())
+	// The same scenario written in Go, installed through New's option.
+	fromOpts, err := New("gcc", Spec{Model: "interval", Cores: 2, Insts: 5000, Warmup: 1000, Seed: seedOf(7),
+		Fabric: "mesh", Predictor: "gshare", Report: true}.Options()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestLoadSpecsBaseDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := MustNew("gcc", Insts(3000), Warmup(8000), Seed(9)).Fingerprint()
+	want, err := build(t, Spec{Bench: "gcc", Insts: 3000, Warmup: 8000, Seed: seedOf(9)}).Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +188,11 @@ func TestSpecVersionGate(t *testing.T) {
 // Mix assigns one address-space slot per core, so a mix wider than the
 // slot space must be rejected at build time, not wrap at run time.
 func TestMixRejectsMoreCoresThanSlots(t *testing.T) {
-	_, err := New("", Mix("gcc", "mcf"), Cores(workload.MaxSlots+1))
+	_, err := Spec{Mix: []string{"gcc", "mcf"}, Cores: workload.MaxSlots + 1}.Scenario()
 	if err == nil || !strings.Contains(err.Error(), "slot") {
 		t.Fatalf("oversized mix not rejected: %v", err)
 	}
-	if _, err := New("", Mix("gcc", "mcf"), Cores(workload.MaxSlots)); err != nil {
+	if _, err := (Spec{Mix: []string{"gcc", "mcf"}, Cores: workload.MaxSlots}).Scenario(); err != nil {
 		t.Fatalf("mix at the slot limit rejected: %v", err)
 	}
 }
@@ -236,8 +236,8 @@ func TestLoadSpecsErrors(t *testing.T) {
 // TestUnrunnableMachineRejected: a machine description no simulator can run
 // (here a zero-entry store buffer, on which the detailed core never commits
 // its first store and spins to MaxCycles) fails scenario construction with
-// the field in the message — through the option, a knob applied on top, the
-// wire spec and the batch file cmd/sweep -f loads — while the machine it
+// the field in the message — as the spec's machine, with a knob applied on
+// top, through the wire spec and the batch file cmd/sweep -f loads — while the machine it
 // was derived from still resolves to the same fingerprint as before.
 func TestUnrunnableMachineRejected(t *testing.T) {
 	bad := config.Default(1)
@@ -250,10 +250,10 @@ func TestUnrunnableMachineRejected(t *testing.T) {
 		}
 	}
 
-	_, err := New("gcc", Model("detailed"), Machine(bad))
-	rejected("Machine option", err)
-	_, err = New("gcc", Machine(bad), Predictor("tage"))
-	rejected("knob on top of the Machine option", err)
+	_, err := Spec{Bench: "gcc", Model: "detailed", Machine: &bad}.Scenario()
+	rejected("Machine field", err)
+	_, err = Spec{Bench: "gcc", Machine: &bad, Predictor: "tage"}.Scenario()
+	rejected("knob on top of the Machine field", err)
 
 	raw, err := json.Marshal(Spec{Bench: "gcc", Model: "detailed", Machine: &bad})
 	if err != nil {
@@ -269,11 +269,11 @@ func TestUnrunnableMachineRejected(t *testing.T) {
 	rejected("LoadSpecs", err)
 
 	good := config.Default(1)
-	withMachine, err := New("gcc", Machine(good))
+	withMachine, err := Spec{Bench: "gcc", Machine: &good}.Scenario()
 	if err != nil {
 		t.Fatalf("Table 1 machine rejected: %v", err)
 	}
-	plain, err := New("gcc")
+	plain, err := Spec{Bench: "gcc"}.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestUnrunnableMachineRejected(t *testing.T) {
 
 // TestDirectoryCoreLimitRejected: the directory's sharer bitmap is 64 bits
 // wide, so a directory machine of more than 64 cores is refused when the
-// scenario is built — through the options, the wire spec and the batch file
+// scenario is built — through a Spec literal, the wire spec and the batch file
 // cmd/sweep -f loads — with the field in the message, not accepted and then
 // failed by a panic inside the engine. 64 cores, and more cores under a
 // snooping protocol, still build.
@@ -304,10 +304,10 @@ func TestDirectoryCoreLimitRejected(t *testing.T) {
 			t.Errorf("%s: err = %v, want one naming %s and the 64-core limit", path, err, field)
 		}
 	}
-	_, err := New("gcc", Copies(65), Coherence("directory"))
-	rejected("Copies+Coherence options", err)
-	_, err = New("gcc", Coherence("directory"), Copies(65))
-	rejected("Coherence+Copies options", err)
+	_, err := Spec{Bench: "gcc", Copies: 65, Coherence: "directory"}.Scenario()
+	rejected("Copies+Coherence fields", err)
+	_, err = Spec{Bench: "gcc", Cores: 65, Coherence: "directory"}.Scenario()
+	rejected("Cores+Coherence fields", err)
 
 	const raw = `{"bench":"gcc","copies":65,"coherence":"directory"}`
 	sp, err := ParseSpec(strings.NewReader(raw))
@@ -319,10 +319,10 @@ func TestDirectoryCoreLimitRejected(t *testing.T) {
 	_, err = LoadSpecs(strings.NewReader(`{"scenarios":[`+raw+`]}`), Spec{})
 	rejected("LoadSpecs", err)
 
-	if _, err := New("gcc", Copies(64), Coherence("directory")); err != nil {
+	if _, err := (Spec{Bench: "gcc", Copies: 64, Coherence: "directory"}).Scenario(); err != nil {
 		t.Errorf("64-core directory machine rejected: %v", err)
 	}
-	if _, err := New("gcc", Copies(65), Coherence("mesi")); err != nil {
+	if _, err := (Spec{Bench: "gcc", Copies: 65, Coherence: "mesi"}).Scenario(); err != nil {
 		t.Errorf("65-core snooping machine rejected: %v", err)
 	}
 }

@@ -36,7 +36,7 @@ func TestTiersCheapestFirst(t *testing.T) {
 // engine name fails scenario construction with the registered set in the
 // message, through both the option and the wire-format path.
 func TestUnknownEngineRejected(t *testing.T) {
-	_, err := New("gcc", Engine("warp"))
+	_, err := Spec{Bench: "gcc", Engine: "warp"}.Scenario()
 	if err == nil {
 		t.Fatal("unknown engine accepted")
 	}
@@ -78,7 +78,7 @@ func tierTestEngine(t *testing.T, name string, tier Tier, cycles int64) string {
 
 func TestForEngineSharesFingerprint(t *testing.T) {
 	name := tierTestEngine(t, "tier-test-fp", TierStatistical, 1000)
-	sc, err := New("gcc", Insts(5000), Warmup(1000))
+	sc, err := Spec{Bench: "gcc", Insts: 5000, Warmup: 1000}.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestGetOrRunUpgradesInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := New("gcc", Insts(2000), Warmup(500))
+	full, err := Spec{Bench: "gcc", Insts: 2000, Warmup: 500}.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 // breaks renumbered; the versioning guarantees are asserted against it.
 func mixScenario(t *testing.T) *Scenario {
 	t.Helper()
-	s, err := New("", Mix("gcc", "mcf"), Insts(500))
+	s, err := Spec{Mix: []string{"gcc", "mcf"}, Insts: 500}.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestFingerprintVersionNeverCollides(t *testing.T) {
 	for _, build := range []func(t *testing.T) *Scenario{
 		mixScenario,
 		func(t *testing.T) *Scenario {
-			s, err := New("gcc", Copies(2), Insts(500))
+			s, err := Spec{Bench: "gcc", Copies: 2, Insts: 500}.Scenario()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -18,14 +18,10 @@ import (
 // threads sharing lines under each coherence protocol.
 func TestFunctionalWarmTwinChangesNoByte(t *testing.T) {
 	const insts, warm, seed = 30_000, 60_000, 7
-	run := func(bench string, opts ...Option) []byte {
+	run := func(sp Spec, opts ...Option) []byte {
 		t.Helper()
-		opts = append(opts, Insts(insts), Warmup(warm), Seed(seed), KeepCores())
-		s, err := New(bench, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Run(context.Background())
+		sp.Insts, sp.Warmup, sp.Seed, sp.Report = insts, warm, seedOf(seed), true
+		res, err := build(t, sp, opts...).Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,8 +40,8 @@ func TestFunctionalWarmTwinChangesNoByte(t *testing.T) {
 
 	gcc := workload.SPECByName("gcc")
 	same("gcc + stride prefetch",
-		run("gcc", Prefetch("stride")),
-		run("", Prefetch("stride"), Streams(
+		run(Spec{Bench: "gcc", Prefetch: "stride"}),
+		run(Spec{Prefetch: "stride"}, Streams(
 			[]trace.Stream{trace.NewLimit(workload.New(gcc, 0, 1, seed), insts)},
 			[]trace.Stream{workload.New(gcc, 0, 1, seed+warmSeedOffset)})))
 
@@ -55,7 +51,7 @@ func TestFunctionalWarmTwinChangesNoByte(t *testing.T) {
 		streams = append(streams, trace.NewLimit(workload.NewSlot(p, 0, 1, seed+int64(i), i), insts))
 		twins = append(twins, workload.NewSlot(p, 0, 1, seed+warmSeedOffset+int64(i), i))
 	}
-	same("mcf+swim mix", run("", Mix("mcf", "swim")), run("", Streams(streams, twins)))
+	same("mcf+swim mix", run(Spec{Mix: []string{"mcf", "swim"}}), run(Spec{}, Streams(streams, twins)))
 
 	for _, proto := range []string{"moesi", "mesi", "directory"} {
 		p := *workload.PARSECByName("canneal")
@@ -66,7 +62,7 @@ func TestFunctionalWarmTwinChangesNoByte(t *testing.T) {
 			twins = append(twins, workload.New(&p, i, 4, seed+warmSeedOffset))
 		}
 		same("canneal × 4 under "+proto,
-			run("canneal", Cores(4), WorkScale(0.1), Coherence(proto)),
-			run("", Coherence(proto), Streams(streams, twins)))
+			run(Spec{Bench: "canneal", Cores: 4, WorkScale: 0.1, Coherence: proto}),
+			run(Spec{Coherence: proto}, Streams(streams, twins)))
 	}
 }

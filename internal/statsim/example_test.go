@@ -25,11 +25,12 @@ func ExampleNewClone() {
 	// with its first warm instructions.
 	ipc := func(label string, src trace.Stream) float64 {
 		head := trace.Record(src, warm)
-		res, err := simrun.MustNew("",
-			simrun.Label(label),
-			simrun.Streams([]trace.Stream{src}, []trace.Stream{trace.NewSliceStream(head)}),
-			simrun.Warmup(warm),
-		).Run(context.Background())
+		s, err := simrun.New("", append(simrun.Spec{Label: label, Warmup: warm}.Options(),
+			simrun.Streams([]trace.Stream{src}, []trace.Stream{trace.NewSliceStream(head)}))...)
+		if err != nil {
+			panic(err)
+		}
+		res, err := s.Run(context.Background())
 		if err != nil {
 			panic(err)
 		}

@@ -143,10 +143,14 @@ func TestOneStreamInterfaceOneTimedLoop(t *testing.T) {
 
 // TestSweepPointIsASpec: a cmd/sweep point is described only by a
 // simrun.Spec, so it has a wire form and runs on either executor; the sweep
-// never builds a scenario from options. And no exported simrun option takes
-// a func, so no sweep point can be described by a closure again.
+// never builds a scenario from options. And a run has one description: the
+// only exported simrun functions that return an Option are Observe and
+// Streams, which attach what a Spec cannot carry (Spec.Options installs the
+// spec itself); MustNew is gone; and no Scenario field holds a func, so no
+// run can be described by a closure again.
 func TestSweepPointIsASpec(t *testing.T) {
 	var bad []string
+	options := map[string]bool{}
 	fset := token.NewFileSet()
 	for _, dir := range []string{"cmd/sweep", "internal/simrun"} {
 		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
@@ -160,23 +164,32 @@ func TestSweepPointIsASpec(t *testing.T) {
 				switch n := n.(type) {
 				case *ast.CallExpr:
 					sel, ok := n.Fun.(*ast.SelectorExpr)
-					if !ok || dir != "cmd/sweep" || (sel.Sel.Name != "New" && sel.Sel.Name != "MustNew") {
+					if !ok || dir != "cmd/sweep" || sel.Sel.Name != "New" {
 						return true
 					}
 					if x, _ := sel.X.(*ast.Ident); x != nil && x.Name == "simrun" {
-						bad = append(bad, fmt.Sprintf("%s: simrun.%s in cmd/sweep: describe the point as a simrun.Spec", fset.Position(n.Pos()), sel.Sel.Name))
+						bad = append(bad, fmt.Sprintf("%s: simrun.New in cmd/sweep: describe the point as a simrun.Spec", fset.Position(n.Pos())))
 					}
 				case *ast.FuncDecl:
-					res := n.Type.Results
-					if dir != "internal/simrun" || n.Recv != nil || !n.Name.IsExported() || res == nil || len(res.List) != 1 {
+					if dir != "internal/simrun" || n.Recv != nil || !n.Name.IsExported() {
 						return true
 					}
-					if id, _ := res.List[0].Type.(*ast.Ident); id == nil || id.Name != "Option" {
+					if n.Name.Name == "MustNew" {
+						bad = append(bad, fmt.Sprintf("%s: simrun.MustNew is back: build with Spec.Scenario and handle the error", fset.Position(n.Pos())))
+					}
+					if res := n.Type.Results; res != nil && len(res.List) == 1 {
+						if id, _ := res.List[0].Type.(*ast.Ident); id != nil && id.Name == "Option" {
+							options[n.Name.Name] = true
+						}
+					}
+				case *ast.TypeSpec:
+					st, ok := n.Type.(*ast.StructType)
+					if dir != "internal/simrun" || n.Name.Name != "Scenario" || !ok {
 						return true
 					}
-					for _, p := range n.Type.Params.List {
-						if _, isFunc := p.Type.(*ast.FuncType); isFunc {
-							bad = append(bad, fmt.Sprintf("%s: option simrun.%s takes a func: describe the machine as data (Machine, knobs)", fset.Position(n.Pos()), n.Name.Name))
+					for _, f := range st.Fields.List {
+						if containsFunc(f.Type) {
+							bad = append(bad, fmt.Sprintf("%s: Scenario field holds a func: a run is described by its Spec", fset.Position(f.Pos())))
 						}
 					}
 				}
@@ -184,9 +197,28 @@ func TestSweepPointIsASpec(t *testing.T) {
 			})
 		}
 	}
-	if len(bad) > 0 {
-		t.Fatalf("a sweep point is code again:\n  %s", strings.Join(bad, "\n  "))
+	if len(options) != 2 || !options["Observe"] || !options["Streams"] {
+		bad = append(bad, fmt.Sprintf("exported simrun functions returning Option are %v, want only Observe and Streams: a knob is a Spec field", options))
 	}
+	if len(bad) > 0 {
+		t.Fatalf("a run has a second description again:\n  %s", strings.Join(bad, "\n  "))
+	}
+}
+
+// containsFunc reports whether a type expression spells a func type,
+// directly or as a slice, array, map or pointer element.
+func containsFunc(e ast.Expr) bool {
+	switch e := e.(type) {
+	case *ast.FuncType:
+		return true
+	case *ast.ArrayType:
+		return containsFunc(e.Elt)
+	case *ast.MapType:
+		return containsFunc(e.Key) || containsFunc(e.Value)
+	case *ast.StarExpr:
+		return containsFunc(e.X)
+	}
+	return false
 }
 
 // TestMainPackagesLiveUnderCmd: the runnable programs are the cmd/
