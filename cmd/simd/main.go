@@ -41,6 +41,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -57,45 +58,62 @@ import (
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run is simd with its arguments, output streams and shutdown signal
+// passed in; it serves until ctx is done and returns the exit code.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("simd", flag.ContinueOnError)
+	fl.SetOutput(stderr)
 	var (
-		addr    = flag.String("addr", ":8080", "listen address")
-		jobs    = flag.Int("j", 0, "host worker goroutines (0 = all host cores)")
-		depth   = flag.Int("queue-depth", 64, "bounded job-queue depth")
-		dir     = flag.String("cache-dir", "", "persist result payloads under this directory (empty = memory only)")
-		entries = flag.Int("cache-entries", 256, "in-memory result-cache capacity")
-		tiered  = flag.Bool("tiered", false, "answer from the cheapest fidelity tier immediately and upgrade in the background")
-		drain   = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for queued and in-flight jobs")
-		pprofOn = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default)")
-		jobTr   = flag.Bool("job-trace", true, "record per-job lifecycle spans served at /v1/jobs/{id}/trace")
+		addr    = fl.String("addr", ":8080", "listen address")
+		jobs    = fl.Int("j", 0, "host worker goroutines (0 = all host cores)")
+		depth   = fl.Int("queue-depth", 64, "bounded job-queue depth")
+		dir     = fl.String("cache-dir", "", "persist result payloads under this directory (empty = memory only)")
+		entries = fl.Int("cache-entries", 256, "in-memory result-cache capacity")
+		tiered  = fl.Bool("tiered", false, "answer from the cheapest fidelity tier immediately and upgrade in the background")
+		drain   = fl.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for queued and in-flight jobs")
+		pprofOn = fl.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default)")
+		jobTr   = fl.Bool("job-trace", true, "record per-job lifecycle spans served at /v1/jobs/{id}/trace")
 
-		coordOn     = flag.Bool("coordinator", false, "dispatch jobs to fleet workers (with local fallback when none are registered)")
-		leaseTTL    = flag.Duration("lease-ttl", 5*time.Second, "coordinator: how long worker leases survive without a heartbeat")
-		scrapeEvery = flag.Duration("scrape-every", 5*time.Second, "coordinator: how often to scrape each worker's /metrics into /fleet/v1/metrics")
-		workerURL   = flag.String("worker", "", "run as a fleet worker for the coordinator at this base URL (replaces the job API)")
-		advertise   = flag.String("advertise", "", "worker: base URL the coordinator dials this worker at (default http://127.0.0.1<addr>)")
-		workerID    = flag.String("worker-id", "", "worker: identity in the fleet (default <hostname>-<pid>)")
-		beatEvery   = flag.Duration("heartbeat", 0, "worker: heartbeat interval (0 = accept the coordinator's advertisement)")
-		chaos       = flag.String("chaos", "", "worker: arm deterministic fault injection, e.g. kill-run=2,drop-heartbeats=all,corrupt-run=1,delay-result=50ms")
+		coordOn   = fl.Bool("coordinator", false, "dispatch jobs to fleet workers (with local fallback when none are registered)")
+		leaseTTL  = fl.Duration("lease-ttl", 5*time.Second, "coordinator: how long worker leases survive without a heartbeat")
+		workerURL = fl.String("worker", "", "run as a fleet worker for the coordinator at this base URL (replaces the job API)")
+		advertise = fl.String("advertise", "", "worker: base URL the coordinator dials this worker at (default http://127.0.0.1<addr>)")
+		workerID  = fl.String("worker-id", "", "worker: identity in the fleet (default <hostname>-<pid>)")
+		beatEvery = fl.Duration("heartbeat", 0, "worker: heartbeat interval (0 = accept the coordinator's advertisement)")
+		chaos     = fl.String("chaos", "", "worker: arm deterministic fault injection, e.g. kill-run=2,drop-heartbeats=all,corrupt-run=1,delay-result=50ms")
 
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file, flushed when the SIGTERM drain completes")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file, flushed when the SIGTERM drain completes")
+		cpuprofile = fl.String("cpuprofile", "", "write a CPU profile to this file, flushed when the SIGTERM drain completes")
+		memprofile = fl.String("memprofile", "", "write a heap profile to this file, flushed when the SIGTERM drain completes")
 	)
-	flag.Parse()
+	if err := fl.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	switch {
 	case *coordOn && *workerURL != "":
-		fmt.Fprintln(os.Stderr, "simd: -coordinator and -worker are mutually exclusive")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "simd: -coordinator and -worker are mutually exclusive")
+		return 2
 	case *coordOn && *tiered:
-		fmt.Fprintln(os.Stderr, "simd: -tiered is a single-node serving feature; it cannot combine with -coordinator")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "simd: -tiered is a single-node serving feature; it cannot combine with -coordinator")
+		return 2
 	case *chaos != "" && *workerURL == "":
-		fmt.Fprintln(os.Stderr, "simd: -chaos only applies to -worker mode")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "simd: -chaos only applies to -worker mode")
+		return 2
 	}
+	// Profiles are flushed when run returns: after the drain on a
+	// signal, and on every error exit.
 	flush, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	defer flush()
 
@@ -106,15 +124,12 @@ func main() {
 		DecodeTier: simd.DecodeTier,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	if *workerURL != "" {
-		os.Exit(runWorker(ctx, workerOpts{
+		return runWorker(ctx, stdout, stderr, workerOpts{
 			addr:      *addr,
 			coord:     *workerURL,
 			advertise: *advertise,
@@ -122,25 +137,21 @@ func main() {
 			beat:      *beatEvery,
 			chaos:     *chaos,
 			cache:     cache,
-			flush:     flush,
-		}))
+		})
 	}
 
 	var coord *fleet.Coordinator
 	if *coordOn {
-		coord, err = fleet.NewCoordinator(fleet.Config{Cache: cache, LeaseTTL: *leaseTTL, ScrapeEvery: *scrapeEvery})
+		coord, err = fleet.NewCoordinator(fleet.Config{Cache: cache, LeaseTTL: *leaseTTL})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
-		// The federation scraper runs for the serving lifetime; the
-		// signal context that stops intake stops it too.
-		go coord.ScrapeLoop(ctx)
 	}
 	server, err := simd.New(simd.Config{Workers: *jobs, QueueDepth: *depth, Cache: cache, TieredServing: *tiered, Pprof: *pprofOn, DisableJobTraces: !*jobTr, Fleet: coord})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	handler := server.Handler()
 	if coord != nil {
@@ -156,43 +167,40 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpServer.ListenAndServe() }()
-	fmt.Printf("simd: listening on %s (workers=%d queue=%d cache=%d entries", *addr, *jobs, *depth, *entries)
+	fmt.Fprintf(stdout, "simd: listening on %s (workers=%d queue=%d cache=%d entries", *addr, *jobs, *depth, *entries)
 	if *dir != "" {
-		fmt.Printf(", dir=%s", *dir)
+		fmt.Fprintf(stdout, ", dir=%s", *dir)
 	}
 	if coord != nil {
-		fmt.Printf(", coordinator lease-ttl=%s", *leaseTTL)
+		fmt.Fprintf(stdout, ", coordinator lease-ttl=%s", *leaseTTL)
 	}
-	fmt.Println(")")
+	fmt.Fprintln(stdout, ")")
 
 	select {
 	case err := <-errc:
 		// The listener failed before any signal: a bad -addr or a
 		// port conflict.
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	case <-ctx.Done():
 	}
 
-	fmt.Println("simd: draining…")
+	fmt.Fprintln(stdout, "simd: draining…")
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	drainErr := server.Drain(drainCtx)
 	if drainErr != nil {
-		fmt.Fprintf(os.Stderr, "simd: drain incomplete: %v\n", drainErr)
+		fmt.Fprintf(stderr, "simd: drain incomplete: %v\n", drainErr)
 	}
 	if err := httpServer.Shutdown(drainCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintf(os.Stderr, "simd: shutdown: %v\n", err)
+		fmt.Fprintf(stderr, "simd: shutdown: %v\n", err)
 	}
 	<-errc // ListenAndServe has returned ErrServerClosed
-	// Flush profiles now that the drain is over: the profile covers the
-	// serving lifetime and survives the non-zero exit below, which would
-	// skip the deferred flush.
-	flush()
-	fmt.Println("simd: bye")
+	fmt.Fprintln(stdout, "simd: bye")
 	if drainErr != nil {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // workerOpts carries the worker-mode configuration.
@@ -204,16 +212,15 @@ type workerOpts struct {
 	beat      time.Duration
 	chaos     string
 	cache     *simrun.Cache
-	flush     func()
 }
 
 // runWorker serves the fleet data plane and runs the registration +
 // heartbeat loop until the signal context cancels, then deregisters and
 // shuts the listener down. Returns the process exit code.
-func runWorker(ctx context.Context, o workerOpts) int {
+func runWorker(ctx context.Context, stdout, stderr io.Writer, o workerOpts) int {
 	faults, err := fleet.ParseFaults(o.chaos)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	id := o.id
@@ -243,7 +250,7 @@ func runWorker(ctx context.Context, o workerOpts) int {
 		HeartbeatEvery: o.beat,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 
@@ -252,28 +259,27 @@ func runWorker(ctx context.Context, o workerOpts) int {
 	go func() { errc <- httpServer.ListenAndServe() }()
 	loop := make(chan error, 1)
 	go func() { loop <- w.Start(ctx) }()
-	fmt.Printf("simd: worker %s on %s (coordinator=%s advertise=%s", id, o.addr, o.coord, self)
+	fmt.Fprintf(stdout, "simd: worker %s on %s (coordinator=%s advertise=%s", id, o.addr, o.coord, self)
 	if o.chaos != "" {
-		fmt.Printf(", chaos=%s", o.chaos)
+		fmt.Fprintf(stdout, ", chaos=%s", o.chaos)
 	}
-	fmt.Println(")")
+	fmt.Fprintln(stdout, ")")
 
 	select {
 	case err := <-errc:
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	case <-ctx.Done():
 	}
 	if err := <-loop; err != nil {
-		fmt.Fprintf(os.Stderr, "simd: worker loop: %v\n", err)
+		fmt.Fprintf(stderr, "simd: worker loop: %v\n", err)
 	}
 	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := httpServer.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintf(os.Stderr, "simd: worker shutdown: %v\n", err)
+		fmt.Fprintf(stderr, "simd: worker shutdown: %v\n", err)
 	}
 	<-errc
-	o.flush()
-	fmt.Println("simd: worker bye")
+	fmt.Fprintln(stdout, "simd: worker bye")
 	return 0
 }

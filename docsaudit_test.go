@@ -1,10 +1,10 @@
 // Documentation audit: every internal package must carry a package-level
 // doc comment (the docs/ tree points into them, and `go doc` is the
-// canonical reference for each layer), and every package, engine and
-// figure a document names must exist. The tests fail naming the
+// canonical reference for each layer), and every package, engine, figure
+// and HTTP endpoint a document names must exist. The tests fail naming the
 // undocumented packages and the stale names, so a new package cannot land
-// without its one-paragraph contract and a deleted package, engine or
-// figure cannot leave commands behind that no longer run.
+// without its one-paragraph contract and a deleted package, engine, figure
+// or endpoint cannot leave commands behind that no longer run.
 package main
 
 import (
@@ -123,6 +123,98 @@ func TestDocNamesAreRegistered(t *testing.T) {
 		t.Fatalf("documents name engines or figures that are not registered (engines: %v; figures: %v):\n  %s",
 			simrun.Engines(), figs, strings.Join(bad, "\n  "))
 	}
+}
+
+// TestDocEndpointsAreMounted checks every /v1/… and /fleet/v1/… path a
+// document names against the routes the non-test code mounts with
+// HandleFunc. A segment written {id} or holding a <placeholder> matches any
+// segment, as a {wildcard} route segment does.
+func TestDocEndpointsAreMounted(t *testing.T) {
+	routes := mountedRoutes(t)
+	wild := func(seg string) bool { return strings.ContainsAny(seg, "{<") }
+	mounted := func(path string) bool {
+		segs := strings.Split(path, "/")
+		return slices.ContainsFunc(routes, func(route string) bool {
+			rsegs := strings.Split(route, "/")
+			if len(rsegs) != len(segs) {
+				return false
+			}
+			for i := range segs {
+				if segs[i] != rsegs[i] && !wild(segs[i]) && !wild(rsegs[i]) {
+					return false
+				}
+			}
+			return true
+		})
+	}
+	endpoint := regexp.MustCompile(`(?:/fleet)?/v1/[\w{}<>/.-]*`)
+	var bad []string
+	for _, doc := range auditedDocs(t) {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(raw), "\n") {
+			for _, path := range endpoint.FindAllString(line, -1) {
+				if path = strings.TrimRight(path, "./"); !mounted(path) {
+					bad = append(bad, fmt.Sprintf("%s:%d: %s", doc, i+1, path))
+				}
+			}
+		}
+	}
+	if len(bad) > 0 {
+		t.Fatalf("documents name endpoints no HandleFunc mounts (routes: %v):\n  %s", routes, strings.Join(bad, "\n  "))
+	}
+}
+
+// mountedRoutes returns the path of every HandleFunc pattern in the
+// non-test sources outside benchmark/: a string literal, or a sum of
+// literals and string constants, with its method prefix dropped.
+func mountedRoutes(t *testing.T) []string {
+	t.Helper()
+	consts := map[string]string{}
+	var patterns []ast.Expr
+	for _, src := range nonTestSources(t, token.NewFileSet()) {
+		ast.Inspect(src.f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.ValueSpec:
+				for i, name := range n.Names {
+					if i < len(n.Values) {
+						if lit, ok := n.Values[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+							consts[name.Name], _ = strconv.Unquote(lit.Value)
+						}
+					}
+				}
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "HandleFunc" && len(n.Args) == 2 {
+					patterns = append(patterns, n.Args[0])
+				}
+			}
+			return true
+		})
+	}
+	var eval func(e ast.Expr) string
+	eval = func(e ast.Expr) string {
+		switch e := e.(type) {
+		case *ast.BasicLit:
+			s, _ := strconv.Unquote(e.Value)
+			return s
+		case *ast.Ident:
+			return consts[e.Name]
+		case *ast.BinaryExpr:
+			return eval(e.X) + eval(e.Y)
+		}
+		return ""
+	}
+	var routes []string
+	for _, p := range patterns {
+		pattern := eval(p)
+		if _, path, ok := strings.Cut(pattern, " "); ok {
+			pattern = path
+		}
+		routes = append(routes, pattern)
+	}
+	return routes
 }
 
 // experimentsFigIDs reads the figIDs constant of cmd/experiments, a main

@@ -77,16 +77,10 @@ type Core struct {
 	// branch there flagBrChecked, and none is serializing or a sync.
 	frontier uint64
 
-	// taintLines carries memory dependences during the overlap scan. The
-	// scan keeps register taint in a 64-bit mask; taintRegs, indexed by
-	// operand byte, holds it for ids the mask cannot (64 and above, which
-	// only trace files carry). Its other slots, RegNone (0xFF) among them,
-	// are never written, and none is until wideRegs is set by the first
-	// such id — from then on every scan takes the general loop over the
-	// whole window.
-	taintRegs  [256]bool
+	// taintLines carries memory dependences during the overlap scan; the
+	// scan keeps register taint in a 64-bit mask, one bit per register id
+	// (trace.Stream hands out no other id).
 	taintLines lineSet
-	wideRegs   bool
 
 	// refScan, when set, replaces scanOverlap: the differential tests run
 	// the pre-frontier scan they keep as the reference through it.
@@ -480,10 +474,10 @@ func (c *Core) wrongPathFetch(br *isa.Inst, resolution int64) {
 
 // A scan record is what a later scan needs of a window entry the frontier
 // has passed, packed into one word when the entry is first visited: the
-// three operand ids (six bits and recValid each; an absent or out-of-mask
-// operand is not valid and reads as untainted), whether it is a load or a
-// store, whether it is a load no scan has overlapped yet, and a six-bit hash
-// of its data line that lets a load skip the exact store-line probe.
+// three operand ids (six bits and recValid each; an absent operand is not
+// valid and reads as untainted), whether it is a load or a store, whether
+// it is a load no scan has overlapped yet, and a six-bit hash of its data
+// line that lets a load skip the exact store-line probe.
 const (
 	recValid                  = 1 << 6
 	recSrc2                   = 7  // shift of the second source operand
@@ -508,14 +502,11 @@ func scanRec(in *isa.Inst) uint32 {
 }
 
 // recOperand packs a register id for the scan record, without a branch:
-// recValid is set for ids below 64, and the id bits of the others are never
-// looked at.
+// recValid is set for ids below 64, so not for RegNone, whose id bits are
+// never looked at.
 func recOperand(id uint8) uint32 {
 	return uint32(id)&63 | (uint32(id>>6)-1)>>25&recValid
 }
-
-// wideReg reports a register id the 64-bit taint mask cannot hold.
-func wideReg(id uint8) bool { return id-64 < isa.RegNone-64 }
 
 // lineFilter hashes the data line of addr to a bit of the line filter.
 func lineFilter(addr uint64) uint64 { return (addr >> 6) * 0x9E3779B97F4A7C15 >> 58 }
@@ -619,18 +610,12 @@ func (c *Core) scanVisited(end int, mask uint64) (regs, lines uint64, outstandin
 // alone and reads an instruction only to probe or issue its address. From
 // the frontier on, every entry gets the full visit, once.
 func (c *Core) scanOverlap(load *isa.Inst) {
-	if c.wideRegs {
-		c.taintRegs = [256]bool{}
-	}
 	c.taintLines.clear()
-	// mask is the register taint of ids below 64 (the byte table holds the
-	// others); lines has a bit set for the hash of every line in taintLines.
+	// mask is the register taint; lines has a bit set for the hash of
+	// every line in taintLines.
 	var mask, lines uint64
-	if id := load.Dst; id < 64 {
-		mask = 1 << id
-	} else if wideReg(id) {
-		c.wideRegs = true
-		c.taintRegs[id] = true
+	if load.HasDst() {
+		mask = 1 << load.Dst
 	}
 	// The head miss holds one outstanding-miss slot; further independent
 	// long-latency loads may overlap only while the hardware has slots
@@ -639,7 +624,7 @@ func (c *Core) scanOverlap(load *isa.Inst) {
 	outstanding := 1
 
 	i := 1
-	if !c.wideRegs && c.frontier > c.retired+1 {
+	if c.frontier > c.retired+1 {
 		i = int(c.frontier - c.retired)
 		mask, lines, outstanding = c.scanVisited(i, mask)
 	}
@@ -669,25 +654,17 @@ scan:
 				c.mem.Inst(c.id, in.PC, c.coreTime)
 			}
 			hidden++
-			// First visit: record the entry for the scans to come. An
-			// id beyond the mask, read or written, switches the core to
-			// the general loop for good, which is what keeps the byte
-			// table empty until then.
+			// First visit: record the entry for the scans to come.
 			r = scanRec(in)
 			recs[idx&(len(recs)-1)] = r
-			if wideReg(in.Src1) || wideReg(in.Src2) || wideReg(in.Dst) {
-				c.wideRegs = true
-			}
 		}
 
 		// Register taint comes from the mask through the record (an
-		// absent operand has no bit there) and, once wide ids have been
-		// seen, from the byte table, which is false below 64 and at
-		// RegNone. The store-line set is consulted only for loads while
-		// any store has been tainted.
+		// absent operand has no bit there). The store-line set is
+		// consulted only for loads while any store has been tainted.
 		dependent := false
 		if !noTaint {
-			dependent = mask&recSrcs(r) != 0 || c.wideRegs && (c.taintRegs[in.Src1] || c.taintRegs[in.Src2])
+			dependent = mask&recSrcs(r) != 0
 			if !dependent && in.Class == isa.Load && lines != 0 {
 				dependent = c.taintLines.contains(in.Addr >> 6)
 			}
@@ -751,9 +728,6 @@ scan:
 		mask &^= dst
 		if taint {
 			mask |= dst
-		}
-		if wideReg(in.Dst) {
-			c.taintRegs[in.Dst] = taint
 		}
 		if in.Class == isa.Store && taint {
 			c.taintLines.add(in.Addr >> 6)

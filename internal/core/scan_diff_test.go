@@ -55,17 +55,14 @@ type flavour struct {
 	chain                                int // a load reads the previous load's destination
 	far                                  int // a data address misses the TLB and every cache
 	alias                                int // a load reads the line of a recent store
-	wide                                 int // a register id is 64 or above
 }
 
 var flavours = []flavour{
-	{load: 22, store: 12, branch: 14, serialize: 1, sync: 1, chain: 20, far: 30, alias: 25},          // mixed
-	{load: 30, store: 22, branch: 6, chain: 70, far: 45, alias: 60},                                  // pointer chase, tainted stores aliasing later loads
-	{load: 45, store: 4, branch: 4, chain: 2, far: 85, alias: 5},                                     // independent misses: the budget runs out
-	{load: 25, store: 12, branch: 10, serialize: 1, chain: 30, far: 35, alias: 30, wide: 12},         // register ids beyond the mask
-	{load: 20, store: 10, branch: 8, serialize: 6, sync: 6, chain: 25, far: 40, alias: 25},           // serializing and sync entries inside the window
-	{load: 18, store: 6, branch: 34, chain: 40, far: 40, alias: 20},                                  // dependent and independent mispredictions
-	{load: 25, store: 15, branch: 10, serialize: 1, sync: 1, chain: 35, far: 40, alias: 35, wide: 1}, // one wide id, late
+	{load: 22, store: 12, branch: 14, serialize: 1, sync: 1, chain: 20, far: 30, alias: 25}, // mixed
+	{load: 30, store: 22, branch: 6, chain: 70, far: 45, alias: 60},                         // pointer chase, tainted stores aliasing later loads
+	{load: 45, store: 4, branch: 4, chain: 2, far: 85, alias: 5},                            // independent misses: the budget runs out
+	{load: 20, store: 10, branch: 8, serialize: 6, sync: 6, chain: 25, far: 40, alias: 25},  // serializing and sync entries inside the window
+	{load: 18, store: 6, branch: 34, chain: 40, far: 40, alias: 20},                         // dependent and independent mispredictions
 }
 
 func drawScanCase(d *draws) scanCase {
@@ -106,12 +103,12 @@ func drawScanCase(d *draws) scanCase {
 }
 
 func drawScanStream(d *draws, fl flavour, n int) []isa.Inst {
+	// Operands are what a trace.Stream may carry: an id below
+	// isa.NumRegs, or isa.RegNone.
 	reg := func() uint8 {
 		switch {
 		case d.chance(20):
 			return isa.RegNone
-		case d.chance(fl.wide):
-			return []uint8{64, 65, 127, 128, 200, 254}[d.n(6)]
 		case d.chance(4):
 			return 63
 		}
@@ -257,8 +254,7 @@ func (s scanSide) machineState() string {
 // checkFrontier holds the core to what the first phase of the scan relies
 // on: between the head and the frontier every entry has been visited (its
 // I-side mark is set, a branch has been checked, none is serializing or a
-// sync) and, unless the core has left the mask for the byte table, carries
-// the scan record its instruction and flags imply.
+// sync) and carries the scan record its instruction and flags imply.
 func checkFrontier(t *testing.T, c *Core) {
 	t.Helper()
 	if tail := c.retired + uint64(c.winLen); c.frontier > tail {
@@ -272,9 +268,6 @@ func checkFrontier(t *testing.T, c *Core) {
 		}
 		if fl&flagIOv == 0 || (in.Class.IsBranch() && fl&flagBrChecked == 0) {
 			t.Fatalf("entry %d (%v) before the frontier has flags %05b", i, in, fl)
-		}
-		if c.wideRegs {
-			continue
 		}
 		want := scanRec(in)
 		if fl&flagDOv != 0 {
@@ -336,7 +329,6 @@ func TestScanMatchesReference(t *testing.T) {
 		cases = 100
 	}
 	var scans, hidden, ll, breaks uint64
-	wide := 0
 	for seed := 0; seed < cases; seed++ {
 		d := &draws{rng: rand.New(rand.NewSource(int64(seed)))}
 		sc := drawScanCase(d)
@@ -347,15 +339,12 @@ func TestScanMatchesReference(t *testing.T) {
 		hidden += c.OverlapHidden
 		ll += c.OverlapLL
 		breaks += c.ScanBreaks
-		if c.wideRegs {
-			wide++
-		}
 	}
-	// The comparison is only worth its name if the cases scan, overlap,
-	// stop at branches and leave the register mask.
-	if scans < 1000 || hidden < 4*scans || ll < scans/4 || breaks < scans/50 || wide == 0 {
-		t.Fatalf("%d cases reached %d scans, %d hidden events, %d overlapped misses, %d scan breaks, %d with wide ids",
-			cases, scans, hidden, ll, breaks, wide)
+	// The comparison is only worth its name if the cases scan, overlap
+	// and stop at branches.
+	if scans < 1000 || hidden < 4*scans || ll < scans/4 || breaks < scans/50 {
+		t.Fatalf("%d cases reached %d scans, %d hidden events, %d overlapped misses, %d scan breaks",
+			cases, scans, hidden, ll, breaks)
 	}
 }
 
@@ -367,37 +356,6 @@ func TestScanMatchesReferenceOnProfiles(t *testing.T) {
 	for _, name := range []string{"mcf", "art", "gcc"} {
 		sc := scanCase{machine: config.Default(1), stream: profileStream(name, 30_000)}
 		checkScanMatchesReference(t, sc)
-	}
-}
-
-// TestScanWideLinkRegisterOfStoppingBranch: a mispredicted branch ends the
-// scan before its destination is written, so a wide destination id has to
-// be noticed when the entry is recorded — the next scan must not run it
-// through the register mask, where the id does not exist.
-func TestScanWideLinkRegisterOfStoppingBranch(t *testing.T) {
-	const wide = 200
-	far := func(k uint64) uint64 { return 0x1000_0000 + k<<13 }
-	stream := []isa.Inst{
-		// Head of the first scan.
-		{Class: isa.Load, Addr: far(1), Src1: isa.RegNone, Src2: isa.RegNone, Dst: 8},
-		// Depends on it: left for its own miss event, head of the second scan.
-		{Class: isa.Load, Addr: far(2), Src1: 8, Src2: isa.RegNone, Dst: 9},
-		// Stops the first scan; tainted by the head of the second.
-		{Class: isa.Return, Taken: true, Target: 0x48_0000, Src1: 9, Src2: isa.RegNone, Dst: wide},
-		// Reads the link register: must not overlap the second miss.
-		{Class: isa.Load, Addr: far(3), Src1: wide, Src2: isa.RegNone, Dst: 10},
-	}
-	for len(stream) < 64 {
-		stream = append(stream, isa.Inst{Class: isa.IntALU, Src1: 10, Src2: isa.RegNone, Dst: 11})
-	}
-	for i := range stream {
-		stream[i].Seq = uint64(i)
-		stream[i].PC = 0x40_0000 + uint64(i)*4
-	}
-	c := checkScanMatchesReference(t, scanCase{machine: config.Default(1), stream: stream})
-	if c.ScanBreaks == 0 || c.LongLoadEvents < 3 || !c.wideRegs {
-		t.Fatalf("%d scan breaks, %d long-latency loads, wide ids seen %t: the case did not happen",
-			c.ScanBreaks, c.LongLoadEvents, c.wideRegs)
 	}
 }
 

@@ -6,15 +6,13 @@ import "repro/internal/isa"
 // every scan walks the whole window from the head and re-derives every
 // mark. It is kept, statement for statement, as the reference the
 // two-phase scanOverlap is tested against (scan_diff_test.go); only the
-// dead headLatency parameter is gone. Register taint lives in the full
-// taintRegs byte table here.
+// dead headLatency parameter is gone. Register taint lives in a byte
+// table indexed by operand here, not in the core's 64-bit mask.
 func refScanOverlap(c *Core, load *isa.Inst) {
-	for i := range c.taintRegs {
-		c.taintRegs[i] = false
-	}
+	var tr [256]bool
 	c.taintLines.clear()
 	if load.HasDst() {
-		c.taintRegs[load.Dst] = true
+		tr[load.Dst] = true
 	}
 	scanILine := c.lastILine
 	// The head miss holds one outstanding-miss slot; further independent
@@ -24,7 +22,6 @@ func refScanOverlap(c *Core, load *isa.Inst) {
 	outstanding := 1
 
 	fb, fg := c.fbuf, c.flags
-	tr := &c.taintRegs
 	noTaint := c.opts.NoTaint
 	hidden := uint64(0)
 	for i := 1; i < c.winLen; i++ {

@@ -65,10 +65,6 @@ const (
 	PathHeartbeat  = "/fleet/v1/heartbeat"
 	PathDeregister = "/fleet/v1/deregister"
 	PathRun        = "/fleet/v1/run"
-	// PathMetrics serves the coordinator's federated view of every
-	// worker's /metrics (plus its own), one exposition payload with
-	// worker labels and aggregate rollups.
-	PathMetrics = "/fleet/v1/metrics"
 	// PathStatus serves the live fleet status snapshot as JSON.
 	PathStatus = "/fleet/v1/status"
 )
@@ -131,10 +127,6 @@ type Config struct {
 	JobDeadline time.Duration
 	// Retry shapes the backoff between dispatch attempts.
 	Retry Backoff
-	// ScrapeEvery is the metrics-federation scrape interval driven by
-	// ScrapeLoop (<=0 selects 5s). A worker whose last successful scrape
-	// is older than twice this is marked stale in the federated output.
-	ScrapeEvery time.Duration
 	// Registry receives the fleet metrics (nil selects obs.Default()).
 	Registry *obs.Registry
 	// Client performs dispatch and control-plane requests (nil builds a
@@ -152,7 +144,6 @@ type Coordinator struct {
 	maxAttempts int
 	jobDeadline time.Duration
 	retry       Backoff
-	scrapeEvery time.Duration
 	client      *http.Client
 
 	mu      sync.Mutex
@@ -163,28 +154,21 @@ type Coordinator struct {
 	// distinct, consistently-labeled tracks.
 	tids    map[string]int
 	nextTID int
-	// scrapes holds each worker's last federation scrape (and when it
-	// succeeded); entries outlive deregistration so the federated view
-	// can keep serving a dead worker's last-known-good samples, marked
-	// stale.
-	scrapes map[string]*scrapeState
 	// stats accumulates per-worker dispatch accounting for the status
-	// surface; like scrapes, entries survive worker loss.
+	// surface; entries survive worker loss.
 	stats map[string]*workerStats
 
-	mDispatches    *obs.Counter
-	mRetries       *obs.Counter
-	mReassigns     *obs.Counter
-	mLeaseExpiry   *obs.Counter
-	mCorrupt       *obs.Counter
-	mLocalRuns     *obs.Counter
-	mCompletions   *obs.Counter
-	mDupComplete   *obs.Counter
-	mRegistered    *obs.Counter
-	mDeregistered  *obs.Counter
-	mScrapes       *obs.Counter
-	mScrapeFailure *obs.Counter
-	hDispatch      *obs.Histogram
+	mDispatches   *obs.Counter
+	mRetries      *obs.Counter
+	mReassigns    *obs.Counter
+	mLeaseExpiry  *obs.Counter
+	mCorrupt      *obs.Counter
+	mLocalRuns    *obs.Counter
+	mCompletions  *obs.Counter
+	mDupComplete  *obs.Counter
+	mRegistered   *obs.Counter
+	mDeregistered *obs.Counter
+	hDispatch     *obs.Histogram
 }
 
 // workerState is the coordinator's view of one registered worker. The
@@ -212,21 +196,15 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if client == nil {
 		client = &http.Client{}
 	}
-	scrapeEvery := cfg.ScrapeEvery
-	if scrapeEvery <= 0 {
-		scrapeEvery = 5 * time.Second
-	}
 	c := &Coordinator{
 		cache:       cfg.Cache,
 		leaseTTL:    ttl,
 		maxAttempts: attempts,
 		jobDeadline: cfg.JobDeadline,
 		retry:       cfg.Retry,
-		scrapeEvery: scrapeEvery,
 		client:      client,
 		workers:     map[string]*workerState{},
 		tids:        map[string]int{},
-		scrapes:     map[string]*scrapeState{},
 		stats:       map[string]*workerStats{},
 	}
 	r := cfg.Registry
@@ -256,10 +234,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		"Worker register calls accepted (including re-registrations).")
 	c.mDeregistered = r.Counter("fleet_worker_deregistrations_total",
 		"Workers that deregistered cleanly.")
-	c.mScrapes = r.Counter("fleet_scrapes_total",
-		"Worker metrics scrapes attempted by the federation loop.")
-	c.mScrapeFailure = r.Counter("fleet_scrape_failures_total",
-		"Worker metrics scrapes that failed (the worker's last-known-good samples go stale).")
 	c.hDispatch = r.Histogram("fleet_dispatch_seconds",
 		"Wall time of individual dispatch attempts, success or failure.",
 		[]float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10})
@@ -267,13 +241,12 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 }
 
 // Mount attaches the coordinator's control plane (register, heartbeat,
-// deregister) and observability surface (federated metrics, fleet
-// status) to mux, alongside whatever else the process serves.
+// deregister) and the fleet status endpoint to mux, alongside whatever
+// else the process serves.
 func (c *Coordinator) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("POST "+PathRegister, c.handleRegister)
 	mux.HandleFunc("POST "+PathHeartbeat, c.handleHeartbeat)
 	mux.HandleFunc("POST "+PathDeregister, c.handleDeregister)
-	mux.HandleFunc("GET "+PathMetrics, c.handleFleetMetrics)
 	mux.HandleFunc("GET "+PathStatus, c.handleStatus)
 }
 

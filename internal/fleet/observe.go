@@ -1,29 +1,15 @@
 package fleet
 
 import (
-	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"sort"
-	"sync"
 	"time"
-
-	"repro/internal/obs"
 )
 
-// scrapeState is one worker's last successful federation scrape. The
-// entry outlives the worker's registration: a dead worker's samples
-// keep being served — marked stale — until the coordinator itself
-// restarts, matching how operators actually debug a crashed node.
-type scrapeState struct {
-	families map[string]*obs.ParsedFamily
-	at       time.Time // zero = never scraped successfully
-}
-
 // workerStats accumulates per-worker dispatch accounting for the
-// status surface. Entries survive worker loss for the same reason
-// scrapeState does.
+// status surface. Entries survive worker loss, so a crashed worker's
+// dispatch history stays readable while operators debug it.
 type workerStats struct {
 	inflight int
 	ok       uint64
@@ -77,110 +63,6 @@ func (c *Coordinator) noteDone(id string, ok bool) {
 	c.mu.Unlock()
 }
 
-// maxScrapeBytes bounds one worker's /metrics payload — far above any
-// real exposition, low enough that a misbehaving worker cannot balloon
-// the coordinator.
-const maxScrapeBytes = 4 << 20
-
-// ScrapeMetrics scrapes every registered worker's /metrics once, in
-// parallel, updating the federated view. A failed scrape keeps the
-// worker's last-known-good samples; the staleness gauges in the
-// federated output tell readers how old they are.
-func (c *Coordinator) ScrapeMetrics(ctx context.Context) {
-	c.mu.Lock()
-	targets := make(map[string]string, len(c.workers))
-	for id, ws := range c.workers {
-		targets[id] = ws.url
-	}
-	c.mu.Unlock()
-
-	var wg sync.WaitGroup
-	for id, url := range targets {
-		wg.Add(1)
-		go func(id, url string) {
-			defer wg.Done()
-			c.mScrapes.Inc()
-			families, err := c.scrapeOne(ctx, url)
-			if err != nil {
-				c.mScrapeFailure.Inc()
-				return
-			}
-			c.mu.Lock()
-			c.scrapes[id] = &scrapeState{families: families, at: time.Now()}
-			c.mu.Unlock()
-		}(id, url)
-	}
-	wg.Wait()
-}
-
-func (c *Coordinator) scrapeOne(ctx context.Context, base string) (map[string]*obs.ParsedFamily, error) {
-	sctx, cancel := context.WithTimeout(ctx, c.scrapeEvery)
-	defer cancel()
-	req, err := http.NewRequestWithContext(sctx, http.MethodGet, base+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, &statusErr{status: resp.StatusCode}
-	}
-	return obs.ParseText(io.LimitReader(resp.Body, maxScrapeBytes))
-}
-
-// ScrapeLoop runs ScrapeMetrics every ScrapeEvery until ctx is done —
-// the goroutine a coordinator process starts next to its HTTP server.
-func (c *Coordinator) ScrapeLoop(ctx context.Context) {
-	ticker := time.NewTicker(c.scrapeEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			c.ScrapeMetrics(ctx)
-		}
-	}
-}
-
-// scrapeView snapshots the federation state as obs.Scrape values, one
-// per worker the coordinator has ever known (registered, scraped, or
-// dispatched to).
-func (c *Coordinator) scrapeView() []obs.Scrape {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ids := map[string]bool{}
-	for id := range c.workers {
-		ids[id] = true
-	}
-	for id := range c.scrapes {
-		ids[id] = true
-	}
-	out := make([]obs.Scrape, 0, len(ids))
-	for id := range ids {
-		sc := obs.Scrape{Instance: id, Age: -1, Stale: true}
-		if st, ok := c.scrapes[id]; ok && !st.at.IsZero() {
-			sc.Families = st.families
-			sc.Age = time.Since(st.at)
-			sc.Stale = sc.Age > 2*c.scrapeEvery
-		}
-		out = append(out, sc)
-	}
-	return out
-}
-
-// handleFleetMetrics serves the federated exposition: every worker's
-// last scrape merged into one payload with worker labels, counter
-// aggregates, and per-worker staleness gauges. The output is itself
-// valid ParseText input, so a fleet of fleets can federate again.
-func (c *Coordinator) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	obs.WriteFederated(w, c.scrapeView())
-}
-
 // WorkerStatus is one worker's row in the fleet status snapshot.
 type WorkerStatus struct {
 	ID string `json:"id"`
@@ -201,11 +83,6 @@ type WorkerStatus struct {
 	Failed uint64 `json:"failed"`
 	// Attempts histograms dispatches by attempt number (1-based).
 	Attempts map[int]uint64 `json:"attempts,omitempty"`
-	// LastScrapeAgeMillis is the age of the worker's last successful
-	// metrics scrape (-1 = never scraped).
-	LastScrapeAgeMillis int64 `json:"last_scrape_age_ms"`
-	// Stale mirrors the federated staleness flag.
-	Stale bool `json:"stale"`
 }
 
 // Status is the live fleet snapshot served at /fleet/v1/status.
@@ -238,12 +115,9 @@ func (c *Coordinator) Status() Status {
 	for id := range c.stats {
 		ids[id] = true
 	}
-	for id := range c.scrapes {
-		ids[id] = true
-	}
 	st := Status{Workers: make([]WorkerStatus, 0, len(ids))}
 	for id := range ids {
-		ws := WorkerStatus{ID: id, LeaseAgeMillis: -1, LastScrapeAgeMillis: -1, Stale: true, TraceRow: c.tids[id]}
+		ws := WorkerStatus{ID: id, LeaseAgeMillis: -1, TraceRow: c.tids[id]}
 		if reg, ok := c.workers[id]; ok {
 			age := time.Since(reg.lastBeat)
 			ws.LeaseAgeMillis = age.Milliseconds()
@@ -258,11 +132,6 @@ func (c *Coordinator) Status() Status {
 					ws.Attempts[k] = v
 				}
 			}
-		}
-		if sc, ok := c.scrapes[id]; ok && !sc.at.IsZero() {
-			age := time.Since(sc.at)
-			ws.LastScrapeAgeMillis = age.Milliseconds()
-			ws.Stale = age > 2*c.scrapeEvery
 		}
 		if ws.Live {
 			st.LiveWorkers++

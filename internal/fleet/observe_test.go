@@ -97,13 +97,11 @@ func TestTraceStitching(t *testing.T) {
 	}
 }
 
-// TestFederatedMetricsAndStatus: after a dispatched job and a scrape
-// round, /fleet/v1/metrics serves every worker's samples under worker
-// labels plus counter aggregates, all re-parseable by ParseText, and
-// /fleet/v1/status reports per-worker liveness, dispatch accounting and
-// scrape freshness.
-func TestFederatedMetricsAndStatus(t *testing.T) {
-	c := newCluster(t, fleet.Config{LeaseTTL: time.Second, ScrapeEvery: 100 * time.Millisecond})
+// TestFleetStatus: after a dispatched job, /fleet/v1/status reports
+// per-worker liveness and dispatch accounting, and the coordinator
+// serves no merged metrics view — each node's /metrics is its own.
+func TestFleetStatus(t *testing.T) {
+	c := newCluster(t, fleet.Config{LeaseTTL: time.Second})
 	startWorker(t, c, "w1", &fleet.FaultInjector{})
 	startWorker(t, c, "w2", &fleet.FaultInjector{})
 
@@ -119,60 +117,23 @@ func TestFederatedMetricsAndStatus(t *testing.T) {
 	if _, err := c.coord.Run(context.Background(), sc, fleet.RunOpts{Spec: testSpec}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	c.coord.ScrapeMetrics(context.Background())
 
-	resp, err := http.Get(c.srv.URL + fleet.PathMetrics)
+	resp, err := http.Get(c.srv.URL + "/fleet/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /fleet/v1/metrics = %d, want 404", resp.StatusCode)
+	}
+
+	resp, err = http.Get(c.srv.URL + fleet.PathStatus)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	families, err := obs.ParseText(resp.Body)
-	if err != nil {
-		t.Fatalf("federated output is not valid exposition text: %v", err)
-	}
-
-	runs, ok := families["fleet_worker_runs_total"]
-	if !ok {
-		t.Fatal("federated output lacks fleet_worker_runs_total")
-	}
-	var aggregate, labeled float64
-	haveAgg := false
-	for _, s := range runs.Samples {
-		if s.Labels[obs.InstanceLabel] == "" {
-			aggregate, haveAgg = s.Value, true
-		} else {
-			labeled += s.Value
-		}
-	}
-	if !haveAgg {
-		t.Error("counter family has no aggregate (worker-label-free) rollup sample")
-	}
-	if aggregate != labeled || aggregate < 1 {
-		t.Errorf("aggregate %v != sum of per-worker samples %v (want >= 1 run)", aggregate, labeled)
-	}
-
-	ages, ok := families["fleet_scrape_age_seconds"]
-	if !ok {
-		t.Fatal("federated output lacks fleet_scrape_age_seconds")
-	}
-	seen := map[string]bool{}
-	for _, s := range ages.Samples {
-		seen[s.Labels[obs.InstanceLabel]] = true
-		if s.Value < 0 {
-			t.Errorf("worker %s never scraped (age %v) after ScrapeMetrics", s.Labels[obs.InstanceLabel], s.Value)
-		}
-	}
-	if !seen["w1"] || !seen["w2"] {
-		t.Errorf("scrape-age samples missing a worker: %v", seen)
-	}
-
-	resp2, err := http.Get(c.srv.URL + fleet.PathStatus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
 	var st fleet.Status
-	if err := json.NewDecoder(resp2.Body).Decode(&st); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatalf("status decode: %v", err)
 	}
 	if st.LiveWorkers != 2 || len(st.Workers) != 2 {
@@ -188,9 +149,6 @@ func TestFederatedMetricsAndStatus(t *testing.T) {
 		if !w.Live || w.LeaseAgeMillis < 0 {
 			t.Errorf("worker %s: live=%v lease_age=%d, want live with a lease clock", w.ID, w.Live, w.LeaseAgeMillis)
 		}
-		if w.LastScrapeAgeMillis < 0 || w.Stale {
-			t.Errorf("worker %s: scrape_age=%d stale=%v, want fresh after ScrapeMetrics", w.ID, w.LastScrapeAgeMillis, w.Stale)
-		}
 		if w.ID == target {
 			if w.OK != 1 || w.Attempts[1] != 1 || w.TraceRow < 1 {
 				t.Errorf("target %s: ok=%d attempts=%v row=%d, want one first-attempt success on a named row",
@@ -200,49 +158,4 @@ func TestFederatedMetricsAndStatus(t *testing.T) {
 			t.Errorf("idle worker %s: ok=%d, want 0", w.ID, w.OK)
 		}
 	}
-}
-
-// TestScrapeStaleness: a worker that stops answering scrapes keeps its
-// last-known-good samples in the federated view, flagged stale once its
-// scrape age exceeds twice the scrape interval.
-func TestScrapeStaleness(t *testing.T) {
-	c := newCluster(t, fleet.Config{LeaseTTL: time.Hour, ScrapeEvery: 20 * time.Millisecond})
-	n := startWorker(t, c, "fading", &fleet.FaultInjector{})
-
-	c.coord.ScrapeMetrics(context.Background())
-	// Sever the worker's data plane: subsequent scrapes fail, the last
-	// payload survives.
-	n.srv.Close()
-	c.coord.ScrapeMetrics(context.Background())
-	time.Sleep(50 * time.Millisecond) // > 2x ScrapeEvery
-
-	resp, err := http.Get(c.srv.URL + fleet.PathMetrics)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	families, err := obs.ParseText(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := families["fleet_worker_heartbeats_total"]; !ok {
-		t.Error("last-known-good samples dropped from the federated view")
-	}
-	stale, ok := families["fleet_scrape_stale"]
-	if !ok {
-		t.Fatal("no fleet_scrape_stale family")
-	}
-	found := false
-	for _, s := range stale.Samples {
-		if s.Labels[obs.InstanceLabel] == "fading" {
-			found = true
-			if s.Value != 1 {
-				t.Errorf("fleet_scrape_stale{worker=fading} = %v, want 1", s.Value)
-			}
-		}
-	}
-	if !found {
-		t.Error("no staleness sample for the faded worker")
-	}
-	wantMetric(t, c, "fleet_scrape_failures_total", "1")
 }

@@ -47,8 +47,8 @@ type WorkerConfig struct {
 type Worker struct {
 	cfg    WorkerConfig
 	client *http.Client
-	// reg is the registry Handler serves at GET /metrics — the surface
-	// the coordinator's federation scraper reads.
+	// reg is the registry Handler serves at GET /metrics, the worker's
+	// own metrics surface.
 	reg *obs.Registry
 
 	// beatEvery is the active heartbeat interval in nanoseconds,
@@ -98,7 +98,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 }
 
 // Handler is the worker's data plane: the run endpoint, liveness, and
-// the /metrics exposition the coordinator's federation scraper reads.
+// the worker's own /metrics exposition.
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+PathRun, w.handleRun)
@@ -110,8 +110,7 @@ func (w *Worker) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /metrics", func(rw http.ResponseWriter, r *http.Request) {
 		if w.dead.Load() {
-			// A crashed worker cannot answer scrapes either; the
-			// coordinator marks it stale and keeps the last good payload.
+			// A crashed worker cannot answer a metrics scrape either.
 			panic(http.ErrAbortHandler)
 		}
 		rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

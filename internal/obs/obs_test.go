@@ -261,3 +261,168 @@ func BenchmarkEnabledTracerSpan(b *testing.B) {
 		tr.Start("hot").End()
 	}
 }
+
+// TestSpanWire: the header wire form round-trips spans exactly, bounds
+// its size by dropping the oldest spans, and decodes garbage loudly.
+func TestSpanWire(t *testing.T) {
+	spans := []SpanRec{
+		{Name: "warmup", TID: 0, StartUS: 10, DurUS: 100},
+		{Name: "engine:interval", TID: 0, StartUS: 120, DurUS: 4000, Args: map[string]int64{"cores": 2}},
+		{Name: "cache:store", TID: 0, StartUS: 4200, DurUS: 30},
+	}
+	got, err := DecodeSpans(EncodeSpans(spans, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(spans) {
+		t.Fatalf("round trip returned %d spans, want %d", len(got), len(spans))
+	}
+	for i := range spans {
+		if got[i].Name != spans[i].Name || got[i].StartUS != spans[i].StartUS || got[i].DurUS != spans[i].DurUS {
+			t.Errorf("span %d changed: %+v -> %+v", i, spans[i], got[i])
+		}
+	}
+	if got[1].Args["cores"] != 2 {
+		t.Errorf("span args lost: %+v", got[1])
+	}
+
+	// Too small a budget drops oldest spans but keeps the tail.
+	many := make([]SpanRec, 200)
+	for i := range many {
+		many[i] = SpanRec{Name: "span-with-a-reasonably-long-name", StartUS: int64(i)}
+	}
+	enc := EncodeSpans(many, 1024)
+	if len(enc) > 1024 {
+		t.Fatalf("bounded encoding is %d bytes, want <= 1024", len(enc))
+	}
+	kept, err := DecodeSpans(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(kept) == 0 || len(kept) >= len(many) {
+		t.Fatalf("bounded encoding kept %d of %d spans, want a proper tail", len(kept), len(many))
+	}
+	if kept[len(kept)-1].StartUS != many[len(many)-1].StartUS {
+		t.Error("bounding dropped the newest span; it must drop the oldest")
+	}
+
+	if EncodeSpans(nil, 0) != "" {
+		t.Error("no spans should encode to the empty wire form")
+	}
+	if _, err := DecodeSpans("!!not-base64!!"); err == nil {
+		t.Error("garbage wire form decoded without error")
+	}
+}
+
+// TestSplice: imported spans are shifted into the local timebase and
+// moved onto the given track, durations untouched.
+func TestSplice(t *testing.T) {
+	tr := NewTracer(8)
+	tr.Splice([]SpanRec{
+		{Name: "engine:interval", TID: 0, StartUS: 5, DurUS: 70},
+		{Name: "cache:store", TID: 3, StartUS: 80, DurUS: 2},
+	}, 1000, 2)
+	spans := tr.Spans()
+	if len(spans) != 2 {
+		t.Fatalf("spliced %d spans, want 2", len(spans))
+	}
+	if spans[0].StartUS != 1005 || spans[0].DurUS != 70 || spans[0].TID != 2 {
+		t.Errorf("spliced span = %+v, want start 1005 dur 70 tid 2", spans[0])
+	}
+	if spans[1].StartUS != 1080 || spans[1].TID != 2 {
+		t.Errorf("spliced span = %+v, want start 1080 tid 2", spans[1])
+	}
+
+	// tid < 0 keeps the remote rows.
+	tr2 := NewTracer(8)
+	tr2.Splice([]SpanRec{{Name: "x", TID: 7, StartUS: 1}}, 0, -1)
+	if got := tr2.Spans()[0].TID; got != 7 {
+		t.Errorf("splice with tid -1 moved the span to row %d", got)
+	}
+}
+
+// TestNamedRows: NameTID labels surface in TIDNames and as thread_name
+// metadata events in the Chrome export, sorted for determinism.
+func TestNamedRows(t *testing.T) {
+	tr := NewTracer(4)
+	tr.NameTID(1, "worker:w1")
+	tr.NameTID(0, "coordinator")
+	tr.Start("dispatch:w1").End()
+	rows := tr.TIDNames()
+	if rows[0] != "coordinator" || rows[1] != "worker:w1" {
+		t.Fatalf("TIDNames = %v", rows)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	text := buf.String()
+	i0 := strings.Index(text, `"coordinator"`)
+	i1 := strings.Index(text, `"worker:w1"`)
+	if i0 < 0 || i1 < 0 || i0 > i1 {
+		t.Fatalf("thread_name metadata missing or unsorted:\n%s", text)
+	}
+	if !strings.Contains(text, `"ph":"M"`) {
+		t.Fatalf("no metadata events in export:\n%s", text)
+	}
+}
+
+// TestHistogramQuantile: interpolated quantiles from bucket counts,
+// with the empty and overflow edge cases pinned down.
+func TestHistogramQuantile(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("t_q_seconds", "Q.", []float64{1, 2, 4})
+	if got := h.Quantile(0.5); got != 0 {
+		t.Errorf("empty histogram p50 = %v, want 0", got)
+	}
+	// 10 observations in [0,1), 10 in [1,2): p50 lands at the 1s bound,
+	// p95 inside the second bucket.
+	for i := 0; i < 10; i++ {
+		h.Observe(0.5)
+		h.Observe(1.5)
+	}
+	if got := h.Quantile(0.5); got < 0.9 || got > 1.1 {
+		t.Errorf("p50 = %v, want ~1", got)
+	}
+	if got := h.Quantile(0.95); got < 1.5 || got > 2 {
+		t.Errorf("p95 = %v, want in (1.5, 2]", got)
+	}
+	// Overflow observations clamp to the last finite bound instead of
+	// inventing an infinite latency.
+	h2 := r.Histogram("t_q2_seconds", "Q2.", []float64{1, 2})
+	h2.Observe(100)
+	if got := h2.Quantile(0.99); got != 2 {
+		t.Errorf("overflow quantile = %v, want clamp to 2", got)
+	}
+}
+
+// TestHeartbeatFinalDedup: a Final at the same retired count as the
+// last emitted Tick is suppressed — the closing line already said it —
+// while a Final with new information still lands.
+func TestHeartbeatFinalDedup(t *testing.T) {
+	var lines []Progress
+	hb := &Heartbeat{Every: time.Millisecond, Emit: func(p Progress) { lines = append(lines, p) }}
+	hb.Tick(100) // arms the clock
+	time.Sleep(3 * time.Millisecond)
+	hb.Tick(500)
+	if len(lines) != 1 || lines[0].Retired != 500 {
+		t.Fatalf("throttled tick emitted %+v, want one line at 500", lines)
+	}
+	hb.Final(500)
+	if len(lines) != 1 {
+		t.Fatalf("duplicate Final emitted: %+v", lines)
+	}
+	hb.Final(900)
+	if len(lines) != 2 || lines[1].Retired != 900 {
+		t.Fatalf("informative Final suppressed: %+v", lines)
+	}
+
+	// A heartbeat that ticked but never emitted still gets its Final.
+	var finals []Progress
+	hb2 := &Heartbeat{Every: time.Hour, Emit: func(p Progress) { finals = append(finals, p) }}
+	hb2.Tick(10)
+	hb2.Final(10)
+	if len(finals) != 1 {
+		t.Fatalf("never-emitted heartbeat lost its Final: %+v", finals)
+	}
+}

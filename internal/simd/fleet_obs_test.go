@@ -18,18 +18,17 @@ import (
 // newFleetServer builds a coordinator-mode simd server with the fleet
 // control plane mounted on the same listener, exactly as cmd/simd wires
 // it.
-func newFleetServer(t *testing.T, scrapeEvery time.Duration) (*Server, *fleet.Coordinator, *httptest.Server) {
+func newFleetServer(t *testing.T) (*Server, *fleet.Coordinator, *httptest.Server) {
 	t.Helper()
 	cache, err := simrun.NewCache(simrun.CacheOpts{Encode: Encode, DecodeTier: DecodeTier})
 	if err != nil {
 		t.Fatal(err)
 	}
 	coord, err := fleet.NewCoordinator(fleet.Config{
-		Cache:       cache,
-		LeaseTTL:    time.Second,
-		ScrapeEvery: scrapeEvery,
-		Retry:       fleet.Backoff{Base: 5 * time.Millisecond, Cap: 20 * time.Millisecond},
-		Registry:    obs.NewRegistry(),
+		Cache:    cache,
+		LeaseTTL: time.Second,
+		Retry:    fleet.Backoff{Base: 5 * time.Millisecond, Cap: 20 * time.Millisecond},
+		Registry: obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -139,18 +138,20 @@ func specFingerprint(t *testing.T) string {
 	return key
 }
 
-// TestFleetTraceStitchingAndFederation is the acceptance run: a
-// coordinator with two live workers serves a job whose trace stitches
-// both sides of the dispatch — coordinator queue/dispatch spans on row
-// 0, the worker's engine spans on its own named row, all on one
-// monotonically consistent timebase — while /fleet/v1/metrics serves
-// every worker's scraped samples under worker labels with aggregate
-// rollups. The result bytes stay identical to a single-node run with
-// every bit of fleet observability on.
-func TestFleetTraceStitchingAndFederation(t *testing.T) {
-	s, coord, ts := newFleetServer(t, 100*time.Millisecond)
-	startFleetWorker(t, coord, ts.URL, "w1", &fleet.FaultInjector{})
-	startFleetWorker(t, coord, ts.URL, "w2", &fleet.FaultInjector{})
+// TestFleetTraceStitching is the acceptance run: a coordinator with
+// two live workers serves a job whose trace stitches both sides of the
+// dispatch — coordinator queue/dispatch spans on row 0, the worker's
+// engine spans on its own named row, all on one monotonically
+// consistent timebase. Each node keeps its own /metrics: the worker
+// that ran the job counts it there, and the coordinator serves no
+// merged view. The result bytes stay identical to a single-node run
+// with every bit of fleet observability on.
+func TestFleetTraceStitching(t *testing.T) {
+	s, coord, ts := newFleetServer(t)
+	workers := map[string]*fleet.Worker{
+		"w1": startFleetWorker(t, coord, ts.URL, "w1", &fleet.FaultInjector{}),
+		"w2": startFleetWorker(t, coord, ts.URL, "w2", &fleet.FaultInjector{}),
+	}
 	target := coord.AssignedWorker(specFingerprint(t))
 	if target == "" {
 		t.Fatal("no worker assigned")
@@ -207,39 +208,15 @@ func TestFleetTraceStitchingAndFederation(t *testing.T) {
 		t.Errorf("no remote engine span on worker row %d: %v", workerRow, tr.Spans)
 	}
 
-	// Federation: scrape both workers, then the merged payload must
-	// parse, carry per-worker labels and sum counters into aggregates.
-	coord.ScrapeMetrics(context.Background())
-	body, status := getBody(t, ts.URL+fleet.PathMetrics)
-	if status != http.StatusOK {
-		t.Fatalf("federated metrics status = %d", status)
+	// Metrics: the worker that ran the job counts it on its own
+	// /metrics; the coordinator has no federation endpoint.
+	rec := httptest.NewRecorder()
+	workers[target].Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if want := `fleet_worker_runs_total{worker="` + target + `"} 1`; !strings.Contains(rec.Body.String(), want) {
+		t.Errorf("worker /metrics lacks %s:\n%s", want, rec.Body.String())
 	}
-	fams, err := obs.ParseText(bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("federated metrics do not parse: %v\n%s", err, body)
-	}
-	runs, ok := fams["fleet_worker_runs_total"]
-	if !ok {
-		t.Fatalf("federated metrics lack fleet_worker_runs_total:\n%s", body)
-	}
-	var agg, sum float64
-	perWorker := map[string]bool{}
-	for _, sample := range runs.Samples {
-		if wl := sample.Labels[obs.InstanceLabel]; wl == "" {
-			agg = sample.Value
-		} else {
-			perWorker[wl] = true
-			sum += sample.Value
-		}
-	}
-	if !perWorker["w1"] || !perWorker["w2"] {
-		t.Errorf("per-worker samples missing: %v", perWorker)
-	}
-	if agg != sum || agg < 1 {
-		t.Errorf("aggregate %v != per-worker sum %v (want >= 1)", agg, sum)
-	}
-	if _, ok := fams["fleet_scrape_age_seconds"]; !ok {
-		t.Error("federated metrics lack staleness gauges")
+	if _, status := getBody(t, ts.URL+"/fleet/v1/metrics"); status != http.StatusNotFound {
+		t.Errorf("GET /fleet/v1/metrics = %d, want 404", status)
 	}
 
 	// Byte identity with all fleet observability on: the routed result
@@ -258,7 +235,7 @@ func TestFleetTraceStitchingAndFederation(t *testing.T) {
 // remote spans — and the payload must stay byte-identical to a local
 // run. Exercised by the fleet-chaos CI job under FLEET_CHAOS soak.
 func TestFleetChaosTraceStitch(t *testing.T) {
-	s, coord, ts := newFleetServer(t, time.Second)
+	s, coord, ts := newFleetServer(t)
 	faults := map[string]*fleet.FaultInjector{
 		"w1": {},
 		"w2": {},

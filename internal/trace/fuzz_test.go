@@ -11,7 +11,7 @@ import (
 
 // readAll drains a reader over data through a chunk buffer of the given
 // size, failing on any instruction a consumer could not index a per-class
-// array with.
+// or per-register array with.
 func readAll(t *testing.T, data []byte, size int) ([]isa.Inst, *Reader) {
 	t.Helper()
 	r, err := NewReader(bytes.NewReader(data))
@@ -33,6 +33,11 @@ func readAll(t *testing.T, data []byte, size int) ([]isa.Inst, *Reader) {
 	for i := range out {
 		if int(out[i].Class) >= isa.NumClasses {
 			t.Fatalf("buffer of %d: record %d handed out with class %d", size, i, out[i].Class)
+		}
+		for _, r := range [...]uint8{out[i].Src1, out[i].Src2, out[i].Dst} {
+			if r >= isa.NumRegs && r != isa.RegNone {
+				t.Fatalf("buffer of %d: record %d handed out with register %d", size, i, r)
+			}
 		}
 	}
 	return out, r
@@ -89,14 +94,20 @@ func FuzzTraceReader(f *testing.F) {
 			}
 		}
 
-		// As material: every 39 bytes a record, its class and taken bytes
-		// folded into range; then a record of class 200, then the data.
+		// As material: every 39 bytes a record, its class, operand and
+		// taken bytes folded into range; then a record of class 200, then
+		// the data.
 		var file bytes.Buffer
 		n := len(data) / recordBytes
 		want := make([]isa.Inst, n)
 		for i := range want {
 			rec := bytes.Clone(data[i*recordBytes : (i+1)*recordBytes])
 			rec[16] %= byte(isa.NumClasses)
+			for j := 17; j <= 19; j++ {
+				if rec[j] != isa.RegNone {
+					rec[j] %= isa.NumRegs
+				}
+			}
 			rec[28] &= 1
 			in, err := decode(rec)
 			if err != nil {

@@ -99,13 +99,18 @@ func encode(rec *[recordBytes]byte, in *isa.Inst) {
 	binary.LittleEndian.PutUint16(rec[37:], in.SyncID)
 }
 
-// decode reads one record. Every field is a plain number except two: the
-// class indexes [isa.NumClasses] arrays downstream and the taken flag is a
-// boolean, so a record whose class byte names no class, or whose taken byte
-// is neither 0 nor 1, is not one WriteTrace wrote.
+// decode reads one record. Every field is a plain number except five: the
+// class indexes [isa.NumClasses] arrays downstream, the three operands index
+// [isa.NumRegs] arrays unless they are isa.RegNone, and the taken flag is a
+// boolean. A record breaking any of those is not one WriteTrace wrote.
 func decode(rec []byte) (isa.Inst, error) {
 	if int(rec[16]) >= isa.NumClasses {
 		return isa.Inst{}, fmt.Errorf("class byte %d (classes are 0..%d)", rec[16], isa.NumClasses-1)
+	}
+	for i, name := range [...]string{"src1", "src2", "dst"} {
+		if r := rec[17+i]; r >= isa.NumRegs && r != isa.RegNone {
+			return isa.Inst{}, fmt.Errorf("%s byte %d (registers are 0..%d, %d for none)", name, r, isa.NumRegs-1, isa.RegNone)
+		}
 	}
 	if rec[28] > 1 {
 		return isa.Inst{}, fmt.Errorf("taken byte %d (0 or 1)", rec[28])

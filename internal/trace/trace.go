@@ -12,6 +12,11 @@ import "repro/internal/isa"
 // everything that consumes instructions: the cores and the warm-up loop pull
 // thousands of instructions per call, so no interface dispatch is paid per
 // instruction.
+//
+// Every instruction a Stream hands out has a Class below isa.NumClasses and
+// operands (Src1, Src2, Dst) below isa.NumRegs or equal to isa.RegNone:
+// the timing models index fixed-size arrays with them and do not check.
+// Sources of bytes from outside, such as Reader, reject what breaks this.
 type Stream interface {
 	// NextBatch fills buf with the next instructions of the stream, in
 	// program order, and returns how many were written. It returns 0 only

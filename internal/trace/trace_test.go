@@ -121,9 +121,10 @@ func TestTraceRoundTrip(t *testing.T) {
 }
 
 // TestTraceReaderStopsAtDamagedRecord: a record WriteTrace cannot have
-// written — a class byte naming no class, a taken byte that is not 0 or 1,
-// a last record cut short — ends the stream there. Every record before it
-// is read, none after it, and Err names the record and the byte.
+// written — a class byte naming no class, an operand byte naming no
+// register, a taken byte that is not 0 or 1, a last record cut short — ends
+// the stream there. Every record before it is read, none after it, and Err
+// names the record and the byte.
 func TestTraceReaderStopsAtDamagedRecord(t *testing.T) {
 	var file bytes.Buffer
 	if _, err := WriteTrace(&file, NewSliceStream(insts(5000)), 5000, Header{StreamVersion: 3}); err != nil {
@@ -137,6 +138,9 @@ func TestTraceReaderStopsAtDamagedRecord(t *testing.T) {
 	}{
 		{"class", func(b []byte) []byte { b[headerBytes+100*recordBytes+16] = 200; return b }, 100, "record 100: class byte 200"},
 		{"class-first-of-chunk", func(b []byte) []byte { b[headerBytes+ioChunk*recordBytes+16] = byte(isa.NumClasses); return b }, ioChunk, fmt.Sprintf("record %d: class byte %d", ioChunk, isa.NumClasses)},
+		{"src1", func(b []byte) []byte { b[headerBytes+7*recordBytes+17] = isa.NumRegs; return b }, 7, "record 7: src1 byte 64 (registers are 0..63, 255 for none)"},
+		{"src2", func(b []byte) []byte { b[headerBytes+8*recordBytes+18] = 200; return b }, 8, "record 8: src2 byte 200"},
+		{"dst", func(b []byte) []byte { b[headerBytes+9*recordBytes+19] = 254; return b }, 9, "record 9: dst byte 254"},
 		{"taken", func(b []byte) []byte { b[headerBytes+3*recordBytes+28] = 2; return b }, 3, "record 3: taken byte 2"},
 		{"truncated", func(b []byte) []byte { return b[:headerBytes+2000*recordBytes+7] }, 2000, "record 2000 is truncated (7 of 39 bytes)"},
 	} {
@@ -218,12 +222,19 @@ func TestTraceLimitsWrites(t *testing.T) {
 	}
 }
 
-// Property: encode/decode round-trips arbitrary instruction records.
+// Property: encode/decode round-trips arbitrary instruction records whose
+// class and operands are in the Stream contract's range.
 func TestQuickTraceRoundTrip(t *testing.T) {
+	reg := func(r uint8) uint8 {
+		if r == isa.RegNone {
+			return r
+		}
+		return r % isa.NumRegs
+	}
 	f := func(seq, pc, addr, target uint64, class, s1, s2, d uint8, taken bool, id uint16) bool {
 		in := isa.Inst{
 			Seq: seq, PC: pc, Class: isa.Class(class % uint8(isa.NumClasses)),
-			Src1: s1, Src2: s2, Dst: d, Addr: addr, Taken: taken,
+			Src1: reg(s1), Src2: reg(s2), Dst: reg(d), Addr: addr, Taken: taken,
 			Target: target, SyncID: id,
 		}
 		var buf bytes.Buffer

@@ -3,8 +3,9 @@
 // one per-instruction reader and it is a concrete type) and one place that
 // builds core models and advances simulated time (internal/multicore, with
 // internal/simrun's model registry as its factory). The test walks every
-// non-test source outside benchmark/ and names what breaks either rule. A
-// second walk keeps runnable programs under cmd/.
+// non-test source outside benchmark/ and names what breaks either rule.
+// Further walks keep runnable programs under cmd/ and keep each node's
+// /metrics its only metrics surface.
 package main
 
 import (
@@ -33,26 +34,8 @@ func TestOneStreamInterfaceOneTimedLoop(t *testing.T) {
 
 	var bad []string
 	fset := token.NewFileSet()
-	files := 0
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path == "benchmark" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		files++
-		dir := filepath.ToSlash(filepath.Dir(path))
+	for _, src := range nonTestSources(t, fset) {
+		f, dir := src.f, src.dir
 		report := func(n ast.Node, format string, args ...any) {
 			bad = append(bad, fmt.Sprintf("%s: %s", fset.Position(n.Pos()), fmt.Sprintf(format, args...)))
 		}
@@ -128,16 +111,83 @@ func TestOneStreamInterfaceOneTimedLoop(t *testing.T) {
 			}
 			return true
 		})
+	}
+	if len(bad) > 0 {
+		t.Fatalf("the stream or driver fork is growing back:\n  %s", strings.Join(bad, "\n  "))
+	}
+}
+
+// sourceFile is one parsed non-test Go source.
+type sourceFile struct {
+	dir string // slash-separated, relative to the repo root
+	f   *ast.File
+}
+
+// nonTestSources parses every non-test Go source outside benchmark/ and
+// hidden directories, failing when there is none (the tests must run from
+// the repo root).
+func nonTestSources(t *testing.T, fset *token.FileSet) []sourceFile {
+	t.Helper()
+	var out []sourceFile
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "benchmark" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		out = append(out, sourceFile{dir: filepath.ToSlash(filepath.Dir(path)), f: f})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if files == 0 {
+	if len(out) == 0 {
 		t.Fatal("no source files found (test must run from the repo root)")
 	}
+	return out
+}
+
+// TestOneMetricsSurfacePerNode: every simd node and fleet worker serves its
+// own GET /metrics, and nothing scrapes, merges or re-serves them — no
+// coordinator scrape loop, no merged /fleet/v1/metrics view, no
+// -scrape-every knob. The test keeps the names of that machinery out of
+// the non-test sources outside benchmark/.
+func TestOneMetricsSurfacePerNode(t *testing.T) {
+	names := map[string]bool{
+		"WriteFederated": true, "Scrape": true, "InstanceLabel": true, "ScrapeMetrics": true,
+		"ScrapeLoop": true, "ScrapeEvery": true, "PathMetrics": true,
+	}
+	var bad []string
+	fset := token.NewFileSet()
+	for _, src := range nonTestSources(t, fset) {
+		ast.Inspect(src.f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if names[n.Name] {
+					bad = append(bad, fmt.Sprintf("%s: %s", fset.Position(n.Pos()), n.Name))
+				}
+			case *ast.BasicLit:
+				if v, _ := strconv.Unquote(n.Value); n.Kind == token.STRING &&
+					(strings.Contains(v, "/fleet/v1/metrics") || strings.Contains(v, "scrape-every")) {
+					bad = append(bad, fmt.Sprintf("%s: %s", fset.Position(n.Pos()), n.Value))
+				}
+			}
+			return true
+		})
+	}
 	if len(bad) > 0 {
-		t.Fatalf("the stream or driver fork is growing back:\n  %s", strings.Join(bad, "\n  "))
+		t.Fatalf("the coordinator's metrics federation is growing back (each node's /metrics is its own surface):\n  %s", strings.Join(bad, "\n  "))
 	}
 }
 
