@@ -78,14 +78,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		tiered  = fl.Bool("tiered", false, "answer from the cheapest fidelity tier immediately and upgrade in the background")
 		drain   = fl.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for queued and in-flight jobs")
 		pprofOn = fl.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default)")
-		jobTr   = fl.Bool("job-trace", true, "record per-job lifecycle spans served at /v1/jobs/{id}/trace")
 
 		coordOn   = fl.Bool("coordinator", false, "dispatch jobs to fleet workers (with local fallback when none are registered)")
 		leaseTTL  = fl.Duration("lease-ttl", 5*time.Second, "coordinator: how long worker leases survive without a heartbeat")
 		workerURL = fl.String("worker", "", "run as a fleet worker for the coordinator at this base URL (replaces the job API)")
 		advertise = fl.String("advertise", "", "worker: base URL the coordinator dials this worker at (default http://127.0.0.1<addr>)")
 		workerID  = fl.String("worker-id", "", "worker: identity in the fleet (default <hostname>-<pid>)")
-		beatEvery = fl.Duration("heartbeat", 0, "worker: heartbeat interval (0 = accept the coordinator's advertisement)")
 		chaos     = fl.String("chaos", "", "worker: arm deterministic fault injection, e.g. kill-run=2,drop-heartbeats=all,corrupt-run=1,delay-result=50ms")
 
 		cpuprofile = fl.String("cpuprofile", "", "write a CPU profile to this file, flushed when the SIGTERM drain completes")
@@ -134,7 +132,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			coord:     *workerURL,
 			advertise: *advertise,
 			id:        *workerID,
-			beat:      *beatEvery,
 			chaos:     *chaos,
 			cache:     cache,
 		})
@@ -148,7 +145,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	server, err := simd.New(simd.Config{Workers: *jobs, QueueDepth: *depth, Cache: cache, TieredServing: *tiered, Pprof: *pprofOn, DisableJobTraces: !*jobTr, Fleet: coord})
+	server, err := simd.New(simd.Config{Workers: *jobs, QueueDepth: *depth, Cache: cache, TieredServing: *tiered, Pprof: *pprofOn, Fleet: coord})
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
@@ -209,7 +206,6 @@ type workerOpts struct {
 	coord     string
 	advertise string
 	id        string
-	beat      time.Duration
 	chaos     string
 	cache     *simrun.Cache
 }
@@ -242,12 +238,11 @@ func runWorker(ctx context.Context, stdout, stderr io.Writer, o workerOpts) int 
 		}
 	}
 	w, err := fleet.NewWorker(fleet.WorkerConfig{
-		ID:             id,
-		SelfURL:        self,
-		Coordinator:    o.coord,
-		Cache:          o.cache,
-		Faults:         faults,
-		HeartbeatEvery: o.beat,
+		ID:          id,
+		SelfURL:     self,
+		Coordinator: o.coord,
+		Cache:       o.cache,
+		Faults:      faults,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, err)

@@ -17,6 +17,8 @@ func TestEarlyExits(t *testing.T) {
 		{"-coordinator -tiered", "-tiered is a single-node serving feature"},
 		{"-chaos kill-run=1", "-chaos only applies to -worker mode"},
 		{"-scrape-every 1s", "flag provided but not defined: -scrape-every"},
+		{"-heartbeat 1s", "flag provided but not defined: -heartbeat"},
+		{"-job-trace=false", "flag provided but not defined: -job-trace"},
 	} {
 		t.Run(c.args, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

@@ -8,10 +8,14 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -22,6 +26,9 @@ import (
 	"testing"
 
 	_ "repro/internal/engine"
+	"repro/internal/fleet"
+	"repro/internal/obs"
+	"repro/internal/simd"
 	"repro/internal/simrun"
 )
 
@@ -164,6 +171,144 @@ func TestDocEndpointsAreMounted(t *testing.T) {
 	}
 	if len(bad) > 0 {
 		t.Fatalf("documents name endpoints no HandleFunc mounts (routes: %v):\n  %s", routes, strings.Join(bad, "\n  "))
+	}
+}
+
+// mdCitation matches a cited Markdown file: a path of name characters
+// ending in .md.
+var mdCitation = regexp.MustCompile(`[\w./-]*\w\.md\b`)
+
+// resolves reports whether a cited .md path names a file, taken from the
+// repo root or from the citing file's directory.
+func resolves(citedFrom, path string) bool {
+	for _, p := range []string{path, filepath.Join(filepath.Dir(citedFrom), path)} {
+		if info, err := os.Stat(p); err == nil && !info.IsDir() {
+			return true
+		}
+	}
+	return false
+}
+
+// TestDocCitationsResolve checks every .md file a non-test Go comment or
+// string outside benchmark/, README.md, docs/*.md or the verify skill
+// cites against the files in the repo, so a comment cannot send a reader to
+// a document that does not exist.
+func TestDocCitationsResolve(t *testing.T) {
+	fset := token.NewFileSet()
+	files := auditedDocs(t)
+	for _, src := range nonTestSources(t, fset) {
+		files = append(files, fset.Position(src.f.Pos()).Filename)
+	}
+	var bad []string
+	for _, file := range files {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(raw), "\n") {
+			for _, path := range mdCitation.FindAllString(line, -1) {
+				if !resolves(file, path) {
+					bad = append(bad, fmt.Sprintf("%s:%d: %s", file, i+1, path))
+				}
+			}
+		}
+	}
+	if len(bad) > 0 {
+		t.Fatalf("documents or sources cite .md files that do not exist:\n  %s", strings.Join(bad, "\n  "))
+	}
+}
+
+// TestDocMetricsAreServed renders GET /metrics from a simd.Server that has
+// run one job, a fleet.Coordinator and a fleet.Worker, each on its own
+// registry, and checks it against docs/observability.md and docs/fleet.md:
+// every served family is named in one of them, and every simd_, simrun_ or
+// fleet_ family they name is served (a histogram's _bucket, _sum and _count
+// fold into the family).
+func TestDocMetricsAreServed(t *testing.T) {
+	newCache := func() *simrun.Cache {
+		c, err := simrun.NewCache(simrun.CacheOpts{Encode: simd.Encode, DecodeTier: simd.DecodeTier})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	scrape := func(h http.Handler) string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		if rec.Code != 200 {
+			t.Fatalf("GET /metrics = %d", rec.Code)
+		}
+		return rec.Body.String()
+	}
+
+	server, err := simd.New(simd.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := simrun.ParseSpec(strings.NewReader(`{"bench":"gcc","insts":2000,"warmup":2000}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := server.SubmitSpec(spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := server.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	text := scrape(server.Handler())
+
+	coordReg := obs.NewRegistry()
+	if _, err := fleet.NewCoordinator(fleet.Config{Cache: newCache(), Registry: coordReg}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := coordReg.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	text += buf.String()
+
+	worker, err := fleet.NewWorker(fleet.WorkerConfig{ID: "w1", Cache: newCache(), Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	text += scrape(worker.Handler())
+
+	served := map[string]bool{}
+	for _, line := range strings.Split(text, "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			served[strings.Fields(rest)[0]] = true
+		}
+	}
+	family := regexp.MustCompile(`\b(?:simd|simrun|fleet)_\w*[a-z0-9]\b`)
+	named := map[string]bool{}
+	var bad []string
+	for _, doc := range []string{"docs/observability.md", "docs/fleet.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(raw), "\n") {
+			for _, name := range family.FindAllString(line, -1) {
+				for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+					if base, ok := strings.CutSuffix(name, suffix); ok && served[base] {
+						name = base
+					}
+				}
+				named[name] = true
+				if !served[name] {
+					bad = append(bad, fmt.Sprintf("%s:%d: %s is not served", doc, i+1, name))
+				}
+			}
+		}
+	}
+	for name := range served {
+		if !named[name] {
+			bad = append(bad, fmt.Sprintf("%s is served but neither docs/observability.md nor docs/fleet.md names it", name))
+		}
+	}
+	if len(bad) > 0 {
+		slices.Sort(bad)
+		t.Fatalf("docs and /metrics disagree:\n  %s", strings.Join(bad, "\n  "))
 	}
 }
 

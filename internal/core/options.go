@@ -1,7 +1,8 @@
 package core
 
 // Options selects ablation variants of the interval model. The zero value
-// is the full model as validated in DESIGN.md §6; each flag disables one
+// is the full model (docs/architecture.md, "Core models", names the five
+// refinements); each flag disables one
 // refinement, either reverting to the paper's literal pseudocode or
 // removing a mechanism entirely. The ablation benchmarks measure how much
 // accuracy each refinement buys.

@@ -62,7 +62,7 @@ type Table struct {
 	Columns []string // column headers
 	Rows    [][]string
 	// Notes summarizes the expected shape and the measured aggregate
-	// (average/max error, speedup range) for EXPERIMENTS.md.
+	// (average/max error, speedup range) under the table.
 	Notes []string
 }
 

@@ -15,12 +15,13 @@ import (
 
 // Extension experiments: artifacts beyond the paper's evaluation that the
 // reproduction makes possible — scaling past the paper's 8-core host
-// limit, the per-refinement model ablation of DESIGN.md §6, and the
+// limit, the per-refinement model ablation (docs/architecture.md, "Core
+// models"), and the
 // system-level substrate sweeps (fabric, DRAM). cmd/experiments exposes
 // them alongside the paper figures.
 
-// ablationVariants lists the model-refinement ablations in DESIGN.md §6
-// order.
+// ablationVariants lists the model-refinement ablations in the order
+// docs/architecture.md, "Core models", names them.
 var ablationVariants = []core.Options{
 	{},
 	{NoROBFillHiding: true},
@@ -39,7 +40,7 @@ var ablationProfiles = []string{"gcc", "mcf", "swim", "vpr"}
 func (o Opts) AblationModel() Table {
 	t := Table{
 		ID:      "model-ablation",
-		Title:   "per-refinement accuracy ablation (DESIGN.md §6): interval-vs-detailed IPC error",
+		Title:   "per-refinement accuracy ablation (docs/architecture.md, Core models): interval-vs-detailed IPC error",
 		Columns: append(append([]string{"variant"}, ablationProfiles...), "avg"),
 	}
 	var scs []*simrun.Scenario

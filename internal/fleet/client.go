@@ -22,8 +22,6 @@ import (
 type Client struct {
 	// Base is the coordinator's base URL (e.g. http://host:8080).
 	Base string
-	// HTTP performs the requests (nil builds a default).
-	HTTP *http.Client
 	// Retry shapes the backoff for submissions and polls.
 	Retry Backoff
 	// Poll is the status-poll interval (<=0 selects 100ms).
@@ -49,12 +47,8 @@ type jobDoc struct {
 	Message string          `json:"message"`
 }
 
-func (cl *Client) httpClient() *http.Client {
-	if cl.HTTP != nil {
-		return cl.HTTP
-	}
-	return &http.Client{Timeout: 30 * time.Second}
-}
+// jobClient sends a Client's submissions and polls.
+var jobClient = &http.Client{Timeout: 30 * time.Second}
 
 // SubmitAndWait submits sp and blocks until the job settles. Transient
 // submission and poll failures retry; a failed job or a permanent
@@ -97,7 +91,7 @@ func (cl *Client) post(ctx context.Context, body []byte) (jobDoc, bool, error) {
 		return jobDoc{}, false, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := cl.httpClient().Do(req)
+	resp, err := jobClient.Do(req)
 	if err != nil {
 		return jobDoc{}, TransientErr(err), err
 	}
@@ -139,7 +133,7 @@ func (cl *Client) wait(ctx context.Context, doc jobDoc) (JobResult, error) {
 			if err != nil {
 				return false, err
 			}
-			resp, err := cl.httpClient().Do(req)
+			resp, err := jobClient.Do(req)
 			if err != nil {
 				return TransientErr(err), err
 			}

@@ -119,32 +119,27 @@ type Config struct {
 	// heartbeat (<=0 selects 5s). Workers are told to heartbeat at a
 	// third of this.
 	LeaseTTL time.Duration
-	// MaxAttempts bounds dispatch attempts per job before degrading to
-	// a local run (<=0 selects 4).
-	MaxAttempts int
-	// JobDeadline bounds one job's whole dispatch lifecycle, local
-	// fallback included (0 = only the caller's context bounds it).
-	JobDeadline time.Duration
 	// Retry shapes the backoff between dispatch attempts.
 	Retry Backoff
 	// Registry receives the fleet metrics (nil selects obs.Default()).
 	Registry *obs.Registry
-	// Client performs dispatch and control-plane requests (nil builds a
-	// default one). Per-request contexts bound each call, so the client
-	// needs no global timeout.
-	Client *http.Client
 }
+
+// maxAttempts bounds dispatch attempts per job before it degrades to a
+// local run.
+const maxAttempts = 4
+
+// dispatchClient sends run requests to workers. Per-request contexts
+// bound each call, so it needs no global timeout.
+var dispatchClient = &http.Client{}
 
 // Coordinator owns the worker pool and job dispatch. Create with
 // NewCoordinator, expose the control plane with Mount, dispatch with
 // Run.
 type Coordinator struct {
-	cache       *simrun.Cache
-	leaseTTL    time.Duration
-	maxAttempts int
-	jobDeadline time.Duration
-	retry       Backoff
-	client      *http.Client
+	cache    *simrun.Cache
+	leaseTTL time.Duration
+	retry    Backoff
 
 	mu      sync.Mutex
 	workers map[string]*workerState
@@ -158,7 +153,6 @@ type Coordinator struct {
 	// surface; entries survive worker loss.
 	stats map[string]*workerStats
 
-	mDispatches   *obs.Counter
 	mRetries      *obs.Counter
 	mReassigns    *obs.Counter
 	mLeaseExpiry  *obs.Counter
@@ -188,24 +182,13 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if ttl <= 0 {
 		ttl = 5 * time.Second
 	}
-	attempts := cfg.MaxAttempts
-	if attempts <= 0 {
-		attempts = 4
-	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{}
-	}
 	c := &Coordinator{
-		cache:       cfg.Cache,
-		leaseTTL:    ttl,
-		maxAttempts: attempts,
-		jobDeadline: cfg.JobDeadline,
-		retry:       cfg.Retry,
-		client:      client,
-		workers:     map[string]*workerState{},
-		tids:        map[string]int{},
-		stats:       map[string]*workerStats{},
+		cache:    cfg.Cache,
+		leaseTTL: ttl,
+		retry:    cfg.Retry,
+		workers:  map[string]*workerState{},
+		tids:     map[string]int{},
+		stats:    map[string]*workerStats{},
 	}
 	r := cfg.Registry
 	if r == nil {
@@ -214,8 +197,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	r.GaugeFunc("fleet_workers",
 		"Registered workers with a live lease (heartbeat within the TTL).",
 		func() float64 { return float64(c.Workers()) })
-	c.mDispatches = r.Counter("fleet_dispatches_total",
-		"Job dispatch attempts sent to workers.")
 	c.mRetries = r.Counter("fleet_retries_total",
 		"Dispatch attempts retried after a transient failure (5xx, backpressure, corrupt delivery).")
 	c.mReassigns = r.Counter("fleet_reassignments_total",
@@ -474,11 +455,6 @@ func (e *permanentError) Unwrap() error { return e.err }
 // local engine encode results identically, which is what makes
 // at-least-once dispatch safe.
 func (c *Coordinator) Run(ctx context.Context, sc *simrun.Scenario, opts RunOpts) (simrun.CacheEntry, error) {
-	if c.jobDeadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.jobDeadline)
-		defer cancel()
-	}
 	key, err := sc.Fingerprint()
 	if err != nil {
 		// Uncacheable scenarios (explicit in-process streams) have no
@@ -496,7 +472,7 @@ func (c *Coordinator) Run(ctx context.Context, sc *simrun.Scenario, opts RunOpts
 	tried := map[string]bool{}
 	event := "dispatch"
 	attempt := 0
-	for attempt < c.maxAttempts {
+	for attempt < maxAttempts {
 		if err := ctx.Err(); err != nil {
 			return simrun.CacheEntry{Key: key}, err
 		}
@@ -636,7 +612,6 @@ func (c *Coordinator) dispatch(ctx context.Context, w *workerState, key string, 
 	sp := tracer.Start("dispatch:" + w.id)
 	sp.Arg("attempt", int64(attempt))
 	sp.Arg("row", int64(tid))
-	c.mDispatches.Inc()
 	c.noteDispatch(w.id, attempt)
 	started := time.Now()
 	defer func() {
@@ -667,7 +642,7 @@ func (c *Coordinator) dispatch(ctx context.Context, w *workerState, key string, 
 		// offsets are relative to a point at or after this send timestamp.
 		sendUS = tracer.Now()
 	}
-	resp, err := c.client.Do(req)
+	resp, err := dispatchClient.Do(req)
 	if err != nil {
 		if expired.Load() {
 			return nil, "", errLeaseExpired

@@ -319,7 +319,7 @@ func TestZeroWorkersDegradesToLocal(t *testing.T) {
 		t.Fatalf("events = %+v, want one local dispatch", events)
 	}
 	wantMetric(t, c, "fleet_local_runs_total", "1")
-	wantMetric(t, c, "fleet_dispatches_total", "0")
+	wantMetric(t, c, "fleet_dispatch_seconds_count", "0")
 }
 
 // TestCorruptDeliveryRetries: the worker's first delivery is corrupted
@@ -386,7 +386,7 @@ func TestDuplicateCompletionDedupes(t *testing.T) {
 	if events := snapshot(); len(events) != 0 {
 		t.Fatalf("second run dispatched: %+v", events)
 	}
-	wantMetric(t, c, "fleet_dispatches_total", "1")
+	wantMetric(t, c, "fleet_dispatch_seconds_count", "1")
 }
 
 // TestWorkerLifecycle walks the control plane: register, heartbeat,

@@ -92,7 +92,8 @@ type Status struct {
 	// Dispatch latency quantiles, milliseconds, over all attempts.
 	DispatchP50Millis float64 `json:"dispatch_p50_ms"`
 	DispatchP95Millis float64 `json:"dispatch_p95_ms"`
-	// Lifetime coordinator totals, mirroring the fleet_* counters.
+	// Lifetime coordinator totals, mirroring the fleet_* counters;
+	// Dispatches counts finished attempts (fleet_dispatch_seconds_count).
 	Dispatches           uint64 `json:"dispatches"`
 	Retries              uint64 `json:"retries"`
 	Reassignments        uint64 `json:"reassignments"`
@@ -143,7 +144,7 @@ func (c *Coordinator) Status() Status {
 
 	st.DispatchP50Millis = c.hDispatch.Quantile(0.50) * 1e3
 	st.DispatchP95Millis = c.hDispatch.Quantile(0.95) * 1e3
-	st.Dispatches = c.mDispatches.Value()
+	st.Dispatches = c.hDispatch.Count()
 	st.Retries = c.mRetries.Value()
 	st.Reassignments = c.mReassigns.Value()
 	st.LeaseExpiries = c.mLeaseExpiry.Value()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -141,6 +142,9 @@ func TestFleetStatus(t *testing.T) {
 	}
 	if st.Dispatches != 1 || st.Completions != 1 {
 		t.Errorf("status dispatches=%d completions=%d, want 1 and 1", st.Dispatches, st.Completions)
+	}
+	if got := metricValue(c.metrics(t), "fleet_dispatch_seconds_count"); got != strconv.FormatUint(st.Dispatches, 10) {
+		t.Errorf("fleet_dispatch_seconds_count = %q, want status dispatches %d", got, st.Dispatches)
 	}
 	if st.DispatchP95Millis <= 0 {
 		t.Errorf("dispatch p95 = %v, want > 0 after a dispatch", st.DispatchP95Millis)

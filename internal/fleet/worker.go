@@ -32,28 +32,25 @@ type WorkerConfig struct {
 	Cache *simrun.Cache
 	// Faults, when non-nil, is the chaos seam (see FaultInjector).
 	Faults *FaultInjector
-	// HeartbeatEvery overrides the coordinator's advertised heartbeat
-	// interval (0 = accept the advertisement).
-	HeartbeatEvery time.Duration
 	// Registry receives the worker metrics (nil selects obs.Default()).
 	Registry *obs.Registry
-	// Client performs control-plane requests (nil builds a default).
-	Client *http.Client
 }
+
+// controlClient sends a worker's register, heartbeat and deregister
+// requests.
+var controlClient = &http.Client{Timeout: 10 * time.Second}
 
 // Worker executes dispatched simulations and keeps its lease alive by
 // heartbeating the coordinator. Serve Handler on SelfURL's port and run
 // Start for the control loop.
 type Worker struct {
-	cfg    WorkerConfig
-	client *http.Client
+	cfg WorkerConfig
 	// reg is the registry Handler serves at GET /metrics, the worker's
 	// own metrics surface.
 	reg *obs.Registry
 
 	// beatEvery is the active heartbeat interval in nanoseconds,
-	// adopted from the coordinator's registration advertisement unless
-	// the config pinned one.
+	// adopted from the coordinator's registration advertisement.
 	beatEvery atomic.Int64
 	// dead flips when the fault injector kills the worker: heartbeats
 	// stop and further run requests die on the wire, exactly like a
@@ -74,12 +71,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Cache == nil {
 		return nil, fmt.Errorf("fleet: worker needs a result cache")
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: 10 * time.Second}
-	}
-	w := &Worker{cfg: cfg, client: client}
-	w.beatEvery.Store(int64(cfg.HeartbeatEvery))
+	w := &Worker{cfg: cfg}
 	r := cfg.Registry
 	if r == nil {
 		r = obs.Default()
@@ -248,8 +240,7 @@ func (w *Worker) Start(ctx context.Context) error {
 }
 
 // register announces the worker and adopts the coordinator's advertised
-// heartbeat interval (unless the config pinned one), retrying under
-// backoff until ctx dies.
+// heartbeat interval, retrying under backoff until ctx dies.
 func (w *Worker) register(ctx context.Context) error {
 	body, _ := json.Marshal(registration{ID: w.cfg.ID, URL: w.cfg.SelfURL})
 	return Backoff{}.Retry(ctx, "register:"+w.cfg.ID, func() (bool, error) {
@@ -258,7 +249,7 @@ func (w *Worker) register(ctx context.Context) error {
 			return false, err
 		}
 		req.Header.Set("Content-Type", "application/json")
-		resp, err := w.client.Do(req)
+		resp, err := controlClient.Do(req)
 		if err != nil {
 			return TransientErr(err), err
 		}
@@ -270,7 +261,7 @@ func (w *Worker) register(ctx context.Context) error {
 		if err := json.NewDecoder(resp.Body).Decode(&terms); err != nil {
 			return false, err
 		}
-		if w.cfg.HeartbeatEvery <= 0 && terms.HeartbeatMillis > 0 {
+		if terms.HeartbeatMillis > 0 {
 			w.beatEvery.Store(int64(time.Duration(terms.HeartbeatMillis) * time.Millisecond))
 		}
 		return false, nil
@@ -285,7 +276,7 @@ func (w *Worker) beat(ctx context.Context) error {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.client.Do(req)
+	resp, err := controlClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -307,7 +298,7 @@ func (w *Worker) deregister() {
 	req.Header.Set("Content-Type", "application/json")
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	if resp, err := w.client.Do(req.WithContext(ctx)); err == nil {
+	if resp, err := controlClient.Do(req.WithContext(ctx)); err == nil {
 		resp.Body.Close()
 	}
 }

@@ -60,52 +60,6 @@ func ANTT(alone, multi []float64) float64 {
 	return total / float64(n)
 }
 
-// WeightedSpeedup is a synonym of STP under its older name (Snavely &
-// Tullsen): the sum of per-program normalized progress.
-func WeightedSpeedup(alone, multi []float64) float64 { return STP(alone, multi) }
-
-// HarmonicSpeedup is the harmonic mean of the normalized progress values
-// (Luo et al.): it rewards throughput but punishes imbalance, sitting
-// between STP (throughput) and ANTT (latency).
-func HarmonicSpeedup(alone, multi []float64) float64 {
-	nps := NormalizedProgress(alone, multi)
-	total := 0.0
-	n := 0
-	for _, np := range nps {
-		if np > 0 {
-			total += 1 / np
-			n++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(n) / total
-}
-
-// Fairness is the minimum over the maximum normalized progress across the
-// co-running programs (Gabor et al.): 1 means perfectly even slowdowns, 0
-// means at least one program is starved.
-func Fairness(alone, multi []float64) float64 {
-	nps := NormalizedProgress(alone, multi)
-	lo, hi := math.Inf(1), 0.0
-	for _, np := range nps {
-		if np <= 0 {
-			continue
-		}
-		if np < lo {
-			lo = np
-		}
-		if np > hi {
-			hi = np
-		}
-	}
-	if hi == 0 || math.IsInf(lo, 1) {
-		return 0
-	}
-	return lo / hi
-}
-
 // RelError returns |estimate-reference|/reference (0 when reference is 0).
 func RelError(reference, estimate float64) float64 {
 	if reference == 0 {

@@ -137,55 +137,3 @@ func TestQuickRelErrorScaleInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestHarmonicSpeedupIdentities(t *testing.T) {
-	alone := []float64{1, 1, 1}
-	// No interference: harmonic speedup = n... normalized progress all 1,
-	// harmonic mean = 1.
-	if got := HarmonicSpeedup(alone, []float64{1, 1, 1}); got != 1 {
-		t.Fatalf("no-interference harmonic speedup = %v, want 1", got)
-	}
-	// Uniform halving: harmonic mean of {0.5,0.5,0.5} = 0.5.
-	if got := HarmonicSpeedup(alone, []float64{0.5, 0.5, 0.5}); got != 0.5 {
-		t.Fatalf("uniform-slowdown harmonic speedup = %v, want 0.5", got)
-	}
-	// Harmonic <= arithmetic mean of normalized progress.
-	multi := []float64{0.9, 0.5, 0.7}
-	arith := STP(alone, multi) / 3
-	if h := HarmonicSpeedup(alone, multi); h > arith+1e-12 {
-		t.Fatalf("harmonic %v exceeds arithmetic %v", h, arith)
-	}
-}
-
-func TestFairnessBounds(t *testing.T) {
-	alone := []float64{1, 1}
-	if got := Fairness(alone, []float64{0.6, 0.6}); got != 1 {
-		t.Fatalf("even slowdown fairness = %v, want 1", got)
-	}
-	if got := Fairness(alone, []float64{0.9, 0.3}); got < 0.33 || got > 0.34 {
-		t.Fatalf("skewed fairness = %v, want ~1/3", got)
-	}
-	if got := Fairness(nil, nil); got != 0 {
-		t.Fatalf("empty fairness = %v, want 0", got)
-	}
-}
-
-func TestFairnessProperty(t *testing.T) {
-	f := func(a, b uint8) bool {
-		alone := []float64{1, 1}
-		multi := []float64{float64(a%100) / 100, float64(b%100) / 100}
-		fv := Fairness(alone, multi)
-		return fv >= 0 && fv <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWeightedSpeedupIsSTP(t *testing.T) {
-	alone := []float64{1.2, 0.8}
-	multi := []float64{0.9, 0.5}
-	if WeightedSpeedup(alone, multi) != STP(alone, multi) {
-		t.Fatal("weighted speedup diverged from STP")
-	}
-}

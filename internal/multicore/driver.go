@@ -77,7 +77,7 @@ type RunConfig struct {
 	// of the stepping loop; an interrupted run returns with
 	// Result.Interrupted set and whatever progress was made (none, and no
 	// cores built, when warmup was cut short). Batch runners use this for
-	// cancellation and per-scenario timeouts.
+	// cancellation and deadlines.
 	Interrupt <-chan struct{}
 	// Perfect selects always-hit structures (Figure 4 experiments).
 	Perfect memhier.Perfect

@@ -52,9 +52,6 @@ func (b *Bus) TxCount() uint64 { return b.Transactions }
 // StallCycles returns the total cycles transactions spent queueing.
 func (b *Bus) StallCycles() int64 { return b.StallTotal }
 
-// HopLatency returns the uncontended transaction latency.
-func (b *Bus) HopLatency() int64 { return b.hop }
-
 // Utilization returns the busy fraction of cycles up to now.
 func (b *Bus) Utilization(now int64) float64 {
 	if now <= 0 {

@@ -55,9 +55,6 @@ func (m *Mesh) Width() int { return m.width }
 // Height returns the grid height in nodes.
 func (m *Mesh) Height() int { return m.height }
 
-// Hub returns the hub's node index.
-func (m *Mesh) Hub() int { return m.hub }
-
 func (m *Mesh) pos(node int) (x, y int) { return node % m.width, node / m.width }
 
 // Hops returns the XY route length in links from node src to the hub.

@@ -56,14 +56,6 @@ func (s Stats) AvgHops() float64 {
 	return float64(s.HopTotal) / float64(s.Transactions)
 }
 
-// AvgStall returns the mean queueing delay per transaction in cycles.
-func (s Stats) AvgStall() float64 {
-	if s.Transactions == 0 {
-		return 0
-	}
-	return float64(s.StallTotal) / float64(s.Transactions)
-}
-
 // utilization is the shared busy-fraction computation: BusyTotal spread
 // over nlinks links for now cycles.
 func (s Stats) utilization(nlinks int, now int64) float64 {

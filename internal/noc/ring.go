@@ -38,12 +38,6 @@ func NewRing(cores, perHop, occupancy int) *Ring {
 	}
 }
 
-// Nodes returns the node count (cores + hub).
-func (r *Ring) Nodes() int { return r.nodes }
-
-// Hub returns the hub's node index.
-func (r *Ring) Hub() int { return r.hub }
-
 // Hops returns the shortest-path route length in links from src to the hub.
 func (r *Ring) Hops(src int) int {
 	cw := (r.hub - src + r.nodes) % r.nodes

@@ -357,35 +357,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 	return WriteAll(w, r)
 }
 
-// Families snapshots the registered family names, sorted.
-func (r *Registry) Families() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.families))
-	for n := range r.families {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Help returns the registered help string for a family name ("" when
-// absent).
-func (r *Registry) Help(name string) string {
-	if r == nil {
-		return ""
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f, ok := r.families[name]; ok {
-		return f.help
-	}
-	return ""
-}
-
 // WriteAll renders several registries as one exposition payload,
 // merging their family namespaces (first registration of a name wins on
 // help/kind) and sorting families by name. This is how a server merges

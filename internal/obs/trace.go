@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
@@ -318,29 +317,4 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 		events = append(events, chromeEvent{Name: s.Name, Ph: "X", TS: s.StartUS, Dur: s.DurUS, PID: 1, TID: s.TID, Args: args})
 	}
 	return json.NewEncoder(w).Encode(map[string]any{"traceEvents": events})
-}
-
-// tracerKey carries a *Tracer through a context.
-type tracerKey struct{}
-
-// ContextWith returns a context carrying the tracer.
-func ContextWith(ctx context.Context, t *Tracer) context.Context {
-	if t == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, tracerKey{}, t)
-}
-
-// FromContext extracts the context's tracer (nil when absent — and a
-// nil tracer no-ops, so callers never branch).
-func FromContext(ctx context.Context) *Tracer {
-	t, _ := ctx.Value(tracerKey{}).(*Tracer)
-	return t
-}
-
-// StartSpan opens a span on the context's tracer: the one-liner form
-// obs.StartSpan(ctx, "cache:store") for code that already threads a
-// context. No-op (nil span) when the context carries no tracer.
-func StartSpan(ctx context.Context, name string) *Span {
-	return FromContext(ctx).Start(name)
 }

@@ -294,25 +294,3 @@ func TestFleetChaosTraceStitch(t *testing.T) {
 		t.Error("post-chaos result differs from single-node result bytes")
 	}
 }
-
-// TestTraceDisabled404: with job traces off, the trace endpoint must
-// answer 404 naming the enabling flag — not an empty 200 a caller could
-// read as "this job recorded nothing".
-func TestTraceDisabled404(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, DisableJobTraces: true})
-	doc, status := postJob(t, ts, specGCC)
-	if status != http.StatusAccepted {
-		t.Fatalf("submit status = %d", status)
-	}
-	doc = waitDone(t, s, doc.ID)
-	if doc.Status != StatusDone {
-		t.Fatalf("job = %+v", doc)
-	}
-	body, status := getBody(t, ts.URL+"/v1/jobs/"+doc.ID+"/trace")
-	if status != http.StatusNotFound {
-		t.Fatalf("trace status with traces disabled = %d, want 404: %s", status, body)
-	}
-	if !strings.Contains(string(body), "-job-trace") {
-		t.Errorf("404 body does not name the enabling flag: %s", body)
-	}
-}

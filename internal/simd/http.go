@@ -243,8 +243,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics serves the Prometheus text exposition: the server's own
 // registry (service traffic, queue occupancy, result-cache counters)
-// merged with the process-wide registry (per-engine runs and wall-clock
-// histograms, batch occupancy). Every family carries a
+// merged with the process-wide registry (per-engine wall-clock
+// histograms, pipelined runs, engine panics). Every family carries a
 // correct `# TYPE` line — the registry knows each metric's kind, unlike
 // the hand-rolled exporter this replaced.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -255,9 +255,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // handleTrace serves the job's recorded lifecycle spans (queue wait,
 // engine runs, cache store, tier upgrade — and, in coordinator mode,
 // dispatch attempts with each worker's remote spans spliced onto named
-// rows) as JSON. On nodes that disabled job traces the endpoint is a
-// 404 that says how to turn them back on, not an empty 200 a caller
-// could mistake for "this job did nothing".
+// rows) as JSON.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.Job(r.PathValue("id"))
 	if !ok {
@@ -265,11 +263,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tr := job.Tracer()
-	if tr == nil {
-		writeError(w, http.StatusNotFound,
-			fmt.Errorf("simd: job traces are disabled on this node (restart with -job-trace to enable)"))
-		return
-	}
 	spans := tr.Spans()
 	if spans == nil {
 		spans = []obs.SpanRec{}

@@ -91,20 +91,16 @@ type Job struct {
 	upgradePending bool
 }
 
-func newJob(id, fingerprint string, spec simrun.Spec, sc *simrun.Scenario, traced bool) *Job {
+func newJob(id, fingerprint string, spec simrun.Spec, sc *simrun.Scenario) *Job {
 	j := &Job{
 		id:          id,
 		fingerprint: fingerprint,
 		spec:        spec,
 		scenario:    sc,
+		tracer:      obs.NewTracer(0),
 		status:      StatusQueued,
 		done:        make(chan struct{}),
 	}
-	if traced {
-		j.tracer = obs.NewTracer(0)
-	}
-	// A nil tracer no-ops every span below (the obs contract), so the
-	// untraced path costs nothing and needs no branches.
 	j.qspan = j.tracer.Start("queue")
 	// The observer rides the scenario (and every ForEngine copy), so the
 	// dispatcher's engine spans and the driver's heartbeats land on this
@@ -116,8 +112,7 @@ func newJob(id, fingerprint string, spec simrun.Spec, sc *simrun.Scenario, trace
 	return j
 }
 
-// Tracer is the job's span ring (the /v1/jobs/{id}/trace payload); nil
-// when the node disabled job traces.
+// Tracer is the job's span ring (the /v1/jobs/{id}/trace payload).
 func (j *Job) Tracer() *obs.Tracer { return j.tracer }
 
 // pickup ends the queue-wait span; called when a worker takes the job.

@@ -66,12 +66,6 @@ type Config struct {
 	// service handler. Off by default: profiling endpoints expose host
 	// internals and cost nothing when unmounted.
 	Pprof bool
-	// DisableJobTraces turns off the per-job span tracer (the
-	// GET /v1/jobs/{id}/trace payload). Tracing is on by default — the
-	// ring is bounded and costs microseconds per job — but a node run
-	// purely as cache frontend can shed even that; the trace endpoint
-	// then answers 404 with a hint naming the -job-trace flag.
-	DisableJobTraces bool
 	// Fleet, when set, routes every job through the coordinator instead
 	// of the local cache: dispatch to HTTP-registered workers with
 	// leases, retries and reassignment, degrading to a local run when
@@ -91,7 +85,6 @@ type Server struct {
 	maxJobs int
 	tiered  bool
 	pprof   bool
-	noTrace bool
 	fleet   *fleet.Coordinator
 	reg     *obs.Registry
 
@@ -148,7 +141,6 @@ func New(cfg Config) (*Server, error) {
 		maxJobs:   maxJobs,
 		tiered:    cfg.TieredServing && cfg.Fleet == nil,
 		pprof:     cfg.Pprof,
-		noTrace:   cfg.DisableJobTraces,
 		fleet:     cfg.Fleet,
 		reg:       obs.NewRegistry(),
 		runCtx:    ctx,
@@ -328,7 +320,7 @@ func (s *Server) SubmitSpec(spec simrun.Spec) (*Job, bool, error) {
 		}
 		id = fmt.Sprintf("j-%s.%d", fp[:16], attempt)
 	}
-	job := newJob(id, fp, spec, sc, !s.noTrace)
+	job := newJob(id, fp, spec, sc)
 	select {
 	case s.queue <- job:
 	default:

@@ -389,7 +389,7 @@ func TestDrainFinishesInFlight(t *testing.T) {
 // Subscribe send racing a terminal setStatus.
 func TestSubscribeDuringCompletion(t *testing.T) {
 	for i := 0; i < 500; i++ {
-		job := newJob("j-test", "fp", simrun.Spec{}, nil, true)
+		job := newJob("j-test", "fp", simrun.Spec{}, nil)
 		done := make(chan struct{})
 		go func() {
 			job.setStatus(StatusRunning, "", "", nil, "")

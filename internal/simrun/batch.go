@@ -4,13 +4,12 @@ import (
 	"context"
 	"runtime"
 	"sync"
-	"time"
 )
 
 // BatchResult pairs one scenario with its outcome. Err is non-nil when the
-// run failed, was cancelled (context.Canceled), or hit the per-scenario
-// timeout (context.DeadlineExceeded); Result then holds whatever partial
-// progress was made.
+// run failed or the batch context ended (context.Canceled or
+// context.DeadlineExceeded); Result then holds whatever partial progress
+// was made.
 type BatchResult struct {
 	Scenario *Scenario
 	Result   Result
@@ -24,12 +23,6 @@ type BatchOpts struct {
 	// deterministic and independent of Workers — only wall-clock
 	// measurements (Result.Wall, MIPS) vary under host contention.
 	Workers int
-	// Timeout bounds each scenario's host run time (0 = none).
-	Timeout time.Duration
-	// Progress, when non-nil, is called after each scenario completes
-	// with the completion count; calls are serialized but arrive in
-	// completion order, not input order.
-	Progress func(done, total int, r BatchResult)
 }
 
 // Each calls do(i) for every i in [0, n) on at most workers goroutines
@@ -60,42 +53,25 @@ func Each(n, workers int, do func(i int)) {
 }
 
 // Batch runs the scenarios across a worker pool and returns one result per
-// scenario, in input order. Cancelling ctx interrupts in-flight runs and
-// marks every unfinished scenario with ctx's error.
+// scenario, in input order. Cancelling ctx (or its deadline passing)
+// interrupts in-flight runs and marks every unfinished scenario with ctx's
+// error.
 func Batch(ctx context.Context, scenarios []*Scenario, opts BatchOpts) []BatchResult {
 	results := make([]BatchResult, len(scenarios))
-	// Queue-occupancy gauges: pending drops as workers pick scenarios
-	// up, running tracks in-flight simulations. Both return to zero
-	// when the batch ends.
-	obsMetrics()
-	mBatchPending.Add(int64(len(scenarios)))
-	var (
-		mu   sync.Mutex
-		done int
-	)
 	Each(len(scenarios), opts.Workers, func(idx int) {
-		mBatchPending.Add(-1)
-		mBatchRunning.Add(1)
-		results[idx] = runOne(ctx, scenarios[idx], opts.Timeout)
-		mBatchRunning.Add(-1)
-		if opts.Progress != nil {
-			mu.Lock()
-			done++
-			opts.Progress(done, len(scenarios), results[idx])
-			mu.Unlock()
-		}
+		results[idx] = runOne(ctx, scenarios[idx])
 	})
 	return results
 }
 
-// runOne executes one scenario under the batch context and optional
-// per-scenario timeout. Once the batch context is cancelled, in-flight
-// runs are interrupted at the driver's next poll and every remaining
-// scenario returns the cancellation error without simulating. A panic
-// anywhere under the run is isolated to this one result (engines have
-// their own boundary in Run; this one also covers the batch plumbing),
-// so one poisoned scenario cannot sink the rest of the batch.
-func runOne(ctx context.Context, s *Scenario, timeout time.Duration) (br BatchResult) {
+// runOne executes one scenario under the batch context. Once the batch
+// context is done, in-flight runs are interrupted at the driver's next
+// poll and every remaining scenario returns the context's error without
+// simulating. A panic anywhere under the run is isolated to this one
+// result (engines have their own boundary in Run; this one also covers
+// the batch plumbing), so one poisoned scenario cannot sink the rest of
+// the batch.
+func runOne(ctx context.Context, s *Scenario) (br BatchResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			obsMetrics()
@@ -105,11 +81,6 @@ func runOne(ctx context.Context, s *Scenario, timeout time.Duration) (br BatchRe
 	}()
 	if err := ctx.Err(); err != nil {
 		return BatchResult{Scenario: s, Err: err}
-	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
 	}
 	res, err := s.Run(ctx)
 	return BatchResult{Scenario: s, Result: res, Err: err}

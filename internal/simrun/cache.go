@@ -354,8 +354,6 @@ func (c *Cache) store(key string, res Result, payload []byte, tier Tier) bool {
 		}
 		slot.tier, slot.result, slot.payload = tier, res, payload
 		c.upgrades.Add(1)
-		obsMetrics()
-		mCacheUpgrades.Inc()
 		return true
 	}
 	el := c.lru.PushFront(&cacheSlot{key: key, tier: tier, result: res, payload: payload})

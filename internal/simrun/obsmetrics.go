@@ -13,9 +13,6 @@ import (
 // to a simulation).
 var (
 	obsOnce           sync.Once
-	mBatchPending     *obs.Gauge
-	mBatchRunning     *obs.Gauge
-	mCacheUpgrades    *obs.Counter
 	mCacheQuarantined *obs.Counter
 	mEnginePanics     *obs.Counter
 	mPipelined        *obs.Counter
@@ -24,12 +21,6 @@ var (
 func obsMetrics() {
 	obsOnce.Do(func() {
 		r := obs.Default()
-		mBatchPending = r.Gauge("simrun_batch_pending",
-			"Batch scenarios waiting for a worker.")
-		mBatchRunning = r.Gauge("simrun_batch_running",
-			"Batch scenarios currently simulating.")
-		mCacheUpgrades = r.Counter("simrun_cache_tier_upgrades_total",
-			"Result-cache entries upgraded in place to a higher fidelity tier.")
 		mCacheQuarantined = r.Counter("simrun_cache_quarantined_total",
 			"Persisted cache entries that failed the integrity check and were renamed aside.")
 		mEnginePanics = r.Counter("simrun_engine_panics_total",
@@ -39,15 +30,10 @@ func obsMetrics() {
 	})
 }
 
-// engineMetrics resolves the dispatch counter and wall-clock histogram
-// for one registered engine.
-func engineMetrics(engine string) (*obs.Counter, *obs.Histogram) {
+// engineWall resolves the wall-clock histogram for one registered engine;
+// its _count is the number of runs the engine answered.
+func engineWall(engine string) *obs.Histogram {
 	obsMetrics()
-	r := obs.Default()
-	lbl := obs.Label{Key: "engine", Value: engine}
-	runs := r.Counter("simrun_engine_runs_total",
-		"Scenario runs dispatched, by answering engine.", lbl)
-	wall := r.Histogram("simrun_engine_wall_seconds",
-		"Host wall-clock seconds per engine run.", nil, lbl)
-	return runs, wall
+	return obs.Default().Histogram("simrun_engine_wall_seconds",
+		"Host wall-clock seconds per engine run.", nil, obs.Label{Key: "engine", Value: engine})
 }

@@ -395,7 +395,9 @@ func TestWarmupHonoursCancellation(t *testing.T) {
 
 	const minutes = 2_000_000_000
 	s, twins = scenario(minutes)
-	br := Batch(context.Background(), []*Scenario{s}, BatchOpts{Workers: 1, Timeout: 20 * time.Millisecond})[0]
+	tctx, tcancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer tcancel()
+	br := Batch(tctx, []*Scenario{s}, BatchOpts{Workers: 1})[0]
 	if !errors.Is(br.Err, context.DeadlineExceeded) || !br.Result.Interrupted {
 		t.Errorf("timed-out run: err %v, interrupted %v", br.Err, br.Result.Interrupted)
 	}

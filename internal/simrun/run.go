@@ -106,25 +106,25 @@ func (s *Scenario) buildStreams() (streams, warm []trace.Stream) {
 // interrupts the simulation at the next driver poll and returns ctx's
 // error alongside the partial result.
 //
-// Every dispatch is observable: the run is counted and its wall clock
-// recorded per engine in obs.Default(), and when the scenario carries
-// an observer, the whole engine run is bracketed in an "engine:<name>"
-// span. Both are per-run costs, never per-cycle. The run also counts as
-// one busy host thread while it lasts (hostThreads), which is what decides
-// whether a full run starting meanwhile may use a second one.
+// Every dispatch is observable: the run's wall clock is recorded per
+// engine in obs.Default(), whose count is the run count, and when the
+// scenario carries an observer, the whole engine run is bracketed in an
+// "engine:<name>" span. Both are per-run costs, never per-cycle. The run
+// also counts as one busy host thread while it lasts (hostThreads), which
+// is what decides whether a full run starting meanwhile may use a second
+// one.
 func (s *Scenario) Run(ctx context.Context) (Result, error) {
 	eng, err := LookupEngine(s.EngineName())
 	if err != nil {
 		return Result{Scenario: s}, err
 	}
-	runs, wall := engineMetrics(eng.Name)
+	wall := engineWall(eng.Name)
 	sp := s.tracer().Start("engine:" + eng.Name)
 	t0 := time.Now()
 	hostThreads.Add(1)
 	defer hostThreads.Add(-1)
 	res, err := runIsolated(ctx, eng, s)
 	wall.Observe(time.Since(t0).Seconds())
-	runs.Inc()
 	if eng.Name == DefaultEngine {
 		if h := res.host; h.pipelined {
 			sp.Arg("pipelined", 1).Arg("gen_ms", h.gen.Milliseconds()).Arg("gen_wait_ms", h.genWait.Milliseconds())

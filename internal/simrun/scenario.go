@@ -18,8 +18,7 @@
 // machine-config knob application, and validates every field eagerly so
 // command-line front ends can reject bad flags with one error check.
 // Batch executes a slice of scenarios across a host worker pool with
-// context cancellation, per-scenario timeouts and deterministic result
-// ordering.
+// context cancellation and deadlines and deterministic result ordering.
 package simrun
 
 import (

@@ -308,9 +308,9 @@ func NewSlot(p *Profile, thread, threads int, seed int64, slot int) *Generator {
 	return newSlotSalted(p, thread, threads, seed, slot, programSalt(p))
 }
 
-// newSlotSalted is NewSlot with an explicit static-program salt —
-// the constructor the calibration probe uses to evaluate candidate
-// program realizations without recursing through programSalt.
+// newSlotSalted is NewSlot with an explicit static-program salt — the
+// constructor NewCandidate shares, so the offline calibration tool can
+// build candidate program realizations.
 func newSlotSalted(p *Profile, thread, threads int, seed int64, slot int, salt uint64) *Generator {
 	if slot < 0 || slot >= MaxSlots {
 		panic(fmt.Sprintf("workload: slot %d out of range [0,%d) — slots beyond the range would alias address spaces", slot, MaxSlots))

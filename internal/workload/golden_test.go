@@ -58,3 +58,22 @@ func TestStreamGoldensV3(t *testing.T) {
 		}
 	}
 }
+
+// TestEveryShippedProfileHasPinnedSalt: the pinned table is the only salt
+// source, so every SPEC and PARSEC profile needs an entry (a missing one
+// would silently roll with salt 0 and change that profile's v3 stream),
+// and every entry must name a shipped profile.
+func TestEveryShippedProfileHasPinnedSalt(t *testing.T) {
+	shipped := map[string]bool{}
+	for _, p := range append(SPEC(), PARSEC()...) {
+		shipped[p.Name] = true
+		if _, ok := pinnedSalts[p.Name]; !ok {
+			t.Errorf("shipped profile %q has no pinnedSalts entry", p.Name)
+		}
+	}
+	for name := range pinnedSalts {
+		if !shipped[name] {
+			t.Errorf("pinnedSalts entry %q names no shipped profile", name)
+		}
+	}
+}

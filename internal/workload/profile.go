@@ -1,7 +1,8 @@
 // Package workload is the functional simulator of this reproduction: a
 // deterministic synthetic-benchmark generator that stands in for the M5
 // functional simulator running Alpha binaries of SPEC CPU2000 and PARSEC
-// (which are unavailable here; see DESIGN.md §2).
+// (which are unavailable here; see docs/architecture.md, "Functional layer:
+// workload → trace").
 //
 // Each benchmark is a Profile: a statistical description of the program's
 // instruction mix, control-flow structure (synthetic CFG with loop, biased

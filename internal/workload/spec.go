@@ -2,8 +2,8 @@ package workload
 
 // SPEC CPU2000-like single-threaded profiles. Parameters are chosen
 // qualitatively from the benchmarks' published characterizations (memory
-// footprints, branch behaviour, ILP); see DESIGN.md §2 for the substitution
-// argument. What matters for the reproduction is that the suite spans the
+// footprints, branch behaviour, ILP); see docs/architecture.md, "Functional
+// layer: workload → trace", for the substitution argument. What matters for the reproduction is that the suite spans the
 // behaviour space the paper's figures span: compute-bound high-IPC codes,
 // branch-limited codes, L2-resident codes and DRAM-bound codes.
 //

@@ -4,8 +4,9 @@
 // builds core models and advances simulated time (internal/multicore, with
 // internal/simrun's model registry as its factory). The test walks every
 // non-test source outside benchmark/ and names what breaks either rule.
-// Further walks keep runnable programs under cmd/ and keep each node's
-// /metrics its only metrics surface.
+// Further walks keep runnable programs under cmd/, keep each node's
+// /metrics its only metrics surface, and keep deleted serving knobs and
+// metric families deleted.
 package main
 
 import (
@@ -158,6 +159,36 @@ func nonTestSources(t *testing.T, fset *token.FileSet) []sourceFile {
 	return out
 }
 
+// offenders walks every non-test source outside benchmark/ and returns the
+// position of each node for which check reports a name, with that name.
+func offenders(t *testing.T, check func(ast.Node) string) []string {
+	t.Helper()
+	var bad []string
+	fset := token.NewFileSet()
+	for _, src := range nonTestSources(t, fset) {
+		ast.Inspect(src.f, func(n ast.Node) bool {
+			if n != nil {
+				if name := check(n); name != "" {
+					bad = append(bad, fmt.Sprintf("%s: %s", fset.Position(n.Pos()), name))
+				}
+			}
+			return true
+		})
+	}
+	return bad
+}
+
+// stringLit returns the value of a string literal node, and whether n is
+// one.
+func stringLit(n ast.Node) (string, bool) {
+	lit, ok := n.(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return "", false
+	}
+	v, err := strconv.Unquote(lit.Value)
+	return v, err == nil
+}
+
 // TestOneMetricsSurfacePerNode: every simd node and fleet worker serves its
 // own GET /metrics, and nothing scrapes, merges or re-serves them — no
 // coordinator scrape loop, no merged /fleet/v1/metrics view, no
@@ -168,26 +199,69 @@ func TestOneMetricsSurfacePerNode(t *testing.T) {
 		"WriteFederated": true, "Scrape": true, "InstanceLabel": true, "ScrapeMetrics": true,
 		"ScrapeLoop": true, "ScrapeEvery": true, "PathMetrics": true,
 	}
-	var bad []string
-	fset := token.NewFileSet()
-	for _, src := range nonTestSources(t, fset) {
-		ast.Inspect(src.f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.Ident:
-				if names[n.Name] {
-					bad = append(bad, fmt.Sprintf("%s: %s", fset.Position(n.Pos()), n.Name))
-				}
-			case *ast.BasicLit:
-				if v, _ := strconv.Unquote(n.Value); n.Kind == token.STRING &&
-					(strings.Contains(v, "/fleet/v1/metrics") || strings.Contains(v, "scrape-every")) {
-					bad = append(bad, fmt.Sprintf("%s: %s", fset.Position(n.Pos()), n.Value))
-				}
-			}
-			return true
-		})
-	}
+	bad := offenders(t, func(n ast.Node) string {
+		if id, ok := n.(*ast.Ident); ok && names[id.Name] {
+			return id.Name
+		}
+		if v, ok := stringLit(n); ok && (strings.Contains(v, "/fleet/v1/metrics") || strings.Contains(v, "scrape-every")) {
+			return strconv.Quote(v)
+		}
+		return ""
+	})
 	if len(bad) > 0 {
 		t.Fatalf("the coordinator's metrics federation is growing back (each node's /metrics is its own surface):\n  %s", strings.Join(bad, "\n  "))
+	}
+}
+
+// TestServingSurfaceStaysDeleted: the serving stack keeps only what a
+// deployment sets and an operator reads. The knobs no product caller set
+// (the fleet's attempt budget, job deadline and heartbeat override, simd's
+// job-trace switch, Batch's per-scenario timeout and progress callback),
+// the context-carried tracer API nothing called, and the metric families
+// that duplicated another family or could only read 0 on a served
+// endpoint must not come back to the non-test sources outside benchmark/.
+func TestServingSurfaceStaysDeleted(t *testing.T) {
+	names := map[string]bool{
+		"MaxAttempts": true, "JobDeadline": true, "HeartbeatEvery": true, "DisableJobTraces": true,
+		"ContextWith": true, "StartSpan": true, "FromContext": true,
+	}
+	families := []string{
+		"simrun_engine_runs_total", "simrun_cache_tier_upgrades_total", "fleet_dispatches_total",
+		"simrun_batch_pending", "simrun_batch_running",
+	}
+	bad := offenders(t, func(n ast.Node) string {
+		switch n := n.(type) {
+		case *ast.Ident:
+			if names[n.Name] {
+				return n.Name
+			}
+		case *ast.TypeSpec:
+			if st, ok := n.Type.(*ast.StructType); ok && n.Name.Name == "BatchOpts" {
+				for _, f := range st.Fields.List {
+					for _, id := range f.Names {
+						if id.Name == "Timeout" || id.Name == "Progress" {
+							return "BatchOpts." + id.Name
+						}
+					}
+				}
+			}
+		}
+		v, ok := stringLit(n)
+		if !ok {
+			return ""
+		}
+		if v == "heartbeat" || strings.Contains(v, "job-trace") {
+			return strconv.Quote(v)
+		}
+		for _, fam := range families {
+			if strings.Contains(v, fam) {
+				return strconv.Quote(v)
+			}
+		}
+		return ""
+	})
+	if len(bad) > 0 {
+		t.Fatalf("a deleted serving knob, tracer helper or metric family is back:\n  %s", strings.Join(bad, "\n  "))
 	}
 }
 
