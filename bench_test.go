@@ -132,7 +132,7 @@ func BenchmarkIntervalSteadyState(b *testing.B) {
 	p := workload.SPECByName("gcc")
 	mem := memhier.New(1, m.Mem, memhier.Perfect{})
 	bp := branch.NewUnit(m.Branch)
-	c := core.New(0, m.Core, bp, mem, workload.New(p, 0, 1, 42), sim.NullSyncer{})
+	c := core.New(0, m.Core, core.Options{}, bp, mem, workload.New(p, 0, 1, 42), sim.NullSyncer{})
 	var now int64
 	for c.Retired() < 10_000 {
 		c.Step(now)
@@ -175,7 +175,7 @@ func BenchmarkIntervalDispatch(b *testing.B) {
 	mem := memhier.New(1, m.Mem, memhier.Perfect{ISide: true, DSide: true})
 	bp := branch.NewUnit(m.Branch)
 	gen := workload.New(p, 0, 1, 42)
-	c := core.New(0, m.Core, bp, mem, gen, sim.NullSyncer{})
+	c := core.New(0, m.Core, core.Options{}, bp, mem, gen, sim.NullSyncer{})
 	b.ResetTimer()
 	var now int64
 	start := c.Retired()
@@ -258,7 +258,7 @@ func BenchmarkOverlapScan(b *testing.B) {
 	for _, name := range []string{"mcf", "art"} {
 		b.Run(name, func(b *testing.B) {
 			benchWarmedReplay(b, name, func(m config.Machine, bp *branch.Unit, mem *memhier.Hierarchy, src trace.Stream) {
-				c := core.New(0, m.Core, bp, mem, src, sim.NullSyncer{})
+				c := core.New(0, m.Core, core.Options{}, bp, mem, src, sim.NullSyncer{})
 				for now := int64(0); !c.Done(); now = c.NextActive(now + 1) {
 					c.Step(now)
 				}

@@ -22,6 +22,7 @@ import (
 	"syscall"
 
 	"repro/internal/core"
+	"repro/internal/multicore"
 	"repro/internal/obs"
 	"repro/internal/prof"
 	"repro/internal/report"
@@ -58,7 +59,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fl.SetOutput(stderr)
 	var (
 		bench  = fl.String("bench", "", "benchmark profile name")
-		model  = fl.String("model", "interval", "core model: "+strings.Join(simrun.Models(), ", "))
+		model  = fl.String("model", "interval", "core model: "+strings.Join(multicore.Models(), ", "))
 		cores  = fl.Int("cores", 1, "cores (threads for PARSEC profiles)")
 		copies = fl.Int("copies", 0, "run N copies of a SPEC profile (multi-program)")
 		insts  = fl.Int("insts", 100_000, "per-thread instruction budget for SPEC profiles")
@@ -184,7 +185,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return exit
 	}
 
-	fmt.Fprintf(stdout, "benchmark=%s model=%s cores=%d\n", *bench, res.ModelLabel(), s.Threads())
+	fmt.Fprintf(stdout, "benchmark=%s model=%s cores=%d\n", *bench, res.Model, s.Threads())
 	fmt.Fprintf(stdout, "cycles=%d total-instructions=%d wall=%v (%.2f MIPS)\n",
 		res.Cycles, res.TotalRetired, res.Wall, res.MIPS())
 	for i, c := range res.Cores {

@@ -32,7 +32,7 @@ func TestDiagnoseRate(t *testing.T) {
 	}
 	mem.ResetStats()
 	gen := workload.New(p, 0, 1, 42)
-	c := New(0, m.Core, bp, mem, trace.NewLimit(gen, 50_000), sim.NullSyncer{})
+	c := New(0, m.Core, Options{}, bp, mem, trace.NewLimit(gen, 50_000), sim.NullSyncer{})
 	var now int64
 	var rateSum float64
 	var samples int64

@@ -107,14 +107,9 @@ type Core struct {
 	WrongPathLines  uint64 // wrong-path I-lines fetched (WrongPathFetch option)
 }
 
-// New creates an interval core over the shared miss-event simulators.
-func New(id int, cfg config.Core, bp *branch.Unit, mem *memhier.Hierarchy, src trace.Stream, syncer sim.Syncer) *Core {
-	return NewWithOptions(id, cfg, Options{}, bp, mem, src, syncer)
-}
-
-// NewWithOptions creates an interval core with ablation options (the zero
-// Options value is the full model).
-func NewWithOptions(id int, cfg config.Core, opts Options, bp *branch.Unit, mem *memhier.Hierarchy, src trace.Stream, syncer sim.Syncer) *Core {
+// New creates an interval core over the shared miss-event simulators, with
+// the ablation options opts (the zero Options value is the full model).
+func New(id int, cfg config.Core, opts Options, bp *branch.Unit, mem *memhier.Hierarchy, src trace.Stream, syncer sim.Syncer) *Core {
 	if syncer == nil {
 		syncer = sim.NullSyncer{}
 	}

@@ -20,7 +20,7 @@ func build(insts []isa.Inst, perfect memhier.Perfect, predictor string) (*Core, 
 	}
 	mem := memhier.New(1, m.Mem, perfect)
 	bp := branch.NewUnit(m.Branch)
-	c := New(0, m.Core, bp, mem, trace.NewSliceStream(insts), sim.NullSyncer{})
+	c := New(0, m.Core, Options{}, bp, mem, trace.NewSliceStream(insts), sim.NullSyncer{})
 	return c, mem
 }
 
@@ -195,7 +195,7 @@ func TestSyncStallsUntilAllowed(t *testing.T) {
 	mem := memhier.New(1, m.Mem, memhier.Perfect{ISide: true, DSide: true})
 	bp := branch.NewUnit(m.Branch)
 	gate := &gateSyncer{openAt: 500}
-	c := New(0, m.Core, bp, mem, trace.NewSliceStream(insts), gate)
+	c := New(0, m.Core, Options{}, bp, mem, trace.NewSliceStream(insts), gate)
 	runCore(c)
 	if c.LocalTime() < 500 {
 		t.Fatalf("core finished at %d, before the barrier opened at 500", c.LocalTime())
@@ -255,7 +255,7 @@ func buildMachine() config.Machine {
 func buildWith(m config.Machine, insts []isa.Inst, syncer sim.Syncer) *Core {
 	mem := memhier.New(1, m.Mem, memhier.Perfect{ISide: true, DSide: true})
 	bp := branch.NewUnit(m.Branch)
-	return New(0, m.Core, bp, mem, trace.NewSliceStream(insts), syncer)
+	return New(0, m.Core, Options{}, bp, mem, trace.NewSliceStream(insts), syncer)
 }
 
 // TestIntervalStepAllocsNothing pins the allocation-free steady state: once
@@ -269,7 +269,7 @@ func TestIntervalStepAllocsNothing(t *testing.T) {
 		m := config.Default(1)
 		mem := memhier.New(1, m.Mem, memhier.Perfect{})
 		bp := branch.NewUnit(m.Branch)
-		c := New(0, m.Core, bp, mem, workload.New(workload.SPECByName(name), 0, 1, 42), sim.NullSyncer{})
+		c := New(0, m.Core, Options{}, bp, mem, workload.New(workload.SPECByName(name), 0, 1, 42), sim.NullSyncer{})
 		var now int64
 		for c.Retired() < 20_000 { // past the cold start
 			c.Step(now)

@@ -22,7 +22,7 @@ func buildOpts(insts []isa.Inst, perfect memhier.Perfect, predictor string, opts
 	}
 	mem := memhier.New(1, m.Mem, perfect)
 	bp := branch.NewUnit(m.Branch)
-	return NewWithOptions(0, m.Core, opts, bp, mem, trace.NewSliceStream(insts), sim.NullSyncer{})
+	return New(0, m.Core, opts, bp, mem, trace.NewSliceStream(insts), sim.NullSyncer{})
 }
 
 func TestOptionsName(t *testing.T) {
@@ -60,7 +60,7 @@ func TestWrongPathFetchTouchesICache(t *testing.T) {
 		m.Branch.Kind = "bimodal"
 		mem := memhier.New(1, m.Mem, memhier.Perfect{DSide: true})
 		bp := branch.NewUnit(m.Branch)
-		c := NewWithOptions(0, m.Core, opts, bp, mem, trace.NewSliceStream(insts), sim.NullSyncer{})
+		c := New(0, m.Core, opts, bp, mem, trace.NewSliceStream(insts), sim.NullSyncer{})
 		runToEnd(c)
 		return c, mem.Stats().InstAccesses
 	}

@@ -206,7 +206,7 @@ func newScanSide(sc scanCase, ref bool) scanSide {
 		mem: memhier.New(1, sc.machine.Mem, memhier.Perfect{}),
 		bp:  branch.NewUnit(sc.machine.Branch),
 	}
-	s.core = NewWithOptions(0, sc.machine.Core, sc.opts, s.bp, s.mem,
+	s.core = New(0, sc.machine.Core, sc.opts, s.bp, s.mem,
 		trace.NewSliceStream(sc.stream), &stallSyncer{first: map[uint64]int64{}})
 	if ref {
 		s.core.refScan = refScanOverlap

@@ -34,7 +34,7 @@ func TestDiagnoseX264(t *testing.T) {
 	}
 	mem.ResetStats()
 	bp.ResetStats()
-	c := New(0, m.Core, bp, mem, workload.New(&q, 0, 1, 42), sim.NullSyncer{})
+	c := New(0, m.Core, Options{}, bp, mem, workload.New(&q, 0, 1, 42), sim.NullSyncer{})
 	var now int64
 	for !c.Done() {
 		c.Step(now)

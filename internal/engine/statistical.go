@@ -118,7 +118,6 @@ func statisticalRun(ctx context.Context, s *simrun.Scenario) (simrun.Result, err
 	cycles := int64(float64(budget)/ipc + 0.5)
 	return simrun.Result{Result: multicore.Result{
 		Model:        res.Model,
-		ModelName:    res.ModelName,
 		Cycles:       cycles,
 		Cores:        []multicore.CoreResult{{Retired: uint64(budget), Finish: cycles, IPC: ipc}},
 		TotalRetired: uint64(budget),

@@ -146,7 +146,6 @@ type Hierarchy struct {
 	l2      *cache.Cache
 	coh     coherence.Engine
 	fab     Fabric
-	busOnly *noc.Bus // non-nil when the fabric is the bus
 	dram    memory.MainMemory
 
 	// What the access paths read of cfg, converted once.
@@ -181,7 +180,7 @@ func newProtocol(n int, cfg config.Memory) (coherence.Engine, int64) {
 }
 
 // newFabric selects the on-chip interconnect by name.
-func newFabric(n int, cfg config.Memory) (Fabric, *noc.Bus) {
+func newFabric(n int, cfg config.Memory) Fabric {
 	hop := cfg.NoCHopLatency
 	if hop <= 0 {
 		hop = 1
@@ -192,12 +191,11 @@ func newFabric(n int, cfg config.Memory) (Fabric, *noc.Bus) {
 	}
 	switch cfg.Interconnect {
 	case "mesh":
-		return noc.NewMesh(n, hop, occ), nil
+		return noc.NewMesh(n, hop, occ)
 	case "ring":
-		return noc.NewRing(n, hop, occ), nil
+		return noc.NewRing(n, hop, occ)
 	default:
-		b := noc.NewBus(cfg.L2BusLatency, 1)
-		return b, b
+		return noc.NewBus(cfg.L2BusLatency, 1)
 	}
 }
 
@@ -228,15 +226,13 @@ func newMainMemory(cfg config.Memory) memory.MainMemory {
 // New builds the hierarchy for n cores under the given configuration.
 func New(n int, cfg config.Memory, perfect Perfect) *Hierarchy {
 	coh, dirLat := newProtocol(n, cfg)
-	fab, busOnly := newFabric(n, cfg)
 	h := &Hierarchy{
 		cfg:     cfg,
 		perfect: perfect,
 		multi:   n > 1,
 		cores:   make([]coreCaches, n),
 		coh:     coh,
-		fab:     fab,
-		busOnly: busOnly,
+		fab:     newFabric(n, cfg),
 		dram:    newMainMemory(cfg),
 		stats:   make([]AccessStats, n),
 
@@ -290,10 +286,6 @@ func (h *Hierarchy) DRAM() memory.MainMemory { return h.dram }
 // Coherence exposes the protocol engine (for statistics and invariant
 // checks).
 func (h *Hierarchy) Coherence() coherence.Engine { return h.coh }
-
-// Bus exposes the L1-to-L2 interconnect when the fabric is the baseline
-// split-transaction bus, or nil for mesh/ring fabrics.
-func (h *Hierarchy) Bus() *noc.Bus { return h.busOnly }
 
 // Fabric exposes the on-chip interconnect (for statistics).
 func (h *Hierarchy) Fabric() Fabric { return h.fab }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/noc"
 )
 
 // memCfg returns the Table 1 memory configuration for tweaking.
@@ -13,7 +14,7 @@ func TestMeshFabricSelected(t *testing.T) {
 	cfg := memCfg()
 	cfg.Interconnect = "mesh"
 	h := New(4, cfg, Perfect{})
-	if h.Bus() != nil {
+	if _, ok := h.Fabric().(*noc.Bus); ok {
 		t.Fatal("mesh hierarchy still exposes the bus")
 	}
 	// Miss both L1 and L2: the fabric must see a transaction.

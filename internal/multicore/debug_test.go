@@ -125,7 +125,7 @@ func TestDiagnoseMcf(t *testing.T) {
 	mem.ResetStats()
 	bp.ResetStats()
 	gen := workload.New(p, 0, 1, 42)
-	c := core.New(0, m.Core, bp, mem, trace.NewLimit(gen, 50_000), sim.NullSyncer{})
+	c := core.New(0, m.Core, core.Options{}, bp, mem, trace.NewLimit(gen, 50_000), sim.NullSyncer{})
 	var now int64
 	for !c.Done() {
 		c.Step(now)
@@ -240,7 +240,7 @@ func TestDiagnoseMultiprog(t *testing.T) {
 				case Detailed:
 					cores[i] = ooo.New(i, m.Core, bps[i], mem, streams[i], coord)
 				case Interval:
-					cores[i] = core.New(i, m.Core, bps[i], mem, streams[i], coord)
+					cores[i] = core.New(i, m.Core, core.Options{}, bps[i], mem, streams[i], coord)
 				}
 			}
 			var now int64

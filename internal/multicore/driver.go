@@ -9,6 +9,7 @@ package multicore
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/branch"
@@ -36,25 +37,30 @@ const (
 	OneIPC
 )
 
-// String names the model.
+// modelNames are the models' wire names, indexed by Model: what a spec's
+// "model" field carries and what results and reports are labelled with.
+var modelNames = [...]string{Detailed: "detailed", Interval: "interval", OneIPC: "oneipc"}
+
+// String returns the model's wire name.
 func (m Model) String() string {
-	switch m {
-	case Detailed:
-		return "detailed"
-	case Interval:
-		return "interval"
-	case OneIPC:
-		return "one-ipc"
-	default:
+	if m < 0 || int(m) >= len(modelNames) {
 		return fmt.Sprintf("model(%d)", int(m))
 	}
+	return modelNames[m]
 }
 
-// CoreFactory constructs the core model instance for core i. It receives
-// the per-core front-end and stream plus the shared memory hierarchy and
-// synchronization coordinator; everything else (machine config, ablation
-// switches) is expected to be captured by the closure.
-type CoreFactory func(i int, bp *branch.Unit, mem *memhier.Hierarchy, stream trace.Stream, coord sim.Syncer) sim.Core
+// Models lists the models' wire names, sorted.
+func Models() []string {
+	names := slices.Clone(modelNames[:])
+	slices.Sort(names)
+	return names
+}
+
+// ParseModel resolves a wire name to its model.
+func ParseModel(name string) (Model, bool) {
+	i := slices.Index(modelNames[:], name)
+	return Model(i), i >= 0
+}
 
 // RunConfig describes one simulation run.
 type RunConfig struct {
@@ -63,14 +69,6 @@ type RunConfig struct {
 	Machine config.Machine
 	// Model selects the core timing model.
 	Model Model
-	// NewCore, when non-nil, overrides Model: the driver builds each core
-	// through it instead of the built-in enum switch. This is the hook
-	// the simrun model registry plugs into, so new core models need no
-	// driver changes.
-	NewCore CoreFactory
-	// ModelName labels Result.ModelName (defaults to Model.String());
-	// set it alongside NewCore so reports name the registered model.
-	ModelName string
 	// Interrupt, when non-nil, aborts the run early once the channel is
 	// closed (or receives). The driver polls it periodically — once per
 	// 4096-instruction chunk of functional warmup, every 1024 iterations
@@ -109,6 +107,10 @@ type RunConfig struct {
 	// periodic points as Interrupt, so the per-cycle path stays free of
 	// observability work.
 	Heartbeat *obs.Heartbeat
+
+	// newCore, when non-nil, builds core i instead of Model: the seam
+	// that lets a driver test run scripted cores.
+	newCore func(i int) sim.Core
 }
 
 // CoreResult is the outcome for one core/thread.
@@ -123,9 +125,6 @@ type CoreResult struct {
 // Result is the outcome of one multi-core run.
 type Result struct {
 	Model Model
-	// ModelName is the display name of the core model: RunConfig.ModelName
-	// when set (registered models), Model.String() otherwise.
-	ModelName string
 	// Cycles is the machine-level execution time: the time the last
 	// thread finished.
 	Cycles int64
@@ -144,15 +143,6 @@ type Result struct {
 	// Mem is the memory hierarchy when RunConfig.KeepCores is set (for
 	// post-run statistics reporting).
 	Mem *memhier.Hierarchy
-}
-
-// ModelLabel names the core model for display: ModelName when set, the
-// enum name otherwise (so hand-built Results keep working).
-func (r Result) ModelLabel() string {
-	if r.ModelName != "" {
-		return r.ModelName
-	}
-	return r.Model.String()
 }
 
 // MIPS returns simulated instructions per host second in millions.
@@ -193,11 +183,7 @@ func Run(cfg RunConfig, streams []trace.Stream) Result {
 
 // newResult is the result of a run under cfg that has not simulated a cycle.
 func newResult(cfg RunConfig) Result {
-	label := cfg.ModelName
-	if label == "" {
-		label = cfg.Model.String()
-	}
-	return Result{Model: cfg.Model, ModelName: label, Cores: make([]CoreResult, cfg.Machine.Cores)}
+	return Result{Model: cfg.Model, Cores: make([]CoreResult, cfg.Machine.Cores)}
 }
 
 // Measure is the timed half of Run: it builds cfg's cores over the given
@@ -423,22 +409,20 @@ func Measure(cfg RunConfig, mem *memhier.Hierarchy, bps []*branch.Unit, streams 
 	return finish(now)
 }
 
-// buildCores constructs the per-core model instances for cfg: through the
-// NewCore factory hook when set, through the built-in model switch
-// otherwise.
+// buildCores constructs the per-core model instances for cfg.
 func buildCores(cfg RunConfig, bps []*branch.Unit, mem *memhier.Hierarchy, coord sim.Syncer, streams []trace.Stream) []sim.Core {
 	cores := make([]sim.Core, cfg.Machine.Cores)
 	for i := range cores {
 		bp := bps[i]
-		if cfg.NewCore != nil {
-			cores[i] = cfg.NewCore(i, bp, mem, streams[i], coord)
+		if cfg.newCore != nil {
+			cores[i] = cfg.newCore(i)
 			continue
 		}
 		switch cfg.Model {
 		case Detailed:
 			cores[i] = ooo.New(i, cfg.Machine.Core, bp, mem, streams[i], coord)
 		case Interval:
-			cores[i] = core.NewWithOptions(i, cfg.Machine.Core, cfg.Ablation, bp, mem, streams[i], coord)
+			cores[i] = core.New(i, cfg.Machine.Core, cfg.Ablation, bp, mem, streams[i], coord)
 		case OneIPC:
 			cores[i] = oneipc.New(i, mem, streams[i], coord)
 		default:

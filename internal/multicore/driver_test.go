@@ -1,6 +1,7 @@
 package multicore
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/config"
@@ -24,6 +25,28 @@ func runSingle(t *testing.T, name string, model Model, n int) Result {
 		Warmup:      []trace.Stream{warm},
 	}
 	return Run(cfg, []trace.Stream{trace.NewLimit(gen, n)})
+}
+
+// TestModelNames: a model's String is its wire name, the one a spec
+// carries, and ParseModel reads back exactly those names.
+func TestModelNames(t *testing.T) {
+	if got, want := Models(), []string{"detailed", "interval", "oneipc"}; !slices.Equal(got, want) {
+		t.Fatalf("Models() = %q, want %q", got, want)
+	}
+	for _, m := range []Model{Detailed, Interval, OneIPC} {
+		if got, ok := ParseModel(m.String()); !ok || got != m {
+			t.Errorf("ParseModel(%q) = %v, %v; want %v, true", m.String(), got, ok, m)
+		}
+	}
+	for _, name := range []string{"", "one-ipc", "Interval", "analytic", "model(3)"} {
+		if m, ok := ParseModel(name); ok {
+			t.Errorf("ParseModel(%q) accepted as %v", name, m)
+		}
+	}
+	Models()[0] = "mutated"
+	if Models()[0] != "detailed" {
+		t.Error("Models() hands out its backing array")
+	}
 }
 
 func TestSingleCoreBothModelsPlausible(t *testing.T) {

@@ -4,9 +4,7 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/branch"
 	"repro/internal/config"
-	"repro/internal/memhier"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -82,7 +80,7 @@ func runScripted(t *testing.T, n int, strict bool, plain ...int) (Result, []*scr
 	cores := make([]*scriptCore, n)
 	cfg := RunConfig{
 		Machine: config.Default(n),
-		NewCore: func(i int, _ *branch.Unit, _ *memhier.Hierarchy, _ trace.Stream, _ sim.Syncer) sim.Core {
+		newCore: func(i int) sim.Core {
 			c := &scriptCore{t: t, id: i, strict: strict, left: 40 + 25*i, log: &log}
 			if i == 1 {
 				c.left, c.done = 0, true

@@ -6,7 +6,11 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/config"
+	"repro/internal/multicore"
 	"repro/internal/simrun"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func runOnce(t *testing.T, sp simrun.Spec) []byte {
@@ -74,6 +78,23 @@ func TestJSONShape(t *testing.T) {
 	}
 	if bare.Mem != nil {
 		t.Error("plain run unexpectedly has a mem summary")
+	}
+}
+
+// A result is labelled with its model's wire name whichever way the run was
+// made: a direct driver run and a spec run under the same model encode the
+// same "model" field.
+func TestJSONModelIsWireName(t *testing.T) {
+	direct := multicore.Run(multicore.RunConfig{Machine: config.Default(1), Model: multicore.OneIPC},
+		[]trace.Stream{trace.NewLimit(workload.New(workload.SPECByName("gcc"), 0, 1, 42), 2000)})
+	raw, err := JSON(direct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, doc := range map[string][]byte{"direct run": raw, "spec run": runOnce(t, simrun.Spec{Model: "oneipc"})} {
+		if !bytes.Contains(doc, []byte(`"model":"oneipc"`)) {
+			t.Errorf("%s: no \"model\":\"oneipc\" in %s", name, doc)
+		}
 	}
 }
 

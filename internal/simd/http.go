@@ -8,6 +8,7 @@ import (
 	"net/http/pprof"
 	"sort"
 
+	"repro/internal/multicore"
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/simrun"
@@ -214,7 +215,7 @@ type CatalogBenchmarks struct {
 
 func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 	cat := Catalog{
-		Models:  simrun.Models(),
+		Models:  multicore.Models(),
 		Engines: simrun.Engines(),
 		Knobs:   simrun.Knobs(),
 	}

@@ -15,7 +15,7 @@
 //	GET  /v1/jobs/{id}       job status/result document
 //	GET  /v1/jobs/{id}/events  SSE stream of job-status transitions and progress heartbeats
 //	GET  /v1/jobs/{id}/trace   the job's recorded lifecycle spans (queue, engine runs, upgrade)
-//	GET  /v1/catalog         registered models, knob sets, benchmark profiles
+//	GET  /v1/catalog         core models, knob sets, benchmark profiles
 //	GET  /healthz            liveness (503 while draining)
 //	GET  /metrics            Prometheus text exposition (server registry merged with obs.Default)
 //

@@ -28,7 +28,7 @@ func ExampleNew() {
 		return
 	}
 	fmt.Printf("model=%s cores=%d completed=%v\n",
-		res.ModelLabel(), len(res.Cores), res.TotalRetired == 10_000)
+		res.Model, len(res.Cores), res.TotalRetired == 10_000)
 	// Output: model=interval cores=2 completed=true
 }
 
@@ -51,7 +51,7 @@ func ExampleSpec() {
 			fmt.Println(err)
 			return
 		}
-		fmt.Printf("%-9s IPC=%.3f cycles=%d\n", res.ModelLabel(), res.Cores[0].IPC, res.Cycles)
+		fmt.Printf("%-9s IPC=%.3f cycles=%d\n", res.Model, res.Cores[0].IPC, res.Cycles)
 	}
 
 	fmt.Println()

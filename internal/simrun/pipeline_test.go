@@ -12,7 +12,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/report"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -186,35 +185,11 @@ func TestProducerGate(t *testing.T) {
 	settled(t, base)
 }
 
-// tripwireModel is the interval model with a core that panics in the
-// middle of measurement.
-const tripwireModel = "test-tripwire"
-
-type tripwire struct {
-	sim.Core
-	steps int
-}
-
-func (c *tripwire) Step(now int64) {
-	if c.steps++; c.steps == 500 {
-		panic("core model bug")
-	}
-	c.Core.Step(now)
-}
-
-func (c *tripwire) NextActive(now int64) int64 { return c.Core.(sim.TimeSkipper).NextActive(now) }
-
-var registerTripwire = sync.OnceFunc(func() {
-	interval, _ := LookupModel("interval")
-	RegisterModel(tripwireModel, func(p CoreParams) sim.Core { return &tripwire{Core: interval(p)} })
-})
-
 // TestPipelinedRunLeavesNoGoroutine: however a pipelined run ends, its
 // producer has returned and its host threads are given back when Run
 // returns.
 func TestPipelinedRunLeavesNoGoroutine(t *testing.T) {
 	hostCPUs(t, 2)
-	registerTripwire()
 	var cancelMeasure context.CancelFunc
 	endings := []struct {
 		name  string
@@ -245,7 +220,11 @@ func TestPipelinedRunLeavesNoGoroutine(t *testing.T) {
 			}},
 		{"MaxCycles time-out", Spec{Insts: 2_000_000_000, Warmup: 20_000, MaxCycles: 50_000}, nil, nil,
 			func(res Result, err error) bool { return err == nil && res.TimedOut }},
-		{"engine panic", Spec{Insts: 2_000_000, Warmup: 20_000, Model: tripwireModel}, nil, nil,
+		{"engine panic", Spec{Insts: 2_000_000, Warmup: 20_000},
+			// The panic fires on the consumer side, mid-measurement,
+			// while the producer is running.
+			[]Option{Observe(&obs.Observer{ProgressEvery: time.Nanosecond, Progress: func(obs.Progress) { panic("core model bug") }})},
+			nil,
 			func(res Result, err error) bool {
 				var pe *PanicError
 				return errors.As(err, &pe) && pe.Value == "core model bug"

@@ -8,11 +8,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/branch"
-	"repro/internal/memhier"
 	"repro/internal/multicore"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -200,18 +197,14 @@ func (s *Scenario) runFull(ctx context.Context) (Result, error) {
 
 // runConfig is the driver configuration of a full run, streams aside.
 func (s *Scenario) runConfig(ctx context.Context) (multicore.RunConfig, error) {
-	factory, err := LookupModel(s.spec.Model)
-	if err != nil {
-		return multicore.RunConfig{}, err
-	}
 	machine, err := s.ResolvedMachine()
 	if err != nil {
 		return multicore.RunConfig{}, err
 	}
+	model, _ := multicore.ParseModel(s.spec.Model)
 	return multicore.RunConfig{
 		Machine:     machine,
-		Model:       legacyModel(s.spec.Model),
-		ModelName:   s.spec.Model,
+		Model:       model,
 		Perfect:     *s.spec.Perfect,
 		MaxCycles:   s.spec.MaxCycles,
 		KeepCores:   s.spec.Report,
@@ -220,17 +213,6 @@ func (s *Scenario) runConfig(ctx context.Context) (multicore.RunConfig, error) {
 		Interrupt:   ctx.Done(),
 		Trace:       s.tracer(),
 		Heartbeat:   s.heartbeat(),
-		NewCore: func(i int, bp *branch.Unit, mem *memhier.Hierarchy, stream trace.Stream, coord sim.Syncer) sim.Core {
-			return factory(CoreParams{
-				ID:       i,
-				Machine:  machine,
-				Ablation: *s.spec.Ablation,
-				Branch:   bp,
-				Mem:      mem,
-				Stream:   stream,
-				Sync:     coord,
-			})
-		},
 	}, nil
 }
 

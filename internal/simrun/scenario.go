@@ -1,6 +1,5 @@
 // Package simrun is the one way to describe and execute simulations: a
-// scenario is a Spec, plus a core-model registry, an engine registry and a
-// parallel batch runner.
+// scenario is a Spec, plus an engine registry and a parallel batch runner.
 //
 // Every driver and example describes a run the same way:
 //
@@ -31,6 +30,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/memhier"
+	"repro/internal/multicore"
 	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -112,8 +112,8 @@ func (s *Scenario) validate() error {
 		sp.Mix = nil
 	}
 
-	if _, err := LookupModel(sp.Model); err != nil {
-		return err
+	if _, ok := multicore.ParseModel(sp.Model); !ok {
+		return fmt.Errorf("simrun: unknown model %q (registered: %s)", sp.Model, strings.Join(multicore.Models(), ", "))
 	}
 	for _, c := range []struct {
 		bad    bool
@@ -259,7 +259,7 @@ func (s *Scenario) Threads() int {
 // benchmark name otherwise.
 func (s *Scenario) Name() string { return cmp.Or(s.spec.Label, s.spec.Bench) }
 
-// ModelName is the registered core-model name the scenario runs under.
+// ModelName is the core model's wire name the scenario runs under.
 func (s *Scenario) ModelName() string { return s.spec.Model }
 
 // EngineName is the registered engine the scenario runs under —

@@ -34,8 +34,8 @@ type Spec struct {
 	// Label overrides the display name (useful with Mix, where the
 	// benchmark name alone does not describe the run).
 	Label string `json:"label,omitempty"`
-	// Model selects the core timing model by registered name (see
-	// RegisterModel): "interval", "detailed" or "oneipc".
+	// Model selects the core timing model by its wire name (see
+	// multicore.Models): "interval", "detailed" or "oneipc".
 	Model string `json:"model,omitempty"`
 	// Engine pins the answering engine (see RegisterEngine): omitted runs
 	// the default, "full", which simulates the complete budget under the

@@ -1,12 +1,12 @@
 // Structure audit: the two forks PR 24 closed must not grow back. There is
 // one stream interface (trace.Stream, a batch source; trace.Buffered is the
 // one per-instruction reader and it is a concrete type) and one place that
-// builds core models and advances simulated time (internal/multicore, with
-// internal/simrun's model registry as its factory). The test walks every
+// builds core models and advances simulated time (internal/multicore,
+// selecting the model by its multicore.Model enum). The test walks every
 // non-test source outside benchmark/ and names what breaks either rule.
-// Further walks keep runnable programs under cmd/, keep each node's
-// /metrics its only metrics surface, and keep deleted serving knobs and
-// metric families deleted.
+// Further walks keep the enum the one model selector, keep runnable
+// programs under cmd/, keep each node's /metrics its only metrics surface,
+// and keep deleted serving knobs and metric families deleted.
 package main
 
 import (
@@ -25,13 +25,11 @@ func TestOneStreamInterfaceOneTimedLoop(t *testing.T) {
 	const mod = "repro/internal/"
 	// Constructors of the core models, by import path.
 	coreCtors := map[string][]string{
-		mod + "core":   {"New", "NewWithOptions"},
+		mod + "core":   {"New"},
 		mod + "ooo":    {"New"},
 		mod + "oneipc": {"New"},
 	}
-	mayBuildCores := func(dir string) bool {
-		return dir == "internal/multicore" || dir == "internal/simrun"
-	}
+	mayBuildCores := func(dir string) bool { return dir == "internal/multicore" }
 
 	var bad []string
 	fset := token.NewFileSet()
@@ -102,7 +100,7 @@ func TestOneStreamInterfaceOneTimedLoop(t *testing.T) {
 				if p, name := qualified(n.Fun); p != "" && !mayBuildCores(dir) {
 					for _, ctor := range coreCtors[p] {
 						if name == ctor {
-							report(n, "%s.%s outside internal/multicore and internal/simrun: time the region with multicore.Run or multicore.Measure", p, name)
+							report(n, "%s.%s outside internal/multicore: time the region with multicore.Run or multicore.Measure", p, name)
 						}
 					}
 				}
@@ -187,6 +185,42 @@ func stringLit(n ast.Node) (string, bool) {
 	}
 	v, err := strconv.Unquote(lit.Value)
 	return v, err == nil
+}
+
+// TestOneModelSelector: multicore.Model is the one core-model selector and
+// its String the one model name. No model registry, factory hook or second
+// constructor stands beside the enum, and no result carries a second model
+// label: the test keeps those names out of the non-test sources outside
+// benchmark/.
+func TestOneModelSelector(t *testing.T) {
+	names := map[string]bool{
+		"RegisterModel": true, "LookupModel": true, "CoreParams": true, "CoreFactory": true,
+		"NewCore": true, "NewWithOptions": true, "ModelLabel": true,
+	}
+	bad := offenders(t, func(n ast.Node) string {
+		switch n := n.(type) {
+		case *ast.Ident:
+			if names[n.Name] {
+				return n.Name
+			}
+		case *ast.SelectorExpr:
+			if x, ok := n.X.(*ast.Ident); ok && x.Name == "simrun" && n.Sel.Name == "Models" {
+				return "simrun.Models"
+			}
+		case *ast.StructType:
+			for _, f := range n.Fields.List {
+				for _, id := range f.Names {
+					if id.Name == "ModelName" {
+						return "a ModelName field"
+					}
+				}
+			}
+		}
+		return ""
+	})
+	if len(bad) > 0 {
+		t.Fatalf("a second core-model selector or label is back (multicore.Model is the one selector, Model.String the one name):\n  %s", strings.Join(bad, "\n  "))
+	}
 }
 
 // TestOneMetricsSurfacePerNode: every simd node and fleet worker serves its
