@@ -247,7 +247,7 @@ func (s scanSide) observe() scanObs {
 func (s scanSide) machineState() string {
 	l1i, l1d, l2 := s.mem.L1I(0), s.mem.L1D(0), s.mem.L2()
 	return fmt.Sprintf("dram %+v fabric tx %d stall %d l1i %d/%d l1d %d/%d wb %d l2 %d/%d",
-		s.mem.DRAM().Stats(), s.mem.Fabric().TxCount(), s.mem.Fabric().StallCycles(),
+		s.mem.DRAM().Stats(), s.mem.Fabric().Transactions, s.mem.Fabric().StallTotal,
 		l1i.Hits, l1i.Misses, l1d.Hits, l1d.Misses, l1d.WriteBack, l2.Hits, l2.Misses)
 }
 

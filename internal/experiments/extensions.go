@@ -161,7 +161,7 @@ func (o Opts) Fabric() Table {
 			fabrics[i],
 			fmt.Sprintf("%d", r.Cycles),
 			f2(stp),
-			fmt.Sprintf("%d", fab.StallCycles()),
+			fmt.Sprintf("%d", fab.StallTotal),
 			pct(fab.Utilization(r.Cycles)),
 		})
 	}

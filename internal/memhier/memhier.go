@@ -22,23 +22,6 @@ import (
 	"repro/internal/noc"
 )
 
-// Fabric is the on-chip interconnect between the private L1s and the
-// shared L2/memory hub, as the hierarchy consumes it. The split-transaction
-// bus and the mesh and ring networks (all in package noc) satisfy it.
-type Fabric interface {
-	// AccessFrom issues a request transaction from core at time now and
-	// returns its latency (queueing + traversal).
-	AccessFrom(core int, now int64) int64
-	// Utilization returns the fabric's busy fraction up to now.
-	Utilization(now int64) float64
-	// TxCount returns the number of transactions issued.
-	TxCount() uint64
-	// StallCycles returns total cycles spent queueing.
-	StallCycles() int64
-	// ResetStats clears statistics and pending occupancy.
-	ResetStats()
-}
-
 // AccessStats are the hierarchy's access counters. They are kept per core
 // and aggregated by Stats.
 type AccessStats struct {
@@ -145,7 +128,7 @@ type Hierarchy struct {
 	cores   []coreCaches
 	l2      *cache.Cache
 	coh     coherence.Engine
-	fab     Fabric
+	fab     *noc.Fabric
 	dram    memory.MainMemory
 
 	// What the access paths read of cfg, converted once.
@@ -180,7 +163,7 @@ func newProtocol(n int, cfg config.Memory) (coherence.Engine, int64) {
 }
 
 // newFabric selects the on-chip interconnect by name.
-func newFabric(n int, cfg config.Memory) Fabric {
+func newFabric(n int, cfg config.Memory) *noc.Fabric {
 	hop := cfg.NoCHopLatency
 	if hop <= 0 {
 		hop = 1
@@ -195,7 +178,7 @@ func newFabric(n int, cfg config.Memory) Fabric {
 	case "ring":
 		return noc.NewRing(n, hop, occ)
 	default:
-		return noc.NewBus(cfg.L2BusLatency, 1)
+		return noc.NewBus(n, cfg.L2BusLatency, 1)
 	}
 }
 
@@ -288,7 +271,7 @@ func (h *Hierarchy) DRAM() memory.MainMemory { return h.dram }
 func (h *Hierarchy) Coherence() coherence.Engine { return h.coh }
 
 // Fabric exposes the on-chip interconnect (for statistics).
-func (h *Hierarchy) Fabric() Fabric { return h.fab }
+func (h *Hierarchy) Fabric() *noc.Fabric { return h.fab }
 
 // L1D returns core's private data cache (for statistics).
 func (h *Hierarchy) L1D(core int) *cache.Cache { return h.cores[core].l1d }

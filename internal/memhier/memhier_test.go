@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/noc"
 )
 
 func newH(cores int) *Hierarchy {
@@ -263,7 +262,7 @@ func TestBusContentionBetweenCores(t *testing.T) {
 	// Both cores miss at the same cycle: the second transaction queues.
 	r0 := h.Data(0, 0x60000000000, false, 0)
 	r1 := h.Data(1, 0x61000000000, false, 0)
-	bus := h.Fabric().(*noc.Bus)
+	bus := h.Fabric()
 	if r1.Latency <= r0.Latency-int64(h.Config().DTLB.MissLatency) && bus.StallTotal == 0 {
 		t.Fatal("no bus arbitration visible between same-cycle misses")
 	}

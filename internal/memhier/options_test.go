@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/noc"
 )
 
 // memCfg returns the Table 1 memory configuration for tweaking.
@@ -14,12 +13,14 @@ func TestMeshFabricSelected(t *testing.T) {
 	cfg := memCfg()
 	cfg.Interconnect = "mesh"
 	h := New(4, cfg, Perfect{})
-	if _, ok := h.Fabric().(*noc.Bus); ok {
-		t.Fatal("mesh hierarchy still exposes the bus")
+	// Four cores and the hub fill a 3x2 grid: core 0 is two XY hops
+	// from the hub at (1,1), where the bus is one hop from every core.
+	if hops := h.Fabric().Hops(0); hops != 2 {
+		t.Fatalf("core 0 is %d hops from the hub, want 2 on a 3x2 mesh", hops)
 	}
 	// Miss both L1 and L2: the fabric must see a transaction.
 	h.Data(0, 0x100000, false, 0)
-	if h.Fabric().TxCount() == 0 {
+	if h.Fabric().Transactions == 0 {
 		t.Fatal("no fabric transactions after an L1 miss")
 	}
 }
@@ -167,7 +168,7 @@ func TestResetStatsCoversNewComponents(t *testing.T) {
 	h.Data(0, 0x100000, true, 0)
 	h.Data(1, 0x100000, false, 100)
 	h.ResetStats()
-	if h.Fabric().TxCount() != 0 {
+	if h.Fabric().Transactions != 0 {
 		t.Error("fabric stats survive ResetStats")
 	}
 	if h.DRAM().Stats().Requests != 0 {

@@ -20,9 +20,6 @@ type MainMemory interface {
 	// AccessLine fetches the line containing addr at time now and
 	// returns the total latency in cycles.
 	AccessLine(addr uint64, now int64) int64
-	// Latency returns the uncontended access latency in cycles (the
-	// banked model reports the row-hit case).
-	Latency() int64
 	// Utilization returns the data-bus busy fraction up to now.
 	Utilization(now int64) float64
 	// Stats returns the accumulated counters.
@@ -162,10 +159,6 @@ func bankBits(n int) uint {
 	}
 	return bits
 }
-
-// Latency implements MainMemory: the uncontended row-hit latency plus the
-// transfer.
-func (b *Banked) Latency() int64 { return b.rowHit + b.transfer }
 
 // RowHitRate returns RowHits / Requests, or 0 with no requests.
 func (b *Banked) RowHitRate() float64 {

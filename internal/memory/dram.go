@@ -46,12 +46,6 @@ func (d *DRAM) Access(now int64) int64 {
 	return (start - now) + d.transfer + d.latency
 }
 
-// Latency returns the uncontended access latency (cycles).
-func (d *DRAM) Latency() int64 { return d.latency + d.transfer }
-
-// TransferCycles returns the bus occupancy of one line transfer.
-func (d *DRAM) TransferCycles() int64 { return d.transfer }
-
 // Utilization returns the fraction of cycles the bus was busy up to time
 // now (0 if now is 0).
 func (d *DRAM) Utilization(now int64) float64 {
@@ -59,12 +53,6 @@ func (d *DRAM) Utilization(now int64) float64 {
 		return 0
 	}
 	return float64(d.BusyTotal) / float64(now)
-}
-
-// Reset clears queueing state and statistics.
-func (d *DRAM) Reset() {
-	d.busFree = 0
-	d.Requests, d.StallTotal, d.BusyTotal = 0, 0, 0
 }
 
 // ResetStats clears statistics and pending bus occupancy, for functional-

@@ -7,15 +7,10 @@ import (
 
 func TestUncontendedLatency(t *testing.T) {
 	d := NewDRAM(150, 64, 16)
-	// 64B line over a 16B bus = 4 transfer cycles.
-	if got := d.Access(0); got != 154 {
+	// 64B line over a 16B bus = 4 transfer cycles after the 150-cycle
+	// access.
+	if got := d.Access(0); got != 150+64/16 {
 		t.Fatalf("uncontended access = %d, want 154", got)
-	}
-	if d.Latency() != 154 {
-		t.Fatalf("Latency() = %d, want 154", d.Latency())
-	}
-	if d.TransferCycles() != 4 {
-		t.Fatalf("transfer = %d, want 4", d.TransferCycles())
 	}
 }
 
@@ -81,9 +76,9 @@ func TestUtilization(t *testing.T) {
 func TestReset(t *testing.T) {
 	d := NewDRAM(150, 64, 16)
 	d.Access(0)
-	d.Reset()
+	d.ResetStats()
 	if d.Requests != 0 || d.StallTotal != 0 || d.BusyTotal != 0 {
-		t.Fatal("Reset left statistics")
+		t.Fatal("ResetStats left statistics")
 	}
 	if got := d.Access(0); got != 154 {
 		t.Fatalf("access after reset = %d, want 154 (bus should be free)", got)
@@ -114,7 +109,7 @@ func TestQuickLatencyBounds(t *testing.T) {
 func TestMinimumOneTransferCycle(t *testing.T) {
 	// A bus wider than the line still takes one cycle.
 	d := NewDRAM(10, 64, 256)
-	if d.TransferCycles() != 1 {
-		t.Fatalf("transfer = %d, want 1", d.TransferCycles())
+	if got := d.Access(0); got != 10+1 {
+		t.Fatalf("uncontended access = %d, want 11 (one transfer cycle)", got)
 	}
 }

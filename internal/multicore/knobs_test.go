@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/noc"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -59,8 +58,9 @@ func TestAllKnobsTogether(t *testing.T) {
 		if msg := res.Mem.Coherence().CheckInvariants(); msg != "" {
 			t.Fatalf("%v: coherence invariant violated: %s", model, msg)
 		}
-		if _, ok := res.Mem.Fabric().(*noc.Bus); ok {
-			t.Fatalf("%v: mesh machine exposes a bus", model)
+		// A 3x2 mesh puts core 0 two hops from the hub; a bus is one.
+		if hops := res.Mem.Fabric().Hops(0); hops != 2 {
+			t.Fatalf("%v: core 0 is %d hops from the hub, want 2 on a 3x2 mesh", model, hops)
 		}
 	}
 }

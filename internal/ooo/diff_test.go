@@ -217,7 +217,7 @@ func newSide(dc diffCase, mk func(id int, bp *branch.Unit, mem *memhier.Hierarch
 // on outside the cores themselves.
 func (s diffSide) machineState() string {
 	out := fmt.Sprintf("memhier %+v dram %+v fabric tx %d stall %d",
-		s.mem.Stats(), s.mem.DRAM().Stats(), s.mem.Fabric().TxCount(), s.mem.Fabric().StallCycles())
+		s.mem.Stats(), s.mem.DRAM().Stats(), s.mem.Fabric().Transactions, s.mem.Fabric().StallTotal)
 	if l2 := s.mem.L2(); l2 != nil {
 		out += fmt.Sprintf(" l2 %d/%d", l2.Hits, l2.Misses)
 	}

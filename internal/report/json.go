@@ -119,8 +119,8 @@ func Summarize(res multicore.Result) Summary {
 	}
 	fab := h.Fabric()
 	mem.Fabric = FabricSummary{
-		Transactions: fab.TxCount(),
-		StallCycles:  fab.StallCycles(),
+		Transactions: fab.Transactions,
+		StallCycles:  fab.StallTotal,
 		Utilization:  fab.Utilization(res.Cycles),
 	}
 	d := h.DRAM().Stats()

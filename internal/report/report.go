@@ -48,7 +48,7 @@ func Format(res multicore.Result) string {
 		}
 		fab := h.Fabric()
 		fmt.Fprintf(&b, "  fabric: transactions=%d queue-stall=%d (%.1f%% busy)\n",
-			fab.TxCount(), fab.StallCycles(), 100*fab.Utilization(res.Cycles))
+			fab.Transactions, fab.StallTotal, 100*fab.Utilization(res.Cycles))
 		d := h.DRAM().Stats()
 		fmt.Fprintf(&b, "  DRAM: requests=%d queue-stall=%d (%.1f%% bus busy)\n",
 			d.Requests, d.StallTotal, 100*h.DRAM().Utilization(res.Cycles))

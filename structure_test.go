@@ -299,6 +299,62 @@ func TestServingSurfaceStaysDeleted(t *testing.T) {
 	}
 }
 
+// TestOneFabricModel: the on-chip network is one concrete type, noc.Fabric,
+// whose bus, mesh and ring are route tables over one link-reservation
+// loop. No Fabric interface stands in front of it, no other noc type
+// reserves links of its own, and the per-topology types and the counter
+// accessors they carried stay deleted from the non-test sources outside
+// benchmark/.
+func TestOneFabricModel(t *testing.T) {
+	methods := map[string]bool{"TxCount": true, "StallCycles": true, "AvgHops": true}
+	topologies := map[string]bool{"Bus": true, "Mesh": true, "Ring": true}
+	bad := offenders(t, func(n ast.Node) string {
+		switch n := n.(type) {
+		case *ast.File:
+			if n.Name.Name != "noc" {
+				return ""
+			}
+			for _, d := range n.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Recv == nil || fd.Name.Name != "AccessFrom" {
+					continue
+				}
+				recv := fd.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); !ok || id.Name != "Fabric" {
+					return "an AccessFrom method on a noc type other than Fabric"
+				}
+			}
+		case *ast.TypeSpec:
+			if _, ok := n.Type.(*ast.InterfaceType); ok && n.Name.Name == "Fabric" {
+				return "a Fabric interface"
+			}
+		case *ast.FuncDecl:
+			if n.Recv != nil && methods[n.Name.Name] {
+				return "method " + n.Name.Name
+			}
+		case *ast.InterfaceType:
+			for _, m := range n.Methods.List {
+				for _, id := range m.Names {
+					if methods[id.Name] {
+						return "interface method " + id.Name
+					}
+				}
+			}
+		case *ast.SelectorExpr:
+			if x, ok := n.X.(*ast.Ident); ok && x.Name == "noc" && topologies[n.Sel.Name] {
+				return "noc." + n.Sel.Name
+			}
+		}
+		return ""
+	})
+	if len(bad) > 0 {
+		t.Fatalf("a second on-chip network model is back (noc.Fabric is the one type; topologies are route tables):\n  %s", strings.Join(bad, "\n  "))
+	}
+}
+
 // TestSweepPointIsASpec: a cmd/sweep point is described only by a
 // simrun.Spec, so it has a wire form and runs on either executor; the sweep
 // never builds a scenario from options. And a run has one description: the
