@@ -23,18 +23,21 @@ func (d *draws) n(max int) int {
 	return d.rng.Intn(max)
 }
 
-// checkMatchesReference drives a table-backed engine and the parent's
-// map-backed one (ref_test.go) through the same random reads, writes and
+// checkMatchesReference drives a table-backed protocol and a map-backed
+// reference (ref_test.go) through the same random reads, writes and
 // evictions and compares everything an engine shows: every Result, the
 // line's state in every core, its holder count and the traffic counters
-// after every call, the invariant check after every sixteenth. Core counts sit on both sides of
-// the state vector's word size (16 cores a word) and at the directory's
-// bitmap width; the table starts far below the number of lines in play, so
-// it grows under the traffic, and evictions empty lines out of it.
+// after every call, the invariant check after every sixteenth. The
+// "directory" case runs NewMESI, which memhier builds for a directory
+// machine, against the home-node bookkeeping of an owner and a sharer
+// bitmap. Core counts sit on both sides of the state vector's word size
+// (16 cores a word) and at the sharer bitmap's width; the table starts far
+// below the number of lines in play, so it grows under the traffic, and
+// evictions empty lines out of it.
 func checkMatchesReference(t *testing.T, d *draws) {
 	cores := []int{1, 2, 4, 8, 17, 64}[d.n(6)]
 	hint := []int{0, 4, 4096}[d.n(3)]
-	var got, ref Engine
+	var got, ref engine
 	var name string
 	switch d.n(3) {
 	case 0:
@@ -42,7 +45,7 @@ func checkMatchesReference(t *testing.T, d *draws) {
 	case 1:
 		name, got, ref = "mesi", NewMESI(cores, hint), newRefMESI(cores)
 	default:
-		name, got, ref = "directory", NewDirectory(cores, hint), newRefDirectory(cores)
+		name, got, ref = "directory", NewMESI(cores, hint), newRefDirectory(cores)
 	}
 	lines := 1 + d.n(200)
 	// hot narrows most of the traffic onto a few lines, so that sharing,
@@ -118,29 +121,29 @@ func FuzzCoherenceMatchesReference(f *testing.F) {
 }
 
 // TestTablesDropUnheldLines: a line every holder evicted leaves no entry
-// behind in either engine's table, whatever the order of evictions.
+// behind in either protocol's table, whatever the order of evictions.
 func TestTablesDropUnheldLines(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	p, dir := New(17, 8), NewDirectory(17, 8)
+	p, mesi := New(17, 8), NewMESI(17, 8)
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 300; i++ {
 			core, line := rng.Intn(17), uint64(rng.Intn(64))<<6
 			if rng.Intn(3) == 0 {
 				p.Write(core, line)
-				dir.Write(core, line)
+				mesi.Write(core, line)
 			} else {
 				p.Read(core, line)
-				dir.Read(core, line)
+				mesi.Read(core, line)
 			}
 		}
 		for _, core := range rng.Perm(17) {
 			for _, l := range rng.Perm(64) {
 				p.Evict(core, uint64(l)<<6)
-				dir.Evict(core, uint64(l)<<6)
+				mesi.Evict(core, uint64(l)<<6)
 			}
 		}
-		if p.lines.Len() != 0 || dir.lines.Len() != 0 {
-			t.Fatalf("round %d: %d snooped and %d directory lines tracked with no holder", round, p.lines.Len(), dir.lines.Len())
+		if p.lines.Len() != 0 || mesi.lines.Len() != 0 {
+			t.Fatalf("round %d: %d MOESI and %d MESI lines tracked with no holder", round, p.lines.Len(), mesi.lines.Len())
 		}
 	}
 }

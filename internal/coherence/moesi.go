@@ -8,6 +8,10 @@
 // below) and which remote copies must be invalidated or downgraded. The
 // memhier package converts those answers into latencies and keeps the
 // structural L1 models in sync.
+//
+// A MESI directory is the same state machine seen from a home node: it
+// answers every transaction as snooping MESI does, so memhier runs NewMESI
+// for it and adds the home-node lookup latency to each miss.
 package coherence
 
 import (
@@ -77,6 +81,22 @@ type Result struct {
 	WritebackBelow bool
 	// NewState is the requesting core's state after the access.
 	NewState State
+}
+
+// Traffic aggregates the protocol-level event counters, for post-run
+// reporting.
+type Traffic struct {
+	// ReadMisses and WriteMisses count protocol transactions started
+	// from the Invalid state.
+	ReadMisses  uint64
+	WriteMisses uint64
+	// Upgrades counts writes that held a readable copy and only needed
+	// remote invalidations.
+	Upgrades uint64
+	// Interventions counts cache-to-cache transfers.
+	Interventions uint64
+	// Invalidations counts remote copies invalidated.
+	Invalidations uint64
 }
 
 // Protocol tracks MOESI (or MESI) state for every line held by any private
@@ -302,6 +322,17 @@ func (p *Protocol) CheckInvariants() string {
 		}
 	})
 	return bad
+}
+
+// Stats returns the accumulated traffic counters.
+func (p *Protocol) Stats() Traffic {
+	return Traffic{
+		ReadMisses:    p.ReadMisses,
+		WriteMisses:   p.WriteMisses,
+		Upgrades:      p.Upgrades,
+		Interventions: p.Interventions,
+		Invalidations: p.InvalidationsTx,
+	}
 }
 
 // Reset drops all protocol state and statistics.

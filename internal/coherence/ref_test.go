@@ -1,8 +1,10 @@
 package coherence
 
-// The parent's engines, kept verbatim as the references the table-backed
-// ones are compared against (diff_test.go): per-line state in Go maps, a
-// heap slice per snooped line and a heap record per directory line.
+// The earlier engines, kept verbatim as the references the table-backed
+// protocol is compared against (diff_test.go): per-line state in Go maps, a
+// heap slice per snooped line and a heap record per directory line. The
+// directory is the one a "directory" machine ran before memhier built
+// NewMESI for it.
 
 import (
 	"fmt"
@@ -295,7 +297,7 @@ func (d *refDirectory) gc(lineAddr uint64, e *refDirEntry) {
 	}
 }
 
-// State implements Engine.
+// State implements engine.
 func (d *refDirectory) State(core int, lineAddr uint64) State {
 	e, ok := d.lines[lineAddr]
 	if !ok {
@@ -313,7 +315,7 @@ func (d *refDirectory) State(core int, lineAddr uint64) State {
 	return Invalid
 }
 
-// Read implements Engine.
+// Read implements engine.
 func (d *refDirectory) Read(core int, lineAddr uint64) Result {
 	e := d.entry(lineAddr)
 	bit := uint64(1) << uint(core)
@@ -346,7 +348,7 @@ func (d *refDirectory) Read(core int, lineAddr uint64) Result {
 	return Result{Source: SrcBelow, NewState: Exclusive}
 }
 
-// Write implements Engine.
+// Write implements engine.
 func (d *refDirectory) Write(core int, lineAddr uint64) Result {
 	e := d.entry(lineAddr)
 	bit := uint64(1) << uint(core)
@@ -384,7 +386,7 @@ func (d *refDirectory) Write(core int, lineAddr uint64) Result {
 	return res
 }
 
-// Evict implements Engine.
+// Evict implements engine.
 func (d *refDirectory) Evict(core int, lineAddr uint64) (writeback bool) {
 	e, ok := d.lines[lineAddr]
 	if !ok {
@@ -401,7 +403,7 @@ func (d *refDirectory) Evict(core int, lineAddr uint64) (writeback bool) {
 	return writeback
 }
 
-// Holders implements Engine.
+// Holders implements engine.
 func (d *refDirectory) Holders(lineAddr uint64) int {
 	e, ok := d.lines[lineAddr]
 	if !ok {
@@ -413,7 +415,7 @@ func (d *refDirectory) Holders(lineAddr uint64) int {
 	return bits.OnesCount64(e.sharers)
 }
 
-// CheckInvariants implements Engine: an owner never coexists with sharers,
+// CheckInvariants implements engine: an owner never coexists with sharers,
 // and owner/sharer indices stay within the core count.
 func (d *refDirectory) CheckInvariants() string {
 	for addr, e := range d.lines {
@@ -430,7 +432,7 @@ func (d *refDirectory) CheckInvariants() string {
 	return ""
 }
 
-// Stats implements Engine.
+// Stats implements engine.
 func (d *refDirectory) Stats() Traffic {
 	return Traffic{
 		ReadMisses:    d.ReadMisses,
@@ -447,13 +449,13 @@ func (d *refDirectory) Reset() {
 	d.ResetStats()
 }
 
-// ResetStats implements Engine.
+// ResetStats implements engine.
 func (d *refDirectory) ResetStats() {
 	d.ReadMisses, d.WriteMisses, d.Upgrades = 0, 0, 0
 	d.Interventions, d.InvalidationsTx = 0, 0
 }
 
-// Stats implements Engine for the reference snooping protocol.
+// Stats implements engine for the reference snooping protocol.
 func (p *refProtocol) Stats() Traffic {
 	return Traffic{
 		ReadMisses:    p.ReadMisses,
@@ -464,7 +466,21 @@ func (p *refProtocol) Stats() Traffic {
 	}
 }
 
+// engine is what the differential test drives and compares: the methods
+// of Protocol, which both references implement.
+type engine interface {
+	Read(core int, lineAddr uint64) Result
+	Write(core int, lineAddr uint64) Result
+	Evict(core int, lineAddr uint64) bool
+	State(core int, lineAddr uint64) State
+	Holders(lineAddr uint64) int
+	CheckInvariants() string
+	Stats() Traffic
+	ResetStats()
+}
+
 var (
-	_ Engine = (*refProtocol)(nil)
-	_ Engine = (*refDirectory)(nil)
+	_ engine = (*Protocol)(nil)
+	_ engine = (*refProtocol)(nil)
+	_ engine = (*refDirectory)(nil)
 )

@@ -9,6 +9,7 @@
 package config
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/isa"
@@ -113,8 +114,10 @@ type Memory struct {
 
 	// Coherence selects the protocol: "moesi" (Table 1 baseline; "" is
 	// treated as moesi), "mesi" (four-state snooping ablation without
-	// dirty sharing) or "directory" (MESI directory with sharer bitmaps,
-	// the scalable alternative to bus snooping).
+	// dirty sharing) or "directory" (a MESI home node, the scalable
+	// alternative to bus snooping: it answers every transaction as
+	// snooping MESI does, so it runs the same state machine and adds
+	// DirectoryLatency to each miss).
 	Coherence string
 	// DirectoryLatency is the home-node lookup cost in cycles added to
 	// every L1 miss when Coherence is "directory". Zero selects a
@@ -134,11 +137,12 @@ type Memory struct {
 	// for mesh and ring fabrics (zero selects 1).
 	NoCOccupancy int
 
-	// DRAMKind selects the main-memory model: "" or "fixed" (the
-	// paper's 150-cycle fixed latency behind a finite-width bus) or
-	// "banked" (bank-parallel DRAM with open-page row buffers: row hits
-	// are fast, row conflicts pay precharge+activate, independent banks
-	// overlap).
+	// DRAMKind selects the main-memory configuration: "" or "fixed"
+	// (the paper's DRAMLatency-cycle fixed latency behind a finite-width
+	// bus: one bank whose row hits and row misses both cost DRAMLatency)
+	// or "banked" (bank-parallel DRAM with open-page row buffers: row
+	// hits are fast, row conflicts pay precharge+activate, independent
+	// banks overlap).
 	DRAMKind string
 	// DRAMBanks is the bank count for the banked model (zero selects 8).
 	DRAMBanks int
@@ -146,11 +150,11 @@ type Memory struct {
 	// (zero selects 2048).
 	DRAMRowBytes int
 	// DRAMRowHit is the access latency for a row-buffer hit in cycles
-	// (zero selects 90; the fixed model's 150 corresponds to the
-	// average case).
+	// (zero selects DefaultDRAMRowHit; the fixed model's 150 corresponds
+	// to the average case). It may not exceed the row-miss latency.
 	DRAMRowHit int
 	// DRAMRowMiss is the access latency on a row-buffer conflict
-	// (precharge + activate + access; zero selects 180).
+	// (precharge + activate + access; zero selects DefaultDRAMRowMiss).
 	DRAMRowMiss int
 
 	// Prefetch selects the hardware prefetcher: "" (none, the Table 1
@@ -184,16 +188,24 @@ const (
 )
 
 // MaxDirectoryCores is the largest machine Coherence "directory" supports:
-// the width of the directory's sharer bitmap.
+// the modelled home node keeps a 64-bit sharer vector per line.
 const MaxDirectoryCores = 64
+
+// The banked DRAM's row latencies in cycles when DRAMRowHit or DRAMRowMiss
+// is zero.
+const (
+	DefaultDRAMRowHit  = 90
+	DefaultDRAMRowMiss = 180
+)
 
 // Validate reports the first field of m that no simulator can run: a
 // structure size, width or functional-unit count that is not positive (the
 // detailed core then never commits its first store, or never issues, and
 // spins to MaxCycles) or is larger than the bounds above; a negative
-// latency; or cache, TLB or predictor geometry that is not the power-of-two
-// shape the constructors index by and panic on. A machine built by Default
-// or Stacked3D always passes. Machine descriptions that arrive from outside
+// latency; cache, TLB or predictor geometry that is not the power-of-two
+// shape the constructors index by and panic on; or a banked DRAM whose row
+// hit costs more than its row miss. A machine built by Default or
+// Stacked3D always passes. Machine descriptions that arrive from outside
 // (simrun.Spec.Machine) are checked with it before anything is built.
 func (m Machine) Validate() error {
 	// The checks name a field as prefix+name, joined only when one fails:
@@ -280,6 +292,14 @@ func (m Machine) Validate() error {
 	}
 	within("Mem.", "DRAMRowHit", mem.DRAMRowHit, 0, maxLatency)
 	within("Mem.", "DRAMRowMiss", mem.DRAMRowMiss, 0, maxLatency)
+	if mem.DRAMKind == "banked" {
+		// A row conflict holds the bank for the transfer plus the
+		// miss-hit difference, which must not be negative.
+		hit, miss := cmp.Or(mem.DRAMRowHit, DefaultDRAMRowHit), cmp.Or(mem.DRAMRowMiss, DefaultDRAMRowMiss)
+		if err == nil && hit > miss {
+			err = fmt.Errorf("config: Mem.DRAMRowHit = %d, want at most the row-miss latency %d", hit, miss)
+		}
+	}
 	within("Mem.", "PrefetchDegree", mem.PrefetchDegree, 0, maxWidth)
 	if err == nil && mem.Coherence == "directory" && m.Cores > MaxDirectoryCores {
 		err = fmt.Errorf("config: Mem.Coherence directory supports at most %d cores, got Cores = %d", MaxDirectoryCores, m.Cores)

@@ -137,6 +137,7 @@ func TestValidateNamesTheField(t *testing.T) {
 		{"Mem.BusBytes", func(m *Machine) { m.Mem.BusBytes = 0 }},
 		{"Mem.DRAMBanks", func(m *Machine) { m.Mem.DRAMBanks = 6 }},
 		{"Mem.DRAMRowBytes", func(m *Machine) { m.Mem.DRAMRowBytes = 3000 }},
+		{"Mem.DRAMRowHit", func(m *Machine) { m.Mem.DRAMKind, m.Mem.DRAMRowHit, m.Mem.DRAMRowMiss = "banked", 500, 10 }},
 		{"Mem.PrefetchDegree", func(m *Machine) { m.Mem.PrefetchDegree = 1 << 30 }},
 		{"Mem.Coherence", func(m *Machine) { m.Mem.Coherence, m.Cores = "directory", MaxDirectoryCores+1 }},
 	}

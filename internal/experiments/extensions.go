@@ -7,7 +7,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/memhier"
-	"repro/internal/memory"
 	"repro/internal/multicore"
 	"repro/internal/simrun"
 	"repro/internal/workload"
@@ -191,7 +190,7 @@ func (o Opts) DRAMStudy() Table {
 	for i, name := range names {
 		fixed := results[2*i].Cores[0].IPC
 		banked := results[2*i+1]
-		rowHit := banked.Mem.DRAM().(*memory.Banked).RowHitRate()
+		rowHit := banked.Mem.DRAM().RowHitRate()
 		t.Rows = append(t.Rows, []string{name, f3(fixed), f3(banked.Cores[0].IPC),
 			f2(banked.Cores[0].IPC / fixed), pct(rowHit)})
 	}

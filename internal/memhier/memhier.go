@@ -15,6 +15,8 @@
 package memhier
 
 import (
+	"cmp"
+
 	"repro/internal/cache"
 	"repro/internal/coherence"
 	"repro/internal/config"
@@ -127,9 +129,9 @@ type Hierarchy struct {
 	multi   bool // more than one core: coherence protocol active
 	cores   []coreCaches
 	l2      *cache.Cache
-	coh     coherence.Engine
+	coh     *coherence.Protocol
 	fab     *noc.Fabric
-	dram    memory.MainMemory
+	dram    *memory.Banked
 
 	// What the access paths read of cfg, converted once.
 	itlbMissLat, dtlbMissLat int64
@@ -141,22 +143,19 @@ type Hierarchy struct {
 	stats []AccessStats // one counter block per core
 }
 
-// newProtocol selects the coherence engine by name, and returns the
+// newProtocol selects the coherence protocol by name, and returns the
 // home-node lookup latency charged per protocol transaction (zero for the
 // snooping protocols, whose lookup is the snoop broadcast already timed by
 // the fabric).
-func newProtocol(n int, cfg config.Memory) (coherence.Engine, int64) {
+func newProtocol(n int, cfg config.Memory) (*coherence.Protocol, int64) {
 	// A line the protocol tracks is resident in some core's L1D.
 	lines := n * cfg.L1D.SizeBytes / cfg.L1D.LineSize
 	switch cfg.Coherence {
 	case "mesi":
 		return coherence.NewMESI(n, lines), 0
 	case "directory":
-		lat := int64(cfg.DirectoryLatency)
-		if lat == 0 {
-			lat = 6
-		}
-		return coherence.NewDirectory(n, lines), lat
+		// A MESI home node answers every transaction as snooping MESI.
+		return coherence.NewMESI(n, lines), int64(cmp.Or(cfg.DirectoryLatency, 6))
 	default:
 		return coherence.New(n, lines), 0
 	}
@@ -182,28 +181,15 @@ func newFabric(n int, cfg config.Memory) *noc.Fabric {
 	}
 }
 
-// newMainMemory selects the main-memory model by name.
-func newMainMemory(cfg config.Memory) memory.MainMemory {
+// newMainMemory builds the main memory DRAMKind names.
+func newMainMemory(cfg config.Memory) *memory.Banked {
 	if cfg.DRAMKind != "banked" {
-		return memory.NewDRAM(cfg.DRAMLatency, cfg.L2.LineSize, cfg.BusBytes)
+		// Fixed latency is one bank, busy a transfer per access: the bus never queues.
+		return memory.NewBanked(1, 2048, cfg.DRAMLatency, cfg.DRAMLatency, cfg.L2.LineSize, cfg.BusBytes)
 	}
-	banks := cfg.DRAMBanks
-	if banks == 0 {
-		banks = 8
-	}
-	rowBytes := uint64(cfg.DRAMRowBytes)
-	if rowBytes == 0 {
-		rowBytes = 2048
-	}
-	rowHit := cfg.DRAMRowHit
-	if rowHit == 0 {
-		rowHit = 90
-	}
-	rowMiss := cfg.DRAMRowMiss
-	if rowMiss == 0 {
-		rowMiss = 180
-	}
-	return memory.NewBanked(banks, rowBytes, rowHit, rowMiss, cfg.L2.LineSize, cfg.BusBytes)
+	return memory.NewBanked(cmp.Or(cfg.DRAMBanks, 8), uint64(cmp.Or(cfg.DRAMRowBytes, 2048)),
+		cmp.Or(cfg.DRAMRowHit, config.DefaultDRAMRowHit), cmp.Or(cfg.DRAMRowMiss, config.DefaultDRAMRowMiss),
+		cfg.L2.LineSize, cfg.BusBytes)
 }
 
 // New builds the hierarchy for n cores under the given configuration.
@@ -264,11 +250,11 @@ func (h *Hierarchy) Stats() AccessStats {
 func (h *Hierarchy) CoreStats(core int) AccessStats { return h.stats[core] }
 
 // DRAM exposes the main-memory model (for bandwidth statistics).
-func (h *Hierarchy) DRAM() memory.MainMemory { return h.dram }
+func (h *Hierarchy) DRAM() *memory.Banked { return h.dram }
 
-// Coherence exposes the protocol engine (for statistics and invariant
+// Coherence exposes the coherence protocol (for statistics and invariant
 // checks).
-func (h *Hierarchy) Coherence() coherence.Engine { return h.coh }
+func (h *Hierarchy) Coherence() *coherence.Protocol { return h.coh }
 
 // Fabric exposes the on-chip interconnect (for statistics).
 func (h *Hierarchy) Fabric() *noc.Fabric { return h.fab }

@@ -1,8 +1,14 @@
+// Package memory models main memory: DRAM banks with open-page row
+// buffers behind a finite-width data bus shared by all cores. The bus gives
+// the machine a peak off-chip bandwidth; under contention requests queue,
+// which is how the multi-program and multi-threaded experiments expose
+// bandwidth pressure (Figures 6–8). The paper's fixed-latency DRAM is one
+// bank whose row hits and row misses cost the same.
 package memory
 
 import "fmt"
 
-// MemStats aggregates the counters shared by the main-memory models.
+// MemStats aggregates the main-memory counters.
 type MemStats struct {
 	// Requests counts line fetches.
 	Requests uint64
@@ -13,31 +19,6 @@ type MemStats struct {
 	BusyTotal int64
 }
 
-// MainMemory is a main-memory model as seen by the memory hierarchy: a
-// line fetch issued at a time returns its total latency. The fixed-latency
-// DRAM ignores the address; the banked model maps it to a bank and row.
-type MainMemory interface {
-	// AccessLine fetches the line containing addr at time now and
-	// returns the total latency in cycles.
-	AccessLine(addr uint64, now int64) int64
-	// Utilization returns the data-bus busy fraction up to now.
-	Utilization(now int64) float64
-	// Stats returns the accumulated counters.
-	Stats() MemStats
-	// ResetStats clears counters and pending occupancy.
-	ResetStats()
-}
-
-// AccessLine implements MainMemory for the fixed-latency model.
-func (d *DRAM) AccessLine(_ uint64, now int64) int64 { return d.Access(now) }
-
-// Stats implements MainMemory for the fixed-latency model.
-func (d *DRAM) Stats() MemStats {
-	return MemStats{Requests: d.Requests, StallTotal: d.StallTotal, BusyTotal: d.BusyTotal}
-}
-
-var _ MainMemory = (*DRAM)(nil)
-
 type bank struct {
 	freeAt  int64
 	openRow int64 // -1: no row open (closed bank)
@@ -47,10 +28,9 @@ type bank struct {
 // the currently open row of a bank pays the row-hit latency; any other
 // access pays the row-conflict latency (precharge + activate + access) and
 // leaves the new row open. Independent banks overlap; all banks share one
-// data bus whose width bounds peak bandwidth, exactly like the fixed
-// model. Address mapping is row:bank:column — all lines within one row
-// map to the same bank, so streaming accesses enjoy row hits and row-sized
-// strides sweep the banks.
+// data bus whose width bounds peak bandwidth. Address mapping is
+// row:bank:column — all lines within one row map to the same bank, so
+// streaming accesses enjoy row hits and row-sized strides sweep the banks.
 type Banked struct {
 	banks     []bank
 	rowBytes  uint64
@@ -108,7 +88,8 @@ func (b *Banked) Map(addr uint64) (bankIdx int, row int64) {
 	return int(blk & b.bankMask), int64(blk >> bankBits(len(b.banks)))
 }
 
-// AccessLine implements MainMemory.
+// AccessLine fetches the line containing addr at time now and returns
+// its total latency in cycles (queueing + access + transfer).
 func (b *Banked) AccessLine(addr uint64, now int64) int64 {
 	b.Requests++
 	blk := addr >> b.bankShift
@@ -168,7 +149,8 @@ func (b *Banked) RowHitRate() float64 {
 	return float64(b.RowHits) / float64(b.Requests)
 }
 
-// Utilization implements MainMemory.
+// Utilization returns the fraction of cycles the data bus was busy up to
+// time now (0 if now is 0).
 func (b *Banked) Utilization(now int64) float64 {
 	if now <= 0 {
 		return 0
@@ -176,11 +158,11 @@ func (b *Banked) Utilization(now int64) float64 {
 	return float64(b.BusyTotal) / float64(now)
 }
 
-// Stats implements MainMemory.
+// Stats returns the accumulated counters.
 func (b *Banked) Stats() MemStats { return b.MemStats }
 
-// ResetStats implements MainMemory: clears counters, pending bank and bus
-// occupancy, and closes all row buffers.
+// ResetStats clears counters, pending bank and bus occupancy, and closes
+// all row buffers.
 func (b *Banked) ResetStats() {
 	for i := range b.banks {
 		b.banks[i] = bank{openRow: -1}
@@ -189,5 +171,3 @@ func (b *Banked) ResetStats() {
 	b.MemStats = MemStats{}
 	b.RowHits, b.RowMisses = 0, 0
 }
-
-var _ MainMemory = (*Banked)(nil)

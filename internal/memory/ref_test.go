@@ -1,18 +1,17 @@
-// Package memory models main memory: a fixed access latency plus a finite-
-// width memory bus shared by all cores. The bus gives the machine a peak
-// off-chip bandwidth; under contention requests queue, which is how the
-// multi-program and multi-threaded experiments expose bandwidth pressure
-// (Figures 6–8).
 package memory
 
-// DRAM is the main-memory model. A request at time t completes at
+// The earlier fixed-latency model, kept verbatim as the reference the
+// one-bank Banked is compared against (dram_test.go): one bus, busy for a
+// transfer per access, then the fixed access latency.
+
+// refDRAM is the main-memory model. A request at time t completes at
 //
 //	max(t, busFree) + transfer + latency
 //
 // where transfer = lineSize/busBytes cycles occupies the bus. The model is
 // deliberately simple — interval simulation targets system-level studies
 // where queueing and bandwidth, not DRAM page policy, are first-order.
-type DRAM struct {
+type refDRAM struct {
 	latency  int64
 	transfer int64
 	busFree  int64
@@ -22,19 +21,19 @@ type DRAM struct {
 	BusyTotal  int64 // cycles the bus spent transferring
 }
 
-// NewDRAM creates a DRAM model with the given access latency in cycles,
+// newRefDRAM creates a DRAM model with the given access latency in cycles,
 // line size in bytes and bus width in bytes per cycle.
-func NewDRAM(latencyCycles, lineSize, busBytes int) *DRAM {
+func newRefDRAM(latencyCycles, lineSize, busBytes int) *refDRAM {
 	tr := int64(lineSize / busBytes)
 	if tr < 1 {
 		tr = 1
 	}
-	return &DRAM{latency: int64(latencyCycles), transfer: tr}
+	return &refDRAM{latency: int64(latencyCycles), transfer: tr}
 }
 
 // Access issues a line fetch at time now and returns its total latency in
 // cycles (queueing + transfer + access).
-func (d *DRAM) Access(now int64) int64 {
+func (d *refDRAM) Access(now int64) int64 {
 	d.Requests++
 	start := now
 	if d.busFree > start {
@@ -48,7 +47,7 @@ func (d *DRAM) Access(now int64) int64 {
 
 // Utilization returns the fraction of cycles the bus was busy up to time
 // now (0 if now is 0).
-func (d *DRAM) Utilization(now int64) float64 {
+func (d *refDRAM) Utilization(now int64) float64 {
 	if now <= 0 {
 		return 0
 	}
@@ -57,7 +56,7 @@ func (d *DRAM) Utilization(now int64) float64 {
 
 // ResetStats clears statistics and pending bus occupancy, for functional-
 // warmup runs.
-func (d *DRAM) ResetStats() {
+func (d *refDRAM) ResetStats() {
 	d.busFree = 0
 	d.Requests, d.StallTotal, d.BusyTotal = 0, 0, 0
 }

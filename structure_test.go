@@ -355,6 +355,53 @@ func TestOneFabricModel(t *testing.T) {
 	}
 }
 
+// TestOneCoherenceAndDRAMModel: coherence is one state machine,
+// coherence.Protocol (a directory machine runs its MESI setting plus the
+// home-node latency), and main memory is one model, memory.Banked (fixed
+// latency is one bank at equal row latencies). Neither package declares an
+// interface to put a second implementation behind, and the deleted
+// directory, engine, fixed-DRAM and main-memory names stay out of the
+// non-test sources outside benchmark/.
+func TestOneCoherenceAndDRAMModel(t *testing.T) {
+	models := map[string]bool{"coherence": true, "memory": true}
+	gone := map[string]bool{
+		"Directory": true, "NewDirectory": true, "Engine": true,
+		"DRAM": true, "NewDRAM": true, "MainMemory": true,
+	}
+	pkg := "" // the package of the file being walked
+	bad := offenders(t, func(n ast.Node) string {
+		switch n := n.(type) {
+		case *ast.File:
+			pkg = n.Name.Name
+		case *ast.TypeSpec:
+			if _, ok := n.Type.(*ast.InterfaceType); ok && models[pkg] {
+				return "interface " + pkg + "." + n.Name.Name
+			}
+			if models[pkg] && gone[n.Name.Name] {
+				return "type " + pkg + "." + n.Name.Name
+			}
+		case *ast.FuncDecl:
+			if models[pkg] && n.Recv == nil && gone[n.Name.Name] {
+				return "func " + pkg + "." + n.Name.Name
+			}
+		case *ast.ValueSpec:
+			for _, id := range n.Names {
+				if models[pkg] && gone[id.Name] {
+					return pkg + "." + id.Name
+				}
+			}
+		case *ast.SelectorExpr:
+			if x, ok := n.X.(*ast.Ident); ok && models[x.Name] && gone[n.Sel.Name] {
+				return x.Name + "." + n.Sel.Name
+			}
+		}
+		return ""
+	})
+	if len(bad) > 0 {
+		t.Fatalf("a second coherence or main-memory model is back (coherence.Protocol and memory.Banked are the one types):\n  %s", strings.Join(bad, "\n  "))
+	}
+}
+
 // TestSweepPointIsASpec: a cmd/sweep point is described only by a
 // simrun.Spec, so it has a wire form and runs on either executor; the sweep
 // never builds a scenario from options. And a run has one description: the
