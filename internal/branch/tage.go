@@ -1,5 +1,7 @@
 package branch
 
+import "math/bits"
+
 // TAGE is a simplified TAGE predictor (TAgged GEometric history lengths):
 // a bimodal base predictor plus several partially-tagged tables indexed by
 // hashes of geometrically increasing global-history lengths. The longest
@@ -8,7 +10,8 @@ package branch
 // alternate-prediction subtleties of full TAGE are simplified — this is
 // the design-space predictor alternative, not a championship entry.
 type TAGE struct {
-	base *Bimodal
+	base  *Bimodal
+	nbits uint // log2 of the table size: the index width
 
 	tables []tageTable
 	// history is the global branch-outcome history (youngest bit 0).
@@ -43,7 +46,7 @@ func NewTAGE(entriesPerTable int) *TAGE {
 	if entriesPerTable&(entriesPerTable-1) != 0 {
 		panic("branch: TAGE tables must be powers of two")
 	}
-	t := &TAGE{base: NewBimodal(entriesPerTable)}
+	t := &TAGE{base: NewBimodal(entriesPerTable), nbits: uint(bits.TrailingZeros(uint(entriesPerTable)))}
 	t.tables = make([]tageTable, tageTables)
 	for i := range t.tables {
 		t.tables[i] = tageTable{
@@ -62,25 +65,14 @@ func (t *TAGE) fold(pc uint64, histLen uint, bits uint) uint64 {
 	return x & (1<<bits - 1)
 }
 
-func log2u(v int) uint {
-	n := uint(0)
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
-}
-
 // Predict implements DirectionPredictor.
 func (t *TAGE) Predict(pc uint64, taken bool) bool {
-	nbits := log2u(len(t.base.pht))
-
 	// Find the longest matching tagged table.
 	provider := -1
 	pred := t.base.peek(pc)
 	for i := range t.tables {
 		tb := &t.tables[i]
-		idx := t.fold(pc, tb.histLen, nbits)
+		idx := t.fold(pc, tb.histLen, t.nbits)
 		tag := uint16(t.fold(pc*0x9e3779b9, tb.histLen, 10))
 		t.idx[i], t.tag[i] = idx, tag
 		e := &tb.entries[idx]

@@ -11,6 +11,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/config"
 )
@@ -63,20 +64,11 @@ func New(cfg config.Cache) *Cache {
 		cfg:      cfg,
 		lines:    make([]line, nsets*cfg.Assoc),
 		assoc:    cfg.Assoc,
-		setShift: uint(log2(cfg.LineSize)),
+		setShift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
 		setMask:  uint64(nsets - 1),
-		tagShift: uint(log2(nsets)),
+		tagShift: uint(bits.TrailingZeros(uint(nsets))),
 		lineMask: uint64(cfg.LineSize) - 1,
 	}
-}
-
-func log2(v int) int {
-	n := 0
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
 }
 
 // Config returns the cache geometry.

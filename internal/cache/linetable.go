@@ -3,13 +3,15 @@ package cache
 import "math/bits"
 
 // LineTable maps a line address (or any other key below ^uint64(0)) to a
-// fixed number of value words. It is the one associative structure of the
-// memory path besides the caches themselves — the coherence engines keep
-// their per-line state in it and the stride prefetcher its per-region
-// history — and it is flat: keys and values sit side by side in one word
-// array, open-addressed with linear probing, so a lookup is a hash and a
-// short walk over adjacent host memory, an entry is not a heap object and
-// the collector has no pointers to trace.
+// fixed number of value words, possibly none. It is the one associative
+// structure of the simulator besides the caches themselves, with four
+// users: the coherence protocol's per-line state, the stride prefetcher's
+// per-region history, the interval core's overlap scan (the store lines it
+// has tainted, no value words) and the detailed core's in-flight store
+// lines (one count word). It is flat: keys and values sit side by side in
+// one word array, open-addressed with linear probing, so a lookup is a hash
+// and a short walk over adjacent host memory, an entry is not a heap object
+// and the collector has no pointers to trace.
 //
 // Deletion shifts the rest of the probe cluster back over the gap, so there
 // are no tombstones and an empty slot always ends a probe. The table is
@@ -79,8 +81,9 @@ func (t *LineTable) value(o int) []uint64 {
 	return t.slots[o+1 : o+t.stride : o+t.stride]
 }
 
-// Find returns key's value words, or nil when key has no entry. The slice
-// aliases the table: it is valid until the next Insert or Delete.
+// Find returns key's value words, or nil when key has no entry; in a table
+// of zero value words a present key returns an empty slice that is not nil.
+// The slice aliases the table: it is valid until the next Insert or Delete.
 func (t *LineTable) Find(key uint64) []uint64 {
 	o := t.probe(key) * t.stride
 	if t.slots[o] == 0 {
@@ -143,8 +146,12 @@ func (t *LineTable) Each(fn func(key uint64, val []uint64)) {
 	}
 }
 
-// Reset removes every entry, keeping the storage.
+// Reset removes every entry, keeping the storage. An empty table returns
+// at once.
 func (t *LineTable) Reset() {
+	if t.n == 0 {
+		return
+	}
 	clear(t.slots)
 	t.n = 0
 }

@@ -1,6 +1,9 @@
 package cache
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // MSHR is a file of miss status holding registers: it tracks line addresses
 // with misses outstanding until a given time, so that overlapping requests
@@ -42,7 +45,7 @@ func NewMSHR(entries int) *MSHR {
 		pending:  make([]mshrEntry, entries),
 		earliest: math.MaxInt64,
 		filter:   make([]uint64, words),
-		shift:    uint(64 - 6 - log2(words)),
+		shift:    uint(64 - 6 - bits.TrailingZeros(uint(words))),
 	}
 }
 

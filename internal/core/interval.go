@@ -1,7 +1,10 @@
 package core
 
 import (
+	"math/bits"
+
 	"repro/internal/branch"
+	"repro/internal/cache"
 	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/memhier"
@@ -79,8 +82,9 @@ type Core struct {
 
 	// taintLines carries memory dependences during the overlap scan; the
 	// scan keeps register taint in a 64-bit mask, one bit per register id
-	// (trace.Stream hands out no other id).
-	taintLines lineSet
+	// (trace.Stream hands out no other id). A scan taints at most one line
+	// per window entry, so the table, sized for the ROB, never grows.
+	taintLines *cache.LineTable
 
 	// refScan, when set, replaces scanOverlap: the differential tests run
 	// the pre-frontier scan they keep as the reference through it.
@@ -118,7 +122,7 @@ func New(id int, cfg config.Core, opts Options, bp *branch.Unit, mem *memhier.Hi
 		maxLL = 32
 	}
 	ring := fetchBatch
-	if min := ceilPow2(2 * cfg.ROBSize); ring < min {
+	if min := 1 << bits.Len(uint(2*cfg.ROBSize-1)); ring < min {
 		ring = min
 	}
 	c := &Core{
@@ -137,7 +141,7 @@ func New(id int, cfg config.Core, opts Options, bp *branch.Unit, mem *memhier.Hi
 		winCap:     cfg.ROBSize,
 		creditCap:  2 * float64(cfg.DecodeWidth),
 		old:        NewOldWindow(cfg),
-		taintLines: newLineSet(cfg.ROBSize),
+		taintLines: cache.NewLineTable(cfg.ROBSize, 0),
 	}
 	return c
 }
@@ -560,9 +564,9 @@ func (c *Core) scanVisited(end int, mask uint64) (regs, lines uint64, outstandin
 		dep := allOnes(mask & recSrcs(r) & taintOn)
 		switch filter := uint64(1) << (r >> recFilter & 63); {
 		case r&recStore != 0:
-			c.taintLines.add(in.Addr >> 6)
+			c.taintLines.Insert(in.Addr >> 6)
 			lines |= filter
-		case lines&filter != 0 && c.taintLines.contains(in.Addr>>6):
+		case lines&filter != 0 && c.taintLines.Find(in.Addr>>6) != nil:
 			dep = ^uint64(0)
 		case r&recPending != 0 && outstanding < c.maxLL:
 			c.recs[idx] = r &^ recPending
@@ -605,7 +609,7 @@ func (c *Core) scanVisited(end int, mask uint64) (regs, lines uint64, outstandin
 // alone and reads an instruction only to probe or issue its address. From
 // the frontier on, every entry gets the full visit, once.
 func (c *Core) scanOverlap(load *isa.Inst) {
-	c.taintLines.clear()
+	c.taintLines.Reset()
 	// mask is the register taint; lines has a bit set for the hash of
 	// every line in taintLines.
 	var mask, lines uint64
@@ -661,7 +665,7 @@ scan:
 		if !noTaint {
 			dependent = mask&recSrcs(r) != 0
 			if !dependent && in.Class == isa.Load && lines != 0 {
-				dependent = c.taintLines.contains(in.Addr >> 6)
+				dependent = c.taintLines.Find(in.Addr>>6) != nil
 			}
 		}
 
@@ -725,7 +729,7 @@ scan:
 			mask |= dst
 		}
 		if in.Class == isa.Store && taint {
-			c.taintLines.add(in.Addr >> 6)
+			c.taintLines.Insert(in.Addr >> 6)
 			lines |= 1 << lineFilter(in.Addr)
 		}
 	}

@@ -22,6 +22,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"repro/internal/config"
 	"repro/internal/isa"
 )
@@ -81,7 +83,7 @@ type OldWindow struct {
 func NewOldWindow(cfg config.Core) *OldWindow {
 	w := &OldWindow{
 		cfg:    cfg,
-		issues: make([]int64, ceilPow2(cfg.ROBSize)),
+		issues: make([]int64, 1<<bits.Len(uint(cfg.ROBSize-1))),
 		capn:   cfg.ROBSize,
 		width:  float64(cfg.DecodeWidth),
 		memoCP: -1,
@@ -91,19 +93,6 @@ func NewOldWindow(cfg config.Core) *OldWindow {
 		w.lat[c] = int64(cfg.ExecLatency(isa.Class(c)))
 	}
 	return w
-}
-
-// ceilPow2 rounds v up to the next power of two (ring buffers use masked
-// indexing).
-func ceilPow2(v int) int {
-	if v < 1 {
-		return 1
-	}
-	n := 1
-	for n < v {
-		n <<= 1
-	}
-	return n
 }
 
 // regTimes is one register's completion time on the pure and floored

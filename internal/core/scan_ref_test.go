@@ -10,7 +10,7 @@ import "repro/internal/isa"
 // table indexed by operand here, not in the core's 64-bit mask.
 func refScanOverlap(c *Core, load *isa.Inst) {
 	var tr [256]bool
-	c.taintLines.clear()
+	c.taintLines.Reset()
 	if load.HasDst() {
 		tr[load.Dst] = true
 	}
@@ -49,8 +49,8 @@ func refScanOverlap(c *Core, load *isa.Inst) {
 		dependent := false
 		if !noTaint {
 			dependent = tr[in.Src1] || tr[in.Src2]
-			if !dependent && in.Class == isa.Load && c.taintLines.n > 0 {
-				dependent = c.taintLines.contains(in.Addr >> 6)
+			if !dependent && in.Class == isa.Load && c.taintLines.Len() > 0 {
+				dependent = c.taintLines.Find(in.Addr>>6) != nil
 			}
 		}
 
@@ -116,7 +116,7 @@ func refScanOverlap(c *Core, load *isa.Inst) {
 			tr[in.Dst] = taint
 		}
 		if in.Class == isa.Store && taint {
-			c.taintLines.add(in.Addr >> 6)
+			c.taintLines.Insert(in.Addr >> 6)
 		}
 	}
 	c.OverlapHidden += hidden

@@ -6,7 +6,10 @@
 // bank whose row hits and row misses cost the same.
 package memory
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // MemStats aggregates the main-memory counters.
 type MemStats struct {
@@ -40,6 +43,7 @@ type Banked struct {
 	busFree   int64
 	bankShift uint
 	bankMask  uint64
+	rowShift  uint // log2(bank count), hoisted off the access path
 
 	MemStats
 	// RowHits and RowMisses classify accesses by row-buffer outcome.
@@ -63,17 +67,14 @@ func NewBanked(nbanks int, rowBytes uint64, rowHit, rowMiss, lineSize, busBytes 
 	if tr < 1 {
 		tr = 1
 	}
-	shift := uint(0)
-	for r := rowBytes; r > 1; r >>= 1 {
-		shift++
-	}
 	b := &Banked{
 		banks:     make([]bank, nbanks),
 		rowBytes:  rowBytes,
 		rowHit:    int64(rowHit),
 		rowMiss:   int64(rowMiss),
 		transfer:  tr,
-		bankShift: shift,
+		bankShift: uint(bits.TrailingZeros64(rowBytes)),
+		rowShift:  uint(bits.TrailingZeros(uint(nbanks))),
 		bankMask:  uint64(nbanks - 1),
 	}
 	for i := range b.banks {
@@ -85,7 +86,7 @@ func NewBanked(nbanks int, rowBytes uint64, rowHit, rowMiss, lineSize, busBytes 
 // Map returns the bank index and row number for addr (exported for tests).
 func (b *Banked) Map(addr uint64) (bankIdx int, row int64) {
 	blk := addr >> b.bankShift
-	return int(blk & b.bankMask), int64(blk >> bankBits(len(b.banks)))
+	return int(blk & b.bankMask), int64(blk >> b.rowShift)
 }
 
 // AccessLine fetches the line containing addr at time now and returns
@@ -94,7 +95,7 @@ func (b *Banked) AccessLine(addr uint64, now int64) int64 {
 	b.Requests++
 	blk := addr >> b.bankShift
 	bk := &b.banks[blk&b.bankMask]
-	row := int64(blk >> bankBits(len(b.banks)))
+	row := int64(blk >> b.rowShift)
 
 	start := now
 	if bk.freeAt > start {
@@ -129,16 +130,6 @@ func (b *Banked) AccessLine(addr uint64, now int64) int64 {
 	b.busFree = ts + b.transfer
 	b.BusyTotal += b.transfer
 	return ts + b.transfer - now
-}
-
-// bankBits returns log2(n) for the power-of-two bank count n.
-func bankBits(n int) uint {
-	bits := uint(0)
-	for n > 1 {
-		n >>= 1
-		bits++
-	}
-	return bits
 }
 
 // RowHitRate returns RowHits / Requests, or 0 with no requests.

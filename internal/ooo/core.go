@@ -26,6 +26,7 @@ import (
 	"math/bits"
 
 	"repro/internal/branch"
+	"repro/internal/cache"
 	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/memhier"
@@ -141,8 +142,10 @@ type Core struct {
 	lastWake int64 // every bucket up to this cycle has been emptied
 
 	// stores counts in-flight (dispatched, uncommitted) stores per cache
-	// line for store-to-load forwarding disambiguation.
-	stores lineCounts
+	// line for store-to-load forwarding disambiguation: one count word
+	// per line, and a line leaves the table when its count reaches zero.
+	// The LSQ bounds the lines held at once, so the table never grows.
+	stores *cache.LineTable
 
 	// Store buffer: committed stores draining to memory through a small
 	// number of ports (outstanding store misses overlap, as through
@@ -163,14 +166,6 @@ type Core struct {
 	DispatchStall int64
 }
 
-// ringSize returns the smallest power of two that holds n entries.
-func ringSize(n int) int {
-	if n < 1 {
-		return 1
-	}
-	return 1 << bits.Len(uint(n-1))
-}
-
 // New creates a detailed core. The branch unit and hierarchy are shared
 // miss-event simulators, identical to those driving the interval model.
 func New(id int, cfg config.Core, bp *branch.Unit, mem *memhier.Hierarchy, src trace.Stream, syncer sim.Syncer) *Core {
@@ -180,7 +175,7 @@ func New(id int, cfg config.Core, bp *branch.Unit, mem *memhier.Hierarchy, src t
 	fetchCap := cfg.FetchQueue + cfg.FrontendDepth*cfg.FetchWidth
 	// At least one bitmap word more than the ROB, so select never meets
 	// the same word at both ends of its scan.
-	n := ringSize(cfg.ROBSize + max(fetchCap, 64))
+	n := 1 << bits.Len(uint(cfg.ROBSize+max(fetchCap, 64)-1))
 	c := &Core{
 		id:       id,
 		cfg:      cfg,
@@ -194,8 +189,8 @@ func New(id int, cfg config.Core, bp *branch.Unit, mem *memhier.Hierarchy, src t
 		fetchCap: fetchCap,
 		ready:    make([][numFU]uint64, n/64),
 		wheel:    make([]int32, wheelSize),
-		stores:   newLineCounts(cfg.LSQSize),
-		sb:       make([]uint64, ringSize(cfg.StoreBufferSize)),
+		stores:   cache.NewLineTable(cfg.LSQSize, 1),
+		sb:       make([]uint64, 1<<bits.Len(uint(cfg.StoreBufferSize-1))),
 	}
 	c.sbMask = uint64(len(c.sb) - 1)
 	for i := range c.lastWriter {
@@ -350,7 +345,7 @@ func (c *Core) dispatch(now int64) {
 			}
 			c.lsqCount++
 			if in.Class == isa.Store {
-				c.stores.inc(in.Addr >> 6)
+				c.stores.Insert(in.Addr >> 6)[0]++
 			}
 		}
 		c.disp++
@@ -502,7 +497,7 @@ func (c *Core) execute(in *isa.Inst, now int64) int64 {
 		// Memory disambiguation: a load whose line has an in-flight
 		// older store forwards from the store queue instead of
 		// accessing the cache (store-to-load forwarding).
-		if c.stores.has(in.Addr >> 6) {
+		if c.stores.Len() > 0 && c.stores.Find(in.Addr>>6) != nil {
 			return now + lat
 		}
 		res := c.mem.Data(c.id, in.Addr, false, now)
@@ -531,7 +526,12 @@ func (c *Core) commit(now int64) {
 			}
 			c.sb[c.sbTail&c.sbMask] = e.inst.Addr
 			c.sbTail++
-			c.stores.dec(e.inst.Addr >> 6)
+			line := e.inst.Addr >> 6
+			if n := c.stores.Find(line); n[0] == 1 {
+				c.stores.Delete(line)
+			} else {
+				n[0]--
+			}
 		}
 		if e.inst.Class.IsMem() {
 			c.lsqCount--
@@ -559,76 +559,6 @@ func (c *Core) drainStoreBuffer(now int64) {
 		res := c.mem.Data(c.id, addr, true, now)
 		c.sbPortFree[p] = now + 1 + res.Latency
 	}
-}
-
-// lineCounts is a fixed open-addressed multiset of cache-line numbers
-// (linear probing, backward-shift deletion). The LSQ bounds how many lines
-// it can hold at once, so it is sized once and never grows.
-type lineCounts struct {
-	slots []lineCount
-	shift uint // 64 - log2(len(slots))
-	live  int  // distinct lines present
-}
-
-type lineCount struct {
-	line uint64
-	n    int32 // 0 marks an empty slot
-}
-
-func newLineCounts(maxLines int) lineCounts {
-	n := 2 * ringSize(maxLines)
-	return lineCounts{
-		slots: make([]lineCount, n),
-		shift: uint(64 - bits.TrailingZeros(uint(n))),
-	}
-}
-
-func (t *lineCounts) home(line uint64) int {
-	return int(line * 0x9E3779B97F4A7C15 >> t.shift)
-}
-
-// find returns the slot holding line, or the empty slot that ends its
-// probe sequence.
-func (t *lineCounts) find(line uint64) int {
-	i := t.home(line)
-	for t.slots[i].n != 0 && t.slots[i].line != line {
-		i = (i + 1) & (len(t.slots) - 1)
-	}
-	return i
-}
-
-func (t *lineCounts) has(line uint64) bool {
-	return t.live > 0 && t.slots[t.find(line)].n != 0
-}
-
-func (t *lineCounts) inc(line uint64) {
-	s := &t.slots[t.find(line)]
-	if s.n == 0 {
-		s.line = line
-		t.live++
-	}
-	s.n++
-}
-
-// dec removes one occurrence of line, which must be present.
-func (t *lineCounts) dec(line uint64) {
-	i := t.find(line)
-	if t.slots[i].n > 1 {
-		t.slots[i].n--
-		return
-	}
-	t.live--
-	// Empty the slot and close the gap: pull back every later entry of
-	// the cluster whose home slot is not cyclically inside (i, j], so
-	// that no probe sequence is cut by the empty slot.
-	mask := len(t.slots) - 1
-	for j := (i + 1) & mask; t.slots[j].n != 0; j = (j + 1) & mask {
-		if h := t.home(t.slots[j].line); (j-h)&mask >= (j-i)&mask {
-			t.slots[i] = t.slots[j]
-			i = j
-		}
-	}
-	t.slots[i].n = 0
 }
 
 var _ sim.Core = (*Core)(nil)

@@ -272,9 +272,9 @@ func checkMatchesReference(t *testing.T, dc diffCase) {
 			t.Errorf("core %d: reference finish %d cycles %d stalls %d, core finish %d cycles %d stalls %d",
 				i, r.finishTime, r.Cycles, r.DispatchStall, g.finishTime, g.Cycles, g.DispatchStall)
 		}
-		if g.iqCount != 0 || g.lsqCount != 0 || g.nReady != 0 || g.nTimed != 0 || g.stores.live != 0 || g.redirects != 0 {
+		if g.iqCount != 0 || g.lsqCount != 0 || g.nReady != 0 || g.nTimed != 0 || g.stores.Len() != 0 || g.redirects != 0 {
 			t.Errorf("core %d finished with iq %d lsq %d ready %d timed %d store lines %d redirects %d",
-				i, g.iqCount, g.lsqCount, g.nReady, g.nTimed, g.stores.live, g.redirects)
+				i, g.iqCount, g.lsqCount, g.nReady, g.nTimed, g.stores.Len(), g.redirects)
 		}
 	}
 	if !slices.Equal(ref.syncer.calls, got.syncer.calls) {
@@ -328,47 +328,4 @@ func FuzzCoreMatchesReference(f *testing.F) {
 		d := &draws{data: shape, rng: rand.New(rand.NewSource(seed))}
 		checkMatchesReference(t, drawCase(d))
 	})
-}
-
-// TestLineCountsMatchesMap drives the store-line table against a map through
-// fills to its bound, collisions and deletions in every order.
-func TestLineCountsMatchesMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 300; trial++ {
-		bound := 1 + rng.Intn(12)
-		tab := newLineCounts(bound)
-		ref := map[uint64]int{}
-		var held []uint64 // one element per in-flight store
-		lines := 1 + rng.Intn(3*bound)
-		for op := 0; op < 2000; op++ {
-			switch {
-			case len(held) < bound && rng.Intn(2) == 0:
-				// Multiples of a large power of two collide after the
-				// multiplicative hash as sequential lines do not.
-				l := uint64(rng.Intn(lines)) << uint(rng.Intn(2)*40)
-				tab.inc(l)
-				ref[l]++
-				held = append(held, l)
-			case len(held) > 0:
-				i := rng.Intn(len(held))
-				l := held[i]
-				held[i] = held[len(held)-1]
-				held = held[:len(held)-1]
-				tab.dec(l)
-				if ref[l]--; ref[l] == 0 {
-					delete(ref, l)
-				}
-			}
-			if tab.live != len(ref) {
-				t.Fatalf("trial %d op %d: %d lines live, want %d", trial, op, tab.live, len(ref))
-			}
-			for l := 0; l < lines; l++ {
-				for _, k := range []uint64{uint64(l), uint64(l) << 40} {
-					if tab.has(k) != (ref[k] > 0) {
-						t.Fatalf("trial %d op %d: has(%#x) = %t, map holds %d", trial, op, k, tab.has(k), ref[k])
-					}
-				}
-			}
-		}
-	}
 }

@@ -402,6 +402,52 @@ func TestOneCoherenceAndDRAMModel(t *testing.T) {
 	}
 }
 
+// TestOneLineTable: cache.LineTable is the one open-addressed line table.
+// The overlap scan's tainted store lines and the detailed core's in-flight
+// store lines live in it, so no package declares a table of its own again:
+// the test fails on a non-test declaration named lineSet, newLineSet,
+// lineCounts or newLineCounts, and on the multiplicative hash's constant
+// 0x9E3779B97F4A7C15 outside package cache, workload's splitmixGamma and
+// core.lineFilter (the scan's 64-bit line filter).
+func TestOneLineTable(t *testing.T) {
+	gone := map[string]bool{"lineSet": true, "newLineSet": true, "lineCounts": true, "newLineCounts": true}
+	allowed := map[string]bool{"workload.splitmixGamma": true, "core.lineFilter": true}
+	pkg, owner := "", "" // the file's package and the declaration being walked
+	bad := offenders(t, func(n ast.Node) string {
+		switch n := n.(type) {
+		case *ast.File:
+			pkg = n.Name.Name
+		case *ast.GenDecl:
+			owner = ""
+		case *ast.FuncDecl:
+			owner = n.Name.Name
+			if gone[owner] {
+				return "func " + owner
+			}
+		case *ast.TypeSpec:
+			if gone[n.Name.Name] {
+				return "type " + n.Name.Name
+			}
+		case *ast.ValueSpec:
+			owner = n.Names[0].Name
+			for _, id := range n.Names {
+				if gone[id.Name] {
+					return id.Name
+				}
+			}
+		case *ast.BasicLit:
+			v, err := strconv.ParseUint(n.Value, 0, 64)
+			if n.Kind == token.INT && err == nil && v == 0x9E3779B97F4A7C15 && pkg != "cache" && !allowed[pkg+"."+owner] {
+				return "the line hash constant in " + pkg + "." + owner
+			}
+		}
+		return ""
+	})
+	if len(bad) > 0 {
+		t.Fatalf("a second line table is back (cache.LineTable is the one table):\n  %s", strings.Join(bad, "\n  "))
+	}
+}
+
 // TestSweepPointIsASpec: a cmd/sweep point is described only by a
 // simrun.Spec, so it has a wire form and runs on either executor; the sweep
 // never builds a scenario from options. And a run has one description: the
