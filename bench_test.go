@@ -8,6 +8,7 @@
 package main
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -194,7 +195,7 @@ func BenchmarkDetailedCycle(b *testing.B) {
 	mem := memhier.New(1, m.Mem, memhier.Perfect{ISide: true, DSide: true})
 	bp := branch.NewUnit(m.Branch)
 	gen := workload.New(p, 0, 1, 42)
-	c := ooo.New(0, m.Core, bp, mem, gen, sim.NullSyncer{})
+	c := ooo.New(0, m.Core, bp, mem, gen, sim.NullSyncer{}, math.MaxInt64)
 	b.ResetTimer()
 	var now int64
 	start := c.Retired()
@@ -231,21 +232,19 @@ func benchWarmedReplay(b *testing.B, name string, run func(m config.Machine, bp 
 }
 
 // BenchmarkDetailedCoreStep measures the detailed model alone (see
-// benchWarmedReplay). The sub-benchmarks differ in what the core waits for:
-// gcc issues nearly every cycle, mcf and art sit behind DRAM for most of
-// theirs, swim streams.
+// benchWarmedReplay), stepped as the driver steps it: only in the cycles
+// its NextActive names. The sub-benchmarks differ in what the core waits
+// for: gcc issues nearly every cycle, mcf and art sit behind DRAM for most
+// of theirs, swim streams.
 func BenchmarkDetailedCoreStep(b *testing.B) {
 	for _, name := range []string{"gcc", "mcf", "swim", "art"} {
 		b.Run(name, func(b *testing.B) {
-			var cycles int64
 			benchWarmedReplay(b, name, func(m config.Machine, bp *branch.Unit, mem *memhier.Hierarchy, src trace.Stream) {
-				c := ooo.New(0, m.Core, bp, mem, src, sim.NullSyncer{})
-				for now := int64(0); !c.Done(); now++ {
+				c := ooo.New(0, m.Core, bp, mem, src, sim.NullSyncer{}, math.MaxInt64)
+				for now := int64(0); !c.Done(); now = c.NextActive(now + 1) {
 					c.Step(now)
 				}
-				cycles += c.Cycles
 			})
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
 		})
 	}
 }

@@ -163,7 +163,7 @@ func (c *Core) FinishTime() int64 { return c.finishTime }
 // LocalTime returns the per-core simulated time.
 func (c *Core) LocalTime() int64 { return c.coreTime }
 
-// NextActive implements sim.TimeSkipper: the core does nothing until its
+// NextActive implements sim.Core: the core does nothing until its
 // local time catches global time.
 func (c *Core) NextActive(now int64) int64 {
 	if c.coreTime > now {

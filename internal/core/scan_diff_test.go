@@ -44,7 +44,8 @@ type scanCase struct {
 	opts    Options
 	stream  []isa.Inst
 	// everyCycle steps global time by one instead of jumping to
-	// NextActive, as a driver with a non-skipping core beside this one.
+	// NextActive, so the core is also stepped in the cycles it sleeps
+	// through, where Step must change nothing.
 	everyCycle bool
 }
 

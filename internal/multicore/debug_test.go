@@ -2,6 +2,7 @@ package multicore
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/branch"
@@ -39,7 +40,7 @@ func TestDiagnoseDetailed(t *testing.T) {
 	}
 	mem.ResetStats()
 	bp.ResetStats()
-	c := ooo.New(0, m.Core, bp, mem, trace.NewLimit(gen, 50_000), sim.NullSyncer{})
+	c := ooo.New(0, m.Core, bp, mem, trace.NewLimit(gen, 50_000), sim.NullSyncer{}, math.MaxInt64)
 	var now int64
 	for !c.Done() {
 		c.Step(now)
@@ -192,13 +193,6 @@ func TestDiagnoseMcfDetailed(t *testing.T) {
 		nLong, float64(sumLat)/float64(max(nLong, 1)), nL2, nHit, nTLB)
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // TestDiagnoseSwimIQ tests whether the detailed model is issue-queue bound
 // for deep-chain FP codes.
 func TestDiagnoseSwimIQ(t *testing.T) {
@@ -238,7 +232,7 @@ func TestDiagnoseMultiprog(t *testing.T) {
 			for i := 0; i < n; i++ {
 				switch model {
 				case Detailed:
-					cores[i] = ooo.New(i, m.Core, bps[i], mem, streams[i], coord)
+					cores[i] = ooo.New(i, m.Core, bps[i], mem, streams[i], coord, math.MaxInt64)
 				case Interval:
 					cores[i] = core.New(i, m.Core, core.Options{}, bps[i], mem, streams[i], coord)
 				}

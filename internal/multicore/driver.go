@@ -2,9 +2,10 @@
 // — against a shared memory hierarchy and a synchronization coordinator,
 // and reports per-core and machine-level results. It is the outer loop of
 // Figure 3: global time advances cycle by cycle; each live core is stepped
-// once per cycle, except that a core whose own time is ahead of global time
-// (an interval core behind a miss-event penalty) is left alone until the
-// cycle it announced, and global time jumps over cycles no core is awake in.
+// once per cycle, except that a core with nothing to do (an interval core
+// behind a miss-event penalty, a detailed core waiting on DRAM) is left
+// alone until the cycle it announced, and global time jumps over cycles no
+// core is awake in.
 package multicore
 
 import (
@@ -108,9 +109,10 @@ type RunConfig struct {
 	// observability work.
 	Heartbeat *obs.Heartbeat
 
-	// newCore, when non-nil, builds core i instead of Model: the seam
-	// that lets a driver test run scripted cores.
-	newCore func(i int) sim.Core
+	// newCore, when non-nil, is handed each core Model built and
+	// returns the core the driver steps in its place: the seam that lets
+	// a driver test run scripted or wrapped cores.
+	newCore func(i int, c sim.Core) sim.Core
 }
 
 // CoreResult is the outcome for one core/thread.
@@ -202,19 +204,8 @@ func Measure(cfg RunConfig, mem *memhier.Hierarchy, bps []*branch.Unit, streams 
 	}
 	res := newResult(cfg)
 	coord := NewCoordinator(cfg.Machine.Cores)
-	cores := buildCores(cfg, bps, mem, coord, streams)
+	cores := buildCores(cfg, bps, mem, coord, streams, maxCycles)
 
-	// The TimeSkipper capability is asserted once per core here, not once
-	// per core per cycle in the skip loop below.
-	skippers := make([]sim.TimeSkipper, len(cores))
-	allSkip := true
-	for i, c := range cores {
-		if ts, ok := c.(sim.TimeSkipper); ok {
-			skippers[i] = ts
-		} else {
-			allSkip = false
-		}
-	}
 	// live holds the indices of cores that have not finished, in ascending
 	// order; finished cores drop out instead of being re-checked every
 	// cycle of a long run. The rotation below still uses the full core
@@ -263,9 +254,8 @@ func Measure(cfg RunConfig, mem *memhier.Hierarchy, bps []*branch.Unit, streams 
 	if n == 1 {
 		// Single-core fast loop: no rotation, no live-list bookkeeping —
 		// the dominant case for SPEC runs and sweeps. Semantically
-		// identical to the general loop below with one core: a core that
-		// cannot skip advances one cycle at a time.
-		c, ts := cores[0], skippers[0]
+		// identical to the general loop below with one core.
+		c := cores[0]
 		if c.Done() {
 			coord.NoteDone(0)
 		} else {
@@ -288,14 +278,7 @@ func Measure(cfg RunConfig, mem *memhier.Hierarchy, bps []*branch.Unit, streams 
 					coord.NoteDone(0)
 					break
 				}
-				next := now + 1
-				if ts != nil {
-					next = ts.NextActive(now + 1)
-					if next < now+1 {
-						next = now + 1
-					}
-				}
-				now = next
+				now = c.NextActive(now + 1)
 				if now >= maxCycles {
 					res.TimedOut = true
 					break
@@ -306,10 +289,9 @@ func Measure(cfg RunConfig, mem *memhier.Hierarchy, bps []*branch.Unit, streams 
 	}
 	// wake[i] is the global cycle before which core i does nothing: what
 	// NextActive(now+1) answered right after the core's last Step. The
-	// answer is a function of the core's own state (sim.TimeSkipper), so it
+	// answer is a function of the core's own state (sim.Core), so it
 	// stands until the core is stepped again, and until then the loop
-	// neither steps the core nor asks it anything. When some core cannot
-	// skip, wake stays 0: every core is stepped every cycle.
+	// neither steps the core nor asks it anything.
 	wake := make([]int64, n)
 	for iter := uint(0); ; iter++ {
 		// Poll the interrupt channel periodically, not every iteration:
@@ -375,8 +357,8 @@ func Measure(cfg RunConfig, mem *memhier.Hierarchy, bps []*branch.Unit, streams 
 				coord.NoteDone(i)
 				live[pos] = -1
 				removed = true
-			} else if allSkip {
-				wake[i] = skippers[i].NextActive(now + 1)
+			} else {
+				wake[i] = c.NextActive(now + 1)
 				minWake = min(minWake, wake[i])
 			}
 		}
@@ -393,14 +375,10 @@ func Measure(cfg RunConfig, mem *memhier.Hierarchy, bps []*branch.Unit, streams 
 		if len(live) == 0 {
 			break
 		}
-		// Event-driven skip: if every live core is ahead of global time
-		// (miss-event penalties), jump straight to the earliest wake time
-		// — no core would be simulated in between.
-		next := now + 1
-		if allSkip && minWake > next {
-			next = minWake
-		}
-		now = next
+		// Event-driven skip: if every live core is asleep, jump straight
+		// to the earliest wake time — no core would be simulated in
+		// between.
+		now = max(now+1, minWake)
 		if now >= maxCycles {
 			res.TimedOut = true
 			break
@@ -409,24 +387,24 @@ func Measure(cfg RunConfig, mem *memhier.Hierarchy, bps []*branch.Unit, streams 
 	return finish(now)
 }
 
-// buildCores constructs the per-core model instances for cfg.
-func buildCores(cfg RunConfig, bps []*branch.Unit, mem *memhier.Hierarchy, coord sim.Syncer, streams []trace.Stream) []sim.Core {
+// buildCores constructs the per-core model instances for cfg. A run stops
+// at maxCycles, and the detailed core's NextActive never answers past it.
+func buildCores(cfg RunConfig, bps []*branch.Unit, mem *memhier.Hierarchy, coord sim.Syncer, streams []trace.Stream, maxCycles int64) []sim.Core {
 	cores := make([]sim.Core, cfg.Machine.Cores)
 	for i := range cores {
 		bp := bps[i]
-		if cfg.newCore != nil {
-			cores[i] = cfg.newCore(i)
-			continue
-		}
 		switch cfg.Model {
 		case Detailed:
-			cores[i] = ooo.New(i, cfg.Machine.Core, bp, mem, streams[i], coord)
+			cores[i] = ooo.New(i, cfg.Machine.Core, bp, mem, streams[i], coord, maxCycles)
 		case Interval:
 			cores[i] = core.New(i, cfg.Machine.Core, cfg.Ablation, bp, mem, streams[i], coord)
 		case OneIPC:
 			cores[i] = oneipc.New(i, mem, streams[i], coord)
 		default:
 			panic("multicore: unknown model")
+		}
+		if cfg.newCore != nil {
+			cores[i] = cfg.newCore(i, cores[i])
 		}
 	}
 	return cores

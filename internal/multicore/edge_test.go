@@ -54,18 +54,26 @@ func TestMismatchedStreamCountPanics(t *testing.T) {
 
 func TestMaxCyclesTimeout(t *testing.T) {
 	// A generous workload with an absurdly small cycle budget must time
-	// out and say so, rather than spin or lie.
-	p := workload.SPECByName("gcc")
-	res := Run(RunConfig{
-		Machine:   config.Default(1),
-		Model:     Interval,
-		MaxCycles: 50,
-	}, []trace.Stream{trace.NewLimit(workload.New(p, 0, 1, 42), 100_000)})
-	if !res.TimedOut {
-		t.Fatal("run did not report a timeout")
-	}
-	if res.TotalRetired >= 100_000 {
-		t.Fatal("run claims completion despite the timeout")
+	// out and say so, rather than spin or lie, and stop where it always
+	// has: the detailed core at the budget, even though it sleeps through
+	// its misses; the interval and one-IPC cores at the end of the miss
+	// or instruction that crossed it.
+	p := workload.SPECByName("mcf")
+	for m, cycles := range map[Model]int64{Detailed: 50, Interval: 400, OneIPC: 201} {
+		res := Run(RunConfig{
+			Machine:   config.Default(1),
+			Model:     m,
+			MaxCycles: 50,
+		}, []trace.Stream{trace.NewLimit(workload.New(p, 0, 1, 42), 100_000)})
+		if !res.TimedOut {
+			t.Fatalf("%v: run did not report a timeout", m)
+		}
+		if res.TotalRetired >= 100_000 {
+			t.Fatalf("%v: run claims completion despite the timeout", m)
+		}
+		if res.Cycles != cycles {
+			t.Errorf("%v: timed out at %d cycles, want %d", m, res.Cycles, cycles)
+		}
 	}
 }
 

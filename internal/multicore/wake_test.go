@@ -67,27 +67,25 @@ func (c *scriptCore) Done() bool        { return c.done }
 func (c *scriptCore) Retired() uint64   { return uint64(c.work) }
 func (c *scriptCore) FinishTime() int64 { return c.finish }
 
-// plainCore hides NextActive: a core that cannot skip.
-type plainCore struct{ sim.Core }
-
 // runScripted runs n scripted cores (core 1 already done when handed over,
 // the others with work counts that differ) and returns the result, the
-// cores and the order of their work steps. plain lists the cores that do
-// not offer NextActive.
-func runScripted(t *testing.T, n int, strict bool, plain ...int) (Result, []*scriptCore, []workStep) {
+// cores and the order of their work steps. With stepAll set the driver
+// steps every core every cycle.
+func runScripted(t *testing.T, n int, strict, stepAll bool) (Result, []*scriptCore, []workStep) {
 	t.Helper()
 	var log []workStep
 	cores := make([]*scriptCore, n)
 	cfg := RunConfig{
 		Machine: config.Default(n),
-		newCore: func(i int) sim.Core {
+		Model:   OneIPC, // built, then replaced by the scripted core
+		newCore: func(i int, _ sim.Core) sim.Core {
 			c := &scriptCore{t: t, id: i, strict: strict, left: 40 + 25*i, log: &log}
 			if i == 1 {
 				c.left, c.done = 0, true
 			}
 			cores[i] = c
-			if slices.Contains(plain, i) {
-				return plainCore{c}
+			if stepAll {
+				return everyCycle{c}
 			}
 			return c
 		},
@@ -102,12 +100,8 @@ func runScripted(t *testing.T, n int, strict bool, plain ...int) (Result, []*scr
 // are those of stepping every core every cycle.
 func TestDriverNeverStepsSleepingCore(t *testing.T) {
 	for _, n := range []int{1, 4, 5} { // 5: the rotation is not a mask
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		want, _, wantLog := runScripted(t, n, false, all...)
-		got, cores, gotLog := runScripted(t, n, true)
+		want, _, wantLog := runScripted(t, n, false, true)
+		got, cores, gotLog := runScripted(t, n, true, false)
 		if got.Cycles != want.Cycles || !slices.Equal(got.Cores, want.Cores) || got.TimedOut || got.TotalRetired == 0 {
 			t.Errorf("%d cores: result %+v, stepping every cycle gives %+v", n, got, want)
 		}
@@ -119,25 +113,5 @@ func TestDriverNeverStepsSleepingCore(t *testing.T) {
 				t.Errorf("%d cores: core %d was stepped %d times for %d work steps", n, i, c.calls, c.work)
 			}
 		}
-	}
-}
-
-// TestDriverMixedSkippersStepEveryCycle: beside one core that cannot skip,
-// global time advances by one and every live core is stepped every cycle,
-// asleep or not.
-func TestDriverMixedSkippersStepEveryCycle(t *testing.T) {
-	const n = 4
-	res, cores, _ := runScripted(t, n, false, 3)
-	for i, c := range cores {
-		want := int(c.finish) + 1 // cycles 0 … finish
-		if i == 1 {
-			want = 0 // done when handed over
-		}
-		if c.calls != want {
-			t.Errorf("core %d (finished at %d) was stepped %d times, want %d", i, c.finish, c.calls, want)
-		}
-	}
-	if res.Cycles != cores[3].finish || res.TimedOut {
-		t.Errorf("result %+v, want the run to end with core 3 at cycle %d", res, cores[3].finish)
 	}
 }

@@ -52,7 +52,7 @@ func (c *Core) Done() bool { return c.done }
 // FinishTime implements sim.Core.
 func (c *Core) FinishTime() int64 { return c.finishTime }
 
-// NextActive implements sim.TimeSkipper.
+// NextActive implements sim.Core.
 func (c *Core) NextActive(now int64) int64 {
 	if c.coreTime > now {
 		return c.coreTime

@@ -17,8 +17,10 @@
 // in-flight instruction lives once in a fixed ring, the issue queue is a set
 // of ready bitmaps over that ring, and an instruction enters them when its
 // last producer's completion time has passed (docs/architecture.md,
-// "detailed core event loop"). What it simulates, cycle by cycle, is pinned
-// against the straightforward polling model kept in ref_test.go.
+// "detailed core event loop"). After a cycle in which no stage could act,
+// NextActive names the next cycle in which one can, and the driver skips
+// the cycles between. What it simulates, cycle by cycle, is pinned against
+// the straightforward polling model kept in ref_test.go.
 package ooo
 
 import (
@@ -134,12 +136,17 @@ type Core struct {
 	// 64w+b is in the issue queue, of FU class k, and all its operands
 	// are available; wheel[t&(wheelSize-1)] lists the entries whose
 	// producers have all issued and whose operands are ready at t (or at
-	// t plus a multiple of wheelSize).
-	ready    [][numFU]uint64
-	nReady   int
-	wheel    []int32
-	nTimed   int
-	lastWake int64 // every bucket up to this cycle has been emptied
+	// t plus a multiple of wheelSize); timed has bit b set while bucket b
+	// is not empty.
+	ready  [][numFU]uint64
+	nReady int
+	wheel  []int32
+	timed  [wheelSize / 64]uint64
+	nTimed int
+	// wakeAt is a lower bound on the ready time of every entry on the
+	// wheel (notIssued when it is empty): wake walks the wheel only once
+	// it has passed.
+	wakeAt int64
 
 	// stores counts in-flight (dispatched, uncommitted) stores per cache
 	// line for store-to-load forwarding disambiguation: one count word
@@ -157,18 +164,30 @@ type Core struct {
 
 	syncWait bool
 
+	// acted is set by every stage that changes the core's state or calls
+	// out of it in the current Step; last is that Step's cycle. After a
+	// Step with acted unset, nothing happens before the cycle NextActive
+	// names. horizon is the cycle NextActive never answers past: the
+	// run's cycle limit.
+	acted   bool
+	last    int64
+	horizon int64
+
 	retired    uint64
 	done       bool
 	finishTime int64
 
-	// Statistics.
+	// Statistics. Both count the cycles NextActive skipped as well as the
+	// cycles stepped.
 	Cycles        int64
 	DispatchStall int64
 }
 
 // New creates a detailed core. The branch unit and hierarchy are shared
 // miss-event simulators, identical to those driving the interval model.
-func New(id int, cfg config.Core, bp *branch.Unit, mem *memhier.Hierarchy, src trace.Stream, syncer sim.Syncer) *Core {
+// NextActive never answers a cycle after horizon, so a run that stops
+// there stops where stepping every cycle would have.
+func New(id int, cfg config.Core, bp *branch.Unit, mem *memhier.Hierarchy, src trace.Stream, syncer sim.Syncer, horizon int64) *Core {
 	if syncer == nil {
 		syncer = sim.NullSyncer{}
 	}
@@ -191,6 +210,8 @@ func New(id int, cfg config.Core, bp *branch.Unit, mem *memhier.Hierarchy, src t
 		wheel:    make([]int32, wheelSize),
 		stores:   cache.NewLineTable(cfg.LSQSize, 1),
 		sb:       make([]uint64, 1<<bits.Len(uint(cfg.StoreBufferSize-1))),
+		wakeAt:   notIssued,
+		horizon:  horizon,
 	}
 	c.sbMask = uint64(len(c.sb) - 1)
 	for i := range c.lastWriter {
@@ -225,6 +246,8 @@ func (c *Core) Step(now int64) {
 		return
 	}
 	c.Cycles++
+	c.acted = false
+	c.last = now
 	c.commit(now)
 	c.drainStoreBuffer(now)
 	c.issue(now)
@@ -235,6 +258,52 @@ func (c *Core) Step(now int64) {
 		c.done = true
 		c.finishTime = now
 	}
+}
+
+// NextActive implements sim.Core. After a Step in which some stage acted
+// the answer is now. After one in which none did, every stage waits for a
+// time it already knows — commit for the ROB head's completion, the store
+// buffer for a port, issue for the next due wheel bucket, dispatch for the
+// fetch-queue head's front-end exit, fetch for the end of its stall — or
+// for another stage to act first, so the answer is the earliest of those
+// times (a sync-blocked core polled in its Step, which is acting). The
+// cycles before it are counted as stepped: each adds a cycle, and a
+// dispatch stall while the ROB holds anything.
+func (c *Core) NextActive(now int64) int64 {
+	if c.acted || c.done {
+		return now
+	}
+	// A time the last Step already reached is not what a stage waits
+	// for: a completed head store waits for a store buffer entry, a
+	// fetch-queue head out of the front end for space that commit or
+	// issue frees.
+	w := min(c.horizon, c.wakeAt)
+	if c.head != c.disp {
+		if t := c.win[c.head&c.mask].complete; t > c.last {
+			w = min(w, t)
+		}
+	}
+	if c.sbHead != c.sbTail {
+		for _, free := range c.sbPortFree {
+			w = min(w, free)
+		}
+	}
+	if c.disp != c.tail {
+		if t := c.win[c.disp&c.mask].readyAt; t > c.last {
+			w = min(w, t)
+		}
+	}
+	if c.redirects == 0 && c.fetchStallUntil > c.last {
+		w = min(w, c.fetchStallUntil)
+	}
+	if w <= now {
+		return now
+	}
+	c.Cycles += w - now
+	if c.head != c.disp {
+		c.DispatchStall += w - now
+	}
+	return w
 }
 
 // refill pulls the next chunk of the stream; false at end of stream.
@@ -268,6 +337,7 @@ func (c *Core) fetch(now int64) {
 		in := &c.buf[c.bufPos]
 
 		if line := in.PC >> 6; line != c.lastFetchLine {
+			c.acted = true
 			ires := c.mem.Inst(c.id, in.PC, now)
 			if ires.Latency > 0 {
 				// I-cache/I-TLB miss: the fetch unit stalls for
@@ -285,6 +355,7 @@ func (c *Core) fetch(now int64) {
 		e.misp = in.Class.IsBranch() && c.bp.Predict(in)
 		c.bufPos++
 		c.tail++
+		c.acted = true
 		if e.misp {
 			// Wrong-path fetch: nothing useful enters until the
 			// branch resolves (functional-first streams carry only
@@ -318,6 +389,7 @@ func (c *Core) dispatch(now int64) {
 				c.DispatchStall++
 				return
 			}
+			c.acted = true
 			lat := int64(1)
 			if in.Class.IsSync() {
 				dec := c.syncer.Sync(c.id, in, now)
@@ -350,6 +422,7 @@ func (c *Core) dispatch(now int64) {
 		}
 		c.disp++
 		c.iqCount++
+		c.acted = true
 
 		// Rename: a source whose producer has issued contributes a known
 		// completion time; one whose producer has not joins that
@@ -393,46 +466,75 @@ func (c *Core) schedule(slot int32, e *entry, now int64) {
 		c.nReady++
 		return
 	}
-	b := &c.wheel[e.readyAt&(wheelSize-1)]
-	e.next[0] = *b
-	*b = slot
+	i := e.readyAt & (wheelSize - 1)
+	e.next[0] = c.wheel[i]
+	c.wheel[i] = slot
+	c.timed[i>>6] |= 1 << (i & 63)
 	c.nTimed++
+	c.wakeAt = min(c.wakeAt, e.readyAt)
 }
 
 // wake moves the wheel's entries that have come due into the ready bitmaps.
+// None is due before wakeAt, so until then it returns at once; after that
+// it walks the buckets from wakeAt to now (at most one turn) and moves
+// wakeAt to the next non-empty bucket, a lower bound on what it holds.
 func (c *Core) wake(now int64) {
-	if c.nTimed > 0 {
-		from := max(c.lastWake+1, now-wheelSize+1)
-		for t := from; t <= now; t++ {
-			b := &c.wheel[t&(wheelSize-1)]
-			slot := *b
-			*b = none
-			for slot != none {
-				e := &c.win[slot]
-				nxt := e.next[0]
-				if e.readyAt <= now {
-					c.nTimed--
-					c.schedule(slot, e, now)
-				} else { // a later turn of the wheel
-					e.next[0] = *b
-					*b = slot
-				}
-				slot = nxt
+	if now < c.wakeAt {
+		return
+	}
+	for t := max(c.wakeAt, now-wheelSize+1); t <= now; t++ {
+		i := t & (wheelSize - 1)
+		b := &c.wheel[i]
+		slot := *b
+		*b = none
+		for slot != none {
+			e := &c.win[slot]
+			nxt := e.next[0]
+			if e.readyAt <= now {
+				c.nTimed--
+				c.schedule(slot, e, now)
+			} else { // a later turn of the wheel
+				e.next[0] = *b
+				*b = slot
 			}
+			slot = nxt
+		}
+		if *b == none {
+			c.timed[i>>6] &^= 1 << (i & 63)
 		}
 	}
-	c.lastWake = now
+	c.wakeAt = notIssued
+	if c.nTimed > 0 {
+		c.wakeAt = c.nextTimed(now + 1)
+	}
+}
+
+// nextTimed returns the first cycle from t on whose wheel bucket is not
+// empty. The wheel must hold an entry.
+func (c *Core) nextTimed(t int64) int64 {
+	i := t & (wheelSize - 1)
+	if w := c.timed[i>>6] >> (i & 63); w != 0 {
+		return t + int64(bits.TrailingZeros64(w))
+	}
+	t += 64 - i&63
+	for k := i>>6 + 1; ; k++ {
+		if w := c.timed[k%(wheelSize/64)]; w != 0 {
+			return t + int64(bits.TrailingZeros64(w))
+		}
+		t += 64
+	}
 }
 
 // issue selects up to IssueWidth ready instructions oldest-first under
 // functional-unit constraints, computes their completion times and wakes
-// their consumers. Only ready entries are visited; a cycle with none costs
-// one wheel bucket.
+// their consumers. Only ready entries are visited; a cycle in which none
+// comes due costs one comparison.
 func (c *Core) issue(now int64) {
 	c.wake(now)
 	if c.nReady == 0 {
 		return
 	}
+	c.acted = true // a ready entry always finds a unit of its class
 	width := c.cfg.IssueWidth
 	fu := [numFU]int{c.cfg.IntALUs, c.cfg.LoadStoreFUs, c.cfg.FPUnits}
 	var open [numFU]uint64 // all ones while the class has a unit left
@@ -541,6 +643,7 @@ func (c *Core) commit(now int64) {
 		}
 		c.head++
 		c.retired++
+		c.acted = true
 	}
 }
 
@@ -556,6 +659,7 @@ func (c *Core) drainStoreBuffer(now int64) {
 		}
 		addr := c.sb[c.sbHead&c.sbMask]
 		c.sbHead++
+		c.acted = true
 		res := c.mem.Data(c.id, addr, true, now)
 		c.sbPortFree[p] = now + 1 + res.Latency
 	}

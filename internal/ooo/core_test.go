@@ -1,6 +1,7 @@
 package ooo
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/branch"
@@ -19,7 +20,7 @@ func build(insts []isa.Inst, perfect memhier.Perfect, predictor string) (*Core, 
 	}
 	mem := memhier.New(1, m.Mem, perfect)
 	bp := branch.NewUnit(m.Branch)
-	c := New(0, m.Core, bp, mem, trace.NewSliceStream(insts), sim.NullSyncer{})
+	c := New(0, m.Core, bp, mem, trace.NewSliceStream(insts), sim.NullSyncer{}, math.MaxInt64)
 	return c, mem
 }
 
@@ -28,7 +29,7 @@ func runCore(t *testing.T, c *Core) {
 	var now int64
 	for !c.Done() {
 		c.Step(now)
-		now++
+		now = c.NextActive(now + 1)
 		if now > 10_000_000 {
 			t.Fatal("detailed core did not finish")
 		}
@@ -181,11 +182,11 @@ func TestSyncWaitsAtDispatch(t *testing.T) {
 	mem := memhier.New(1, m.Mem, memhier.Perfect{ISide: true, DSide: true})
 	bp := branch.NewUnit(m.Branch)
 	gate := &gateSyncer{openAt: 700}
-	c := New(0, m.Core, bp, mem, trace.NewSliceStream(insts), gate)
+	c := New(0, m.Core, bp, mem, trace.NewSliceStream(insts), gate, math.MaxInt64)
 	var now int64
 	for !c.Done() {
 		c.Step(now)
-		now++
+		now = c.NextActive(now + 1)
 		if now > 1_000_000 {
 			t.Fatal("did not finish")
 		}
@@ -235,7 +236,7 @@ func TestFunctionalUnitContention(t *testing.T) {
 }
 
 // TestStepAllocsNothing pins the allocation-free steady state: once the
-// core is built, stepping it allocates nothing, whether it issues most
+// core is built, stepping it as the driver does allocates nothing, whether it issues most
 // cycles (gcc) or waits for DRAM most cycles (mcf). The generator and the
 // single-core hierarchy it runs over allocate nothing either, so the whole
 // step is measured, not the core in isolation.
@@ -244,17 +245,17 @@ func TestStepAllocsNothing(t *testing.T) {
 		m := config.Default(1)
 		mem := memhier.New(1, m.Mem, memhier.Perfect{})
 		bp := branch.NewUnit(m.Branch)
-		c := New(0, m.Core, bp, mem, workload.New(workload.SPECByName(name), 0, 1, 42), sim.NullSyncer{})
+		c := New(0, m.Core, bp, mem, workload.New(workload.SPECByName(name), 0, 1, 42), sim.NullSyncer{}, math.MaxInt64)
 		var now int64
 		for c.Retired() < 20_000 { // past the cold start
 			c.Step(now)
-			now++
+			now = c.NextActive(now + 1)
 		}
 		start := c.Retired()
 		allocs := testing.AllocsPerRun(5, func() {
 			for i := 0; i < 4000; i++ {
 				c.Step(now)
-				now++
+				now = c.NextActive(now + 1)
 			}
 		})
 		if allocs != 0 {
@@ -278,9 +279,9 @@ func TestOccupancyBoundsAndDataflowLimit(t *testing.T) {
 	m.Branch.Kind = "perfect"
 	mem := memhier.New(1, m.Mem, memhier.Perfect{ISide: true, DSide: true})
 	bp := branch.NewUnit(m.Branch)
-	c := New(0, m.Core, bp, mem, trace.NewLimit(workload.New(p, 0, 1, 42), n), sim.NullSyncer{})
+	c := New(0, m.Core, bp, mem, trace.NewLimit(workload.New(p, 0, 1, 42), n), sim.NullSyncer{}, math.MaxInt64)
 	cfg := m.Core
-	for now := int64(0); !c.Done(); now++ {
+	for now := int64(0); !c.Done(); now = c.NextActive(now + 1) {
 		c.Step(now)
 		if c.head > c.disp || c.disp > c.tail || c.sbHead > c.sbTail || c.iqCount < 0 || c.lsqCount < 0 {
 			t.Fatalf("cycle %d: head %d disp %d tail %d, store buffer %d..%d, iq %d lsq %d",

@@ -2,6 +2,7 @@ package ooo
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -44,7 +45,7 @@ type diffCase struct {
 	perfect memhier.Perfect
 	streams [][]isa.Inst
 	// gaps makes global time jump now and then instead of advancing by
-	// one, as a driver skipping idle time would.
+	// one, as a driver skipping cycles no core is awake in would.
 	gaps bool
 }
 
@@ -235,6 +236,12 @@ func (s diffSide) machineState() string {
 // Retired/Done after every cycle, and at the end the same finish time,
 // cycle and stall counts and the same state of everything they touched
 // (which they can only reach by making the same calls in the same order).
+// The reference is stepped every cycle; the core as the driver steps it,
+// only in the cycles its NextActive names, so every cycle it sleeps
+// through is one in which the reference changed nothing visible either.
+// In gap mode global time jumps now and then, past cycles neither side is
+// stepped in; a jump is taken only while every core is awake, since a
+// core counts the cycles it sleeps through as stepped.
 func checkMatchesReference(t *testing.T, dc diffCase) {
 	t.Helper()
 	cfg := dc.machine.Core
@@ -242,24 +249,30 @@ func checkMatchesReference(t *testing.T, dc diffCase) {
 		return newRefCore(id, cfg, bp, mem, src, sy)
 	})
 	got := newSide(dc, func(id int, bp *branch.Unit, mem *memhier.Hierarchy, src trace.Stream, sy sim.Syncer) sim.Core {
-		return New(id, cfg, bp, mem, src, sy)
+		return New(id, cfg, bp, mem, src, sy, math.MaxInt64)
 	})
 	jump := rand.New(rand.NewSource(int64(len(dc.streams[0]))))
+	wake := make([]int64, len(got.cores)) // the cycle core i's NextActive named
 	var now int64
 	for live := true; live; {
 		live = false
+		awake := true
 		for i := range ref.cores {
 			r, g := ref.cores[i], got.cores[i]
 			r.Step(now)
-			g.Step(now)
+			if !g.Done() && wake[i] <= now {
+				g.Step(now)
+				wake[i] = g.NextActive(now + 1)
+			}
 			if r.Retired() != g.Retired() || r.Done() != g.Done() {
 				t.Fatalf("cycle %d core %d: reference retired %d done %t, core retired %d done %t\nmachine %+v",
 					now, i, r.Retired(), r.Done(), g.Retired(), g.Done(), dc.machine.Core)
 			}
 			live = live || !r.Done()
+			awake = awake && (g.Done() || wake[i] == now+1)
 		}
 		now++
-		if dc.gaps && jump.Intn(50) == 0 {
+		if dc.gaps && awake && jump.Intn(50) == 0 {
 			now += int64(jump.Intn(3 * wheelSize))
 		}
 		if now > 5_000_000 {

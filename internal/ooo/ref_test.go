@@ -1,5 +1,6 @@
 // The reference model: the detailed core as it was before the event-driven
-// rewrite (ISSUE 18), kept verbatim but for its names. It polls — every
+// rewrite (ISSUE 18), kept verbatim but for its names and a NextActive
+// that never sleeps. It polls — every
 // cycle it re-examines every issue-queue entry against the ROB — and its
 // queues are plain slices, which makes it slow and easy to believe.
 // TestCoreMatchesReference and FuzzCoreMatchesReference step it beside Core.
@@ -115,6 +116,9 @@ func (c *refCore) Done() bool { return c.done }
 
 // FinishTime implements sim.Core.
 func (c *refCore) FinishTime() int64 { return c.finishTime }
+
+// NextActive implements sim.Core: the polling model never sleeps.
+func (c *refCore) NextActive(now int64) int64 { return now }
 
 // IPC returns retired instructions per cycle so far.
 func (c *refCore) IPC() float64 {

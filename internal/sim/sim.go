@@ -8,14 +8,26 @@ package sim
 import "repro/internal/isa"
 
 // Core is one simulated core as seen by the multi-core driver. The driver
-// advances global time cycle by cycle and calls Step once per cycle on
-// every core that has not finished (see TimeSkipper for the cycles it may
-// leave out).
+// advances global time and calls Step on every core that has not finished,
+// in each cycle the core's NextActive named.
 type Core interface {
 	// Step simulates global cycle now for this core. Implementations
 	// that are ahead of global time (interval simulation's per-core
 	// simulated time) may do nothing.
 	Step(now int64)
+	// NextActive(now) returns the earliest global cycle, not before now,
+	// at which the core will do work: a Step at any cycle before it would
+	// only count the cycle, so a model that counts its cycles counts
+	// those here (the detailed core's Cycles). The answer is a function
+	// of the core's own state as its last Step left it — nothing another
+	// core or the coordinator does may move it, so a core waiting on a
+	// barrier or a lock answers the next cycle and polls. The driver asks
+	// once, right after a core's Step, and holds the answer until that
+	// core's next Step: it neither steps nor asks the core before then,
+	// and advances global time straight to the minimum over all live
+	// cores, which is exactly equivalent to stepping through the
+	// intervening cycles.
+	NextActive(now int64) int64
 	// Done reports whether the core's thread has finished: stream
 	// exhausted and all buffered work drained.
 	Done() bool
@@ -42,22 +54,6 @@ type SyncDecision struct {
 // repeated polling must not double-register an arrival.
 type Syncer interface {
 	Sync(core int, in *isa.Inst, now int64) SyncDecision
-}
-
-// TimeSkipper is an optional interface for core models whose per-core
-// simulated time can run ahead of global time (the interval and one-IPC
-// models). NextActive(now) returns the earliest global cycle, not before
-// now, at which the core will do work: Step is a no-op at every cycle
-// before it. The answer is a function of the core's own state as its last
-// Step left it — nothing another core or the coordinator does may move it,
-// so a core waiting on a barrier or a lock answers the next cycle and
-// polls. The driver asks once, right after a core's Step, and holds the
-// answer until that core's next Step: it neither steps nor asks the core
-// before then, and advances global time straight to the minimum over all
-// live cores, which is exactly equivalent to stepping through the
-// intervening cycles (no core would have been simulated in them).
-type TimeSkipper interface {
-	NextActive(now int64) int64
 }
 
 // NullSyncer lets every synchronization instruction proceed immediately;

@@ -448,6 +448,74 @@ func TestOneLineTable(t *testing.T) {
 	}
 }
 
+// TestOneSteppingPath: every core model sleeps through its idle cycles, so
+// NextActive is part of sim.Core and the driver steps all of them one way.
+// No optional skipping interface comes back and the driver never asks a
+// core whether it can skip: the test fails on a non-test declaration named
+// TimeSkipper, and on a type assertion or type switch in
+// internal/multicore to an interface that declares NextActive (inline, or
+// named anywhere in the non-test sources).
+func TestOneSteppingPath(t *testing.T) {
+	skippers := map[string]bool{} // interface types that declare NextActive
+	declares := func(it *ast.InterfaceType) bool {
+		for _, m := range it.Methods.List {
+			for _, id := range m.Names {
+				if id.Name == "NextActive" {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	offenders(t, func(n ast.Node) string {
+		if ts, ok := n.(*ast.TypeSpec); ok {
+			if it, ok := ts.Type.(*ast.InterfaceType); ok && declares(it) {
+				skippers[ts.Name.Name] = true
+			}
+		}
+		return ""
+	})
+	// skipper reports whether a type expression names such an interface.
+	skipper := func(e ast.Expr) bool {
+		switch e := e.(type) {
+		case *ast.InterfaceType:
+			return declares(e)
+		case *ast.Ident:
+			return skippers[e.Name]
+		case *ast.SelectorExpr:
+			return skippers[e.Sel.Name]
+		}
+		return false
+	}
+	pkg := "" // the package of the file being walked
+	bad := offenders(t, func(n ast.Node) string {
+		switch n := n.(type) {
+		case *ast.File:
+			pkg = n.Name.Name
+		case *ast.TypeSpec:
+			if n.Name.Name == "TimeSkipper" {
+				return "type TimeSkipper"
+			}
+		case *ast.TypeAssertExpr:
+			if pkg == "multicore" && n.Type != nil && skipper(n.Type) {
+				return "a type assertion to an interface with NextActive"
+			}
+		case *ast.TypeSwitchStmt:
+			for _, cc := range n.Body.List {
+				for _, e := range cc.(*ast.CaseClause).List {
+					if pkg == "multicore" && skipper(e) {
+						return "a type switch case on an interface with NextActive"
+					}
+				}
+			}
+		}
+		return ""
+	})
+	if len(bad) > 0 {
+		t.Fatalf("a second stepping path is back (NextActive is part of sim.Core):\n  %s", strings.Join(bad, "\n  "))
+	}
+}
+
 // TestSweepPointIsASpec: a cmd/sweep point is described only by a
 // simrun.Spec, so it has a wire form and runs on either executor; the sweep
 // never builds a scenario from options. And a run has one description: the
