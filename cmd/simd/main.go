@@ -48,9 +48,6 @@ import (
 	"syscall"
 	"time"
 
-	// Register the estimator engine ("statistical") so tiered serving
-	// has a cheap tier to answer from and specs may pin it explicitly.
-	_ "repro/internal/engine"
 	"repro/internal/fleet"
 	"repro/internal/prof"
 	"repro/internal/simd"

@@ -34,9 +34,6 @@ import (
 	"time"
 
 	"repro/internal/config"
-	// Register the estimator engines for -adaptive and for spec files
-	// that pin "engine".
-	_ "repro/internal/engine"
 	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/prof"

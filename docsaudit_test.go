@@ -25,7 +25,6 @@ import (
 	"strings"
 	"testing"
 
-	_ "repro/internal/engine"
 	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/simd"

@@ -5,19 +5,19 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/multicore"
-	"repro/internal/simrun"
 	"repro/internal/statsim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// The statistical engine's work is bounded by these constants, not by
-// the scenario's instruction budget: that bound is the whole point. A
-// 200M-instruction scenario costs the same ~1.1M generated/simulated
-// instructions as a 1M one, which is what makes the tier answer in well
-// under a second while the full run takes tens of seconds.
+// The estimate's work is bounded by these constants, not by the run's
+// instruction budget: that bound is the whole point. A 200M-instruction
+// scenario costs the same ~1.1M generated/simulated instructions as a 1M
+// one, which is what makes the tier answer in well under a second while
+// the full run takes tens of seconds.
 const (
 	// statProfileWarm functionally warms the profiler's internal caches
 	// before counting, so the profiled locality is steady-state. Sized
@@ -44,85 +44,62 @@ const (
 	statSeedOffset = 0x57a7
 )
 
-func statisticalEngine() simrun.EngineDef {
-	return simrun.EngineDef{
-		Name:     "statistical",
-		Tier:     func(*simrun.Scenario) simrun.Tier { return simrun.TierStatistical },
-		Cost:     statisticalCost,
-		Supports: singleProgram,
-		Run:      statisticalRun,
-	}
-}
+// Cost is the estimate's work in simulated-instruction-equivalents:
+// profile run-in and window plus clone and its warm-up twin, whatever the
+// budget.
+const Cost = statProfileWarm + statProfileWindow + statCloneLen + statWarmCloneLen
 
-// statisticalCost is budget-independent: profile window plus clone,
-// both fixed.
-func statisticalCost(s *simrun.Scenario) float64 {
-	return float64(statProfileWarm + statProfileWindow + statCloneLen + statWarmCloneLen)
-}
-
-// statisticalRun is statistical simulation end to end: profile, clone,
-// time the clone under the scenario's own core model and machine, and
-// extrapolate the clone's IPC to the scenario's full budget.
-func statisticalRun(ctx context.Context, s *simrun.Scenario) (simrun.Result, error) {
+// Statistical estimates a run of p that Supports accepts, with the given
+// seed, warm-up and measured budget, on machine under model: profile,
+// clone, time the clone on the multicore driver, and extrapolate the
+// clone's IPC to the full budget. Cancelling ctx interrupts the clone's
+// run and returns ctx's error with its partial result.
+func Statistical(ctx context.Context, p *workload.Profile, seed int64, warmup, budget int, machine config.Machine, model multicore.Model) (multicore.Result, error) {
 	start := time.Now()
-	budget := s.InstBudget()
-
-	// Profile a fixed window of the real stream (thread 0 of 1, the
-	// scenario's own seed), warmed so locality is steady-state. The
-	// window is NOT scaled down to small budgets: an underfed profile
-	// misrepresents locality badly (several-fold IPC error), and the
-	// fixed window is what makes the cost budget-independent anyway.
-	// When the stream can skip (format v3) and the measured span is
-	// longer than the window, the window is stratified across the span:
-	// four slices at even offsets through [warmup, warmup+budget), so a
-	// phase-heterogeneous stream contributes every phase the estimate
-	// stands in for — a contiguous prefix window systematically
-	// over-weights the early phases. Cost is unchanged (the same
-	// instructions are profiled; skips are O(1)).
-	prof := statsim.CollectWarm(profileStream(s, budget), statProfileWarm, statProfileWindow)
+	prof := profile(p, seed, warmup, budget)
 	if prof.Total == 0 {
-		return simrun.Result{}, fmt.Errorf("engine: statistical: empty profile for %q", s.Name())
+		return multicore.Result{}, fmt.Errorf("engine: statistical: empty profile for %q", p.Name)
 	}
 
 	// Deterministic for (profile, length, seed): the clone and its
-	// warmup twin are pure functions of the scenario.
-	seed := s.SeedValue() + statSeedOffset
+	// warmup twin are pure functions of the inputs.
+	seed += statSeedOffset
 	clone := statsim.NewClone(prof, statCloneLen, seed)
 	warmTwin := statsim.NewClone(prof, statWarmCloneLen, seed+1)
-
-	machine, err := s.ResolvedMachine()
-	if err != nil {
-		return simrun.Result{}, err
-	}
-	cloneSpec := simrun.Spec{
-		Label:   s.Name() + " (statistical clone)",
-		Model:   s.ModelName(),
-		Machine: &machine,
-		Warmup:  statWarmCloneLen,
-	}
-	sub, err := simrun.New("", append(cloneSpec.Options(),
-		simrun.Streams([]trace.Stream{clone}, []trace.Stream{warmTwin}))...)
-	if err != nil {
-		return simrun.Result{}, err
-	}
-	res, err := sub.Run(ctx)
-	if err != nil {
-		return res, err
+	res := multicore.Run(multicore.RunConfig{
+		Machine:     machine,
+		Model:       model,
+		WarmupInsts: statWarmCloneLen,
+		Warmup:      []trace.Stream{warmTwin},
+		Interrupt:   ctx.Done(),
+	}, []trace.Stream{clone})
+	if res.Interrupted {
+		return res, ctx.Err()
 	}
 	if res.Cycles <= 0 || res.TotalRetired == 0 {
-		return simrun.Result{}, fmt.Errorf("engine: statistical: clone of %q timed nothing", s.Name())
+		return multicore.Result{}, fmt.Errorf("engine: statistical: clone of %q timed nothing", p.Name)
 	}
 
 	// Extrapolate: the clone's IPC stands in for the whole budget's.
 	ipc := float64(res.TotalRetired) / float64(res.Cycles)
 	cycles := int64(float64(budget)/ipc + 0.5)
-	return simrun.Result{Result: multicore.Result{
+	return multicore.Result{
 		Model:        res.Model,
 		Cycles:       cycles,
 		Cores:        []multicore.CoreResult{{Retired: uint64(budget), Finish: cycles, IPC: ipc}},
 		TotalRetired: uint64(budget),
 		Wall:         time.Since(start),
-	}}, nil
+	}, nil
+}
+
+// profile profiles a fixed window of the real stream (thread 0 of 1, the
+// run's own seed), warmed so locality is steady-state. The window is NOT
+// scaled down to small budgets: an underfed profile misrepresents locality
+// badly (several-fold IPC error), and the fixed window is what makes the
+// cost budget-independent anyway.
+func profile(p *workload.Profile, seed int64, warmup, budget int) *statsim.Profile {
+	src, runIn := profileStream(p, seed, warmup, budget)
+	return statsim.CollectWarm(src, runIn, statProfileWindow)
 }
 
 // statStrata is the stratified-profiling slice count: the profile
@@ -130,24 +107,26 @@ func statisticalRun(ctx context.Context, s *simrun.Scenario) (simrun.Result, err
 // scenario's measured span.
 const statStrata = 4
 
-// profileStream positions the profiler over the scenario's measured
-// region. Skippable streams with a span longer than the profile window
-// yield statProfileWarm warmup instructions ending at the span start,
-// then statStrata slices at even offsets through the span; anything
+// profileStream positions the profiler over the run's measured region and
+// returns the functional run-in it leads with. When the stream can skip
+// (format v3) and the measured span is longer than the window, the window
+// is stratified across the span: a run-in of statProfileWarm instructions,
+// cut to the warm-up, ending at the span start, then statStrata slices at
+// even offsets through [warmup, warmup+budget), so a phase-heterogeneous
+// stream contributes every phase the estimate stands in for — a contiguous
+// prefix window systematically over-weights the early phases. Cost is
+// unchanged (the same instructions are profiled; skips are O(1)). Anything
 // else (non-skippable streams, short spans) degrades to the plain
-// sequential stream.
-func profileStream(s *simrun.Scenario, budget int) trace.Stream {
-	g := workload.New(s.Profile(), 0, 1, s.SeedValue())
+// sequential stream behind a full run-in.
+func profileStream(p *workload.Profile, seed int64, warmup, budget int) (trace.Stream, int) {
+	g := workload.New(p, 0, 1, seed)
 	if !g.Skippable() || budget <= statProfileWindow {
-		return g
+		return g, statProfileWarm
 	}
-	wstart := uint64(s.WarmupBudget())
-	warm := uint64(statProfileWarm)
-	if warm > wstart {
-		warm = wstart
-	}
+	wstart := uint64(warmup)
+	warm := min(uint64(statProfileWarm), wstart)
 	if err := g.SkipTo(wstart - warm); err != nil {
-		return workload.New(s.Profile(), 0, 1, s.SeedValue())
+		return workload.New(p, 0, 1, seed), statProfileWarm
 	}
 	per := uint64(statProfileWindow / statStrata)
 	stride := uint64(budget) / statStrata
@@ -156,7 +135,7 @@ func profileStream(s *simrun.Scenario, budget int) trace.Stream {
 		st.starts = append(st.starts, wstart+i*stride)
 	}
 	st.per = per
-	return st
+	return st, int(warm)
 }
 
 // stratified yields its generator's stream until the current slice is

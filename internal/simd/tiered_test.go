@@ -16,8 +16,6 @@ import (
 	"time"
 
 	"repro/internal/config"
-	// The estimator engine tiered serving answers from.
-	_ "repro/internal/engine"
 	"repro/internal/multicore"
 	"repro/internal/report"
 	"repro/internal/simd"

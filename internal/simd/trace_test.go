@@ -7,8 +7,6 @@ import (
 	"testing"
 	"time"
 
-	// The estimator engine tiered serving answers from.
-	_ "repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/simd"
 	"repro/internal/simrun"

@@ -3,149 +3,107 @@ package simrun
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
+
+	"repro/internal/engine"
+	"repro/internal/multicore"
 )
 
-// EngineDef is one registered way to produce an answer for a scenario.
-// Engines span the fidelity spectrum: the built-in "full" engine runs
-// the scenario's entire instruction budget under its core model, while
-// estimator engines (package internal/engine registers "statistical")
-// trade fidelity for orders-of-magnitude less work. All engines answer
-// the *same* scenario — the engine choice never enters the scenario
-// fingerprint — so a serving layer can answer cheap first and upgrade the
-// cached answer when a higher tier lands.
+// EngineDef is one way to produce an answer for a scenario. There are two:
+// "full" runs the scenario's entire instruction budget under its core
+// model, and "statistical" (internal/engine) times a short synthetic clone
+// of it and extrapolates — orders of magnitude less work at a lower
+// fidelity. All engines answer the *same* scenario — the engine choice
+// never enters the scenario fingerprint — so a serving layer can answer
+// cheap first and upgrade the cached answer when a higher tier lands.
 type EngineDef struct {
-	// Name is the registered engine name.
+	// Name is the engine's wire name, the value of Spec.Engine.
 	Name string
-	// Tier classifies the fidelity of this engine's answer for s.
-	Tier func(s *Scenario) Tier
-	// Cost estimates the work of running s on this engine, in
+	// tier classifies the fidelity of the engine's answer for s.
+	tier func(s *Scenario) Tier
+	// cost estimates the work of running s on this engine, in
 	// simulated-instruction-equivalents. Only the ordering across
-	// engines matters; adaptive front ends use it to budget.
-	Cost func(s *Scenario) float64
-	// Supports reports whether the engine can answer s: nil when it
-	// can, an error explaining why not otherwise.
-	Supports func(s *Scenario) error
-	// Run produces the engine's answer. The dispatcher stamps
-	// Result.Engine and Result.Tier afterwards; Run fills the
-	// simulated outcome.
-	Run func(ctx context.Context, s *Scenario) (Result, error)
+	// engines matters.
+	cost func(s *Scenario) float64
+	// supports is nil when the engine can answer s, an error explaining
+	// why not otherwise.
+	supports func(s *Scenario) error
+	// run produces the engine's answer; Scenario.Run stamps its Engine
+	// and Tier.
+	run func(ctx context.Context, s *Scenario) (Result, error)
 }
 
 // DefaultEngine is the engine scenarios run under when none is chosen:
 // the full-budget simulation of the scenario's core model.
 const DefaultEngine = "full"
 
-var engineRegistry = struct {
-	sync.RWMutex
-	engines map[string]EngineDef
-}{engines: map[string]EngineDef{}}
-
-// RegisterEngine makes an engine available to scenarios under its Name.
-// Registering a name twice, an empty name, or a definition with missing
-// hooks panics: engine registration is program wiring, not user input.
-// The built-in "full" engine is pre-registered; "statistical" is
-// registered by importing package internal/engine.
-func RegisterEngine(e EngineDef) {
-	if e.Name == "" || e.Tier == nil || e.Cost == nil || e.Supports == nil || e.Run == nil {
-		panic("simrun: RegisterEngine needs a name and all four hooks")
-	}
-	engineRegistry.Lock()
-	defer engineRegistry.Unlock()
-	if _, dup := engineRegistry.engines[e.Name]; dup {
-		panic(fmt.Sprintf("simrun: engine %q registered twice", e.Name))
-	}
-	engineRegistry.engines[e.Name] = e
+// engines is the closed engine set, DefaultEngine first.
+var engines = [...]EngineDef{
+	{
+		Name:     DefaultEngine,
+		tier:     fullTier,
+		cost:     fullCost,
+		supports: func(*Scenario) error { return nil },
+		run:      func(ctx context.Context, s *Scenario) (Result, error) { return s.runFull(ctx) },
+	},
+	{
+		Name:     "statistical",
+		tier:     func(*Scenario) Tier { return TierStatistical },
+		cost:     func(*Scenario) float64 { return engine.Cost },
+		supports: func(s *Scenario) error { return engine.Supports(s.profile, s.Threads()) },
+		run:      func(ctx context.Context, s *Scenario) (Result, error) { return s.runStatistical(ctx) },
+	},
 }
 
-// Engines lists the registered engine names, sorted.
+// Engines lists the engine names, DefaultEngine first.
 func Engines() []string {
-	engineRegistry.RLock()
-	defer engineRegistry.RUnlock()
-	names := make([]string, 0, len(engineRegistry.engines))
-	for n := range engineRegistry.engines {
-		names = append(names, n)
+	names := make([]string, len(engines))
+	for i, e := range engines {
+		names[i] = e.Name
 	}
-	sort.Strings(names)
 	return names
 }
 
-// LookupEngine resolves a registered engine name. Unknown names fail
-// loudly with the registered set in the message — this is the shared
-// rejection choke point for both wire front ends (simd submissions and
-// cmd/sweep -f batch files), mirroring the SpecVersion rejection.
-func LookupEngine(name string) (EngineDef, error) {
-	engineRegistry.RLock()
-	e, ok := engineRegistry.engines[name]
-	engineRegistry.RUnlock()
-	if !ok {
-		return EngineDef{}, fmt.Errorf("simrun: unknown engine %q (registered: %s; tiers, cheapest first: %s)",
-			name, strings.Join(Engines(), ", "), tierList())
+// lookupEngine resolves an engine name. Unknown names fail loudly with the
+// engine set in the message — this is the shared rejection choke point for
+// both wire front ends (simd submissions and cmd/sweep -f batch files),
+// mirroring the SpecVersion rejection.
+func lookupEngine(name string) (EngineDef, error) {
+	for _, e := range engines {
+		if e.Name == name {
+			return e, nil
+		}
 	}
-	return e, nil
+	tiers := make([]string, 0, len(Tiers()))
+	for _, t := range Tiers() {
+		tiers = append(tiers, string(t))
+	}
+	return EngineDef{}, fmt.Errorf("simrun: unknown engine %q (registered: %s; tiers, cheapest first: %s)",
+		name, strings.Join(Engines(), ", "), strings.Join(tiers, " < "))
 }
 
-func tierList() string {
-	ts := Tiers()
-	names := make([]string, len(ts))
-	for i, t := range ts {
-		names[i] = string(t)
-	}
-	return strings.Join(names, " < ")
-}
-
-// CheapestEngineFor returns the cheapest registered engine that supports
-// s: lowest tier first, lowest cost estimate within a tier. An estimator
-// is eligible only when it costs less than the full run of s — a cheaper
-// tier that takes longer than the definitive answer is no shortcut — so
-// the "full" engine, which supports every scenario, is the answer
-// otherwise.
+// CheapestEngineFor returns the cheapest engine that supports s. The
+// statistical engine ranks below every tier of the full engine, but it is
+// eligible only when it costs less than the full run of s — a cheaper tier
+// that takes longer than the definitive answer is no shortcut — so the
+// "full" engine, which supports every scenario, is the answer otherwise.
 func CheapestEngineFor(s *Scenario) EngineDef {
-	engineRegistry.RLock()
-	defer engineRegistry.RUnlock()
-	best := engineRegistry.engines[DefaultEngine]
-	bestRank, bestCost := best.Tier(s).Rank(), best.Cost(s)
-	limit := bestCost
-	for _, name := range sortedEngineNamesLocked() {
-		e := engineRegistry.engines[name]
-		if e.Supports(s) != nil {
-			continue
-		}
-		rank, cost := e.Tier(s).Rank(), e.Cost(s)
-		if cost >= limit {
-			continue
-		}
-		if rank < bestRank || (rank == bestRank && cost < bestCost) {
-			best, bestRank, bestCost = e, rank, cost
-		}
+	full, statistical := engines[0], engines[1]
+	if statistical.supports(s) == nil && statistical.cost(s) < full.cost(s) {
+		return statistical
 	}
-	return best
-}
-
-// sortedEngineNamesLocked is Engines without re-locking, for iteration
-// in a deterministic order under the registry lock.
-func sortedEngineNamesLocked() []string {
-	names := make([]string, 0, len(engineRegistry.engines))
-	for n := range engineRegistry.engines {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return full
 }
 
 // AnswerTier is the fidelity tier the scenario's selected engine answers
 // at — what a cache lookup for this scenario must at least hold to count
-// as a hit. An unregistered engine (possible only for scenarios built
-// before a registry change) demands a definitive entry and fails loudly
-// at Run.
+// as a hit.
 func (s *Scenario) AnswerTier() Tier {
-	eng, err := LookupEngine(s.EngineName())
+	eng, err := lookupEngine(s.EngineName())
 	if err != nil {
 		return ""
 	}
-	return eng.Tier(s)
+	return eng.tier(s)
 }
 
 // fullTier is the full engine's answer tier: it simulates the entire
@@ -172,14 +130,15 @@ func fullCost(s *Scenario) float64 {
 	return float64(s.Threads()) * perThread * weight
 }
 
-func init() {
-	RegisterEngine(EngineDef{
-		Name:     DefaultEngine,
-		Tier:     fullTier,
-		Cost:     fullCost,
-		Supports: func(*Scenario) error { return nil },
-		Run: func(ctx context.Context, s *Scenario) (Result, error) {
-			return s.runFull(ctx)
-		},
-	})
+// runStatistical is the statistical engine: internal/engine's estimate of
+// the scenario's one program on its resolved machine and model, timed on
+// the driver directly, so it is one engine run and one host thread.
+func (s *Scenario) runStatistical(ctx context.Context) (Result, error) {
+	machine, err := s.ResolvedMachine()
+	if err != nil {
+		return Result{Scenario: s}, err
+	}
+	model, _ := multicore.ParseModel(s.spec.Model)
+	r, err := engine.Statistical(ctx, s.profile, *s.spec.Seed, s.spec.Warmup, s.spec.Insts, machine, model)
+	return Result{Scenario: s, Result: r}, err
 }

@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/isa"
+	"repro/internal/trace"
 )
 
 func newMemCache(t *testing.T) *Cache {
@@ -140,40 +143,24 @@ func TestCacheQuarantinesFooterlessFile(t *testing.T) {
 	}
 }
 
-// panickyEngine is registered once for the isolation tests: any run
-// panics deep inside the "engine".
-const panickyEngine = "test-panicky"
-
-func registerPanicky(t *testing.T) {
+// panicky is a scenario whose instruction stream panics deep inside the
+// run, on its first read.
+func panicky(t *testing.T) *Scenario {
 	t.Helper()
-	for _, name := range Engines() {
-		if name == panickyEngine {
-			return
-		}
-	}
-	RegisterEngine(EngineDef{
-		Name:     panickyEngine,
-		Tier:     func(*Scenario) Tier { return TierStatistical },
-		Cost:     func(*Scenario) float64 { return 1 },
-		Supports: func(*Scenario) error { return nil },
-		Run: func(context.Context, *Scenario) (Result, error) {
-			panic("kaboom: poisoned scenario")
-		},
-	})
+	return build(t, Spec{Label: "poisoned"}, Streams([]trace.Stream{panicSource{}}, nil))
 }
 
+type panicSource struct{}
+
+func (panicSource) NextBatch([]isa.Inst) int { panic("kaboom: poisoned scenario") }
+
 func TestRunIsolatesEnginePanic(t *testing.T) {
-	registerPanicky(t)
-	sc, err := Spec{Bench: "gcc", Insts: 1000, Engine: panickyEngine}.Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = sc.Run(context.Background())
+	_, err := panicky(t).Run(context.Background())
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want a *PanicError", err)
 	}
-	if pe.Engine != panickyEngine || !strings.Contains(pe.Error(), "kaboom") {
+	if pe.Engine != DefaultEngine || pe.Scenario != "poisoned" || !strings.Contains(pe.Error(), "kaboom") {
 		t.Errorf("PanicError = %+v", pe)
 	}
 	if !strings.Contains(pe.Error(), "goroutine") {
@@ -182,16 +169,8 @@ func TestRunIsolatesEnginePanic(t *testing.T) {
 }
 
 func TestBatchSurvivesPanickedScenario(t *testing.T) {
-	registerPanicky(t)
-	poisoned, err := Spec{Bench: "gcc", Insts: 1000, Engine: panickyEngine}.Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	healthy, err := Spec{Bench: "gcc", Insts: 1000}.Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := Batch(context.Background(), []*Scenario{poisoned, healthy}, BatchOpts{Workers: 1})
+	healthy := build(t, Spec{Bench: "gcc", Insts: 1000})
+	results := Batch(context.Background(), []*Scenario{panicky(t), healthy}, BatchOpts{Workers: 1})
 	var pe *PanicError
 	if !errors.As(results[0].Err, &pe) {
 		t.Fatalf("poisoned scenario err = %v, want *PanicError", results[0].Err)

@@ -8,9 +8,9 @@ import (
 
 // The facade's process-wide metrics, registered into obs.Default() on
 // first use so a process that never runs a scenario exposes none of
-// them. Per-engine instruments are resolved per run through the
-// registry's idempotent lookup (a mutexed map access, negligible next
-// to a simulation).
+// them. Per-engine instruments are resolved per run through the metrics
+// registry's idempotent lookup (a mutexed map access, negligible next to
+// a simulation).
 var (
 	obsOnce           sync.Once
 	mCacheQuarantined *obs.Counter
@@ -30,7 +30,7 @@ func obsMetrics() {
 	})
 }
 
-// engineWall resolves the wall-clock histogram for one registered engine;
+// engineWall resolves the wall-clock histogram for one engine;
 // its _count is the number of runs the engine answered.
 func engineWall(engine string) *obs.Histogram {
 	obsMetrics()

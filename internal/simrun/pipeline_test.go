@@ -101,25 +101,22 @@ func TestPipelinedRunChangesNoByte(t *testing.T) {
 	}
 }
 
-// parkedEngine is an estimator-tier engine whose run reports in and then
-// stays in flight until released.
-const parkedEngine = "test-parked"
+// parkedCtx reports in on the first call of its Done method and then stays
+// there until released. The statistical engine asks for Done once it holds
+// its host thread, so an estimate run under it stays in flight.
+type parkedCtx struct {
+	context.Context
+	in, out chan struct{}
+	once    sync.Once
+}
 
-var parkedIn, parkedOut = make(chan struct{}), make(chan struct{})
-
-var registerParked = sync.OnceFunc(func() {
-	RegisterEngine(EngineDef{
-		Name:     parkedEngine,
-		Tier:     func(*Scenario) Tier { return TierStatistical },
-		Cost:     func(*Scenario) float64 { return 1 },
-		Supports: func(*Scenario) error { return nil },
-		Run: func(context.Context, *Scenario) (Result, error) {
-			parkedIn <- struct{}{}
-			<-parkedOut
-			return Result{}, nil
-		},
+func (p *parkedCtx) Done() <-chan struct{} {
+	p.once.Do(func() {
+		p.in <- struct{}{}
+		<-p.out
 	})
-})
+	return p.Context.Done()
+}
 
 // TestProducerGate pins the policy on a two-CPU host: a run takes a
 // producer only while runs in flight plus producers granted stay within
@@ -163,18 +160,18 @@ func TestProducerGate(t *testing.T) {
 	})
 
 	t.Run("an estimator run in flight counts", func(t *testing.T) {
-		registerParked()
+		ctx := &parkedCtx{Context: context.Background(), in: make(chan struct{}), out: make(chan struct{})}
+		parked := build(t, Spec{Bench: "gcc", Insts: 100_000, Warmup: 50_000, Engine: "statistical"})
 		done := make(chan error)
-		parked := build(t, Spec{Bench: "gcc", Engine: parkedEngine})
 		go func() {
-			_, err := parked.Run(context.Background())
+			_, err := parked.Run(ctx)
 			done <- err
 		}()
-		<-parkedIn
+		<-ctx.in
 		if got := lone(); got != 0 {
 			t.Errorf("%d producers granted beside an estimator run on the other CPU", got)
 		}
-		parkedOut <- struct{}{}
+		ctx.out <- struct{}{}
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
@@ -265,67 +262,54 @@ func (f *failingSource) NextBatch(buf []isa.Inst) int {
 	return f.Stream.NextBatch(buf)
 }
 
-// failingEngine is the full engine's pipelined path over a measured stream
-// whose source panics on the producer goroutine, 20 chunks in.
-const failingEngine = "test-failing-source"
-
-var registerFailingSource = sync.OnceFunc(func() {
-	RegisterEngine(EngineDef{
-		Name:     failingEngine,
-		Tier:     fullTier,
-		Cost:     fullCost,
-		Supports: func(*Scenario) error { return nil },
-		Run: func(ctx context.Context, s *Scenario) (Result, error) {
-			cfg, err := s.runConfig(ctx)
-			if err != nil {
-				return Result{}, err
-			}
-			streams, warm := s.buildStreams()
-			streams[0] = &failingSource{Stream: streams[0], k: 20}
-			return s.runOwned(ctx, cfg, streams, warm)
-		},
-	})
-})
+// runFailing runs s on the full engine's pipelined path, called directly
+// behind the panic boundary Run puts around every engine, over a measured
+// stream whose source panics on the producer goroutine, 20 chunks in.
+func runFailing(s *Scenario) (Result, error) {
+	failing := EngineDef{Name: DefaultEngine, run: func(ctx context.Context, s *Scenario) (Result, error) {
+		cfg, err := s.runConfig(ctx)
+		if err != nil {
+			return Result{}, err
+		}
+		streams, warm := s.buildStreams()
+		streams[0] = &failingSource{Stream: streams[0], k: 20}
+		return s.runOwned(ctx, cfg, streams, warm)
+	}}
+	return runIsolated(context.Background(), failing, s)
+}
 
 // TestSourcePanicIsIsolated: a panic inside a generator, on the producer
 // goroutine, fails its own run with the *PanicError an engine panic gives —
 // the generator's value, the producer's stack — and nothing else: the
-// producer is gone, the host threads are given back, the batch's other
-// scenarios finish, and the next run is pipelined again.
+// producer is gone, the host threads are given back, the runs around it
+// finish, and the next run is pipelined again.
 func TestSourcePanicIsIsolated(t *testing.T) {
 	hostCPUs(t, 2)
-	registerFailingSource()
-	poisoned := build(t, Spec{Bench: "gcc", Insts: 1_000_000, Warmup: 20_000, Engine: failingEngine})
-	healthy := build(t, Spec{Bench: "gcc", Insts: 20_000, Warmup: 20_000})
+	healthy := func() {
+		t.Helper()
+		res, err := build(t, Spec{Bench: "gcc", Insts: 20_000, Warmup: 20_000}).Run(context.Background())
+		if err != nil || res.TotalRetired != 20_000 {
+			t.Errorf("healthy run: retired %d, err %v", res.TotalRetired, err)
+		}
+	}
 
 	base, before := runtime.NumGoroutine(), pipelinedRuns()
-	_, err := poisoned.Run(context.Background())
+	healthy()
+	_, err := runFailing(build(t, Spec{Bench: "gcc", Insts: 1_000_000, Warmup: 20_000}))
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want a *PanicError", err)
 	}
-	if pe.Value != "generator bug" || pe.Engine != failingEngine {
+	if pe.Value != "generator bug" || pe.Engine != DefaultEngine {
 		t.Errorf("PanicError{Engine: %q, Value: %v}", pe.Engine, pe.Value)
 	}
 	if !bytes.Contains(pe.Stack, []byte("(*failingSource).NextBatch")) || !bytes.Contains(pe.Stack, []byte("multicore.Run")) {
 		t.Errorf("the stack should show where the source failed and where the run read it:\n%s", pe.Stack)
 	}
-	if pipelinedRuns() != before+1 {
-		t.Error("the run was not pipelined")
-	}
 	settled(t, base)
-
-	results := Batch(context.Background(), []*Scenario{healthy, poisoned, healthy}, BatchOpts{Workers: 1})
-	if !errors.As(results[1].Err, &pe) {
-		t.Errorf("poisoned scenario err = %v, want a *PanicError", results[1].Err)
-	}
-	for _, i := range []int{0, 2} {
-		if results[i].Err != nil || results[i].Result.TotalRetired != 20_000 {
-			t.Errorf("healthy scenario %d: retired %d, err %v", i, results[i].Result.TotalRetired, results[i].Err)
-		}
-	}
-	if got := pipelinedRuns() - before; got != 4 {
-		t.Errorf("%d of 4 lone runs pipelined", got)
+	healthy()
+	if got := pipelinedRuns() - before; got != 3 {
+		t.Errorf("%d of 3 lone runs pipelined", got)
 	}
 	settled(t, base)
 }

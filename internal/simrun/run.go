@@ -18,9 +18,9 @@ import (
 type Result struct {
 	// Scenario is the scenario that produced this result.
 	Scenario *Scenario
-	// Engine names the registered engine that produced the answer and
-	// Tier classifies its fidelity (see EngineDef). The full engine
-	// answers at the model's own tier; estimator engines answer lower.
+	// Engine names the engine that produced the answer and Tier
+	// classifies its fidelity (see EngineDef). The full engine answers
+	// at the model's own tier; the statistical engine answers lower.
 	Engine string
 	Tier   Tier
 	multicore.Result
@@ -98,7 +98,7 @@ func (s *Scenario) buildStreams() (streams, warm []trace.Stream) {
 }
 
 // Run executes the scenario on its selected engine (the full-budget
-// simulation unless the Engine option chose an estimator) and stamps the
+// simulation unless the spec pins "statistical") and stamps the
 // result with the engine name and its fidelity tier. Cancelling ctx
 // interrupts the simulation at the next driver poll and returns ctx's
 // error alongside the partial result.
@@ -111,7 +111,7 @@ func (s *Scenario) buildStreams() (streams, warm []trace.Stream) {
 // is what decides whether a full run starting meanwhile may use a second
 // one.
 func (s *Scenario) Run(ctx context.Context) (Result, error) {
-	eng, err := LookupEngine(s.EngineName())
+	eng, err := lookupEngine(s.EngineName())
 	if err != nil {
 		return Result{Scenario: s}, err
 	}
@@ -132,7 +132,7 @@ func (s *Scenario) Run(ctx context.Context) (Result, error) {
 	sp.End()
 	res.Scenario = s
 	res.Engine = eng.Name
-	res.Tier = eng.Tier(s)
+	res.Tier = eng.tier(s)
 	return res, err
 }
 
@@ -151,7 +151,7 @@ func runIsolated(ctx context.Context, eng EngineDef, s *Scenario) (res Result, e
 			err = newPanicError(eng.Name, s, r)
 		}
 	}()
-	return eng.Run(ctx, s)
+	return eng.run(ctx, s)
 }
 
 // PanicError is a recovered engine panic, stack included, so the
@@ -266,7 +266,7 @@ func (s *Scenario) runOwned(ctx context.Context, cfg multicore.RunConfig, stream
 // heartbeat builds the driver's live-progress sink from the attached
 // observer: nil (free) when no observer or no progress callback is
 // attached. The tier reported is the full engine's — runFull is the
-// definitive simulation; estimator engines answer too fast for
+// definitive simulation; the statistical engine answers too fast for
 // progress to matter.
 func (s *Scenario) heartbeat() *obs.Heartbeat {
 	o := s.obsv

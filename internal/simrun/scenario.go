@@ -1,5 +1,5 @@
 // Package simrun is the one way to describe and execute simulations: a
-// scenario is a Spec, plus an engine registry and a parallel batch runner.
+// scenario is a Spec, run on one of two engines by a parallel batch runner.
 //
 // Every driver and example describes a run the same way:
 //
@@ -154,9 +154,9 @@ func (s *Scenario) validate() error {
 	if err := s.checkBudget(); err != nil {
 		return err
 	}
-	// Engine validation runs last: Supports hooks inspect the resolved
-	// workload (profile, thread count), so an unsupported pin is
-	// rejected with the engine's own explanation, not a run-time error.
+	// Engine validation runs last: the engine's supports check inspects
+	// the resolved workload (profile, thread count), so an unsupported pin
+	// is rejected with the engine's own explanation, not a run-time error.
 	return s.validateEngine()
 }
 
@@ -186,17 +186,17 @@ func (s *Scenario) checkBudget() error {
 	return nil
 }
 
-// validateEngine checks the selected engine against the registry and the
+// validateEngine checks the selected engine against the engine set and the
 // resolved workload.
 func (s *Scenario) validateEngine() error {
 	if s.spec.Engine == "" {
 		return nil
 	}
-	eng, err := LookupEngine(s.spec.Engine)
+	eng, err := lookupEngine(s.spec.Engine)
 	if err != nil {
 		return err
 	}
-	if err := eng.Supports(s); err != nil {
+	if err := eng.supports(s); err != nil {
 		return fmt.Errorf("simrun: engine %q cannot run scenario %q: %w", s.spec.Engine, s.Name(), err)
 	}
 	return nil
@@ -262,8 +262,8 @@ func (s *Scenario) Name() string { return cmp.Or(s.spec.Label, s.spec.Bench) }
 // ModelName is the core model's wire name the scenario runs under.
 func (s *Scenario) ModelName() string { return s.spec.Model }
 
-// EngineName is the registered engine the scenario runs under —
-// DefaultEngine ("full") unless the spec pins an estimator.
+// EngineName is the engine the scenario runs under — DefaultEngine
+// ("full") unless the spec pins "statistical".
 func (s *Scenario) EngineName() string { return cmp.Or(s.spec.Engine, DefaultEngine) }
 
 // EnginePinned reports whether the spec names an engine explicitly. A
@@ -287,14 +287,8 @@ func (s *Scenario) ForEngine(name string) (*Scenario, error) {
 
 // Profile returns the resolved single-benchmark workload profile, or nil
 // when the scenario runs explicit streams or a heterogeneous mix.
-// Estimator engines profile it to build their cheap stand-in workloads.
+// The statistical engine profiles it to build its cheap stand-in workload.
 func (s *Scenario) Profile() *workload.Profile { return s.profile }
-
-// InstBudget is the per-thread measured instruction budget (Spec.Insts).
-func (s *Scenario) InstBudget() int { return s.spec.Insts }
-
-// WarmupBudget is the per-thread functional-warmup budget (Spec.Warmup).
-func (s *Scenario) WarmupBudget() int { return s.spec.Warmup }
 
 // SeedValue is the deterministic workload seed (Spec.Seed).
 func (s *Scenario) SeedValue() int64 { return *s.spec.Seed }
@@ -385,20 +379,14 @@ var knobSets = map[string][]string{
 
 // Knobs returns the closed knob-value sets by knob name (fabric,
 // coherence, dram, prefetch, predictor), baseline first, plus the
-// dynamic "engine" set (the registered engines, DefaultEngine first).
-// The returned slices are copies.
+// "engine" set (Engines, DefaultEngine first). The returned slices are
+// copies.
 func Knobs() map[string][]string {
 	out := make(map[string][]string, len(knobSets)+1)
 	for k, v := range knobSets {
 		out[k] = append([]string(nil), v...)
 	}
-	engines := []string{DefaultEngine}
-	for _, e := range Engines() {
-		if e != DefaultEngine {
-			engines = append(engines, e)
-		}
-	}
-	out["engine"] = engines
+	out["engine"] = Engines()
 	return out
 }
 

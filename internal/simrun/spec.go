@@ -37,12 +37,12 @@ type Spec struct {
 	// Model selects the core timing model by its wire name (see
 	// multicore.Models): "interval", "detailed" or "oneipc".
 	Model string `json:"model,omitempty"`
-	// Engine pins the answering engine (see RegisterEngine): omitted runs
-	// the default, "full", which simulates the complete budget under the
-	// core model; estimator engines ("statistical") answer at a cheaper
-	// fidelity tier. The choice never enters the fingerprint. Unknown
-	// engine names are rejected loudly with the registered set, so a typo
-	// never silently runs the wrong fidelity.
+	// Engine pins the answering engine (see Engines): omitted runs the
+	// default, "full", which simulates the complete budget under the core
+	// model; "statistical" answers at a cheaper fidelity tier. The choice
+	// never enters the fingerprint. Unknown engine names are rejected
+	// loudly with the engine set, so a typo never silently runs the wrong
+	// fidelity.
 	Engine string `json:"engine,omitempty"`
 	// Cores sets the simulated core count; PARSEC profiles run one thread
 	// per core.

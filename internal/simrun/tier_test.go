@@ -3,6 +3,7 @@ package simrun
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -52,32 +53,8 @@ func TestUnknownEngineRejected(t *testing.T) {
 	}
 }
 
-// tierTestEngine registers a throwaway estimator engine and returns its
-// name; registration is global and permanent, so every caller gets a
-// distinct name and a test that runs again (-cpu 1,2, -count 2) finds its
-// engine in place.
-func tierTestEngine(t *testing.T, name string, tier Tier, cycles int64) string {
-	t.Helper()
-	if _, err := LookupEngine(name); err == nil {
-		return name
-	}
-	RegisterEngine(EngineDef{
-		Name:     name,
-		Tier:     func(*Scenario) Tier { return tier },
-		Cost:     func(*Scenario) float64 { return 1 },
-		Supports: func(*Scenario) error { return nil },
-		Run: func(ctx context.Context, s *Scenario) (Result, error) {
-			var res Result
-			res.Cycles = cycles
-			res.TotalRetired = 100
-			return res, nil
-		},
-	})
-	return name
-}
-
 func TestForEngineSharesFingerprint(t *testing.T) {
-	name := tierTestEngine(t, "tier-test-fp", TierStatistical, 1000)
+	const name = "statistical"
 	sc, err := Spec{Bench: "gcc", Insts: 5000, Warmup: 1000}.Scenario()
 	if err != nil {
 		t.Fatal(err)
@@ -131,11 +108,10 @@ func TestCacheUpgradeOnly(t *testing.T) {
 }
 
 // TestGetOrRunUpgradesInPlace drives the full tier flow through the
-// public API: an estimator engine fills the slot at a cheap tier, a
+// public API: the statistical engine fills the slot at a cheap tier, a
 // full-tier request for the same scenario re-runs and upgrades the same
 // key, and a later cheap request is satisfied by the upgraded entry.
 func TestGetOrRunUpgradesInPlace(t *testing.T) {
-	cheap := tierTestEngine(t, "tier-test-cheap", TierStatistical, 7777)
 	c, err := NewCache(CacheOpts{Encode: testEncode})
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +120,7 @@ func TestGetOrRunUpgradesInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := full.ForEngine(cheap)
+	est, err := full.ForEngine("statistical")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,5 +157,49 @@ func TestGetOrRunUpgradesInPlace(t *testing.T) {
 	}
 	if runs := c.Stats().Runs; runs != 2 {
 		t.Errorf("runs = %d, want 2", runs)
+	}
+}
+
+// TestStatisticalIsOneEngineRun: an estimate is one run of the statistical
+// engine and nothing else. It counts once in its own wall-clock histogram
+// and not in the full engine's, holds one host thread while it lasts, and
+// is tagged with its engine and tier.
+func TestStatisticalIsOneEngineRun(t *testing.T) {
+	full, stat := engineWall(DefaultEngine), engineWall("statistical")
+	f0, s0 := full.Count(), stat.Count()
+	sc := build(t, Spec{Bench: "gcc", Insts: 100_000, Warmup: 50_000, Engine: "statistical"})
+
+	// Sample the host threads held until the run has returned.
+	base := hostThreads.Load()
+	done, peak := make(chan struct{}), make(chan int64)
+	go func() {
+		var most int64
+		for {
+			most = max(most, hostThreads.Load()-base)
+			select {
+			case <-done:
+				peak <- most
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+	res, err := sc.Run(context.Background())
+	close(done)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := <-peak; got != 1 {
+		t.Errorf("the estimate held %d host threads at its peak, want 1", got)
+	}
+	if got := full.Count(); got != f0 {
+		t.Errorf("full engine runs counted %d, want %d: the estimate ran the full engine", got, f0)
+	}
+	if got := stat.Count(); got != s0+1 {
+		t.Errorf("statistical engine runs counted %d, want %d", got, s0+1)
+	}
+	if res.Engine != "statistical" || res.Tier != TierStatistical {
+		t.Errorf("tagged %q/%q", res.Engine, res.Tier)
 	}
 }

@@ -632,3 +632,76 @@ func TestMainPackagesLiveUnderCmd(t *testing.T) {
 		t.Fatalf("package main outside cmd/ (make it an Example or an experiments table):\n  %s", strings.Join(bad, "\n  "))
 	}
 }
+
+// TestOneEngineSelector: simrun's engine table is the one engine selector.
+// The closed set full / statistical needs no registry, so internal/engine
+// exports the estimator as plain functions, registers nothing and does not
+// import simrun, and no program or test imports it for its side effects.
+// The test fails on a declaration named RegisterEngine or engineRegistry,
+// on an init func in internal/engine, on internal/engine importing simrun,
+// and on a blank import of internal/engine, test files included, anywhere
+// outside benchmark/.
+func TestOneEngineSelector(t *testing.T) {
+	const engine, simrun = "repro/internal/engine", "repro/internal/simrun"
+	var bad []string
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "benchmark" || d.Name() == "testdata" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		inEngine := filepath.ToSlash(filepath.Dir(path)) == "internal/engine"
+		test := strings.HasSuffix(path, "_test.go")
+		report := func(n ast.Node, what string) {
+			bad = append(bad, fmt.Sprintf("%s: %s", fset.Position(n.Pos()), what))
+		}
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			switch {
+			case p == engine && imp.Name != nil && imp.Name.Name == "_":
+				report(imp, "a blank import of "+engine)
+			case p == simrun && inEngine && !test:
+				report(imp, "internal/engine imports "+simrun)
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			var names []*ast.Ident
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if inEngine && n.Recv == nil && n.Name.Name == "init" {
+					report(n, "an init func in internal/engine")
+				}
+				names = []*ast.Ident{n.Name}
+			case *ast.TypeSpec:
+				names = []*ast.Ident{n.Name}
+			case *ast.ValueSpec:
+				names = n.Names
+			}
+			for _, id := range names {
+				if id.Name == "RegisterEngine" || id.Name == "engineRegistry" {
+					report(id, "a declaration named "+id.Name)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bad) > 0 {
+		t.Fatalf("an engine registry is back (simrun's engine table is the one engine selector):\n  %s", strings.Join(bad, "\n  "))
+	}
+}
