@@ -187,6 +187,9 @@ const (
 	maxTable      = 1 << 24 // predictor and TLB tables, in entries
 )
 
+// l1LineSize is the only L1 line size a machine may have, in bytes.
+const l1LineSize = 64
+
 // MaxDirectoryCores is the largest machine Coherence "directory" supports:
 // the modelled home node keeps a 64-bit sharer vector per line.
 const MaxDirectoryCores = 64
@@ -203,10 +206,11 @@ const (
 // detailed core then never commits its first store, or never issues, and
 // spins to MaxCycles) or is larger than the bounds above; a negative
 // latency; cache, TLB or predictor geometry that is not the power-of-two
-// shape the constructors index by and panic on; or a banked DRAM whose row
-// hit costs more than its row miss. A machine built by Default or
-// Stacked3D always passes. Machine descriptions that arrive from outside
-// (simrun.Spec.Machine) are checked with it before anything is built.
+// shape the constructors index by and panic on; an L1 line size other
+// than l1LineSize; or a banked DRAM whose row hit costs more than its row
+// miss. A machine built by Default or Stacked3D always passes. Machine
+// descriptions that arrive from outside (simrun.Spec.Machine) are checked
+// with it before anything is built.
 func (m Machine) Validate() error {
 	// The checks name a field as prefix+name, joined only when one fails:
 	// a valid machine costs no allocation (simrun resolves, and therefore
@@ -269,9 +273,18 @@ func (m Machine) Validate() error {
 		pow2(prefix, "Entries/Assoc", t.Entries/max(t.Assoc, 1), maxTable)
 		within(prefix, "MissLatency", t.MissLatency, 0, maxLatency)
 	}
+	// Every core model, functional warm-up and the statistical profiler
+	// fetch and track 64-byte L1 lines; a machine with other L1 lines
+	// would skip or merge lines without saying so.
+	l1 := func(prefix string, c Cache) {
+		cache(prefix, c)
+		if err == nil && c.LineSize != l1LineSize {
+			err = fmt.Errorf("config: %sLineSize = %d, want %d (the core models fetch and track %d-byte L1 lines)", prefix, c.LineSize, l1LineSize, l1LineSize)
+		}
+	}
 	mem := m.Mem
-	cache("Mem.L1I.", mem.L1I)
-	cache("Mem.L1D.", mem.L1D)
+	l1("Mem.L1I.", mem.L1I)
+	l1("Mem.L1D.", mem.L1D)
 	if mem.HasL2 {
 		cache("Mem.L2.", mem.L2)
 	}

@@ -128,6 +128,8 @@ func TestValidateNamesTheField(t *testing.T) {
 		{"Branch.BTBEntries/BTBAssoc", func(m *Machine) { m.Branch.BTBAssoc = 3 }},
 		{"Branch.RASEntries", func(m *Machine) { m.Branch.RASEntries = 0 }},
 		{"Mem.L1D.LineSize", func(m *Machine) { m.Mem.L1D.LineSize = 48 }},
+		{"Mem.L1I.LineSize", func(m *Machine) { m.Mem.L1I.LineSize = 32 }},
+		{"Mem.L1D.LineSize", func(m *Machine) { m.Mem.L1D.LineSize = 128 }},
 		{"Mem.L1I.Assoc", func(m *Machine) { m.Mem.L1I.Assoc = 0 }},
 		{"Mem.L1D.SizeBytes/(Assoc*LineSize)", func(m *Machine) { m.Mem.L1D.SizeBytes = 48 << 10 }},
 		{"Mem.L2.SizeBytes", func(m *Machine) { m.Mem.L2.SizeBytes = 1 << 40 }},

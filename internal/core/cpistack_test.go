@@ -11,11 +11,11 @@ import (
 func TestStackComponentsSumToTotalTime(t *testing.T) {
 	insts := seqALU(3000)
 	// Sprinkle in every event type.
-	insts[500] = isa.Inst{Seq: 500, PC: 0x400400, Class: isa.Load,
+	insts[500] = isa.Inst{PC: 0x400400, Class: isa.Load,
 		Addr: 0x10000000000, Src1: isa.RegNone, Src2: isa.RegNone, Dst: 9}
-	insts[1000] = isa.Inst{Seq: 1000, PC: 0x400800, Class: isa.Serializing}
+	insts[1000] = isa.Inst{PC: 0x400800, Class: isa.Serializing}
 	for i := 1500; i < 2500; i += 20 {
-		insts[i] = isa.Inst{Seq: uint64(i), PC: 0x400100,
+		insts[i] = isa.Inst{PC: 0x400100,
 			Class: isa.Branch, Taken: i%40 == 0, Target: 0x400000}
 	}
 	c, _ := build(insts, memhier.Perfect{}, "bimodal")
@@ -43,7 +43,7 @@ func TestStackComponentsSumToTotalTime(t *testing.T) {
 
 func TestStackSyncComponent(t *testing.T) {
 	insts := seqALU(200)
-	insts[100] = isa.Inst{Seq: 100, Class: isa.BarrierArrive}
+	insts[100] = isa.Inst{Class: isa.BarrierArrive}
 	m := buildMachine()
 	c := buildWith(m, insts, &gateSyncer{openAt: 400})
 	runCore(c)

@@ -108,7 +108,6 @@ type Core struct {
 	OverlapHidden   uint64 // miss events hidden under long-latency loads
 	OverlapLL       uint64 // long-latency loads overlapped during scans
 	ScanBreaks      uint64 // scans ended early by a mispredicted branch
-	WrongPathLines  uint64 // wrong-path I-lines fetched (WrongPathFetch option)
 }
 
 // New creates an interval core over the shared miss-event simulators, with
@@ -351,9 +350,6 @@ func (c *Core) dispatchHead() bool {
 			} else {
 				resolution = c.old.BranchResolution(in, c.coreTime-c.oldBase)
 			}
-			if c.opts.WrongPathFetch {
-				c.wrongPathFetch(in, resolution)
-			}
 			pen := resolution + int64(c.cfg.FrontendDepth)
 			c.coreTime += pen
 			c.stack.Branch += pen
@@ -437,38 +433,6 @@ func (c *Core) longLoadPenalty(latency int64) int64 {
 	}
 	c.sinceLL = 0
 	return p
-}
-
-// wrongPathFetch models the front end running down the wrong path while a
-// mispredicted branch resolves: sequential line-granular fetches starting
-// at the path not taken, for as many lines as the fetch engine covers in
-// the resolution time. The accesses touch the L1I (pollution or accidental
-// prefetch) and consume fabric/DRAM bandwidth; they charge no core time —
-// the resolution penalty already covers the shadow they run in.
-func (c *Core) wrongPathFetch(br *isa.Inst, resolution int64) {
-	// The wrong path is live from the fetch of the branch until the
-	// redirect reaches fetch: resolution plus the front-end depth.
-	shadow := resolution + int64(c.cfg.FrontendDepth)
-	lines := shadow * int64(c.cfg.FetchWidth) / 16
-	const maxWrongPathLines = 16
-	if lines < 1 {
-		lines = 1
-	}
-	if lines > maxWrongPathLines {
-		lines = maxWrongPathLines
-	}
-	// The wrong path is the one the machine fetched: the fall-through
-	// when the branch was actually taken, the (predicted/stale) target
-	// otherwise.
-	start := br.PC + 4
-	if !br.Taken && br.Target != 0 {
-		start = br.Target
-	}
-	line := start >> 6
-	for k := int64(0); k < lines; k++ {
-		c.mem.Inst(c.id, (line+uint64(k))<<6, c.coreTime)
-		c.WrongPathLines++
-	}
 }
 
 // A scan record is what a later scan needs of a window entry the frontier

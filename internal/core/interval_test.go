@@ -40,7 +40,7 @@ func seqALU(n int) []isa.Inst {
 	out := make([]isa.Inst, n)
 	for i := range out {
 		out[i] = isa.Inst{
-			Seq: uint64(i), PC: 0x400000 + uint64(i%64)*4,
+			PC:    0x400000 + uint64(i%64)*4,
 			Class: isa.IntALU, Src1: isa.RegNone, Src2: isa.RegNone,
 			Dst: uint8(8 + i%32),
 		}
@@ -74,7 +74,7 @@ func TestSerialChainRunsAtOne(t *testing.T) {
 
 func TestSerializingChargesDrain(t *testing.T) {
 	insts := seqALU(1000)
-	insts[500] = isa.Inst{Seq: 500, PC: 0x400800, Class: isa.Serializing,
+	insts[500] = isa.Inst{PC: 0x400800, Class: isa.Serializing,
 		Src1: isa.RegNone, Src2: isa.RegNone, Dst: isa.RegNone}
 	c, _ := build(insts, memhier.Perfect{ISide: true, DSide: true}, "perfect")
 	runCore(c)
@@ -90,7 +90,7 @@ func TestSerializingChargesDrain(t *testing.T) {
 
 func TestLongLatencyLoadChargesMiss(t *testing.T) {
 	insts := seqALU(600)
-	insts[300] = isa.Inst{Seq: 300, PC: 0x400400, Class: isa.Load,
+	insts[300] = isa.Inst{PC: 0x400400, Class: isa.Load,
 		Addr: 0x10000000000, Src1: isa.RegNone, Src2: isa.RegNone, Dst: 9}
 	c, _ := build(insts, memhier.Perfect{ISide: true}, "perfect")
 	runCore(c)
@@ -112,7 +112,7 @@ func TestOverlappedLoadsChargeOnce(t *testing.T) {
 	mkOne := func(addrs ...uint64) int64 {
 		insts := seqALU(600)
 		for k, a := range addrs {
-			insts[300+k] = isa.Inst{Seq: uint64(300 + k), PC: 0x400400 + uint64(k)*4,
+			insts[300+k] = isa.Inst{PC: 0x400400 + uint64(k)*4,
 				Class: isa.Load, Addr: a,
 				Src1: isa.RegNone, Src2: isa.RegNone, Dst: uint8(40 + k)}
 		}
@@ -134,13 +134,13 @@ func TestDependentLoadsSerialize(t *testing.T) {
 	// The second load consumes the first one's result: penalties add.
 	mk := func(dependent bool) int64 {
 		insts := seqALU(600)
-		insts[300] = isa.Inst{Seq: 300, PC: 0x400400, Class: isa.Load,
+		insts[300] = isa.Inst{PC: 0x400400, Class: isa.Load,
 			Addr: 0x10000000000, Src1: isa.RegNone, Src2: isa.RegNone, Dst: 40}
 		src := uint8(isa.RegNone)
 		if dependent {
 			src = 40
 		}
-		insts[301] = isa.Inst{Seq: 301, PC: 0x400404, Class: isa.Load,
+		insts[301] = isa.Inst{PC: 0x400404, Class: isa.Load,
 			Addr: 0x20000000000, Src1: src, Src2: isa.RegNone, Dst: 41}
 		c, _ := build(insts, memhier.Perfect{ISide: true}, "perfect")
 		runCore(c)
@@ -157,7 +157,7 @@ func TestBranchMispredictionChargesResolutionPlusFrontend(t *testing.T) {
 	mk := func(pred string) int64 {
 		insts := seqALU(2000)
 		for i := 100; i < 1900; i += 10 {
-			insts[i] = isa.Inst{Seq: uint64(i), PC: 0x400100,
+			insts[i] = isa.Inst{PC: 0x400100,
 				Class: isa.Branch, Taken: i%20 == 0, Target: 0x400000,
 				Src1: isa.RegNone, Src2: isa.RegNone, Dst: isa.RegNone}
 		}
@@ -190,7 +190,7 @@ func TestICacheMissCharged(t *testing.T) {
 
 func TestSyncStallsUntilAllowed(t *testing.T) {
 	insts := seqALU(100)
-	insts[50] = isa.Inst{Seq: 50, Class: isa.BarrierArrive}
+	insts[50] = isa.Inst{Class: isa.BarrierArrive}
 	m := config.Default(1)
 	mem := memhier.New(1, m.Mem, memhier.Perfect{ISide: true, DSide: true})
 	bp := branch.NewUnit(m.Branch)
@@ -228,7 +228,7 @@ func TestRetiredCountExact(t *testing.T) {
 
 func TestStepSkipsWhenAhead(t *testing.T) {
 	insts := seqALU(600)
-	insts[100] = isa.Inst{Seq: 100, PC: 0x400100, Class: isa.Load,
+	insts[100] = isa.Inst{PC: 0x400100, Class: isa.Load,
 		Addr: 0x10000000000, Src1: isa.RegNone, Src2: isa.RegNone, Dst: 9}
 	c, _ := build(insts, memhier.Perfect{ISide: true}, "perfect")
 	// Step cycle by cycle and verify the core ignores cycles while its

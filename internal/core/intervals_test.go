@@ -13,7 +13,7 @@ func TestIntervalHistogramCountsEvents(t *testing.T) {
 	// event ends one interval of ~100 instructions.
 	insts := seqALU(1000)
 	for i := 100; i < 1000; i += 100 {
-		insts[i] = isa.Inst{Seq: uint64(i), PC: 0x400400, Class: isa.Load,
+		insts[i] = isa.Inst{PC: 0x400400, Class: isa.Load,
 			Addr: 0x10000000000 + uint64(i)*0x100000000,
 			Src1: isa.RegNone, Src2: isa.RegNone, Dst: 9}
 	}

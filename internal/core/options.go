@@ -31,15 +31,6 @@ type Options struct {
 	// dataflow track (chain depth since the last miss event), without
 	// lower-bounding producer issue times by their dispatch times.
 	NoDispatchFloor bool
-	// WrongPathFetch models the I-side traffic of wrong-path execution:
-	// while a mispredicted branch resolves, the front end fetches
-	// sequentially down the wrong path, polluting (and sometimes
-	// prefetching into) the L1I and consuming fabric/DRAM bandwidth.
-	// Functional-first simulation — this implementation and the paper's
-	// — normally omits wrong paths entirely (the stated limitation that
-	// motivates the paper's timing-directed future work); this switch
-	// estimates how much that omission matters.
-	WrongPathFetch bool
 }
 
 // Name returns a short identifier for the enabled ablations ("full" for
@@ -60,7 +51,6 @@ func (o Options) Name() string {
 	add(o.NoOverlapScan, "no-overlap")
 	add(o.NoTaint, "no-taint")
 	add(o.NoDispatchFloor, "no-floor")
-	add(o.WrongPathFetch, "wrong-path")
 	if s == "" {
 		return "full"
 	}

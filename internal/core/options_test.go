@@ -39,44 +39,9 @@ func TestOptionsName(t *testing.T) {
 		NoOverlapScan:   true,
 		NoTaint:         true,
 		NoDispatchFloor: true,
-		WrongPathFetch:  true,
 	}
-	if got := all.Name(); got != "no-robfill+flush-oldwin+no-overlap+no-taint+no-floor+wrong-path" {
+	if got := all.Name(); got != "no-robfill+flush-oldwin+no-overlap+no-taint+no-floor" {
 		t.Errorf("name %q", got)
-	}
-}
-
-func TestWrongPathFetchTouchesICache(t *testing.T) {
-	// A heavily mispredicting stream: with WrongPathFetch the L1I sees
-	// extra line fetches; retired counts are unchanged.
-	mk := func(opts Options) (*Core, uint64) {
-		insts := missStream(4000, 0)
-		for i := 100; i < 3900; i += 7 {
-			insts[i] = isa.Inst{Seq: uint64(i), PC: 0x400100,
-				Class: isa.Branch, Taken: i%14 == 2, Target: 0x408000,
-				Src1: isa.RegNone, Src2: isa.RegNone, Dst: isa.RegNone}
-		}
-		m := config.Default(1)
-		m.Branch.Kind = "bimodal"
-		mem := memhier.New(1, m.Mem, memhier.Perfect{DSide: true})
-		bp := branch.NewUnit(m.Branch)
-		c := New(0, m.Core, opts, bp, mem, trace.NewSliceStream(insts), sim.NullSyncer{})
-		runToEnd(c)
-		return c, mem.Stats().InstAccesses
-	}
-	base, baseAccesses := mk(Options{})
-	wp, wpAccesses := mk(Options{WrongPathFetch: true})
-	if wp.WrongPathLines == 0 {
-		t.Fatal("wrong-path fetch never fired")
-	}
-	if base.WrongPathLines != 0 {
-		t.Fatal("baseline recorded wrong-path lines")
-	}
-	if wpAccesses <= baseAccesses {
-		t.Fatalf("I-side accesses %d with wrong-path <= %d without", wpAccesses, baseAccesses)
-	}
-	if wp.Retired() != base.Retired() {
-		t.Fatalf("retired diverged: %d vs %d", wp.Retired(), base.Retired())
 	}
 }
 
@@ -86,7 +51,7 @@ func missStream(n, period int) []isa.Inst {
 	out := make([]isa.Inst, n)
 	for i := range out {
 		out[i] = isa.Inst{
-			Seq: uint64(i), PC: 0x400000 + uint64(i%64)*4,
+			PC:    0x400000 + uint64(i%64)*4,
 			Class: isa.IntALU, Src1: isa.RegNone, Src2: isa.RegNone,
 			Dst: uint8(8 + i%32),
 		}
@@ -127,9 +92,9 @@ func TestNoOverlapScanSerializesIndependentMisses(t *testing.T) {
 	// Two independent long-latency loads back to back: the full model
 	// overlaps them, the first-order ablation charges both.
 	insts := missStream(2000, 0)
-	insts[1000] = isa.Inst{Seq: 1000, PC: 0x400400, Class: isa.Load,
+	insts[1000] = isa.Inst{PC: 0x400400, Class: isa.Load,
 		Addr: 0x10000000000, Src1: isa.RegNone, Src2: isa.RegNone, Dst: 40}
-	insts[1001] = isa.Inst{Seq: 1001, PC: 0x400404, Class: isa.Load,
+	insts[1001] = isa.Inst{PC: 0x400404, Class: isa.Load,
 		Addr: 0x20000000000, Src1: isa.RegNone, Src2: isa.RegNone, Dst: 41}
 	full := buildOpts(insts, memhier.Perfect{ISide: true}, "perfect", Options{}, nil)
 	runToEnd(full)
@@ -154,9 +119,9 @@ func TestNoTaintOverlapsDependentLoads(t *testing.T) {
 	// NoTaint ablation wrongly overlaps.
 	mk := func(opts Options) *Core {
 		insts := missStream(2000, 0)
-		insts[1000] = isa.Inst{Seq: 1000, PC: 0x400400, Class: isa.Load,
+		insts[1000] = isa.Inst{PC: 0x400400, Class: isa.Load,
 			Addr: 0x10000000000, Src1: isa.RegNone, Src2: isa.RegNone, Dst: 40}
-		insts[1001] = isa.Inst{Seq: 1001, PC: 0x400404, Class: isa.Load,
+		insts[1001] = isa.Inst{PC: 0x400404, Class: isa.Load,
 			Addr: 0x20000000000, Src1: 40, Src2: isa.RegNone, Dst: 41}
 		c := buildOpts(insts, memhier.Perfect{ISide: true}, "perfect", opts, nil)
 		runToEnd(c)
@@ -183,7 +148,7 @@ func TestFlushOldWindowChangesTiming(t *testing.T) {
 			insts[i].Dst = 10
 		}
 		if i%400 == 5 && i > 5 {
-			insts[i] = isa.Inst{Seq: uint64(i), PC: insts[i].PC,
+			insts[i] = isa.Inst{PC: insts[i].PC,
 				Class: isa.Serializing,
 				Src1:  isa.RegNone, Src2: isa.RegNone, Dst: isa.RegNone}
 		}
@@ -235,12 +200,12 @@ func TestNoDispatchFloorOverchargesBranches(t *testing.T) {
 		insts := make([]isa.Inst, 3000)
 		for i := range insts {
 			insts[i] = isa.Inst{
-				Seq: uint64(i), PC: 0x400000 + uint64(i%64)*4,
+				PC:    0x400000 + uint64(i%64)*4,
 				Class: isa.IntALU, Src1: 10, Src2: isa.RegNone, Dst: 10,
 			}
 			if i%250 == 249 {
 				insts[i] = isa.Inst{
-					Seq: uint64(i), PC: 0x400100,
+					PC:    0x400100,
 					Class: isa.Branch, Taken: i%500 == 249, Target: 0x400000,
 					Src1: 10, Src2: isa.RegNone, Dst: isa.RegNone,
 				}
@@ -267,7 +232,7 @@ func TestMLPCapSerializesBeyondBudget(t *testing.T) {
 	mk := func(maxOut int) *Core {
 		insts := missStream(2000, 0)
 		for k := 0; k < 4; k++ {
-			insts[1000+k] = isa.Inst{Seq: uint64(1000 + k), PC: 0x400400 + uint64(k)*4,
+			insts[1000+k] = isa.Inst{PC: 0x400400 + uint64(k)*4,
 				Class: isa.Load, Addr: 0x10000000000 + uint64(k)*0x10000000000,
 				Src1: isa.RegNone, Src2: isa.RegNone, Dst: uint8(40 + k)}
 		}
@@ -288,9 +253,9 @@ func TestMLPCapSerializesBeyondBudget(t *testing.T) {
 
 func TestMLPCapOfOneDisablesLoadOverlap(t *testing.T) {
 	insts := missStream(2000, 0)
-	insts[1000] = isa.Inst{Seq: 1000, PC: 0x400400, Class: isa.Load,
+	insts[1000] = isa.Inst{PC: 0x400400, Class: isa.Load,
 		Addr: 0x10000000000, Src1: isa.RegNone, Src2: isa.RegNone, Dst: 40}
-	insts[1001] = isa.Inst{Seq: 1001, PC: 0x400404, Class: isa.Load,
+	insts[1001] = isa.Inst{PC: 0x400404, Class: isa.Load,
 		Addr: 0x20000000000, Src1: isa.RegNone, Src2: isa.RegNone, Dst: 41}
 	c := buildOpts(insts, memhier.Perfect{ISide: true}, "perfect", Options{},
 		func(m *config.Machine) { m.Core.MaxOutstandingMisses = 1 })

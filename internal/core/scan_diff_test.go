@@ -71,7 +71,7 @@ func drawScanCase(d *draws) scanCase {
 	m.Core.ROBSize = []int{3, 256, 1000, 8, 32, 17, 64, 128}[d.n(8)]
 	m.Core.MaxOutstandingMisses = []int{0, 1, 2, 3, 8}[d.n(5)]
 	var opts Options
-	switch d.n(12) {
+	switch d.n(11) {
 	case 5:
 		opts.NoROBFillHiding = true
 	case 6:
@@ -83,9 +83,7 @@ func drawScanCase(d *draws) scanCase {
 	case 9:
 		opts.NoDispatchFloor = true
 	case 10:
-		opts.WrongPathFetch = true
-	case 11:
-		opts = Options{NoROBFillHiding: true, FlushOldWindow: true, NoTaint: true, NoDispatchFloor: true, WrongPathFetch: true}
+		opts = Options{NoROBFillHiding: true, FlushOldWindow: true, NoTaint: true, NoDispatchFloor: true}
 	}
 	fl := flavours[d.n(len(flavours))]
 	// Shorter than the window, a few windows, many windows.
@@ -126,7 +124,7 @@ func drawScanStream(d *draws, fl flavour, n int) []isa.Inst {
 	var stores [4]uint64 // lines recently stored to
 	lastLoadDst := uint8(isa.RegNone)
 	for len(out) < n {
-		in := isa.Inst{Seq: uint64(len(out)), PC: pc, Src1: reg(), Src2: reg(), Dst: reg()}
+		in := isa.Inst{PC: pc, Src1: reg(), Src2: reg(), Dst: reg()}
 		pc += 4
 		k := d.n(100)
 		switch {
@@ -178,18 +176,24 @@ func drawScanStream(d *draws, fl flavour, n int) []isa.Inst {
 }
 
 // stallSyncer refuses each synchronization instruction for a number of
-// cycles fixed by its sequence number, counted from the first request, so a
-// blocked core polls with a scanned window behind the sync entry.
-type stallSyncer struct{ first map[uint64]int64 }
+// cycles fixed by its ordinal among the stream's sync instructions, counted
+// from the first request, so a blocked core polls with a scanned window
+// behind the sync entry. The core re-requests the instruction it is blocked
+// on until it proceeds, so a request after a refusal is the same
+// instruction and any other request is the next one.
+type stallSyncer struct {
+	n       uint64 // ordinal of the current sync instruction
+	t0      int64  // cycle of its first request
+	blocked bool   // the last request was refused
+}
 
 func (s *stallSyncer) Sync(_ int, in *isa.Inst, now int64) sim.SyncDecision {
-	t0, ok := s.first[in.Seq]
-	if !ok {
-		t0 = now
-		s.first[in.Seq] = now
+	if !s.blocked {
+		s.n++
+		s.t0 = now
 	}
-	h := (in.Seq*2654435761 + uint64(in.SyncID)) >> 3
-	if now < t0+int64(h%9) {
+	h := (s.n*2654435761 + uint64(in.SyncID)) >> 3
+	if s.blocked = now < s.t0+int64(h%9); s.blocked {
 		return sim.SyncDecision{}
 	}
 	return sim.SyncDecision{Proceed: true, Latency: int64(h % 4)}
@@ -208,7 +212,7 @@ func newScanSide(sc scanCase, ref bool) scanSide {
 		bp:  branch.NewUnit(sc.machine.Branch),
 	}
 	s.core = New(0, sc.machine.Core, sc.opts, s.bp, s.mem,
-		trace.NewSliceStream(sc.stream), &stallSyncer{first: map[uint64]int64{}})
+		trace.NewSliceStream(sc.stream), &stallSyncer{})
 	if ref {
 		s.core.refScan = refScanOverlap
 	}
@@ -221,7 +225,7 @@ type scanObs struct {
 	coreTime, cycles, finish int64
 	retired                  uint64
 	done                     bool
-	events                   [5]uint64
+	events                   [4]uint64
 	hidden, overlapLL        uint64
 	scanBreaks               uint64
 	stack                    CPIStack
@@ -235,7 +239,7 @@ func (s scanSide) observe() scanObs {
 	return scanObs{
 		coreTime: c.coreTime, cycles: c.Cycles, finish: c.finishTime,
 		retired: c.retired, done: c.done,
-		events: [5]uint64{c.ICacheEvents, c.BranchEvents, c.LongLoadEvents, c.SerializeEvents, c.WrongPathLines},
+		events: [4]uint64{c.ICacheEvents, c.BranchEvents, c.LongLoadEvents, c.SerializeEvents},
 		hidden: c.OverlapHidden, overlapLL: c.OverlapLL, scanBreaks: c.ScanBreaks,
 		stack: c.Stack(), intervals: c.intervals,
 		mem: s.mem.Stats(), lookups: s.bp.Lookups, mispredicts: s.bp.Mispredictions,

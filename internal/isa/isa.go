@@ -112,17 +112,16 @@ const (
 )
 
 // Inst is one dynamic instruction. Values are produced by the functional
-// workload generator and consumed, unmodified, by every timing model.
+// workload generator and consumed, unmodified, by every timing model. It
+// carries only what a timing model reads: an instruction's place in its
+// thread is its position in the stream, which no model needs.
 //
 // The field order is layout, not format: the 8-byte fields come first so
-// the struct packs into 40 bytes (pinned by TestInstSize), which every
+// the struct packs into 32 bytes (pinned by TestInstSize), which every
 // generator store, batch copy and core load pays for. Everything that
 // persists or prints instructions names the fields (trace/io.go, the
 // goldens' isatest.Write), and every literal in the tree is keyed.
 type Inst struct {
-	// Seq is the dynamic sequence number within the owning thread,
-	// starting at zero.
-	Seq uint64
 	// PC is the (synthetic) program counter of the instruction.
 	PC uint64
 	// Addr is the effective virtual address for Load/Store.
@@ -144,24 +143,19 @@ type Inst struct {
 // HasDst reports whether the instruction writes a register.
 func (in *Inst) HasDst() bool { return in.Dst != RegNone }
 
-// Reads reports whether the instruction reads register r.
-func (in *Inst) Reads(r uint8) bool {
-	return r != RegNone && (in.Src1 == r || in.Src2 == r)
-}
-
 // String renders the instruction for debugging.
 func (in *Inst) String() string {
 	switch {
 	case in.Class.IsMem():
-		return fmt.Sprintf("#%d %s pc=%#x addr=%#x dst=%d src=(%d,%d)",
-			in.Seq, in.Class, in.PC, in.Addr, in.Dst, in.Src1, in.Src2)
+		return fmt.Sprintf("%s pc=%#x addr=%#x dst=%d src=(%d,%d)",
+			in.Class, in.PC, in.Addr, in.Dst, in.Src1, in.Src2)
 	case in.Class.IsBranch():
-		return fmt.Sprintf("#%d %s pc=%#x taken=%t target=%#x src=(%d,%d)",
-			in.Seq, in.Class, in.PC, in.Taken, in.Target, in.Src1, in.Src2)
+		return fmt.Sprintf("%s pc=%#x taken=%t target=%#x src=(%d,%d)",
+			in.Class, in.PC, in.Taken, in.Target, in.Src1, in.Src2)
 	case in.Class.IsSync():
-		return fmt.Sprintf("#%d %s id=%d", in.Seq, in.Class, in.SyncID)
+		return fmt.Sprintf("%s id=%d", in.Class, in.SyncID)
 	default:
-		return fmt.Sprintf("#%d %s pc=%#x dst=%d src=(%d,%d)",
-			in.Seq, in.Class, in.PC, in.Dst, in.Src1, in.Src2)
+		return fmt.Sprintf("%s pc=%#x dst=%d src=(%d,%d)",
+			in.Class, in.PC, in.Dst, in.Src1, in.Src2)
 	}
 }

@@ -6,12 +6,12 @@ import (
 	"unsafe"
 )
 
-// TestInstSize pins the hand-off layout: 8-byte fields first, 40 bytes.
+// TestInstSize pins the hand-off layout: 8-byte fields first, 32 bytes.
 // A new field or a reordering that grows the struct taxes every generator
 // store, ring copy and core load; it should be a decision, not an accident.
 func TestInstSize(t *testing.T) {
-	if got := unsafe.Sizeof(Inst{}); got != 40 {
-		t.Fatalf("unsafe.Sizeof(isa.Inst{}) = %d, want 40", got)
+	if got := unsafe.Sizeof(Inst{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(isa.Inst{}) = %d, want 32", got)
 	}
 }
 
@@ -69,9 +69,6 @@ func TestInstOperandHelpers(t *testing.T) {
 	if !in.HasDst() {
 		t.Error("HasDst false with Dst=9")
 	}
-	if !in.Reads(3) || in.Reads(4) || in.Reads(RegNone) {
-		t.Error("Reads wrong")
-	}
 	in.Dst = RegNone
 	if in.HasDst() {
 		t.Error("HasDst true with RegNone")
@@ -79,19 +76,19 @@ func TestInstOperandHelpers(t *testing.T) {
 }
 
 func TestInstStringVariants(t *testing.T) {
-	mem := Inst{Seq: 1, Class: Load, PC: 0x40, Addr: 0x1000, Dst: 5, Src1: 2, Src2: RegNone}
+	mem := Inst{Class: Load, PC: 0x40, Addr: 0x1000, Dst: 5, Src1: 2, Src2: RegNone}
 	if s := mem.String(); !strings.Contains(s, "load") || !strings.Contains(s, "0x1000") {
 		t.Errorf("mem string %q", s)
 	}
-	br := Inst{Seq: 2, Class: Branch, PC: 0x44, Taken: true, Target: 0x80}
+	br := Inst{Class: Branch, PC: 0x44, Taken: true, Target: 0x80}
 	if s := br.String(); !strings.Contains(s, "taken=true") {
 		t.Errorf("branch string %q", s)
 	}
-	sy := Inst{Seq: 3, Class: LockAcquire, SyncID: 7}
+	sy := Inst{Class: LockAcquire, SyncID: 7}
 	if s := sy.String(); !strings.Contains(s, "id=7") {
 		t.Errorf("sync string %q", s)
 	}
-	alu := Inst{Seq: 4, Class: IntALU, Dst: 8}
+	alu := Inst{Class: IntALU, Dst: 8}
 	if s := alu.String(); !strings.Contains(s, "int") {
 		t.Errorf("alu string %q", s)
 	}

@@ -225,8 +225,12 @@ func Measure(cfg RunConfig, mem *memhier.Hierarchy, bps []*branch.Unit, streams 
 	n := len(cores)
 	// finish closes the run at global time end, whichever loop below ended
 	// it: per-core retired counts and finish times (end for a core that did
-	// not finish) and the machine-level totals.
+	// not finish) and the machine-level totals. A loop that timed out
+	// jumped to the first wake time at or past maxCycles; the run ends at
+	// maxCycles under every model. A core finishes only in a Step at its
+	// own time, before the limit, so no finish time exceeds it.
 	finish := func(end int64) Result {
+		end = min(end, maxCycles)
 		msp.Arg("cycles", end).End()
 		res.Wall = time.Since(start)
 		if cfg.KeepCores {

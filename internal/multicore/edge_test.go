@@ -54,25 +54,32 @@ func TestMismatchedStreamCountPanics(t *testing.T) {
 
 func TestMaxCyclesTimeout(t *testing.T) {
 	// A generous workload with an absurdly small cycle budget must time
-	// out and say so, rather than spin or lie, and stop where it always
-	// has: the detailed core at the budget, even though it sleeps through
-	// its misses; the interval and one-IPC cores at the end of the miss
-	// or instruction that crossed it.
+	// out and say so, rather than spin or lie, and stop at the budget under
+	// every model, on the single-core loop and the general one: the run's
+	// cycles and every unfinished core's finish time are MaxCycles, though
+	// the interval and one-IPC cores sleep past it inside a miss.
 	p := workload.SPECByName("mcf")
-	for m, cycles := range map[Model]int64{Detailed: 50, Interval: 400, OneIPC: 201} {
-		res := Run(RunConfig{
-			Machine:   config.Default(1),
-			Model:     m,
-			MaxCycles: 50,
-		}, []trace.Stream{trace.NewLimit(workload.New(p, 0, 1, 42), 100_000)})
-		if !res.TimedOut {
-			t.Fatalf("%v: run did not report a timeout", m)
-		}
-		if res.TotalRetired >= 100_000 {
-			t.Fatalf("%v: run claims completion despite the timeout", m)
-		}
-		if res.Cycles != cycles {
-			t.Errorf("%v: timed out at %d cycles, want %d", m, res.Cycles, cycles)
+	for _, m := range []Model{Detailed, Interval, OneIPC} {
+		for _, cores := range []int{1, 2} {
+			streams := make([]trace.Stream, cores)
+			for i := range streams {
+				streams[i] = trace.NewLimit(workload.New(p, i, cores, 42), 100_000)
+			}
+			res := Run(RunConfig{Machine: config.Default(cores), Model: m, MaxCycles: 50}, streams)
+			if !res.TimedOut {
+				t.Fatalf("%v x%d: run did not report a timeout", m, cores)
+			}
+			if res.TotalRetired >= uint64(cores)*100_000 {
+				t.Fatalf("%v x%d: run claims completion despite the timeout", m, cores)
+			}
+			if res.Cycles != 50 {
+				t.Errorf("%v x%d: timed out at %d cycles, want 50", m, cores, res.Cycles)
+			}
+			for i, c := range res.Cores {
+				if c.Finish != 50 {
+					t.Errorf("%v x%d: unfinished core %d finishes at %d, want 50", m, cores, i, c.Finish)
+				}
+			}
 		}
 	}
 }
@@ -102,7 +109,7 @@ func TestUnevenStreamLengths(t *testing.T) {
 func TestSerializingOnlyStream(t *testing.T) {
 	insts := make([]isa.Inst, 200)
 	for i := range insts {
-		insts[i] = isa.Inst{Seq: uint64(i), PC: 0x400000 + uint64(i)*4,
+		insts[i] = isa.Inst{PC: 0x400000 + uint64(i)*4,
 			Class: isa.Serializing, Src1: isa.RegNone, Src2: isa.RegNone, Dst: isa.RegNone}
 	}
 	for _, model := range []Model{Interval, Detailed} {
@@ -119,7 +126,7 @@ func TestSerializingOnlyStream(t *testing.T) {
 func TestStoresOnlyStream(t *testing.T) {
 	insts := make([]isa.Inst, 500)
 	for i := range insts {
-		insts[i] = isa.Inst{Seq: uint64(i), PC: 0x400000,
+		insts[i] = isa.Inst{PC: 0x400000,
 			Class: isa.Store, Addr: uint64(i%64) * 64,
 			Src1: isa.RegNone, Src2: isa.RegNone, Dst: isa.RegNone}
 	}

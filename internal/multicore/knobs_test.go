@@ -100,9 +100,8 @@ func TestAblationsRunToCompletion(t *testing.T) {
 		{NoOverlapScan: true},
 		{NoTaint: true},
 		{NoDispatchFloor: true},
-		{WrongPathFetch: true},
 		{NoROBFillHiding: true, FlushOldWindow: true, NoOverlapScan: true,
-			NoTaint: true, NoDispatchFloor: true, WrongPathFetch: true},
+			NoTaint: true, NoDispatchFloor: true},
 	}
 	for _, v := range variants {
 		res := knobRun(t, config.Default(2), Interval, v)

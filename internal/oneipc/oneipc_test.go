@@ -29,7 +29,7 @@ func run(t *testing.T, insts []isa.Inst, perfect memhier.Perfect) *Core {
 func alus(n int) []isa.Inst {
 	out := make([]isa.Inst, n)
 	for i := range out {
-		out[i] = isa.Inst{Seq: uint64(i), Class: isa.IntALU}
+		out[i] = isa.Inst{Class: isa.IntALU}
 	}
 	return out
 }
@@ -46,7 +46,7 @@ func TestExactlyOneIPCWithoutMemory(t *testing.T) {
 
 func TestMemoryAddsLatency(t *testing.T) {
 	insts := alus(100)
-	insts[50] = isa.Inst{Seq: 50, Class: isa.Load, Addr: 0x10000000000, Dst: 9,
+	insts[50] = isa.Inst{Class: isa.Load, Addr: 0x10000000000, Dst: 9,
 		Src1: isa.RegNone, Src2: isa.RegNone}
 	c := run(t, insts, memhier.Perfect{})
 	// 99 ALU cycles + 1 load cycle + DRAM-ish latency.
@@ -57,7 +57,7 @@ func TestMemoryAddsLatency(t *testing.T) {
 
 func TestSyncBlocksUntilAllowed(t *testing.T) {
 	insts := alus(10)
-	insts[5] = isa.Inst{Seq: 5, Class: isa.BarrierArrive}
+	insts[5] = isa.Inst{Class: isa.BarrierArrive}
 	m := config.Default(1)
 	mem := memhier.New(1, m.Mem, memhier.Perfect{DSide: true})
 	gate := &gateSyncer{openAt: 300}
@@ -86,7 +86,7 @@ func (g *gateSyncer) Sync(core int, in *isa.Inst, now int64) sim.SyncDecision {
 
 func TestEventDrivenSkipping(t *testing.T) {
 	insts := alus(20)
-	insts[10] = isa.Inst{Seq: 10, Class: isa.Load, Addr: 0x10000000000, Dst: 9,
+	insts[10] = isa.Inst{Class: isa.Load, Addr: 0x10000000000, Dst: 9,
 		Src1: isa.RegNone, Src2: isa.RegNone}
 	m := config.Default(1)
 	mem := memhier.New(1, m.Mem, memhier.Perfect{})

@@ -40,7 +40,7 @@ func seqALU(n int) []isa.Inst {
 	out := make([]isa.Inst, n)
 	for i := range out {
 		out[i] = isa.Inst{
-			Seq: uint64(i), PC: 0x400000 + uint64(i%64)*4,
+			PC:    0x400000 + uint64(i%64)*4,
 			Class: isa.IntALU, Src1: isa.RegNone, Src2: isa.RegNone,
 			Dst: uint8(8 + i%32),
 		}
@@ -76,10 +76,10 @@ func TestConsumerWaitsForProducer(t *testing.T) {
 	// A single load feeding a long chain of dependents: the chain cannot
 	// start before the load returns from memory.
 	insts := seqALU(300)
-	insts[100] = isa.Inst{Seq: 100, PC: 0x400100, Class: isa.Load,
+	insts[100] = isa.Inst{PC: 0x400100, Class: isa.Load,
 		Addr: 0x10000000000, Src1: isa.RegNone, Src2: isa.RegNone, Dst: 40}
 	for i := 101; i < 160; i++ {
-		insts[i] = isa.Inst{Seq: uint64(i), PC: 0x400000 + uint64(i)*4,
+		insts[i] = isa.Inst{PC: 0x400000 + uint64(i)*4,
 			Class: isa.IntALU, Src1: 40, Src2: isa.RegNone, Dst: 40}
 	}
 	c, _ := build(insts, memhier.Perfect{ISide: true}, "perfect")
@@ -111,7 +111,7 @@ func TestMispredictStallsFetch(t *testing.T) {
 	mk := func(pred string) int64 {
 		insts := seqALU(3000)
 		for i := 100; i < 2900; i += 10 {
-			insts[i] = isa.Inst{Seq: uint64(i), PC: 0x400100,
+			insts[i] = isa.Inst{PC: 0x400100,
 				Class: isa.Branch, Taken: i%20 == 0, Target: 0x400000,
 				Src1: isa.RegNone, Src2: isa.RegNone, Dst: isa.RegNone}
 		}
@@ -127,7 +127,7 @@ func TestMispredictStallsFetch(t *testing.T) {
 
 func TestSerializingDrainsROB(t *testing.T) {
 	insts := seqALU(1000)
-	insts[500] = isa.Inst{Seq: 500, PC: 0x4007D0, Class: isa.Serializing,
+	insts[500] = isa.Inst{PC: 0x4007D0, Class: isa.Serializing,
 		Src1: isa.RegNone, Src2: isa.RegNone, Dst: isa.RegNone}
 	c, _ := build(insts, memhier.Perfect{ISide: true, DSide: true}, "perfect")
 	runCore(t, c)
@@ -143,7 +143,7 @@ func TestStoreBufferBackpressure(t *testing.T) {
 	// store buffer fills and commit stalls.
 	insts := make([]isa.Inst, 2000)
 	for i := range insts {
-		insts[i] = isa.Inst{Seq: uint64(i), PC: 0x400000 + uint64(i%16)*4,
+		insts[i] = isa.Inst{PC: 0x400000 + uint64(i%16)*4,
 			Class: isa.Store, Addr: 0x10000000000 + uint64(i)*64,
 			Src1: isa.RegNone, Src2: isa.RegNone, Dst: isa.RegNone}
 	}
@@ -160,7 +160,7 @@ func TestLoadsOverlapMLP(t *testing.T) {
 	mk := func(nLoads int) int64 {
 		insts := seqALU(600)
 		for k := 0; k < nLoads; k++ {
-			insts[200+k] = isa.Inst{Seq: uint64(200 + k), PC: 0x400200 + uint64(k)*4,
+			insts[200+k] = isa.Inst{PC: 0x400200 + uint64(k)*4,
 				Class: isa.Load, Addr: 0x10000000000 + uint64(k)*1<<20,
 				Src1: isa.RegNone, Src2: isa.RegNone, Dst: uint8(40 + k%8)}
 		}
@@ -177,7 +177,7 @@ func TestLoadsOverlapMLP(t *testing.T) {
 
 func TestSyncWaitsAtDispatch(t *testing.T) {
 	insts := seqALU(100)
-	insts[50] = isa.Inst{Seq: 50, Class: isa.BarrierArrive}
+	insts[50] = isa.Inst{Class: isa.BarrierArrive}
 	m := config.Default(1)
 	mem := memhier.New(1, m.Mem, memhier.Perfect{ISide: true, DSide: true})
 	bp := branch.NewUnit(m.Branch)
@@ -224,7 +224,7 @@ func TestFunctionalUnitContention(t *testing.T) {
 	// width is 6.
 	insts := make([]isa.Inst, 4000)
 	for i := range insts {
-		insts[i] = isa.Inst{Seq: uint64(i), PC: 0x400000 + uint64(i%64)*4,
+		insts[i] = isa.Inst{PC: 0x400000 + uint64(i%64)*4,
 			Class: isa.FPOp, Src1: isa.RegNone, Src2: isa.RegNone,
 			Dst: uint8(8 + i%32)}
 	}

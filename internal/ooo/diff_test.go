@@ -120,7 +120,7 @@ func drawStream(d *draws, n int) []isa.Inst {
 	var lastStore uint64
 	for len(out) < n {
 		in := isa.Inst{
-			Seq: uint64(len(out)), PC: pc,
+			PC:   pc,
 			Src1: reg(), Src2: reg(), Dst: reg(),
 		}
 		if d.chance(15) && in.Src1 != isa.RegNone {
@@ -170,26 +170,32 @@ func drawStream(d *draws, n int) []isa.Inst {
 }
 
 // scriptSyncer refuses each synchronization instruction for a number of
-// cycles fixed by its core and sequence number, counted from the first
-// request, then lets it through at a latency fixed the same way. It logs
-// every request, so that the two sides can be held to the same polling.
+// cycles fixed by its core and its ordinal among that core's sync
+// instructions, counted from the first request, then lets it through at a
+// latency fixed the same way. A core re-requests the instruction it is
+// blocked on until it proceeds, so a request after a refusal is the same
+// instruction and any other request is the next one. It logs every request,
+// so that the two sides can be held to the same polling.
 type scriptSyncer struct {
-	first map[[2]uint64]int64
-	calls [][3]int64 // core, sequence number, cycle
+	ord   map[int]uint64 // per core: ordinal of the current sync instruction
+	first map[int]int64  // per core: its first request's cycle, while refused
+	calls [][3]int64     // core, ordinal, cycle
 }
 
 func (s *scriptSyncer) Sync(core int, in *isa.Inst, now int64) sim.SyncDecision {
-	s.calls = append(s.calls, [3]int64{int64(core), int64(in.Seq), now})
-	key := [2]uint64{uint64(core), in.Seq}
-	t0, ok := s.first[key]
-	if !ok {
+	t0, blocked := s.first[core]
+	if !blocked {
 		t0 = now
-		s.first[key] = now
+		s.first[core] = now
+		s.ord[core]++
 	}
-	h := (in.Seq*2654435761 + uint64(core)*40503 + uint64(in.SyncID)) >> 3
+	n := s.ord[core]
+	s.calls = append(s.calls, [3]int64{int64(core), int64(n), now})
+	h := (n*2654435761 + uint64(core)*40503 + uint64(in.SyncID)) >> 3
 	if now < t0+int64(h%40) {
 		return sim.SyncDecision{}
 	}
+	delete(s.first, core)
 	return sim.SyncDecision{Proceed: true, Latency: int64(h % 4)}
 }
 
@@ -204,7 +210,7 @@ type diffSide struct {
 func newSide(dc diffCase, mk func(id int, bp *branch.Unit, mem *memhier.Hierarchy, src trace.Stream, sy sim.Syncer) sim.Core) diffSide {
 	s := diffSide{
 		mem:    memhier.New(dc.machine.Cores, dc.machine.Mem, dc.perfect),
-		syncer: &scriptSyncer{first: map[[2]uint64]int64{}},
+		syncer: &scriptSyncer{ord: map[int]uint64{}, first: map[int]int64{}},
 	}
 	for i, insts := range dc.streams {
 		bp := branch.NewUnit(dc.machine.Branch)

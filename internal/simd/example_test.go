@@ -129,9 +129,9 @@ func ExampleServer_Handler() {
 	}
 	fmt.Println("\ndrained and shut down cleanly")
 	// Output:
-	// submit 1: HTTP 202 job=j-01c0733a34d2680e fingerprint=01c0733a34d2…
-	// submit 2: HTTP 200 job=j-01c0733a34d2680e fingerprint=01c0733a34d2…
-	// submit 3: HTTP 202 job=j-237e5a73661a04a6 fingerprint=237e5a73661a…
+	// submit 1: HTTP 202 job=j-756590b38e300397 fingerprint=756590b38e30…
+	// submit 2: HTTP 200 job=j-756590b38e300397 fingerprint=756590b38e30…
+	// submit 3: HTTP 202 job=j-3ba2330e509f83a9 fingerprint=3ba2330e509f…
 	//
 	// identical submissions share one job and one result: bodies equal = true
 	// cache: runs=2 hits=0 (3 submissions, 2 distinct scenarios)

@@ -315,32 +315,37 @@ func TestSubmitUnknownEngineRejected(t *testing.T) {
 }
 
 // TestSubmitUnrunnableMachineRejected: a machine object the detailed core
-// would spin on until MaxCycles (a zero-entry store buffer) is a 400 naming
-// the field, not an accepted job that parks a worker.
+// would spin on until MaxCycles (a zero-entry store buffer), or whose L1
+// lines are not the 64 bytes every core model fetches and tracks, is a 400
+// naming the field, not an accepted job that parks a worker or times the
+// wrong lines.
 func TestSubmitUnrunnableMachineRejected(t *testing.T) {
 	_, ts := newTieredServer(t)
-	m := config.Default(1)
-	m.Core.StoreBufferSize = 0
-	spec, err := json.Marshal(simrun.Spec{Bench: "gcc", Model: "detailed", Insts: 20000, Machine: &m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(spec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
-	}
-	var body struct {
-		Error string `json:"error"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(body.Error, "Core.StoreBufferSize") {
-		t.Errorf("400 body %q does not name Core.StoreBufferSize", body.Error)
+	for field, breakIt := range map[string]func(m *config.Machine){
+		"Core.StoreBufferSize": func(m *config.Machine) { m.Core.StoreBufferSize = 0 },
+		"Mem.L1I.LineSize":     func(m *config.Machine) { m.Mem.L1I.LineSize = 32 },
+	} {
+		m := config.Default(1)
+		breakIt(&m)
+		spec, err := json.Marshal(simrun.Spec{Bench: "gcc", Model: "detailed", Insts: 20000, Machine: &m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil {
+			t.Fatalf("%s: status %d (%v), want 400", field, resp.StatusCode, err)
+		}
+		if !strings.Contains(body.Error, field) {
+			t.Errorf("400 body %q does not name %s", body.Error, field)
+		}
 	}
 }
 

@@ -26,7 +26,12 @@ import (
 // math.Log geometric sampling became alias tables, changing every
 // generated instruction stream and therefore every scenario's simulated
 // outcome.
-const fingerprintVersion = 3
+//
+// v4: streams unchanged. core.Options, which every body carries, lost its
+// wrong-path fetch switch, and a timed-out run reports MaxCycles as its
+// cycles under every model, where the interval and one-IPC models
+// reported the first wake time past the limit.
+const fingerprintVersion = 4
 
 // FingerprintVersion is the current scenario-fingerprint generation,
 // exported so front ends can report which generation their caches are

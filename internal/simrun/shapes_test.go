@@ -16,7 +16,9 @@ import (
 // front ends build: intervalsim's flags, the experiments tables at -quick
 // sizing and a mix on an explicit machine. The fingerprints, thread counts
 // and budgets were recorded when each shape was still spelled as a list of
-// functional options; a Spec must resolve to the same scenario.
+// functional options; a Spec must resolve to the same scenario. The
+// fingerprints were re-pinned once, at fingerprint v4, whose body no longer
+// spells the deleted wrong-path switch.
 func TestShapeFingerprints(t *testing.T) {
 	const maxCycles = 500_000_000 // experiments' runaway cap
 	quick := Spec{Insts: 15_000, Warmup: 150_000, Seed: seedOf(42)}
@@ -46,35 +48,35 @@ func TestShapeFingerprints(t *testing.T) {
 		budget      uint64
 	}{
 		{"intervalsim defaults", with(flags, func(sp *Spec) { sp.Bench = "gcc" }),
-			"0ebe97e3e1d995669693aba9c8536fd0d571692cf5dea8a47217b680aaf50bd4", 1, 100_000},
+			"57c4816d7a6d817cee82a427fa926db437fa2fb626efc533773c4401a9b0b838", 1, 100_000},
 		{"intervalsim -copies 2 -json", with(flags, func(sp *Spec) { sp.Bench, sp.Copies, sp.Report = "mcf", 2, true }),
-			"f6844bb3b22955e11ba2a5f111b09c3bf5cd4d000e362f99b37893bedc838cc4", 2, 200_000},
+			"bee239569a567128448f7ef6833c2b2a22af30d683e4ffa3db63af93bef4aa3b", 2, 200_000},
 		{"intervalsim PARSEC -report on a mesh", with(flags, func(sp *Spec) {
 			sp.Bench, sp.Cores, sp.Fabric, sp.DRAM, sp.Prefetch, sp.Report = "blackscholes", 2, "mesh", "banked", "stride", true
-		}), "59246a4e152fc400676a3618af4d18b1fcc1ec863235d4528c2979d657052be9", 2, 800_000},
+		}), "6f056aa9c7e1fbec5daae0aa62eb7cadda475a04b2262611d7fcadcaccc47a8f", 2, 800_000},
 		{"experiments fig 4a", single("gcc", "detailed", 1, memhier.Perfect{ISide: true, L2: true}, "perfect"),
-			"dd7873b4254574e0f9ac3f162709d6087ca7da52751c1d478ea480413f5261ff", 1, 15_000},
+			"b4f110cad32dc82be778499aec6d6c05ebe1beb839550addc2401c32a51d3d0d", 1, 15_000},
 		{"experiments fig 6", single("mcf", "interval", 2, memhier.Perfect{}, ""),
-			"efcd3264d4bd013119b005d4d34d499d5efe923704070d3995ad17803f3773f6", 2, 30_000},
+			"e266db95d37947c670db59066fa83fe9e697a3557c665ed1a4232fe7f41853fd", 2, 30_000},
 		{"experiments ablation", with(single("gcc", "interval", 1, memhier.Perfect{}, ""), func(sp *Spec) { sp.Ablation = &core.Options{NoTaint: true} }),
-			"3f8aff16f5655cf2df30bb1d984fb44ad950f9d1d190dce6fc3dfb4973ae4ebc", 1, 15_000},
+			"a2db72037f953d58fe95c7a9a6fb4048f5d6ac3e309c3e0ac01220fac30da3e4", 1, 15_000},
 		{"experiments predictors", with(single("vpr", "interval", 1, memhier.Perfect{}, "tage"), func(sp *Spec) { sp.Report = true }),
-			"96f7f883266c0b7013228bcdc3500f49662dd51272ecc926e234e69ebe724891", 1, 15_000},
+			"9c3b5f2e7d33344fe9e7785c2a0c4c1a14418b9cf35060a29d47e3689bfc6d0c", 1, 15_000},
 		{"experiments fig 7", parsec("blackscholes", "interval", config.Default(4)),
-			"4d549379700a0b46cd1a5415f20f5bd8deb87ed919372e6058465b571cc55bef", 4, 200_000},
+			"ad08ee475fdd2f16977f1c55d51a054940d2a78f68a9f95334652d0e623a2d6f", 4, 200_000},
 		{"experiments fig 8", parsec("canneal", "detailed", config.Stacked3D(4)),
-			"9d3baf23114a5a30b5aaf5066c0793fe77ba45b95ef3bb26bca1bbc94a87808d", 4, 200_000},
+			"ca047c6837f5eda21d9e12c352b684f4f0ceb4083fbe62f00123a5b5529679c9", 4, 200_000},
 		{"experiments scale16", parsec("streamcluster", "interval", ring16),
-			"b01afa9eac2ce0ef28fd73eb0f678ab970338ddf0b26763f97d23dac56ca8203", 16, 200_000},
+			"33974862f5f8b1165fdbb3bab825050633c107148e86d97a6f7b594fa029a54d", 16, 200_000},
 		{"experiments fabric", with(quick, func(sp *Spec) {
 			sp.Label, sp.Mix, sp.Cores, sp.Fabric, sp.Report = "mesh mix", []string{"swim", "mcf", "gcc", "art"}, 8, "mesh", true
-		}), "b8a90e37af72a20a139dacb7a41f6e89ede181746a2db0c1a03df6fbf4965cda", 8, 120_000},
+		}), "dbc535c8c5226ac22f3c4a329348cc377708d0a1f96d70e637b286c19b10174f", 8, 120_000},
 		{"experiments dram banked", with(quick, func(sp *Spec) { sp.Bench, sp.DRAM, sp.Report = "swim", "banked", true }),
-			"4b9d52dc29d93cd1f5c996013d3239154df8ed2a7987897b34520e0eafcd87f0", 1, 15_000},
+			"b5790d52fd9bfa168d89d741da5aa898c7bef6bde40fb41e981294e68b1aa5bc", 1, 15_000},
 		{"experiments dram fixed", with(quick, func(sp *Spec) { sp.Bench, sp.DRAM, sp.Report = "mgrid", "fixed", true }),
-			"4f40e40360e7fef17f336340c5eec8c17feb7b541989bf50baf51dd6b7f5799e", 1, 15_000},
+			"97aeb7d49184edfea666bdc91df41002c5ef49309307af35394050e22b554815", 1, 15_000},
 		{"mix on a 4-core machine", Spec{Mix: []string{"gcc", "mcf"}, Machine: &rob},
-			"906a176ce209f4dbf4071bbdb5d67e1d773eb2b41308f4510a283a635978840e", 2, 200_000},
+			"be3c4a3e0477ae8ce00bf987d851dc9ea49a4b0d0e4bb6a2dea0c853254e7b36", 2, 200_000},
 	} {
 		s, err := c.spec.Scenario()
 		if err != nil {

@@ -19,13 +19,13 @@ func mixScenario(t *testing.T) *Scenario {
 }
 
 // TestFingerprintVersionNeverCollides: no stale fingerprint of a
-// scenario (v1 or v2) may ever equal its current (v3) fingerprint — the
-// whole point of the version field is that results computed under an
-// old stream format can never be served for a new submission, whatever
-// else the scenario spells.
+// scenario (v1 to v3) may ever equal its current (v4) fingerprint — the
+// whole point of the version field is that results computed under older
+// semantics can never be served for a new submission, whatever else the
+// scenario spells.
 func TestFingerprintVersionNeverCollides(t *testing.T) {
-	if FingerprintVersion != 3 {
-		t.Fatalf("FingerprintVersion = %d, want 3 (update this test alongside the next deliberate break)", FingerprintVersion)
+	if FingerprintVersion != 4 {
+		t.Fatalf("FingerprintVersion = %d, want 4 (update this test alongside the next deliberate break)", FingerprintVersion)
 	}
 	for _, build := range []func(t *testing.T) *Scenario{
 		mixScenario,
@@ -56,14 +56,14 @@ func TestFingerprintVersionNeverCollides(t *testing.T) {
 
 // TestCacheMissesAcrossVersionBump: a result cache primed with entries
 // under the scenario's stale keys (what pre-break simd deployments
-// would have persisted under v1 and v2) must not serve them for a v3
+// would have persisted under v1 to v3) must not serve them for a v4
 // submission — the submission simulates fresh and is stored under the
-// v3 key.
+// v4 key.
 func TestCacheMissesAcrossVersionBump(t *testing.T) {
 	dir := t.TempDir()
 	s := mixScenario(t)
 	staleKeys := make(map[string]bool)
-	stale := []byte(`{"stale":"pre-v3 payload"}`)
+	stale := []byte(`{"stale":"pre-v4 payload"}`)
 	for v := 1; v < FingerprintVersion; v++ {
 		key, err := s.fingerprintAt(v)
 		if err != nil {
@@ -77,7 +77,7 @@ func TestCacheMissesAcrossVersionBump(t *testing.T) {
 
 	c, err := NewCache(CacheOpts{
 		Dir:    dir,
-		Encode: func(Result) ([]byte, error) { return []byte(`{"fresh":"v3 payload"}`), nil },
+		Encode: func(Result) ([]byte, error) { return []byte(`{"fresh":"v4 payload"}`), nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -87,12 +87,12 @@ func TestCacheMissesAcrossVersionBump(t *testing.T) {
 		t.Fatal(err)
 	}
 	if entry.Source != SourceRun {
-		t.Fatalf("v3 submission served from %q, want a fresh run (stale entries must never match)", entry.Source)
+		t.Fatalf("v4 submission served from %q, want a fresh run (stale entries must never match)", entry.Source)
 	}
 	if staleKeys[entry.Key] {
-		t.Fatal("v3 submission stored under a stale key")
+		t.Fatal("v4 submission stored under a stale key")
 	}
 	if string(entry.Payload) == string(stale) {
-		t.Fatal("v3 submission returned a stale payload")
+		t.Fatal("v4 submission returned a stale payload")
 	}
 }

@@ -257,7 +257,6 @@ func (c *Clone) next() isa.Inst {
 	}
 
 	in := isa.Inst{
-		Seq:   c.seq,
 		Class: class,
 		PC:    c.nextPC(),
 		Src1:  isa.RegNone,

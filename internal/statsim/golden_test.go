@@ -21,8 +21,10 @@ func hashInsts(insts []trace.Stream) uint64 {
 	h := fnv.New64a()
 	for _, s := range insts {
 		rd := trace.NewBuffered(s, 512)
+		pos := uint64(0)
 		for in, ok := rd.Next(); ok; in, ok = rd.Next() {
-			isatest.Write(h, &in)
+			isatest.Write(h, pos, &in)
+			pos++
 		}
 	}
 	return h.Sum64()

@@ -17,7 +17,6 @@ func synthetic(n int) []isa.Inst {
 			Class: isa.Class(rng.Intn(int(isa.NumClasses))),
 			PC:    uint64(0x400000 + 4*i),
 			Addr:  uint64(rng.Int63()),
-			Seq:   uint64(i),
 		}
 	}
 	return out

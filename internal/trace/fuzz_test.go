@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
@@ -94,14 +95,15 @@ func FuzzTraceReader(f *testing.F) {
 			}
 		}
 
-		// As material: every 39 bytes a record, its class, operand and
-		// taken bytes folded into range; then a record of class 200, then
-		// the data.
+		// As material: every 39 bytes a record, its position set to its
+		// index and its class, operand and taken bytes folded into range;
+		// then a record of class 200 at the next position, then the data.
 		var file bytes.Buffer
 		n := len(data) / recordBytes
 		want := make([]isa.Inst, n)
 		for i := range want {
 			rec := bytes.Clone(data[i*recordBytes : (i+1)*recordBytes])
+			binary.LittleEndian.PutUint64(rec[0:], uint64(i))
 			rec[16] %= byte(isa.NumClasses)
 			for j := 17; j <= 19; j++ {
 				if rec[j] != isa.RegNone {
@@ -109,7 +111,7 @@ func FuzzTraceReader(f *testing.F) {
 				}
 			}
 			rec[28] &= 1
-			in, err := decode(rec)
+			in, err := decode(rec, uint64(i))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,6 +121,7 @@ func FuzzTraceReader(f *testing.F) {
 			t.Fatal(err)
 		}
 		var bad [recordBytes]byte
+		binary.LittleEndian.PutUint64(bad[0:], uint64(n))
 		bad[16] = 200
 		file.Write(bad[:])
 		file.Write(data)

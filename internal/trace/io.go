@@ -26,6 +26,11 @@ import (
 // tabulated geometric sampling in the workload generator): the layout is
 // unchanged from v2, but v2 traces record streams no v3 generator can
 // reproduce, so they are rejected on replay with a re-record hint.
+//
+// A record's first field is its position in the file, counted from zero.
+// Instructions carry no sequence number, so this is the only place the
+// position is stored; the reader checks it, which catches a file whose
+// records were dropped, duplicated or reordered.
 
 const (
 	traceMagic   = uint32(0x49564c53) // "SLVI"
@@ -72,7 +77,7 @@ func WriteTrace(w io.Writer, src Stream, n int, h Header) (int, error) {
 			break
 		}
 		for i := range buf[:k] {
-			encode(&rec, &buf[i])
+			encode(&rec, uint64(written), &buf[i])
 			if _, err := bw.Write(rec[:]); err != nil {
 				return written, fmt.Errorf("trace: writing record %d: %w", written, err)
 			}
@@ -82,8 +87,8 @@ func WriteTrace(w io.Writer, src Stream, n int, h Header) (int, error) {
 	return written, bw.Flush()
 }
 
-func encode(rec *[recordBytes]byte, in *isa.Inst) {
-	binary.LittleEndian.PutUint64(rec[0:], in.Seq)
+func encode(rec *[recordBytes]byte, pos uint64, in *isa.Inst) {
+	binary.LittleEndian.PutUint64(rec[0:], pos)
 	binary.LittleEndian.PutUint64(rec[8:], in.PC)
 	rec[16] = uint8(in.Class)
 	rec[17] = in.Src1
@@ -99,11 +104,15 @@ func encode(rec *[recordBytes]byte, in *isa.Inst) {
 	binary.LittleEndian.PutUint16(rec[37:], in.SyncID)
 }
 
-// decode reads one record. Every field is a plain number except five: the
-// class indexes [isa.NumClasses] arrays downstream, the three operands index
-// [isa.NumRegs] arrays unless they are isa.RegNone, and the taken flag is a
-// boolean. A record breaking any of those is not one WriteTrace wrote.
-func decode(rec []byte) (isa.Inst, error) {
+// decode reads the record at position pos. Every field is a plain number
+// except six: the position must be pos, the class indexes [isa.NumClasses]
+// arrays downstream, the three operands index [isa.NumRegs] arrays unless
+// they are isa.RegNone, and the taken flag is a boolean. A record breaking
+// any of those is not one WriteTrace wrote.
+func decode(rec []byte, pos uint64) (isa.Inst, error) {
+	if p := binary.LittleEndian.Uint64(rec[0:]); p != pos {
+		return isa.Inst{}, fmt.Errorf("position field %d (a record's position is its index)", p)
+	}
 	if int(rec[16]) >= isa.NumClasses {
 		return isa.Inst{}, fmt.Errorf("class byte %d (classes are 0..%d)", rec[16], isa.NumClasses-1)
 	}
@@ -116,7 +125,6 @@ func decode(rec []byte) (isa.Inst, error) {
 		return isa.Inst{}, fmt.Errorf("taken byte %d (0 or 1)", rec[28])
 	}
 	return isa.Inst{
-		Seq:    binary.LittleEndian.Uint64(rec[0:]),
 		PC:     binary.LittleEndian.Uint64(rec[8:]),
 		Class:  isa.Class(rec[16]),
 		Src1:   rec[17],
@@ -191,7 +199,7 @@ func (r *Reader) NextBatch(buf []isa.Inst) int {
 	r.err = err
 	n := got / recordBytes
 	for i := 0; i < n; i++ {
-		in, err := decode(raw[i*recordBytes:])
+		in, err := decode(raw[i*recordBytes:], uint64(r.read+i))
 		if err != nil {
 			r.err = fmt.Errorf("trace: record %d: %v", r.read+i, err)
 			n = i

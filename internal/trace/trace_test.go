@@ -14,10 +14,11 @@ import (
 	"repro/internal/isa"
 )
 
+// insts returns n ALU instructions whose PC is their position.
 func insts(n int) []isa.Inst {
 	out := make([]isa.Inst, n)
 	for i := range out {
-		out[i] = isa.Inst{Seq: uint64(i), Class: isa.IntALU}
+		out[i] = isa.Inst{PC: uint64(i), Class: isa.IntALU}
 	}
 	return out
 }
@@ -27,15 +28,15 @@ func TestSliceStreamReplaysInOrder(t *testing.T) {
 	rd := NewBuffered(s, 2)
 	for i := 0; i < 5; i++ {
 		in, ok := rd.Next()
-		if !ok || in.Seq != uint64(i) {
-			t.Fatalf("pos %d: (%v,%t)", i, in.Seq, ok)
+		if !ok || in.PC != uint64(i) {
+			t.Fatalf("pos %d: (%v,%t)", i, in.PC, ok)
 		}
 	}
 	if _, ok := rd.Next(); ok {
 		t.Fatal("stream did not end")
 	}
 	s.Reset()
-	if in, ok := NewBuffered(s, 2).Next(); !ok || in.Seq != 0 {
+	if in, ok := NewBuffered(s, 2).Next(); !ok || in.PC != 0 {
 		t.Fatal("Reset did not rewind")
 	}
 }
@@ -56,7 +57,7 @@ func TestLimitShorterSource(t *testing.T) {
 
 func TestRecord(t *testing.T) {
 	got := Record(NewSliceStream(insts(10)), 4)
-	if len(got) != 4 || got[3].Seq != 3 {
+	if len(got) != 4 || got[3].PC != 3 {
 		t.Fatalf("record = %d insts", len(got))
 	}
 	got = Record(NewSliceStream(insts(2)), 4)
@@ -88,10 +89,10 @@ func TestStats(t *testing.T) {
 
 func TestTraceRoundTrip(t *testing.T) {
 	src := []isa.Inst{
-		{Seq: 0, PC: 0x400000, Class: isa.IntALU, Src1: 3, Src2: isa.RegNone, Dst: 9},
-		{Seq: 1, PC: 0x400004, Class: isa.Load, Addr: 0x123456789A, Src1: 9, Src2: isa.RegNone, Dst: 10},
-		{Seq: 2, PC: 0x400008, Class: isa.Branch, Taken: true, Target: 0x400100},
-		{Seq: 3, PC: 0x40000C, Class: isa.LockAcquire, SyncID: 7},
+		{PC: 0x400000, Class: isa.IntALU, Src1: 3, Src2: isa.RegNone, Dst: 9},
+		{PC: 0x400004, Class: isa.Load, Addr: 0x123456789A, Src1: 9, Src2: isa.RegNone, Dst: 10},
+		{PC: 0x400008, Class: isa.Branch, Taken: true, Target: 0x400100},
+		{PC: 0x40000C, Class: isa.LockAcquire, SyncID: 7},
 	}
 	var buf bytes.Buffer
 	n, err := WriteTrace(&buf, NewSliceStream(src), 10, Header{StreamVersion: 3, Slot: 3})
@@ -121,8 +122,9 @@ func TestTraceRoundTrip(t *testing.T) {
 }
 
 // TestTraceReaderStopsAtDamagedRecord: a record WriteTrace cannot have
-// written — a class byte naming no class, an operand byte naming no
-// register, a taken byte that is not 0 or 1, a last record cut short — ends
+// written — a position that is not its index, a class byte naming no class,
+// an operand byte naming no register, a taken byte that is not 0 or 1, a
+// last record cut short — ends
 // the stream there. Every record before it is read, none after it, and Err
 // names the record and the byte.
 func TestTraceReaderStopsAtDamagedRecord(t *testing.T) {
@@ -136,6 +138,7 @@ func TestTraceReaderStopsAtDamagedRecord(t *testing.T) {
 		read   int
 		errHas string
 	}{
+		{"position", func(b []byte) []byte { binary.LittleEndian.PutUint64(b[headerBytes+100*recordBytes:], 7); return b }, 100, "record 100: position field 7"},
 		{"class", func(b []byte) []byte { b[headerBytes+100*recordBytes+16] = 200; return b }, 100, "record 100: class byte 200"},
 		{"class-first-of-chunk", func(b []byte) []byte { b[headerBytes+ioChunk*recordBytes+16] = byte(isa.NumClasses); return b }, ioChunk, fmt.Sprintf("record %d: class byte %d", ioChunk, isa.NumClasses)},
 		{"src1", func(b []byte) []byte { b[headerBytes+7*recordBytes+17] = isa.NumRegs; return b }, 7, "record 7: src1 byte 64 (registers are 0..63, 255 for none)"},
@@ -150,7 +153,7 @@ func TestTraceReaderStopsAtDamagedRecord(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := Record(r, 10_000)
-			if len(got) != tc.read || (tc.read > 0 && got[tc.read-1].Seq != uint64(tc.read-1)) {
+			if len(got) != tc.read || (tc.read > 0 && got[tc.read-1].PC != uint64(tc.read-1)) {
 				t.Fatalf("read %d records, want the %d before the damage", len(got), tc.read)
 			}
 			if err := r.Err(); err == nil || !strings.Contains(err.Error(), tc.errHas) {
@@ -231,9 +234,9 @@ func TestQuickTraceRoundTrip(t *testing.T) {
 		}
 		return r % isa.NumRegs
 	}
-	f := func(seq, pc, addr, target uint64, class, s1, s2, d uint8, taken bool, id uint16) bool {
+	f := func(pc, addr, target uint64, class, s1, s2, d uint8, taken bool, id uint16) bool {
 		in := isa.Inst{
-			Seq: seq, PC: pc, Class: isa.Class(class % uint8(isa.NumClasses)),
+			PC: pc, Class: isa.Class(class % uint8(isa.NumClasses)),
 			Src1: reg(s1), Src2: reg(s2), Dst: reg(d), Addr: addr, Taken: taken,
 			Target: target, SyncID: id,
 		}

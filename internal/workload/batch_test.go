@@ -11,7 +11,7 @@ import (
 // poison is what every buffer slot holds before NextBatch fills it: the
 // emitter writes field by field, so a field it forgot would keep this.
 var poison = isa.Inst{
-	Seq: ^uint64(0), PC: ^uint64(0), Addr: ^uint64(0), Target: ^uint64(0),
+	PC: ^uint64(0), Addr: ^uint64(0), Target: ^uint64(0),
 	SyncID: 0xFFFF, Class: 0xEE, Src1: 0xEE, Src2: 0xEE, Dst: 0xEE, Taken: true,
 }
 

@@ -17,7 +17,7 @@ func functionalOf(in isa.Inst) isa.Inst {
 }
 
 // TestFunctionalStreamMatchesFull: a functional stream is the full stream
-// without its register operands — Seq, PC, Class, Addr, Taken, Target and
+// without its register operands — PC, Class, Addr, Taken, Target and
 // SyncID are equal instruction by instruction — for every shipped profile
 // (and the corner-case ones of the boundary test), single- and
 // multi-threaded, whatever the batch sizes, across a chunk reset and

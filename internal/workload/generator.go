@@ -394,7 +394,7 @@ func newSlotSalted(p *Profile, thread, threads int, seed int64, slot int, salt u
 
 // Functional switches the generator to functional emission and returns it:
 // the stream then carries what functional warm-up reads of an instruction —
-// Seq, PC, Class, Addr, Taken, Target, SyncID, each byte for byte what the
+// PC, Class, Addr, Taken, Target, SyncID, each byte for byte what the
 // full stream has at that position — and RegNone in the register operands
 // of every instruction of the program (synchronization instructions have
 // none in either stream). Choosing an operand is the generator's hottest
@@ -532,7 +532,7 @@ func (g *Generator) serializePeriod() int {
 func (g *Generator) Skippable() bool { return !g.sync }
 
 // SkipTo positions the stream at position n: the next instruction
-// returned by Next carries Seq n, and the stream from here on is
+// handed out is instruction n, and the stream from here on is
 // byte-identical to generating n instructions from a fresh generator
 // and discarding them — the core v3 contract, fuzz-tested in
 // FuzzSkipAhead. For Skippable streams the cost is O(1): the enclosing
@@ -662,7 +662,7 @@ func (g *Generator) NextBatch(buf []isa.Inst) int {
 			op := g.pending[0]
 			g.pending[0] = g.pending[1]
 			g.pendLen--
-			buf[n] = isa.Inst{Seq: g.seq, Class: op.class, SyncID: op.id}
+			buf[n] = isa.Inst{Class: op.class, SyncID: op.id}
 			g.seq++
 			n++
 			continue
@@ -708,7 +708,7 @@ func (g *Generator) emitBlock(buf []isa.Inst) int {
 		g.pos = 0
 	case g.untilSerialize == 0:
 		g.untilSerialize = g.serializePeriod()
-		buf[0] = isa.Inst{Seq: g.seq, Class: isa.Serializing, PC: bl.startPC + uint64(g.pos)*4}
+		buf[0] = isa.Inst{Class: isa.Serializing, PC: bl.startPC + uint64(g.pos)*4}
 		g.pos++
 	default:
 		n = min(len(buf), bl.bodyLen-g.pos)
@@ -727,7 +727,7 @@ func (g *Generator) emitBlock(buf []isa.Inst) int {
 		}
 		seq, pc, ctr := g.seq, bl.startPC+uint64(g.pos)*4, g.rng.ctr
 		for out := buf[:n]; ; {
-			ctr = g.emitBody(&out[0], seq, pc, ctr)
+			ctr = g.emitBody(&out[0], pc, ctr)
 			if out = out[1:]; len(out) == 0 {
 				break
 			}
@@ -814,7 +814,7 @@ func (g *Generator) queueSync(class isa.Class, id uint16) {
 // emitTerminator interprets the block's terminator, moving cur to the
 // next block, and writes the control instruction into out.
 func (g *Generator) emitTerminator(out *isa.Inst, prog *program, fn *function, bl *block, cur *frame) {
-	out.Seq, out.PC, out.Addr, out.SyncID = g.seq, bl.startPC+uint64(bl.bodyLen)*4, 0, 0
+	out.PC, out.Addr, out.SyncID = bl.startPC+uint64(bl.bodyLen)*4, 0, 0
 	out.Src1, out.Src2, out.Dst, out.Taken = isa.RegNone, isa.RegNone, isa.RegNone, true
 	stack := &g.callStack
 	if g.inKernel {
@@ -899,9 +899,9 @@ func b2i(b bool) int {
 // emitBody synthesizes one non-control instruction at pc into out
 // according to the mix, drawing from counter ctr on, and returns the
 // advanced counter. The order of the draws is stream format v3.
-func (g *Generator) emitBody(out *isa.Inst, seq, pc, ctr uint64) uint64 {
+func (g *Generator) emitBody(out *isa.Inst, pc, ctr uint64) uint64 {
 	key := g.rng.key
-	out.Seq, out.PC, out.Addr, out.Target = seq, pc, 0, 0
+	out.PC, out.Addr, out.Target = pc, 0, 0
 	out.SyncID, out.Taken = 0, false
 	if g.chainCut != 0 {
 		u := ctrDraw(key, ctr)

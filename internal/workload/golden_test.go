@@ -13,8 +13,8 @@ import (
 func streamHash(p *Profile, seed int64, slot int, n int) uint64 {
 	g := NewSlot(p, 0, 1, seed, slot)
 	h := fnv.New64a()
-	for _, in := range trace.Record(g, n) {
-		isatest.Write(h, &in)
+	for i, in := range trace.Record(g, n) {
+		isatest.Write(h, uint64(i), &in)
 	}
 	return h.Sum64()
 }

@@ -705,3 +705,41 @@ func TestOneEngineSelector(t *testing.T) {
 		t.Fatalf("an engine registry is back (simrun's engine table is the one engine selector):\n  %s", strings.Join(bad, "\n  "))
 	}
 }
+
+// TestTimingSideKeepsWhatItReads: the timing side keeps only what something
+// reads or sets. An instruction carries no sequence number, since no timing
+// model reads one and a stream position is where an instruction sits (the
+// trace writer and the stream goldens count it), so isa.Inst stays at 32
+// bytes. The interval core's wrong-path fetch, a switch no figure and no
+// product caller set, stays deleted. The test fails on a Seq field of a
+// struct named Inst and on a WrongPathFetch, WrongPathLines or
+// wrongPathFetch identifier or a "wrong-path" name in the non-test sources
+// outside benchmark/.
+func TestTimingSideKeepsWhatItReads(t *testing.T) {
+	names := map[string]bool{"WrongPathFetch": true, "WrongPathLines": true, "wrongPathFetch": true}
+	bad := offenders(t, func(n ast.Node) string {
+		switch n := n.(type) {
+		case *ast.Ident:
+			if names[n.Name] {
+				return n.Name
+			}
+		case *ast.TypeSpec:
+			if st, ok := n.Type.(*ast.StructType); ok && n.Name.Name == "Inst" {
+				for _, f := range st.Fields.List {
+					for _, id := range f.Names {
+						if id.Name == "Seq" {
+							return "Inst.Seq"
+						}
+					}
+				}
+			}
+		}
+		if v, ok := stringLit(n); ok && v == "wrong-path" {
+			return strconv.Quote(v)
+		}
+		return ""
+	})
+	if len(bad) > 0 {
+		t.Fatalf("a field or switch no timing model reads is back:\n  %s", strings.Join(bad, "\n  "))
+	}
+}
