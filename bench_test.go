@@ -383,6 +383,10 @@ func BenchmarkWarmup(b *testing.B) {
 				b.Run(name+"/"+prefetch+"/"+source, func(b *testing.B) {
 					m := config.Default(1)
 					m.Mem.Prefetch = prefetch
+					m, err := m.Resolve()
+					if err != nil {
+						b.Fatal(err)
+					}
 					p := workload.SPECByName(name)
 					recorded := trace.Record(workload.New(p, 0, 1, 1042), insts)
 					b.ReportAllocs()

@@ -57,6 +57,10 @@ func writeTrace(path string, tr *obs.Tracer) error {
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("intervalsim", flag.ContinueOnError)
 	fl.SetOutput(stderr)
+	knobs := simrun.Knobs() // a knob flag defaults to its baseline and lists its names
+	knob := func(name, usage string) *string {
+		return fl.String(name, knobs[name][0], usage+": "+strings.Join(knobs[name], ", "))
+	}
 	var (
 		bench  = fl.String("bench", "", "benchmark profile name")
 		model  = fl.String("model", "interval", "core model: "+strings.Join(multicore.Models(), ", "))
@@ -70,11 +74,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		rep    = fl.Bool("report", false, "print the full post-run report (hierarchy, bus, DRAM, coherence)")
 		asJSON = fl.Bool("json", false, "print the machine-readable result summary (report.JSON)")
 
-		fabric    = fl.String("fabric", "bus", "on-chip interconnect: bus, mesh, ring")
-		coherence = fl.String("coherence", "moesi", "coherence protocol: moesi, mesi, directory")
-		dram      = fl.String("dram", "fixed", "main-memory model: fixed, banked")
-		prefetch  = fl.String("prefetch", "none", "prefetcher: none, nextline, stride")
-		predictor = fl.String("predictor", "local", "direction predictor: local, gshare, bimodal, tournament, tage, perfect")
+		fabric    = knob("fabric", "on-chip interconnect")
+		coherence = knob("coherence", "coherence protocol")
+		dram      = knob("dram", "main-memory model")
+		prefetch  = knob("prefetch", "prefetcher")
+		predictor = knob("predictor", "direction predictor")
 
 		cpuprofile = fl.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fl.String("memprofile", "", "write a heap profile to this file on exit")

@@ -423,7 +423,7 @@ func (s *sweeper) builtin(sweep string, names []string) (table, error) {
 		// Multi-program points that keep the hierarchy for its fabric stats.
 		var specs []simrun.Spec
 		for _, cores := range []int{4, 8, 16} {
-			for _, fabric := range []string{"bus", "mesh", "ring"} {
+			for _, fabric := range config.Names("Mem.Interconnect") {
 				label := fmt.Sprintf("%d cores, %s", cores, fabric)
 				specs = append(specs, simrun.Spec{Label: label, Mix: names, Cores: cores, Fabric: fabric, Report: true,
 					Insts: s.base.Insts, Warmup: s.base.Warmup, Seed: s.base.Seed})

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -10,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/simd"
 	"repro/internal/simrun"
 )
@@ -157,7 +160,7 @@ func TestBuiltinFingerprints(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fmt.Fprintf(&got, "%s detailed=%v %q %s %s\n", c.sweep, c.detailed, sp.Label, sc.ModelName(), fp)
+			fmt.Fprintf(&got, "%s detailed=%v %q %s %s\n", c.sweep, c.detailed, sp.Label, cmp.Or(sp.Model, "interval"), fp)
 		}
 	}
 	if want := golden(t, "fingerprints"); got.String() != want {
@@ -170,6 +173,17 @@ func TestBuiltinFingerprints(t *testing.T) {
 func TestExitCodes(t *testing.T) {
 	bad := filepath.Join(t.TempDir(), "bad.json")
 	if err := os.WriteFile(bad, []byte(`{"scenarios":[{"bench":"gcc","predcitor":"tage"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A machine whose predictor no simulator knows.
+	m := config.Default(1)
+	m.Branch.Kind = "bogus"
+	raw, err := json.Marshal(simrun.SpecFile{Scenarios: []simrun.Spec{{Bench: "gcc", Machine: &m}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unknownName := filepath.Join(t.TempDir(), "unknown-name.json")
+	if err := os.WriteFile(unknownName, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// A work scale that leaves a PARSEC run no budget, or one past 2^63.
@@ -194,6 +208,7 @@ func TestExitCodes(t *testing.T) {
 		{context.Background(), []string{"-sweep", "cache"}, 2, `unknown sweep "cache"`},
 		{context.Background(), []string{"-sweep", "core", "-profiles", "gcc,bogus"}, 2, `unknown benchmark "bogus"`},
 		{context.Background(), []string{"-f", bad}, 2, "predcitor"},
+		{context.Background(), []string{"-f", unknownName}, 2, `Branch.Kind = "bogus"`},
 		{context.Background(), []string{"-f", filepath.Join(t.TempDir(), "missing.json")}, 2, "missing.json"},
 		{context.Background(), []string{"-f", unbounded["underflow"]}, 2, "work scale 1e-300"},
 		{context.Background(), []string{"-f", unbounded["overflow"]}, 2, "work scale 1e+300"},

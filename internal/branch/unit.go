@@ -103,8 +103,8 @@ type Unit struct {
 	Mispredictions uint64
 }
 
-// NewUnit builds a predictor unit from the configuration. Unknown kinds
-// panic: the configuration is programmer-supplied.
+// NewUnit builds a predictor unit from a resolved machine's configuration
+// (config.Machine.Resolve refuses unknown kinds). Unknown kinds panic.
 func NewUnit(cfg config.BranchPredictor) *Unit {
 	var dir DirectionPredictor
 	switch cfg.Kind {

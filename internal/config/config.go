@@ -11,6 +11,8 @@ package config
 import (
 	"cmp"
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/isa"
 )
@@ -43,16 +45,17 @@ type Core struct {
 	// MaxOutstandingMisses bounds the number of long-latency loads that
 	// may overlap (the hardware's outstanding-miss capacity; the paper:
 	// MLP is exposed "provided that a sufficient number of outstanding
-	// long-latency loads are supported by the hardware"). Zero selects
-	// 32, matching the MSHR file.
+	// long-latency loads are supported by the hardware"). Resolve writes
+	// 32, matching the MSHR file, for zero.
 	MaxOutstandingMisses int
 }
 
 // BranchPredictor describes the front-end predictor (Table 1: 12Kbit local
 // predictor, 32-entry RAS, 8-way set-associative 2K-entry BTB).
 type BranchPredictor struct {
-	// Kind selects the direction predictor: "local", "gshare",
-	// "bimodal" or "perfect".
+	// Kind selects the direction predictor: "local" (Table 1; Resolve
+	// writes it for ""), "gshare", "bimodal", "tournament", "tage" or
+	// "perfect".
 	Kind string
 	// LocalHistoryEntries is the number of per-branch history registers.
 	LocalHistoryEntries int
@@ -112,57 +115,62 @@ type Memory struct {
 	// (dirty data supplied by a remote L1).
 	CacheToCacheLatency int
 
-	// Coherence selects the protocol: "moesi" (Table 1 baseline; "" is
-	// treated as moesi), "mesi" (four-state snooping ablation without
+	// Coherence selects the protocol: "moesi" (Table 1 baseline; Resolve
+	// writes it for ""), "mesi" (four-state snooping ablation without
 	// dirty sharing) or "directory" (a MESI home node, the scalable
 	// alternative to bus snooping: it answers every transaction as
 	// snooping MESI does, so it runs the same state machine and adds
 	// DirectoryLatency to each miss).
 	Coherence string
 	// DirectoryLatency is the home-node lookup cost in cycles added to
-	// every L1 miss when Coherence is "directory". Zero selects a
-	// default of 6 cycles.
+	// every L1 miss when Coherence is "directory". Resolve writes 6 for
+	// zero.
 	DirectoryLatency int
 
 	// Interconnect selects the on-chip fabric between the L1s and the
-	// shared L2/memory hub: "" or "bus" (Table 1 baseline: a split-
-	// transaction snoop bus), "mesh" (2D mesh, XY routing) or "ring"
+	// shared L2/memory hub: "bus" (Table 1 baseline, written for "": a
+	// split-transaction snoop bus), "mesh" (2D mesh, XY routing) or "ring"
 	// (bidirectional ring). Mesh and ring place the hub on the fabric
 	// and charge per-hop latency and per-link queueing.
 	Interconnect string
 	// NoCHopLatency is the per-hop traversal latency in cycles for mesh
-	// and ring fabrics (zero selects 1).
+	// and ring fabrics (Resolve writes 1 for zero).
 	NoCHopLatency int
 	// NoCOccupancy is the per-link occupancy per transaction in cycles
-	// for mesh and ring fabrics (zero selects 1).
+	// for mesh and ring fabrics (Resolve writes 1 for zero).
 	NoCOccupancy int
 
-	// DRAMKind selects the main-memory configuration: "" or "fixed"
-	// (the paper's DRAMLatency-cycle fixed latency behind a finite-width
-	// bus: one bank whose row hits and row misses both cost DRAMLatency)
-	// or "banked" (bank-parallel DRAM with open-page row buffers: row
-	// hits are fast, row conflicts pay precharge+activate, independent
-	// banks overlap).
+	// DRAMKind selects the main-memory configuration: "fixed" (written
+	// for ""; the paper's DRAMLatency-cycle fixed latency behind a
+	// finite-width bus: one bank whose row hits and row misses both cost
+	// DRAMLatency) or "banked" (bank-parallel DRAM with open-page row
+	// buffers: row hits are fast, row conflicts pay precharge+activate,
+	// independent banks overlap).
 	DRAMKind string
-	// DRAMBanks is the bank count for the banked model (zero selects 8).
+	// DRAMBanks is the bank count for the banked model (Resolve writes 8
+	// for zero).
 	DRAMBanks int
 	// DRAMRowBytes is the row-buffer size in bytes for the banked model
-	// (zero selects 2048).
+	// (Resolve writes 2048 for zero).
 	DRAMRowBytes int
 	// DRAMRowHit is the access latency for a row-buffer hit in cycles
-	// (zero selects DefaultDRAMRowHit; the fixed model's 150 corresponds
-	// to the average case). It may not exceed the row-miss latency.
+	// (Resolve writes 90 for zero; the fixed model's 150 corresponds to
+	// the average case). A banked machine's may not exceed its row-miss
+	// latency.
 	DRAMRowHit int
 	// DRAMRowMiss is the access latency on a row-buffer conflict
-	// (precharge + activate + access; zero selects DefaultDRAMRowMiss).
+	// (precharge + activate + access; Resolve writes 180 for zero).
 	DRAMRowMiss int
 
-	// Prefetch selects the hardware prefetcher: "" (none, the Table 1
-	// baseline), "nextline" (degree-PrefetchDegree sequential prefetch
-	// into the L1D on demand misses) or "stride" (region-based stride
-	// detection with a confidence threshold). Used by the prefetcher
-	// ablation study.
-	Prefetch       string
+	// Prefetch selects the hardware prefetcher: "none" (the Table 1
+	// baseline, written for ""), "nextline" (degree-PrefetchDegree
+	// sequential prefetch into the L1D on demand misses) or "stride"
+	// (region-based stride detection with a confidence threshold). Used
+	// by the prefetcher ablation study.
+	Prefetch string
+	// PrefetchDegree is the number of lines a prefetch fetches ahead.
+	// Resolve writes 1 for zero under nextline and 2 under stride; under
+	// none it is unused and left as it is.
 	PrefetchDegree int
 }
 
@@ -175,7 +183,7 @@ type Machine struct {
 	Mem    Memory
 }
 
-// Bounds Validate puts on a machine description. They are far above
+// Bounds Resolve puts on a machine description. They are far above
 // anything the paper's design space visits and low enough that no accepted
 // machine can exhaust the host's memory at construction.
 const (
@@ -194,24 +202,86 @@ const l1LineSize = 64
 // the modelled home node keeps a 64-bit sharer vector per line.
 const MaxDirectoryCores = 64
 
-// The banked DRAM's row latencies in cycles when DRAMRowHit or DRAMRowMiss
-// is zero.
-const (
-	DefaultDRAMRowHit  = 90
-	DefaultDRAMRowMiss = 180
-)
+// nameFields are the fields of a Machine that select a model by name, each
+// with the names it accepts, baseline first, in the order of nameValues.
+var nameFields = [...]struct {
+	field string
+	names []string
+}{
+	{"Branch.Kind", []string{"local", "gshare", "bimodal", "tournament", "tage", "perfect"}},
+	{"Mem.Coherence", []string{"moesi", "mesi", "directory"}},
+	{"Mem.Interconnect", []string{"bus", "mesh", "ring"}},
+	{"Mem.DRAMKind", []string{"fixed", "banked"}},
+	{"Mem.Prefetch", []string{"none", "nextline", "stride"}},
+}
 
-// Validate reports the first field of m that no simulator can run: a
-// structure size, width or functional-unit count that is not positive (the
-// detailed core then never commits its first store, or never issues, and
-// spins to MaxCycles) or is larger than the bounds above; a negative
-// latency; cache, TLB or predictor geometry that is not the power-of-two
-// shape the constructors index by and panic on; an L1 line size other
-// than l1LineSize; or a banked DRAM whose row hit costs more than its row
-// miss. A machine built by Default or Stacked3D always passes. Machine
-// descriptions that arrive from outside (simrun.Spec.Machine) are checked
-// with it before anything is built.
-func (m Machine) Validate() error {
+// nameValues returns m's name fields in nameFields order.
+func (m *Machine) nameValues() [len(nameFields)]*string {
+	return [...]*string{&m.Branch.Kind, &m.Mem.Coherence, &m.Mem.Interconnect, &m.Mem.DRAMKind, &m.Mem.Prefetch}
+}
+
+// Names returns the names a name field accepts, baseline first: field is
+// "Branch.Kind", "Mem.Coherence", "Mem.Interconnect", "Mem.DRAMKind" or
+// "Mem.Prefetch". It returns nil for any other field. The slice is a copy.
+func Names(field string) []string {
+	for _, f := range nameFields {
+		if f.field == field {
+			return slices.Clone(f.names)
+		}
+	}
+	return nil
+}
+
+// Resolve returns m with every choice written out, or an error naming the
+// first field no simulator can run. An empty name becomes its field's
+// baseline and a zero that selects a default becomes that default (each
+// field's doc says which), so two descriptions of one simulated machine
+// resolve equal, and a resolved machine resolves to itself. Simulators
+// read only resolved machines: Default and Stacked3D return them, and
+// descriptions from outside (simrun.Spec.Machine) are resolved before
+// anything is built. The error names an unknown name; a structure size,
+// width or functional-unit count that is not positive (the detailed core
+// then never commits its first store, or never issues, and spins to
+// MaxCycles) or is larger than the bounds above; a negative latency;
+// cache, TLB or predictor geometry that is not the power-of-two shape the
+// constructors index by and panic on; an L1 line size other than
+// l1LineSize; a banked DRAM whose row hit costs more than its row miss; or
+// a directory machine of more than MaxDirectoryCores cores.
+func (m Machine) Resolve() (Machine, error) {
+	m.fill()
+	for i, p := range m.nameValues() {
+		if f := nameFields[i]; !slices.Contains(f.names, *p) {
+			return m, fmt.Errorf("config: %s = %q, want %s", f.field, *p, strings.Join(f.names, ", "))
+		}
+	}
+	return m, m.validate()
+}
+
+// prefetchDegree is the degree a prefetcher runs at when PrefetchDegree is
+// zero.
+var prefetchDegree = map[string]int{"nextline": 1, "stride": 2}
+
+// fill writes the baseline for every empty name and the default for every
+// zero that selects one.
+func (m *Machine) fill() {
+	for i, p := range m.nameValues() {
+		*p = cmp.Or(*p, nameFields[i].names[0])
+	}
+	m.Core.MaxOutstandingMisses = cmp.Or(m.Core.MaxOutstandingMisses, 32)
+	mem := &m.Mem
+	mem.DirectoryLatency = cmp.Or(mem.DirectoryLatency, 6)
+	mem.NoCHopLatency = cmp.Or(mem.NoCHopLatency, 1)
+	mem.NoCOccupancy = cmp.Or(mem.NoCOccupancy, 1)
+	mem.DRAMBanks = cmp.Or(mem.DRAMBanks, 8)
+	mem.DRAMRowBytes = cmp.Or(mem.DRAMRowBytes, 2048)
+	mem.DRAMRowHit = cmp.Or(mem.DRAMRowHit, 90)
+	mem.DRAMRowMiss = cmp.Or(mem.DRAMRowMiss, 180)
+	mem.PrefetchDegree = cmp.Or(mem.PrefetchDegree, prefetchDegree[mem.Prefetch])
+}
+
+// validate reports the first field of a filled machine, its names known,
+// that no simulator can run (see Resolve).
+func (m Machine) validate() error {
 	// The checks name a field as prefix+name, joined only when one fails:
 	// a valid machine costs no allocation (simrun resolves, and therefore
 	// validates, the machine of every submission, cache hits included).
@@ -297,21 +367,14 @@ func (m Machine) Validate() error {
 	within("Mem.", "DirectoryLatency", mem.DirectoryLatency, 0, maxLatency)
 	within("Mem.", "NoCHopLatency", mem.NoCHopLatency, 0, maxLatency)
 	within("Mem.", "NoCOccupancy", mem.NoCOccupancy, 0, maxLatency)
-	if mem.DRAMBanks != 0 { // zero selects the default
-		pow2("Mem.", "DRAMBanks", mem.DRAMBanks, 1<<16)
-	}
-	if mem.DRAMRowBytes != 0 {
-		pow2("Mem.", "DRAMRowBytes", mem.DRAMRowBytes, 1<<30)
-	}
+	pow2("Mem.", "DRAMBanks", mem.DRAMBanks, 1<<16)
+	pow2("Mem.", "DRAMRowBytes", mem.DRAMRowBytes, 1<<30)
 	within("Mem.", "DRAMRowHit", mem.DRAMRowHit, 0, maxLatency)
 	within("Mem.", "DRAMRowMiss", mem.DRAMRowMiss, 0, maxLatency)
-	if mem.DRAMKind == "banked" {
-		// A row conflict holds the bank for the transfer plus the
-		// miss-hit difference, which must not be negative.
-		hit, miss := cmp.Or(mem.DRAMRowHit, DefaultDRAMRowHit), cmp.Or(mem.DRAMRowMiss, DefaultDRAMRowMiss)
-		if err == nil && hit > miss {
-			err = fmt.Errorf("config: Mem.DRAMRowHit = %d, want at most the row-miss latency %d", hit, miss)
-		}
+	// A banked row conflict holds the bank for the transfer plus the
+	// miss-hit difference, which must not be negative.
+	if err == nil && mem.DRAMKind == "banked" && mem.DRAMRowHit > mem.DRAMRowMiss {
+		err = fmt.Errorf("config: Mem.DRAMRowHit = %d, want at most the row-miss latency %d", mem.DRAMRowHit, mem.DRAMRowMiss)
 	}
 	within("Mem.", "PrefetchDegree", mem.PrefetchDegree, 0, maxWidth)
 	if err == nil && mem.Coherence == "directory" && m.Cores > MaxDirectoryCores {
@@ -321,9 +384,9 @@ func (m Machine) Validate() error {
 }
 
 // Default returns the baseline machine of Table 1 with the given number of
-// cores. All simulated CMP architectures share the L2 cache.
+// cores, resolved. All simulated CMP architectures share the L2 cache.
 func Default(cores int) Machine {
-	return Machine{
+	m := Machine{
 		Cores: cores,
 		Core: Core{
 			ROBSize:         256,
@@ -343,11 +406,8 @@ func Default(cores int) Machine {
 			LatDiv:          20,
 			LatFP:           4,
 			LatLoad:         2,
-
-			MaxOutstandingMisses: 32,
 		},
 		Branch: BranchPredictor{
-			Kind:                "local",
 			LocalHistoryEntries: 1024, // 1K entries x 12 bits = 12Kbit
 			LocalHistoryBits:    12,
 			PHTEntries:          4096,
@@ -369,6 +429,8 @@ func Default(cores int) Machine {
 			CacheToCacheLatency: 20,
 		},
 	}
+	m.fill()
+	return m
 }
 
 // Stacked3D returns the quad-core 3D-stacking configuration of the Figure 8

@@ -49,6 +49,9 @@ func TestDefaultMatchesTable1(t *testing.T) {
 	if !mem.HasL2 {
 		t.Error("baseline must have an L2")
 	}
+	if b.Kind != "local" || mem.Coherence != "moesi" || mem.Interconnect != "bus" || mem.DRAMKind != "fixed" || mem.Prefetch != "none" {
+		t.Errorf("baseline names %q %q %q %q %q, want local moesi bus fixed none", b.Kind, mem.Coherence, mem.Interconnect, mem.DRAMKind, mem.Prefetch)
+	}
 }
 
 func TestStacked3D(t *testing.T) {
@@ -84,20 +87,77 @@ func TestExecLatency(t *testing.T) {
 	}
 }
 
+// TestValidateAcceptsBuiltInMachines: the built-in machines resolve, and
+// to themselves: Default and Stacked3D are already resolved.
 func TestValidateAcceptsBuiltInMachines(t *testing.T) {
 	wideDirectory, wideSnoop := Default(MaxDirectoryCores), Default(MaxDirectoryCores+1)
 	wideDirectory.Mem.Coherence = "directory"
 	for _, m := range []Machine{Default(1), Default(8), Stacked3D(4), wideDirectory, wideSnoop} {
-		if err := m.Validate(); err != nil {
+		r, err := m.Resolve()
+		if err != nil {
 			t.Errorf("%d-core built-in machine rejected: %v", m.Cores, err)
+		}
+		if r != m {
+			t.Errorf("%d-core built-in machine resolves to %+v, want itself", m.Cores, r)
 		}
 	}
 	m := Default(1)
 	m.Mem.HasL2 = false
 	m.Mem.L2 = Cache{} // unused without an L2
 	m.Mem.DRAMKind, m.Mem.DRAMBanks = "banked", 32
-	if err := m.Validate(); err != nil {
+	if _, err := m.Resolve(); err != nil {
 		t.Errorf("L2-less banked machine rejected: %v", err)
+	}
+}
+
+// TestResolveWritesEveryChoice: resolving writes the baseline for every
+// empty name and the default for every zero that selects one, so a machine
+// that leaves them out resolves equal to one that states them.
+func TestResolveWritesEveryChoice(t *testing.T) {
+	stated := Default(2)
+	stated.Mem.Coherence, stated.Mem.Interconnect, stated.Mem.DRAMKind, stated.Mem.Prefetch = "moesi", "bus", "fixed", "none"
+	stated.Core.MaxOutstandingMisses = 32
+	stated.Mem.DirectoryLatency, stated.Mem.NoCHopLatency, stated.Mem.NoCOccupancy = 6, 1, 1
+	stated.Mem.DRAMBanks, stated.Mem.DRAMRowBytes, stated.Mem.DRAMRowHit, stated.Mem.DRAMRowMiss = 8, 2048, 90, 180
+
+	blank := stated
+	blank.Branch.Kind, blank.Mem.Coherence, blank.Mem.Interconnect, blank.Mem.DRAMKind, blank.Mem.Prefetch = "", "", "", "", ""
+	blank.Core.MaxOutstandingMisses = 0
+	blank.Mem.DirectoryLatency, blank.Mem.NoCHopLatency, blank.Mem.NoCOccupancy = 0, 0, 0
+	blank.Mem.DRAMBanks, blank.Mem.DRAMRowBytes, blank.Mem.DRAMRowHit, blank.Mem.DRAMRowMiss = 0, 0, 0, 0
+	for name, m := range map[string]Machine{"stated": stated, "blank": blank} {
+		r, err := m.Resolve()
+		if err != nil || r != Default(2) {
+			t.Errorf("%s machine resolves to %+v, %v; want Default(2)", name, r, err)
+		}
+	}
+	for prefetch, degree := range map[string]int{"none": 0, "nextline": 1, "stride": 2} {
+		m := Default(1)
+		m.Mem.Prefetch = prefetch
+		if r, err := m.Resolve(); err != nil || r.Mem.PrefetchDegree != degree {
+			t.Errorf("%s prefetcher resolves to degree %d (%v), want %d", prefetch, r.Mem.PrefetchDegree, err, degree)
+		}
+	}
+}
+
+// TestNamesListEachFieldBaselineFirst: Names serves the name table, and
+// the baseline it lists first is what Default runs.
+func TestNamesListEachFieldBaselineFirst(t *testing.T) {
+	m := Default(1)
+	for field, baseline := range map[string]string{
+		"Branch.Kind": m.Branch.Kind, "Mem.Coherence": m.Mem.Coherence, "Mem.Interconnect": m.Mem.Interconnect,
+		"Mem.DRAMKind": m.Mem.DRAMKind, "Mem.Prefetch": m.Mem.Prefetch,
+	} {
+		if names := Names(field); len(names) < 2 || names[0] != baseline {
+			t.Errorf("Names(%q) = %v, want %q first", field, names, baseline)
+		}
+	}
+	if Names("Mem.DRAMLatency") != nil {
+		t.Error("Names lists a field that is not a name field")
+	}
+	Names("Mem.Prefetch")[0] = "markov"
+	if Names("Mem.Prefetch")[0] != "none" {
+		t.Error("Names returns the table itself, not a copy")
 	}
 }
 
@@ -142,13 +202,34 @@ func TestValidateNamesTheField(t *testing.T) {
 		{"Mem.DRAMRowHit", func(m *Machine) { m.Mem.DRAMKind, m.Mem.DRAMRowHit, m.Mem.DRAMRowMiss = "banked", 500, 10 }},
 		{"Mem.PrefetchDegree", func(m *Machine) { m.Mem.PrefetchDegree = 1 << 30 }},
 		{"Mem.Coherence", func(m *Machine) { m.Mem.Coherence, m.Cores = "directory", MaxDirectoryCores+1 }},
+		{"Branch.Kind", func(m *Machine) { m.Branch.Kind = "bogus" }},
+		{"Mem.Coherence", func(m *Machine) { m.Mem.Coherence = "msi" }},
+		{"Mem.Interconnect", func(m *Machine) { m.Mem.Interconnect = "torus" }},
+		{"Mem.DRAMKind", func(m *Machine) { m.Mem.DRAMKind = "hbm" }},
+		{"Mem.Prefetch", func(m *Machine) { m.Mem.Prefetch = "markov" }},
+		{"Mem.Prefetch", func(m *Machine) { m.Mem.Prefetch = "Stride" }},
 	}
 	for _, tc := range cases {
 		m := Default(2)
 		tc.breakIt(&m)
-		err := m.Validate()
+		_, err := m.Resolve()
 		if err == nil || !strings.Contains(err.Error(), tc.field+" ") {
-			t.Errorf("broken %s: Validate() = %v, want an error naming the field", tc.field, err)
+			t.Errorf("broken %s: Resolve() = %v, want an error naming the field", tc.field, err)
 		}
+	}
+}
+
+// TestResolveAllocatesNothing: simrun resolves the machine of every
+// submission, cache hits included, so resolving a valid machine must not
+// allocate.
+func TestResolveAllocatesNothing(t *testing.T) {
+	blank := Default(4)
+	blank.Mem.Interconnect, blank.Mem.DRAMBanks = "", 0
+	if avg := testing.AllocsPerRun(100, func() {
+		if _, err := blank.Resolve(); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("Resolve allocates %v times per call", avg)
 	}
 }

@@ -110,15 +110,12 @@ type Core struct {
 	ScanBreaks      uint64 // scans ended early by a mispredicted branch
 }
 
-// New creates an interval core over the shared miss-event simulators, with
-// the ablation options opts (the zero Options value is the full model).
+// New creates an interval core of a resolved machine over the shared
+// miss-event simulators, with the ablation options opts (the zero Options
+// value is the full model).
 func New(id int, cfg config.Core, opts Options, bp *branch.Unit, mem *memhier.Hierarchy, src trace.Stream, syncer sim.Syncer) *Core {
 	if syncer == nil {
 		syncer = sim.NullSyncer{}
-	}
-	maxLL := cfg.MaxOutstandingMisses
-	if maxLL <= 0 {
-		maxLL = 32
 	}
 	ring := fetchBatch
 	if min := 1 << bits.Len(uint(2*cfg.ROBSize-1)); ring < min {
@@ -128,7 +125,7 @@ func New(id int, cfg config.Core, opts Options, bp *branch.Unit, mem *memhier.Hi
 		id:         id,
 		cfg:        cfg,
 		opts:       opts,
-		maxLL:      maxLL,
+		maxLL:      cfg.MaxOutstandingMisses,
 		bp:         bp,
 		mem:        mem,
 		batch:      src,

@@ -144,7 +144,7 @@ func (o Opts) Fabric() Table {
 	}
 	mix := []string{"swim", "mcf", "gcc", "art"}
 	const cores = 8
-	fabrics := []string{"bus", "mesh", "ring"}
+	fabrics := config.Names("Mem.Interconnect")
 	var scs []*simrun.Scenario
 	for _, fabric := range fabrics {
 		scs = append(scs, scenario(simrun.Spec{Label: fabric + " mix", Mix: mix, Cores: cores, Fabric: fabric,
@@ -181,7 +181,7 @@ func (o Opts) DRAMStudy() Table {
 	names := []string{"swim", "mgrid", "gcc", "mcf"}
 	var scs []*simrun.Scenario
 	for _, name := range names {
-		for _, kind := range []string{"fixed", "banked"} {
+		for _, kind := range config.Names("Mem.DRAMKind") {
 			scs = append(scs, scenario(simrun.Spec{Bench: name, DRAM: kind,
 				Insts: o.Insts, Warmup: o.Warmup, Seed: &o.Seed, Report: true}))
 		}

@@ -15,7 +15,7 @@
 package memhier
 
 import (
-	"cmp"
+	"strconv"
 
 	"repro/internal/cache"
 	"repro/internal/coherence"
@@ -124,7 +124,6 @@ type coreCaches struct {
 // It is not safe for concurrent use: the driver calls it from one
 // goroutine.
 type Hierarchy struct {
-	cfg     config.Memory
 	perfect Perfect
 	multi   bool // more than one core: coherence protocol active
 	cores   []coreCaches
@@ -151,52 +150,48 @@ func newProtocol(n int, cfg config.Memory) (*coherence.Protocol, int64) {
 	// A line the protocol tracks is resident in some core's L1D.
 	lines := n * cfg.L1D.SizeBytes / cfg.L1D.LineSize
 	switch cfg.Coherence {
+	case "moesi":
+		return coherence.New(n, lines), 0
 	case "mesi":
 		return coherence.NewMESI(n, lines), 0
 	case "directory":
 		// A MESI home node answers every transaction as snooping MESI.
-		return coherence.NewMESI(n, lines), int64(cmp.Or(cfg.DirectoryLatency, 6))
-	default:
-		return coherence.New(n, lines), 0
+		return coherence.NewMESI(n, lines), int64(cfg.DirectoryLatency)
 	}
+	panic("memhier: unresolved Mem.Coherence " + strconv.Quote(cfg.Coherence))
 }
 
 // newFabric selects the on-chip interconnect by name.
 func newFabric(n int, cfg config.Memory) *noc.Fabric {
-	hop := cfg.NoCHopLatency
-	if hop <= 0 {
-		hop = 1
-	}
-	occ := cfg.NoCOccupancy
-	if occ <= 0 {
-		occ = 1
-	}
 	switch cfg.Interconnect {
-	case "mesh":
-		return noc.NewMesh(n, hop, occ)
-	case "ring":
-		return noc.NewRing(n, hop, occ)
-	default:
+	case "bus":
 		return noc.NewBus(n, cfg.L2BusLatency, 1)
+	case "mesh":
+		return noc.NewMesh(n, cfg.NoCHopLatency, cfg.NoCOccupancy)
+	case "ring":
+		return noc.NewRing(n, cfg.NoCHopLatency, cfg.NoCOccupancy)
 	}
+	panic("memhier: unresolved Mem.Interconnect " + strconv.Quote(cfg.Interconnect))
 }
 
 // newMainMemory builds the main memory DRAMKind names.
 func newMainMemory(cfg config.Memory) *memory.Banked {
-	if cfg.DRAMKind != "banked" {
+	switch cfg.DRAMKind {
+	case "fixed":
 		// Fixed latency is one bank, busy a transfer per access: the bus never queues.
 		return memory.NewBanked(1, 2048, cfg.DRAMLatency, cfg.DRAMLatency, cfg.L2.LineSize, cfg.BusBytes)
+	case "banked":
+		return memory.NewBanked(cfg.DRAMBanks, uint64(cfg.DRAMRowBytes), cfg.DRAMRowHit, cfg.DRAMRowMiss, cfg.L2.LineSize, cfg.BusBytes)
 	}
-	return memory.NewBanked(cmp.Or(cfg.DRAMBanks, 8), uint64(cmp.Or(cfg.DRAMRowBytes, 2048)),
-		cmp.Or(cfg.DRAMRowHit, config.DefaultDRAMRowHit), cmp.Or(cfg.DRAMRowMiss, config.DefaultDRAMRowMiss),
-		cfg.L2.LineSize, cfg.BusBytes)
+	panic("memhier: unresolved Mem.DRAMKind " + strconv.Quote(cfg.DRAMKind))
 }
 
-// New builds the hierarchy for n cores under the given configuration.
+// New builds the hierarchy for n cores under the given configuration, the
+// memory of a resolved machine (config.Machine.Resolve). A name the config
+// package does not list panics.
 func New(n int, cfg config.Memory, perfect Perfect) *Hierarchy {
 	coh, dirLat := newProtocol(n, cfg)
 	h := &Hierarchy{
-		cfg:     cfg,
 		perfect: perfect,
 		multi:   n > 1,
 		cores:   make([]coreCaches, n),
@@ -213,8 +208,12 @@ func New(n int, cfg config.Memory, perfect Perfect) *Hierarchy {
 		dirLat:      dirLat,
 		lineSize:    uint64(cfg.L1D.LineSize),
 	}
-	if cfg.Prefetch == "nextline" {
-		h.nextLines = max(cfg.PrefetchDegree, 1)
+	switch cfg.Prefetch {
+	case "none", "stride":
+	case "nextline":
+		h.nextLines = cfg.PrefetchDegree
+	default:
+		panic("memhier: unresolved Mem.Prefetch " + strconv.Quote(cfg.Prefetch))
 	}
 	if cfg.HasL2 {
 		h.l2 = cache.New(cfg.L2)
@@ -233,9 +232,6 @@ func New(n int, cfg config.Memory, perfect Perfect) *Hierarchy {
 	}
 	return h
 }
-
-// Config returns the memory configuration.
-func (h *Hierarchy) Config() config.Memory { return h.cfg }
 
 // Stats returns the access counters summed over all cores.
 func (h *Hierarchy) Stats() AccessStats {

@@ -24,7 +24,7 @@ func TestInstHitAfterFill(t *testing.T) {
 
 func TestInstMissLatencyComposition(t *testing.T) {
 	h := newH(1)
-	cfg := h.Config()
+	cfg := config.Default(1).Mem
 	r := h.Inst(0, 0x400000, 0)
 	// Cold access: ITLB walk + L2 bus + L2 latency + DRAM.
 	min := int64(cfg.ITLB.MissLatency + cfg.L2BusLatency + cfg.L2.Latency + cfg.DRAMLatency)
@@ -48,7 +48,7 @@ func TestDataL2HitPath(t *testing.T) {
 	addr := uint64(0x10000000000)
 	h.Data(0, addr, false, 0) // cold: DRAM, fills L1+L2
 	// Evict from L1 by filling conflicting lines, then re-access: L2 hit.
-	cfg := h.Config()
+	cfg := config.Default(1).Mem
 	for i := 1; i <= cfg.L1D.Assoc+1; i++ {
 		h.Data(0, addr+uint64(i*cfg.L1D.SizeBytes/cfg.L1D.Assoc), false, 10)
 	}
@@ -98,7 +98,7 @@ func TestCoherenceMissBetweenCores(t *testing.T) {
 	if r.Kind != CoherenceMiss || !r.LongLatency() {
 		t.Fatalf("remote dirty read = %+v, want coherence miss", r)
 	}
-	cfg := h.Config()
+	cfg := config.Default(1).Mem
 	wantMin := int64(cfg.L2BusLatency + cfg.CacheToCacheLatency)
 	if r.Latency < wantMin {
 		t.Fatalf("coherence latency %d < %d", r.Latency, wantMin)
@@ -198,7 +198,7 @@ func TestResetStats(t *testing.T) {
 
 func TestDirtyL1VictimReachesL2(t *testing.T) {
 	h := newH(1)
-	cfg := h.Config()
+	cfg := config.Default(1).Mem
 	addr := uint64(0x40000000000)
 	h.Data(0, addr, true, 0) // dirty in L1
 	// Force eviction of addr from L1 via conflicting fills.
@@ -263,7 +263,7 @@ func TestBusContentionBetweenCores(t *testing.T) {
 	r0 := h.Data(0, 0x60000000000, false, 0)
 	r1 := h.Data(1, 0x61000000000, false, 0)
 	bus := h.Fabric()
-	if r1.Latency <= r0.Latency-int64(h.Config().DTLB.MissLatency) && bus.StallTotal == 0 {
+	if r1.Latency <= r0.Latency-int64(config.Default(2).Mem.DTLB.MissLatency) && bus.StallTotal == 0 {
 		t.Fatal("no bus arbitration visible between same-cycle misses")
 	}
 	if bus.Transactions < 2 {

@@ -9,6 +9,19 @@ import (
 // memCfg returns the Table 1 memory configuration for tweaking.
 func memCfg() config.Memory { return config.Default(1).Mem }
 
+// resolve returns cfg as the memory of a resolved machine, the only kind New
+// builds from: a prefetcher switched on in memCfg gets its default degree.
+func resolve(t *testing.T, cfg config.Memory) config.Memory {
+	t.Helper()
+	m := config.Default(1)
+	m.Mem = cfg
+	m, err := m.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.Mem
+}
+
 func TestMeshFabricSelected(t *testing.T) {
 	cfg := memCfg()
 	cfg.Interconnect = "mesh"
@@ -128,7 +141,7 @@ func TestStridePrefetcherCatchesStriddedStream(t *testing.T) {
 func TestStridePrefetcherIgnoresRandomTraffic(t *testing.T) {
 	cfg := memCfg()
 	cfg.Prefetch = "stride"
-	h := New(1, cfg, Perfect{})
+	h := New(1, resolve(t, cfg), Perfect{})
 	// A pseudo-random pointer chase: no stable stride per region.
 	addr := uint64(0x40000)
 	var now int64
@@ -164,7 +177,7 @@ func TestResetStatsCoversNewComponents(t *testing.T) {
 	cfg.DRAMKind = "banked"
 	cfg.Coherence = "directory"
 	cfg.Prefetch = "stride"
-	h := New(2, cfg, Perfect{})
+	h := New(2, resolve(t, cfg), Perfect{})
 	h.Data(0, 0x100000, true, 0)
 	h.Data(1, 0x100000, false, 100)
 	h.ResetStats()
@@ -198,7 +211,7 @@ func TestDataAllocsNothing(t *testing.T) {
 	for _, s := range shapes {
 		cfg := memCfg()
 		s.tweak(&cfg)
-		h := New(s.cores, cfg, Perfect{})
+		h := New(s.cores, resolve(t, cfg), Perfect{})
 		step := uint64(0)
 		round := func(clock int64) {
 			for i := 0; i < 20_000; i++ {

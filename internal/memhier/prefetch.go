@@ -43,10 +43,9 @@ const strideRegionShift = 14
 // maxStrideEntries bounds the table like hardware would.
 const maxStrideEntries = 4096
 
+// newStridePrefetcher returns a prefetcher that predicts degree lines ahead
+// of a confirmed stride.
 func newStridePrefetcher(degree, lineSize int) *stridePrefetcher {
-	if degree <= 0 {
-		degree = 2
-	}
 	return &stridePrefetcher{
 		regions:   cache.NewLineTable(maxStrideEntries, strideEntryWords),
 		lineShift: uint(bits.TrailingZeros(uint(lineSize))),

@@ -21,9 +21,6 @@ type refStrideEntry struct {
 }
 
 func newRefStridePrefetcher(degree int) *refStridePrefetcher {
-	if degree <= 0 {
-		degree = 2
-	}
 	return &refStridePrefetcher{
 		entries: make(map[uint64]*refStrideEntry),
 		degree:  degree,
@@ -79,7 +76,7 @@ func (p *refStridePrefetcher) observe(line uint64, lineSize int) []uint64 {
 func TestStrideTableMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, lineSize := range []int{64, 32, 128} {
-		for degree := 0; degree <= 4; degree += 2 {
+		for _, degree := range []int{1, 2, 4} {
 			got, ref := newStridePrefetcher(degree, lineSize), newRefStridePrefetcher(degree)
 			type walker struct {
 				line   uint64

@@ -65,8 +65,8 @@ func ParseModel(name string) (Model, bool) {
 
 // RunConfig describes one simulation run.
 type RunConfig struct {
-	// Machine is the simulated hardware; Machine.Cores must equal the
-	// number of streams passed to Run.
+	// Machine is the simulated hardware, resolved (config.Machine.Resolve);
+	// Machine.Cores must equal the number of streams passed to Run.
 	Machine config.Machine
 	// Model selects the core timing model.
 	Model Model

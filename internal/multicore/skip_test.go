@@ -54,7 +54,7 @@ func TestSkippingMatchesSteppingEveryCycle(t *testing.T) {
 		{"mcf", config.Default(1), spec("mcf")},
 		{"gcc", config.Default(1), spec("gcc")},
 		{"mix4", machine(4, "mesh", "directory", "banked"), spec("gcc", "mcf", "swim", "twolf")},
-		{"fluidanimate4", machine(4, "mesh", "directory", ""), parsec("fluidanimate", 4)},
+		{"fluidanimate4", machine(4, "mesh", "directory", "fixed"), parsec("fluidanimate", 4)},
 		{"canneal8", config.Default(8), parsec("canneal", 8)},
 	}
 	for _, sh := range shapes {

@@ -37,7 +37,7 @@ type Config struct {
 	InitialWarmup int
 	// Model selects the timing model for measurement units.
 	Model multicore.Model
-	// Machine is the simulated hardware (single core).
+	// Machine is the simulated hardware (single core, resolved).
 	Machine config.Machine
 }
 

@@ -50,7 +50,8 @@ type SyncDecision struct {
 
 // Syncer arbitrates barriers and locks between threads. Core models call
 // Sync each cycle a synchronization instruction is ready to execute and
-// stall while Proceed is false; the call is idempotent per (core, seq) —
+// stall while Proceed is false. The call is idempotent per core while the
+// core re-requests the synchronization instruction it is blocked on:
 // repeated polling must not double-register an arrival.
 type Syncer interface {
 	Sync(core int, in *isa.Inst, now int64) SyncDecision

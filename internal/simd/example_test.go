@@ -129,9 +129,9 @@ func ExampleServer_Handler() {
 	}
 	fmt.Println("\ndrained and shut down cleanly")
 	// Output:
-	// submit 1: HTTP 202 job=j-756590b38e300397 fingerprint=756590b38e30…
-	// submit 2: HTTP 200 job=j-756590b38e300397 fingerprint=756590b38e30…
-	// submit 3: HTTP 202 job=j-3ba2330e509f83a9 fingerprint=3ba2330e509f…
+	// submit 1: HTTP 202 job=j-29d394deddafe706 fingerprint=29d394deddaf…
+	// submit 2: HTTP 200 job=j-29d394deddafe706 fingerprint=29d394deddaf…
+	// submit 3: HTTP 202 job=j-1894680aee4aabbc fingerprint=1894680aee4a…
 	//
 	// identical submissions share one job and one result: bodies equal = true
 	// cache: runs=2 hits=0 (3 submissions, 2 distinct scenarios)

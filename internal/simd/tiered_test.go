@@ -324,6 +324,9 @@ func TestSubmitUnrunnableMachineRejected(t *testing.T) {
 	for field, breakIt := range map[string]func(m *config.Machine){
 		"Core.StoreBufferSize": func(m *config.Machine) { m.Core.StoreBufferSize = 0 },
 		"Mem.L1I.LineSize":     func(m *config.Machine) { m.Mem.L1I.LineSize = 32 },
+		// An unknown name, which branch.NewUnit would panic on.
+		"Branch.Kind":      func(m *config.Machine) { m.Branch.Kind = "bogus" },
+		"Mem.Interconnect": func(m *config.Machine) { m.Mem.Interconnect = "torus" },
 	} {
 		m := config.Default(1)
 		breakIt(&m)

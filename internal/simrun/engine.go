@@ -111,7 +111,7 @@ func (s *Scenario) AnswerTier() Tier {
 // place in the lattice (detailed for the detailed model, interval for
 // the analytical models).
 func fullTier(s *Scenario) Tier {
-	if s.spec.Model == "detailed" {
+	if s.model() == multicore.Detailed {
 		return TierDetailed
 	}
 	return TierInterval
@@ -124,7 +124,7 @@ func fullTier(s *Scenario) Tier {
 func fullCost(s *Scenario) float64 {
 	perThread := float64(s.spec.Warmup + s.spec.Insts)
 	weight := 1.0
-	if s.spec.Model == "detailed" {
+	if s.model() == multicore.Detailed {
 		weight = 10
 	}
 	return float64(s.Threads()) * perThread * weight
@@ -138,7 +138,6 @@ func (s *Scenario) runStatistical(ctx context.Context) (Result, error) {
 	if err != nil {
 		return Result{Scenario: s}, err
 	}
-	model, _ := multicore.ParseModel(s.spec.Model)
-	r, err := engine.Statistical(ctx, s.profile, *s.spec.Seed, s.spec.Warmup, s.spec.Insts, machine, model)
+	r, err := engine.Statistical(ctx, s.profile, *s.spec.Seed, s.spec.Warmup, s.spec.Insts, machine, s.model())
 	return Result{Scenario: s, Result: r}, err
 }

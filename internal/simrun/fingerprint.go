@@ -31,7 +31,13 @@ import (
 // wrong-path fetch switch, and a timed-out run reports MaxCycles as its
 // cycles under every model, where the interval and one-IPC models
 // reported the first wake time past the limit.
-const fingerprintVersion = 4
+//
+// v5: streams and results unchanged. The body's machine is resolved by
+// config.Machine.Resolve, which writes every empty name and every zero
+// that selects a default as its value, so spellings of one machine that
+// hashed apart (an empty name against its baseline, DRAMBanks 0 against 8)
+// now share a fingerprint.
+const fingerprintVersion = 5
 
 // FingerprintVersion is the current scenario-fingerprint generation,
 // exported so front ends can report which generation their caches are
@@ -64,8 +70,9 @@ type fingerprintBody struct {
 // Fingerprint returns the scenario's content address: a deterministic
 // SHA-256 (hex) of the fully-resolved scenario and machine configuration.
 // Two scenarios with the same fingerprint simulate identically, however
-// differently they were spelled (explicit Machine vs knob options,
-// defaulted vs explicit seed). Scenarios built from explicit Streams are
+// differently they were spelled (explicit Machine vs knob options, a
+// baseline name or default stated or left out, defaulted vs explicit
+// seed). Scenarios built from explicit Streams are
 // stateful and have no fingerprint.
 func (s *Scenario) Fingerprint() (string, error) {
 	return s.fingerprintAt(fingerprintVersion)

@@ -66,6 +66,46 @@ func TestFingerprintSpellingInvariance(t *testing.T) {
 	}
 }
 
+// TestEquivalentSpellingsShareAFingerprint: one simulation has one
+// fingerprint. The default spec shares it with each baseline knob spelled
+// out, and with a Spec.Machine that states every name and default of the
+// Table 1 machine or leaves them all empty (or zero). A prefetcher's
+// degree left at zero and stated as its default are one machine too.
+func TestEquivalentSpellingsShareAFingerprint(t *testing.T) {
+	stated, blank := config.Default(1), config.Default(1)
+	stated.Branch.Kind = "local"
+	stated.Mem.Coherence, stated.Mem.Interconnect, stated.Mem.DRAMKind, stated.Mem.Prefetch = "moesi", "bus", "fixed", "none"
+	stated.Core.MaxOutstandingMisses, stated.Mem.DirectoryLatency, stated.Mem.NoCHopLatency, stated.Mem.NoCOccupancy = 32, 6, 1, 1
+	stated.Mem.DRAMBanks, stated.Mem.DRAMRowBytes, stated.Mem.DRAMRowHit, stated.Mem.DRAMRowMiss = 8, 2048, 90, 180
+	blank.Branch.Kind = ""
+	blank.Mem.Coherence, blank.Mem.Interconnect, blank.Mem.DRAMKind, blank.Mem.Prefetch = "", "", "", ""
+	blank.Core.MaxOutstandingMisses, blank.Mem.DirectoryLatency, blank.Mem.NoCHopLatency, blank.Mem.NoCOccupancy = 0, 0, 0, 0
+	blank.Mem.DRAMBanks, blank.Mem.DRAMRowBytes, blank.Mem.DRAMRowHit, blank.Mem.DRAMRowMiss = 0, 0, 0, 0
+
+	gcc := fp(t, Spec{Bench: "gcc"})
+	for name, sp := range map[string]Spec{
+		"fabric bus":         {Bench: "gcc", Fabric: "bus"},
+		"coherence moesi":    {Bench: "gcc", Coherence: "moesi"},
+		"dram fixed":         {Bench: "gcc", DRAM: "fixed"},
+		"prefetch none":      {Bench: "gcc", Prefetch: "none"},
+		"predictor local":    {Bench: "gcc", Predictor: "local"},
+		"every baseline":     {Bench: "gcc", Fabric: "bus", Coherence: "moesi", DRAM: "fixed", Prefetch: "none", Predictor: "local"},
+		"stated machine":     {Bench: "gcc", Machine: &stated},
+		"blank machine":      {Bench: "gcc", Machine: &blank},
+		"blank machine+knob": {Bench: "gcc", Machine: &blank, DRAM: "fixed"},
+	} {
+		if got := fp(t, sp); got != gcc {
+			t.Errorf("%s: fingerprint %s, want the default spec's %s", name, got, gcc)
+		}
+	}
+
+	nextline, degree1 := config.Default(1), config.Default(1)
+	nextline.Mem.Prefetch, degree1.Mem.Prefetch, degree1.Mem.PrefetchDegree = "nextline", "nextline", 1
+	if a, b := fp(t, Spec{Bench: "gcc", Machine: &nextline}), fp(t, Spec{Bench: "gcc", Machine: &degree1}); a != b {
+		t.Errorf("nextline at degree 0 and degree 1: fingerprints %s and %s", a, b)
+	}
+}
+
 // Every simulated-semantics knob must perturb the key: a collision here
 // would let the cache serve a wrong result.
 func TestFingerprintSensitivity(t *testing.T) {

@@ -9,6 +9,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/branch"
+	"repro/internal/config"
+	"repro/internal/memhier"
 )
 
 // FuzzSpecToFingerprint holds the spec boundary to its contract on bytes
@@ -20,8 +24,10 @@ import (
 // may differ from the raw bytes only in spelling (key order, whitespace,
 // an empty list against an absent one); the fingerprint may not. And an
 // accepted spec (none has explicit streams) is a bounded run: 1 <=
-// TotalInstBudget < 2^63. The seed corpus is
-// testdata/fuzz/FuzzSpecToFingerprint.
+// TotalInstBudget < 2^63. Its resolved machine is one the simulators
+// build: memhier.New and one branch.NewUnit per core neither panic (an
+// unknown name in any of the five name fields is refused before). The seed
+// corpus is testdata/fuzz/FuzzSpecToFingerprint.
 func FuzzSpecToFingerprint(f *testing.F) {
 	f.Add([]byte(`{"bench":"gcc","model":"interval","cores":2,"fabric":"mesh","report":true}`))
 	f.Add([]byte(`{"mix":["gcc","mcf"],"cores":4,"seed":0,"mix":[]}`))
@@ -37,6 +43,11 @@ func FuzzSpecToFingerprint(f *testing.F) {
 		if n := sc.TotalInstBudget(); n < 1 || n >= 1<<63 {
 			t.Fatalf("spec %+v builds with a total budget of %d instructions", sp, n)
 		}
+		m, err := sc.ResolvedMachine()
+		if err != nil {
+			t.Fatalf("spec %+v builds but its machine does not resolve: %v", sp, err)
+		}
+		construct(m)
 		fp, err := sc.Fingerprint()
 		if err != nil {
 			return "error: " + err.Error()
@@ -76,6 +87,32 @@ func FuzzSpecToFingerprint(f *testing.F) {
 			t.Fatalf("spec %s builds to %s, its rendering %s to %s", data, a, first, b)
 		}
 	})
+}
+
+// constructEntries bounds the machines the spec fuzzer constructs: the
+// caches, TLBs and predictor tables of all cores hold at most this many
+// entries in all. Larger accepted machines are resolved and fingerprinted
+// but not built, so one input cannot take the fuzzer's memory.
+const constructEntries = 1 << 20
+
+// construct builds what a run of m would build before its first cycle: the
+// memory hierarchy and one branch predictor per core.
+func construct(m config.Machine) {
+	lines := func(c config.Cache) int { return c.SizeBytes / c.LineSize }
+	mem, b := m.Mem, m.Branch
+	perCore := lines(mem.L1I) + lines(mem.L1D) + mem.ITLB.Entries + mem.DTLB.Entries +
+		b.LocalHistoryEntries + b.PHTEntries + b.BTBEntries + b.RASEntries
+	total := m.Cores * perCore
+	if mem.HasL2 {
+		total += lines(mem.L2)
+	}
+	if total > constructEntries {
+		return
+	}
+	memhier.New(m.Cores, mem, memhier.Perfect{})
+	for range m.Cores {
+		branch.NewUnit(b)
+	}
 }
 
 // identified builds a spec from raw JSON and returns it with its resolved

@@ -201,10 +201,9 @@ func (s *Scenario) runConfig(ctx context.Context) (multicore.RunConfig, error) {
 	if err != nil {
 		return multicore.RunConfig{}, err
 	}
-	model, _ := multicore.ParseModel(s.spec.Model)
 	return multicore.RunConfig{
 		Machine:     machine,
-		Model:       model,
+		Model:       s.model(),
 		Perfect:     *s.spec.Perfect,
 		MaxCycles:   s.spec.MaxCycles,
 		KeepCores:   s.spec.Report,

@@ -140,8 +140,11 @@ func (s *Scenario) validate() error {
 		{"prefetcher", "prefetch", sp.Prefetch},
 		{"predictor", "predictor", sp.Predictor},
 	} {
-		if k.v != "" && !slices.Contains(knobSets[k.knob], k.v) {
-			return fmt.Errorf("simrun: unknown %s %q (want %s)", k.kind, k.v, strings.Join(knobSets[k.knob], ", "))
+		if k.v == "" {
+			continue
+		}
+		if names := knobSet(k.knob); !slices.Contains(names, k.v) {
+			return fmt.Errorf("simrun: unknown %s %q (want %s)", k.kind, k.v, strings.Join(names, ", "))
 		}
 	}
 	if err := s.resolveWorkload(); err != nil {
@@ -259,8 +262,12 @@ func (s *Scenario) Threads() int {
 // benchmark name otherwise.
 func (s *Scenario) Name() string { return cmp.Or(s.spec.Label, s.spec.Bench) }
 
-// ModelName is the core model's wire name the scenario runs under.
-func (s *Scenario) ModelName() string { return s.spec.Model }
+// model is the core model the scenario runs under (validate has checked
+// its name).
+func (s *Scenario) model() multicore.Model {
+	m, _ := multicore.ParseModel(s.spec.Model)
+	return m
+}
 
 // EngineName is the engine the scenario runs under — DefaultEngine
 // ("full") unless the spec pins "statistical".
@@ -322,11 +329,10 @@ func (s *Scenario) TotalInstBudget() uint64 {
 
 // ResolvedMachine returns the machine configuration the scenario will
 // simulate: the spec's Machine (or the Table 1 default) sized to Threads,
-// with the knob fields applied on top. The baseline names are the config
-// package's zero values: DRAM "fixed" and prefetch "none" resolve to "",
-// and a prefetcher on a machine without a degree gets degree 2. A machine
-// no simulator can run (config.Machine.Validate) is an error, so New
-// rejects it before any worker is committed to it.
+// with the knob fields assigned on top and resolved
+// (config.Machine.Resolve). One rule is the knobs' own: a prefetcher knob
+// on a machine without a degree gets degree 2. A machine no simulator can
+// run is an error, so New rejects it before any worker is committed to it.
 func (s *Scenario) ResolvedMachine() (config.Machine, error) {
 	sp := &s.spec
 	m := config.Default(s.Threads())
@@ -334,57 +340,44 @@ func (s *Scenario) ResolvedMachine() (config.Machine, error) {
 		m = *sp.Machine
 	}
 	m.Cores = s.Threads()
-	if sp.Fabric != "" {
-		m.Mem.Interconnect = sp.Fabric
+	m.Mem.Interconnect = cmp.Or(sp.Fabric, m.Mem.Interconnect)
+	m.Mem.Coherence = cmp.Or(sp.Coherence, m.Mem.Coherence)
+	m.Mem.DRAMKind = cmp.Or(sp.DRAM, m.Mem.DRAMKind)
+	m.Mem.Prefetch = cmp.Or(sp.Prefetch, m.Mem.Prefetch)
+	m.Branch.Kind = cmp.Or(sp.Predictor, m.Branch.Kind)
+	if sp.Prefetch != "" && sp.Prefetch != knobSet("prefetch")[0] && m.Mem.PrefetchDegree == 0 {
+		m.Mem.PrefetchDegree = 2
 	}
-	if sp.Coherence != "" {
-		m.Mem.Coherence = sp.Coherence
-	}
-	switch sp.DRAM {
-	case "fixed":
-		m.Mem.DRAMKind = ""
-	case "banked":
-		m.Mem.DRAMKind = "banked"
-	}
-	switch sp.Prefetch {
-	case "":
-	case "none":
-		m.Mem.Prefetch = ""
-	default:
-		m.Mem.Prefetch = sp.Prefetch
-		if m.Mem.PrefetchDegree == 0 {
-			m.Mem.PrefetchDegree = 2
-		}
-	}
-	if sp.Predictor != "" {
-		m.Branch.Kind = sp.Predictor
-	}
-	if err := m.Validate(); err != nil {
+	m, err := m.Resolve()
+	if err != nil {
 		return config.Machine{}, fmt.Errorf("simrun: scenario %q: %w", s.Name(), err)
 	}
 	return m, nil
 }
 
-// The closed knob-value sets. The first entry of each is the baseline,
-// which resolves to the config package's zero value. Knobs exposes them to
-// discovery front ends (the simd catalog), so the lists served to users
-// are the lists specs are validated against.
-var knobSets = map[string][]string{
-	"fabric":    {"bus", "mesh", "ring"},
-	"coherence": {"moesi", "mesi", "directory"},
-	"dram":      {"fixed", "banked"},
-	"prefetch":  {"none", "nextline", "stride"},
-	"predictor": {"local", "gshare", "bimodal", "tournament", "tage", "perfect"},
+// knobFields names the config.Machine field each knob sets. The knob
+// accepts that field's names (config.Names), baseline first; Knobs serves
+// them to discovery front ends (the simd catalog), so the lists served to
+// users are the lists specs are validated against.
+var knobFields = map[string]string{
+	"fabric":    "Mem.Interconnect",
+	"coherence": "Mem.Coherence",
+	"dram":      "Mem.DRAMKind",
+	"prefetch":  "Mem.Prefetch",
+	"predictor": "Branch.Kind",
 }
+
+// knobSet returns the names the knob accepts, baseline first.
+func knobSet(knob string) []string { return config.Names(knobFields[knob]) }
 
 // Knobs returns the closed knob-value sets by knob name (fabric,
 // coherence, dram, prefetch, predictor), baseline first, plus the
 // "engine" set (Engines, DefaultEngine first). The returned slices are
 // copies.
 func Knobs() map[string][]string {
-	out := make(map[string][]string, len(knobSets)+1)
-	for k, v := range knobSets {
-		out[k] = append([]string(nil), v...)
+	out := make(map[string][]string, len(knobFields)+1)
+	for k := range knobFields {
+		out[k] = knobSet(k)
 	}
 	out["engine"] = Engines()
 	return out

@@ -17,8 +17,9 @@ import (
 // sizing and a mix on an explicit machine. The fingerprints, thread counts
 // and budgets were recorded when each shape was still spelled as a list of
 // functional options; a Spec must resolve to the same scenario. The
-// fingerprints were re-pinned once, at fingerprint v4, whose body no longer
-// spells the deleted wrong-path switch.
+// fingerprints were re-pinned at fingerprint v4, whose body no longer
+// spells the deleted wrong-path switch, and at v5, whose body carries the
+// machine resolved (every name and default written out).
 func TestShapeFingerprints(t *testing.T) {
 	const maxCycles = 500_000_000 // experiments' runaway cap
 	quick := Spec{Insts: 15_000, Warmup: 150_000, Seed: seedOf(42)}
@@ -48,35 +49,35 @@ func TestShapeFingerprints(t *testing.T) {
 		budget      uint64
 	}{
 		{"intervalsim defaults", with(flags, func(sp *Spec) { sp.Bench = "gcc" }),
-			"57c4816d7a6d817cee82a427fa926db437fa2fb626efc533773c4401a9b0b838", 1, 100_000},
+			"7c228b8321a970ccb3bb3696c19f4dd01bd5d5ad3f66983b9a6ebe40f1b0a5c8", 1, 100_000},
 		{"intervalsim -copies 2 -json", with(flags, func(sp *Spec) { sp.Bench, sp.Copies, sp.Report = "mcf", 2, true }),
-			"bee239569a567128448f7ef6833c2b2a22af30d683e4ffa3db63af93bef4aa3b", 2, 200_000},
+			"32d00c234e24c3b5d42615db48080937ac45e9e51329e392c5545d7fac6aefb2", 2, 200_000},
 		{"intervalsim PARSEC -report on a mesh", with(flags, func(sp *Spec) {
 			sp.Bench, sp.Cores, sp.Fabric, sp.DRAM, sp.Prefetch, sp.Report = "blackscholes", 2, "mesh", "banked", "stride", true
-		}), "6f056aa9c7e1fbec5daae0aa62eb7cadda475a04b2262611d7fcadcaccc47a8f", 2, 800_000},
+		}), "e365724843206ee4811cded895180ecfe56b23d27cad38d1b43fc8660f9b3524", 2, 800_000},
 		{"experiments fig 4a", single("gcc", "detailed", 1, memhier.Perfect{ISide: true, L2: true}, "perfect"),
-			"b4f110cad32dc82be778499aec6d6c05ebe1beb839550addc2401c32a51d3d0d", 1, 15_000},
+			"b6c2b29afb421355f61c374dfd901c0c964efb8723dea4aa6c656495f1d0aa78", 1, 15_000},
 		{"experiments fig 6", single("mcf", "interval", 2, memhier.Perfect{}, ""),
-			"e266db95d37947c670db59066fa83fe9e697a3557c665ed1a4232fe7f41853fd", 2, 30_000},
+			"9404c2324684f94aef7665ad155aca175fe364f6ece3f22b53fdc4fa584d19a1", 2, 30_000},
 		{"experiments ablation", with(single("gcc", "interval", 1, memhier.Perfect{}, ""), func(sp *Spec) { sp.Ablation = &core.Options{NoTaint: true} }),
-			"a2db72037f953d58fe95c7a9a6fb4048f5d6ac3e309c3e0ac01220fac30da3e4", 1, 15_000},
+			"503acc985c32777d48821924946dd4b89e6baa4259fc6d33e7dfcda1f4ca8b09", 1, 15_000},
 		{"experiments predictors", with(single("vpr", "interval", 1, memhier.Perfect{}, "tage"), func(sp *Spec) { sp.Report = true }),
-			"9c3b5f2e7d33344fe9e7785c2a0c4c1a14418b9cf35060a29d47e3689bfc6d0c", 1, 15_000},
+			"34b7ad855c0983cf9ef1dfb1de402dfd97887c11c8475554513a0d40f8696d63", 1, 15_000},
 		{"experiments fig 7", parsec("blackscholes", "interval", config.Default(4)),
-			"ad08ee475fdd2f16977f1c55d51a054940d2a78f68a9f95334652d0e623a2d6f", 4, 200_000},
+			"6b06433142fb5f52723dbebef0d46de34addbf97daae5e104eafde452673938f", 4, 200_000},
 		{"experiments fig 8", parsec("canneal", "detailed", config.Stacked3D(4)),
-			"ca047c6837f5eda21d9e12c352b684f4f0ceb4083fbe62f00123a5b5529679c9", 4, 200_000},
+			"fc50f5fd9b6003f924821999895ebb87308177130aebc466f0b8ec35f0f08b3d", 4, 200_000},
 		{"experiments scale16", parsec("streamcluster", "interval", ring16),
-			"33974862f5f8b1165fdbb3bab825050633c107148e86d97a6f7b594fa029a54d", 16, 200_000},
+			"2b7b907b2cf7637bc20198a42529e152808ed4cc62b0bcf89589c9e23cdb606d", 16, 200_000},
 		{"experiments fabric", with(quick, func(sp *Spec) {
 			sp.Label, sp.Mix, sp.Cores, sp.Fabric, sp.Report = "mesh mix", []string{"swim", "mcf", "gcc", "art"}, 8, "mesh", true
-		}), "dbc535c8c5226ac22f3c4a329348cc377708d0a1f96d70e637b286c19b10174f", 8, 120_000},
+		}), "eaf5f99e8e7377c745b15ed43473df0cd035a87d828864a6dd7392d209677636", 8, 120_000},
 		{"experiments dram banked", with(quick, func(sp *Spec) { sp.Bench, sp.DRAM, sp.Report = "swim", "banked", true }),
-			"b5790d52fd9bfa168d89d741da5aa898c7bef6bde40fb41e981294e68b1aa5bc", 1, 15_000},
+			"ed1122cf53e896403a3c7999e230bd3cbf91006d543c6cd6c8ba5c1bcdffcfd2", 1, 15_000},
 		{"experiments dram fixed", with(quick, func(sp *Spec) { sp.Bench, sp.DRAM, sp.Report = "mgrid", "fixed", true }),
-			"97aeb7d49184edfea666bdc91df41002c5ef49309307af35394050e22b554815", 1, 15_000},
+			"3c59c9f9ca2cd9feefb4b8d9d41b640345b7d26d5f1cb550a925233b07ade1b5", 1, 15_000},
 		{"mix on a 4-core machine", Spec{Mix: []string{"gcc", "mcf"}, Machine: &rob},
-			"be3c4a3e0477ae8ce00bf987d851dc9ea49a4b0d0e4bb6a2dea0c853254e7b36", 2, 200_000},
+			"83e126137abe683a475a1e43e87918713edc808a1f8bb7c9ca4ea6946ffca676", 2, 200_000},
 	} {
 		s, err := c.spec.Scenario()
 		if err != nil {
@@ -96,6 +97,7 @@ func TestShapeFingerprints(t *testing.T) {
 	// The machine the statistical engine times its clone of a detailed gcc
 	// run with a stride prefetcher on: the run's own resolved machine, the
 	// one its clone scenario resolved to when the clone ran as a nested run.
+	// Re-pinned when resolving began to write every name and default.
 	m, err := build(t, Spec{Bench: "gcc", Model: "detailed", Prefetch: "stride", Insts: 2_000_000, Warmup: 200_000}).ResolvedMachine()
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +107,7 @@ func TestShapeFingerprints(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(raw)
-	if got := hex.EncodeToString(sum[:]); got != "c62c3b0ca129bf1b83c52c8c1882bd58427593f801375591ccddde12b6a0a7f9" {
+	if got := hex.EncodeToString(sum[:]); got != "a6c623f48085989eeff9f7da11f2f5ac660550a79477607a42d5ad5fea51d8aa" {
 		t.Errorf("statistical clone machine %s", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -80,16 +81,33 @@ func TestMachineOptionSetsThreads(t *testing.T) {
 	}
 }
 
-// TestBaselineAliases checks the baseline names map to the config zero
-// values the memory hierarchy treats as its defaults.
+// TestBaselineAliases checks the spelled-out baseline knobs resolve to the
+// Table 1 machine, whose names are the baselines.
 func TestBaselineAliases(t *testing.T) {
 	s := build(t, simrun.Spec{Bench: "gcc", Fabric: "bus", Coherence: "moesi", DRAM: "fixed", Prefetch: "none", Predictor: "local"})
-	m, _ := s.ResolvedMachine()
-	if m.Mem.DRAMKind != "" {
-		t.Errorf("DRAMKind = %q, want \"\" for fixed", m.Mem.DRAMKind)
+	if m, _ := s.ResolvedMachine(); m != config.Default(1) {
+		t.Errorf("baseline knobs resolve to %+v, want config.Default(1)", m)
 	}
-	if m.Mem.Prefetch != "" {
-		t.Errorf("Prefetch = %q, want \"\" for none", m.Mem.Prefetch)
+}
+
+// TestUnknownMachineNamesRejected: a Spec.Machine naming a model no
+// simulator has is refused when the scenario is built, naming the field,
+// so it never reaches a run (branch.NewUnit and memhier.New panic on a
+// name they do not build).
+func TestUnknownMachineNamesRejected(t *testing.T) {
+	for field, breakIt := range map[string]func(*config.Machine){
+		"Branch.Kind":      func(m *config.Machine) { m.Branch.Kind = "bogus" },
+		"Mem.Coherence":    func(m *config.Machine) { m.Mem.Coherence = "msi" },
+		"Mem.Interconnect": func(m *config.Machine) { m.Mem.Interconnect = "torus" },
+		"Mem.DRAMKind":     func(m *config.Machine) { m.Mem.DRAMKind = "hbm" },
+		"Mem.Prefetch":     func(m *config.Machine) { m.Mem.Prefetch = "markov" },
+	} {
+		m := config.Default(1)
+		breakIt(&m)
+		_, err := simrun.Spec{Bench: "gcc", Insts: 2000, Machine: &m}.Scenario()
+		if err == nil || !strings.Contains(err.Error(), field+" = ") {
+			t.Errorf("unknown %s: Scenario() = %v, want an error naming the field", field, err)
+		}
 	}
 }
 

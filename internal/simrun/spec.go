@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -166,79 +167,18 @@ type SpecFile struct {
 	Scenarios []Spec `json:"scenarios"`
 }
 
-// merge returns sp with unset fields filled in from def.
+// merge returns sp with its unset fields filled in from def: every field
+// but Label, which names one scenario, and a zero-length Mix counts as
+// unset.
 func (sp Spec) merge(def Spec) Spec {
-	out := sp
-	if out.Version == 0 {
-		out.Version = def.Version
+	out, d := reflect.ValueOf(&sp).Elem(), reflect.ValueOf(def)
+	for i := range out.NumField() {
+		f := out.Field(i)
+		if out.Type().Field(i).Name != "Label" && (f.IsZero() || f.Kind() == reflect.Slice && f.Len() == 0) {
+			f.Set(d.Field(i))
+		}
 	}
-	if out.Bench == "" {
-		out.Bench = def.Bench
-	}
-	if out.Model == "" {
-		out.Model = def.Model
-	}
-	if out.Engine == "" {
-		out.Engine = def.Engine
-	}
-	if out.Cores == 0 {
-		out.Cores = def.Cores
-	}
-	if out.Copies == 0 {
-		out.Copies = def.Copies
-	}
-	if len(out.Mix) == 0 {
-		out.Mix = def.Mix
-	}
-	if out.Insts == 0 {
-		out.Insts = def.Insts
-	}
-	if out.Warmup == 0 {
-		out.Warmup = def.Warmup
-	}
-	if out.Seed == nil {
-		out.Seed = def.Seed
-	}
-	if out.WorkScale == 0 {
-		out.WorkScale = def.WorkScale
-	}
-	if out.MaxCycles == 0 {
-		out.MaxCycles = def.MaxCycles
-	}
-	if out.HostPar == 0 {
-		out.HostPar = def.HostPar
-	}
-	if out.Quantum == 0 {
-		out.Quantum = def.Quantum
-	}
-	if out.Fabric == "" {
-		out.Fabric = def.Fabric
-	}
-	if out.Coherence == "" {
-		out.Coherence = def.Coherence
-	}
-	if out.DRAM == "" {
-		out.DRAM = def.DRAM
-	}
-	if out.Prefetch == "" {
-		out.Prefetch = def.Prefetch
-	}
-	if out.Predictor == "" {
-		out.Predictor = def.Predictor
-	}
-	if out.Machine == nil {
-		out.Machine = def.Machine
-	}
-	if out.Perfect == nil {
-		out.Perfect = def.Perfect
-	}
-	if out.Ablation == nil {
-		out.Ablation = def.Ablation
-	}
-	if !out.Report {
-		out.Report = def.Report
-	}
-	return out
+	return sp
 }
 
 // loadSpecFile strictly decodes a SpecFile and returns one merged spec

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/core"
+	"repro/internal/memhier"
 	"repro/internal/workload"
 )
 
@@ -324,5 +327,26 @@ func TestDirectoryCoreLimitRejected(t *testing.T) {
 	}
 	if _, err := (Spec{Bench: "gcc", Copies: 65, Coherence: "mesi"}).Scenario(); err != nil {
 		t.Errorf("65-core snooping machine rejected: %v", err)
+	}
+}
+
+// TestMergeFillsEveryUnsetField: a spec file's defaults fill every field a
+// scenario leaves unset, an empty mix included, and never its label; a
+// field the scenario sets wins.
+func TestMergeFillsEveryUnsetField(t *testing.T) {
+	m := config.Default(2)
+	def := Spec{
+		Version: SpecVersion, Bench: "gcc", Label: "defaults", Model: "detailed", Engine: "full", Cores: 2, Copies: 2,
+		Mix: []string{"gcc"}, Insts: 5, Warmup: 6, Seed: seedOf(7), WorkScale: 0.5, MaxCycles: 8, HostPar: 1, Quantum: 2,
+		Fabric: "mesh", Coherence: "mesi", DRAM: "banked", Prefetch: "stride", Predictor: "tage", Machine: &m,
+		Perfect: &memhier.Perfect{L2: true}, Ablation: &core.Options{NoTaint: true}, Report: true,
+	}
+	want := def
+	want.Label = ""
+	if got := (Spec{Mix: []string{}}).merge(def); !reflect.DeepEqual(got, want) {
+		t.Errorf("empty spec merged to %+v, want %+v", got, want)
+	}
+	if got := (Spec{Label: "mine", Insts: 9}).merge(def); got.Label != "mine" || got.Insts != 9 || got.Warmup != 6 {
+		t.Errorf("set fields lost: %+v", got)
 	}
 }

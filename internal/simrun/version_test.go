@@ -24,8 +24,8 @@ func mixScenario(t *testing.T) *Scenario {
 // semantics can never be served for a new submission, whatever else the
 // scenario spells.
 func TestFingerprintVersionNeverCollides(t *testing.T) {
-	if FingerprintVersion != 4 {
-		t.Fatalf("FingerprintVersion = %d, want 4 (update this test alongside the next deliberate break)", FingerprintVersion)
+	if FingerprintVersion != 5 {
+		t.Fatalf("FingerprintVersion = %d, want 5 (update this test alongside the next deliberate break)", FingerprintVersion)
 	}
 	for _, build := range []func(t *testing.T) *Scenario{
 		mixScenario,

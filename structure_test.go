@@ -14,11 +14,15 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/config"
 )
 
 func TestOneStreamInterfaceOneTimedLoop(t *testing.T) {
@@ -741,5 +745,148 @@ func TestTimingSideKeepsWhatItReads(t *testing.T) {
 	})
 	if len(bad) > 0 {
 		t.Fatalf("a field or switch no timing model reads is back:\n  %s", strings.Join(bad, "\n  "))
+	}
+}
+
+// TestOneMachineDescription: internal/config owns every machine name and
+// default. Its table (config.Names) is the one list of the names a name
+// field accepts, and config.Machine.Resolve writes every zero that selects
+// a default, so the code that reads a machine holds neither. The test
+// fails, in the non-test sources outside benchmark/ and internal/config,
+// on a list literal or a ", "-joined string holding every name of a name
+// field; on a field Resolve defaults read through cmp.Or, max or min; and
+// on a clamp (`if v <= 0 { v = 2 }` and its spellings) of such a field, of
+// a variable set from one or, in internal/memhier, of a parameter. The one
+// knob rule, simrun's prefetch knob on a degree-0 machine meaning degree
+// 2, is allowed in ResolvedMachine.
+func TestOneMachineDescription(t *testing.T) {
+	defaulted := map[string]bool{
+		"MaxOutstandingMisses": true, "DirectoryLatency": true, "NoCHopLatency": true, "NoCOccupancy": true,
+		"DRAMBanks": true, "DRAMRowBytes": true, "DRAMRowHit": true, "DRAMRowMiss": true, "PrefetchDegree": true,
+	}
+	var tables [][]string
+	for _, field := range []string{"Branch.Kind", "Mem.Coherence", "Mem.Interconnect", "Mem.DRAMKind", "Mem.Prefetch"} {
+		tables = append(tables, config.Names(field))
+	}
+	holdsTable := func(has func(name string) bool) bool {
+		for _, names := range tables {
+			if !slices.ContainsFunc(names, func(n string) bool { return !has(n) }) {
+				return true
+			}
+		}
+		return false
+	}
+	// field returns the name of a defaulted field e selects, or "".
+	field := func(e ast.Expr) string {
+		if sel, ok := e.(*ast.SelectorExpr); ok && defaulted[sel.Sel.Name] {
+			return sel.Sel.Name
+		}
+		return ""
+	}
+	var bad []string
+	fset := token.NewFileSet()
+	for _, src := range nonTestSources(t, fset) {
+		if src.dir == "internal/config" {
+			continue
+		}
+		for _, decl := range src.f.Decls {
+			fn, _ := decl.(*ast.FuncDecl)
+			// clampable maps a variable to what a clamp of it defaults: the
+			// field it was set from, or a memhier parameter.
+			clampable := map[string]string{}
+			if fn != nil && src.dir == "internal/memhier" {
+				for _, p := range fn.Type.Params.List {
+					for _, id := range p.Names {
+						clampable[id.Name] = "parameter " + id.Name
+					}
+				}
+			}
+			target := func(e ast.Expr) string {
+				if id, ok := e.(*ast.Ident); ok {
+					return clampable[id.Name]
+				}
+				return field(e)
+			}
+			report := func(n ast.Node, what string) {
+				bad = append(bad, fmt.Sprintf("%s: %s", fset.Position(n.Pos()), what))
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					var elts []string
+					for _, e := range n.Elts {
+						if v, ok := stringLit(e); ok {
+							elts = append(elts, v)
+						}
+					}
+					if holdsTable(func(name string) bool { return slices.Contains(elts, name) }) {
+						report(n, "a list of machine names")
+					}
+				case *ast.BasicLit:
+					if v, ok := stringLit(n); ok {
+						for _, names := range tables {
+							if strings.Contains(v, strings.Join(names, ", ")) {
+								report(n, "a string listing machine names")
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for i, rhs := range n.Rhs {
+						if f := field(rhs); f != "" && i < len(n.Lhs) {
+							if id, ok := n.Lhs[i].(*ast.Ident); ok {
+								clampable[id.Name] = f
+							}
+						}
+					}
+				case *ast.CallExpr:
+					name := ""
+					switch fun := n.Fun.(type) {
+					case *ast.Ident:
+						name = fun.Name
+					case *ast.SelectorExpr:
+						if x, ok := fun.X.(*ast.Ident); ok {
+							name = x.Name + "." + fun.Sel.Name
+						}
+					}
+					if name == "cmp.Or" || name == "max" || name == "min" {
+						for _, arg := range n.Args {
+							if f := field(arg); f != "" {
+								report(n, "a default for "+f+" ("+name+")")
+							}
+						}
+					}
+				case *ast.IfStmt:
+					ast.Inspect(n.Cond, func(c ast.Node) bool {
+						cmp, ok := c.(*ast.BinaryExpr)
+						if !ok || (cmp.Op != token.EQL && cmp.Op != token.LEQ && cmp.Op != token.LSS) {
+							return true
+						}
+						lit, ok := cmp.Y.(*ast.BasicLit)
+						what := target(cmp.X)
+						if !ok || (lit.Value != "0" && lit.Value != "1") || what == "" {
+							return true
+						}
+						for _, st := range n.Body.List {
+							as, ok := st.(*ast.AssignStmt)
+							if !ok || len(as.Lhs) != 1 || types.ExprString(as.Lhs[0]) != types.ExprString(cmp.X) {
+								continue
+							}
+							if _, isLit := as.Rhs[0].(*ast.BasicLit); !isLit {
+								continue
+							}
+							if src.dir == "internal/simrun" && fn != nil && fn.Name.Name == "ResolvedMachine" && what == "PrefetchDegree" {
+								continue
+							}
+							report(n, "a default for "+what)
+						}
+						return true
+					})
+				}
+				return true
+			})
+		}
+	}
+	if len(bad) > 0 {
+		t.Fatalf("a machine name list or default lives outside internal/config (config.Names and config.Machine.Resolve are the one description):\n  %s", strings.Join(bad, "\n  "))
 	}
 }
