@@ -184,8 +184,10 @@ type Machine struct {
 }
 
 // Bounds Resolve puts on a machine description. They are far above
-// anything the paper's design space visits and low enough that no accepted
-// machine can exhaust the host's memory at construction.
+// anything the paper's design space visits, and maxMachineEntries keeps
+// every accepted machine small enough that its construction cannot exhaust
+// the host's memory: about 60 MiB at the budget, where the largest machine
+// a figure builds (scale16's 32-core default, 334 848 entries) takes 4 MiB.
 const (
 	maxCores      = 1 << 10
 	maxEntries    = 1 << 14 // ROB, issue queue, LSQ, store buffer, fetch queue
@@ -193,6 +195,11 @@ const (
 	maxLatency    = 1 << 20 // any latency, in cycles
 	maxCacheLines = 1 << 22 // lines per cache (256 MiB of 64-byte lines)
 	maxTable      = 1 << 24 // predictor and TLB tables, in entries
+
+	// maxMachineEntries bounds the whole machine: Cores times each
+	// core's L1 lines, TLB entries and predictor entries, plus the
+	// shared L2's lines (see Machine.entries).
+	maxMachineEntries = 1 << 22
 )
 
 // l1LineSize is the only L1 line size a machine may have, in bytes.
@@ -245,8 +252,9 @@ func Names(field string) []string {
 // MaxCycles) or is larger than the bounds above; a negative latency;
 // cache, TLB or predictor geometry that is not the power-of-two shape the
 // constructors index by and panic on; an L1 line size other than
-// l1LineSize; a banked DRAM whose row hit costs more than its row miss; or
-// a directory machine of more than MaxDirectoryCores cores.
+// l1LineSize; a banked DRAM whose row hit costs more than its row miss; a
+// directory machine of more than MaxDirectoryCores cores; or a machine of
+// more than maxMachineEntries entries in all.
 func (m Machine) Resolve() (Machine, error) {
 	m.fill()
 	for i, p := range m.nameValues() {
@@ -380,7 +388,26 @@ func (m Machine) validate() error {
 	if err == nil && mem.Coherence == "directory" && m.Cores > MaxDirectoryCores {
 		err = fmt.Errorf("config: Mem.Coherence directory supports at most %d cores, got Cores = %d", MaxDirectoryCores, m.Cores)
 	}
+	// With every structure within its bound, the sum cannot overflow.
+	if err == nil && m.entries() > maxMachineEntries {
+		err = fmt.Errorf("config: machine holds %d cache, TLB and predictor entries (Cores x per-core entries + L2 lines), want at most %d", m.entries(), maxMachineEntries)
+	}
 	return err
+}
+
+// entries counts the entries building m allocates: every core's L1I and
+// L1D lines, ITLB and DTLB entries and local-history, PHT, BTB and RAS
+// entries, plus the shared L2's lines. m's structures must be valid.
+func (m Machine) entries() int {
+	mem, b := m.Mem, m.Branch
+	lines := func(c Cache) int { return c.SizeBytes / c.LineSize }
+	perCore := lines(mem.L1I) + lines(mem.L1D) + mem.ITLB.Entries + mem.DTLB.Entries +
+		b.LocalHistoryEntries + b.PHTEntries + b.BTBEntries + b.RASEntries
+	n := m.Cores * perCore
+	if mem.HasL2 {
+		n += lines(mem.L2)
+	}
+	return n
 }
 
 // Default returns the baseline machine of Table 1 with the given number of

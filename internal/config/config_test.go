@@ -233,3 +233,32 @@ func TestResolveAllocatesNothing(t *testing.T) {
 		t.Errorf("Resolve allocates %v times per call", avg)
 	}
 }
+
+// TestResolveBoundsTheMachine: structures each within their own bound can
+// still add up to a machine whose construction would exhaust the host's
+// memory. Resolve refuses it, naming the total and the budget, and
+// accepts the largest machine a figure builds.
+func TestResolveBoundsTheMachine(t *testing.T) {
+	if _, err := Default(32).Resolve(); err != nil {
+		t.Fatalf("scale16's 32-core machine: %v", err)
+	}
+	// 256 MiB L1I, L1D and L2 and a 2^24-entry PHT on 1024 cores: about
+	// 128 GiB of L1 lines and 2^34 predictor counters.
+	huge := Default(maxCores)
+	huge.Mem.L1I.SizeBytes, huge.Mem.L1D.SizeBytes, huge.Mem.L2.SizeBytes = 256<<20, 256<<20, 256<<20
+	huge.Branch.PHTEntries = maxTable
+	_, err := huge.Resolve()
+	if err == nil || !strings.Contains(err.Error(), "25777373184") || !strings.Contains(err.Error(), "at most 4194304") {
+		t.Errorf("over-budget machine: Resolve() = %v, want an error naming 25777373184 entries and the budget 4194304", err)
+	}
+	// 498 default cores hold 4 191 168 entries: within the budget
+	// without an L2, over it with the 65 536-line L2.
+	wide := Default(498)
+	if _, err := wide.Resolve(); err == nil || !strings.Contains(err.Error(), "4256704") {
+		t.Errorf("498 cores with an L2: Resolve() = %v, want 4256704 entries refused", err)
+	}
+	wide.Mem.HasL2 = false
+	if _, err := wide.Resolve(); err != nil {
+		t.Errorf("498 cores without an L2: %v", err)
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -96,7 +95,7 @@ func (cl *Client) post(ctx context.Context, body []byte) (jobDoc, bool, error) {
 		return jobDoc{}, TransientErr(err), err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readResponse(resp.Body)
 	if err != nil {
 		return jobDoc{}, true, err
 	}
@@ -138,7 +137,7 @@ func (cl *Client) wait(ctx context.Context, doc jobDoc) (JobResult, error) {
 				return TransientErr(err), err
 			}
 			defer resp.Body.Close()
-			data, err := io.ReadAll(resp.Body)
+			data, err := readResponse(resp.Body)
 			if err != nil {
 				return true, err
 			}

@@ -236,6 +236,22 @@ func (c *Coordinator) Mount(mux *http.ServeMux) {
 // kilobytes.
 const maxBodyBytes = 1 << 20
 
+// maxResponseBytes bounds every response body the fleet reads: a worker's
+// result delivery and simd's job documents. A report payload takes about
+// 150 bytes per core (150 KiB at 1024 cores) and a job document adds its
+// spec, itself at most maxBodyBytes, so 4 MiB holds the largest of either.
+const maxResponseBytes = 4 << 20
+
+// readResponse reads a response body of at most maxResponseBytes; a longer
+// one is an error naming the limit.
+func readResponse(body io.Reader) ([]byte, error) {
+	data, err := io.ReadAll(io.LimitReader(body, maxResponseBytes+1))
+	if err == nil && len(data) > maxResponseBytes {
+		err = fmt.Errorf("fleet: response body exceeds the %d-byte limit", maxResponseBytes)
+	}
+	return data, err
+}
+
 // decodeBody decodes a JSON request body of at most maxBodyBytes into v.
 // The body is exactly one value: anything but whitespace after it is an
 // error.
@@ -457,9 +473,7 @@ func (e *permanentError) Unwrap() error { return e.err }
 func (c *Coordinator) Run(ctx context.Context, sc *simrun.Scenario, opts RunOpts) (simrun.CacheEntry, error) {
 	key, err := sc.Fingerprint()
 	if err != nil {
-		// Uncacheable scenarios (explicit in-process streams) have no
-		// wire form either; they run locally by construction.
-		return c.localRun(ctx, sc, opts, 0)
+		return simrun.CacheEntry{}, err
 	}
 	if entry, ok := c.cache.Lookup(key, sc.AnswerTier()); ok {
 		return entry, nil
@@ -650,7 +664,7 @@ func (c *Coordinator) dispatch(ctx context.Context, w *workerState, key string, 
 		return nil, "", err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readResponse(resp.Body)
 	if err != nil {
 		if expired.Load() {
 			return nil, "", errLeaseExpired

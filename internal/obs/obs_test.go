@@ -16,7 +16,7 @@ func TestRegistryText(t *testing.T) {
 	r.Counter("t_jobs_total", "Jobs.").Add(3)
 	r.Counter("t_engine_runs_total", "Runs per engine.", Label{"engine", "full"}).Inc()
 	r.Counter("t_engine_runs_total", "Runs per engine.", Label{"engine", "statistical"}).Add(2)
-	r.Gauge("t_queue_depth", "Waiting jobs.").Set(5)
+	r.GaugeFunc("t_queue_depth", "Waiting jobs.", func() float64 { return 5 })
 	r.GaugeFunc("t_live", "Live value.", func() float64 { return 1.5 })
 	h := r.Histogram("t_wall_seconds", "Wall clock.", []float64{0.1, 1})
 	h.Observe(0.05)
@@ -76,7 +76,7 @@ func TestRegistryIdempotent(t *testing.T) {
 			t.Fatal("kind conflict did not panic")
 		}
 	}()
-	r.Gauge("t_x_total", "X as gauge.")
+	r.GaugeFunc("t_x_total", "X as gauge.", func() float64 { return 0 })
 }
 
 // TestWriteAllMerges: WriteAll merges multiple registries into one
@@ -176,7 +176,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	var reg *Registry
 	reg.Counter("x", "x").Inc()
-	reg.Gauge("y", "y").Set(1)
 	reg.Histogram("z", "z", nil).Observe(1)
 	reg.GaugeFunc("w", "w", func() float64 { return 0 })
 	var buf bytes.Buffer

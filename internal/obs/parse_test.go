@@ -16,7 +16,7 @@ func TestParseTextRoundTrip(t *testing.T) {
 	a := NewRegistry()
 	a.Counter("t_jobs_total", "Jobs.").Add(9)
 	a.Counter("t_runs_total", "Runs.", Label{"engine", "interval"}).Add(2)
-	a.Gauge("t_depth", "Depth.").Set(3)
+	a.GaugeFunc("t_depth", "Depth.", func() float64 { return 3 })
 	h := a.Histogram("t_wall_seconds", "Wall.", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(5)

@@ -48,19 +48,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value reads the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is an integer-valued metric that can rise and fall (queue
-// occupancy, in-flight work).
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add moves the gauge by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value reads the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // Histogram is a cumulative bucketed distribution of float64
 // observations (Prometheus histogram semantics: each bucket counts
 // observations ≤ its upper bound, plus an implicit +Inf bucket).
@@ -138,7 +125,6 @@ type Label struct{ Key, Value string }
 type series struct {
 	labels  string // rendered `{k="v",...}`, "" when unlabeled
 	counter *Counter
-	gauge   *Gauge
 	gaugeFn func() float64
 	hist    *Histogram
 }
@@ -225,23 +211,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return s.counter
 }
 
-// Gauge registers (or fetches) an integer gauge with optional labels.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	if r == nil {
-		return &Gauge{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.fam(name, help, KindGauge)
-	key := renderLabels(labels)
-	s, ok := f.series[key]
-	if !ok {
-		s = &series{labels: key, gauge: &Gauge{}}
-		f.series[key] = s
-	}
-	return s.gauge
-}
-
 // GaugeFunc registers a gauge whose value is read from fn at exposition
 // time — the bridge for values another subsystem already tracks (queue
 // length, cache size). Re-registering replaces the function.
@@ -326,8 +295,6 @@ func writeSeries(w io.Writer, f *family, s *series) error {
 		return writeSample(w, f.name+"_count", s.labels, float64(count))
 	case s.counter != nil:
 		return writeSample(w, f.name, s.labels, float64(s.counter.Value()))
-	case s.gauge != nil:
-		return writeSample(w, f.name, s.labels, float64(s.gauge.Value()))
 	case s.gaugeFn != nil:
 		return writeSample(w, f.name, s.labels, s.gaugeFn())
 	}

@@ -13,51 +13,48 @@ import (
 	"repro/internal/multicore"
 )
 
-// Format renders the report. The run must have been made with
-// RunConfig.KeepCores so the hierarchy and core models are available;
-// without them only the per-core table is printed.
+// Format renders the report: the run's Summarize, plus what the summary
+// leaves out — the host's wall time and speed, and the interval cores' CPI
+// stacks. The run must have been made with RunConfig.KeepCores so the
+// hierarchy and core models are available; without them only the
+// per-core table is printed.
 func Format(res multicore.Result) string {
+	s := Summarize(res)
 	var b strings.Builder
 	fmt.Fprintf(&b, "model=%s cycles=%d instructions=%d wall=%v (%.2f MIPS)\n",
-		res.Model, res.Cycles, res.TotalRetired, res.Wall, res.MIPS())
-	if res.TimedOut {
+		s.Model, s.Cycles, s.Instructions, res.Wall, res.MIPS())
+	if s.TimedOut {
 		b.WriteString("WARNING: run hit the cycle limit\n")
 	}
-	if res.Interrupted {
+	if s.Interrupted {
 		b.WriteString("WARNING: run was interrupted before completing\n")
 	}
 
 	b.WriteString("cores:\n")
-	for i, c := range res.Cores {
+	for _, c := range s.Cores {
 		fmt.Fprintf(&b, "  core %-2d retired=%-10d finish=%-10d IPC=%.3f\n",
-			i, c.Retired, c.Finish, c.IPC)
+			c.Core, c.Retired, c.Finish, c.IPC)
 	}
 
-	if res.Mem != nil {
-		h := res.Mem
+	if m := s.Mem; m != nil {
 		b.WriteString("memory hierarchy:\n")
-		for i := 0; i < len(res.Cores); i++ {
+		for _, c := range m.Cores {
 			fmt.Fprintf(&b, "  core %-2d L1I miss=%.4f  L1D miss=%.4f\n",
-				i, h.L1I(i).MissRate(), h.L1D(i).MissRate())
+				c.Core, c.L1IMissRate, c.L1DMissRate)
 		}
-		if l2 := h.L2(); l2 != nil {
-			fmt.Fprintf(&b, "  L2 miss=%.4f (hits=%d misses=%d)\n",
-				l2.MissRate(), l2.Hits, l2.Misses)
+		if l2 := m.L2; l2 != nil {
+			fmt.Fprintf(&b, "  L2 miss=%.4f (hits=%d misses=%d)\n", l2.MissRate, l2.Hits, l2.Misses)
 		} else {
 			b.WriteString("  L2: none (3D-stacked configuration)\n")
 		}
-		fab := h.Fabric()
 		fmt.Fprintf(&b, "  fabric: transactions=%d queue-stall=%d (%.1f%% busy)\n",
-			fab.Transactions, fab.StallTotal, 100*fab.Utilization(res.Cycles))
-		d := h.DRAM().Stats()
+			m.Fabric.Transactions, m.Fabric.StallCycles, 100*m.Fabric.Utilization)
 		fmt.Fprintf(&b, "  DRAM: requests=%d queue-stall=%d (%.1f%% bus busy)\n",
-			d.Requests, d.StallTotal, 100*h.DRAM().Utilization(res.Cycles))
-		coh := h.Coherence().Stats()
+			m.DRAM.Requests, m.DRAM.StallCycles, 100*m.DRAM.Utilization)
 		fmt.Fprintf(&b, "  coherence: interventions=%d upgrades=%d invalidations=%d\n",
-			coh.Interventions, coh.Upgrades, coh.Invalidations)
-		if st := h.Stats(); st.Prefetches > 0 {
-			fmt.Fprintf(&b, "  prefetch: issued=%d fills-from-DRAM=%d\n",
-				st.Prefetches, st.PrefetchFills)
+			m.Coherence.Interventions, m.Coherence.Upgrades, m.Coherence.Invalidations)
+		if m.Prefetches > 0 {
+			fmt.Fprintf(&b, "  prefetch: issued=%d fills-from-DRAM=%d\n", m.Prefetches, m.PrefetchFills)
 		}
 	}
 

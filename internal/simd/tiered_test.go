@@ -377,6 +377,35 @@ func TestSubmitDirectoryCoreLimitRejected(t *testing.T) {
 	}
 }
 
+// TestSubmitOverBudgetMachineRejected: a machine that would exhaust the
+// host's memory when built (1024 cores of 256 MiB L1I, L1D and L2 and a
+// 2^24-entry PHT) is a 400 naming its total and the budget, never a
+// queued job.
+func TestSubmitOverBudgetMachineRejected(t *testing.T) {
+	_, ts := newTieredServer(t)
+	m := config.Default(1)
+	m.Mem.L1I.SizeBytes, m.Mem.L1D.SizeBytes, m.Mem.L2.SizeBytes = 256<<20, 256<<20, 256<<20
+	m.Branch.PHTEntries = 1 << 24
+	spec, err := json.Marshal(simrun.Spec{Bench: "gcc", Copies: 1024, Insts: 1000, Machine: &m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d (%v), want 400", resp.StatusCode, err)
+	}
+	if !strings.Contains(body.Error, "25777373184") || !strings.Contains(body.Error, "at most 4194304") {
+		t.Errorf("400 body %q does not name the total and the budget", body.Error)
+	}
+}
+
 // TestCatalogListsEnginesAndTiers: the catalog advertises the registered
 // engines and the tier lattice so clients can discover what to pin.
 func TestCatalogListsEnginesAndTiers(t *testing.T) {

@@ -22,20 +22,18 @@ const (
 	SourceRun CacheSource = "run"
 	// SourceMemory: served from the in-memory LRU.
 	SourceMemory CacheSource = "memory"
-	// SourceDisk: served from the persistent payload store. Only the
-	// encoded payload survives a process restart, so Result is zero.
+	// SourceDisk: served from the persistent payload store.
 	SourceDisk CacheSource = "disk"
-	// SourceFlight: an identical scenario was already running; this
-	// caller waited for it and shares its result.
+	// SourceFlight: an identical request was already in flight (reading
+	// or running); this caller waited for it and shares its answer.
 	SourceFlight CacheSource = "flight"
-	// SourceUncached: the scenario has no fingerprint (explicit
-	// streams), so it ran directly and was not stored.
-	SourceUncached CacheSource = "uncached"
 )
 
-// CacheEntry is one cached (or just-computed) scenario outcome.
+// CacheEntry is one cached (or just-computed) scenario outcome: the
+// same four fields whether it was run, waited for, or read from memory
+// or disk.
 type CacheEntry struct {
-	// Key is the scenario fingerprint ("" for uncacheable scenarios).
+	// Key is the scenario fingerprint.
 	Key string
 	// Source says how the entry was obtained.
 	Source CacheSource
@@ -44,14 +42,9 @@ type CacheEntry struct {
 	// DecodeTier hook) is definitive: it was produced by the full
 	// engine and is never replaced.
 	Tier Tier
-	// Result is the full run result. Zero when the entry was restored
-	// from the persistent store (Source SourceDisk, and later
-	// SourceMemory/SourceFlight hits of such entries): live core models
-	// do not survive a restart, only the payload does.
-	Result Result
 	// Payload is the canonical encoding of the result under
-	// CacheOpts.Encode (nil when no encoder is configured). Identical
-	// scenarios always see byte-identical payloads.
+	// CacheOpts.Encode. Identical scenarios always see byte-identical
+	// payloads.
 	Payload []byte
 }
 
@@ -62,8 +55,7 @@ type CacheStats struct {
 	Runs     uint64 // simulator executions (misses)
 	Hits     uint64 // in-memory LRU hits
 	DiskHits uint64 // persistent-store hits
-	Waits    uint64 // callers that piggybacked on an in-flight run
-	Uncached uint64 // scenarios without a fingerprint, run directly
+	Waits    uint64 // callers that piggybacked on an in-flight read or run
 	Upgrades uint64 // entries replaced in place by a higher tier
 	// Quarantined counts persisted payloads that failed the integrity
 	// check on load and were renamed aside instead of served.
@@ -76,10 +68,10 @@ type CacheOpts struct {
 	Entries int
 	// Dir, when non-empty, persists encoded payloads as
 	// <dir>/<fingerprint>.json so identical scenarios hit across
-	// process restarts. Requires Encode.
+	// process restarts.
 	Dir string
 	// Encode renders a result to its canonical payload (for example
-	// report.JSON). Required for Dir; optional otherwise.
+	// report.JSON). Required: the payload is all the cache keeps.
 	Encode func(Result) ([]byte, error)
 	// DecodeTier recovers the fidelity tier of a persisted payload so a
 	// restart never serves an estimator-tier answer to a full-tier
@@ -89,9 +81,9 @@ type CacheOpts struct {
 }
 
 // Cache is a content-addressed result cache over scenario fingerprints:
-// an in-memory LRU of full results, an optional on-disk payload store,
-// and singleflight deduplication so N concurrent submissions of the same
-// scenario cost one simulation.
+// an in-memory LRU of encoded payloads, an optional on-disk store of the
+// same payloads, and singleflight deduplication so N concurrent
+// submissions of the same scenario cost one simulation.
 //
 // Entries are tier-aware: one cache key per scenario, each entry tagged
 // with the fidelity tier of the answer it holds. A lookup is a hit only
@@ -108,15 +100,15 @@ type Cache struct {
 	mu     sync.Mutex
 	lru    *list.List               // of *cacheSlot, front = most recent
 	byKey  map[string]*list.Element // fingerprint -> lru element
-	flight map[string]*flightCall   // fingerprint+tier -> in-flight run
+	flight map[string]*flightCall   // fingerprint+tier -> in-flight read or run
 
-	runs, hits, diskHits, waits, uncached, upgrades, quarantined atomic.Uint64
+	runs, hits, diskHits, waits, upgrades, quarantined atomic.Uint64
 }
 
+// cacheSlot is one LRU entry: a tier and a payload, as on disk.
 type cacheSlot struct {
 	key     string
 	tier    Tier
-	result  Result
 	payload []byte
 }
 
@@ -129,8 +121,8 @@ type flightCall struct {
 // NewCache builds a cache. With a Dir, the directory is created eagerly
 // so a bad path fails at startup, not on the first store.
 func NewCache(opts CacheOpts) (*Cache, error) {
-	if opts.Dir != "" && opts.Encode == nil {
-		return nil, fmt.Errorf("simrun: cache Dir requires an Encode function")
+	if opts.Encode == nil {
+		return nil, fmt.Errorf("simrun: cache requires an Encode function")
 	}
 	if opts.Dir != "" {
 		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
@@ -159,43 +151,10 @@ func (c *Cache) Stats() CacheStats {
 		Hits:     c.hits.Load(),
 		DiskHits: c.diskHits.Load(),
 		Waits:    c.waits.Load(),
-		Uncached: c.uncached.Load(),
 		Upgrades: c.upgrades.Load(),
 
 		Quarantined: c.quarantined.Load(),
 	}
-}
-
-// Lookup returns the answer stored under key when its tier satisfies
-// wanted, checking the in-memory LRU first and then the disk store
-// (promoting a disk hit into the LRU). Unlike GetOrRun it never
-// simulates — serving layers that dispatch misses elsewhere (the fleet
-// coordinator) use it as their pure read path.
-func (c *Cache) Lookup(key string, wanted Tier) (CacheEntry, bool) {
-	c.mu.Lock()
-	if el, ok := c.byKey[key]; ok {
-		slot := el.Value.(*cacheSlot)
-		if slot.tier.AtLeast(wanted) {
-			c.lru.MoveToFront(el)
-			entry := CacheEntry{Key: key, Source: SourceMemory, Tier: slot.tier, Result: slot.result, Payload: slot.payload}
-			c.mu.Unlock()
-			c.hits.Add(1)
-			return entry, true
-		}
-	}
-	c.mu.Unlock()
-	if payload, ok := c.loadDisk(key); ok {
-		var tier Tier
-		if c.decodeTier != nil {
-			tier = c.decodeTier(payload)
-		}
-		if tier.AtLeast(wanted) {
-			c.diskHits.Add(1)
-			c.store(key, Result{}, payload, tier)
-			return CacheEntry{Key: key, Source: SourceDisk, Tier: tier, Payload: payload}, true
-		}
-	}
-	return CacheEntry{}, false
 }
 
 // Put stores an externally produced payload under key — the fleet
@@ -209,7 +168,7 @@ func (c *Cache) Put(key string, payload []byte, tier Tier) bool {
 	if key == "" || payload == nil {
 		return false
 	}
-	if !c.store(key, Result{}, payload, tier) {
+	if !c.store(key, payload, tier) {
 		return false
 	}
 	c.storeDisk(key, payload)
@@ -224,91 +183,89 @@ func (c *Cache) Len() int {
 }
 
 // GetOrRun returns the cached outcome of s, running the simulation on a
-// miss. Lookup order: in-memory LRU, disk store, an identical in-flight
-// run (the caller then waits for it), and finally a fresh run. Scenarios
-// without a fingerprint (explicit streams) run directly, uncached.
+// miss. Identical requests — the same fingerprint and answer tier — share
+// one flight: its leader reads memory, then disk, and finally runs, while
+// the others wait for it. A scenario without a fingerprint (explicit
+// streams) is refused with the fingerprint's error.
 //
 // Cancelling ctx cancels this caller's wait or run; a piggybacking waiter
 // whose leader fails or is cancelled receives the leader's error.
 func (c *Cache) GetOrRun(ctx context.Context, s *Scenario) (CacheEntry, error) {
 	key, err := s.Fingerprint()
 	if err != nil {
-		c.uncached.Add(1)
-		res, runErr := s.Run(ctx)
-		return CacheEntry{Source: SourceUncached, Tier: res.Tier, Result: res}, runErr
+		return CacheEntry{}, err
 	}
 	wanted := s.AnswerTier()
-
-	c.mu.Lock()
-	if el, ok := c.byKey[key]; ok {
-		// One key per scenario, tier-aware hits: a stored answer
-		// satisfies the request only when its tier is at least the
-		// requesting engine's — a full entry answers a statistical
-		// request (and reports its higher tier), never the reverse.
-		slot := el.Value.(*cacheSlot)
-		if slot.tier.AtLeast(wanted) {
-			c.lru.MoveToFront(el)
-			entry := CacheEntry{Key: key, Source: SourceMemory, Tier: slot.tier, Result: slot.result, Payload: slot.payload}
-			c.mu.Unlock()
-			c.hits.Add(1)
-			return entry, nil
-		}
-	}
 	// Flights are keyed by (fingerprint, requested tier): a full-tier
 	// request must not piggyback on an in-flight statistical estimate,
 	// and a statistical request should answer fast rather than wait for
 	// an in-flight full run.
 	fkey := key + "#" + string(wanted)
+	c.mu.Lock()
 	if fl, ok := c.flight[fkey]; ok {
 		c.mu.Unlock()
 		c.waits.Add(1)
 		select {
 		case <-fl.done:
-			if fl.err != nil {
-				return CacheEntry{Key: key, Source: SourceFlight}, fl.err
-			}
 			entry := fl.entry
 			entry.Source = SourceFlight
-			return entry, nil
+			return entry, fl.err
 		case <-ctx.Done():
 			return CacheEntry{Key: key, Source: SourceFlight}, ctx.Err()
 		}
 	}
-	// Miss in memory: become the flight leader for this key, then check
-	// the disk store and finally simulate — both outside the lock, so
-	// slow I/O never serializes other cache traffic, and concurrent
-	// identical requests dedup onto one disk read or run.
 	fl := &flightCall{done: make(chan struct{})}
 	c.flight[fkey] = fl
 	c.mu.Unlock()
 
-	entry, runErr := c.fill(ctx, key, wanted, s)
-	fl.entry, fl.err = entry, runErr
+	entry, ok := c.Lookup(key, wanted)
+	if !ok {
+		entry, err = c.runAndStore(ctx, key, s)
+	}
+	fl.entry, fl.err = entry, err
 	c.mu.Lock()
 	delete(c.flight, fkey)
 	c.mu.Unlock()
 	close(fl.done)
-	return entry, runErr
+	return entry, err
 }
 
-// fill resolves a miss as the flight leader: the persistent store first,
-// then a fresh run. Disk hits are promoted into the in-memory LRU
-// (payload only) so repeated requests after a restart stop touching disk.
-// A persisted payload only counts when its tier satisfies the request;
-// without a DecodeTier hook every disk payload is definitive.
-func (c *Cache) fill(ctx context.Context, key string, wanted Tier, s *Scenario) (CacheEntry, error) {
-	if payload, ok := c.loadDisk(key); ok {
-		var tier Tier
-		if c.decodeTier != nil {
-			tier = c.decodeTier(payload)
-		}
-		if tier.AtLeast(wanted) {
-			c.diskHits.Add(1)
-			c.store(key, Result{}, payload, tier)
-			return CacheEntry{Key: key, Source: SourceDisk, Tier: tier, Payload: payload}, nil
+// Lookup returns the answer stored under key when its tier satisfies
+// wanted: the in-memory LRU, then the disk store. It is the cache's one
+// read path — GetOrRun's flight leader reads through it before running —
+// and, called directly, a pure read that never simulates and never waits,
+// for serving layers that dispatch misses elsewhere (the fleet
+// coordinator). A stored answer satisfies the request only when its tier
+// is at least wanted — a full entry answers a statistical request (and
+// reports its higher tier), never the reverse. A disk hit is promoted
+// into the LRU so repeated requests after a restart stop touching disk;
+// without a DecodeTier hook every disk payload is definitive. Slow I/O
+// runs outside c.mu, so it never serializes other cache traffic.
+func (c *Cache) Lookup(key string, wanted Tier) (CacheEntry, bool) {
+	c.mu.Lock()
+	if el, ok := c.byKey[key]; ok {
+		if slot := el.Value.(*cacheSlot); slot.tier.AtLeast(wanted) {
+			c.lru.MoveToFront(el)
+			c.mu.Unlock()
+			c.hits.Add(1)
+			return CacheEntry{Key: key, Source: SourceMemory, Tier: slot.tier, Payload: slot.payload}, true
 		}
 	}
-	return c.runAndStore(ctx, key, s)
+	c.mu.Unlock()
+	payload, ok := c.loadDisk(key)
+	if !ok {
+		return CacheEntry{}, false
+	}
+	var tier Tier
+	if c.decodeTier != nil {
+		tier = c.decodeTier(payload)
+	}
+	if !tier.AtLeast(wanted) {
+		return CacheEntry{}, false
+	}
+	c.diskHits.Add(1)
+	c.store(key, payload, tier)
+	return CacheEntry{Key: key, Source: SourceDisk, Tier: tier, Payload: payload}, true
 }
 
 // runAndStore executes the scenario and, on success, encodes and stores
@@ -316,23 +273,19 @@ func (c *Cache) fill(ctx context.Context, key string, wanted Tier, s *Scenario) 
 func (c *Cache) runAndStore(ctx context.Context, key string, s *Scenario) (CacheEntry, error) {
 	c.runs.Add(1)
 	res, err := s.Run(ctx)
-	entry := CacheEntry{Key: key, Source: SourceRun, Tier: res.Tier, Result: res}
+	entry := CacheEntry{Key: key, Source: SourceRun, Tier: res.Tier}
 	if err != nil {
 		return entry, err
 	}
-	if c.encode != nil {
-		payload, encErr := c.encode(res)
-		if encErr != nil {
-			return entry, fmt.Errorf("simrun: cache encode: %w", encErr)
-		}
-		entry.Payload = payload
+	if entry.Payload, err = c.encode(res); err != nil {
+		return entry, fmt.Errorf("simrun: cache encode: %w", err)
 	}
 	// Only a store that was accepted (insert or upgrade) reaches disk:
 	// a lower-tier result arriving after a higher one — a statistical
 	// estimate racing an already-landed full run — must not clobber the
 	// better persisted answer.
 	sp := s.tracer().Start("cache:store")
-	if c.store(key, res, entry.Payload, res.Tier) {
+	if c.store(key, entry.Payload, entry.Tier) {
 		c.storeDisk(key, entry.Payload)
 	}
 	sp.End()
@@ -343,7 +296,7 @@ func (c *Cache) runAndStore(ctx context.Context, key string, s *Scenario) (Cache
 // back. An existing entry under the same key is replaced only by a
 // strictly higher tier (the upgrade-only invariant); store reports
 // whether the entry now holds this answer.
-func (c *Cache) store(key string, res Result, payload []byte, tier Tier) bool {
+func (c *Cache) store(key string, payload []byte, tier Tier) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
@@ -352,11 +305,11 @@ func (c *Cache) store(key string, res Result, payload []byte, tier Tier) bool {
 		if tier.Rank() <= slot.tier.Rank() {
 			return false
 		}
-		slot.tier, slot.result, slot.payload = tier, res, payload
+		slot.tier, slot.payload = tier, payload
 		c.upgrades.Add(1)
 		return true
 	}
-	el := c.lru.PushFront(&cacheSlot{key: key, tier: tier, result: res, payload: payload})
+	el := c.lru.PushFront(&cacheSlot{key: key, tier: tier, payload: payload})
 	c.byKey[key] = el
 	for c.lru.Len() > c.entries {
 		oldest := c.lru.Back()
@@ -389,8 +342,11 @@ func diskFooter(payload []byte) []byte {
 // A file that is too short, lacks the footer, or whose checksum does not
 // match its contents is quarantined — renamed aside, counted and logged
 // — and reported as a miss, so a corrupt cache entry costs one
-// re-simulation, never a wrong answer or a crash. Called without c.mu:
-// the flight entry for key already serializes identical lookups.
+// re-simulation, never a wrong answer or a crash. Called without c.mu.
+// GetOrRun's flight serializes its own identical reads, but a Lookup may
+// read the same file at the same time: that is safe because storeDisk
+// replaces a file only by rename, so every read sees one whole file, and
+// a corrupt file quarantined twice costs at most one more re-simulation.
 func (c *Cache) loadDisk(key string) ([]byte, bool) {
 	if c.dir == "" {
 		return nil, false

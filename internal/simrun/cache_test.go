@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -52,9 +53,6 @@ func TestCacheHit(t *testing.T) {
 	}
 	if !bytes.Equal(first.Payload, second.Payload) {
 		t.Fatalf("cache hit payload differs from the run payload")
-	}
-	if first.Result.Cycles != second.Result.Cycles {
-		t.Fatalf("cache hit cycles %d != run cycles %d", second.Result.Cycles, first.Result.Cycles)
 	}
 
 	// The cached payload is bit-identical to a direct, uncached run.
@@ -194,12 +192,16 @@ func TestCacheDiskPersistence(t *testing.T) {
 	}
 }
 
-func TestCacheDirRequiresEncode(t *testing.T) {
-	if _, err := NewCache(CacheOpts{Dir: t.TempDir()}); err == nil {
-		t.Fatal("NewCache accepted a Dir without an Encode function")
+func TestCacheRequiresEncode(t *testing.T) {
+	for _, opts := range []CacheOpts{{}, {Dir: t.TempDir()}} {
+		if _, err := NewCache(opts); err == nil {
+			t.Fatalf("NewCache(%+v) accepted a cache without an Encode function", opts)
+		}
 	}
 }
 
+// A scenario without a fingerprint (explicit streams) is refused with
+// the fingerprint's error: the cache neither runs nor stores it.
 func TestCacheUncacheableStreams(t *testing.T) {
 	c, err := NewCache(CacheOpts{Encode: testEncode})
 	if err != nil {
@@ -210,18 +212,50 @@ func TestCacheUncacheableStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entry, err := c.GetOrRun(context.Background(), s)
+	_, fpErr := s.Fingerprint()
+	if fpErr == nil {
+		t.Fatal("a streams scenario has a fingerprint")
+	}
+	if _, err := c.GetOrRun(context.Background(), s); err == nil || err.Error() != fpErr.Error() {
+		t.Fatalf("GetOrRun error = %v, want the fingerprint error %v", err, fpErr)
+	}
+	if stats := c.Stats(); stats.Runs != 0 {
+		t.Fatalf("stats = %+v, want 0 runs", stats)
+	}
+	if c.Len() != 0 {
+		t.Fatalf("uncacheable scenario was stored")
+	}
+}
+
+// A cached entry holds its payload and nothing else: with "report" on,
+// a run's Result carries the whole simulated machine, which the cache
+// must not keep alive. Not parallel: it reads the process heap.
+func TestCacheRetainsOnlyPayloads(t *testing.T) {
+	const entries, budget = 16, 64 << 10
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	c, err := NewCache(CacheOpts{Entries: entries, Encode: testEncode})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if entry.Source != SourceUncached {
-		t.Fatalf("source = %s, want %s", entry.Source, SourceUncached)
+	before := heap()
+	for i := 0; i < entries; i++ {
+		if _, err := c.GetOrRun(context.Background(), testScenario(t, Spec{Report: true, Seed: seedOf(int64(i + 1))})); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if stats := c.Stats(); stats.Uncached != 1 || stats.Runs != 0 {
-		t.Fatalf("stats = %+v, want 1 uncached and 0 cached runs", stats)
+	after := heap()
+	if c.Len() != entries {
+		t.Fatalf("cache holds %d entries, want %d", c.Len(), entries)
 	}
-	if c.Len() != 0 {
-		t.Fatalf("uncacheable run was stored")
+	if after > before {
+		if per := (after - before) / entries; per >= budget {
+			t.Fatalf("each cached entry retains %d bytes of heap, want < %d", per, budget)
+		}
 	}
 }
 

@@ -91,8 +91,10 @@ func FuzzSpecToFingerprint(f *testing.F) {
 
 // constructEntries bounds the machines the spec fuzzer constructs: the
 // caches, TLBs and predictor tables of all cores hold at most this many
-// entries in all. Larger accepted machines are resolved and fingerprinted
-// but not built, so one input cannot take the fuzzer's memory.
+// entries in all, a quarter of the budget config.Machine.Resolve puts on
+// an accepted machine. Larger accepted machines are resolved and
+// fingerprinted but not built, so parallel fuzz workers under the race
+// detector stay small.
 const constructEntries = 1 << 20
 
 // construct builds what a run of m would build before its first cycle: the

@@ -14,7 +14,7 @@ import (
 
 func newMemCache(t *testing.T) *Cache {
 	t.Helper()
-	c, err := NewCache(CacheOpts{})
+	c, err := NewCache(CacheOpts{Encode: testEncode})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -328,6 +330,41 @@ func TestDirectoryCoreLimitRejected(t *testing.T) {
 	if _, err := (Spec{Bench: "gcc", Copies: 65, Coherence: "mesi"}).Scenario(); err != nil {
 		t.Errorf("65-core snooping machine rejected: %v", err)
 	}
+}
+
+// TestOverBudgetMachineRejected: a machine whose structures are each
+// within bounds but whose total would exhaust the host's memory at
+// construction (1024 cores of 256 MiB L1I, L1D and L2 and a 2^24-entry
+// PHT) is refused when the scenario is built, naming the total and the
+// budget. The spec fuzzer's seed of the same machine is refused too.
+func TestOverBudgetMachineRejected(t *testing.T) {
+	rejected := func(path string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "25777373184") || !strings.Contains(err.Error(), "at most 4194304") {
+			t.Errorf("%s: err = %v, want one naming 25777373184 entries and the budget 4194304", path, err)
+		}
+	}
+	m := config.Default(1)
+	m.Mem.L1I.SizeBytes, m.Mem.L1D.SizeBytes, m.Mem.L2.SizeBytes = 256<<20, 256<<20, 256<<20
+	m.Branch.PHTEntries = 1 << 24
+	_, err := Spec{Bench: "gcc", Copies: 1024, Insts: 1000, Machine: &m}.Scenario()
+	rejected("Spec literal", err)
+
+	data, err := os.ReadFile("testdata/fuzz/FuzzSpecToFingerprint/over-budget-machine")
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := strings.TrimSpace(strings.SplitN(string(data), "\n", 2)[1])
+	raw, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(line, "[]byte("), ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := ParseSpec(strings.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sp.Scenario()
+	rejected("fuzz seed", err)
 }
 
 // TestMergeFillsEveryUnsetField: a spec file's defaults fill every field a

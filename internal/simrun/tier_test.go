@@ -86,20 +86,19 @@ func TestCacheUpgradeOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var res Result
-	if !c.store("k", res, []byte("estimate"), TierStatistical) {
+	if !c.store("k", []byte("estimate"), TierStatistical) {
 		t.Fatal("insert rejected")
 	}
-	if c.store("k", res, []byte("re-estimate"), TierStatistical) {
+	if c.store("k", []byte("re-estimate"), TierStatistical) {
 		t.Error("same-tier store accepted")
 	}
-	if !c.store("k", res, []byte("full"), TierInterval) {
+	if !c.store("k", []byte("full"), TierInterval) {
 		t.Error("upgrade rejected")
 	}
-	if c.store("k", res, []byte("estimate-again"), TierStatistical) {
+	if c.store("k", []byte("estimate-again"), TierStatistical) {
 		t.Error("downgrade accepted")
 	}
-	if c.store("k", res, []byte("tagless"), TierInterval) {
+	if c.store("k", []byte("tagless"), TierInterval) {
 		t.Error("same-tier re-store accepted after upgrade")
 	}
 	if got := c.Stats().Upgrades; got != 1 {
