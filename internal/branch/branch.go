@@ -2,7 +2,7 @@
 // Table 1: a 12Kbit local-history direction predictor, an 8-way
 // set-associative 2K-entry branch target buffer and a 32-entry return
 // address stack. Alternative direction predictors (gshare, bimodal,
-// perfect) are provided for ablation studies.
+// tournament, TAGE, perfect) are provided for ablation studies.
 //
 // Both timing models call Predict once per dynamic branch with the
 // architectural outcome; the predictor updates its tables and reports
@@ -16,8 +16,6 @@ type DirectionPredictor interface {
 	// Predict returns the predicted direction for the branch at pc and
 	// then trains the predictor with the architectural outcome taken.
 	Predict(pc uint64, taken bool) bool
-	// Reset restores the power-on state.
-	Reset()
 }
 
 // Local is the paper's local-history two-level predictor: a table of
@@ -35,42 +33,21 @@ func NewLocal(historyEntries, historyBits, phtEntries int) *Local {
 	if historyEntries&(historyEntries-1) != 0 || phtEntries&(phtEntries-1) != 0 {
 		panic("branch: local predictor tables must be powers of two")
 	}
-	l := &Local{
+	return &Local{
 		histories: make([]uint16, historyEntries),
-		pht:       make([]uint8, phtEntries),
+		pht:       newCounters(phtEntries, 2),
 		histBits:  historyBits,
 	}
-	l.Reset()
-	return l
 }
 
 // Predict implements DirectionPredictor.
 func (l *Local) Predict(pc uint64, taken bool) bool {
 	hidx := (pc >> 2) & uint64(len(l.histories)-1)
 	hist := l.histories[hidx]
-	pidx := uint64(hist) & uint64(len(l.pht)-1)
-	ctr := &l.pht[pidx]
-	pred := *ctr >= 2
-	if taken {
-		if *ctr < 3 {
-			*ctr++
-		}
-	} else if *ctr > 0 {
-		*ctr--
-	}
+	pred := train(&l.pht[uint64(hist)&uint64(len(l.pht)-1)], taken)
 	hist = hist<<1 | b2u16(taken)
 	l.histories[hidx] = hist & (1<<uint(l.histBits) - 1)
 	return pred
-}
-
-// Reset implements DirectionPredictor.
-func (l *Local) Reset() {
-	for i := range l.histories {
-		l.histories[i] = 0
-	}
-	for i := range l.pht {
-		l.pht[i] = 2 // weakly taken
-	}
 }
 
 // GShare is a global-history predictor XOR-indexing a counter table.
@@ -86,33 +63,14 @@ func NewGShare(phtEntries, historyBits int) *GShare {
 	if phtEntries&(phtEntries-1) != 0 {
 		panic("branch: gshare table must be a power of two")
 	}
-	g := &GShare{pht: make([]uint8, phtEntries), histBits: historyBits}
-	g.Reset()
-	return g
+	return &GShare{pht: newCounters(phtEntries, 2), histBits: historyBits}
 }
 
 // Predict implements DirectionPredictor.
 func (g *GShare) Predict(pc uint64, taken bool) bool {
-	idx := ((pc >> 2) ^ g.history) & uint64(len(g.pht)-1)
-	ctr := &g.pht[idx]
-	pred := *ctr >= 2
-	if taken {
-		if *ctr < 3 {
-			*ctr++
-		}
-	} else if *ctr > 0 {
-		*ctr--
-	}
+	pred := train(&g.pht[((pc>>2)^g.history)&uint64(len(g.pht)-1)], taken)
 	g.history = (g.history<<1 | uint64(b2u16(taken))) & (1<<uint(g.histBits) - 1)
 	return pred
-}
-
-// Reset implements DirectionPredictor.
-func (g *GShare) Reset() {
-	for i := range g.pht {
-		g.pht[i] = 2
-	}
-	g.history = 0
 }
 
 // Bimodal is a PC-indexed table of 2-bit counters.
@@ -125,15 +83,35 @@ func NewBimodal(entries int) *Bimodal {
 	if entries&(entries-1) != 0 {
 		panic("branch: bimodal table must be a power of two")
 	}
-	b := &Bimodal{pht: make([]uint8, entries)}
-	b.Reset()
-	return b
+	return &Bimodal{pht: newCounters(entries, 2)}
 }
 
 // Predict implements DirectionPredictor.
 func (b *Bimodal) Predict(pc uint64, taken bool) bool {
-	idx := (pc >> 2) & uint64(len(b.pht)-1)
-	ctr := &b.pht[idx]
+	return train(&b.pht[(pc>>2)&uint64(len(b.pht)-1)], taken)
+}
+
+// Perfect always predicts correctly (used by the Figure 4 step-by-step
+// accuracy experiments).
+type Perfect struct{}
+
+// Predict implements DirectionPredictor.
+func (Perfect) Predict(pc uint64, taken bool) bool { return taken }
+
+// newCounters returns a table of 2-bit saturating counters, each at
+// start: 2 (weakly taken) for a pattern history table, 1 (weakly prefer
+// bimodal) for the tournament chooser.
+func newCounters(entries int, start uint8) []uint8 {
+	t := make([]uint8, entries)
+	for i := range t {
+		t[i] = start
+	}
+	return t
+}
+
+// train returns the prediction of the 2-bit counter *ctr (taken at 2 or
+// more) and steps it toward the outcome, saturating at 0 and 3.
+func train(ctr *uint8, taken bool) bool {
 	pred := *ctr >= 2
 	if taken {
 		if *ctr < 3 {
@@ -144,23 +122,6 @@ func (b *Bimodal) Predict(pc uint64, taken bool) bool {
 	}
 	return pred
 }
-
-// Reset implements DirectionPredictor.
-func (b *Bimodal) Reset() {
-	for i := range b.pht {
-		b.pht[i] = 2
-	}
-}
-
-// Perfect always predicts correctly (used by the Figure 4 step-by-step
-// accuracy experiments).
-type Perfect struct{}
-
-// Predict implements DirectionPredictor.
-func (Perfect) Predict(pc uint64, taken bool) bool { return taken }
-
-// Reset implements DirectionPredictor.
-func (Perfect) Reset() {}
 
 func b2u16(b bool) uint16 {
 	if b {
@@ -185,13 +146,11 @@ func NewTournament(entries, historyBits int) *Tournament {
 	if entries&(entries-1) != 0 {
 		panic("branch: tournament tables must be powers of two")
 	}
-	t := &Tournament{
+	return &Tournament{
 		bimodal: NewBimodal(entries),
 		gshare:  NewGShare(entries, historyBits),
-		choose:  make([]uint8, entries),
+		choose:  newCounters(entries, 1),
 	}
-	t.Reset()
-	return t
 }
 
 // Predict implements DirectionPredictor.
@@ -206,22 +165,7 @@ func (t *Tournament) Predict(pc uint64, taken bool) bool {
 	// Train the chooser toward the component that was right when they
 	// disagreed.
 	if pb != pg {
-		if pg == taken {
-			if t.choose[idx] < 3 {
-				t.choose[idx]++
-			}
-		} else if t.choose[idx] > 0 {
-			t.choose[idx]--
-		}
+		train(&t.choose[idx], pg == taken)
 	}
 	return pred
-}
-
-// Reset implements DirectionPredictor.
-func (t *Tournament) Reset() {
-	t.bimodal.Reset()
-	t.gshare.Reset()
-	for i := range t.choose {
-		t.choose[i] = 1 // weakly prefer bimodal
-	}
 }

@@ -207,12 +207,8 @@ func TestUnitStatsAndReset(t *testing.T) {
 		t.Fatal("random branches produced zero mispredictions")
 	}
 	u.ResetStats()
-	if u.Lookups != 0 || u.Mispredictions != 0 {
+	if u.Lookups != 0 || u.Mispredictions != 0 || u.MispredictRate() != 0 {
 		t.Fatal("ResetStats left counters")
-	}
-	u.Reset()
-	if u.MispredictRate() != 0 {
-		t.Fatal("Reset left rate")
 	}
 }
 
@@ -223,6 +219,38 @@ func TestUnknownKindPanics(t *testing.T) {
 		}
 	}()
 	NewUnit(unitCfg("nonsense"))
+}
+
+// TestUnitEntriesMatchConfig: the machine budget counts, for every kind,
+// the entries NewUnit builds (config.BranchPredictor.Entries), so the two
+// cannot drift apart.
+func TestUnitEntriesMatchConfig(t *testing.T) {
+	for _, kind := range config.Names("Branch.Kind") {
+		cfg := unitCfg(kind)
+		u := NewUnit(cfg)
+		n := u.btb.inner.Frames() + len(u.ras.stack)
+		switch d := u.dir.(type) {
+		case *Local:
+			n += len(d.histories) + len(d.pht)
+		case *GShare:
+			n += len(d.pht)
+		case *Bimodal:
+			n += len(d.pht)
+		case *Tournament:
+			n += len(d.bimodal.pht) + len(d.gshare.pht) + len(d.choose)
+		case *TAGE:
+			n += len(d.base.pht)
+			for _, tb := range d.tables {
+				n += len(tb.entries)
+			}
+		case Perfect:
+		default:
+			t.Fatalf("%s: uncounted direction predictor %T", kind, d)
+		}
+		if want := cfg.Entries(); n != want {
+			t.Errorf("%s: NewUnit builds %d entries, config counts %d", kind, n, want)
+		}
+	}
 }
 
 // Property: any direction predictor, given a perfectly biased branch,

@@ -136,15 +136,4 @@ func (b *Bimodal) peek(pc uint64) bool {
 	return b.pht[idx] >= 2
 }
 
-// Reset implements DirectionPredictor.
-func (t *TAGE) Reset() {
-	t.base.Reset()
-	for i := range t.tables {
-		for j := range t.tables[i].entries {
-			t.tables[i].entries[j] = tageEntry{}
-		}
-	}
-	t.history = 0
-}
-
 var _ DirectionPredictor = (*TAGE)(nil)

@@ -1,7 +1,6 @@
 package branch
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/config"
@@ -66,25 +65,6 @@ func TestTAGEHandlesManyBranches(t *testing.T) {
 	mispredictRate(p, gen, 4000) // train
 	if rate := mispredictRate(p, gen, 4000); rate > 0.05 {
 		t.Fatalf("mispredict rate %.3f across 16 biased branches", rate)
-	}
-}
-
-func TestTAGEReset(t *testing.T) {
-	p := NewTAGE(256)
-	rng := rand.New(rand.NewSource(1))
-	mispredictRate(p, func(i int) (uint64, bool) {
-		return uint64(0x400000 + rng.Intn(64)*4), rng.Intn(2) == 0
-	}, 2000)
-	p.Reset()
-	if p.history != 0 {
-		t.Fatal("history survives Reset")
-	}
-	for i := range p.tables {
-		for j := range p.tables[i].entries {
-			if p.tables[i].entries[j].valid {
-				t.Fatal("tagged entry survives Reset")
-			}
-		}
 	}
 }
 

@@ -44,14 +44,6 @@ func (b *BTB) Update(pc, target uint64) {
 	b.targets[way] = target
 }
 
-// Reset restores the power-on state.
-func (b *BTB) Reset() {
-	b.inner.Reset()
-	for i := range b.targets {
-		b.targets[i] = 0
-	}
-}
-
 // RAS is the return address stack. It is a circular stack: pushes beyond
 // capacity overwrite the oldest entry, as in hardware.
 type RAS struct {
@@ -86,11 +78,6 @@ func (r *RAS) Pop() (addr uint64, ok bool) {
 	return addr, true
 }
 
-// Reset empties the stack.
-func (r *RAS) Reset() {
-	r.top, r.depth = 0, 0
-}
-
 // Unit is the complete per-core front-end predictor: direction predictor +
 // BTB + RAS. It is the "branch predictor simulator" box in the paper's
 // framework diagram (Figure 2).
@@ -98,6 +85,10 @@ type Unit struct {
 	dir DirectionPredictor
 	btb *BTB
 	ras *RAS
+	// perfect is set for the perfect direction predictor, under which
+	// BTB/RAS misses are ignored too (Figure 4 experiments assume a fully
+	// perfect front end).
+	perfect bool
 
 	Lookups        uint64
 	Mispredictions uint64
@@ -106,36 +97,27 @@ type Unit struct {
 // NewUnit builds a predictor unit from a resolved machine's configuration
 // (config.Machine.Resolve refuses unknown kinds). Unknown kinds panic.
 func NewUnit(cfg config.BranchPredictor) *Unit {
-	var dir DirectionPredictor
-	switch cfg.Kind {
-	case "local":
-		dir = NewLocal(cfg.LocalHistoryEntries, cfg.LocalHistoryBits, cfg.PHTEntries)
-	case "gshare":
-		dir = NewGShare(cfg.PHTEntries, cfg.LocalHistoryBits)
-	case "bimodal":
-		dir = NewBimodal(cfg.PHTEntries)
-	case "tournament":
-		dir = NewTournament(cfg.PHTEntries, cfg.LocalHistoryBits)
-	case "tage":
-		dir = NewTAGE(cfg.PHTEntries)
-	case "perfect":
-		dir = Perfect{}
-	default:
-		panic("branch: unknown predictor kind " + cfg.Kind)
-	}
-	return &Unit{
-		dir: dir,
+	u := &Unit{
 		btb: NewBTB(cfg.BTBEntries, cfg.BTBAssoc),
 		ras: NewRAS(cfg.RASEntries),
 	}
-}
-
-// perfect reports whether the direction predictor is the perfect one, in
-// which case BTB/RAS misses are ignored too (Figure 4 experiments assume a
-// fully perfect front end).
-func (u *Unit) perfect() bool {
-	_, ok := u.dir.(Perfect)
-	return ok
+	switch cfg.Kind {
+	case "local":
+		u.dir = NewLocal(cfg.LocalHistoryEntries, cfg.LocalHistoryBits, cfg.PHTEntries)
+	case "gshare":
+		u.dir = NewGShare(cfg.PHTEntries, cfg.LocalHistoryBits)
+	case "bimodal":
+		u.dir = NewBimodal(cfg.PHTEntries)
+	case "tournament":
+		u.dir = NewTournament(cfg.PHTEntries, cfg.LocalHistoryBits)
+	case "tage":
+		u.dir = NewTAGE(cfg.PHTEntries)
+	case "perfect":
+		u.dir, u.perfect = Perfect{}, true
+	default:
+		panic("branch: unknown predictor kind " + cfg.Kind)
+	}
+	return u
 }
 
 // Predict processes the dynamic branch in and reports whether it was
@@ -148,7 +130,7 @@ func (u *Unit) Predict(in *isa.Inst) (mispredicted bool) {
 		u.ras.Push(in.PC + 4)
 		mispredicted = u.predictDirect(in)
 	case isa.Return:
-		if u.perfect() {
+		if u.perfect {
 			return false
 		}
 		addr, ok := u.ras.Pop()
@@ -166,7 +148,7 @@ func (u *Unit) Predict(in *isa.Inst) (mispredicted bool) {
 // predictor and BTB.
 func (u *Unit) predictDirect(in *isa.Inst) bool {
 	pred := u.dir.Predict(in.PC, in.Taken)
-	if u.perfect() {
+	if u.perfect {
 		return false
 	}
 	if pred != in.Taken {
@@ -190,14 +172,6 @@ func (u *Unit) MispredictRate() float64 {
 		return 0
 	}
 	return float64(u.Mispredictions) / float64(u.Lookups)
-}
-
-// Reset restores the power-on state.
-func (u *Unit) Reset() {
-	u.dir.Reset()
-	u.btb.Reset()
-	u.ras.Reset()
-	u.Lookups, u.Mispredictions = 0, 0
 }
 
 // ResetStats clears the lookup/misprediction counters without touching the

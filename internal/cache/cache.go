@@ -34,7 +34,6 @@ const (
 // structural model: Access and Probe report presence, Fill inserts lines
 // and reports the evicted victim.
 type Cache struct {
-	cfg      config.Cache
 	lines    []line // set s occupies lines[s*assoc : (s+1)*assoc]
 	assoc    int
 	setShift uint
@@ -46,7 +45,6 @@ type Cache struct {
 	// Statistics.
 	Hits      uint64
 	Misses    uint64
-	Evictions uint64
 	WriteBack uint64
 }
 
@@ -61,7 +59,6 @@ func New(cfg config.Cache) *Cache {
 		panic(fmt.Sprintf("cache: line size %d is not a power of two", cfg.LineSize))
 	}
 	return &Cache{
-		cfg:      cfg,
 		lines:    make([]line, nsets*cfg.Assoc),
 		assoc:    cfg.Assoc,
 		setShift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
@@ -70,9 +67,6 @@ func New(cfg config.Cache) *Cache {
 		lineMask: uint64(cfg.LineSize) - 1,
 	}
 }
-
-// Config returns the cache geometry.
-func (c *Cache) Config() config.Cache { return c.cfg }
 
 // Frames returns the total number of line frames (sets × associativity);
 // it bounds the way indices returned by AccessWay and FillWay.
@@ -198,7 +192,6 @@ func (c *Cache) FillWay(addr uint64, dirty bool) (Victim, int) {
 			Dirty: k&lineDirty != 0,
 			Valid: true,
 		}
-		c.Evictions++
 		if v.Dirty {
 			c.WriteBack++
 		}
@@ -223,25 +216,6 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 		}
 	}
 	return false, false
-}
-
-// Clean clears the dirty bit of the line containing addr if present.
-func (c *Cache) Clean(addr uint64) {
-	ways, _, want := c.set(addr)
-	for i := range ways {
-		ln := &ways[i]
-		if ln.key&^lineDirty == want {
-			ln.key &^= lineDirty
-			return
-		}
-	}
-}
-
-// Reset empties the cache and clears statistics.
-func (c *Cache) Reset() {
-	clear(c.lines)
-	c.stamp = 0
-	c.Hits, c.Misses, c.Evictions, c.WriteBack = 0, 0, 0, 0
 }
 
 // MissRate returns Misses / (Hits + Misses), or 0 for no accesses.
@@ -286,5 +260,5 @@ func (c *Cache) DuplicateTags() bool {
 // ResetStats clears the statistics counters without touching contents,
 // for functional-warmup runs.
 func (c *Cache) ResetStats() {
-	c.Hits, c.Misses, c.Evictions, c.WriteBack = 0, 0, 0, 0
+	c.Hits, c.Misses, c.WriteBack = 0, 0, 0
 }

@@ -99,16 +99,6 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
-func TestClean(t *testing.T) {
-	c := smallCache()
-	c.Fill(0x7000, true)
-	c.Clean(0x7000)
-	_, dirty := c.Invalidate(0x7000)
-	if dirty {
-		t.Fatal("line dirty after Clean")
-	}
-}
-
 func TestFillRefreshExisting(t *testing.T) {
 	c := smallCache()
 	c.Fill(0x8000, false)
@@ -119,16 +109,6 @@ func TestFillRefreshExisting(t *testing.T) {
 	_, dirty := c.Invalidate(0x8000)
 	if !dirty {
 		t.Fatal("refresh with dirty=true did not dirty the line")
-	}
-}
-
-func TestResetClearsEverything(t *testing.T) {
-	c := smallCache()
-	c.Fill(0x9000, true)
-	c.Access(0x9000, false)
-	c.Reset()
-	if c.ValidLines() != 0 || c.Hits != 0 || c.Misses != 0 {
-		t.Fatal("Reset left state behind")
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 // TLB is a set-associative translation lookaside buffer. It reuses the
 // cache line model at page granularity: a "line" is one page translation.
 type TLB struct {
-	cfg   config.TLB
 	inner *Cache
 }
 
@@ -23,15 +22,12 @@ func NewTLB(cfg config.TLB) *TLB {
 		Assoc:     cfg.Assoc,
 		LineSize:  cfg.PageSize,
 	})
-	return &TLB{cfg: cfg, inner: inner}
+	return &TLB{inner: inner}
 }
 
-// Config returns the TLB geometry.
-func (t *TLB) Config() config.TLB { return t.cfg }
-
 // Access translates addr: it returns true on a TLB hit. On a miss the
-// translation is installed (the page walk itself is timed by the caller
-// using Config().MissLatency).
+// translation is installed (the page walk itself is timed by the caller,
+// at the machine's config.TLB.MissLatency).
 func (t *TLB) Access(addr uint64) bool {
 	if t.inner.Access(addr, false) {
 		return true
@@ -48,9 +44,6 @@ func (t *TLB) Hits() uint64 { return t.inner.Hits }
 
 // Misses returns the miss count.
 func (t *TLB) Misses() uint64 { return t.inner.Misses }
-
-// Reset empties the TLB and clears statistics.
-func (t *TLB) Reset() { t.inner.Reset() }
 
 // ResetStats clears the TLB statistics without touching contents.
 func (t *TLB) ResetStats() { t.inner.ResetStats() }

@@ -46,18 +46,6 @@ func TestTLBCapacity(t *testing.T) {
 	}
 }
 
-func TestTLBReset(t *testing.T) {
-	tlb := smallTLB()
-	tlb.Access(0x1000)
-	tlb.Reset()
-	if tlb.Probe(0x1000) {
-		t.Fatal("translation survived Reset")
-	}
-	if tlb.Hits() != 0 || tlb.Misses() != 0 {
-		t.Fatal("stats survived Reset")
-	}
-}
-
 func TestMSHRMergeAndExpiry(t *testing.T) {
 	m := NewMSHR(2)
 	if !m.Insert(0x100, 50, 0) {

@@ -124,13 +124,3 @@ func TestDirectoryInvariantsUnderRandomTraffic(t *testing.T) {
 		}
 	}
 }
-
-func TestDirectoryReset(t *testing.T) {
-	d := NewMESI(2, 64)
-	d.Write(0, 0x40)
-	d.Read(1, 0x40)
-	d.Reset()
-	if d.lines.Len() != 0 || d.ReadMisses != 0 || d.Interventions != 0 {
-		t.Fatal("Reset left state behind")
-	}
-}

@@ -134,9 +134,6 @@ func NewMESI(cores, lines int) *Protocol {
 	return p
 }
 
-// Cores returns the number of cores the protocol was built for.
-func (p *Protocol) Cores() int { return p.cores }
-
 // stateOf reads core's state out of a line's vector.
 func stateOf(v []uint64, core int) State {
 	return State(v[core>>4] >> (uint(core&15) * 4) & 15)
@@ -333,12 +330,6 @@ func (p *Protocol) Stats() Traffic {
 		Interventions: p.Interventions,
 		Invalidations: p.InvalidationsTx,
 	}
-}
-
-// Reset drops all protocol state and statistics.
-func (p *Protocol) Reset() {
-	p.lines.Reset()
-	p.ResetStats()
 }
 
 // ResetStats clears the statistics counters without touching line state,

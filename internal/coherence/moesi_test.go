@@ -215,15 +215,6 @@ func TestStateStrings(t *testing.T) {
 	}
 }
 
-func TestResetDropsState(t *testing.T) {
-	p := New(2, 64)
-	p.Write(0, line)
-	p.Reset()
-	if p.State(0, line) != Invalid || p.WriteMisses != 0 {
-		t.Fatal("Reset left state behind")
-	}
-}
-
 func TestMESIHasNoOwnedState(t *testing.T) {
 	p := NewMESI(2, 64)
 	p.Write(0, line)

@@ -39,9 +39,6 @@ func newRefMESI(cores int) *refProtocol {
 	return &refProtocol{cores: cores, mesi: true, lines: make(map[uint64][]State)}
 }
 
-// Cores returns the number of cores the protocol was built for.
-func (p *refProtocol) Cores() int { return p.cores }
-
 // State returns core's state for lineAddr.
 func (p *refProtocol) State(core int, lineAddr uint64) State {
 	if v, ok := p.lines[lineAddr]; ok {
@@ -221,13 +218,6 @@ func (p *refProtocol) CheckInvariants() string {
 	return ""
 }
 
-// Reset drops all protocol state and statistics.
-func (p *refProtocol) Reset() {
-	p.lines = make(map[uint64][]State)
-	p.ReadMisses, p.WriteMisses, p.Upgrades = 0, 0, 0
-	p.Interventions, p.InvalidationsTx = 0, 0
-}
-
 // ResetStats clears the statistics counters without touching line state,
 // for functional-warmup runs.
 func (p *refProtocol) ResetStats() {
@@ -278,9 +268,6 @@ func newRefDirectory(cores int) *refDirectory {
 	}
 	return &refDirectory{cores: cores, lines: make(map[uint64]*refDirEntry)}
 }
-
-// Cores returns the number of cores the directory was built for.
-func (d *refDirectory) Cores() int { return d.cores }
 
 func (d *refDirectory) entry(lineAddr uint64) *refDirEntry {
 	e, ok := d.lines[lineAddr]
@@ -441,12 +428,6 @@ func (d *refDirectory) Stats() Traffic {
 		Interventions: d.Interventions,
 		Invalidations: d.InvalidationsTx,
 	}
-}
-
-// Reset drops all directory state and statistics.
-func (d *refDirectory) Reset() {
-	d.lines = make(map[uint64]*refDirEntry)
-	d.ResetStats()
 }
 
 // ResetStats implements engine.

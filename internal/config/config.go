@@ -70,6 +70,29 @@ type BranchPredictor struct {
 	RASEntries int
 }
 
+// tageTables is the number of tagged tables a TAGE predictor keeps beside
+// its base table (branch.tageTables; TestUnitEntriesMatchConfig in
+// internal/branch keeps the two equal).
+const tageTables = 4
+
+// Entries counts the entries branch.NewUnit allocates for b: the BTB, the
+// RAS and the direction predictor's tables (tournament keeps a bimodal, a
+// gshare and a chooser table of PHT size). b must be resolved.
+func (b BranchPredictor) Entries() int {
+	n := b.BTBEntries + b.RASEntries
+	switch b.Kind {
+	case "local":
+		n += b.LocalHistoryEntries + b.PHTEntries
+	case "gshare", "bimodal":
+		n += b.PHTEntries
+	case "tournament":
+		n += 3 * b.PHTEntries
+	case "tage":
+		n += (1 + tageTables) * b.PHTEntries
+	}
+	return n
+}
+
 // Cache describes one cache level.
 type Cache struct {
 	SizeBytes int
@@ -396,13 +419,13 @@ func (m Machine) validate() error {
 }
 
 // entries counts the entries building m allocates: every core's L1I and
-// L1D lines, ITLB and DTLB entries and local-history, PHT, BTB and RAS
-// entries, plus the shared L2's lines. m's structures must be valid.
+// L1D lines, ITLB and DTLB entries and branch predictor entries
+// (BranchPredictor.Entries), plus the shared L2's lines. m's structures
+// must be valid.
 func (m Machine) entries() int {
-	mem, b := m.Mem, m.Branch
+	mem := m.Mem
 	lines := func(c Cache) int { return c.SizeBytes / c.LineSize }
-	perCore := lines(mem.L1I) + lines(mem.L1D) + mem.ITLB.Entries + mem.DTLB.Entries +
-		b.LocalHistoryEntries + b.PHTEntries + b.BTBEntries + b.RASEntries
+	perCore := lines(mem.L1I) + lines(mem.L1D) + mem.ITLB.Entries + mem.DTLB.Entries + m.Branch.Entries()
 	n := m.Cores * perCore
 	if mem.HasL2 {
 		n += lines(mem.L2)

@@ -261,4 +261,18 @@ func TestResolveBoundsTheMachine(t *testing.T) {
 	if _, err := wide.Resolve(); err != nil {
 		t.Errorf("498 cores without an L2: %v", err)
 	}
+	// A 2^21-entry PHT on one core: local builds one such table (2 167 008
+	// entries in all), tournament three and tage five.
+	big := Default(1)
+	big.Branch.PHTEntries = 1 << 21
+	for kind, refused := range map[string]string{"local": "", "tournament": "6360288", "tage": "10554592"} {
+		big.Branch.Kind = kind
+		_, err := big.Resolve()
+		if refused == "" && err != nil {
+			t.Errorf("%s with a 2^21-entry PHT: %v", kind, err)
+		}
+		if refused != "" && (err == nil || !strings.Contains(err.Error(), refused)) {
+			t.Errorf("%s with a 2^21-entry PHT: Resolve() = %v, want %s entries refused", kind, err, refused)
+		}
+	}
 }

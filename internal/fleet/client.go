@@ -97,7 +97,7 @@ func (cl *Client) post(ctx context.Context, body []byte) (jobDoc, bool, error) {
 	defer resp.Body.Close()
 	data, err := readResponse(resp.Body)
 	if err != nil {
-		return jobDoc{}, true, err
+		return jobDoc{}, TransientErr(err), err
 	}
 	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
 		return jobDoc{}, TransientStatus(resp.StatusCode),
@@ -139,7 +139,7 @@ func (cl *Client) wait(ctx context.Context, doc jobDoc) (JobResult, error) {
 			defer resp.Body.Close()
 			data, err := readResponse(resp.Body)
 			if err != nil {
-				return true, err
+				return TransientErr(err), err
 			}
 			if resp.StatusCode != http.StatusOK {
 				return TransientStatus(resp.StatusCode),

@@ -678,11 +678,10 @@ func (c *Coordinator) dispatch(ctx context.Context, w *workerState, key string, 
 		}
 		return nil, "", &permanentError{err: &statusErr{status: resp.StatusCode, body: msg}}
 	}
-	if sum := resp.Header.Get(HeaderSum); sum != "" {
-		if actual := sha256.Sum256(data); hex.EncodeToString(actual[:]) != sum {
-			c.mCorrupt.Inc()
-			return nil, "", errCorrupt
-		}
+	// Every worker sets the checksum, so a delivery without one is corrupt.
+	if actual := sha256.Sum256(data); hex.EncodeToString(actual[:]) != resp.Header.Get(HeaderSum) {
+		c.mCorrupt.Inc()
+		return nil, "", errCorrupt
 	}
 	if tracer != nil {
 		if remote, derr := obs.DecodeSpans(resp.Header.Get(HeaderSpans)); derr == nil {

@@ -3,6 +3,8 @@ package fleet_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -354,6 +357,60 @@ func TestCorruptDeliveryRetries(t *testing.T) {
 	wantMetric(t, c, "fleet_corrupt_results_total", "1")
 	wantMetric(t, c, "fleet_retries_total", "1")
 	wantMetric(t, c, "fleet_completions_total", "1")
+}
+
+// TestUncheckedDeliveryRetries: a 200 delivery without the X-Fleet-Sum
+// header is corrupt, since every worker sets it. The coordinator counts
+// it, caches nothing from it and retries; the worker's next, checksummed
+// delivery settles the job with the reference bytes.
+func TestUncheckedDeliveryRetries(t *testing.T) {
+	cache := newCache(t)
+	c := newCluster(t, fleet.Config{Cache: cache, LeaseTTL: time.Minute})
+	want := refPayload(t)
+	var runs atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if runs.Add(1) == 1 {
+			w.Write([]byte(`{"unchecked":true}`))
+			return
+		}
+		sum := sha256.Sum256(want)
+		w.Header().Set(fleet.HeaderTier, "interval")
+		w.Header().Set(fleet.HeaderSum, hex.EncodeToString(sum[:]))
+		w.Write(want)
+	}))
+	t.Cleanup(srv.Close)
+	resp, err := http.Post(c.srv.URL+fleet.PathRegister, "application/json",
+		strings.NewReader(`{"id":"nosum","url":"`+srv.URL+`"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	sc, err := testSpec.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	record, snapshot := collect()
+	entry, err := c.coord.Run(context.Background(), sc, fleet.RunOpts{Spec: testSpec, OnDispatch: record})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if entry.Source != simrun.CacheSource("worker:nosum") || !bytes.Equal(entry.Payload, want) {
+		t.Fatalf("entry = %s %s, want the checksummed delivery", entry.Source, entry.Payload)
+	}
+	if events := snapshot(); len(events) != 2 || events[0].Event != "dispatch" || events[1].Event != "retry" {
+		t.Fatalf("events = %+v, want [dispatch retry]", events)
+	}
+	wantMetric(t, c, "fleet_corrupt_results_total", "1")
+	wantMetric(t, c, "fleet_retries_total", "1")
+	wantMetric(t, c, "fleet_completions_total", "1")
+	key, err := sc.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached, ok := cache.Lookup(key, sc.AnswerTier()); !ok || !bytes.Equal(cached.Payload, want) {
+		t.Fatalf("cached payload = %s (found %v), want the checksummed delivery", cached.Payload, ok)
+	}
 }
 
 // TestDuplicateCompletionDedupes: a re-run of an already-completed job

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -48,25 +49,28 @@ func TestDispatchBoundsDelivery(t *testing.T) {
 }
 
 // TestClientBoundsJobDocuments: a submission answer or a poll answer
-// larger than the limit fails with an error naming it.
+// larger than the limit fails at once with an error naming it. The answer
+// is deterministic, so the client asks for it once and never retries.
 func TestClientBoundsJobDocuments(t *testing.T) {
-	for name, handler := range map[string]http.HandlerFunc{
-		"submit": func(w http.ResponseWriter, r *http.Request) { writeOversized(w, http.StatusAccepted) },
-		"poll": func(w http.ResponseWriter, r *http.Request) {
-			if r.Method == http.MethodPost {
-				w.WriteHeader(http.StatusAccepted)
-				w.Write([]byte(`{"id":"j-3","status":"queued"}`))
-				return
-			}
-			writeOversized(w, http.StatusOK)
-		},
-	} {
+	for _, name := range []string{"submit", "poll"} {
 		t.Run(name, func(t *testing.T) {
-			srv := httptest.NewServer(handler)
+			var oversized atomic.Int64
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if name == "poll" && r.Method == http.MethodPost {
+					w.WriteHeader(http.StatusAccepted)
+					w.Write([]byte(`{"id":"j-3","status":"queued"}`))
+					return
+				}
+				oversized.Add(1)
+				writeOversized(w, http.StatusOK)
+			}))
 			defer srv.Close()
 			cl := &Client{Base: srv.URL, Retry: fastRetry, Poll: time.Millisecond}
 			if _, err := cl.SubmitAndWait(context.Background(), simrun.Spec{Bench: "gcc"}); err == nil || !strings.Contains(err.Error(), tooLarge) {
 				t.Fatalf("err = %v, want one naming the limit", err)
+			}
+			if n := oversized.Load(); n != 1 {
+				t.Errorf("oversized answers served = %d, want 1 (no retry)", n)
 			}
 		})
 	}

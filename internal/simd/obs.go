@@ -32,7 +32,7 @@ func (s *Server) registerMetrics() {
 	r.CounterFunc("simd_cache_disk_hits_total",
 		"Persistent-store hits.", func() uint64 { return s.CacheStats().DiskHits })
 	r.CounterFunc("simd_cache_flight_waits_total",
-		"Callers that piggybacked on an in-flight run.", func() uint64 { return s.CacheStats().Waits })
+		"Callers that waited on an identical in-flight request (its memory or disk read, or its run).", func() uint64 { return s.CacheStats().Waits })
 	r.CounterFunc("simd_cache_upgrades_total",
 		"Cache entries upgraded in place to a higher tier.", func() uint64 { return s.CacheStats().Upgrades })
 	r.CounterFunc("simd_tier_fast_answers_total",

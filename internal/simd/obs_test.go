@@ -25,7 +25,7 @@ var goldenMetrics = []struct {
 	{"simd_cache_runs_total", "Simulator executions (cache misses).", "counter"},
 	{"simd_cache_hits_total", "In-memory result-cache hits.", "counter"},
 	{"simd_cache_disk_hits_total", "Persistent-store hits.", "counter"},
-	{"simd_cache_flight_waits_total", "Callers that piggybacked on an in-flight run.", "counter"},
+	{"simd_cache_flight_waits_total", "Callers that waited on an identical in-flight request (its memory or disk read, or its run).", "counter"},
 	{"simd_cache_upgrades_total", "Cache entries upgraded in place to a higher tier.", "counter"},
 	{"simd_tier_fast_answers_total", "Jobs answered below full fidelity.", "counter"},
 	{"simd_tier_upgrades_total", "Background full-fidelity upgrades that landed.", "counter"},

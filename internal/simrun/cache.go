@@ -55,7 +55,7 @@ type CacheStats struct {
 	Runs     uint64 // simulator executions (misses)
 	Hits     uint64 // in-memory LRU hits
 	DiskHits uint64 // persistent-store hits
-	Waits    uint64 // callers that piggybacked on an in-flight read or run
+	Waits    uint64 // callers that waited on an identical in-flight read or run
 	Upgrades uint64 // entries replaced in place by a higher tier
 	// Quarantined counts persisted payloads that failed the integrity
 	// check on load and were renamed aside instead of served.

@@ -330,9 +330,10 @@ func (s *Scenario) TotalInstBudget() uint64 {
 // ResolvedMachine returns the machine configuration the scenario will
 // simulate: the spec's Machine (or the Table 1 default) sized to Threads,
 // with the knob fields assigned on top and resolved
-// (config.Machine.Resolve). One rule is the knobs' own: a prefetcher knob
-// on a machine without a degree gets degree 2. A machine no simulator can
-// run is an error, so New rejects it before any worker is committed to it.
+// (config.Machine.Resolve). A knob only names a machine field's value, so
+// a knob and the same name written into the machine resolve alike. A
+// machine no simulator can run is an error, so New rejects it before any
+// worker is committed to it.
 func (s *Scenario) ResolvedMachine() (config.Machine, error) {
 	sp := &s.spec
 	m := config.Default(s.Threads())
@@ -345,9 +346,6 @@ func (s *Scenario) ResolvedMachine() (config.Machine, error) {
 	m.Mem.DRAMKind = cmp.Or(sp.DRAM, m.Mem.DRAMKind)
 	m.Mem.Prefetch = cmp.Or(sp.Prefetch, m.Mem.Prefetch)
 	m.Branch.Kind = cmp.Or(sp.Predictor, m.Branch.Kind)
-	if sp.Prefetch != "" && sp.Prefetch != knobSet("prefetch")[0] && m.Mem.PrefetchDegree == 0 {
-		m.Mem.PrefetchDegree = 2
-	}
 	m, err := m.Resolve()
 	if err != nil {
 		return config.Machine{}, fmt.Errorf("simrun: scenario %q: %w", s.Name(), err)

@@ -80,8 +80,8 @@ type Spec struct {
 
 	// The knobs, each a closed name set (Knobs) whose first name is the
 	// baseline: the on-chip fabric, the coherence protocol, the DRAM
-	// model, the prefetcher (degree 2 unless the machine sets one) and
-	// the branch direction predictor.
+	// model, the prefetcher (at the machine's degree, config's default
+	// unless the machine sets one) and the branch direction predictor.
 	Fabric    string `json:"fabric,omitempty"`
 	Coherence string `json:"coherence,omitempty"`
 	DRAM      string `json:"dram,omitempty"`

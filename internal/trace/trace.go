@@ -95,9 +95,6 @@ func (s *SliceStream) NextBatch(buf []isa.Inst) int {
 	return n
 }
 
-// Reset rewinds the stream to the beginning.
-func (s *SliceStream) Reset() { s.pos = 0 }
-
 // Record drains up to n instructions from src into a slice, so one
 // generated stream can be replayed into several simulators.
 func Record(src Stream, n int) []isa.Inst {

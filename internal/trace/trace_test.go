@@ -35,10 +35,6 @@ func TestSliceStreamReplaysInOrder(t *testing.T) {
 	if _, ok := rd.Next(); ok {
 		t.Fatal("stream did not end")
 	}
-	s.Reset()
-	if in, ok := NewBuffered(s, 2).Next(); !ok || in.PC != 0 {
-		t.Fatal("Reset did not rewind")
-	}
 }
 
 func TestLimitEndsEarly(t *testing.T) {

@@ -756,9 +756,7 @@ func TestTimingSideKeepsWhatItReads(t *testing.T) {
 // on a list literal or a ", "-joined string holding every name of a name
 // field; on a field Resolve defaults read through cmp.Or, max or min; and
 // on a clamp (`if v <= 0 { v = 2 }` and its spellings) of such a field, of
-// a variable set from one or, in internal/memhier, of a parameter. The one
-// knob rule, simrun's prefetch knob on a degree-0 machine meaning degree
-// 2, is allowed in ResolvedMachine.
+// a variable set from one or, in internal/memhier, of a parameter.
 func TestOneMachineDescription(t *testing.T) {
 	defaulted := map[string]bool{
 		"MaxOutstandingMisses": true, "DirectoryLatency": true, "NoCHopLatency": true, "NoCOccupancy": true,
@@ -874,9 +872,6 @@ func TestOneMachineDescription(t *testing.T) {
 							if _, isLit := as.Rhs[0].(*ast.BasicLit); !isLit {
 								continue
 							}
-							if src.dir == "internal/simrun" && fn != nil && fn.Name.Name == "ResolvedMachine" && what == "PrefetchDegree" {
-								continue
-							}
 							report(n, "a default for "+what)
 						}
 						return true
@@ -888,5 +883,74 @@ func TestOneMachineDescription(t *testing.T) {
 	}
 	if len(bad) > 0 {
 		t.Fatalf("a machine name list or default lives outside internal/config (config.Names and config.Machine.Resolve are the one description):\n  %s", strings.Join(bad, "\n  "))
+	}
+}
+
+// TestMachineIsBuiltOncePerRun: memhier.New and branch.NewUnit build a
+// machine for each run and nothing rewinds one, so the leaf structures of
+// internal/branch, internal/cache, internal/coherence and internal/trace
+// carry no power-on Reset: no method of that name and no Reset in an
+// interface there. Two Resets clear state inside a run and are exempt:
+// cache.MSHR.Reset, kept so that the end of functional warm-up can drop
+// the MSHR entries warm-up pins (docs/architecture.md, the warm-up
+// contract), and cache.LineTable.Reset, with which the overlap scan
+// empties its tainted-store table. What nothing read stays deleted too:
+// Cache.Config, Cache.Clean, TLB.Config, Protocol.Cores, and the fields
+// Cache.Evictions, Cache.cfg and TLB.cfg.
+func TestMachineIsBuiltOncePerRun(t *testing.T) {
+	leaf := map[string]bool{"internal/branch": true, "internal/cache": true, "internal/coherence": true, "internal/trace": true}
+	exempt := map[string]bool{"MSHR.Reset": true, "LineTable.Reset": true}
+	deleted := map[string]bool{
+		"Cache.Config": true, "Cache.Clean": true, "TLB.Config": true, "Protocol.Cores": true,
+		"Cache.Evictions": true, "Cache.cfg": true, "TLB.cfg": true,
+	}
+	var bad []string
+	fset := token.NewFileSet()
+	for _, src := range nonTestSources(t, fset) {
+		if !leaf[src.dir] {
+			continue
+		}
+		report := func(n ast.Node, name string) {
+			bad = append(bad, fmt.Sprintf("%s: %s", fset.Position(n.Pos()), name))
+		}
+		ast.Inspect(src.f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Recv == nil {
+					break
+				}
+				recv := n.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				name := types.ExprString(recv) + "." + n.Name.Name
+				if (n.Name.Name == "Reset" && !exempt[name]) || deleted[name] {
+					report(n, name)
+				}
+			case *ast.TypeSpec:
+				switch typ := n.Type.(type) {
+				case *ast.StructType:
+					for _, f := range typ.Fields.List {
+						for _, id := range f.Names {
+							if name := n.Name.Name + "." + id.Name; deleted[name] {
+								report(id, name)
+							}
+						}
+					}
+				case *ast.InterfaceType:
+					for _, m := range typ.Methods.List {
+						for _, id := range m.Names {
+							if id.Name == "Reset" {
+								report(id, n.Name.Name+".Reset")
+							}
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	if len(bad) > 0 {
+		t.Fatalf("a machine is built once per run; a rewind, getter or counter nothing calls is back:\n  %s", strings.Join(bad, "\n  "))
 	}
 }
