@@ -13,7 +13,6 @@
 // -fleet http://host:8080, on a simd service or fleet coordinator), and
 // print one table from each point's report.Summary. The table is the same
 // at any -j, local or remote.
-// -adaptive estimates every point cheaply first and re-runs only the best.
 package main
 
 import (
@@ -26,7 +25,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -62,8 +60,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		seed     = fl.Int64("seed", 42, "workload generation seed")
 		detailed = fl.Bool("detailed", false, "cross-check each point with the detailed model (slow)")
 		jobs     = fl.Int("j", 1, "points in flight at once (0 = all host cores)")
-		adaptive = fl.Bool("adaptive", false, "estimate every point with the statistical engine first, then spend full fidelity on the top fraction")
-		top      = fl.Float64("top", 0.25, "with -adaptive, the fraction of the space promoted to full fidelity")
 		fleetURL = fl.String("fleet", "", "run every point on the simd service at this base URL instead of simulating locally")
 
 		cpuprofile = fl.String("cpuprofile", "", "write a CPU profile to this file (written on normal exit)")
@@ -84,7 +80,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	defer flush()
 
-	s := &sweeper{ctx: ctx, detailed: *detailed, jobs: *jobs, top: *top,
+	s := &sweeper{ctx: ctx, detailed: *detailed, jobs: *jobs,
 		base: simrun.Spec{Insts: *insts, Warmup: *warm, Seed: seed}, obsv: &obs.Observer{}}
 	// One trace ring for the whole sweep, written even when interrupted.
 	if *traceOut != "" {
@@ -110,17 +106,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *top <= 0 || *top > 1 {
-		fmt.Fprintf(stderr, "sweep: -top %v out of range (0, 1]\n", *top)
-		return 2
-	}
-	if *detailed && (*adaptive || *file != "" || *sweep == "fabric") {
-		fmt.Fprintln(stderr, "sweep: -detailed cross-checks the core, l2 and dram grids only: it cannot be combined with -adaptive, -f or -sweep fabric")
+	if *detailed && (*file != "" || *sweep == "fabric") {
+		fmt.Fprintln(stderr, "sweep: -detailed cross-checks the core, l2 and dram grids only: it cannot be combined with -f or -sweep fabric")
 		return 2
 	}
 	var tab table
 	if *file != "" {
-		tab, err = s.batch(*file, *adaptive)
+		tab, err = s.batch(*file)
 	} else {
 		tab, err = s.builtin(*sweep, strings.Split(*profiles, ","))
 	}
@@ -133,13 +125,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	fmt.Fprintln(stdout, tab.title)
-	if *adaptive {
-		err = s.adaptive(stdout, tab.specs)
-	} else {
-		var out []outcome
-		if out, err = s.execute(tab.specs); err == nil {
-			tab.print(stdout, out)
-		}
+	var out []outcome
+	if out, err = s.execute(tab.specs); err == nil {
+		tab.print(stdout, out)
 	}
 	switch {
 	case errors.Is(err, context.Canceled):
@@ -157,7 +145,6 @@ type sweeper struct {
 	base     simrun.Spec // -n, -warmup, -seed: built-in sizing, spec-file fallback
 	detailed bool
 	jobs     int
-	top      float64
 	obsv     *obs.Observer // one tracer and progress sink (each may be nil) for every local point
 	remote   *remote       // when set, points run on a simd service instead
 }
@@ -169,7 +156,8 @@ type table struct {
 	print func(w io.Writer, out []outcome)
 }
 
-// outcome is one finished point: its summary, tier and (on a fleet) worker.
+// outcome is one finished point: its summary and, when it ran remotely, the
+// tier and worker that answered it.
 type outcome struct {
 	sum          report.Summary
 	tier, worker string
@@ -219,7 +207,7 @@ func (s *sweeper) local(ctx context.Context, sp simrun.Spec) (outcome, error) {
 	}
 	sc.SetObserver(s.obsv)
 	res, err := sc.Run(ctx)
-	return outcome{sum: report.Summarize(res.Result), tier: string(res.Tier)}, err
+	return outcome{sum: report.Summarize(res.Result)}, err
 }
 
 // remote runs points on a simd service or fleet coordinator. Under
@@ -291,63 +279,9 @@ func (r *remote) emit(p obs.Progress) {
 		p.Retired, p.Budget, r.inflight.Load(), r.retried.Load(), byWorker)
 }
 
-// adaptive is the two-phase budgeted sweep. Phase one runs every spec the
-// statistical engine accepts on it; the estimates rank the space, highest
-// IPC first. Phase two runs the top -top fraction, plus every point the
-// cheap tier cannot run, pinned to the full engine.
-func (s *sweeper) adaptive(w io.Writer, specs []simrun.Spec) error {
-	type point struct {
-		sp              simrun.Spec
-		ipc             float64
-		est, full, tier string
-	}
-	var ranked, unsupported []*point
-	var est []simrun.Spec
-	for _, sp := range specs {
-		p := &point{sp: sp, est: "-", full: "-"}
-		sp.Engine = "statistical"
-		if _, err := sp.Scenario(); err != nil {
-			unsupported = append(unsupported, p)
-			continue
-		}
-		ranked = append(ranked, p)
-		est = append(est, sp)
-	}
-	budget := max(int(float64(len(est))*s.top+0.5), min(len(est), 1))
-	fmt.Fprintf(w, "== adaptive: %d scenarios, %d statistical estimates, full fidelity on top %d + %d unsupported ==\n",
-		len(specs), len(est), budget, len(unsupported))
-
-	out, err := s.execute(est)
-	if err != nil {
-		return err
-	}
-	for i, o := range out {
-		ranked[i].ipc, ranked[i].est, ranked[i].tier = o.ipc(), fmt.Sprintf("%.3f", o.ipc()), o.tier
-	}
-	sort.SliceStable(ranked, func(a, b int) bool { return ranked[a].ipc > ranked[b].ipc })
-	promoted := append(ranked[:budget:budget], unsupported...)
-	var full []simrun.Spec
-	for _, p := range promoted {
-		p.sp.Engine = simrun.DefaultEngine
-		full = append(full, p.sp)
-	}
-	if out, err = s.execute(full); err != nil {
-		return err
-	}
-	for i, o := range out {
-		promoted[i].full, promoted[i].tier = fmt.Sprintf("%.3f", o.ipc()), o.tier
-	}
-
-	fmt.Fprintf(w, "%4s %-34s %10s %10s %12s\n", "rank", "scenario", "est IPC", "full IPC", "tier")
-	for i, p := range append(ranked, unsupported...) {
-		fmt.Fprintf(w, "%4d %-34s %10s %10s %12s\n", i+1, name(p.sp), p.est, p.full, p.tier)
-	}
-	return nil
-}
-
 // batch loads the spec file at path, with -n, -warmup and -seed filling in
 // what neither a scenario nor the file's defaults set.
-func (s *sweeper) batch(path string, adaptive bool) (table, error) {
+func (s *sweeper) batch(path string) (table, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return table{}, err
@@ -358,10 +292,7 @@ func (s *sweeper) batch(path string, adaptive bool) (table, error) {
 		return table{}, fmt.Errorf("sweep: %s: %w", path, err)
 	}
 	t := table{specs: specs, title: fmt.Sprintf("== scenario batch: %s (%d scenarios) ==", path, len(specs))}
-	switch {
-	case adaptive:
-		t.title = fmt.Sprintf("== scenario batch: %s ==", path)
-	case s.remote != nil:
+	if s.remote != nil {
 		t.title = fmt.Sprintf("== scenario batch: %s via %s (%d scenarios) ==", path, s.remote.Base, len(specs))
 	}
 	t.print = func(w io.Writer, out []outcome) {

@@ -59,9 +59,7 @@ var goldens = []struct {
 	{"fabric", []string{"-sweep", "fabric"}},
 	{"dram", []string{"-sweep", "dram"}},
 	{"core-detailed", []string{"-sweep", "core", "-detailed"}},
-	{"l2-adaptive", []string{"-sweep", "l2", "-adaptive", "-top", "0.5"}},
 	{"batch", []string{"-f", "testdata/batch.json"}},
-	{"batch-adaptive", []string{"-f", "testdata/batch.json", "-adaptive"}},
 }
 
 // TestGoldens: every mode prints the same bytes at -j 1 and -j 4.
@@ -94,9 +92,8 @@ func simdURL(t *testing.T) string {
 }
 
 // TestRemoteMatchesLocal: the remote executor prints the local run's table
-// for built-in grids and -adaptive, and the fleet-batch golden for -f. Each
-// case gets a fresh server: one whose cache already holds full answers may
-// answer an estimate request with them.
+// for built-in grids and the fleet-batch golden for -f. Each case gets a
+// fresh server.
 func TestRemoteMatchesLocal(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -107,9 +104,6 @@ func TestRemoteMatchesLocal(t *testing.T) {
 		{"dram", []string{"-sweep", "dram"}, func(string) string { return golden(t, "dram") }},
 		{"batch", []string{"-f", "testdata/batch.json"}, func(url string) string {
 			return strings.ReplaceAll(golden(t, "batch-fleet"), "$FLEET", url)
-		}},
-		{"batch-adaptive", []string{"-f", "testdata/batch.json", "-adaptive"}, func(string) string {
-			return golden(t, "batch-adaptive")
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -203,8 +197,9 @@ func TestExitCodes(t *testing.T) {
 		code    int
 		message string
 	}{
-		{context.Background(), []string{"-adaptive", "-top", "0"}, 2, "-top 0 out of range"},
-		{context.Background(), []string{"-adaptive", "-top", "1.5"}, 2, "-top 1.5 out of range"},
+		// Estimate-then-promote is gone: its flags are unknown.
+		{context.Background(), []string{"-adaptive"}, 2, "-adaptive"},
+		{context.Background(), []string{"-top", "0.5"}, 2, "-top"},
 		{context.Background(), []string{"-sweep", "cache"}, 2, `unknown sweep "cache"`},
 		{context.Background(), []string{"-sweep", "core", "-profiles", "gcc,bogus"}, 2, `unknown benchmark "bogus"`},
 		{context.Background(), []string{"-f", bad}, 2, "predcitor"},
@@ -212,11 +207,9 @@ func TestExitCodes(t *testing.T) {
 		{context.Background(), []string{"-f", filepath.Join(t.TempDir(), "missing.json")}, 2, "missing.json"},
 		{context.Background(), []string{"-f", unbounded["underflow"]}, 2, "work scale 1e-300"},
 		{context.Background(), []string{"-f", unbounded["overflow"]}, 2, "work scale 1e+300"},
-		{context.Background(), []string{"-sweep", "core", "-detailed", "-adaptive"}, 2, "-detailed"},
 		{context.Background(), []string{"-f", "testdata/batch.json", "-detailed"}, 2, "-detailed"},
 		{context.Background(), []string{"-sweep", "fabric", "-detailed"}, 2, "-detailed"},
 		{cancelled, []string{"-sweep", "dram"}, 130, "interrupted"},
-		{cancelled, []string{"-sweep", "dram", "-adaptive"}, 130, "interrupted"},
 		{cancelled, []string{"-sweep", "dram", "-fleet", simdURL(t)}, 130, "interrupted"},
 	} {
 		code, _, errOut := sweep(c.ctx, c.args...)

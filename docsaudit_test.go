@@ -96,6 +96,126 @@ func TestDocCommandsNamePackages(t *testing.T) {
 	}
 }
 
+// TestDocFlagsAreDefined checks every -flag a document quotes on a
+// `go run ./cmd/X` line, or on a line running a built X binary
+// (/tmp/bin/X), against the flags cmd/X's non-test source defines, so a
+// retired flag cannot linger in the prose. The arguments end where the
+// command does: at a backtick, ;, |, &, #, ) or >.
+func TestDocFlagsAreDefined(t *testing.T) {
+	command := regexp.MustCompile("(?:\\bgo run \\./cmd/|/bin/)(\\w+)([^`\\n;|&#)>]*)")
+	flagArg := regexp.MustCompile(`^--?([A-Za-z][\w-]*)`)
+	defined := map[string]map[string]bool{}
+	var bad []string
+	for _, doc := range auditedDocs(t) {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(raw), "\n") {
+			for _, m := range command.FindAllStringSubmatch(line, -1) {
+				cmd := m[1]
+				if defined[cmd] == nil {
+					defined[cmd] = cmdFlags(t, cmd)
+				}
+				for _, arg := range strings.Fields(m[2]) {
+					if f := flagArg.FindStringSubmatch(arg); f != nil && !defined[cmd][f[1]] {
+						bad = append(bad, fmt.Sprintf("%s:%d: %s -%s", doc, i+1, cmd, f[1]))
+					}
+				}
+			}
+		}
+	}
+	if len(bad) > 0 {
+		t.Fatalf("documents quote flags their command does not define:\n  %s", strings.Join(bad, "\n  "))
+	}
+}
+
+// cmdFlags returns the flags cmd/<name>'s non-test source defines: the name
+// argument of every flag-defining call (Bool, String, IntVar, Func, ...)
+// and of every call to a closure that passes its parameter on as one (like
+// intervalsim's knob), plus -h and -help, which the flag package answers
+// itself.
+func cmdFlags(t *testing.T, name string) map[string]bool {
+	t.Helper()
+	dir := filepath.Join("cmd", name)
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.SkipObjectResolution)
+	if err != nil || len(pkgs) == 0 {
+		t.Fatalf("%s: no command (%v)", dir, err)
+	}
+	definer := regexp.MustCompile(`^(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Text)?Var$|^(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc)$`)
+	// nameArg returns the flag-name argument of a call to a flag definer;
+	// the *Var forms take a pointer or a Value first.
+	nameArg := func(call *ast.CallExpr) ast.Expr {
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || !definer.MatchString(sel.Sel.Name) {
+			return nil
+		}
+		at := 0
+		if strings.HasSuffix(sel.Sel.Name, "Var") {
+			at = 1
+		}
+		if at < len(call.Args) {
+			return call.Args[at]
+		}
+		return nil
+	}
+	// helpers maps a closure that hands its parameter i on as a flag name
+	// (intervalsim's knob) to i.
+	helpers := map[string]int{}
+	for _, pkg := range pkgs {
+		ast.Inspect(pkg, func(n ast.Node) bool {
+			as, ok := n.(*ast.AssignStmt)
+			if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+				return true
+			}
+			id, _ := as.Lhs[0].(*ast.Ident)
+			lit, _ := as.Rhs[0].(*ast.FuncLit)
+			if id == nil || lit == nil {
+				return true
+			}
+			params := map[string]int{}
+			for _, f := range lit.Type.Params.List {
+				for _, p := range f.Names {
+					params[p.Name] = len(params)
+				}
+			}
+			ast.Inspect(lit.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if arg, ok := nameArg(call).(*ast.Ident); ok {
+						if i, ok := params[arg.Name]; ok {
+							helpers[id.Name] = i
+						}
+					}
+				}
+				return true
+			})
+			return true
+		})
+	}
+	flags := map[string]bool{"h": true, "help": true}
+	for _, pkg := range pkgs {
+		ast.Inspect(pkg, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			arg := nameArg(call)
+			if id, ok := call.Fun.(*ast.Ident); ok {
+				if i, ok := helpers[id.Name]; ok && i < len(call.Args) {
+					arg = call.Args[i]
+				}
+			}
+			if v, ok := stringLit(arg); ok {
+				flags[v] = true
+			}
+			return true
+		})
+	}
+	return flags
+}
+
 // TestDocNamesAreRegistered checks every engine a document quotes — in
 // "engine":"X" form or as a -engine value — against simrun.Engines(), and
 // every -fig id (a|b lists included) against cmd/experiments' figIDs, so a

@@ -6,12 +6,12 @@
 // the run's own core model and machine on the multicore driver, and
 // extrapolates to the full budget.
 //
-// Package simrun selects it as its "statistical" engine: the simd service
-// answers fresh queries from it while the full run proceeds in the
-// background, and cmd/sweep's adaptive mode spends the full-fidelity budget
-// where it found the most interest. The estimator reads only the profile,
-// seed, warm-up, budget, machine and model of the run it stands in for, and
-// it is deterministic: same inputs, same answer.
+// Package simrun selects it as its "statistical" engine: a tiered simd
+// service answers fresh queries from it while the full run proceeds in the
+// background, and a spec that pins the engine runs it alone; no command
+// spends it on its own points. The estimator reads only the profile, seed,
+// warm-up, budget, machine and model of the run it stands in for, and it
+// is deterministic: same inputs, same answer.
 package engine
 
 import (

@@ -6,7 +6,8 @@
 // non-test source outside benchmark/ and names what breaks either rule.
 // Further walks keep the enum the one model selector, keep runnable
 // programs under cmd/, keep each node's /metrics its only metrics surface,
-// and keep deleted serving knobs and metric families deleted.
+// keep deleted serving knobs and metric families deleted, and keep the
+// statistical estimate out of the commands.
 package main
 
 import (
@@ -598,6 +599,40 @@ func containsFunc(e ast.Expr) bool {
 		return containsFunc(e.X)
 	}
 	return false
+}
+
+// TestCommandsSpendNoEstimate: a sweep is one pass of full runs. The
+// statistical estimate costs a fixed ~1.5 M instructions whatever the
+// budget, so it is spent only where simd's tiered serving finds it cheaper
+// than the full run, or where a spec pins it; no command under cmd/ picks
+// it for its points. The test fails on a "statistical" string literal or a
+// simrun.TierStatistical in the non-test sources under cmd/.
+func TestCommandsSpendNoEstimate(t *testing.T) {
+	var bad []string
+	fset := token.NewFileSet()
+	for _, src := range nonTestSources(t, fset) {
+		if !strings.HasPrefix(src.dir, "cmd/") {
+			continue
+		}
+		ast.Inspect(src.f, func(n ast.Node) bool {
+			what := ""
+			if v, ok := stringLit(n); ok && v == "statistical" {
+				what = strconv.Quote(v)
+			}
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "TierStatistical" {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "simrun" {
+					what = "simrun.TierStatistical"
+				}
+			}
+			if what != "" {
+				bad = append(bad, fmt.Sprintf("%s: %s", fset.Position(n.Pos()), what))
+			}
+			return true
+		})
+	}
+	if len(bad) > 0 {
+		t.Fatalf("a command spends the statistical estimate on its own points (a sweep is one pass of full runs):\n  %s", strings.Join(bad, "\n  "))
+	}
 }
 
 // TestMainPackagesLiveUnderCmd: the runnable programs are the cmd/
