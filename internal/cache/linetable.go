@@ -4,11 +4,12 @@ import "math/bits"
 
 // LineTable maps a line address (or any other key below ^uint64(0)) to a
 // fixed number of value words, possibly none. It is the one associative
-// structure of the simulator besides the caches themselves, with four
+// structure of the simulator besides the caches themselves, with five
 // users: the coherence protocol's per-line state, the stride prefetcher's
 // per-region history, the interval core's overlap scan (the store lines it
-// has tainted, no value words) and the detailed core's in-flight store
-// lines (one count word). It is flat: keys and values sit side by side in
+// has tainted, no value words), the detailed core's in-flight store lines
+// (one count word) and the statistical profiler (its data and code line
+// sets, and each static branch's index by PC). It is flat: keys and values sit side by side in
 // one word array, open-addressed with linear probing, so a lookup is a hash
 // and a short walk over adjacent host memory, an entry is not a heap object
 // and the collector has no pointers to trace.

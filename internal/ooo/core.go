@@ -60,16 +60,15 @@ const (
 	numFU
 )
 
-func fuClass(c isa.Class) int {
-	switch c {
-	case isa.Load, isa.Store:
-		return fuLS
-	case isa.FPOp:
-		return fuFP
-	default:
-		return fuInt
-	}
-}
+// The per-instruction stages decode by class-indexed tables rather than by
+// switches: the instruction mix is random, so a branch on the class is one
+// the host mispredicts. Each table has a slot for every class byte, so the
+// indexing needs no bounds check. fuOf is the functional-unit class; memOf
+// is 1 for the classes that hold an LSQ entry.
+var (
+	fuOf  = [256]uint8{isa.Load: fuLS, isa.Store: fuLS, isa.FPOp: fuFP}
+	memOf = [256]int8{isa.Load: 1, isa.Store: 1}
+)
 
 // entry is one in-flight instruction, from fetch to commit. It sits at
 // win[seq&mask], where seq counts fetched instructions: fetch and dispatch
@@ -129,8 +128,14 @@ type Core struct {
 	iqCount  int
 	lsqCount int
 	// lastWriter maps each architectural register to the window slot of
-	// its most recent in-flight writer (none if none in flight).
-	lastWriter [isa.NumRegs]int32
+	// its most recent in-flight writer (none if none in flight). It has a
+	// slot for every register byte, so an instruction without a
+	// destination writes slot RegNone; operand never reads that slot.
+	lastWriter [256]int32
+	// lat is the execution latency by class (ExecLatency, except that a
+	// store takes one cycle at issue to compute its address: its memory
+	// access happens at store-buffer drain after commit).
+	lat [256]int64
 
 	// Wake-up/select. ready[w][k] has bit b set when the entry in slot
 	// 64w+b is in the issue queue, of FU class k, and all its operands
@@ -217,6 +222,10 @@ func New(id int, cfg config.Core, bp *branch.Unit, mem *memhier.Hierarchy, src t
 	for i := range c.lastWriter {
 		c.lastWriter[i] = none
 	}
+	for k := range c.lat {
+		c.lat[k] = int64(cfg.ExecLatency(isa.Class(k)))
+	}
+	c.lat[isa.Store] = 1
 	for i := range c.wheel {
 		c.wheel[i] = none
 	}
@@ -433,9 +442,7 @@ func (c *Core) dispatch(now int64) {
 		e.pending = 0
 		c.operand(slot, e, 0, in.Src1)
 		c.operand(slot, e, 1, in.Src2)
-		if in.HasDst() {
-			c.lastWriter[in.Dst] = slot
-		}
+		c.lastWriter[in.Dst] = slot
 		if e.pending == 0 {
 			c.schedule(slot, e, now)
 		}
@@ -462,7 +469,7 @@ func (c *Core) operand(slot int32, e *entry, k int32, r uint8) {
 // bitmap if its operands are available now, onto the wheel otherwise.
 func (c *Core) schedule(slot int32, e *entry, now int64) {
 	if e.readyAt <= now {
-		c.ready[slot>>6][fuClass(e.inst.Class)] |= 1 << (slot & 63)
+		c.ready[slot>>6][fuOf[e.inst.Class]] |= 1 << (slot & 63)
 		c.nReady++
 		return
 	}
@@ -556,7 +563,7 @@ func (c *Core) issue(now int64) {
 		}
 		s += uint64(bits.TrailingZeros64(w))
 		e := &c.win[s&c.mask]
-		k := fuClass(e.inst.Class)
+		k := fuOf[e.inst.Class]
 		word[k] &^= 1 << (s & 63)
 		c.nReady--
 		c.iqCount--
@@ -594,7 +601,7 @@ func (c *Core) issue(now int64) {
 // execute computes the completion time of an instruction issued at now,
 // performing the memory access for loads.
 func (c *Core) execute(in *isa.Inst, now int64) int64 {
-	lat := int64(c.cfg.ExecLatency(in.Class))
+	lat := c.lat[in.Class]
 	if in.Class == isa.Load {
 		// Memory disambiguation: a load whose line has an in-flight
 		// older store forwards from the store queue instead of
@@ -602,13 +609,7 @@ func (c *Core) execute(in *isa.Inst, now int64) int64 {
 		if c.stores.Len() > 0 && c.stores.Find(in.Addr>>6) != nil {
 			return now + lat
 		}
-		res := c.mem.Data(c.id, in.Addr, false, now)
-		lat += res.Latency
-	}
-	if in.Class == isa.Store {
-		// Stores only compute their address at issue; the memory
-		// access happens at store-buffer drain after commit.
-		lat = 1
+		lat += c.mem.Data(c.id, in.Addr, false, now).Latency
 	}
 	return now + lat
 }
@@ -635,10 +636,8 @@ func (c *Core) commit(now int64) {
 				n[0]--
 			}
 		}
-		if e.inst.Class.IsMem() {
-			c.lsqCount--
-		}
-		if e.inst.HasDst() && c.lastWriter[e.inst.Dst] == slot {
+		c.lsqCount -= int(memOf[e.inst.Class])
+		if c.lastWriter[e.inst.Dst] == slot {
 			c.lastWriter[e.inst.Dst] = none
 		}
 		c.head++

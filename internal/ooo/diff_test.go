@@ -73,9 +73,19 @@ func drawCase(d *draws) diffCase {
 	case 2:
 		c.FPUnits = 1
 	}
-	if d.chance(10) {
+	switch k := d.n(100); {
+	case k < 10:
 		// Zero-latency ALU: a consumer may issue in its producer's cycle.
 		c.LatIntALU = 0
+	case k < 25:
+		// Every execution latency drawn: a store issues in one cycle
+		// whatever the ALU takes, and a zero-latency class of any kind
+		// readies its consumers in its own cycle.
+		c.LatIntALU = d.in(0, 3)
+		c.LatMul = d.in(0, 6)
+		c.LatDiv = d.in(0, 24)
+		c.LatFP = d.in(0, 6)
+		c.LatLoad = d.in(0, 4)
 	}
 	if d.chance(50) {
 		// Small caches, so that lines are evicted and the two cores

@@ -2,6 +2,7 @@ package statsim
 
 import (
 	"math/rand"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/trace"
@@ -226,28 +227,26 @@ func cdf(counts []uint64) []float64 {
 	return out
 }
 
+// sample draws an index from cdf: the first whose cumulative mass reaches
+// a uniform draw, found by bisection (a branch CDF has up to
+// maxStaticBranches entries).
 func (c *Clone) sample(cdf []float64) int {
-	u := c.rng.Float64()
-	for i, v := range cdf {
-		if u <= v {
-			return i
-		}
-	}
-	return len(cdf) - 1
+	i, _ := slices.BinarySearch(cdf, c.rng.Float64())
+	return min(i, len(cdf)-1)
 }
 
 // NextBatch implements trace.Stream.
 func (c *Clone) NextBatch(buf []isa.Inst) int {
 	n := min(len(buf), c.left)
 	for i := range buf[:n] {
-		buf[i] = c.next()
+		c.next(&buf[i])
 	}
 	c.left -= n
 	return n
 }
 
-// next generates the clone's next instruction.
-func (c *Clone) next() isa.Inst {
+// next generates the clone's next instruction into in.
+func (c *Clone) next(in *isa.Inst) {
 	class := isa.Class(c.sample(c.classCDF))
 	if class.IsSync() {
 		class = isa.Serializing
@@ -256,7 +255,7 @@ func (c *Clone) next() isa.Inst {
 		class = isa.Branch // calls/returns fold into plain branches
 	}
 
-	in := isa.Inst{
+	*in = isa.Inst{
 		Class: class,
 		PC:    c.nextPC(),
 		Src1:  isa.RegNone,
@@ -320,7 +319,6 @@ func (c *Clone) next() isa.Inst {
 	}
 
 	c.seq++
-	return in
 }
 
 // nextPC advances the synthetic program counter: sequential slots within

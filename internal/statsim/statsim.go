@@ -193,12 +193,20 @@ func Collect(src trace.Stream, max int) *Profile {
 // traffic.
 func CollectWarm(src trace.Stream, warm, max int) *Profile {
 	p := &Profile{}
-	lastWrite := make(map[uint8]uint64, isa.NumRegs)
-	lastWriteIsLoad := make(map[uint8]bool, isa.NumRegs)
-	lastOutcome := make(map[uint64]bool)
-	branchIdx := make(map[uint64]int)
-	dataLines := make(map[uint64]struct{})
-	codeLines := make(map[uint64]struct{})
+	// Per register byte: one more than the sequence number of its last
+	// writer (0 for none yet), and whether that writer was a load.
+	var lastWrite [256]uint64
+	var lastWriteIsLoad [256]bool
+	// Per tracked static branch: its index in p.Branches by PC, and its
+	// last outcome by index.
+	branchIdx := cache.NewLineTable(maxStaticBranches, 1)
+	var lastOutcome []bool
+	// The working-set estimators' line sets start small and grow; a
+	// code line is inserted when fetch moves to a new line, which leaves
+	// the set what inserting every instruction's line would.
+	dataLines := cache.NewLineTable(1<<12, 0)
+	codeLines := cache.NewLineTable(1<<10, 0)
+	lastCodeLine := ^uint64(0)
 	var lastLine int64 = -1
 	var lastColdAt int64 = -1
 
@@ -232,10 +240,10 @@ func CollectWarm(src trace.Stream, warm, max int) *Profile {
 				continue
 			}
 			producerRecent := false
-			if w, ok := lastWrite[s]; ok && seq-w <= MaxDepDist {
+			if w := lastWrite[s]; w != 0 && seq-(w-1) <= MaxDepDist {
 				producerRecent = true
 				if counting {
-					p.DepDist[seq-w]++
+					p.DepDist[seq-(w-1)]++
 				}
 			} else if counting {
 				p.DepDist[MaxDepDist]++
@@ -254,21 +262,20 @@ func CollectWarm(src trace.Stream, warm, max int) *Profile {
 			}
 		}
 		if in.HasDst() {
-			lastWrite[in.Dst] = seq
+			lastWrite[in.Dst] = seq + 1
 			lastWriteIsLoad[in.Dst] = in.Class == isa.Load
 		}
 
 		if in.Class.IsBranch() {
-			repeat := false
-			if prev, seen := lastOutcome[in.PC]; seen && prev == in.Taken {
-				repeat = true
-			}
-			idx, tracked := branchIdx[in.PC]
-			if !tracked && len(p.Branches) < maxStaticBranches {
-				idx = len(p.Branches)
+			repeat, tracked, idx := false, false, 0
+			if v := branchIdx.Find(in.PC); v != nil {
+				idx, tracked = int(v[0]), true
+				repeat = lastOutcome[idx] == in.Taken
+			} else if len(p.Branches) < maxStaticBranches {
+				idx, tracked = len(p.Branches), true
 				p.Branches = append(p.Branches, StaticBranch{})
-				branchIdx[in.PC] = idx
-				tracked = true
+				lastOutcome = append(lastOutcome, false)
+				branchIdx.Insert(in.PC)[0] = uint64(idx)
 			}
 			if counting {
 				p.BranchTotal++
@@ -290,7 +297,7 @@ func CollectWarm(src trace.Stream, warm, max int) *Profile {
 				}
 			}
 			if tracked {
-				lastOutcome[in.PC] = in.Taken
+				lastOutcome[idx] = in.Taken
 			}
 		}
 
@@ -300,8 +307,8 @@ func CollectWarm(src trace.Stream, warm, max int) *Profile {
 				p.StrideCount[classifyStride(line-lastLine)]++
 			}
 			lastLine = line
-			if len(dataLines) < maxTrackedLines {
-				dataLines[uint64(line)] = struct{}{}
+			if dataLines.Len() < maxTrackedLines {
+				dataLines.Insert(uint64(line))
 			}
 			if counting {
 				p.DataAccesses++
@@ -329,8 +336,11 @@ func CollectWarm(src trace.Stream, warm, max int) *Profile {
 				}
 			}
 		}
-		if len(codeLines) < maxTrackedLines {
-			codeLines[in.PC>>6] = struct{}{}
+		if line := in.PC >> 6; line != lastCodeLine {
+			lastCodeLine = line
+			if codeLines.Len() < maxTrackedLines {
+				codeLines.Insert(line)
+			}
 		}
 		if hit := l1i.Access(in.PC, false); !hit {
 			if counting {
@@ -340,9 +350,9 @@ func CollectWarm(src trace.Stream, warm, max int) *Profile {
 		}
 		seq++
 	}
-	p.StaticBranches = len(lastOutcome)
-	p.DataLines = len(dataLines)
-	p.CodeLines = len(codeLines)
+	p.StaticBranches = len(p.Branches)
+	p.DataLines = dataLines.Len()
+	p.CodeLines = codeLines.Len()
 	return p
 }
 
